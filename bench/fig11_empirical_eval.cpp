@@ -41,8 +41,9 @@ std::map<std::string, double> evaluate_in_system(
     sim_cfg.epsilon_label = pipe.domain().stop_action();
     sim::Simulator simulator(pipe.domain().model(task.scenario), sim_cfg);
 
-    const auto responses = lm::sample_responses(
-        model, pipe.tokenizer(), task.prompt, samples_per_task, sampler, rng);
+    const auto responses =
+        lm::sample_responses(model, pipe.tokenizer(), task.prompt,
+                             samples_per_task, sampler, pipe.config().seed, rng);
     for (const auto& response : responses.texts) {
       auto g2f = glm2fsa::glm2fsa(response, pipe.domain().aligner(),
                                   pipe.domain().build_options());

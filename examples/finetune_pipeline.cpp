@@ -8,8 +8,9 @@
 //                          [--generator-seed N]
 //                          [--metrics-json PATH] [--trace-json PATH]
 //                          [--checkpoint-dir DIR] [--checkpoint-every N]
-//                          [--resume [PATH]] [--streaming | --phased]
-// (defaults are sized to finish in about a minute on a laptop core)
+//                          [--resume [PATH]]
+// (defaults are sized to finish in about a minute on a laptop core; an
+// unknown flag or a flag missing its value prints this usage, exit code 2)
 //
 // --generate-scenarios N appends N procedurally generated scenarios to the
 // paper's five (docs/GENERATOR.md) and scales the sampling knobs down so
@@ -17,10 +18,6 @@
 // M generated scenarios for the held-out generalization eval printed after
 // training. Same seeds ⇒ byte-identical stdout (wall-clock fields only
 // live in the JSON reports).
-//
-// --streaming (the default) runs sample→synthesize→verify→rank as a
-// bounded-queue dataflow; --phased restores the barriered phases. Both
-// produce bitwise-identical results (docs/PIPELINE.md).
 //
 // --metrics-json writes a dpoaf.run_report JSON document (metric counters,
 // per-phase wall times, per-epoch loss/KL series); --trace-json writes a
@@ -51,31 +48,44 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   std::string trace_path;
   bool resume = false;
-  for (int i = 1; i + 1 < argc + 1; ++i) {
-    const std::string arg = argv[i] ? argv[i] : "";
-    if (arg == "--epochs" && i + 1 < argc)
-      cfg.dpo.epochs = std::atoi(argv[i + 1]);
-    if (arg == "--seed" && i + 1 < argc)
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(argv[i + 1]));
-    if (arg == "--generate-scenarios" && i + 1 < argc)
-      cfg.generated_scenarios = std::atoi(argv[i + 1]);
-    if (arg == "--holdout" && i + 1 < argc)
-      cfg.holdout_scenarios = std::atoi(argv[i + 1]);
-    if (arg == "--generator-seed" && i + 1 < argc)
-      cfg.generator_seed = static_cast<std::uint64_t>(std::atoll(argv[i + 1]));
-    if (arg == "--metrics-json" && i + 1 < argc) metrics_path = argv[i + 1];
-    if (arg == "--trace-json" && i + 1 < argc) trace_path = argv[i + 1];
-    if (arg == "--checkpoint-dir" && i + 1 < argc)
-      cfg.checkpoint_dir = argv[i + 1];
-    if (arg == "--checkpoint-every" && i + 1 < argc)
-      cfg.checkpoint_every_epochs = std::atoi(argv[i + 1]);
-    if (arg == "--streaming") cfg.streaming = true;
-    if (arg == "--phased") cfg.streaming = false;
+  const auto usage = [&] {
+    std::cerr << "usage: " << argv[0]
+              << " [--epochs N] [--seed N] [--generate-scenarios N]"
+                 " [--holdout M] [--generator-seed N] [--metrics-json PATH]"
+                 " [--trace-json PATH] [--checkpoint-dir DIR]"
+                 " [--checkpoint-every N] [--resume [PATH]]\n";
+    return 2;
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
     if (arg == "--resume") {
       resume = true;
       // Optional explicit snapshot path; defaults to --checkpoint-dir.
-      if (i + 1 < argc && argv[i + 1][0] != '-') cfg.resume_from = argv[i + 1];
+      if (i + 1 < argc && argv[i + 1][0] != '-') cfg.resume_from = argv[++i];
+      continue;
     }
+    if (i + 1 >= argc) return usage();  // every other flag takes a value
+    const char* value = argv[++i];
+    if (arg == "--epochs")
+      cfg.dpo.epochs = std::atoi(value);
+    else if (arg == "--seed")
+      cfg.seed = static_cast<std::uint64_t>(std::atoll(value));
+    else if (arg == "--generate-scenarios")
+      cfg.generated_scenarios = std::atoi(value);
+    else if (arg == "--holdout")
+      cfg.holdout_scenarios = std::atoi(value);
+    else if (arg == "--generator-seed")
+      cfg.generator_seed = static_cast<std::uint64_t>(std::atoll(value));
+    else if (arg == "--metrics-json")
+      metrics_path = value;
+    else if (arg == "--trace-json")
+      trace_path = value;
+    else if (arg == "--checkpoint-dir")
+      cfg.checkpoint_dir = value;
+    else if (arg == "--checkpoint-every")
+      cfg.checkpoint_every_epochs = std::atoi(value);
+    else
+      return usage();
   }
   cfg.observability = !metrics_path.empty() || !trace_path.empty();
   // Enable metrics before the pipeline constructor runs: scenario

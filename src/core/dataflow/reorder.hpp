@@ -8,7 +8,7 @@
 // expected number arrives. The consumer therefore observes the same order
 // a serial run would have produced, regardless of which stage worker
 // finished first — this is what makes the streaming pipeline's output
-// bitwise-identical to the phased one.
+// bitwise-identical at any thread count and schedule.
 //
 // close() marks the producer side done: pop() keeps releasing the
 // in-order prefix, then returns nullopt. fail() aborts — pending items

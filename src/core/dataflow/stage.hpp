@@ -8,7 +8,7 @@
 // shared pool: worker counts are derived from util::global_threads(),
 // and per-item work either fans out through parallel_for or pins itself
 // serial with util::InlineComputeGuard so the stage's worker count is
-// the unit of parallelism (same contract as phased parallel_for chunks).
+// the unit of parallelism.
 //
 // Error model ("clean shutdown/drain on error"): the first exception a
 // worker throws is captured; the set's on_error hook fires once (the

@@ -51,6 +51,19 @@ CheckpointEval from_record(const ckpt::EvalRecord& r) {
   return e;
 }
 
+// Rejects sample counts no run can use before any construction work:
+// a count below 1 would otherwise surface deep in the dataflow, or
+// collect nothing at all.
+const PipelineConfig& validated(const PipelineConfig& config) {
+  DPOAF_CHECK_MSG(config.responses_per_task >= 1,
+                  "PipelineConfig::responses_per_task must be >= 1, got " +
+                      std::to_string(config.responses_per_task));
+  DPOAF_CHECK_MSG(config.eval_samples_per_task >= 1,
+                  "PipelineConfig::eval_samples_per_task must be >= 1, got " +
+                      std::to_string(config.eval_samples_per_task));
+  return config;
+}
+
 driving::generator::GeneratorConfig make_generator_config(
     const PipelineConfig& config) {
   driving::generator::GeneratorConfig gen;
@@ -69,10 +82,20 @@ serve::ServiceConfig make_serve_config(const PipelineConfig& config) {
   return scfg;
 }
 
+/// One RNG per task, split from `parent` in serial task order: each task's
+/// sampling stream is fixed before any fan-out, so any schedule yields
+/// identical responses.
+std::vector<Rng> split_task_rngs(Rng& parent, std::size_t n_tasks) {
+  std::vector<Rng> out;
+  out.reserve(n_tasks);
+  for (std::size_t i = 0; i < n_tasks; ++i) out.push_back(parent.split());
+  return out;
+}
+
 }  // namespace
 
 DpoAfPipeline::DpoAfPipeline(PipelineConfig config)
-    : config_(config),
+    : config_(validated(config)),
       domain_(make_generator_config(config_)),
       tokenizer_(lm::build_tokenizer(domain_.tasks())),
       rng_(config.seed) {
@@ -219,15 +242,16 @@ int DpoAfPipeline::score_response(const driving::Task& task,
 void DpoAfPipeline::stream_scored_responses(
     const std::vector<const driving::Task*>& tasks,
     const std::vector<int>& counts, const TinyGpt& model,
-    const lm::SamplerConfig& sampler, SampleSource source,
+    const lm::SamplerConfig& sampler, bool from_catalog,
     std::vector<Rng>& task_rngs,
     const std::function<void(ScoredItem&&)>& consume) const {
   const std::size_t n_tasks = tasks.size();
   // Sequence numbers are assigned at submission, task-major then
-  // sample-minor — the exact order the phased pipeline consumes in — and
-  // every per-candidate RNG draw below comes from the serially-split
-  // task_rngs, so reassembling by sequence number reproduces the phased
-  // output bit for bit (docs/PIPELINE.md).
+  // sample-minor, and request s of task u always decodes with
+  // nn::request_rng(config_.seed, task_rngs[u]()) — the s-th serial draw
+  // — whichever scheduler runs it. Reassembling by sequence number thus
+  // yields the same stream at any thread count, serve on or off
+  // (docs/PIPELINE.md).
   std::vector<std::uint64_t> seq_base(n_tasks + 1, 0);
   for (std::size_t u = 0; u < n_tasks; ++u)
     seq_base[u + 1] = seq_base[u] + static_cast<std::uint64_t>(counts[u]);
@@ -245,14 +269,14 @@ void DpoAfPipeline::stream_scored_responses(
   dataflow::Channel<WorkItem> work(capacity, "pipeline.candidates");
   dataflow::Reorder<ScoredItem> scored("pipeline.scored");
   // Overlap telemetry: scorings that complete while the sampler stage is
-  // still producing are exactly the work the phased pipeline serialized.
+  // still producing — work a barriered sample-then-score pipeline would
+  // have serialized.
   std::atomic<bool> sampling_open{true};
   std::atomic<std::uint64_t> scored_while_sampling{0};
-
-  static obs::Counter& responses = obs::counter("lm.responses");
-  static obs::Counter& tokens = obs::counter("lm.generated_tokens");
-  static obs::Counter& truncations = obs::counter("lm.truncated_responses");
-  obs::Histogram& gen_hist = obs::histogram("lm.sample_responses_ns");
+  const auto close_sampling = [&] {
+    sampling_open.store(false, std::memory_order_relaxed);
+    work.close();
+  };
 
   // In-flight serve submissions between the submitter and the harvester;
   // FIFO with one producer and one consumer, so submission order is
@@ -262,9 +286,10 @@ void DpoAfPipeline::stream_scored_responses(
     std::size_t task = 0;
     serve::Submission submission;
   };
+  const bool use_serve = config_.serve && !from_catalog;
   std::unique_ptr<dataflow::Channel<Inflight>> inflight;
   std::unique_ptr<serve::GenerationService> service;
-  if (source == SampleSource::kServe) {
+  if (use_serve) {
     inflight = std::make_unique<dataflow::Channel<Inflight>>(
         capacity, "pipeline.inflight");
     service =
@@ -279,10 +304,10 @@ void DpoAfPipeline::stream_scored_responses(
   });
 
   // --- sampler stage --------------------------------------------------
-  if (source == SampleSource::kServe) {
+  if (use_serve) {
     // Submitter: draw every per-request seed serially from the task RNGs
-    // (the same derivation lm::sample_responses_served uses) and let the
-    // service's bounded admission queue provide natural backpressure.
+    // and let the service's bounded admission queue provide natural
+    // backpressure.
     stages.spawn(
         "submit", 1,
         [&](int) {
@@ -310,30 +335,25 @@ void DpoAfPipeline::stream_scored_responses(
         "sample", 1,
         [&](int) {
           while (auto sub = inflight->pop()) {
-            obs::Span span("generation", gen_hist);
+            obs::Span span("generation",
+                           obs::histogram("lm.sample_responses_ns"));
             const serve::GenerateResult r = sub->submission.result.get();
-            responses.add();
-            tokens.add(r.ids.size());
-            if (r.truncated) truncations.add();
-            if (!work.push(
-                    {sub->seq, sub->task, tokenizer_.decode(r.ids), r.truncated}))
+            if (!work.push({sub->seq, sub->task,
+                            lm::decode_response(tokenizer_, r.ids, r.truncated),
+                            r.truncated}))
               return;
           }
         },
-        [&] {
-          sampling_open.store(false, std::memory_order_relaxed);
-          work.close();
-        });
+        close_sampling);
   } else {
     // Direct / catalog sampler: workers claim whole tasks (each task's
     // RNG stream is private, so the claim order is irrelevant) and decode
     // serially — the worker count is the stage's parallelism.
     const int gen_workers =
-        source == SampleSource::kCatalog
-            ? 1
-            : static_cast<int>(std::min<std::size_t>(
-                  n_tasks == 0 ? 1 : n_tasks,
-                  static_cast<std::size_t>(util::global_threads())));
+        from_catalog ? 1
+                     : static_cast<int>(std::min<std::size_t>(
+                           n_tasks == 0 ? 1 : n_tasks,
+                           static_cast<std::size_t>(util::global_threads())));
     auto next_task = std::make_shared<std::atomic<std::size_t>>(0);
     stages.spawn(
         "sample", gen_workers,
@@ -342,40 +362,30 @@ void DpoAfPipeline::stream_scored_responses(
           for (;;) {
             const std::size_t u = next_task->fetch_add(1);
             if (u >= n_tasks) return;
-            if (source == SampleSource::kCatalog) {
-              std::uint64_t seq = seq_base[u];
-              for (const auto& variant : tasks[u]->variants)
-                if (!work.push({seq++, u, variant.text, false})) return;
-            } else {
-              const std::vector<int> prompt =
-                  lm::encode_prompt(tokenizer_, tasks[u]->prompt);
-              for (int s = 0; s < counts[u]; ++s) {
-                obs::Span span("generation", gen_hist);
-                const auto gen = model.generate(
-                    prompt, sampler.max_new_tokens, sampler.temperature,
-                    sampler.top_k, tokenizer_.eos(), task_rngs[u]);
-                responses.add();
-                tokens.add(gen.ids.size());
-                if (gen.truncated) truncations.add();
-                if (!work.push({seq_base[u] + static_cast<std::uint64_t>(s),
-                                u, tokenizer_.decode(gen.ids), gen.truncated}))
-                  return;
+            for (int s = 0; s < counts[u]; ++s) {
+              WorkItem item{seq_base[u] + static_cast<std::uint64_t>(s), u,
+                            {}, false};
+              if (from_catalog) {
+                item.text = tasks[u]->variants[static_cast<std::size_t>(s)].text;
+              } else {
+                // One response per call, so each is scored as soon as it
+                // is decoded; the seeds drawn match one m-response call.
+                auto one = lm::sample_responses(model, tokenizer_,
+                                                tasks[u]->prompt, 1, sampler,
+                                                config_.seed, task_rngs[u]);
+                item.text = std::move(one.texts[0]);
+                item.truncated = one.truncated[0];
               }
+              if (!work.push(std::move(item))) return;
             }
           }
         },
-        [&] {
-          sampling_open.store(false, std::memory_order_relaxed);
-          work.close();
-        });
+        close_sampling);
   }
 
   // --- synthesis + verification stage ---------------------------------
-  const int score_workers =
-      config_.verify_workers > 0 ? config_.verify_workers
-                                 : util::global_threads();
   stages.spawn(
-      "verify", score_workers,
+      "verify", util::global_threads(),
       [&](int) {
         util::InlineComputeGuard serial;
         while (auto item = work.pop()) {
@@ -409,120 +419,29 @@ void DpoAfPipeline::stream_scored_responses(
   }
 }
 
-DpoAfPipeline::StreamedCollection DpoAfPipeline::stream_collect(
-    bool with_pairs) {
-  DPOAF_CHECK_MSG(pretrained_ || config_.candidates_from_catalog,
-                  "call pretrain_model() before sampling candidates");
-  std::vector<const driving::Task*> training;
-  for (const auto& task : domain_.tasks())
-    if (task.training && !task.holdout) training.push_back(&task);
-
-  // Same serial split as the phased path: the pipeline RNG stream is
-  // identical in both modes.
-  std::vector<Rng> task_rngs;
-  task_rngs.reserve(training.size());
-  for (std::size_t i = 0; i < training.size(); ++i)
-    task_rngs.push_back(rng_.split());
-
-  SampleSource source = SampleSource::kDirect;
-  if (config_.candidates_from_catalog)
-    source = SampleSource::kCatalog;
-  else if (config_.serve)
-    source = SampleSource::kServe;
-
-  std::vector<int> counts(training.size(), config_.responses_per_task);
-  if (source == SampleSource::kCatalog)
-    for (std::size_t u = 0; u < training.size(); ++u)
-      counts[u] = static_cast<int>(training[u]->variants.size());
-
-  StreamedCollection out;
-  out.candidates.resize(training.size());
-  for (std::size_t u = 0; u < training.size(); ++u)
-    out.candidates[u].task_id = training[u]->id;
-
-  static obs::Counter& pair_counter = obs::counter("pipeline.pairs_built");
-  stream_scored_responses(
-      training, counts, model_, config_.sampler, source, task_rngs,
-      [&](ScoredItem&& item) {
-        TaskCandidates& tc = out.candidates[item.task_index];
-        if (item.truncated) ++tc.truncated;
-        tc.candidates.push_back(std::move(item.candidate));
-        // Consumption is sequence-ordered, so a task is complete exactly
-        // when its last candidate arrives — build its pairs right away
-        // (the pair-builder stage of the dataflow).
-        if (with_pairs &&
-            tc.candidates.size() ==
-                static_cast<std::size_t>(counts[item.task_index])) {
-          obs::Span span("ranking", obs::histogram("pipeline.ranking_ns"));
-          const auto& task = *training[item.task_index];
-          const auto task_pairs = dpo::build_preference_pairs(
-              task.id, task.prompt, tc.candidates, tokenizer_,
-              model_.config().max_seq);
-          out.pairs.insert(out.pairs.end(), task_pairs.begin(),
-                           task_pairs.end());
-        }
-      });
-  if (with_pairs) pair_counter.add(out.pairs.size());
-  return out;
-}
-
 std::vector<TaskCandidates> DpoAfPipeline::collect_candidates() {
-  if (config_.streaming) return stream_collect(/*with_pairs=*/false).candidates;
   DPOAF_CHECK_MSG(pretrained_ || config_.candidates_from_catalog,
                   "call pretrain_model() before sampling candidates");
   std::vector<const driving::Task*> training;
   for (const auto& task : domain_.tasks())  // pairs: training, non-held-out
     if (task.training && !task.holdout) training.push_back(&task);
+  std::vector<Rng> task_rngs = split_task_rngs(rng_, training.size());
 
-  // One generator per task, split from the pipeline RNG in serial task
-  // order: the sampling stream each task sees is fixed before the fan-out,
-  // so any thread count yields identical candidates.
-  std::vector<Rng> task_rngs;
-  task_rngs.reserve(training.size());
-  for (std::size_t i = 0; i < training.size(); ++i)
-    task_rngs.push_back(rng_.split());
-
-  // Serve mode: generation goes through the continuous-batching service
-  // first (each task's m requests decode interleaved across the slots);
-  // the fan-out below then only scores. The two phases never share the
-  // thread pool, and per-request seeds come from the same serially-split
-  // task RNGs, so candidates are identical at any slot or thread count.
-  const bool use_serve = config_.serve && !config_.candidates_from_catalog;
-  std::vector<lm::SampledResponses> served(training.size());
-  if (use_serve) {
-    serve::GenerationService service(model_, make_serve_config(config_));
+  std::vector<int> counts(training.size(), config_.responses_per_task);
+  if (config_.candidates_from_catalog)
     for (std::size_t u = 0; u < training.size(); ++u)
-      served[u] = lm::sample_responses_served(
-          service, tokenizer_, training[u]->prompt,
-          config_.responses_per_task, config_.sampler, task_rngs[u]);
-  }
+      counts[u] = static_cast<int>(training[u]->variants.size());
 
   std::vector<TaskCandidates> out(training.size());
-  util::parallel_for(0, static_cast<std::int64_t>(training.size()), 1,
-                     [&](std::int64_t t0, std::int64_t t1) {
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const auto u = static_cast<std::size_t>(t);
-      const driving::Task& task = *training[u];
-      TaskCandidates tc;
-      tc.task_id = task.id;
-      if (config_.candidates_from_catalog) {
-        for (const auto& variant : task.variants)
-          tc.candidates.push_back(
-              {variant.text, score_response(task, variant.text)});
-      } else {
-        const auto responses =
-            use_serve
-                ? std::move(served[u])
-                : lm::sample_responses(model_, tokenizer_, task.prompt,
-                                       config_.responses_per_task,
-                                       config_.sampler, task_rngs[u]);
-        tc.truncated = responses.truncated_count();
-        for (const auto& response : responses.texts)
-          tc.candidates.push_back({response, score_response(task, response)});
-      }
-      out[u] = std::move(tc);
-    }
-  });
+  for (std::size_t u = 0; u < training.size(); ++u)
+    out[u].task_id = training[u]->id;
+  stream_scored_responses(training, counts, model_, config_.sampler,
+                          config_.candidates_from_catalog, task_rngs,
+                          [&](ScoredItem&& item) {
+                            TaskCandidates& tc = out[item.task_index];
+                            if (item.truncated) ++tc.truncated;
+                            tc.candidates.push_back(std::move(item.candidate));
+                          });
   return out;
 }
 
@@ -549,10 +468,6 @@ std::vector<dpo::PreferencePair> DpoAfPipeline::build_pairs(
 
 CheckpointEval DpoAfPipeline::evaluate_model(const TinyGpt& model,
                                              int epoch) const {
-  // A zero sample count would divide by zero below and propagate NaN means
-  // into every CheckpointEval consumer; fail loudly instead.
-  DPOAF_CHECK_MSG(config_.eval_samples_per_task > 0,
-                  "eval_samples_per_task must be > 0");
   obs::Span span("eval", obs::histogram("pipeline.eval_ns"));
   CheckpointEval eval;
   eval.epoch = epoch;
@@ -564,8 +479,6 @@ CheckpointEval DpoAfPipeline::evaluate_model(const TinyGpt& model,
   sampler.top_k = config_.eval_top_k;
   sampler.max_new_tokens = config_.eval_max_new_tokens;
 
-  // Per-task generators split in serial task order (see
-  // collect_candidates) keep the evaluation identical at any thread count.
   // Held-out tasks never appear in checkpoint evaluation — they are
   // reserved for evaluate_generalization (and skipping them here keeps the
   // no-holdout RNG stream untouched: the split count only drops when a
@@ -573,89 +486,33 @@ CheckpointEval DpoAfPipeline::evaluate_model(const TinyGpt& model,
   std::vector<const driving::Task*> tasks;
   for (const auto& task : domain_.tasks())
     if (!task.holdout) tasks.push_back(&task);
-  std::vector<Rng> task_rngs;
-  task_rngs.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    task_rngs.push_back(eval_rng.split());
+  std::vector<Rng> task_rngs = split_task_rngs(eval_rng, tasks.size());
 
-  eval.per_task.resize(tasks.size());
-  eval.per_task_alignment_failure.resize(tasks.size());
-  std::vector<int> per_task_truncated(tasks.size(), 0);
-  if (config_.streaming) {
-    // Streaming: each response is scored as soon as it is decoded; the
-    // sequence-ordered consumer reproduces the phased path's per-task
-    // serial accumulation order, so every mean below is bitwise-identical.
-    const std::vector<int> counts(tasks.size(),
-                                  config_.eval_samples_per_task);
-    std::vector<double> score_sum(tasks.size(), 0.0);
-    std::vector<int> failures(tasks.size(), 0);
-    stream_scored_responses(
-        tasks, counts, model, sampler,
-        config_.serve ? SampleSource::kServe : SampleSource::kDirect,
-        task_rngs, [&](ScoredItem&& item) {
-          const std::size_t u = item.task_index;
-          if (item.truncated) ++per_task_truncated[u];
-          // The mean counts an unalignable response as 0 satisfied specs;
-          // the failure itself is tallied separately so the two outcomes
-          // stay distinguishable.
-          if (item.candidate.score < 0) ++failures[u];
-          score_sum[u] += std::max(0, item.candidate.score);
-        });
-    const auto n = static_cast<double>(config_.eval_samples_per_task);
-    for (std::size_t u = 0; u < tasks.size(); ++u) {
-      eval.per_task[u] = {tasks[u]->id, score_sum[u] / n};
-      eval.per_task_alignment_failure[u] =
-          static_cast<double>(failures[u]) / n;
-    }
-  } else {
-    // Phased: serve mode batches all generation first, then the fan-out
-    // below only scores.
-    std::vector<lm::SampledResponses> served(tasks.size());
-    if (config_.serve) {
-      serve::GenerationService service(model, make_serve_config(config_));
-      for (std::size_t u = 0; u < tasks.size(); ++u)
-        served[u] = lm::sample_responses_served(
-            service, tokenizer_, tasks[u]->prompt,
-            config_.eval_samples_per_task, sampler, task_rngs[u]);
-    }
-    util::parallel_for(0, static_cast<std::int64_t>(tasks.size()), 1,
-                       [&](std::int64_t t0, std::int64_t t1) {
-      for (std::int64_t t = t0; t < t1; ++t) {
-        const auto u = static_cast<std::size_t>(t);
-        const driving::Task& task = *tasks[u];
-        const auto responses =
-            config_.serve
-                ? std::move(served[u])
-                : lm::sample_responses(model, tokenizer_, task.prompt,
-                                       config_.eval_samples_per_task, sampler,
-                                       task_rngs[u]);
-        per_task_truncated[u] = responses.truncated_count();
-        double score_sum = 0.0;
-        int failures = 0;
-        for (const auto& response : responses.texts) {
-          const int score = score_response(task, response);
-          // The mean counts an unalignable response as 0 satisfied specs;
-          // the failure itself is tallied separately so the two outcomes
-          // stay distinguishable.
-          if (score < 0) ++failures;
-          score_sum += std::max(0, score);
-        }
-        const auto n = static_cast<double>(responses.texts.size());
-        eval.per_task[u] = {task.id, score_sum / n};
-        eval.per_task_alignment_failure[u] =
-            static_cast<double>(failures) / n;
-      }
-    });
-  }
+  const std::vector<int> counts(tasks.size(), config_.eval_samples_per_task);
+  std::vector<double> score_sum(tasks.size(), 0.0);
+  std::vector<int> failures(tasks.size(), 0);
+  stream_scored_responses(tasks, counts, model, sampler, false, task_rngs,
+                          [&](ScoredItem&& item) {
+                            const std::size_t u = item.task_index;
+                            if (item.truncated) ++eval.truncated_responses;
+                            // The mean counts an unalignable response as 0
+                            // satisfied specs; the failure itself is
+                            // tallied separately so the two outcomes stay
+                            // distinguishable.
+                            if (item.candidate.score < 0) ++failures[u];
+                            score_sum[u] += std::max(0, item.candidate.score);
+                          });
 
-  // Serial reduction in task order, independent of the fan-out above.
+  // Serial reduction in task order.
+  const auto n = static_cast<double>(config_.eval_samples_per_task);
   double train_sum = 0.0, val_sum = 0.0;
   double train_fail = 0.0, val_fail = 0.0;
   std::size_t train_n = 0, val_n = 0;
   for (std::size_t u = 0; u < tasks.size(); ++u) {
-    const double score = eval.per_task[u].second;
-    const double fail = eval.per_task_alignment_failure[u];
-    eval.truncated_responses += per_task_truncated[u];
+    const double score = score_sum[u] / n;
+    const double fail = static_cast<double>(failures[u]) / n;
+    eval.per_task.emplace_back(tasks[u]->id, score);
+    eval.per_task_alignment_failure.push_back(fail);
     if (tasks[u]->training) {
       train_sum += score;
       train_fail += fail;
@@ -679,8 +536,6 @@ CheckpointEval DpoAfPipeline::evaluate_model(const TinyGpt& model,
 }
 
 GeneralizationEval DpoAfPipeline::evaluate_generalization() const {
-  DPOAF_CHECK_MSG(config_.eval_samples_per_task > 0,
-                  "eval_samples_per_task must be > 0");
   GeneralizationEval out;
   // A fixed offset of the pipeline seed — a private stream, so running (or
   // skipping) this eval never perturbs any other RNG consumer.
@@ -690,57 +545,49 @@ GeneralizationEval DpoAfPipeline::evaluate_generalization() const {
   sampler.top_k = config_.eval_top_k;
   sampler.max_new_tokens = config_.eval_max_new_tokens;
 
-  const auto& tasks = domain_.tasks();
-  std::vector<Rng> task_rngs;
-  task_rngs.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    task_rngs.push_back(gen_rng.split());
+  std::vector<const driving::Task*> tasks;
+  for (const auto& task : domain_.tasks()) tasks.push_back(&task);
+  std::vector<Rng> task_rngs = split_task_rngs(gen_rng, tasks.size());
 
+  // Generated rulebooks differ in length, so satisfied counts are
+  // normalized by each task's own rulebook size before averaging.
+  std::vector<double> rulebook_size(tasks.size());
+  for (std::size_t u = 0; u < tasks.size(); ++u)
+    rulebook_size[u] =
+        static_cast<double>(domain_.specs_for(tasks[u]->scenario).size());
   struct TaskScore {
     double satisfied_fraction = 0.0;
     double alignment_failure = 0.0;
     double violation = 0.0;
   };
   std::vector<TaskScore> scores(tasks.size());
-  util::parallel_for(0, static_cast<std::int64_t>(tasks.size()), 1,
-                     [&](std::int64_t t0, std::int64_t t1) {
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const auto u = static_cast<std::size_t>(t);
-      const driving::Task& task = tasks[u];
-      // Generated rulebooks differ in length, so satisfied counts are
-      // normalized by the task's own rulebook size before averaging.
-      const auto rulebook_size =
-          static_cast<double>(domain_.specs_for(task.scenario).size());
-      const auto responses =
-          lm::sample_responses(model_, tokenizer_, task.prompt,
-                               config_.eval_samples_per_task, sampler,
-                               task_rngs[u]);
-      TaskScore s;
-      for (const auto& response : responses.texts) {
-        const int score = score_response(task, response);
+  const std::vector<int> counts(tasks.size(), config_.eval_samples_per_task);
+  stream_scored_responses(
+      tasks, counts, model_, sampler, false, task_rngs,
+      [&](ScoredItem&& item) {
+        const std::size_t u = item.task_index;
+        const int score = item.candidate.score;
+        TaskScore& s = scores[u];
         if (score < 0)
           s.alignment_failure += 1.0;
-        else if (static_cast<double>(score) < rulebook_size)
+        else if (static_cast<double>(score) < rulebook_size[u])
           s.violation += 1.0;
-        s.satisfied_fraction += std::max(0, score) / rulebook_size;
-      }
-      const auto n = static_cast<double>(responses.texts.size());
-      s.satisfied_fraction /= n;
-      s.alignment_failure /= n;
-      s.violation /= n;
-      scores[u] = s;
-    }
-  });
+        s.satisfied_fraction += std::max(0, score) / rulebook_size[u];
+      });
 
   // Serial reduction in task order.
+  const auto n = static_cast<double>(config_.eval_samples_per_task);
   for (std::size_t u = 0; u < tasks.size(); ++u) {
-    const TaskScore& s = scores[u];
-    if (tasks[u].holdout) {
+    TaskScore& s = scores[u];
+    s.satisfied_fraction /= n;
+    s.alignment_failure /= n;
+    s.violation /= n;
+    if (tasks[u]->holdout) {
       ++out.holdout_tasks;
       out.holdout_mean_satisfied_fraction += s.satisfied_fraction;
       out.holdout_alignment_failure_rate += s.alignment_failure;
       out.holdout_violation_rate += s.violation;
-      out.per_holdout_task.emplace_back(tasks[u].id, s.satisfied_fraction);
+      out.per_holdout_task.emplace_back(tasks[u]->id, s.satisfied_fraction);
     } else {
       ++out.train_tasks;
       out.train_mean_satisfied_fraction += s.satisfied_fraction;
@@ -891,16 +738,7 @@ RunResult DpoAfPipeline::run() {
     pretrain_model_impl(&state);
   }
   if (!pretrained_) pretrain_model();
-  if (config_.streaming) {
-    // One dataflow for stages 2–4: candidates stream from the sampler
-    // through synthesis/verification into the pair builder, and DPO
-    // consumes the completed pair set per epoch.
-    const auto streamed = stream_collect(/*with_pairs=*/true);
-    return run_dpo(streamed.pairs);
-  }
-  const auto candidates = collect_candidates();
-  const auto pairs = build_pairs(candidates);
-  return run_dpo(pairs);
+  return run_dpo(build_pairs(collect_candidates()));
 }
 
 }  // namespace dpoaf::core

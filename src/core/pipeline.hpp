@@ -59,47 +59,36 @@ struct PipelineConfig {
   lm::PretrainConfig pretrain;
 
   // Stage 2: sampling the pre-trained model.
-  int responses_per_task = 16;  // m
+  int responses_per_task = 16;  // m, >= 1
   lm::SamplerConfig sampler;
   /// If true, use the catalog's variant texts as the candidate pool
   /// instead of sampling the LM (deterministic; used by fast benches —
   /// the paper's unlimited automated feedback makes the candidate source
   /// interchangeable).
   bool candidates_from_catalog = false;
-  /// Route candidate sampling and checkpoint evaluation through the
-  /// continuous-batching generation service (src/serve) in deterministic
-  /// mode: per-request seeds are drawn serially from the same task-RNG
-  /// splits, so results are reproducible at any serve_slots/threads
-  /// setting. The sampling stream differs from the direct decode loop, so
-  /// serve on/off are two distinct (each bitwise-reproducible)
-  /// experiments. See docs/SERVING.md.
+  /// Schedule every sampled decode (candidate collection, checkpoint
+  /// evaluation, the held-out eval) on the continuous-batching generation
+  /// service (src/serve) instead of per-task decode loops. Both schedulers
+  /// decode response s of task u with nn::request_rng(seed, task_rng_u()),
+  /// so the RunResult is bitwise-identical either way — a scheduling knob,
+  /// not an experiment axis. See docs/SERVING.md.
   bool serve = false;
   /// Concurrent decode slots when serve is enabled.
   int serve_slots = 8;
 
   // ---- Streaming dataflow (docs/PIPELINE.md) -------------------------
-  /// Run stages 2–4 (sampling → synthesis/verification → ranking) as a
-  /// bounded-queue streaming dataflow instead of barriered phases:
-  /// every candidate is scored as soon as it is decoded, and a task's
-  /// preference pairs are built the moment its last candidate is scored.
-  /// Sequence-numbered reassembly preserves the serial consumption order,
-  /// so the RunResult is bitwise-identical to the phased pipeline at any
-  /// thread count on either backend (property-tested) — this is a
-  /// scheduling knob, not an experiment axis.
-  bool streaming = true;
-  /// Scoring-stage workers when streaming. 0 ⇒ the thread-pool size.
-  int verify_workers = 0;
-  /// Bounded capacity of each inter-stage queue. Fast stages block once
-  /// they are this far ahead (backpressure); values < 1 are clamped to 1.
+  /// Bounded capacity of each inter-stage queue of the sample → verify
+  /// dataflow. Fast stages block once they are this far ahead
+  /// (backpressure); values < 1 are clamped to 1.
   int stage_queue_capacity = 32;
 
   // Stage 5: DPO.
   dpo::DpoConfig dpo;
 
-  // Checkpoint evaluation: sample this many responses per task at the
-  // given temperature and average the per-response specification counts
-  // (an unalignable response counts 0; the failure *rate* is reported
-  // separately in CheckpointEval). Deterministic per (seed, epoch).
+  // Checkpoint evaluation: sample this many responses (>= 1) per task at
+  // the given temperature and average the per-response specification
+  // counts (an unalignable response counts 0; the failure *rate* is
+  // reported separately in CheckpointEval). Deterministic per (seed, epoch).
   int eval_samples_per_task = 10;
   float eval_temperature = 0.7f;
   int eval_top_k = 6;
@@ -229,6 +218,8 @@ struct RunResult {
 
 class DpoAfPipeline {
  public:
+  /// Throws ContractViolation when responses_per_task or
+  /// eval_samples_per_task is below 1.
   explicit DpoAfPipeline(PipelineConfig config);
 
   [[nodiscard]] const DrivingDomain& domain() const { return domain_; }
@@ -240,7 +231,7 @@ class DpoAfPipeline {
   [[nodiscard]] const TinyGpt& model() const { return model_; }
 
   /// Stages 2–3: sample m responses per training task and score each via
-  /// formal verification.
+  /// formal verification, as one streaming dataflow (docs/PIPELINE.md).
   [[nodiscard]] std::vector<TaskCandidates> collect_candidates();
 
   /// Stage 4: all strictly-ordered preference pairs.
@@ -251,7 +242,9 @@ class DpoAfPipeline {
   /// evaluation. Leaves the fine-tuned policy accessible via model().
   RunResult run_dpo(const std::vector<dpo::PreferencePair>& pairs);
 
-  /// Convenience: run all stages and return the result. When
+  /// Convenience: run all stages —
+  /// run_dpo(build_pairs(collect_candidates())) after pre-training — and
+  /// return the result. When
   /// config.resume_from is set, the run restarts from that snapshot
   /// instead: a pretrain-stage checkpoint re-enters the pre-training loop
   /// (then runs stages 2–6 normally); a dpo-stage checkpoint restores the
@@ -272,8 +265,9 @@ class DpoAfPipeline {
   [[nodiscard]] int score_response(const driving::Task& task,
                                    const std::string& response_text) const;
 
-  /// Greedy-decode every non-held-out task and verify (one Figure-9 data
-  /// point; held-out tasks are reserved for evaluate_generalization).
+  /// Sample eval_samples_per_task responses for every non-held-out task
+  /// and verify them (one Figure-9 data point; held-out tasks are reserved
+  /// for evaluate_generalization).
   [[nodiscard]] CheckpointEval evaluate_model(const TinyGpt& model,
                                               int epoch) const;
 
@@ -291,28 +285,18 @@ class DpoAfPipeline {
     dpo::Candidate candidate;
     bool truncated = false;
   };
-  /// Where the sampler stage gets candidate texts from.
-  enum class SampleSource { kCatalog, kDirect, kServe };
-  /// Candidates plus (optionally) the pairs built as tasks completed.
-  struct StreamedCollection {
-    std::vector<TaskCandidates> candidates;
-    std::vector<dpo::PreferencePair> pairs;
-  };
-
-  /// The streaming engine behind stages 2–3 and checkpoint eval: generate
-  /// `counts[u]` responses for each task, score each response as soon as
-  /// it is available, and invoke `consume` on the calling thread in serial
-  /// submission order (see docs/PIPELINE.md for the stage graph, queue
-  /// bounds, and the determinism contract).
+  /// The streaming engine behind candidate collection and both evals:
+  /// generate `counts[u]` responses for each task (the catalog's variant
+  /// texts when `from_catalog`, else sampled), score each response as soon
+  /// as it is available, and invoke `consume` on the calling thread in
+  /// serial submission order (see docs/PIPELINE.md for the stage graph,
+  /// queue bounds, and the determinism contract).
   void stream_scored_responses(
       const std::vector<const driving::Task*>& tasks,
       const std::vector<int>& counts, const TinyGpt& model,
-      const lm::SamplerConfig& sampler, SampleSource source,
+      const lm::SamplerConfig& sampler, bool from_catalog,
       std::vector<Rng>& task_rngs,
       const std::function<void(ScoredItem&&)>& consume) const;
-  /// Stages 2–4 as one dataflow; pair building is skipped (and the
-  /// "ranking" spans with it) when `with_pairs` is false.
-  StreamedCollection stream_collect(bool with_pairs);
 
   /// Shared trailer of every snapshot: stage-independent identity fields
   /// (seed, model config, LoRA layout, vocabulary).

@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "nn/decoder.hpp"
 #include "nn/optim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -93,98 +94,38 @@ PretrainStats pretrain(TinyGpt& model,
   return stats;
 }
 
+std::string decode_response(const Tokenizer& tok, const std::vector<int>& ids,
+                            bool truncated) {
+  static obs::Counter& responses = obs::counter("lm.responses");
+  static obs::Counter& tokens = obs::counter("lm.generated_tokens");
+  static obs::Counter& truncations = obs::counter("lm.truncated_responses");
+  responses.add();
+  tokens.add(ids.size());
+  if (truncated) truncations.add();
+  return tok.decode(ids);
+}
+
 SampledResponses sample_responses(const TinyGpt& model, const Tokenizer& tok,
                                   const std::string& task_prompt, int m,
-                                  const SamplerConfig& config, Rng& rng) {
+                                  const SamplerConfig& config,
+                                  std::uint64_t stream_seed, Rng& rng) {
   DPOAF_CHECK(m > 0);
   // "generation" is one of the five pipeline phases in the RunReport; every
   // sampled batch of m responses is one span (plus per-response counters).
   obs::Span span("generation", obs::histogram("lm.sample_responses_ns"));
-  static obs::Counter& responses = obs::counter("lm.responses");
-  static obs::Counter& tokens = obs::counter("lm.generated_tokens");
-  static obs::Counter& truncations = obs::counter("lm.truncated_responses");
   const std::vector<int> prompt = encode_prompt(tok, task_prompt);
   SampledResponses out;
   out.texts.reserve(static_cast<std::size_t>(m));
   out.truncated.reserve(static_cast<std::size_t>(m));
   for (int s = 0; s < m; ++s) {
+    Rng request = nn::request_rng(stream_seed, rng());
     const auto gen =
         model.generate(prompt, config.max_new_tokens, config.temperature,
-                       config.top_k, tok.eos(), rng);
-    responses.add();
-    tokens.add(gen.ids.size());
-    if (gen.truncated) truncations.add();
-    out.texts.push_back(tok.decode(gen.ids));
+                       config.top_k, tok.eos(), request);
+    out.texts.push_back(decode_response(tok, gen.ids, gen.truncated));
     out.truncated.push_back(gen.truncated);
   }
   return out;
-}
-
-SampledResponses sample_responses_served(serve::GenerationService& service,
-                                         const Tokenizer& tok,
-                                         const std::string& task_prompt,
-                                         int m, const SamplerConfig& config,
-                                         Rng& rng) {
-  DPOAF_CHECK(m > 0);
-  obs::Span span("generation", obs::histogram("lm.sample_responses_ns"));
-  static obs::Counter& responses = obs::counter("lm.responses");
-  static obs::Counter& tokens = obs::counter("lm.generated_tokens");
-  static obs::Counter& truncations = obs::counter("lm.truncated_responses");
-  const std::vector<int> prompt = encode_prompt(tok, task_prompt);
-  std::vector<serve::GenerateRequest> requests(static_cast<std::size_t>(m));
-  for (serve::GenerateRequest& req : requests) {
-    req.prompt = prompt;
-    req.max_new_tokens = config.max_new_tokens;
-    req.temperature = config.temperature;
-    req.top_k = config.top_k;
-    req.eos_id = tok.eos();
-    req.seed = rng();  // serial draws fix every stream before submission
-  }
-  const auto results = service.generate_all(requests);
-  SampledResponses out;
-  out.texts.reserve(results.size());
-  out.truncated.reserve(results.size());
-  for (const serve::GenerateResult& r : results) {
-    responses.add();
-    tokens.add(r.ids.size());
-    if (r.truncated) truncations.add();
-    out.texts.push_back(tok.decode(r.ids));
-    out.truncated.push_back(r.truncated);
-  }
-  return out;
-}
-
-std::string greedy_response_served(serve::GenerationService& service,
-                                   const Tokenizer& tok,
-                                   const std::string& task_prompt,
-                                   int max_new_tokens, bool* truncated) {
-  obs::Span span("generation");
-  static obs::Counter& responses = obs::counter("lm.responses");
-  static obs::Counter& tokens = obs::counter("lm.generated_tokens");
-  serve::GenerateRequest req;
-  req.prompt = encode_prompt(tok, task_prompt);
-  req.max_new_tokens = max_new_tokens;
-  req.greedy = true;
-  req.eos_id = tok.eos();
-  serve::GenerateResult r = service.submit(std::move(req)).result.get();
-  responses.add();
-  tokens.add(r.ids.size());
-  if (truncated != nullptr) *truncated = r.truncated;
-  return tok.decode(r.ids);
-}
-
-std::string greedy_response(const TinyGpt& model, const Tokenizer& tok,
-                            const std::string& task_prompt,
-                            int max_new_tokens, bool* truncated) {
-  obs::Span span("generation");
-  static obs::Counter& responses = obs::counter("lm.responses");
-  static obs::Counter& tokens = obs::counter("lm.generated_tokens");
-  const std::vector<int> prompt = encode_prompt(tok, task_prompt);
-  const auto gen = model.generate_greedy(prompt, max_new_tokens, tok.eos());
-  responses.add();
-  tokens.add(gen.ids.size());
-  if (truncated != nullptr) *truncated = gen.truncated;
-  return tok.decode(gen.ids);
 }
 
 }  // namespace dpoaf::lm

@@ -13,7 +13,6 @@
 
 #include "lm/corpus.hpp"
 #include "nn/gpt.hpp"
-#include "serve/service.hpp"
 
 namespace dpoaf::lm {
 
@@ -86,39 +85,22 @@ struct SampledResponses {
   }
 };
 
-/// Sample m responses for a task prompt.
+/// Sample m responses for a task prompt — the library's one sampling
+/// entry point. Response s decodes with its own stream
+/// nn::request_rng(stream_seed, rng()), the m seeds drawn serially from
+/// `rng`: the derivation a deterministic serve::GenerationService seeded
+/// with `stream_seed` applies to requests whose seeds come from the same
+/// draws, so direct and served sampling return identical texts.
 SampledResponses sample_responses(const TinyGpt& model, const Tokenizer& tok,
                                   const std::string& task_prompt, int m,
-                                  const SamplerConfig& config, Rng& rng);
+                                  const SamplerConfig& config,
+                                  std::uint64_t stream_seed, Rng& rng);
 
-/// Greedy (argmax) response for a task prompt — used to evaluate
-/// checkpoints (Figure 9). Sets *truncated (when given) if the response
-/// hit the context limit.
-std::string greedy_response(const TinyGpt& model, const Tokenizer& tok,
-                            const std::string& task_prompt,
-                            int max_new_tokens = 72,
-                            bool* truncated = nullptr);
-
-/// Sample m responses through a continuous-batching service instead of the
-/// serial decode loop above. Per-request seeds are drawn serially from
-/// `rng` before submission, so with a deterministic service the result is
-/// a pure function of (model weights, service seed, rng state) — identical
-/// at any slot count, thread count, or arrival interleaving. The sampling
-/// stream differs from sample_responses (which threads one RNG through
-/// consecutive decodes), so served and direct runs are two distinct, each
-/// internally reproducible, experiments.
-SampledResponses sample_responses_served(serve::GenerationService& service,
-                                         const Tokenizer& tok,
-                                         const std::string& task_prompt,
-                                         int m, const SamplerConfig& config,
-                                         Rng& rng);
-
-/// greedy_response through a service (greedy needs no RNG, so this is
-/// bitwise-identical to the direct path).
-std::string greedy_response_served(serve::GenerationService& service,
-                                   const Tokenizer& tok,
-                                   const std::string& task_prompt,
-                                   int max_new_tokens = 72,
-                                   bool* truncated = nullptr);
+/// Decode one finished generation into response text and count it in the
+/// lm.responses / lm.generated_tokens / lm.truncated_responses metrics.
+/// The only place those counters are recorded: sample_responses and the
+/// pipeline's serve-backed sampler both finish every response here.
+std::string decode_response(const Tokenizer& tok, const std::vector<int>& ids,
+                            bool truncated);
 
 }  // namespace dpoaf::lm

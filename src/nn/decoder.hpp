@@ -30,17 +30,34 @@
 namespace dpoaf::nn {
 
 /// Sample one token id from a next-token logit row with temperature and
-/// top-k truncation — the exact procedure TinyGpt::generate applies (the
-/// top-k candidate set breaks logit ties by ascending token id). Shared by
-/// the batch sampler and the serve scheduler so both paths stay bitwise
-/// interchangeable. Requires temperature > 0; top_k <= 0 keeps the full
-/// distribution.
+/// top-k truncation (the top-k candidate set breaks logit ties by
+/// ascending token id). Requires temperature > 0; top_k <= 0 keeps the
+/// full distribution.
 int sample_token(const float* logits, std::int64_t vocab, float temperature,
                  int top_k, Rng& rng);
 
-/// Greedy argmax over a logit row; ties go to the lowest token id, matching
-/// TinyGpt::generate_greedy.
+/// Greedy argmax over a logit row; ties go to the lowest token id.
 int argmax_token(const float* logits, std::int64_t vocab);
+
+/// The decode RNG of one request: a pure function of a stream seed (the
+/// pipeline or service seed) and the request's own seed, so a request's
+/// stream never depends on which other requests ran, in what order, or
+/// on which scheduler. Every sampled decode in the library derives its
+/// RNG here.
+[[nodiscard]] Rng request_rng(std::uint64_t stream_seed,
+                              std::uint64_t request_seed);
+
+/// Token choice and stopping rule of one autoregressive decode.
+struct DecodeParams {
+  int max_new = 72;          // generated-token budget
+  float temperature = 0.7f;  // > 0 unless greedy
+  int top_k = 6;             // <= 0 keeps the full distribution
+  int eos_id = -1;           // -1: never stop on eos
+  bool greedy = false;       // argmax; temperature, top_k and rng unused
+};
+
+/// Why decode_step stopped, or kContinue when more tokens may follow.
+enum class DecodeStatus { kContinue, kEos, kLength, kContext };
 
 class DecodeSession {
  public:
@@ -89,6 +106,7 @@ class DecodeSession {
   [[nodiscard]] std::int64_t cow_copies() const { return cow_copies_; }
 
   [[nodiscard]] const KvBlockPool& pool() const { return *pool_; }
+  [[nodiscard]] const TinyGpt& model() const { return model_; }
 
  private:
   const TinyGpt& model_;
@@ -103,5 +121,19 @@ class DecodeSession {
   // attention row — sized to max_seq once, never reallocated per token).
   std::vector<float> x_, h_, qkv_, attn_out_, mlp_, scores_;
 };
+
+/// One autoregressive decode step — the single step behind
+/// TinyGpt::generate, TinyGpt::generate_greedy and the serve scheduler.
+/// `session` holds every prompt token but the last plus every id in
+/// `ids` but the last; the step feeds the newest token (ids.back(), or
+/// prompt.back() before the first step) and picks the next one. Returns
+/// kLength once `ids` holds params.max_new tokens (checked before and
+/// after the step), kContext when feeding would fill the model's max_seq
+/// window (the response is truncated), kEos when the eos token was picked
+/// (never appended), and kContinue after appending a token.
+DecodeStatus decode_step(DecodeSession& session,
+                         const std::vector<int>& prompt,
+                         const DecodeParams& params, Rng& rng,
+                         std::vector<int>& ids);
 
 }  // namespace dpoaf::nn

@@ -70,63 +70,37 @@ double TinyGpt::response_log_prob_value(const std::vector<int>& ids,
       response_log_prob(nullptr, ids, prompt_len).item());
 }
 
+namespace {
+// Prefill every prompt token but the last, then loop decode_step.
+Generation decode(const TinyGpt& model, const std::vector<int>& prompt,
+                  const DecodeParams& params, Rng& rng) {
+  DPOAF_CHECK(!prompt.empty());
+  DPOAF_CHECK_MSG(
+      static_cast<std::int64_t>(prompt.size()) <= model.config().max_seq,
+      "prompt alone exceeds max_seq");
+  DecodeSession session(model);
+  for (std::size_t i = 0; i + 1 < prompt.size(); ++i) session.step(prompt[i]);
+  Generation out;
+  DecodeStatus status = DecodeStatus::kContinue;
+  while (status == DecodeStatus::kContinue)
+    status = decode_step(session, prompt, params, rng, out.ids);
+  out.truncated = status == DecodeStatus::kContext;
+  return out;
+}
+}  // namespace
+
 Generation TinyGpt::generate(const std::vector<int>& prompt, int max_new,
                              float temperature, int top_k, int eos_id,
                              Rng& rng) const {
-  DPOAF_CHECK(!prompt.empty());
   DPOAF_CHECK(temperature > 0.0f);
-  DPOAF_CHECK_MSG(static_cast<std::int64_t>(prompt.size()) <= config_.max_seq,
-                  "prompt alone exceeds max_seq");
-  DecodeSession session(*this);
-  std::int64_t consumed = 0;
-  for (std::size_t i = 0; i + 1 < prompt.size(); ++i) {
-    session.step(prompt[i]);
-    ++consumed;
-  }
-  Generation out;
-  int last = prompt.back();
-  for (int step = 0; step < max_new; ++step) {
-    if (consumed + 1 >= config_.max_seq) {
-      out.truncated = true;  // context exhausted before eos/max_new
-      break;
-    }
-    const std::vector<float>& logits = session.step(last);
-    ++consumed;
-    const int next =
-        sample_token(logits.data(), config_.vocab_size, temperature, top_k, rng);
-    if (next == eos_id) break;
-    last = next;
-    out.ids.push_back(next);
-  }
-  return out;
+  return decode(*this, prompt, {max_new, temperature, top_k, eos_id, false},
+                rng);
 }
 
 Generation TinyGpt::generate_greedy(const std::vector<int>& prompt,
                                     int max_new, int eos_id) const {
-  DPOAF_CHECK(!prompt.empty());
-  DPOAF_CHECK_MSG(static_cast<std::int64_t>(prompt.size()) <= config_.max_seq,
-                  "prompt alone exceeds max_seq");
-  DecodeSession session(*this);
-  std::int64_t consumed = 0;
-  for (std::size_t i = 0; i + 1 < prompt.size(); ++i) {
-    session.step(prompt[i]);
-    ++consumed;
-  }
-  Generation out;
-  int last = prompt.back();
-  for (int step = 0; step < max_new; ++step) {
-    if (consumed + 1 >= config_.max_seq) {
-      out.truncated = true;
-      break;
-    }
-    const std::vector<float>& logits = session.step(last);
-    ++consumed;
-    const int best = argmax_token(logits.data(), config_.vocab_size);
-    if (best == eos_id) break;
-    last = best;
-    out.ids.push_back(best);
-  }
-  return out;
+  Rng unused(0);  // argmax draws nothing
+  return decode(*this, prompt, {max_new, 1.0f, 0, eos_id, true}, unused);
 }
 
 void TinyGpt::enable_lora(std::int64_t rank, float alpha, Rng& rng) {

@@ -29,18 +29,6 @@ const char* to_string(FinishReason reason) {
   return "unknown";
 }
 
-Rng request_rng(std::uint64_t service_seed, std::uint64_t request_seed) {
-  // Mix both seeds into one 64-bit value with two splitmix64 rounds; Rng's
-  // reseed expands it to the full 256-bit state. A pure function of the two
-  // seeds — never derived from admission order or a shared stream.
-  std::uint64_t s = service_seed ^
-                    (0x9E3779B97F4A7C15ULL *
-                     (request_seed + 0x632BE59BD9B4E019ULL));
-  std::uint64_t z = splitmix64(s);
-  z ^= splitmix64(s);
-  return Rng(z);
-}
-
 /// A request waiting in the admission queue.
 struct GenerationService::Pending {
   GenerateRequest req;
@@ -66,9 +54,6 @@ struct GenerationService::Slot {
   bool registered = false;     // prompt prefix anchored in the tree
   std::int64_t cached = 0;     // prompt positions adopted from the tree
   std::int64_t worst_blocks = 0;  // admission-time block reservation
-  int last = 0;
-  std::int64_t consumed = 0;  // tokens fed to the session
-  int steps_done = 0;         // decode steps taken (= generate()'s loop index)
   GenerateResult result;
 };
 
@@ -368,12 +353,9 @@ void GenerationService::admit_locked(std::uint64_t now_ns) {
     slot.registered = false;
     slot.cached = 0;
     slot.worst_blocks = worst_case_blocks(slot.req);
-    slot.last = 0;
-    slot.consumed = 0;
-    slot.steps_done = 0;
     slot.result = GenerateResult{};
     slot.result.queue_ns = now_ns - p.admit_ns;
-    slot.rng = request_rng(config_.seed, slot.req.seed);
+    slot.rng = nn::request_rng(config_.seed, slot.req.seed);
     slot.session->reset();
     if (match.tokens > 0) {
       slot.session->adopt_prefix(match.blocks, match.tokens);
@@ -388,9 +370,6 @@ void GenerationService::admit_locked(std::uint64_t now_ns) {
 }
 
 void GenerationService::advance(Slot& slot, std::uint64_t now_ns) {
-  // Mirrors one TinyGpt::generate loop step exactly (same check order, same
-  // sampling helpers), so a served request reproduces generate() bitwise
-  // when decoded with the same RNG.
   GenerateResult& r = slot.result;
   if (slot.req.prompt.empty()) {
     // validate() rejects empty prompts before admission; this guard keeps
@@ -405,55 +384,42 @@ void GenerationService::advance(Slot& slot, std::uint64_t now_ns) {
     slot.finished = true;
     return;
   }
-  const auto& cfg = model_.config();
+  const auto prompt_len = static_cast<std::int64_t>(slot.req.prompt.size());
   if (!slot.prefilled) {
     // Adopted prefix positions [0, cached) are already in the KV cache;
     // prefill only the un-cached suffix of the prompt.
-    for (std::size_t i = static_cast<std::size_t>(slot.cached);
-         i + 1 < slot.req.prompt.size(); ++i)
-      slot.session->step(slot.req.prompt[i]);
-    slot.consumed = static_cast<std::int64_t>(slot.req.prompt.size()) - 1;
-    slot.last = slot.req.prompt.back();
+    for (std::int64_t i = slot.cached; i + 1 < prompt_len; ++i)
+      slot.session->step(slot.req.prompt[static_cast<std::size_t>(i)]);
     slot.prefilled = true;
     impl_->prefill_steps.fetch_add(
-        static_cast<std::uint64_t>(slot.consumed - slot.cached),
+        static_cast<std::uint64_t>(prompt_len - 1 - slot.cached),
         std::memory_order_relaxed);
   }
-  if (slot.steps_done >= slot.req.max_new_tokens) {
-    r.finish = FinishReason::kLength;
-    slot.finished = true;
-    return;
-  }
-  if (slot.consumed + 1 >= cfg.max_seq) {
-    r.truncated = true;  // context exhausted before eos/max_new
-    r.finish = FinishReason::kContext;
-    slot.finished = true;
-    return;
-  }
-  const std::vector<float>& logits = slot.session->step(slot.last);
-  ++slot.consumed;
-  ++slot.steps_done;
+  const GenerateRequest& req = slot.req;
+  const std::int64_t fed = slot.session->position();
+  const nn::DecodeStatus status = nn::decode_step(
+      *slot.session, req.prompt,
+      {req.max_new_tokens, req.temperature, req.top_k, req.eos_id, req.greedy},
+      slot.rng, r.ids);
   // Time-to-first-token on the iteration clock, recorded for the first
-  // decode step no matter what it samples (an eos first token previously
-  // left ttft_ns at 0 and the old wall-clock read drifted from the
-  // iteration the token actually landed in).
-  if (slot.steps_done == 1) r.ttft_ns = now_ns - slot.admit_ns;
-  const int next =
-      slot.req.greedy
-          ? nn::argmax_token(logits.data(), cfg.vocab_size)
-          : nn::sample_token(logits.data(), cfg.vocab_size,
-                             slot.req.temperature, slot.req.top_k, slot.rng);
-  if (next == slot.req.eos_id) {
-    r.finish = FinishReason::kEos;
-    slot.finished = true;
-    return;
+  // decode step no matter what it samples (eos included).
+  if (fed + 1 == prompt_len && slot.session->position() > fed)
+    r.ttft_ns = now_ns - slot.admit_ns;
+  switch (status) {
+    case nn::DecodeStatus::kContinue:
+      return;
+    case nn::DecodeStatus::kEos:
+      r.finish = FinishReason::kEos;
+      break;
+    case nn::DecodeStatus::kLength:
+      r.finish = FinishReason::kLength;
+      break;
+    case nn::DecodeStatus::kContext:
+      r.truncated = true;  // context exhausted before eos/max_new
+      r.finish = FinishReason::kContext;
+      break;
   }
-  r.ids.push_back(next);
-  slot.last = next;
-  if (slot.steps_done >= slot.req.max_new_tokens) {
-    r.finish = FinishReason::kLength;
-    slot.finished = true;
-  }
+  slot.finished = true;
 }
 
 void GenerationService::register_prefixes() {
@@ -466,8 +432,9 @@ void GenerationService::register_prefixes() {
     // Cache-resident prompt positions: the full prompt once the first
     // decode step fed prompt.back(), one less when the slot finished
     // before that step (max_new == 0 or immediate context exhaustion).
-    const std::int64_t len = std::min(
-        slot.consumed, static_cast<std::int64_t>(slot.req.prompt.size()));
+    const std::int64_t len =
+        std::min(slot.session->position(),
+                 static_cast<std::int64_t>(slot.req.prompt.size()));
     if (len <= 0) continue;
     const auto& chain = slot.session->block_table();
     std::int32_t partial = -1;

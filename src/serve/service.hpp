@@ -22,7 +22,7 @@
 // mid-decode.
 //
 // Determinism: a request's output depends only on the model weights, its
-// own fields, and request_rng(config.seed, request.seed). Adopted prefix
+// own fields, and nn::request_rng(config.seed, request.seed). Adopted prefix
 // blocks hold bit-exactly the rows the request's own prefill would have
 // produced, and attention walks positions in the same order at any block
 // size — so token ids are bitwise-identical regardless of arrival order,
@@ -64,8 +64,8 @@ struct GenerateRequest {
   int eos_id = -1;           // -1: never stop on eos
   /// Greedy argmax decoding (temperature/top_k/seed unused).
   bool greedy = false;
-  /// Per-request RNG seed; the decode stream is request_rng(service seed,
-  /// this seed) — independent of every other request.
+  /// Per-request RNG seed; the decode stream is nn::request_rng(service
+  /// seed, this seed) — independent of every other request.
   std::uint64_t seed = 0;
   /// Wall-clock budget from admission, microseconds; 0 = none. Ignored in
   /// deterministic mode.
@@ -142,11 +142,6 @@ struct ServiceStats {
   std::uint64_t evicted_blocks = 0;  // cached-prefix blocks reclaimed
 };
 
-/// The decode RNG for a request: a pure function of the service seed and
-/// the request seed, so streams never depend on admission order.
-[[nodiscard]] Rng request_rng(std::uint64_t service_seed,
-                              std::uint64_t request_seed);
-
 class GenerationService {
  public:
   /// Binds to `model`, which must outlive the service and must not be
@@ -195,7 +190,9 @@ class GenerationService {
   /// Move queued requests into free slots while their worst-case block
   /// need fits the unreserved pool; caller holds mutex_.
   void admit_locked(std::uint64_t now_ns);
-  /// One generated token (or prefill + first token) for an active slot.
+  /// One nn::decode_step (after the prompt prefill, on first call) for an
+  /// active slot, plus the serving-only parts: deadlines, prefill
+  /// accounting, and TTFT.
   void advance(Slot& slot, std::uint64_t now_ns);
   /// Anchor freshly prefilled prompts in the prefix tree (scheduler
   /// thread, between iterations).

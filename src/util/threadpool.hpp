@@ -75,9 +75,8 @@ int global_threads();
 /// parallel_for it makes runs inline (exactly as if it were a chunk body).
 /// Dataflow stage workers (src/core/dataflow) wrap their per-item compute
 /// in this so the stage's worker count — not the pool fan-out — is the
-/// unit of parallelism, mirroring how the phased pipeline's per-task
-/// chunks behave. Restores the previous state on destruction, so guards
-/// nest safely.
+/// unit of parallelism. Restores the previous state on destruction, so
+/// guards nest safely.
 class InlineComputeGuard {
  public:
   InlineComputeGuard();

@@ -103,12 +103,31 @@ TEST(Pipeline, EvaluationIsDeterministicPerSeedAndEpoch) {
 }
 
 TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
-  // Regression: eval_samples_per_task == 0 used to divide by zero and
-  // poison CheckpointEval means with NaN; it must fail loudly instead.
-  auto cfg = micro_config();
-  cfg.eval_samples_per_task = 0;
-  DpoAfPipeline pipe(cfg);
-  EXPECT_THROW((void)pipe.evaluate_model(pipe.model(), 0), ContractViolation);
+  // Regressions, now rejected at construction with the field named:
+  // eval_samples_per_task == 0 divided by zero into NaN means;
+  // responses_per_task == -1 failed deep in the dataflow with a "dropped
+  // scored candidates" CHECK, and 0 silently collected nothing.
+  struct Case {
+    const char* field;
+    int PipelineConfig::*member;
+    int value;
+  };
+  for (const Case& c : {Case{"eval_samples_per_task",
+                             &PipelineConfig::eval_samples_per_task, 0},
+                        Case{"responses_per_task",
+                             &PipelineConfig::responses_per_task, 0},
+                        Case{"responses_per_task",
+                             &PipelineConfig::responses_per_task, -1}}) {
+    auto cfg = micro_config();
+    cfg.*c.member = c.value;
+    try {
+      DpoAfPipeline pipe(cfg);
+      ADD_FAILURE() << c.field << " = " << c.value << " was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Pipeline, EvaluationReportsAlignmentFailuresExplicitly) {

@@ -1,11 +1,12 @@
-// The streaming dataflow framework (src/core/dataflow) and the
-// streaming-vs-phased equivalence contract (docs/PIPELINE.md): bounded
-// channels must enforce backpressure and drain cleanly on close/fail,
-// sequence-numbered reassembly must release items in submission order no
-// matter the completion order, stage errors must unwind the whole graph,
-// and the streaming pipeline must produce bitwise-identical results to
-// the barriered phased pipeline. This suite also runs under TSan in CI
-// (DPOAF_THREADS=4, both tensor backends).
+// The streaming dataflow framework (src/core/dataflow) and the pipeline's
+// determinism contract (docs/PIPELINE.md): bounded channels must enforce
+// backpressure and drain cleanly on close/fail, sequence-numbered
+// reassembly must release items in submission order no matter the
+// completion order, stage errors must unwind the whole graph, and the
+// streaming pipeline must produce bitwise-identical results whether its
+// decodes are scheduled directly or on the serve layer, at any thread
+// count. This suite also runs under TSan in CI (DPOAF_THREADS=4, both
+// tensor backends).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -181,14 +182,12 @@ TEST(DataflowStageSet, WorkerErrorFailsTheGraphAndRethrowsOnJoin) {
   EXPECT_THROW(stages.join(), std::runtime_error);
 }
 
-// ---------------------------- streaming vs phased: bitwise identical ----
+// ------------------------- serve vs direct scheduling: bitwise identical ----
 
-core::PipelineConfig micro_config(bool streaming, int threads,
-                                  bool catalog, bool serve) {
+core::PipelineConfig micro_config(bool serve, int threads, bool catalog) {
   core::PipelineConfig cfg;
   cfg.seed = 29;
   cfg.threads = threads;
-  cfg.streaming = streaming;
   cfg.stage_queue_capacity = 4;  // small bound: force real backpressure
   cfg.d_model = 16;
   cfg.n_heads = 2;
@@ -233,54 +232,82 @@ void expect_same_candidates(const std::vector<core::TaskCandidates>& a,
 }
 
 TEST(StreamingEquivalence, CatalogCandidatesIdenticalAcrossModesAndThreads) {
-  const auto phased = collect(micro_config(false, 1, true, false));
-  expect_same_candidates(phased, collect(micro_config(true, 1, true, false)));
-  expect_same_candidates(phased, collect(micro_config(true, 4, true, false)));
+  const auto direct = collect(micro_config(false, 1, true));
+  expect_same_candidates(direct, collect(micro_config(false, 4, true)));
+  expect_same_candidates(direct, collect(micro_config(true, 1, true)));
+  expect_same_candidates(direct, collect(micro_config(true, 4, true)));
 }
 
 TEST(StreamingEquivalence, SampledCandidatesIdenticalAcrossModesAndThreads) {
-  const auto phased = collect(micro_config(false, 1, false, false));
-  expect_same_candidates(phased, collect(micro_config(true, 1, false, false)));
-  expect_same_candidates(phased, collect(micro_config(true, 4, false, false)));
+  const auto direct = collect(micro_config(false, 1, false));
+  expect_same_candidates(direct, collect(micro_config(false, 4, false)));
 }
 
 TEST(StreamingEquivalence, ServedCandidatesIdenticalAcrossModesAndThreads) {
-  const auto phased = collect(micro_config(false, 1, false, true));
-  expect_same_candidates(phased, collect(micro_config(true, 4, false, true)));
+  const auto direct = collect(micro_config(false, 1, false));
+  expect_same_candidates(direct, collect(micro_config(true, 1, false)));
+  expect_same_candidates(direct, collect(micro_config(true, 4, false)));
 }
 
-// Full run(): in streaming mode the pair builder runs as a stage (pairs
-// are built the moment a task's last candidate is scored), so the whole
-// RunResult — DPO metric history included — must match the phased run.
-TEST(StreamingEquivalence, FullRunIdenticalToPhased) {
-  const auto run_with = [](bool streaming, int threads) {
-    auto cfg = micro_config(streaming, threads, true, false);
+// Full run() over a generated catalog with held-out scenarios: serve only
+// schedules the decodes of collection, checkpoint eval and the held-out
+// eval, so the whole RunResult — DPO history, every checkpoint, the
+// generalization block, the pair count — must match the direct run.
+TEST(StreamingEquivalence, FullRunIdenticalServedAndDirect) {
+  const auto run_with = [](bool serve, int threads) {
+    auto cfg = micro_config(serve, threads, false);
+    cfg.generated_scenarios = 3;
+    cfg.holdout_scenarios = 1;
+    cfg.generator_seed = 13;
     core::DpoAfPipeline pipe(cfg);
     auto result = pipe.run();
     util::set_global_threads(1);
     return result;
   };
-  const auto phased = run_with(false, 1);
-  const auto streaming1 = run_with(true, 1);
-  const auto streaming4 = run_with(true, 4);
-  for (const auto* other : {&streaming1, &streaming4}) {
-    EXPECT_EQ(phased.pair_count, other->pair_count);
-    ASSERT_EQ(phased.metrics.size(), other->metrics.size());
-    for (std::size_t i = 0; i < phased.metrics.size(); ++i) {
-      EXPECT_EQ(phased.metrics[i].loss, other->metrics[i].loss);
-      EXPECT_EQ(phased.metrics[i].accuracy, other->metrics[i].accuracy);
-      EXPECT_EQ(phased.metrics[i].margin, other->metrics[i].margin);
-      EXPECT_EQ(phased.metrics[i].kl, other->metrics[i].kl);
+  const auto direct = run_with(false, 1);
+  ASSERT_TRUE(direct.has_generalization);
+  EXPECT_GT(direct.pair_count, 0u);
+  for (const auto& [serve, threads] :
+       {std::pair{false, 4}, std::pair{true, 1}, std::pair{true, 4}}) {
+    SCOPED_TRACE(testing::Message() << "serve=" << serve
+                                    << " threads=" << threads);
+    const auto other = run_with(serve, threads);
+    EXPECT_EQ(direct.pair_count, other.pair_count);
+    ASSERT_EQ(direct.metrics.size(), other.metrics.size());
+    for (std::size_t i = 0; i < direct.metrics.size(); ++i) {
+      EXPECT_EQ(direct.metrics[i].loss, other.metrics[i].loss);
+      EXPECT_EQ(direct.metrics[i].accuracy, other.metrics[i].accuracy);
+      EXPECT_EQ(direct.metrics[i].margin, other.metrics[i].margin);
+      EXPECT_EQ(direct.metrics[i].kl, other.metrics[i].kl);
     }
-    ASSERT_EQ(phased.checkpoints.size(), other->checkpoints.size());
-    for (std::size_t i = 0; i < phased.checkpoints.size(); ++i) {
-      EXPECT_EQ(phased.checkpoints[i].train_mean_satisfied,
-                other->checkpoints[i].train_mean_satisfied);
-      EXPECT_EQ(phased.checkpoints[i].val_mean_satisfied,
-                other->checkpoints[i].val_mean_satisfied);
-      EXPECT_EQ(phased.checkpoints[i].truncated_responses,
-                other->checkpoints[i].truncated_responses);
+    ASSERT_EQ(direct.checkpoints.size(), other.checkpoints.size());
+    for (std::size_t i = 0; i < direct.checkpoints.size(); ++i) {
+      const auto& a = direct.checkpoints[i];
+      const auto& b = other.checkpoints[i];
+      EXPECT_EQ(a.epoch, b.epoch);
+      EXPECT_EQ(a.train_mean_satisfied, b.train_mean_satisfied);
+      EXPECT_EQ(a.val_mean_satisfied, b.val_mean_satisfied);
+      EXPECT_EQ(a.train_alignment_failure_rate,
+                b.train_alignment_failure_rate);
+      EXPECT_EQ(a.val_alignment_failure_rate, b.val_alignment_failure_rate);
+      EXPECT_EQ(a.truncated_responses, b.truncated_responses);
+      EXPECT_EQ(a.per_task, b.per_task);
+      EXPECT_EQ(a.per_task_alignment_failure, b.per_task_alignment_failure);
     }
+    ASSERT_TRUE(other.has_generalization);
+    const auto& g = direct.generalization;
+    const auto& h = other.generalization;
+    EXPECT_EQ(g.train_tasks, h.train_tasks);
+    EXPECT_EQ(g.holdout_tasks, h.holdout_tasks);
+    EXPECT_EQ(g.train_mean_satisfied_fraction, h.train_mean_satisfied_fraction);
+    EXPECT_EQ(g.holdout_mean_satisfied_fraction,
+              h.holdout_mean_satisfied_fraction);
+    EXPECT_EQ(g.train_alignment_failure_rate, h.train_alignment_failure_rate);
+    EXPECT_EQ(g.holdout_alignment_failure_rate,
+              h.holdout_alignment_failure_rate);
+    EXPECT_EQ(g.train_violation_rate, h.train_violation_rate);
+    EXPECT_EQ(g.holdout_violation_rate, h.holdout_violation_rate);
+    EXPECT_EQ(g.per_holdout_task, h.per_holdout_task);
   }
 }
 

@@ -145,28 +145,12 @@ TEST_F(LmTest, SampledResponsesDecodeToText) {
   SamplerConfig sc;
   sc.max_new_tokens = 16;
   const auto responses =
-      sample_responses(model, tok(), tasks()[0].prompt, 3, sc, rng);
+      sample_responses(model, tok(), tasks()[0].prompt, 3, sc, 9, rng);
   ASSERT_EQ(responses.texts.size(), 3u);
   ASSERT_EQ(responses.truncated.size(), 3u);
   // Responses decode into plain text (may be low quality at 1 epoch —
   // that's fine; the feedback channel scores them).
   for (const auto& r : responses.texts) EXPECT_LT(r.size(), 400u);
-}
-
-TEST_F(LmTest, GreedyResponseIsDeterministic) {
-  VariantWeights weights;
-  Rng rng(10);
-  const auto corpus = build_corpus(tasks(), tok(), 4, weights, rng);
-  nn::GptConfig cfg;
-  cfg.vocab_size = static_cast<std::int64_t>(tok().vocab_size());
-  cfg.d_model = 16;
-  cfg.n_heads = 2;
-  cfg.n_layers = 1;
-  cfg.d_ff = 32;
-  cfg.max_seq = max_sequence_length(corpus) + 8;
-  nn::TinyGpt model(cfg, rng);
-  EXPECT_EQ(greedy_response(model, tok(), tasks()[0].prompt, 12),
-            greedy_response(model, tok(), tasks()[0].prompt, 12));
 }
 
 }  // namespace

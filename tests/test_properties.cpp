@@ -328,14 +328,12 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PropertySweep, ::testing::Range(0, 40));
 // memoized scoring hot path safe to ship enabled by default.
 
 core::RunResult run_micro_pipeline(int threads, bool caches_on,
-                                   bool observability = false,
-                                   bool streaming = true) {
+                                   bool observability = false) {
   modelcheck::clear_buchi_cache();
   modelcheck::set_buchi_cache_enabled(caches_on);
   core::PipelineConfig cfg;
   cfg.seed = 23;
   cfg.threads = threads;
-  cfg.streaming = streaming;
   cfg.feedback_cache = caches_on;
   cfg.observability = observability;
   cfg.d_model = 16;
@@ -417,26 +415,6 @@ TEST(FeedbackCacheProperty, CachedRunsIdenticalAcrossThreadCounts) {
   const auto serial = run_micro_pipeline(1, true);
   const auto parallel = run_micro_pipeline(4, true);
   expect_identical_metrics(serial, parallel);
-}
-
-// ------------------------------- streaming dataflow equivalence --------
-//
-// The streaming pipeline (docs/PIPELINE.md) is a scheduling change only:
-// sequence-numbered reassembly restores the phased pipeline's serial
-// consumption order, so every metric must be bitwise-identical across
-// {streaming, phased} × {1, 4 threads}. (The CI matrix runs this suite
-// under both tensor backends, completing the ISSUE-9 proof grid.)
-
-TEST(StreamingProperty, StreamingRunBitwiseEqualsPhasedAcrossThreadCounts) {
-  const auto phased_serial = run_micro_pipeline(1, true, false, false);
-  const auto phased_parallel = run_micro_pipeline(4, true, false, false);
-  const auto streaming_serial = run_micro_pipeline(1, true, false, true);
-  const auto streaming_parallel = run_micro_pipeline(4, true, false, true);
-  expect_identical_metrics(phased_serial, streaming_serial);
-  expect_identical_metrics(phased_serial, streaming_parallel);
-  expect_identical_metrics(phased_serial, phased_parallel);
-  EXPECT_EQ(phased_serial.pair_count, streaming_serial.pair_count);
-  EXPECT_EQ(phased_serial.pair_count, streaming_parallel.pair_count);
 }
 
 // ------------------------------- observability transparency ------------

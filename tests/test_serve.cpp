@@ -96,7 +96,7 @@ TEST(Serve, MatchesGenerateBitwisePerRequest) {
   ASSERT_EQ(results.size(), reqs.size());
   for (std::size_t u = 0; u < reqs.size(); ++u) {
     const auto& req = reqs[u];
-    Rng rng = serve::request_rng(cfg.seed, req.seed);
+    Rng rng = nn::request_rng(cfg.seed, req.seed);
     const auto direct =
         model.generate(req.prompt, req.max_new_tokens, req.temperature,
                        req.top_k, req.eos_id, rng);
