@@ -145,6 +145,95 @@ void fwd_row1(const float* a, const float* b, float* c, std::int64_t k,
   if (j < n) fwd_tail<1>(a, b, c, k, n, i, j, kc0, kc1);
 }
 
+// dA cells (i..i+R) × (kk..kk+KB): ga[i,kk] += ⟨gc[i,:], b[kk,:]⟩. Every
+// cell runs the same chain whatever block it lands in: a j-ascending
+// 8-lane FMA accumulator, the hsum8 tree, then a std::fma tail.
+template <std::int64_t R, std::int64_t KB>
+void bwd_a_cells(const float* gc, const float* b, float* ga, std::int64_t k,
+                 std::int64_t n, std::int64_t i, std::int64_t kk) {
+  __m256 acc[R][KB];
+  for (std::int64_t r = 0; r < R; ++r)
+    for (std::int64_t q = 0; q < KB; ++q) acc[r][q] = _mm256_setzero_ps();
+  std::int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    __m256 bv[KB];
+    for (std::int64_t q = 0; q < KB; ++q)
+      bv[q] = _mm256_loadu_ps(b + (kk + q) * n + j);
+    for (std::int64_t r = 0; r < R; ++r) {
+      const __m256 g = _mm256_loadu_ps(gc + (i + r) * n + j);
+      for (std::int64_t q = 0; q < KB; ++q)
+        acc[r][q] = _mm256_fmadd_ps(g, bv[q], acc[r][q]);
+    }
+  }
+  for (std::int64_t r = 0; r < R; ++r) {
+    const float* gcr = gc + (i + r) * n;
+    for (std::int64_t q = 0; q < KB; ++q) {
+      const float* br = b + (kk + q) * n;
+      float s = hsum8(acc[r][q]);
+      for (std::int64_t jt = j; jt < n; ++jt) s = std::fma(gcr[jt], br[jt], s);
+      ga[(i + r) * k + kk + q] += s;
+    }
+  }
+}
+
+template <std::int64_t R>
+void bwd_a_rows(const float* gc, const float* b, float* ga, std::int64_t k,
+                std::int64_t n, std::int64_t i) {
+  std::int64_t kk = 0;
+  for (; kk + 4 <= k; kk += 4) bwd_a_cells<R, 4>(gc, b, ga, k, n, i, kk);
+  for (; kk < k; ++kk) bwd_a_cells<R, 1>(gc, b, ga, k, n, i, kk);
+}
+
+// dB rows [kk, kk+R): gb[kk,j] += Σ_i a[i,kk]·gc[i,j]. Each cell's
+// accumulator starts from gb and takes one FMA per i in ascending order
+// (the order every backend preserves), on every tile and block path.
+template <std::int64_t R>
+void bwd_b_rows(const float* a, const float* gc, float* gb, std::int64_t m,
+                std::int64_t k, std::int64_t n, std::int64_t kk) {
+  std::int64_t j = 0;
+  for (; j + kNR <= n; j += kNR) {
+    __m256 acc0[R], acc1[R];
+    for (std::int64_t r = 0; r < R; ++r) {
+      acc0[r] = _mm256_loadu_ps(gb + (kk + r) * n + j);
+      acc1[r] = _mm256_loadu_ps(gb + (kk + r) * n + j + 8);
+    }
+    for (std::int64_t i = 0; i < m; ++i) {
+      const __m256 g0 = _mm256_loadu_ps(gc + i * n + j);
+      const __m256 g1 = _mm256_loadu_ps(gc + i * n + j + 8);
+      for (std::int64_t r = 0; r < R; ++r) {
+        const __m256 av = _mm256_broadcast_ss(a + i * k + kk + r);
+        acc0[r] = _mm256_fmadd_ps(av, g0, acc0[r]);
+        acc1[r] = _mm256_fmadd_ps(av, g1, acc1[r]);
+      }
+    }
+    for (std::int64_t r = 0; r < R; ++r) {
+      _mm256_storeu_ps(gb + (kk + r) * n + j, acc0[r]);
+      _mm256_storeu_ps(gb + (kk + r) * n + j + 8, acc1[r]);
+    }
+  }
+  for (; j + 8 <= n; j += 8) {
+    __m256 acc[R];
+    for (std::int64_t r = 0; r < R; ++r)
+      acc[r] = _mm256_loadu_ps(gb + (kk + r) * n + j);
+    for (std::int64_t i = 0; i < m; ++i) {
+      const __m256 g = _mm256_loadu_ps(gc + i * n + j);
+      for (std::int64_t r = 0; r < R; ++r)
+        acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + i * k + kk + r), g,
+                                 acc[r]);
+    }
+    for (std::int64_t r = 0; r < R; ++r)
+      _mm256_storeu_ps(gb + (kk + r) * n + j, acc[r]);
+  }
+  for (; j < n; ++j) {
+    for (std::int64_t r = 0; r < R; ++r) {
+      float acc = gb[(kk + r) * n + j];
+      for (std::int64_t i = 0; i < m; ++i)
+        acc = std::fma(a[i * k + kk + r], gc[i * n + j], acc);
+      gb[(kk + r) * n + j] = acc;
+    }
+  }
+}
+
 class SimdBackend final : public ComputeBackend {
  public:
   SimdBackend() : ComputeBackend("simd") {}
@@ -166,78 +255,22 @@ class SimdBackend final : public ComputeBackend {
   void matmul_bwd_a(const float* gc, const float* b, float* ga, std::int64_t k,
                     std::int64_t n, std::int64_t i0,
                     std::int64_t i1) const override {
-    // ga[i,kk] += ⟨gc[i,:], b[kk,:]⟩ — kk blocked by 4 to reuse each gc
-    // vector across four B rows; per-(i,kk) the j-ascending FMA chain,
-    // the hsum8 tree, and the scalar tail are identical in the blocked
-    // and remainder paths.
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* gcr = gc + i * n;
-      std::int64_t kk = 0;
-      for (; kk + 4 <= k; kk += 4) {
-        __m256 acc[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
-                         _mm256_setzero_ps(), _mm256_setzero_ps()};
-        std::int64_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          const __m256 g = _mm256_loadu_ps(gcr + j);
-          for (std::int64_t r = 0; r < 4; ++r)
-            acc[r] = _mm256_fmadd_ps(
-                g, _mm256_loadu_ps(b + (kk + r) * n + j), acc[r]);
-        }
-        for (std::int64_t r = 0; r < 4; ++r) {
-          float s = hsum8(acc[r]);
-          for (std::int64_t jt = j; jt < n; ++jt)
-            s = std::fma(gcr[jt], b[(kk + r) * n + jt], s);
-          ga[i * k + kk + r] += s;
-        }
-      }
-      for (; kk < k; ++kk) {
-        __m256 acc = _mm256_setzero_ps();
-        std::int64_t j = 0;
-        for (; j + 8 <= n; j += 8)
-          acc = _mm256_fmadd_ps(_mm256_loadu_ps(gcr + j),
-                                _mm256_loadu_ps(b + kk * n + j), acc);
-        float s = hsum8(acc);
-        for (; j < n; ++j) s = std::fma(gcr[j], b[kk * n + j], s);
-        ga[i * k + kk] += s;
-      }
-    }
+    // 2 rows × 4 kk per sweep (8 chains, each gc vector reused across
+    // four B rows); rows and kk left over fall to the smaller blocks,
+    // which run the same per-cell chain.
+    std::int64_t i = i0;
+    for (; i + 2 <= i1; i += 2) bwd_a_rows<2>(gc, b, ga, k, n, i);
+    for (; i < i1; ++i) bwd_a_rows<1>(gc, b, ga, k, n, i);
   }
 
   void matmul_bwd_b(const float* a, const float* gc, float* gb, std::int64_t m,
                     std::int64_t k, std::int64_t n, std::int64_t k0,
                     std::int64_t k1) const override {
-    // gb[kk,j] += Σ_i a[i,kk]·gc[i,j]: a gb j-tile stays in registers
-    // while i ascends (the accumulation order every backend preserves);
-    // the i loop is innermost so each cell sees one fixed FMA chain.
-    for (std::int64_t kk = k0; kk < k1; ++kk) {
-      float* gbr = gb + kk * n;
-      std::int64_t j = 0;
-      for (; j + kNR <= n; j += kNR) {
-        __m256 acc0 = _mm256_loadu_ps(gbr + j);
-        __m256 acc1 = _mm256_loadu_ps(gbr + j + 8);
-        for (std::int64_t i = 0; i < m; ++i) {
-          const __m256 av = _mm256_broadcast_ss(a + i * k + kk);
-          acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(gc + i * n + j), acc0);
-          acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(gc + i * n + j + 8),
-                                 acc1);
-        }
-        _mm256_storeu_ps(gbr + j, acc0);
-        _mm256_storeu_ps(gbr + j + 8, acc1);
-      }
-      for (; j + 8 <= n; j += 8) {
-        __m256 acc = _mm256_loadu_ps(gbr + j);
-        for (std::int64_t i = 0; i < m; ++i)
-          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a + i * k + kk),
-                                _mm256_loadu_ps(gc + i * n + j), acc);
-        _mm256_storeu_ps(gbr + j, acc);
-      }
-      for (; j < n; ++j) {
-        float acc = gbr[j];
-        for (std::int64_t i = 0; i < m; ++i)
-          acc = std::fma(a[i * k + kk], gc[i * n + j], acc);
-        gbr[j] = acc;
-      }
-    }
+    // 4 dB rows per sweep (8 accumulators on the 16-wide tile, each gc
+    // vector reused across four rows); leftover rows run alone.
+    std::int64_t kk = k0;
+    for (; kk + 4 <= k1; kk += 4) bwd_b_rows<4>(a, gc, gb, m, k, n, kk);
+    for (; kk < k1; ++kk) bwd_b_rows<1>(a, gc, gb, m, k, n, kk);
   }
 
   // The elementwise kernels are per-element (no reductions), so vector
