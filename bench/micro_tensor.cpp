@@ -2,17 +2,20 @@
 // carries pre-training and DPO — matmul, softmax, layer-norm throughput,
 // and a full TinyGpt forward/backward step at the pipeline's default size.
 //
-// The matmul and GPT benches are parameterized over the compute backends
-// (docs/BACKENDS.md): each backend row first asserts output equivalence
-// against the scalar reference (within float tolerance) and only then
-// times, so a kernel that drifts numerically can never post a throughput
-// number. CI's bench-regression job runs the BM_Matmul sweep under
-// --benchmark_out and gates on the simd:scalar GFLOP/s ratio
+// The matmul, GELU and GPT benches are parameterized over the compute
+// backends (docs/BACKENDS.md): each backend row first asserts output (and,
+// for the backward benches, gradient) equivalence against the scalar
+// reference within float tolerance and only then times, so a kernel that
+// drifts numerically can never post a throughput number. CI's
+// bench-regression job runs the BM_Matmul and BM_Gelu rows under
+// --benchmark_out and gates on their simd:scalar ratios
 // (scripts/check_bench_regression.py).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_metrics_main.hpp"
@@ -144,6 +147,53 @@ void matmul_backward_threads_bench(benchmark::State& state,
   backend::select("");
 }
 
+// GELU forward+backward on the active backend, upstream gradient 1.
+Tensor gelu_fwd_bwd(Tensor& x) {
+  Tape tape;
+  Tensor y = ops::gelu(&tape, x);
+  std::fill(y.grad(), y.grad() + y.numel(), 1.0f);
+  tape.backward();
+  return y;
+}
+
+// Output and input gradient of gelu_fwd_bwd.
+std::pair<Tensor, Tensor> gelu_value_and_grad(Tensor& x) {
+  Tensor y = gelu_fwd_bwd(x);
+  Tensor gx = Tensor::from(x.shape(),
+                           std::vector<float>(x.grad(), x.grad() + x.numel()));
+  x.zero_grad();
+  return {y, gx};
+}
+
+// GELU forward+backward at the MLP activation shape [T, d_ff].
+void gelu_bench(benchmark::State& state, const std::string& be) {
+  constexpr std::int64_t rows = 64, cols = 192;
+  if (!backend_available(be)) {
+    state.SkipWithError("simd backend not supported on this CPU/build");
+    return;
+  }
+  util::set_global_threads(1);
+  Rng rng(7);
+  Tensor x = Tensor::randn({rows, cols}, rng, 2.0f).set_requires_grad(true);
+  backend::select("scalar");
+  const auto ref = gelu_value_and_grad(x);
+  backend::select(be);
+  const auto got = gelu_value_and_grad(x);
+  if (!check_equivalent(state, got.first, ref.first, "gelu") ||
+      !check_equivalent(state, got.second, ref.second, "gelu gradient"))
+    return;
+  for (auto _ : state) {
+    Tensor y = gelu_fwd_bwd(x);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(x.grad());
+    x.zero_grad();
+  }
+  backend::select("");
+  state.counters["items/s"] = benchmark::Counter(
+      static_cast<double>(rows * cols) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(2);
   Tensor x = Tensor::randn({64, 64}, rng);
@@ -205,17 +255,39 @@ void gpt_forward_bench(benchmark::State& state, const std::string& be) {
       static_cast<double>(64 * state.iterations()), benchmark::Counter::kIsRate);
 }
 
+// Loss and every parameter gradient (flattened) of one nll_loss step on
+// the active backend; leaves the gradients zeroed.
+std::pair<Tensor, Tensor> gpt_loss_and_grads(nn::TinyGpt& model,
+                                             const std::vector<int>& ids) {
+  Tape tape;
+  Tensor loss = model.nll_loss(&tape, ids);
+  tape.backward(loss);
+  std::vector<float> grads;
+  for (Tensor p : model.parameters()) {
+    grads.insert(grads.end(), p.grad(), p.grad() + p.numel());
+    p.zero_grad();
+  }
+  const auto n = static_cast<std::int64_t>(grads.size());
+  return {loss.clone(), Tensor::from({1, n}, std::move(grads))};
+}
+
 void gpt_forward_backward_bench(benchmark::State& state,
                                 const std::string& be) {
   if (!backend_available(be)) {
     state.SkipWithError("simd backend not supported on this CPU/build");
     return;
   }
-  backend::select(be);
   auto& model = pipeline_sized_model();
   std::vector<int> ids(64);
   Rng rng(6);
   for (auto& id : ids) id = static_cast<int>(rng.below(80));
+  backend::select("scalar");
+  const auto ref = gpt_loss_and_grads(model, ids);
+  backend::select(be);
+  const auto got = gpt_loss_and_grads(model, ids);
+  if (!check_equivalent(state, got.first, ref.first, "gpt loss") ||
+      !check_equivalent(state, got.second, ref.second, "gpt gradients"))
+    return;
   for (auto _ : state) {
     Tape tape;
     Tensor loss = model.nll_loss(&tape, ids);
@@ -254,6 +326,9 @@ void register_backend_benches() {
         ->Arg(2)
         ->Arg(4)
         ->ArgName("threads");
+    benchmark::RegisterBenchmark(
+        ("BM_Gelu/" + name).c_str(),
+        [name](benchmark::State& s) { gelu_bench(s, name); });
     benchmark::RegisterBenchmark(
         ("BM_GptForward/" + name).c_str(),
         [name](benchmark::State& s) { gpt_forward_bench(s, name); });

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Gate the simd backend's matmul speedup over scalar (stdlib only).
+"""Gate the simd backend's speedup over scalar on one bench row family
+(stdlib only).
 
-Usage: check_bench_regression.py BENCH.json [--min-ratio 2.0]
-                                 [--out BENCH_tensor.json]
+Usage: check_bench_regression.py BENCH.json --row PREFIX --counter NAME
+                                 [--min-ratio 2.0] [--out BENCH_tensor.json]
 
-Reads a google-benchmark ``--benchmark_out`` JSON file whose rows are named
-``BM_Matmul/<backend>/<n>`` and carry a ``GFLOP/s`` counter (each row has
-already asserted numerical equivalence against the scalar reference, so a
+Reads a google-benchmark ``--benchmark_out`` JSON file and keeps the rows
+named ``<PREFIX><backend>`` or ``<PREFIX><backend>/<size>`` (e.g.
+``--row BM_Matmul/`` matches ``BM_Matmul/simd/192``, ``--row BM_Gelu/``
+matches ``BM_Gelu/scalar``), reading the higher-is-better rate counter
+NAME (e.g. ``GFLOP/s``, ``items/s``) from each. Each row has already
+asserted numerical equivalence against the scalar reference, so a
 throughput number here is also a correctness certificate — see
-bench/micro_tensor.cpp). Writes a summary artifact with per-size
-scalar/simd GFLOP/s and the speedup ratio, then fails (exit 1) if the
-ratio at the LARGEST common size is below --min-ratio: the largest size is
-the least noise-prone and the closest to the pipeline's real working set.
+bench/micro_tensor.cpp. Writes a summary artifact with per-size
+scalar/simd rates and the speedup ratio, then fails (exit 1) if the ratio
+at the LARGEST common size is below --min-ratio: the largest size is the
+least noise-prone and the closest to the pipeline's real working set.
 Missing simd rows (CPU without AVX2+FMA, or rows that errored) fail the
 gate too — CI runners are x86_64, so absence there means the dispatch
 broke.
@@ -22,54 +26,62 @@ import json
 import re
 import sys
 
-ROW = re.compile(r"^BM_Matmul/(scalar|simd)/(\d+)$")
 
-
-def load_rows(path):
-    """-> {backend: {n: gflops}} from a --benchmark_out JSON file."""
+def load_rows(path, prefix, counter):
+    """-> {backend: {size: rate}}; size is None for rows without one."""
+    row = re.compile("^" + re.escape(prefix) + r"(scalar|simd)(?:/(\d+))?$")
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     rows = {"scalar": {}, "simd": {}}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        match = ROW.match(bench.get("name", ""))
+        match = row.match(bench.get("name", ""))
         if not match:
             continue
         if bench.get("error_occurred"):
             print(f"error row: {bench['name']}: "
                   f"{bench.get('error_message', 'unknown error')}")
             continue
-        gflops = bench.get("GFLOP/s")
-        if not isinstance(gflops, (int, float)) or gflops <= 0:
-            print(f"row {bench['name']} has no positive GFLOP/s counter")
+        rate = bench.get(counter)
+        if not isinstance(rate, (int, float)) or rate <= 0:
+            print(f"row {bench['name']} has no positive {counter} counter")
             continue
-        rows[match.group(1)][int(match.group(2))] = gflops / 1e9
+        size = match.group(2)
+        rows[match.group(1)][None if size is None else int(size)] = rate
     return rows
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench_json")
+    parser.add_argument("--row", required=True,
+                        help="row-name prefix before the backend, "
+                             "e.g. BM_Matmul/")
+    parser.add_argument("--counter", required=True,
+                        help="rate counter to compare, e.g. GFLOP/s")
     parser.add_argument("--min-ratio", type=float, default=2.0,
-                        help="minimum simd:scalar GFLOP/s ratio at the "
-                             "largest common size (default: 2.0)")
+                        help="minimum simd:scalar ratio at the largest "
+                             "common size (default: 2.0)")
     parser.add_argument("--out", default="BENCH_tensor.json",
                         help="summary artifact path "
                              "(default: BENCH_tensor.json)")
     args = parser.parse_args()
 
-    rows = load_rows(args.bench_json)
-    sizes = sorted(set(rows["scalar"]) & set(rows["simd"]))
+    rows = load_rows(args.bench_json, args.row, args.counter)
+    sizes = sorted(set(rows["scalar"]) & set(rows["simd"]),
+                   key=lambda n: -1 if n is None else n)
     summary = {
         "schema": "dpoaf.bench_tensor",
-        "version": 1,
+        "version": 2,
+        "row": args.row,
+        "counter": args.counter,
         "min_ratio": args.min_ratio,
         "sizes": [
             {
                 "n": n,
-                "scalar_gflops": round(rows["scalar"][n], 3),
-                "simd_gflops": round(rows["simd"][n], 3),
+                "scalar": round(rows["scalar"][n], 3),
+                "simd": round(rows["simd"][n], 3),
                 "ratio": round(rows["simd"][n] / rows["scalar"][n], 3),
             }
             for n in sizes
@@ -80,20 +92,24 @@ def main():
         fh.write("\n")
 
     if not sizes:
-        print(f"no comparable BM_Matmul scalar/simd row pairs in "
-              f"{args.bench_json} (scalar sizes: {sorted(rows['scalar'])}, "
-              f"simd sizes: {sorted(rows['simd'])})")
+        print(f"no comparable {args.row} scalar/simd row pairs in "
+              f"{args.bench_json} (scalar sizes: {list(rows['scalar'])}, "
+              f"simd sizes: {list(rows['simd'])})")
         return 1
+
+    def where(entry):
+        return args.row if entry["n"] is None else f"{args.row} n={entry['n']}"
+
     for entry in summary["sizes"]:
-        print(f"n={entry['n']}: scalar {entry['scalar_gflops']} GFLOP/s, "
-              f"simd {entry['simd_gflops']} GFLOP/s, "
+        print(f"{where(entry)}: scalar {entry['scalar']} "
+              f"{args.counter}, simd {entry['simd']} {args.counter}, "
               f"ratio {entry['ratio']}x")
     gate = summary["sizes"][-1]
     if gate["ratio"] < args.min_ratio:
-        print(f"FAIL: simd:scalar ratio {gate['ratio']}x at n={gate['n']} "
+        print(f"FAIL: {where(gate)} simd:scalar ratio {gate['ratio']}x "
               f"is below the {args.min_ratio}x floor")
         return 1
-    print(f"OK: simd:scalar ratio {gate['ratio']}x at n={gate['n']} "
+    print(f"OK: {where(gate)} simd:scalar ratio {gate['ratio']}x "
           f"meets the {args.min_ratio}x floor")
     return 0
 

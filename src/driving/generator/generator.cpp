@@ -98,9 +98,17 @@ TaskBlueprint make_blueprint(const ScenarioFeatures& f, const std::string& key,
 std::string scenario_key(const ScenarioFeatures& f, int index) {
   char prefix[16];
   std::snprintf(prefix, sizeof prefix, "gen%03d", index);
-  std::string key = std::string(prefix) + "_" + topology_name(f.topology);
-  if (f.signal != SignalRegime::None) key += "_" + signal_name(f.signal);
-  key += "_" + noise_name(f.noise);
+  // Append-only: `"_" + name` trips GCC 12's -Wrestrict false positive
+  // at -O3 (GCC PR105651).
+  std::string key = prefix;
+  key += '_';
+  key += topology_name(f.topology);
+  if (f.signal != SignalRegime::None) {
+    key += '_';
+    key += signal_name(f.signal);
+  }
+  key += '_';
+  key += noise_name(f.noise);
   return key;
 }
 

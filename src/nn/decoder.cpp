@@ -127,11 +127,6 @@ void row_layer_norm(const LayerNorm& ln, const float* x, std::int64_t n,
     y[j] = (x[j] - mu) * inv * gamma[j] + beta[j];
 }
 
-float gelu_scalar(float x) {
-  constexpr float kC = 0.7978845608028654f;
-  return 0.5f * x * (1.0f + std::tanh(kC * (x + 0.044715f * x * x * x)));
-}
-
 }  // namespace
 
 DecodeSession::DecodeSession(const TinyGpt& model, KvBlockPool* pool,
@@ -269,8 +264,8 @@ const std::vector<float>& DecodeSession::step(int token_id) {
     // MLP sublayer.
     row_layer_norm(block.ln2, x_.data(), d, h_.data());
     row_linear(block.fc1, h_.data(), mlp_.data());
-    for (std::int64_t j = 0; j < cfg.d_ff; ++j)
-      mlp_[static_cast<std::size_t>(j)] = gelu_scalar(mlp_[static_cast<std::size_t>(j)]);
+    tensor::backend::active().gelu_fwd(mlp_.data(), mlp_.data(), nullptr, 0,
+                                       cfg.d_ff);
     row_linear(block.fc2, mlp_.data(), h_.data());
     for (std::int64_t j = 0; j < d; ++j) x_[static_cast<std::size_t>(j)] += h_[static_cast<std::size_t>(j)];
   }

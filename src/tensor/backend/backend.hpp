@@ -38,6 +38,10 @@ namespace dpoaf::tensor::backend {
 
 enum class Kind { kScalar, kSimd };
 
+/// GELU's tanh-approximation constants: √(2/π) and the cubic coefficient.
+inline constexpr float kGeluC = 0.7978845608028654f;
+inline constexpr float kGeluA = 0.044715f;
+
 /// Per-backend matmul telemetry, registered as
 /// tensor.matmul.{calls,flops,bwd_calls,bwd_flops}.<backend>.
 struct MatmulCounters {
@@ -97,6 +101,17 @@ class ComputeBackend {
   /// out[i] += a[i] · b[i]  (gradient accumulation for mul)
   virtual void ew_mul_acc(const float* a, const float* b, float* out,
                           std::int64_t i0, std::int64_t i1) const = 0;
+
+  // ---- GELU (tanh approximation) over flat index range [i0, i1) -----
+  /// t[i] = tanh(kGeluC·(x[i] + kGeluA·x[i]³)), y[i] = ½·x[i]·(1 + t[i]).
+  /// t is written only when non-null (the tape saves it for gelu_bwd);
+  /// y may alias x.
+  virtual void gelu_fwd(const float* x, float* y, float* t, std::int64_t i0,
+                        std::int64_t i1) const = 0;
+  /// gx[i] += gy[i] · GELU'(x[i]), reading the tanh term t[i] that this
+  /// backend's gelu_fwd saved instead of recomputing it.
+  virtual void gelu_bwd(const float* x, const float* t, const float* gy,
+                        float* gx, std::int64_t i0, std::int64_t i1) const = 0;
 
   // ---- row ops ------------------------------------------------------
   /// Rows [i0, i1): out[i,:] = x[i,:] + bias[:], bias is [1,N].

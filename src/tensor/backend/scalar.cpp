@@ -4,6 +4,8 @@
 // (tolerance cross-checks in tests/test_backend.cpp and micro_tensor).
 #include "tensor/backend/backend.hpp"
 
+#include <cmath>
+
 namespace dpoaf::tensor::backend {
 
 namespace {
@@ -77,6 +79,31 @@ class ScalarBackend final : public ComputeBackend {
   void ew_mul_acc(const float* a, const float* b, float* out, std::int64_t i0,
                   std::int64_t i1) const override {
     for (std::int64_t i = i0; i < i1; ++i) out[i] += a[i] * b[i];
+  }
+
+  void gelu_fwd(const float* x, float* y, float* t, std::int64_t i0,
+                std::int64_t i1) const override {
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const float xi = x[i];
+      const float ti = std::tanh(kGeluC * (xi + kGeluA * xi * xi * xi));
+      if (t != nullptr) t[i] = ti;
+      y[i] = 0.5f * xi * (1.0f + ti);
+    }
+  }
+
+  // Reading the saved t gives the same bits as recomputing tanh from the
+  // same expression, so gradients match the recompute reference
+  // (tests/test_backend.cpp).
+  void gelu_bwd(const float* x, const float* t, const float* gy, float* gx,
+                std::int64_t i0, std::int64_t i1) const override {
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const float xi = x[i];
+      const float ti = t[i];
+      const float du = kGeluC * (1.0f + 3.0f * kGeluA * xi * xi);
+      const float d =
+          0.5f * (1.0f + ti) + 0.5f * xi * (1.0f - ti * ti) * du;
+      gx[i] += gy[i] * d;
+    }
   }
 
   void row_bias_add(const float* x, const float* bias, float* out,

@@ -8,23 +8,27 @@
 // element's arithmetic depends only on its absolute indices and the full
 // operand shapes — never on the thread-pool chunk bounds. Concretely:
 //  - each output row/cell owns its accumulator registers, and the
-//    register-blocked (MR rows) and remainder (1 row) paths run the same
-//    ascending-k FMA chain per element, so how rows group into blocks
+//    register-blocked (several rows / kk) and remainder (1 row) paths run
+//    the same FMA chain per element, so how rows group into blocks
 //    (which chunk bounds shift) cannot change any value;
 //  - column tiling (64/16/8-wide tiles, scalar tails) only groups
 //    independent columns into registers — it never alters a column's own
 //    FMA chain — and the scalar tails use std::fma, which rounds exactly
 //    like a vector FMA lane;
 //  - the K cache tiles spill accumulators to the float32 output between
-//    tiles — a lossless round-trip, so tiling never reorders a rounding.
+//    tiles — a lossless round-trip, so tiling never reorders a rounding;
+//  - GELU is per-element; a tail shorter than a vector runs the vector
+//    code on a zero-padded copy, so it rounds like any other lane.
 // Results *do* differ from the scalar backend (FMA fuses the multiply
-// and add into one rounding); that is the allowed cross-backend delta.
+// and add into one rounding, and GELU's tanh is a rational approximation
+// rather than libm's); that is the allowed cross-backend delta.
 #include "tensor/backend/backend.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace dpoaf::tensor::backend {
@@ -234,6 +238,62 @@ void bwd_b_rows(const float* a, const float* gc, float* gb, std::int64_t m,
   }
 }
 
+// 8-lane tanh: Eigen's clamped rational approximation (odd degree-13
+// numerator over even degree-6 denominator, ≤5 ulp from tanh). The clamp
+// is the smallest float at which this FMA evaluation reaches exactly 1,
+// so |u| beyond it saturates to ±1 like std::tanh; below 4e-4, tanh(u)
+// rounds to u and u passes through.
+__m256 tanh8(__m256 u) {
+  const __m256 clamp = _mm256_set1_ps(7.99881172180175781f);
+  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+  const __m256 tiny = _mm256_cmp_ps(_mm256_and_ps(u, abs_mask),
+                                    _mm256_set1_ps(4e-4f), _CMP_LT_OQ);
+  const __m256 x = _mm256_max_ps(_mm256_min_ps(u, clamp),
+                                 _mm256_sub_ps(_mm256_setzero_ps(), clamp));
+  const __m256 x2 = _mm256_mul_ps(x, x);
+  __m256 p = _mm256_fmadd_ps(x2, _mm256_set1_ps(-2.76076847742355e-16f),
+                             _mm256_set1_ps(2.00018790482477e-13f));
+  p = _mm256_fmadd_ps(x2, p, _mm256_set1_ps(-8.60467152213735e-11f));
+  p = _mm256_fmadd_ps(x2, p, _mm256_set1_ps(5.12229709037114e-08f));
+  p = _mm256_fmadd_ps(x2, p, _mm256_set1_ps(1.48572235717979e-05f));
+  p = _mm256_fmadd_ps(x2, p, _mm256_set1_ps(6.37261928875436e-04f));
+  p = _mm256_fmadd_ps(x2, p, _mm256_set1_ps(4.89352455891786e-03f));
+  p = _mm256_mul_ps(x, p);
+  __m256 q = _mm256_fmadd_ps(x2, _mm256_set1_ps(1.19825839466702e-06f),
+                             _mm256_set1_ps(1.18534705686654e-04f));
+  q = _mm256_fmadd_ps(x2, q, _mm256_set1_ps(2.26843463243900e-03f));
+  q = _mm256_fmadd_ps(x2, q, _mm256_set1_ps(4.89352518554385e-03f));
+  return _mm256_blendv_ps(_mm256_div_ps(p, q), u, tiny);
+}
+
+// GELU on 8 lanes: t = tanh(c·(x + a·x³)), y = ½x·(1 + t).
+void gelu_fwd8(const float* x, float* y, float* t) {
+  const __m256 xv = _mm256_loadu_ps(x);
+  const __m256 ax2 = _mm256_mul_ps(_mm256_set1_ps(kGeluA),
+                                   _mm256_mul_ps(xv, xv));
+  const __m256 u = _mm256_mul_ps(_mm256_set1_ps(kGeluC),
+                                 _mm256_fmadd_ps(ax2, xv, xv));
+  const __m256 tv = tanh8(u);
+  const __m256 hx = _mm256_mul_ps(_mm256_set1_ps(0.5f), xv);
+  if (t != nullptr) _mm256_storeu_ps(t, tv);
+  _mm256_storeu_ps(y, _mm256_fmadd_ps(hx, tv, hx));
+}
+
+// gx += gy · (½(1 + t) + ½x·(1 − t²)·c·(1 + 3a·x²)) on 8 lanes.
+void gelu_bwd8(const float* x, const float* t, const float* gy, float* gx) {
+  const __m256 xv = _mm256_loadu_ps(x);
+  const __m256 tv = _mm256_loadu_ps(t);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 du = _mm256_fmadd_ps(_mm256_set1_ps(3.0f * kGeluA * kGeluC),
+                                    _mm256_mul_ps(xv, xv),
+                                    _mm256_set1_ps(kGeluC));
+  const __m256 sech2 = _mm256_fnmadd_ps(tv, tv, _mm256_set1_ps(1.0f));
+  const __m256 d = _mm256_fmadd_ps(_mm256_mul_ps(_mm256_mul_ps(half, xv), sech2),
+                                   du, _mm256_fmadd_ps(half, tv, half));
+  _mm256_storeu_ps(gx, _mm256_fmadd_ps(_mm256_loadu_ps(gy), d,
+                                       _mm256_loadu_ps(gx)));
+}
+
 class SimdBackend final : public ComputeBackend {
  public:
   SimdBackend() : ComputeBackend("simd") {}
@@ -323,6 +383,39 @@ class SimdBackend final : public ComputeBackend {
                                        _mm256_loadu_ps(b + i),
                                        _mm256_loadu_ps(out + i)));
     for (; i < i1; ++i) out[i] = std::fma(a[i], b[i], out[i]);
+  }
+
+  // GELU lanes are independent, so grouping never changes a value. A
+  // tail shorter than 8 runs the same 8-lane code on a zero-padded copy:
+  // an element computes the same bits whether a chunk boundary puts it
+  // in a full vector or in a tail.
+  void gelu_fwd(const float* x, float* y, float* t, std::int64_t i0,
+                std::int64_t i1) const override {
+    std::int64_t i = i0;
+    for (; i + 8 <= i1; i += 8)
+      gelu_fwd8(x + i, y + i, t == nullptr ? nullptr : t + i);
+    if (i == i1) return;
+    const std::int64_t r = i1 - i;
+    float xs[8] = {}, ys[8], ts[8];
+    std::copy(x + i, x + i1, xs);
+    gelu_fwd8(xs, ys, ts);
+    std::copy(ys, ys + r, y + i);
+    if (t != nullptr) std::copy(ts, ts + r, t + i);
+  }
+
+  void gelu_bwd(const float* x, const float* t, const float* gy, float* gx,
+                std::int64_t i0, std::int64_t i1) const override {
+    std::int64_t i = i0;
+    for (; i + 8 <= i1; i += 8) gelu_bwd8(x + i, t + i, gy + i, gx + i);
+    if (i == i1) return;
+    const std::int64_t r = i1 - i;
+    float xs[8] = {}, ts[8] = {}, gys[8] = {}, gxs[8] = {};
+    std::copy(x + i, x + i1, xs);
+    std::copy(t + i, t + i1, ts);
+    std::copy(gy + i, gy + i1, gys);
+    std::copy(gx + i, gx + i1, gxs);
+    gelu_bwd8(xs, ts, gys, gxs);
+    std::copy(gxs, gxs + r, gx + i);
   }
 
   void row_bias_add(const float* x, const float* bias, float* out,

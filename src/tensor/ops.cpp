@@ -249,35 +249,27 @@ Tensor scale(Tape* tape, const Tensor& a, float s) {
 }
 
 Tensor gelu(Tape* tape, const Tensor& a) {
-  constexpr float kC = 0.7978845608028654f;  // √(2/π)
   Tensor c = Tensor::zeros(a.shape());
-  // tanh is expensive relative to a flop; use a finer grain so mid-sized
-  // activations still fan out.
-  util::parallel_for(0, a.numel(), kGrainFlops / 16,
+  const bool tracked = track(tape, {&a});
+  // The forward's tanh term, saved so the backward does not recompute it.
+  Tensor t = tracked ? Tensor::zeros(a.shape()) : Tensor();
+  const backend::ComputeBackend& be = backend::active();
+  util::parallel_for(0, a.numel(), kGrainFlops,
                      [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float x = a.data()[i];
-      const float t = std::tanh(kC * (x + 0.044715f * x * x * x));
-      c.data()[i] = 0.5f * x * (1.0f + t);
-    }
+    be.gelu_fwd(a.data(), c.data(), tracked ? t.data() : nullptr, i0, i1);
   });
-  if (track(tape, {&a})) {
+  if (tracked) {
     c.set_requires_grad(true);
     Tensor at = a, ct = c;
-    tape->record([at, ct]() mutable {
+    // The backend that saved t also reads it back (backends are static).
+    const backend::ComputeBackend* fwd_be = &be;
+    tape->record([at, ct, t, fwd_be]() mutable {
       if (!at.requires_grad()) return;
       float* ga = at.grad();
       const float* gc = ct.grad();
-      util::parallel_for(0, at.numel(), kGrainFlops / 16,
+      util::parallel_for(0, at.numel(), kGrainFlops,
                          [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float x = at.data()[i];
-          const float u = kC * (x + 0.044715f * x * x * x);
-          const float t = std::tanh(u);
-          const float du = kC * (1.0f + 3.0f * 0.044715f * x * x);
-          const float d = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-          ga[i] += gc[i] * d;
-        }
+        fwd_be->gelu_bwd(at.data(), t.data(), gc, ga, i0, i1);
       });
     });
   }

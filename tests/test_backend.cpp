@@ -5,7 +5,9 @@
 // per-backend observability counters/gauges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -269,6 +271,227 @@ TEST_F(BackendTest, ElementwiseBitwiseAcrossThreadCountsPerBackend) {
     auto parallel = run();
     expect_bitwise_equal(serial.first, parallel.first);
     expect_bitwise_equal(serial.second, parallel.second);
+  }
+}
+
+// ---- GELU and matmul-backward kernels, called directly ---------------
+
+const backend::ComputeBackend& backend_named(const std::string& name) {
+  return name == "simd" ? *backend::simd_backend() : backend::scalar_backend();
+}
+
+std::vector<float> normal_values(std::int64_t n, double sd, Rng& rng) {
+  std::vector<float> v(static_cast<std::size_t>(n));
+  for (float& x : v) x = static_cast<float>(sd * rng.normal());
+  return v;
+}
+
+// GELU inputs of size n: random values at several magnitudes, led by the
+// edge cases — ±0, |u| < 4e-4 (tanh pass-through), |u| beyond the simd
+// clamp (x = ±5 gives u ≈ ±8.4) and large negative x.
+std::vector<float> gelu_inputs(std::int64_t n, Rng& rng) {
+  const float edges[] = {0.0f,  -0.0f, 1e-4f,   -3e-4f,  4.9e-4f, 5.1e-4f,
+                         5.0f,  -5.0f, 9.0f,    -9.0f,   -50.0f,  -1000.0f,
+                         -3.0f, 3.0f,  -0.7f};
+  std::vector<float> x = normal_values(n, 3.0, rng);
+  for (std::size_t i = 0; i < x.size() && i < std::size(edges); ++i)
+    x[i] = edges[i];
+  return x;
+}
+
+struct GeluOut {
+  std::vector<float> y, t, gx;
+};
+
+// Forward (saving t) then backward accumulating onto gx0, each as the
+// given list of [i0, i1) calls.
+GeluOut run_gelu(const backend::ComputeBackend& be, const std::vector<float>& x,
+                 const std::vector<float>& gy, const std::vector<float>& gx0,
+                 const std::vector<std::pair<std::int64_t, std::int64_t>>& calls) {
+  GeluOut out{std::vector<float>(x.size()), std::vector<float>(x.size()), gx0};
+  for (const auto& [i0, i1] : calls)
+    be.gelu_fwd(x.data(), out.y.data(), out.t.data(), i0, i1);
+  for (const auto& [i0, i1] : calls)
+    be.gelu_bwd(x.data(), out.t.data(), gy.data(), out.gx.data(), i0, i1);
+  return out;
+}
+
+std::vector<std::pair<std::int64_t, std::int64_t>> whole(std::int64_t n) {
+  return {{0, n}};
+}
+
+std::vector<std::pair<std::int64_t, std::int64_t>> singles(std::int64_t n) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> calls;
+  for (std::int64_t i = 0; i < n; ++i) calls.emplace_back(i, i + 1);
+  return calls;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+const std::int64_t kGeluSizes[] = {1, 7, 9, 1023};
+
+TEST_F(BackendTest, SimdGeluMatchesScalarWithinTolerance) {
+  if (!backend::simd_supported()) GTEST_SKIP() << "no AVX2+FMA";
+  for (std::int64_t n : kGeluSizes) {
+    Rng rng(43);
+    const std::vector<float> x = gelu_inputs(n, rng);
+    const std::vector<float> gy = normal_values(n, 1.0, rng);
+    const std::vector<float> gx0 = normal_values(n, 1.0, rng);
+    const GeluOut want = run_gelu(backend::scalar_backend(), x, gy, gx0,
+                                  whole(n));
+    const GeluOut got = run_gelu(*backend::simd_backend(), x, gy, gx0,
+                                 whole(n));
+    for (std::int64_t i = 0; i < n; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      // GELU scales like x, and its gradient error like |x|·|gy|.
+      const double tol = 1e-5 * std::max(1.0f, std::abs(x[u]));
+      EXPECT_NEAR(got.y[u], want.y[u], tol) << "x=" << x[u];
+      EXPECT_NEAR(got.t[u], want.t[u], 1e-6) << "x=" << x[u];
+      EXPECT_NEAR(got.gx[u], want.gx[u], tol * std::max(1.0f, std::abs(gy[u])))
+          << "x=" << x[u];
+    }
+  }
+}
+
+// The pre-backend ops::gelu loops: the backward recomputed tanh from x.
+// Written as raw-pointer loops shaped like the scalar kernels so the
+// compiler makes the same FMA-contraction choices in both.
+void gelu_recompute_reference(const float* x, const float* gy, float* y,
+                              float* gx, std::int64_t n) {
+  constexpr float kC = 0.7978845608028654f;  // √(2/π)
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float t = std::tanh(kC * (v + 0.044715f * v * v * v));
+    y[i] = 0.5f * v * (1.0f + t);
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float u = kC * (v + 0.044715f * v * v * v);
+    const float t = std::tanh(u);
+    const float du = kC * (1.0f + 3.0f * 0.044715f * v * v);
+    const float d = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+    gx[i] += gy[i] * d;
+  }
+}
+
+// The scalar kernels must reproduce the pre-backend gelu bit for bit:
+// the saved t is exactly the tanh the old backward recomputed.
+TEST_F(BackendTest, ScalarGeluByteEqualsRecomputeReference) {
+  const std::int64_t n = 1023;
+  Rng rng(47);
+  const std::vector<float> x = gelu_inputs(n, rng);
+  const std::vector<float> gy = normal_values(n, 1.0, rng);
+  const std::vector<float> gx0 = normal_values(n, 1.0, rng);
+  std::vector<float> y_ref(x.size()), gx_ref = gx0;
+  gelu_recompute_reference(x.data(), gy.data(), y_ref.data(), gx_ref.data(),
+                           n);
+  const GeluOut got = run_gelu(backend::scalar_backend(), x, gy, gx0, whole(n));
+  EXPECT_TRUE(same_bits(got.y, y_ref));
+  EXPECT_TRUE(same_bits(got.gx, gx_ref));
+}
+
+// Per backend, a GELU value never depends on the chunk that computed it:
+// one call over the range, one call per element (every element a simd
+// tail) and grain-1 partitions at 1/3/4 threads all give the same bits.
+TEST_F(BackendTest, GeluBitwiseAcrossChunkingPerBackend) {
+  for (const std::string& name : available_backends()) {
+    const backend::ComputeBackend& be = backend_named(name);
+    for (std::int64_t n : kGeluSizes) {
+      Rng rng(53);
+      const std::vector<float> x = gelu_inputs(n, rng);
+      const std::vector<float> gy = normal_values(n, 1.0, rng);
+      const std::vector<float> gx0 = normal_values(n, 1.0, rng);
+      const GeluOut ref = run_gelu(be, x, gy, gx0, whole(n));
+      const GeluOut per = run_gelu(be, x, gy, gx0, singles(n));
+      EXPECT_TRUE(same_bits(ref.y, per.y)) << name << " n=" << n;
+      EXPECT_TRUE(same_bits(ref.t, per.t)) << name << " n=" << n;
+      EXPECT_TRUE(same_bits(ref.gx, per.gx)) << name << " n=" << n;
+      for (int threads : {1, 3, 4}) {
+        util::set_global_threads(threads);
+        GeluOut par{std::vector<float>(x.size()), std::vector<float>(x.size()),
+                    gx0};
+        util::parallel_for(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
+          be.gelu_fwd(x.data(), par.y.data(), par.t.data(), i0, i1);
+        });
+        util::parallel_for(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
+          be.gelu_bwd(x.data(), par.t.data(), gy.data(), par.gx.data(), i0,
+                      i1);
+        });
+        EXPECT_TRUE(same_bits(ref.y, par.y)) << name << " threads=" << threads;
+        EXPECT_TRUE(same_bits(ref.gx, par.gx))
+            << name << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// The untracked forward (t == nullptr, as the KV-cache decoder calls it,
+// in place) computes the same y as the tracked one.
+TEST_F(BackendTest, GeluInPlaceWithoutSavedTanhMatches) {
+  for (const std::string& name : available_backends()) {
+    const backend::ComputeBackend& be = backend_named(name);
+    Rng rng(59);
+    const std::vector<float> x = gelu_inputs(23, rng);
+    std::vector<float> y(x.size()), t(x.size());
+    be.gelu_fwd(x.data(), y.data(), t.data(), 0, 23);
+    std::vector<float> inplace = x;
+    be.gelu_fwd(inplace.data(), inplace.data(), nullptr, 0, 23);
+    EXPECT_TRUE(same_bits(y, inplace)) << name;
+  }
+}
+
+// matmul_bwd_a (rows of dA) and matmul_bwd_b (rows of dB) give the same
+// bits whether a range is one call — register-blocked — or one call per
+// row — every row on the remainder path — or a grain-1 partition at
+// 1/3/4 threads. m=5/k=7/n=23 leaves a row, kk and column remainder at
+// every block size; 38×12×38 is the attention-score shape.
+TEST_F(BackendTest, MatmulBackwardBitwiseAcrossChunkingPerBackend) {
+  std::vector<MatmulCase> shapes(std::begin(kShapes), std::end(kShapes));
+  shapes.push_back({5, 7, 23});
+  shapes.push_back({38, 12, 38});
+  for (const std::string& name : available_backends()) {
+    const backend::ComputeBackend& be = backend_named(name);
+    for (const MatmulCase& s : shapes) {
+      Rng rng(61);
+      const std::vector<float> a = normal_values(s.m * s.k, 1.0, rng);
+      const std::vector<float> b = normal_values(s.k * s.n, 1.0, rng);
+      const std::vector<float> gc = normal_values(s.m * s.n, 1.0, rng);
+      const std::vector<float> ga0 = normal_values(s.m * s.k, 1.0, rng);
+      const std::vector<float> gb0 = normal_values(s.k * s.n, 1.0, rng);
+      auto grads = [&](auto&& partition) {
+        std::vector<float> ga = ga0, gb = gb0;
+        partition(s.m, [&](std::int64_t i0, std::int64_t i1) {
+          be.matmul_bwd_a(gc.data(), b.data(), ga.data(), s.k, s.n, i0, i1);
+        });
+        partition(s.k, [&](std::int64_t k0, std::int64_t k1) {
+          be.matmul_bwd_b(a.data(), gc.data(), gb.data(), s.m, s.k, s.n, k0,
+                          k1);
+        });
+        return std::make_pair(ga, gb);
+      };
+      const auto ref = grads([](std::int64_t rows, auto&& fn) { fn(0, rows); });
+      const auto per = grads([](std::int64_t rows, auto&& fn) {
+        for (std::int64_t r = 0; r < rows; ++r) fn(r, r + 1);
+      });
+      const std::string where = name + " " + std::to_string(s.m) + "x" +
+                                std::to_string(s.k) + "x" +
+                                std::to_string(s.n);
+      EXPECT_TRUE(same_bits(ref.first, per.first)) << where;
+      EXPECT_TRUE(same_bits(ref.second, per.second)) << where;
+      for (int threads : {1, 3, 4}) {
+        util::set_global_threads(threads);
+        const auto par = grads([](std::int64_t rows, auto&& fn) {
+          util::parallel_for(0, rows, 1, fn);
+        });
+        EXPECT_TRUE(same_bits(ref.first, par.first))
+            << where << " threads=" << threads;
+        EXPECT_TRUE(same_bits(ref.second, par.second))
+            << where << " threads=" << threads;
+      }
+    }
   }
 }
 
