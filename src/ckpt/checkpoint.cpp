@@ -40,6 +40,29 @@ ByteReader reader_for(const Section& s) {
                     "section " + s.tag);
 }
 
+// The whole file at `path`. Anything but a regular file is rejected up
+// front: on a directory, std::ifstream opens fine and tellg() reports a
+// bogus huge size, which would otherwise become the allocation below.
+std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec))
+    throw CheckpointError("cannot open checkpoint file " + path.string() +
+                          ": not a regular file");
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in)
+    throw CheckpointError("cannot open checkpoint file " + path.string());
+  const std::streamsize size = in.tellg();
+  if (size < 0)
+    throw CheckpointError("cannot read the size of checkpoint file " +
+                          path.string());
+  in.seekg(0);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(bytes.data()), size);
+  if (!in)
+    throw CheckpointError("read failed for checkpoint file " + path.string());
+  return bytes;
+}
+
 }  // namespace
 
 const char* stage_name(Stage stage) {
@@ -52,7 +75,7 @@ std::vector<std::uint8_t> serialize(const TrainingCheckpoint& ckpt) {
   {
     ByteWriter w;
     w.u32(static_cast<std::uint32_t>(ckpt.stage));
-    w.i32(ckpt.completed_epochs);
+    w.i32(ckpt.loop.completed_epochs);
     w.u64(ckpt.pipeline_seed);
     const nn::GptConfig& m = ckpt.model_config;
     w.i64(m.vocab_size);
@@ -74,7 +97,7 @@ std::vector<std::uint8_t> serialize(const TrainingCheckpoint& ckpt) {
   }
   {
     ByteWriter w;
-    w.floats(ckpt.policy_state);
+    w.floats(ckpt.loop.weights);
     sections.push_back(make_section(kWpol, std::move(w)));
   }
   {
@@ -84,21 +107,21 @@ std::vector<std::uint8_t> serialize(const TrainingCheckpoint& ckpt) {
   }
   {
     ByteWriter w;
-    w.u64(ckpt.opt_m.size());
-    for (const auto& buf : ckpt.opt_m) w.floats(buf);
-    w.u64(ckpt.opt_v.size());
-    for (const auto& buf : ckpt.opt_v) w.floats(buf);
-    w.i64(ckpt.opt_steps);
+    w.u64(ckpt.loop.opt_m.size());
+    for (const auto& buf : ckpt.loop.opt_m) w.floats(buf);
+    w.u64(ckpt.loop.opt_v.size());
+    for (const auto& buf : ckpt.loop.opt_v) w.floats(buf);
+    w.i64(ckpt.loop.opt_steps);
     sections.push_back(make_section(kOpts, std::move(w)));
   }
   {
     ByteWriter w;
-    for (const std::uint64_t word : ckpt.rng_state) w.u64(word);
+    for (const std::uint64_t word : ckpt.loop.rng_state) w.u64(word);
     sections.push_back(make_section(kRngs, std::move(w)));
   }
   {
     ByteWriter w;
-    w.u64s(ckpt.order);
+    w.u64s(ckpt.loop.order);
     sections.push_back(make_section(kOrdr, std::move(w)));
   }
   {
@@ -116,7 +139,7 @@ std::vector<std::uint8_t> serialize(const TrainingCheckpoint& ckpt) {
   {
     ByteWriter w;
     w.u64(ckpt.evals.size());
-    for (const EvalRecord& e : ckpt.evals) {
+    for (const dpo::CheckpointEval& e : ckpt.evals) {
       w.i32(e.epoch);
       w.f64(e.train_mean_satisfied);
       w.f64(e.val_mean_satisfied);
@@ -165,7 +188,7 @@ TrainingCheckpoint deserialize(const std::uint8_t* data, std::size_t size) {
       throw CheckpointError("unknown checkpoint stage " +
                             std::to_string(stage));
     ckpt.stage = static_cast<Stage>(stage);
-    ckpt.completed_epochs = r.i32();
+    ckpt.loop.completed_epochs = r.i32();
     ckpt.pipeline_seed = r.u64();
     ckpt.model_config.vocab_size = r.i64();
     ckpt.model_config.d_model = r.i64();
@@ -177,7 +200,7 @@ TrainingCheckpoint deserialize(const std::uint8_t* data, std::size_t size) {
     ckpt.lora_rank = r.i64();
     ckpt.lora_alpha = r.f32();
     r.expect_done();
-    if (ckpt.completed_epochs < 0)
+    if (ckpt.loop.completed_epochs < 0)
       throw CheckpointError("negative completed_epochs in checkpoint");
   }
   {
@@ -189,7 +212,7 @@ TrainingCheckpoint deserialize(const std::uint8_t* data, std::size_t size) {
   }
   {
     ByteReader r = reader_for(find_section(sections, kWpol));
-    ckpt.policy_state = r.floats();
+    ckpt.loop.weights = r.floats();
     r.expect_done();
   }
   {
@@ -200,25 +223,27 @@ TrainingCheckpoint deserialize(const std::uint8_t* data, std::size_t size) {
   {
     ByteReader r = reader_for(find_section(sections, kOpts));
     const std::uint64_t nm = r.u64();
-    ckpt.opt_m.reserve(static_cast<std::size_t>(nm));
-    for (std::uint64_t i = 0; i < nm; ++i) ckpt.opt_m.push_back(r.floats());
+    ckpt.loop.opt_m.reserve(static_cast<std::size_t>(nm));
+    for (std::uint64_t i = 0; i < nm; ++i)
+      ckpt.loop.opt_m.push_back(r.floats());
     const std::uint64_t nv = r.u64();
-    ckpt.opt_v.reserve(static_cast<std::size_t>(nv));
-    for (std::uint64_t i = 0; i < nv; ++i) ckpt.opt_v.push_back(r.floats());
-    ckpt.opt_steps = r.i64();
+    ckpt.loop.opt_v.reserve(static_cast<std::size_t>(nv));
+    for (std::uint64_t i = 0; i < nv; ++i)
+      ckpt.loop.opt_v.push_back(r.floats());
+    ckpt.loop.opt_steps = r.i64();
     r.expect_done();
-    if (ckpt.opt_m.size() != ckpt.opt_v.size())
+    if (ckpt.loop.opt_m.size() != ckpt.loop.opt_v.size())
       throw CheckpointError(
           "optimizer moment buffer counts disagree in checkpoint");
   }
   {
     ByteReader r = reader_for(find_section(sections, kRngs));
-    for (std::uint64_t& word : ckpt.rng_state) word = r.u64();
+    for (std::uint64_t& word : ckpt.loop.rng_state) word = r.u64();
     r.expect_done();
   }
   {
     ByteReader r = reader_for(find_section(sections, kOrdr));
-    ckpt.order = r.u64s();
+    ckpt.loop.order = r.u64s();
     r.expect_done();
   }
   {
@@ -241,7 +266,7 @@ TrainingCheckpoint deserialize(const std::uint8_t* data, std::size_t size) {
     const std::uint64_t n = r.u64();
     ckpt.evals.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-      EvalRecord e;
+      dpo::CheckpointEval e;
       e.epoch = r.i32();
       e.train_mean_satisfied = r.f64();
       e.val_mean_satisfied = r.f64();
@@ -309,22 +334,14 @@ void save_checkpoint(const std::filesystem::path& path,
 }
 
 TrainingCheckpoint load_checkpoint(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in)
-    throw CheckpointError("cannot open checkpoint file " + path.string());
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in)
-    throw CheckpointError("read failed for checkpoint file " + path.string());
+  const std::vector<std::uint8_t> bytes = read_file(path);
   return deserialize(bytes.data(), bytes.size());
 }
 
 std::string describe(const TrainingCheckpoint& ckpt) {
   std::ostringstream os;
   os << "stage:              " << stage_name(ckpt.stage) << "\n"
-     << "completed epochs:   " << ckpt.completed_epochs << "\n"
+     << "completed epochs:   " << ckpt.loop.completed_epochs << "\n"
      << "pipeline seed:      " << ckpt.pipeline_seed << "\n"
      << "model:              d_model=" << ckpt.model_config.d_model
      << " n_heads=" << ckpt.model_config.n_heads
@@ -335,11 +352,11 @@ std::string describe(const TrainingCheckpoint& ckpt) {
      << "lora:               rank=" << ckpt.lora_rank
      << " alpha=" << ckpt.lora_alpha << "\n"
      << "vocabulary:         " << ckpt.vocab.size() << " tokens\n"
-     << "policy params:      " << ckpt.policy_state.size() << " floats\n"
+     << "policy params:      " << ckpt.loop.weights.size() << " floats\n"
      << "reference params:   " << ckpt.reference_state.size() << " floats\n"
-     << "optimizer:          " << ckpt.opt_m.size() << " moment buffers, "
-     << ckpt.opt_steps << " steps taken\n"
-     << "shuffle order:      " << ckpt.order.size() << " entries\n"
+     << "optimizer:          " << ckpt.loop.opt_m.size()
+     << " moment buffers, " << ckpt.loop.opt_steps << " steps taken\n"
+     << "shuffle order:      " << ckpt.loop.order.size() << " entries\n"
      << "dpo history:        " << ckpt.dpo_history.size() << " epochs\n"
      << "evals:              " << ckpt.evals.size() << " records\n"
      << "preference pairs:   " << ckpt.pairs.size() << "\n"
@@ -348,15 +365,7 @@ std::string describe(const TrainingCheckpoint& ckpt) {
 }
 
 std::string describe_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in)
-    throw CheckpointError("cannot open checkpoint file " + path.string());
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in)
-    throw CheckpointError("read failed for checkpoint file " + path.string());
+  const std::vector<std::uint8_t> bytes = read_file(path);
 
   const std::vector<Section> sections =
       unpack_sections(bytes.data(), bytes.size());

@@ -10,7 +10,6 @@
 // docs/CHECKPOINT_FORMAT.md for the normative byte-level layout.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -20,6 +19,7 @@
 #include "dpo/dataset.hpp"
 #include "dpo/trainer.hpp"
 #include "nn/gpt.hpp"
+#include "nn/optim.hpp"
 
 namespace dpoaf::ckpt {
 
@@ -32,28 +32,11 @@ enum class Stage : std::uint32_t { kPretrain = 0, kDpo = 1 };
 /// "pretrain" / "dpo" — used in file names and human-readable output.
 [[nodiscard]] const char* stage_name(Stage stage);
 
-/// Mirror of core::CheckpointEval (ckpt sits below core in the dependency
-/// order, so the pipeline converts at the boundary). Doubles round-trip
-/// bit-exactly through the file format.
-struct EvalRecord {
-  int epoch = 0;
-  double train_mean_satisfied = 0.0;
-  double val_mean_satisfied = 0.0;
-  double train_alignment_failure_rate = 0.0;
-  double val_alignment_failure_rate = 0.0;
-  int truncated_responses = 0;
-  std::vector<std::pair<std::string, double>> per_task;
-  std::vector<double> per_task_alignment_failure;
-};
-
 /// One durable pipeline snapshot. Stage-independent fields are always
 /// populated; the dpo_* / pretrain_* groups belong to their stage only
 /// and stay empty otherwise.
 struct TrainingCheckpoint {
   Stage stage = Stage::kDpo;
-  /// Number of fully completed epochs in the stage's own numbering
-  /// (pretrain counts 1..epochs, DPO counts 1..config.epochs).
-  int completed_epochs = 0;
   /// PipelineConfig::seed of the producing run, validated on resume.
   std::uint64_t pipeline_seed = 0;
 
@@ -67,26 +50,18 @@ struct TrainingCheckpoint {
   /// catalog (and therefore the derived vocabulary) changed under us.
   std::vector<std::string> vocab;
 
-  /// Flat parameter snapshot (TinyGpt::state() canonical order) of the
-  /// training policy; for kDpo also the frozen reference model.
-  std::vector<float> policy_state;
+  /// The stage's training loop at the epoch boundary: completed epochs in
+  /// the stage's own numbering (pretrain counts 1..epochs, DPO counts
+  /// 1..config.epochs), the training policy's weights, AdamW moments and
+  /// step count, RNG stream and shuffle permutation.
+  nn::LoopState loop;
+
+  /// kDpo: the frozen reference model's weights, per-epoch metrics and
+  /// checkpoint evaluations accumulated up to the snapshot, and the full
+  /// preference dataset.
   std::vector<float> reference_state;
-
-  /// AdamW per-parameter moment buffers (trainable-parameter order) and
-  /// step count.
-  std::vector<std::vector<float>> opt_m;
-  std::vector<std::vector<float>> opt_v;
-  std::int64_t opt_steps = 0;
-
-  /// The training loop's RNG stream (xoshiro256** state words) and
-  /// shuffle permutation, captured at the epoch boundary.
-  std::array<std::uint64_t, 4> rng_state{};
-  std::vector<std::uint64_t> order;
-
-  /// kDpo: per-epoch metrics and checkpoint evaluations accumulated up to
-  /// the snapshot, and the full preference dataset.
   std::vector<dpo::EpochMetrics> dpo_history;
-  std::vector<EvalRecord> evals;
+  std::vector<dpo::CheckpointEval> evals;
   std::vector<dpo::PreferencePair> pairs;
 
   /// kPretrain: per-epoch mean cross-entropy accumulated so far.

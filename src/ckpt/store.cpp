@@ -78,7 +78,7 @@ std::filesystem::path CheckpointStore::path_for(Stage stage,
 }
 
 void CheckpointStore::write(const TrainingCheckpoint& ckpt) {
-  save_checkpoint(path_for(ckpt.stage, ckpt.completed_epochs), ckpt);
+  save_checkpoint(path_for(ckpt.stage, ckpt.loop.completed_epochs), ckpt);
 
   if (retain_last_ > 0) {
     std::vector<std::filesystem::path> files =
@@ -93,7 +93,7 @@ void CheckpointStore::write(const TrainingCheckpoint& ckpt) {
   // Fault injection: die *after* the durable write so the resume tests
   // exercise exactly the state a real crash would leave behind.
   if (crash_plan_ && crash_plan_->stage == ckpt.stage &&
-      crash_plan_->epoch == ckpt.completed_epochs) {
+      crash_plan_->epoch == ckpt.loop.completed_epochs) {
     std::fflush(nullptr);
     std::_Exit(kCrashExitCode);
   }

@@ -23,34 +23,6 @@ namespace dpoaf::core {
 
 namespace {
 
-// CheckpointEval and ckpt::EvalRecord are field-for-field mirrors (ckpt
-// sits below core in the dependency order); convert at the boundary.
-ckpt::EvalRecord to_record(const CheckpointEval& e) {
-  ckpt::EvalRecord r;
-  r.epoch = e.epoch;
-  r.train_mean_satisfied = e.train_mean_satisfied;
-  r.val_mean_satisfied = e.val_mean_satisfied;
-  r.train_alignment_failure_rate = e.train_alignment_failure_rate;
-  r.val_alignment_failure_rate = e.val_alignment_failure_rate;
-  r.truncated_responses = e.truncated_responses;
-  r.per_task = e.per_task;
-  r.per_task_alignment_failure = e.per_task_alignment_failure;
-  return r;
-}
-
-CheckpointEval from_record(const ckpt::EvalRecord& r) {
-  CheckpointEval e;
-  e.epoch = r.epoch;
-  e.train_mean_satisfied = r.train_mean_satisfied;
-  e.val_mean_satisfied = r.val_mean_satisfied;
-  e.train_alignment_failure_rate = r.train_alignment_failure_rate;
-  e.val_alignment_failure_rate = r.val_alignment_failure_rate;
-  e.truncated_responses = r.truncated_responses;
-  e.per_task = r.per_task;
-  e.per_task_alignment_failure = r.per_task_alignment_failure;
-  return e;
-}
-
 // Rejects sample counts no run can use before any construction work:
 // a count below 1 would otherwise surface deep in the dataflow, or
 // collect nothing at all.
@@ -128,8 +100,11 @@ DpoAfPipeline::DpoAfPipeline(PipelineConfig config)
         config_.checkpoint_dir, config_.checkpoint_retain_last);
 }
 
-ckpt::TrainingCheckpoint DpoAfPipeline::base_checkpoint() const {
+ckpt::TrainingCheckpoint DpoAfPipeline::base_checkpoint(
+    ckpt::Stage stage, const nn::LoopState& loop) const {
   ckpt::TrainingCheckpoint c;
+  c.stage = stage;
+  c.loop = loop;
   c.pipeline_seed = config_.seed;
   c.model_config = model_.config();
   c.lora_rank = config_.dpo.lora_rank;
@@ -184,7 +159,7 @@ lm::PretrainStats DpoAfPipeline::pretrain_model_impl(
   // for the RNG stream) to "pretrain" — wall time for a phase that did
   // not run.
   const bool will_train =
-      (resume == nullptr ? 0 : resume->completed_epochs) <
+      (resume == nullptr ? 0 : resume->loop.completed_epochs) <
       config_.pretrain.epochs;
   std::optional<obs::Span> span;
   if (will_train)
@@ -214,15 +189,8 @@ lm::PretrainStats DpoAfPipeline::pretrain_model_impl(
   if (sink_ && config_.checkpoint_every_epochs > 0) {
     hooks.snapshot_every = config_.checkpoint_every_epochs;
     hooks.snapshot = [this](const lm::PretrainState& s) {
-      ckpt::TrainingCheckpoint snap = base_checkpoint();
-      snap.stage = ckpt::Stage::kPretrain;
-      snap.completed_epochs = s.completed_epochs;
-      snap.policy_state = s.model_state;
-      snap.opt_m = s.opt_m;
-      snap.opt_v = s.opt_v;
-      snap.opt_steps = s.opt_steps;
-      snap.rng_state = s.rng_state;
-      snap.order = s.order;
+      ckpt::TrainingCheckpoint snap =
+          base_checkpoint(ckpt::Stage::kPretrain, s.loop);
       snap.pretrain_losses = s.epoch_losses;
       sink_->write(snap);
     };
@@ -625,18 +593,9 @@ RunResult DpoAfPipeline::run_dpo_impl(
   if (resume != nullptr) {
     // Splice the persisted history back in: metric rows come back through
     // the trainer (which extends them), evaluations directly here.
-    trainer_resume.completed_epochs = resume->completed_epochs;
-    trainer_resume.policy_state = resume->policy_state;
-    trainer_resume.reference_state = resume->reference_state;
-    trainer_resume.opt_m = resume->opt_m;
-    trainer_resume.opt_v = resume->opt_v;
-    trainer_resume.opt_steps = resume->opt_steps;
-    trainer_resume.rng_state = resume->rng_state;
-    trainer_resume.order = resume->order;
-    trainer_resume.history = resume->dpo_history;
-    result.checkpoints.reserve(resume->evals.size());
-    for (const ckpt::EvalRecord& r : resume->evals)
-      result.checkpoints.push_back(from_record(r));
+    trainer_resume = {resume->loop, resume->reference_state,
+                      resume->dpo_history};
+    result.checkpoints = resume->evals;
   }
 
   {
@@ -645,7 +604,7 @@ RunResult DpoAfPipeline::run_dpo_impl(
     // would otherwise charge the trainer setup (reference-model clone) to
     // a phase that never trained.
     const bool will_train =
-        (resume == nullptr ? 0 : resume->completed_epochs) <
+        (resume == nullptr ? 0 : resume->loop.completed_epochs) <
         config_.dpo.epochs;
     std::optional<obs::Span> span;
     if (will_train) span.emplace("dpo", obs::histogram("pipeline.dpo_ns"));
@@ -658,20 +617,11 @@ RunResult DpoAfPipeline::run_dpo_impl(
       hooks.snapshot_every = config_.checkpoint_every_epochs;
       hooks.snapshot = [this, &result,
                         &pairs](const dpo::TrainerCheckpointState& s) {
-        ckpt::TrainingCheckpoint snap = base_checkpoint();
-        snap.stage = ckpt::Stage::kDpo;
-        snap.completed_epochs = s.completed_epochs;
-        snap.policy_state = s.policy_state;
+        ckpt::TrainingCheckpoint snap =
+            base_checkpoint(ckpt::Stage::kDpo, s.loop);
         snap.reference_state = s.reference_state;
-        snap.opt_m = s.opt_m;
-        snap.opt_v = s.opt_v;
-        snap.opt_steps = s.opt_steps;
-        snap.rng_state = s.rng_state;
-        snap.order = s.order;
         snap.dpo_history = s.history;
-        snap.evals.reserve(result.checkpoints.size());
-        for (const CheckpointEval& e : result.checkpoints)
-          snap.evals.push_back(to_record(e));
+        snap.evals = result.checkpoints;
         snap.pairs = pairs;
         sink_->write(snap);
       };
@@ -726,15 +676,7 @@ RunResult DpoAfPipeline::run() {
       // the final RunResult is bitwise-identical to an uninterrupted run.
       return run_dpo_impl(snap.pairs, &snap);
     }
-    lm::PretrainState state;
-    state.completed_epochs = snap.completed_epochs;
-    state.model_state = snap.policy_state;
-    state.opt_m = snap.opt_m;
-    state.opt_v = snap.opt_v;
-    state.opt_steps = snap.opt_steps;
-    state.rng_state = snap.rng_state;
-    state.order = snap.order;
-    state.epoch_losses = snap.pretrain_losses;
+    const lm::PretrainState state{snap.loop, snap.pretrain_losses};
     pretrain_model_impl(&state);
   }
   if (!pretrained_) pretrain_model();

@@ -143,24 +143,9 @@ struct PipelineConfig {
   std::string resume_from;
 };
 
-/// Per-checkpoint formal-verification evaluation (Figure 9's y-axis).
-struct CheckpointEval {
-  int epoch = 0;
-  double train_mean_satisfied = 0.0;  // mean over training tasks, of 15
-  double val_mean_satisfied = 0.0;    // mean over validation tasks, of 15
-  // Fraction of sampled responses whose feedback score was −1 (GLM2FSA
-  // alignment failed). The means above count such responses as 0 satisfied
-  // specs; these rates keep "unalignable" distinguishable from "aligned
-  // but satisfied nothing" — the §4.1 property-1 signal.
-  double train_alignment_failure_rate = 0.0;
-  double val_alignment_failure_rate = 0.0;
-  // Responses cut short by the model's max_seq context limit (still
-  // scored; surfaced so truncation is never silent).
-  int truncated_responses = 0;
-  std::vector<std::pair<std::string, double>> per_task;
-  // Parallel to per_task: alignment-failure fraction per task.
-  std::vector<double> per_task_alignment_failure;
-};
+/// Per-checkpoint formal-verification evaluation (Figure 9's y-axis); the
+/// record lives next to dpo::EpochMetrics so checkpoints store it as is.
+using CheckpointEval = dpo::CheckpointEval;
 
 struct TaskCandidates {
   std::string task_id;
@@ -298,9 +283,10 @@ class DpoAfPipeline {
       std::vector<Rng>& task_rngs,
       const std::function<void(ScoredItem&&)>& consume) const;
 
-  /// Shared trailer of every snapshot: stage-independent identity fields
-  /// (seed, model config, LoRA layout, vocabulary).
-  [[nodiscard]] ckpt::TrainingCheckpoint base_checkpoint() const;
+  /// A snapshot of `stage` at `loop` with the stage-independent identity
+  /// fields (seed, model config, LoRA layout, vocabulary) filled in.
+  [[nodiscard]] ckpt::TrainingCheckpoint base_checkpoint(
+      ckpt::Stage stage, const nn::LoopState& loop) const;
   /// Throws ckpt::CheckpointError unless the snapshot is resumable under
   /// this exact configuration (seed/architecture/LoRA/vocabulary match).
   void validate_checkpoint(const ckpt::TrainingCheckpoint& ckpt) const;

@@ -26,17 +26,14 @@ DpoTrainer::DpoTrainer(TinyGpt policy, DpoConfig config, Rng& rng)
 }
 
 std::vector<EpochMetrics> DpoTrainer::train(
-    const std::vector<PreferencePair>& pairs, const CheckpointHook& hook) {
-  TrainHooks hooks;
-  hooks.checkpoint = hook;
-  return train(pairs, hooks, nullptr);
-}
-
-std::vector<EpochMetrics> DpoTrainer::train(
     const std::vector<PreferencePair>& pairs, const TrainHooks& hooks,
     const TrainerCheckpointState* resume) {
   DPOAF_CHECK_MSG(!pairs.empty(), "DPO requires at least one pair");
   DPOAF_CHECK(config_.batch_size > 0);
+
+  nn::AdamWConfig opt_cfg;
+  opt_cfg.lr = config_.lr;
+  nn::AdamW opt(policy_.trainable_parameters(), opt_cfg);
 
   // Restore weights before the reference precompute below: ref_w/ref_l are
   // a pure function of (pairs, reference weights), so once the reference
@@ -47,16 +44,10 @@ std::vector<EpochMetrics> DpoTrainer::train(
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::vector<EpochMetrics> history;
   if (resume != nullptr) {
-    DPOAF_CHECK_MSG(resume->order.size() == pairs.size(),
-                    "resume state was captured over a different pair set");
-    DPOAF_CHECK(resume->completed_epochs >= 0);
-    policy_.load_state(resume->policy_state);
+    nn::restore_loop_state(resume->loop, policy_, opt, rng_, order);
     reference_.load_state(resume->reference_state);
-    rng_.set_state_words(resume->rng_state);
-    for (std::size_t i = 0; i < order.size(); ++i)
-      order[i] = static_cast<std::size_t>(resume->order[i]);
     history = resume->history;
-    start_epoch = resume->completed_epochs + 1;
+    start_epoch = resume->loop.completed_epochs + 1;
   }
 
   // The reference model is frozen: its per-pair log-probabilities are
@@ -80,12 +71,6 @@ std::vector<EpochMetrics> DpoTrainer::train(
       }
     });
   }
-
-  nn::AdamWConfig opt_cfg;
-  opt_cfg.lr = config_.lr;
-  nn::AdamW opt(policy_.trainable_parameters(), opt_cfg);
-  if (resume != nullptr)
-    opt.load_state(resume->opt_m, resume->opt_v, resume->opt_steps);
 
   // The epoch-0 evaluation already happened (and was persisted) before
   // the snapshot we are resuming from — re-running it would double-count.
@@ -169,26 +154,10 @@ std::vector<EpochMetrics> DpoTrainer::train(
       hooks.checkpoint(epoch, policy_);
     if (hooks.snapshot && hooks.snapshot_every > 0 &&
         (epoch % hooks.snapshot_every == 0 || epoch == config_.epochs))
-      hooks.snapshot(capture_state(epoch, opt, order, history));
+      hooks.snapshot({nn::capture_loop_state(epoch, policy_, opt, rng_, order),
+                      reference_.state(), history});
   }
   return history;
-}
-
-TrainerCheckpointState DpoTrainer::capture_state(
-    int completed_epochs, const nn::AdamW& opt,
-    const std::vector<std::size_t>& order,
-    const std::vector<EpochMetrics>& history) const {
-  TrainerCheckpointState s;
-  s.completed_epochs = completed_epochs;
-  s.policy_state = policy_.state();
-  s.reference_state = reference_.state();
-  s.opt_m = opt.moments_m();
-  s.opt_v = opt.moments_v();
-  s.opt_steps = opt.steps_taken();
-  s.rng_state = rng_.state_words();
-  s.order.assign(order.begin(), order.end());
-  s.history = history;
-  return s;
 }
 
 }  // namespace dpoaf::dpo

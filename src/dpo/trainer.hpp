@@ -11,17 +11,15 @@
 //                preference": 0 = indifferent, >0 = favours y_w).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dpo/dataset.hpp"
 #include "nn/gpt.hpp"
-
-namespace dpoaf::nn {
-class AdamW;
-}
+#include "nn/optim.hpp"
 
 namespace dpoaf::dpo {
 
@@ -59,24 +57,39 @@ struct EpochMetrics {
   double kl = 0.0;
 };
 
+/// Per-checkpoint formal-verification evaluation (Figure 9's y-axis): the
+/// policy sampled at a CheckpointHook epoch and every response verified.
+struct CheckpointEval {
+  int epoch = 0;
+  double train_mean_satisfied = 0.0;  // mean over training tasks, of 15
+  double val_mean_satisfied = 0.0;    // mean over validation tasks, of 15
+  // Fraction of sampled responses whose feedback score was −1 (GLM2FSA
+  // alignment failed). The means above count such responses as 0 satisfied
+  // specs; these rates keep "unalignable" distinguishable from "aligned
+  // but satisfied nothing" — the §4.1 property-1 signal.
+  double train_alignment_failure_rate = 0.0;
+  double val_alignment_failure_rate = 0.0;
+  // Responses cut short by the model's max_seq context limit (still
+  // scored; surfaced so truncation is never silent).
+  int truncated_responses = 0;
+  std::vector<std::pair<std::string, double>> per_task;
+  // Parallel to per_task: alignment-failure fraction per task.
+  std::vector<double> per_task_alignment_failure;
+};
+
 /// Called with (epoch, policy) at epoch 0, every checkpoint_every epochs,
 /// and after the final epoch.
 using CheckpointHook = std::function<void(int, const TinyGpt&)>;
 
 /// Everything train() needs to continue from an epoch boundary exactly as
-/// if the process had never stopped: weights (policy with its LoRA
-/// adapters, frozen reference), AdamW moments, the trainer's RNG stream,
-/// the in-place shuffle permutation, and the metric history so far.
-/// Captured by the snapshot hook; fed back via train()'s `resume`.
+/// if the process had never stopped: the policy's loop state (weights with
+/// LoRA adapters, AdamW moments, the trainer's RNG stream, the in-place
+/// shuffle permutation), the frozen reference weights, and the metric
+/// history so far. Captured by the snapshot hook; fed back via train()'s
+/// `resume`.
 struct TrainerCheckpointState {
-  int completed_epochs = 0;
-  std::vector<float> policy_state;
+  nn::LoopState loop;
   std::vector<float> reference_state;
-  std::vector<std::vector<float>> opt_m;
-  std::vector<std::vector<float>> opt_v;
-  std::int64_t opt_steps = 0;
-  std::array<std::uint64_t, 4> rng_state{};
-  std::vector<std::uint64_t> order;
   std::vector<EpochMetrics> history;
 };
 
@@ -102,30 +115,22 @@ class DpoTrainer {
   /// before any update; LoRA adapters are attached here (per config).
   DpoTrainer(TinyGpt policy, DpoConfig config, Rng& rng);
 
-  /// Run DPO over the pairs; returns one metrics row per epoch.
-  std::vector<EpochMetrics> train(const std::vector<PreferencePair>& pairs,
-                                  const CheckpointHook& hook = {});
-
-  /// As above, with snapshot hooks and optional resume. When `resume` is
-  /// non-null the trainer restores weights/optimizer/RNG/permutation from
-  /// it and continues at resume->completed_epochs + 1; the returned
-  /// history is resume->history extended with the new epochs, and the
-  /// final result is bitwise-identical to an uninterrupted run (the
-  /// property tests in tests/test_properties.cpp enforce this).
-  std::vector<EpochMetrics> train(const std::vector<PreferencePair>& pairs,
-                                  const TrainHooks& hooks,
-                                  const TrainerCheckpointState* resume);
+  /// Run DPO over the pairs; returns one metrics row per epoch. When
+  /// `resume` is non-null the trainer restores weights/optimizer/RNG/
+  /// permutation from it and continues at resume->loop.completed_epochs + 1;
+  /// the returned history is resume->history extended with the new epochs,
+  /// and the final result is bitwise-identical to an uninterrupted run (the
+  /// property tests in tests/test_properties.cpp enforce this). Throws
+  /// nn::LoopStateError if `resume` does not fit this pair set.
+  std::vector<EpochMetrics> train(
+      const std::vector<PreferencePair>& pairs, const TrainHooks& hooks = {},
+      const TrainerCheckpointState* resume = nullptr);
 
   [[nodiscard]] const TinyGpt& policy() const { return policy_; }
   [[nodiscard]] const TinyGpt& reference() const { return reference_; }
   [[nodiscard]] const DpoConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] TrainerCheckpointState capture_state(
-      int completed_epochs, const nn::AdamW& opt,
-      const std::vector<std::size_t>& order,
-      const std::vector<EpochMetrics>& history) const;
-
   TinyGpt policy_;
   TinyGpt reference_;
   DpoConfig config_;

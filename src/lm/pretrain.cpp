@@ -15,12 +15,6 @@ using tensor::Tensor;
 
 PretrainStats pretrain(TinyGpt& model,
                        const std::vector<CorpusExample>& corpus,
-                       const PretrainConfig& config, Rng& rng) {
-  return pretrain(model, corpus, config, rng, PretrainHooks{}, nullptr);
-}
-
-PretrainStats pretrain(TinyGpt& model,
-                       const std::vector<CorpusExample>& corpus,
                        const PretrainConfig& config, Rng& rng,
                        const PretrainHooks& hooks,
                        const PretrainState* resume) {
@@ -36,30 +30,10 @@ PretrainStats pretrain(TinyGpt& model,
 
   int start_epoch = 0;
   if (resume != nullptr) {
-    DPOAF_CHECK_MSG(resume->order.size() == corpus.size(),
-                    "resume state was captured over a different corpus");
-    DPOAF_CHECK(resume->completed_epochs >= 0);
-    model.load_state(resume->model_state);
-    opt.load_state(resume->opt_m, resume->opt_v, resume->opt_steps);
-    rng.set_state_words(resume->rng_state);
-    for (std::size_t i = 0; i < order.size(); ++i)
-      order[i] = static_cast<std::size_t>(resume->order[i]);
+    nn::restore_loop_state(resume->loop, model, opt, rng, order);
     stats.epoch_losses = resume->epoch_losses;
-    start_epoch = resume->completed_epochs;
+    start_epoch = resume->loop.completed_epochs;
   }
-
-  const auto capture = [&](int completed) {
-    PretrainState s;
-    s.completed_epochs = completed;
-    s.model_state = model.state();
-    s.opt_m = opt.moments_m();
-    s.opt_v = opt.moments_v();
-    s.opt_steps = opt.steps_taken();
-    s.rng_state = rng.state_words();
-    s.order.assign(order.begin(), order.end());
-    s.epoch_losses = stats.epoch_losses;
-    return s;
-  };
 
   for (int epoch = start_epoch; epoch < config.epochs; ++epoch) {
     obs::ScopedTimer timer(obs::histogram("lm.pretrain.epoch_ns"));
@@ -89,7 +63,8 @@ PretrainStats pretrain(TinyGpt& model,
     const int completed = epoch + 1;
     if (hooks.snapshot && hooks.snapshot_every > 0 &&
         (completed % hooks.snapshot_every == 0 || completed == config.epochs))
-      hooks.snapshot(capture(completed));
+      hooks.snapshot({nn::capture_loop_state(completed, model, opt, rng, order),
+                      stats.epoch_losses});
   }
   return stats;
 }

@@ -5,7 +5,6 @@
 // domain behaviour exactly as the paper assumes of Llama2-7B.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -13,6 +12,7 @@
 
 #include "lm/corpus.hpp"
 #include "nn/gpt.hpp"
+#include "nn/optim.hpp"
 
 namespace dpoaf::lm {
 
@@ -28,17 +28,12 @@ struct PretrainStats {
   std::vector<double> epoch_losses;  // mean CE per epoch
 };
 
-/// Resumable pre-training state captured at an epoch boundary: model
-/// weights, AdamW moments, the caller's RNG stream (pretrain shuffles
-/// consume it in place), the shuffle permutation, and losses so far.
+/// Resumable pre-training state captured at an epoch boundary: the loop
+/// state (model weights, AdamW moments, the caller's RNG stream — pretrain
+/// shuffles consume it in place — and the shuffle permutation) plus the
+/// losses so far.
 struct PretrainState {
-  int completed_epochs = 0;
-  std::vector<float> model_state;
-  std::vector<std::vector<float>> opt_m;
-  std::vector<std::vector<float>> opt_v;
-  std::int64_t opt_steps = 0;
-  std::array<std::uint64_t, 4> rng_state{};
-  std::vector<std::uint64_t> order;
+  nn::LoopState loop;
   std::vector<double> epoch_losses;
 };
 
@@ -49,20 +44,16 @@ struct PretrainHooks {
   int snapshot_every = 0;
 };
 
-/// Train `model` in place; returns per-epoch losses.
-PretrainStats pretrain(TinyGpt& model,
-                       const std::vector<CorpusExample>& corpus,
-                       const PretrainConfig& config, Rng& rng);
-
-/// As above with snapshots and optional resume. With `resume` non-null
-/// the model/optimizer/RNG/permutation are restored and training
+/// Train `model` in place; returns per-epoch losses. With `resume`
+/// non-null the model/optimizer/RNG/permutation are restored and training
 /// continues at the next epoch; the final weights, losses, and the
 /// caller's RNG stream end up bitwise-identical to an uninterrupted run.
+/// Throws nn::LoopStateError if `resume` does not fit this corpus.
 PretrainStats pretrain(TinyGpt& model,
                        const std::vector<CorpusExample>& corpus,
                        const PretrainConfig& config, Rng& rng,
-                       const PretrainHooks& hooks,
-                       const PretrainState* resume);
+                       const PretrainHooks& hooks = {},
+                       const PretrainState* resume = nullptr);
 
 struct SamplerConfig {
   int max_new_tokens = 72;

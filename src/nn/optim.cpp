@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "nn/gpt.hpp"
 #include "util/check.hpp"
 
 namespace dpoaf::nn {
@@ -72,6 +73,60 @@ void AdamW::load_state(const std::vector<std::vector<float>>& m,
   m_ = m;
   v_ = v;
   t_ = steps;
+}
+
+LoopState capture_loop_state(int completed_epochs, const TinyGpt& model,
+                             const AdamW& opt, const Rng& rng,
+                             const std::vector<std::size_t>& order) {
+  LoopState s;
+  s.completed_epochs = completed_epochs;
+  s.weights = model.state();
+  s.opt_m = opt.moments_m();
+  s.opt_v = opt.moments_v();
+  s.opt_steps = opt.steps_taken();
+  s.rng_state = rng.state_words();
+  s.order.assign(order.begin(), order.end());
+  return s;
+}
+
+void restore_loop_state(const LoopState& state, TinyGpt& model, AdamW& opt,
+                        Rng& rng, std::vector<std::size_t>& order) {
+  const std::size_t n = order.size();
+  if (state.completed_epochs < 0 || state.opt_steps < 0)
+    throw LoopStateError("loop state has a negative epoch or step count");
+  if (state.order.size() != n)
+    throw LoopStateError("loop state order has " +
+                         std::to_string(state.order.size()) +
+                         " entries but the loop trains on " +
+                         std::to_string(n) + " items");
+  std::vector<bool> seen(n, false);
+  for (const std::uint64_t i : state.order) {
+    if (i >= n || seen[i])
+      throw LoopStateError("loop state order is not a permutation of [0, " +
+                           std::to_string(n) + ")");
+    seen[i] = true;
+  }
+  if (state.weights.size() != model.parameter_count())
+    throw LoopStateError("loop state holds " +
+                         std::to_string(state.weights.size()) +
+                         " weights but the model has " +
+                         std::to_string(model.parameter_count()));
+  const auto& live_m = opt.moments_m();
+  bool moments_fit = state.opt_m.size() == live_m.size() &&
+                     state.opt_v.size() == live_m.size();
+  for (std::size_t p = 0; moments_fit && p < live_m.size(); ++p)
+    moments_fit = state.opt_m[p].size() == live_m[p].size() &&
+                  state.opt_v[p].size() == live_m[p].size();
+  if (!moments_fit)
+    throw LoopStateError(
+        "loop state optimizer moments do not fit the model's trainable "
+        "parameters");
+  if (state.rng_state == std::array<std::uint64_t, 4>{})
+    throw LoopStateError("loop state RNG words are all zero");
+  model.load_state(state.weights);
+  opt.load_state(state.opt_m, state.opt_v, state.opt_steps);
+  rng.set_state_words(state.rng_state);
+  order.assign(state.order.begin(), state.order.end());
 }
 
 }  // namespace dpoaf::nn

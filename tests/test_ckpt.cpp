@@ -186,7 +186,7 @@ TEST(SectionsTest, RejectsTrailingGarbage) {
 ckpt::TrainingCheckpoint sample_checkpoint() {
   ckpt::TrainingCheckpoint c;
   c.stage = ckpt::Stage::kDpo;
-  c.completed_epochs = 7;
+  c.loop.completed_epochs = 7;
   c.pipeline_seed = 23;
   c.model_config = {/*vocab_size=*/11, /*d_model=*/8, /*n_heads=*/2,
                     /*n_layers=*/1, /*d_ff=*/16, /*max_seq=*/12,
@@ -194,15 +194,15 @@ ckpt::TrainingCheckpoint sample_checkpoint() {
   c.lora_rank = 2;
   c.lora_alpha = 4.0f;
   c.vocab = {"<s>", "</s>", "go", "stop"};
-  c.policy_state = {0.25f, -1.0f, 3.5f};
+  c.loop.weights = {0.25f, -1.0f, 3.5f};
   c.reference_state = {0.0f, 0.125f};
-  c.opt_m = {{1.0f, 2.0f}, {}};
-  c.opt_v = {{0.5f, 0.25f}, {}};
-  c.opt_steps = 99;
-  c.rng_state = {1, 2, 3, 4};
-  c.order = {2, 0, 1};
+  c.loop.opt_m = {{1.0f, 2.0f}, {}};
+  c.loop.opt_v = {{0.5f, 0.25f}, {}};
+  c.loop.opt_steps = 99;
+  c.loop.rng_state = {1, 2, 3, 4};
+  c.loop.order = {2, 0, 1};
   c.dpo_history = {{1, 0.5, 0.75, 0.1, -0.01}};
-  ckpt::EvalRecord eval;
+  dpo::CheckpointEval eval;
   eval.epoch = 5;
   eval.train_mean_satisfied = 12.5;
   eval.val_mean_satisfied = 11.0;
@@ -227,7 +227,7 @@ ckpt::TrainingCheckpoint sample_checkpoint() {
 void expect_checkpoints_equal(const ckpt::TrainingCheckpoint& a,
                               const ckpt::TrainingCheckpoint& b) {
   EXPECT_EQ(a.stage, b.stage);
-  EXPECT_EQ(a.completed_epochs, b.completed_epochs);
+  EXPECT_EQ(a.loop.completed_epochs, b.loop.completed_epochs);
   EXPECT_EQ(a.pipeline_seed, b.pipeline_seed);
   EXPECT_EQ(a.model_config.vocab_size, b.model_config.vocab_size);
   EXPECT_EQ(a.model_config.d_model, b.model_config.d_model);
@@ -240,13 +240,13 @@ void expect_checkpoints_equal(const ckpt::TrainingCheckpoint& a,
   EXPECT_EQ(a.lora_rank, b.lora_rank);
   EXPECT_EQ(a.lora_alpha, b.lora_alpha);
   EXPECT_EQ(a.vocab, b.vocab);
-  EXPECT_EQ(a.policy_state, b.policy_state);
+  EXPECT_EQ(a.loop.weights, b.loop.weights);
   EXPECT_EQ(a.reference_state, b.reference_state);
-  EXPECT_EQ(a.opt_m, b.opt_m);
-  EXPECT_EQ(a.opt_v, b.opt_v);
-  EXPECT_EQ(a.opt_steps, b.opt_steps);
-  EXPECT_EQ(a.rng_state, b.rng_state);
-  EXPECT_EQ(a.order, b.order);
+  EXPECT_EQ(a.loop.opt_m, b.loop.opt_m);
+  EXPECT_EQ(a.loop.opt_v, b.loop.opt_v);
+  EXPECT_EQ(a.loop.opt_steps, b.loop.opt_steps);
+  EXPECT_EQ(a.loop.rng_state, b.loop.rng_state);
+  EXPECT_EQ(a.loop.order, b.loop.order);
   ASSERT_EQ(a.dpo_history.size(), b.dpo_history.size());
   for (std::size_t i = 0; i < a.dpo_history.size(); ++i) {
     EXPECT_EQ(a.dpo_history[i].epoch, b.dpo_history[i].epoch);
@@ -282,6 +282,16 @@ TEST(CheckpointTest, SerializeDeserializeRoundTrips) {
   expect_checkpoints_equal(original, restored);
 }
 
+TEST(CheckpointTest, ByteLayoutIsPinned) {
+  // Round trips cannot see a layout drift that reader and writer share.
+  // The size and CRC of the whole container were captured before the
+  // in-memory checkpoint types were restructured: the .dpoaf bytes must
+  // not move when only the C++ layout does.
+  const auto bytes = ckpt::serialize(sample_checkpoint());
+  EXPECT_EQ(bytes.size(), 764u);
+  EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0xD8B7705Bu);
+}
+
 TEST(CheckpointTest, RejectsMissingSection) {
   // Repack without the WPOL section; the reader must name what's missing.
   const auto bytes = ckpt::serialize(sample_checkpoint());
@@ -315,11 +325,11 @@ TEST(CheckpointTest, LoraStateRoundTripsThroughModel) {
     nn::TinyGpt model(cfg, rng);
     if (lora) model.enable_lora(2, 4.0f, rng);
     ckpt::TrainingCheckpoint c = sample_checkpoint();
-    c.policy_state = model.state();
+    c.loop.weights = model.state();
     const auto bytes = ckpt::serialize(c);
     const auto restored = ckpt::deserialize(bytes.data(), bytes.size());
     nn::TinyGpt clone = model.clone();
-    clone.load_state(restored.policy_state);
+    clone.load_state(restored.loop.weights);
     EXPECT_EQ(clone.state(), model.state()) << "lora=" << lora;
   }
 }
@@ -354,6 +364,15 @@ TEST(CheckpointTest, DescribeFileListsSections) {
   EXPECT_NE(text.find("dpo"), std::string::npos);
 }
 
+TEST(CheckpointTest, LoadAndDescribeRejectDirectory) {
+  // A directory opens as an ifstream on Linux and reports a bogus size;
+  // both readers must turn that into a CheckpointError, not an
+  // allocation failure.
+  const fs::path dir = fresh_dir("ckpt_dir_as_file");
+  EXPECT_THROW((void)ckpt::load_checkpoint(dir), ckpt::CheckpointError);
+  EXPECT_THROW((void)ckpt::describe_file(dir), ckpt::CheckpointError);
+}
+
 // -------------------------------------------------------------- store ---
 
 TEST(StoreTest, RotationKeepsNewestKPerStage) {
@@ -362,11 +381,11 @@ TEST(StoreTest, RotationKeepsNewestKPerStage) {
   ckpt::TrainingCheckpoint c = sample_checkpoint();
   for (int epoch = 1; epoch <= 4; ++epoch) {
     c.stage = ckpt::Stage::kDpo;
-    c.completed_epochs = epoch;
+    c.loop.completed_epochs = epoch;
     store.write(c);
   }
   c.stage = ckpt::Stage::kPretrain;
-  c.completed_epochs = 1;
+  c.loop.completed_epochs = 1;
   store.write(c);
 
   const auto dpo_files = ckpt::list_checkpoints(dir, ckpt::Stage::kDpo);
@@ -382,12 +401,12 @@ TEST(StoreTest, ResolveResumePathPrefersNewestDpoSnapshot) {
   ckpt::CheckpointStore store(dir, /*retain_last=*/0);
   ckpt::TrainingCheckpoint c = sample_checkpoint();
   c.stage = ckpt::Stage::kPretrain;
-  c.completed_epochs = 3;
+  c.loop.completed_epochs = 3;
   store.write(c);
   EXPECT_EQ(ckpt::resolve_resume_path(dir).filename(),
             "ckpt-pretrain-epoch-000003.dpoaf");
   c.stage = ckpt::Stage::kDpo;
-  c.completed_epochs = 2;
+  c.loop.completed_epochs = 2;
   store.write(c);
   // A dpo snapshot supersedes pretrain regardless of epoch number.
   EXPECT_EQ(ckpt::resolve_resume_path(dir).filename(),
@@ -429,11 +448,11 @@ TEST(StoreTest, MemorySinkCapturesSnapshots) {
   ckpt::MemorySink sink;
   ckpt::TrainingCheckpoint c = sample_checkpoint();
   sink.write(c);
-  c.completed_epochs = 8;
+  c.loop.completed_epochs = 8;
   sink.write(c);
   ASSERT_EQ(sink.snapshots.size(), 2u);
-  EXPECT_EQ(sink.snapshots[0].completed_epochs, 7);
-  EXPECT_EQ(sink.snapshots[1].completed_epochs, 8);
+  EXPECT_EQ(sink.snapshots[0].loop.completed_epochs, 7);
+  EXPECT_EQ(sink.snapshots[1].loop.completed_epochs, 8);
 }
 
 }  // namespace

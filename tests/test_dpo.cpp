@@ -188,8 +188,11 @@ TEST_F(TrainerTest, CheckpointHookFiresOnSchedule) {
   cfg.lora_rank = 2;
   DpoTrainer trainer(model.clone(), cfg, rng);
   std::vector<int> epochs;
-  trainer.train(make_pairs(),
-                [&epochs](int e, const nn::TinyGpt&) { epochs.push_back(e); });
+  TrainHooks hooks;
+  hooks.checkpoint = [&epochs](int e, const nn::TinyGpt&) {
+    epochs.push_back(e);
+  };
+  trainer.train(make_pairs(), hooks);
   // epoch 0 (pre-training state), 4, 8, and the final epoch 10.
   EXPECT_EQ(epochs, (std::vector<int>{0, 4, 8, 10}));
 }

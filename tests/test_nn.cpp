@@ -503,5 +503,38 @@ TEST(AdamW, RequiresParameters) {
   EXPECT_THROW(AdamW({}, cfg), ContractViolation);
 }
 
+TEST(LoopState, RestoreRejectsStateThatDoesNotFit) {
+  // Checkpoints arrive from outside the program, and a CRC-clean file can
+  // still carry an order that would index past the loop's items.
+  Rng rng(44);
+  TinyGpt model(tiny_config(), rng);
+  AdamW opt(model.trainable_parameters(), AdamWConfig{});
+  std::vector<std::size_t> order{0, 1, 2};
+  LoopState good = capture_loop_state(1, model, opt, rng, order);
+  for (float& w : good.weights) w += 1.0f;
+  good.order = {2, 0, 1};
+  const std::vector<float> before = model.state();
+
+  std::vector<LoopState> bad(8, good);
+  bad[0].order = {0, 1, 3};          // out of range
+  bad[1].order = {0, 1, 1ULL << 62};  // far out of range
+  bad[2].order = {2, 0, 2};          // duplicate
+  bad[3].order = {0, 1};             // wrong length
+  bad[4].completed_epochs = -1;
+  bad[5].weights.pop_back();
+  bad[6].opt_v.back().push_back(0.0f);
+  bad[7].rng_state = {0, 0, 0, 0};
+  for (std::size_t i = 0; i < bad.size(); ++i)
+    EXPECT_THROW(restore_loop_state(bad[i], model, opt, rng, order),
+                 LoopStateError)
+        << "case " << i;
+  // A rejected state touches nothing; the unmodified one restores.
+  EXPECT_EQ(model.state(), before);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+  restore_loop_state(good, model, opt, rng, order);
+  EXPECT_EQ(model.state(), good.weights);
+  EXPECT_EQ(order, (std::vector<std::size_t>{2, 0, 1}));
+}
+
 }  // namespace
 }  // namespace dpoaf::nn

@@ -507,7 +507,8 @@ const ckpt::TrainingCheckpoint& find_snapshot(
     const std::vector<ckpt::TrainingCheckpoint>& snapshots, ckpt::Stage stage,
     int completed_epochs) {
   for (const auto& s : snapshots)
-    if (s.stage == stage && s.completed_epochs == completed_epochs) return s;
+    if (s.stage == stage && s.loop.completed_epochs == completed_epochs)
+      return s;
   throw std::runtime_error("expected snapshot not captured");
 }
 
@@ -584,6 +585,34 @@ TEST(CrashResumeProperty, PretrainResumeBitwiseIdentical) {
   const auto resumed = run_micro_checkpointed(1, false, 2, path);
   expect_identical_metrics(baseline.result, resumed.result);
   EXPECT_EQ(baseline.final_weights, resumed.final_weights);
+}
+
+TEST(CrashResumeProperty, ResumeRejectsNonPermutationOrder) {
+  // The CRC detects accidental damage, not a crafted file: a snapshot
+  // whose shuffle order has the right length but is not a permutation of
+  // the loop's items must be rejected before any item is indexed by it.
+  const auto baseline =
+      run_micro_checkpointed(1, /*observability=*/false, /*pretrain_epochs=*/2);
+  for (const ckpt::Stage stage : {ckpt::Stage::kPretrain, ckpt::Stage::kDpo}) {
+    ckpt::TrainingCheckpoint snap =
+        find_snapshot(baseline.snapshots, stage, /*epochs=*/1);
+    const std::vector<std::uint64_t> good = snap.loop.order;
+    ASSERT_GE(good.size(), 2u);
+    std::vector<std::uint64_t> out_of_range = good;
+    out_of_range[0] = good.size() + 1000;
+    std::vector<std::uint64_t> duplicated = good;
+    duplicated[1] = duplicated[0];
+    for (const auto& bad : {out_of_range, duplicated}) {
+      snap.loop.order = bad;
+      const std::string path = save_snapshot(
+          snap, std::string("resume_bad_order_") + ckpt::stage_name(stage) +
+                    ".dpoaf");
+      EXPECT_THROW((void)run_micro_checkpointed(1, false, 2, path),
+                   nn::LoopStateError)
+          << ckpt::stage_name(stage);
+    }
+  }
+  util::set_global_threads(1);
 }
 
 TEST(CrashResumeProperty, ResumeRejectsMismatchedConfiguration) {
