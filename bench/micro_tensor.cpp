@@ -22,7 +22,6 @@
 #include "nn/gpt.hpp"
 #include "tensor/backend/backend.hpp"
 #include "tensor/ops.hpp"
-#include "util/threadpool.hpp"
 
 namespace {
 
@@ -75,7 +74,6 @@ void matmul_bench(benchmark::State& state, const std::string& be) {
     state.SkipWithError("simd backend not supported on this CPU/build");
     return;
   }
-  util::set_global_threads(1);  // serial kernel throughput; see …Threads
   Rng rng(1);
   Tensor a = Tensor::randn({n, n}, rng);
   Tensor b = Tensor::randn({n, n}, rng);
@@ -92,59 +90,6 @@ void matmul_bench(benchmark::State& state, const std::string& be) {
   state.counters["GFLOP/s"] = benchmark::Counter(
       static_cast<double>(2 * n * n * n) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
-}
-
-// Thread-count sweep at the figure/ablation hot-path size (256³), per
-// backend: the speedup column is the GFLOP/s ratio against the threads=1
-// row of the same backend.
-void matmul_threads_bench(benchmark::State& state, const std::string& be) {
-  const auto threads = static_cast<int>(state.range(0));
-  constexpr std::int64_t n = 256;
-  if (!backend_available(be)) {
-    state.SkipWithError("simd backend not supported on this CPU/build");
-    return;
-  }
-  util::set_global_threads(threads);
-  backend::select(be);
-  Rng rng(1);
-  Tensor a = Tensor::randn({n, n}, rng);
-  Tensor b = Tensor::randn({n, n}, rng);
-  for (auto _ : state) {
-    Tensor c = ops::matmul(nullptr, a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  util::set_global_threads(1);
-  backend::select("");
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      static_cast<double>(2 * n * n * n) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
-}
-
-// Backward accumulations under the same sweep (both dA and dB paths).
-void matmul_backward_threads_bench(benchmark::State& state,
-                                   const std::string& be) {
-  const auto threads = static_cast<int>(state.range(0));
-  constexpr std::int64_t n = 256;
-  if (!backend_available(be)) {
-    state.SkipWithError("simd backend not supported on this CPU/build");
-    return;
-  }
-  util::set_global_threads(threads);
-  backend::select(be);
-  Rng rng(1);
-  Tensor a = Tensor::randn({n, n}, rng).set_requires_grad(true);
-  Tensor b = Tensor::randn({n, n}, rng).set_requires_grad(true);
-  for (auto _ : state) {
-    Tape tape;
-    Tensor c = ops::matmul(&tape, a, b);
-    Tensor loss = ops::sum(&tape, c);
-    tape.backward(loss);
-    benchmark::DoNotOptimize(a.grad());
-    a.zero_grad();
-    b.zero_grad();
-  }
-  util::set_global_threads(1);
-  backend::select("");
 }
 
 // GELU forward+backward on the active backend, upstream gradient 1.
@@ -172,7 +117,6 @@ void gelu_bench(benchmark::State& state, const std::string& be) {
     state.SkipWithError("simd backend not supported on this CPU/build");
     return;
   }
-  util::set_global_threads(1);
   Rng rng(7);
   Tensor x = Tensor::randn({rows, cols}, rng, 2.0f).set_requires_grad(true);
   backend::select("scalar");
@@ -309,23 +253,6 @@ void register_backend_benches() {
         ->Arg(48)
         ->Arg(96)
         ->Arg(192);
-    benchmark::RegisterBenchmark(
-        ("BM_MatmulThreads/" + name).c_str(),
-        [name](benchmark::State& s) { matmul_threads_bench(s, name); })
-        ->Arg(1)
-        ->Arg(2)
-        ->Arg(4)
-        ->Arg(8)
-        ->ArgName("threads");
-    benchmark::RegisterBenchmark(
-        ("BM_MatmulBackwardThreads/" + name).c_str(),
-        [name](benchmark::State& s) {
-          matmul_backward_threads_bench(s, name);
-        })
-        ->Arg(1)
-        ->Arg(2)
-        ->Arg(4)
-        ->ArgName("threads");
     benchmark::RegisterBenchmark(
         ("BM_Gelu/" + name).c_str(),
         [name](benchmark::State& s) { gelu_bench(s, name); });

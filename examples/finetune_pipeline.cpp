@@ -10,7 +10,9 @@
 //                          [--checkpoint-dir DIR] [--checkpoint-every N]
 //                          [--resume [PATH]]
 // (defaults are sized to finish in about a minute on a laptop core; an
-// unknown flag or a flag missing its value prints this usage, exit code 2)
+// unknown flag, a flag missing its value or a value the pipeline rejects,
+// such as --holdout above --generate-scenarios, prints this usage, exit
+// code 2)
 //
 // --generate-scenarios N appends N procedurally generated scenarios to the
 // paper's five (docs/GENERATOR.md) and scales the sampling knobs down so
@@ -30,11 +32,13 @@
 // bitwise-identical to the uninterrupted run.
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "util/check.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -107,7 +111,14 @@ int main(int argc, char** argv) {
     cfg.resume_from = cfg.checkpoint_dir;
   }
 
-  core::DpoAfPipeline pipe(cfg);
+  std::optional<core::DpoAfPipeline> built;
+  try {
+    built.emplace(cfg);
+  } catch (const ContractViolation& e) {
+    std::cerr << e.what() << "\n";
+    return usage();
+  }
+  core::DpoAfPipeline& pipe = *built;
   std::cout << "model: " << pipe.model().parameter_count()
             << " parameters, vocab " << pipe.tokenizer().vocab_size()
             << ", context " << pipe.model().config().max_seq << "\n";

@@ -2,13 +2,11 @@
 //
 // A StageSet owns the worker threads of a dataflow graph. Workers are
 // dedicated std::threads, NOT jobs on util::ThreadPool — a pool job that
-// blocked on an empty/full channel would starve the very parallel_for
-// chunks (tensor ops, scoring fan-outs) its upstream stage needs to make
-// progress, which is a deadlock. Stage *compute* still draws on the
-// shared pool: worker counts are derived from util::global_threads(),
-// and per-item work either fans out through parallel_for or pins itself
-// serial with util::InlineComputeGuard so the stage's worker count is
-// the unit of parallelism.
+// blocked on an empty/full channel would hold a pool thread that other
+// parallel_for callers (serve's decode step) need to make progress. The
+// stage's worker count, derived from util::global_threads(), is its
+// parallelism: per-item work (sampling, synthesis, verification) runs
+// serially on the worker, since tensor ops never fan out.
 //
 // Error model ("clean shutdown/drain on error"): the first exception a
 // worker throws is captured; the set's on_error hook fires once (the

@@ -23,9 +23,9 @@ namespace dpoaf::core {
 
 namespace {
 
-// Rejects sample counts no run can use before any construction work:
-// a count below 1 would otherwise surface deep in the dataflow, or
-// collect nothing at all.
+// Rejects counts no run can use before any construction work: a sample
+// count below 1 would otherwise surface deep in the dataflow, or collect
+// nothing at all, and a bad scenario count would abort in the generator.
 const PipelineConfig& validated(const PipelineConfig& config) {
   DPOAF_CHECK_MSG(config.responses_per_task >= 1,
                   "PipelineConfig::responses_per_task must be >= 1, got " +
@@ -33,6 +33,14 @@ const PipelineConfig& validated(const PipelineConfig& config) {
   DPOAF_CHECK_MSG(config.eval_samples_per_task >= 1,
                   "PipelineConfig::eval_samples_per_task must be >= 1, got " +
                       std::to_string(config.eval_samples_per_task));
+  DPOAF_CHECK_MSG(config.generated_scenarios >= 0,
+                  "PipelineConfig::generated_scenarios must be >= 0, got " +
+                      std::to_string(config.generated_scenarios));
+  DPOAF_CHECK_MSG(config.holdout_scenarios >= 0 &&
+                      config.holdout_scenarios <= config.generated_scenarios,
+                  "PipelineConfig::holdout_scenarios must be within [0, " +
+                      std::to_string(config.generated_scenarios) + "], got " +
+                      std::to_string(config.holdout_scenarios));
   return config;
 }
 
@@ -326,7 +334,6 @@ void DpoAfPipeline::stream_scored_responses(
     stages.spawn(
         "sample", gen_workers,
         [&, next_task](int) {
-          util::InlineComputeGuard serial;
           for (;;) {
             const std::size_t u = next_task->fetch_add(1);
             if (u >= n_tasks) return;
@@ -355,7 +362,6 @@ void DpoAfPipeline::stream_scored_responses(
   stages.spawn(
       "verify", util::global_threads(),
       [&](int) {
-        util::InlineComputeGuard serial;
         while (auto item = work.pop()) {
           ScoredItem out;
           out.task_index = item->task;

@@ -34,10 +34,12 @@ using nn::Tokenizer;
 struct PipelineConfig {
   std::uint64_t seed = 1;
 
-  /// Compute parallelism for the tensor ops, the reference log-prob
-  /// precompute, and per-task scoring/eval. 0 ⇒ resolve from the
-  /// DPOAF_THREADS environment variable, else hardware concurrency.
-  /// Results are bitwise-identical at any setting (see DESIGN.md).
+  /// Size of the global thread pool: the DPO reference log-prob
+  /// precompute and serve's decode step fan out on it, and the sample and
+  /// verify stages run that many workers. Tensor ops stay serial. 0 ⇒
+  /// resolve from the DPOAF_THREADS environment variable, else hardware
+  /// concurrency. Results are bitwise-identical at any setting (see
+  /// DESIGN.md).
   int threads = 0;
 
   /// Tensor compute backend: "scalar", "simd", or "auto". Empty (the

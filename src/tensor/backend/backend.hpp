@@ -2,18 +2,18 @@
 //
 // A ComputeBackend supplies the *chunk-level* kernels behind
 // tensor::ops — matmul forward/backward and the large elementwise/row
-// ops. ops.cpp keeps owning the thread-pool partitioning (fixed
-// contiguous ranges, util::parallel_for) and hands each chunk to the
-// active backend, so every backend composes with DPOAF_THREADS for free.
+// ops. Every kernel takes an index range [i0, i1); tensor::ops calls it
+// once over the whole range, because ops are serial and parallelism
+// lives in the loops above them (DESIGN.md "Threading model").
 //
 // Determinism contract:
-//  - Each backend must be bitwise-reproducible across thread counts: a
-//    kernel's per-element arithmetic (reduction order, rounding) may
+//  - Each backend must be bitwise-reproducible however a range is split:
+//    a kernel's per-element arithmetic (reduction order, rounding) may
 //    depend only on the element's absolute indices and the full operand
 //    shapes, never on the chunk bounds [i0, i1) it was invoked with.
 //    Register blocking is fine as long as the blocked and remainder
 //    paths produce identical per-element results (tests/test_backend.cpp
-//    sweeps odd shapes across thread counts to pin this).
+//    sweeps odd shapes across thread-pool splits to pin this).
 //  - Different backends may round differently (the simd backend fuses
 //    multiply-adds; scalar keeps separate roundings). Cross-backend
 //    results agree only within tolerance — pick one backend per
@@ -51,9 +51,8 @@ struct MatmulCounters {
   obs::Counter& bwd_flops;
 };
 
-/// Chunk-level compute kernels. All row/index ranges [i0, i1) come from
-/// the caller's fixed thread-pool partition; pointers are dense
-/// row-major buffers owned by the caller.
+/// Chunk-level compute kernels over a row/index range [i0, i1) chosen by
+/// the caller; pointers are dense row-major buffers owned by the caller.
 class ComputeBackend {
  public:
   explicit ComputeBackend(const char* name);

@@ -6,7 +6,7 @@
 //
 // Determinism (the contract tests/test_backend.cpp pins): every output
 // element's arithmetic depends only on its absolute indices and the full
-// operand shapes — never on the thread-pool chunk bounds. Concretely:
+// operand shapes — never on the [i0, i1) chunk bounds. Concretely:
 //  - each output row/cell owns its accumulator registers, and the
 //    register-blocked (several rows / kk) and remainder (1 row) paths run
 //    the same FMA chain per element, so how rows group into blocks

@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "tensor/backend/backend.hpp"
-#include "util/threadpool.hpp"
 
 namespace dpoaf::tensor::ops {
 
@@ -34,15 +33,6 @@ std::string shapes_msg(const char* op, const Shape& a, const Shape& b) {
   return std::string(op) + ": " + shape_str(a) + " vs " + shape_str(b);
 }
 
-// Minimum per-chunk work (in float ops) before an op fans out to the pool;
-// below this the dispatch overhead beats the parallelism.
-constexpr std::int64_t kGrainFlops = 16384;
-
-// Chunk size, in rows, for a loop whose per-row cost is `row_flops`.
-std::int64_t row_grain(std::int64_t row_flops) {
-  return row_flops < 1 ? kGrainFlops : std::max<std::int64_t>(1, kGrainFlops / row_flops);
-}
-
 }  // namespace
 
 Tensor matmul(Tape* tape, const Tensor& a, const Tensor& b) {
@@ -61,18 +51,7 @@ Tensor matmul(Tape* tape, const Tensor& a, const Tensor& b) {
   be.matmul_counters().fwd_calls.add();
   be.matmul_counters().fwd_flops.add(static_cast<std::uint64_t>(2 * m * k * n));
   Tensor c = Tensor::zeros({m, n});
-  {
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* pc = c.data();
-    // Row partition: each output row is produced by exactly one chunk, and
-    // backend kernels keep per-element arithmetic independent of the chunk
-    // bounds, so the result is thread-count-invariant per backend.
-    util::parallel_for(0, m, row_grain(2 * k * n),
-                       [&](std::int64_t i0, std::int64_t i1) {
-      be.matmul_fwd(pa, pb, pc, k, n, i0, i1);
-    });
-  }
+  be.matmul_fwd(a.data(), b.data(), c.data(), k, n, 0, m);
   if (track(tape, {&a, &b})) {
     c.set_requires_grad(true);
     Tensor at = a, bt = b, ct = c;
@@ -89,27 +68,12 @@ Tensor matmul(Tape* tape, const Tensor& a, const Tensor& b) {
       be.matmul_counters().bwd_calls.add();
       be.matmul_counters().bwd_flops.add(flops);
       const float* gc = ct.grad();
-      if (at.requires_grad()) {
-        float* ga = at.grad();
-        const float* pb = bt.data();
-        // dA[i,kk] += Σ_j gC[i,j] · B[kk,j] — partition over i; each dA row
-        // belongs to one chunk and the j-reduction order is unchanged.
-        util::parallel_for(0, m, row_grain(2 * k * n),
-                           [&](std::int64_t i0, std::int64_t i1) {
-          be.matmul_bwd_a(gc, pb, ga, k, n, i0, i1);
-        });
-      }
-      if (bt.requires_grad()) {
-        float* gb = bt.grad();
-        const float* pa = at.data();
-        // dB[kk,j] += Σ_i A[i,kk] · gC[i,j] — partition over kk (dB rows) so
-        // no two chunks touch the same accumulator; i stays the inner serial
-        // loop, preserving the i-ascending accumulation order per cell.
-        util::parallel_for(0, k, row_grain(2 * m * n),
-                           [&](std::int64_t k0, std::int64_t k1) {
-          be.matmul_bwd_b(pa, gc, gb, m, k, n, k0, k1);
-        });
-      }
+      // dA[i,kk] += Σ_j gC[i,j] · B[kk,j]
+      if (at.requires_grad())
+        be.matmul_bwd_a(gc, bt.data(), at.grad(), k, n, 0, m);
+      // dB[kk,j] += Σ_i A[i,kk] · gC[i,j]
+      if (bt.requires_grad())
+        be.matmul_bwd_b(at.data(), gc, bt.grad(), m, k, n, 0, k);
     });
   }
   return c;
@@ -120,30 +84,15 @@ Tensor add(Tape* tape, const Tensor& a, const Tensor& b) {
                   shapes_msg("add: shape mismatch", a.shape(), b.shape()));
   Tensor c = Tensor::zeros(a.shape());
   const backend::ComputeBackend& be = backend::active();
-  util::parallel_for(0, a.numel(), kGrainFlops,
-                     [&](std::int64_t i0, std::int64_t i1) {
-    be.ew_add(a.data(), b.data(), c.data(), i0, i1);
-  });
+  be.ew_add(a.data(), b.data(), c.data(), 0, a.numel());
   if (track(tape, {&a, &b})) {
     c.set_requires_grad(true);
     Tensor at = a, bt = b, ct = c;
     tape->record([at, bt, ct]() mutable {
       const backend::ComputeBackend& be = backend::active();
       const float* gc = ct.grad();
-      if (at.requires_grad()) {
-        float* ga = at.grad();
-        util::parallel_for(0, at.numel(), kGrainFlops,
-                           [&](std::int64_t i0, std::int64_t i1) {
-          be.ew_axpy(1.0f, gc, ga, i0, i1);
-        });
-      }
-      if (bt.requires_grad()) {
-        float* gb = bt.grad();
-        util::parallel_for(0, bt.numel(), kGrainFlops,
-                           [&](std::int64_t i0, std::int64_t i1) {
-          be.ew_axpy(1.0f, gc, gb, i0, i1);
-        });
-      }
+      if (at.requires_grad()) be.ew_axpy(1.0f, gc, at.grad(), 0, at.numel());
+      if (bt.requires_grad()) be.ew_axpy(1.0f, gc, bt.grad(), 0, bt.numel());
     });
   }
   return c;
@@ -157,27 +106,16 @@ Tensor add_rowwise(Tape* tape, const Tensor& x, const Tensor& bias) {
   Tensor c = Tensor::zeros(x.shape());
   const std::int64_t m = x.rows(), n = x.cols();
   const backend::ComputeBackend& be = backend::active();
-  util::parallel_for(0, m, row_grain(n),
-                     [&](std::int64_t i0, std::int64_t i1) {
-    be.row_bias_add(x.data(), bias.data(), c.data(), n, i0, i1);
-  });
+  be.row_bias_add(x.data(), bias.data(), c.data(), n, 0, m);
   if (track(tape, {&x, &bias})) {
     c.set_requires_grad(true);
     Tensor xt = x, bt = bias, ct = c;
     tape->record([xt, bt, ct]() mutable {
       const std::int64_t m = xt.rows(), n = xt.cols();
-      const backend::ComputeBackend& be = backend::active();
       const float* gc = ct.grad();
-      if (xt.requires_grad()) {
-        float* gx = xt.grad();
-        util::parallel_for(0, m * n, kGrainFlops,
-                           [&](std::int64_t i0, std::int64_t i1) {
-          be.ew_axpy(1.0f, gc, gx, i0, i1);
-        });
-      }
+      if (xt.requires_grad())
+        backend::active().ew_axpy(1.0f, gc, xt.grad(), 0, m * n);
       if (bt.requires_grad()) {
-        // Column reduction across rows: stays serial — splitting rows
-        // across threads would reorder the float accumulation into gb.
         float* gb = bt.grad();
         for (std::int64_t i = 0; i < m; ++i)
           for (std::int64_t j = 0; j < n; ++j) gb[j] += gc[i * n + j];
@@ -192,30 +130,17 @@ Tensor mul(Tape* tape, const Tensor& a, const Tensor& b) {
                   shapes_msg("mul: shape mismatch", a.shape(), b.shape()));
   Tensor c = Tensor::zeros(a.shape());
   const backend::ComputeBackend& be = backend::active();
-  util::parallel_for(0, a.numel(), kGrainFlops,
-                     [&](std::int64_t i0, std::int64_t i1) {
-    be.ew_mul(a.data(), b.data(), c.data(), i0, i1);
-  });
+  be.ew_mul(a.data(), b.data(), c.data(), 0, a.numel());
   if (track(tape, {&a, &b})) {
     c.set_requires_grad(true);
     Tensor at = a, bt = b, ct = c;
     tape->record([at, bt, ct]() mutable {
       const backend::ComputeBackend& be = backend::active();
       const float* gc = ct.grad();
-      if (at.requires_grad()) {
-        float* ga = at.grad();
-        util::parallel_for(0, at.numel(), kGrainFlops,
-                           [&](std::int64_t i0, std::int64_t i1) {
-          be.ew_mul_acc(gc, bt.data(), ga, i0, i1);
-        });
-      }
-      if (bt.requires_grad()) {
-        float* gb = bt.grad();
-        util::parallel_for(0, bt.numel(), kGrainFlops,
-                           [&](std::int64_t i0, std::int64_t i1) {
-          be.ew_mul_acc(gc, at.data(), gb, i0, i1);
-        });
-      }
+      if (at.requires_grad())
+        be.ew_mul_acc(gc, bt.data(), at.grad(), 0, at.numel());
+      if (bt.requires_grad())
+        be.ew_mul_acc(gc, at.data(), bt.grad(), 0, bt.numel());
     });
   }
   return c;
@@ -228,21 +153,13 @@ Tensor sub(Tape* tape, const Tensor& a, const Tensor& b) {
 Tensor scale(Tape* tape, const Tensor& a, float s) {
   Tensor c = Tensor::zeros(a.shape());
   const backend::ComputeBackend& be = backend::active();
-  util::parallel_for(0, a.numel(), kGrainFlops,
-                     [&](std::int64_t i0, std::int64_t i1) {
-    be.ew_scale(a.data(), s, c.data(), i0, i1);
-  });
+  be.ew_scale(a.data(), s, c.data(), 0, a.numel());
   if (track(tape, {&a})) {
     c.set_requires_grad(true);
     Tensor at = a, ct = c;
     tape->record([at, ct, s]() mutable {
       if (!at.requires_grad()) return;
-      float* ga = at.grad();
-      const float* gc = ct.grad();
-      util::parallel_for(0, at.numel(), kGrainFlops,
-                         [&](std::int64_t i0, std::int64_t i1) {
-        backend::active().ew_axpy(s, gc, ga, i0, i1);
-      });
+      backend::active().ew_axpy(s, ct.grad(), at.grad(), 0, at.numel());
     });
   }
   return c;
@@ -254,10 +171,7 @@ Tensor gelu(Tape* tape, const Tensor& a) {
   // The forward's tanh term, saved so the backward does not recompute it.
   Tensor t = tracked ? Tensor::zeros(a.shape()) : Tensor();
   const backend::ComputeBackend& be = backend::active();
-  util::parallel_for(0, a.numel(), kGrainFlops,
-                     [&](std::int64_t i0, std::int64_t i1) {
-    be.gelu_fwd(a.data(), c.data(), tracked ? t.data() : nullptr, i0, i1);
-  });
+  be.gelu_fwd(a.data(), c.data(), tracked ? t.data() : nullptr, 0, a.numel());
   if (tracked) {
     c.set_requires_grad(true);
     Tensor at = a, ct = c;
@@ -265,12 +179,8 @@ Tensor gelu(Tape* tape, const Tensor& a) {
     const backend::ComputeBackend* fwd_be = &be;
     tape->record([at, ct, t, fwd_be]() mutable {
       if (!at.requires_grad()) return;
-      float* ga = at.grad();
-      const float* gc = ct.grad();
-      util::parallel_for(0, at.numel(), kGrainFlops,
-                         [&](std::int64_t i0, std::int64_t i1) {
-        fwd_be->gelu_bwd(at.data(), t.data(), gc, ga, i0, i1);
-      });
+      fwd_be->gelu_bwd(at.data(), t.data(), ct.grad(), at.grad(), 0,
+                       at.numel());
     });
   }
   return c;
@@ -288,37 +198,30 @@ Tensor layer_norm(Tape* tape, const Tensor& x, const Tensor& gamma,
                  beta.shape()));
   const std::int64_t m = x.rows(), n = x.cols();
   Tensor y = Tensor::zeros(x.shape());
-  // Cache per-row mean and inverse stddev for the backward pass. Each row's
-  // statistics are reduced entirely within its chunk (row partition), so
-  // the forward is thread-count-invariant.
+  // Cache per-row mean and inverse stddev for the backward pass.
   std::vector<float> mean(static_cast<std::size_t>(m));
   std::vector<float> inv_std(static_cast<std::size_t>(m));
-  util::parallel_for(0, m, row_grain(4 * n),
-                     [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* xr = x.data() + i * n;
-      float mu = 0.0f;
-      for (std::int64_t j = 0; j < n; ++j) mu += xr[j];
-      mu /= static_cast<float>(n);
-      float var = 0.0f;
-      for (std::int64_t j = 0; j < n; ++j) var += (xr[j] - mu) * (xr[j] - mu);
-      var /= static_cast<float>(n);
-      const float is = 1.0f / std::sqrt(var + eps);
-      mean[static_cast<std::size_t>(i)] = mu;
-      inv_std[static_cast<std::size_t>(i)] = is;
-      float* yr = y.data() + i * n;
-      for (std::int64_t j = 0; j < n; ++j)
-        yr[j] = (xr[j] - mu) * is * gamma.data()[j] + beta.data()[j];
-    }
-  });
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* xr = x.data() + i * n;
+    float mu = 0.0f;
+    for (std::int64_t j = 0; j < n; ++j) mu += xr[j];
+    mu /= static_cast<float>(n);
+    float var = 0.0f;
+    for (std::int64_t j = 0; j < n; ++j) var += (xr[j] - mu) * (xr[j] - mu);
+    var /= static_cast<float>(n);
+    const float is = 1.0f / std::sqrt(var + eps);
+    mean[static_cast<std::size_t>(i)] = mu;
+    inv_std[static_cast<std::size_t>(i)] = is;
+    float* yr = y.data() + i * n;
+    for (std::int64_t j = 0; j < n; ++j)
+      yr[j] = (xr[j] - mu) * is * gamma.data()[j] + beta.data()[j];
+  }
   if (track(tape, {&x, &gamma, &beta})) {
     y.set_requires_grad(true);
     Tensor xt = x, gt = gamma, bt = beta, yt = y;
     tape->record([xt, gt, bt, yt, mean, inv_std]() mutable {
       const std::int64_t m = xt.rows(), n = xt.cols();
       const float* gy = yt.grad();
-      // Backward stays serial: the gamma/beta gradients reduce across rows,
-      // and a row partition would reorder that float accumulation.
       for (std::int64_t i = 0; i < m; ++i) {
         const float* xr = xt.data() + i * n;
         const float* gyr = gy + i * n;
@@ -363,24 +266,20 @@ template <typename Limit>
 Tensor softmax_impl(Tape* tape, const Tensor& x, Limit limit) {
   const std::int64_t m = x.rows(), n = x.cols();
   Tensor y = Tensor::zeros(x.shape());
-  // Row partition: each row's max/sum reduction is confined to one chunk.
-  util::parallel_for(0, m, row_grain(4 * n),
-                     [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const std::int64_t lim = limit(i);
-      const float* xr = x.data() + i * n;
-      float* yr = y.data() + i * n;
-      float mx = -1e30f;
-      for (std::int64_t j = 0; j < lim; ++j) mx = std::max(mx, xr[j]);
-      float z = 0.0f;
-      for (std::int64_t j = 0; j < lim; ++j) {
-        yr[j] = std::exp(xr[j] - mx);
-        z += yr[j];
-      }
-      const float inv = 1.0f / z;
-      for (std::int64_t j = 0; j < lim; ++j) yr[j] *= inv;
+  for (std::int64_t i = 0; i < m; ++i) {
+    const std::int64_t lim = limit(i);
+    const float* xr = x.data() + i * n;
+    float* yr = y.data() + i * n;
+    float mx = -1e30f;
+    for (std::int64_t j = 0; j < lim; ++j) mx = std::max(mx, xr[j]);
+    float z = 0.0f;
+    for (std::int64_t j = 0; j < lim; ++j) {
+      yr[j] = std::exp(xr[j] - mx);
+      z += yr[j];
     }
-  });
+    const float inv = 1.0f / z;
+    for (std::int64_t j = 0; j < lim; ++j) yr[j] *= inv;
+  }
   if (track(tape, {&x})) {
     y.set_requires_grad(true);
     Tensor xt = x, yt = y;
@@ -389,18 +288,15 @@ Tensor softmax_impl(Tape* tape, const Tensor& x, Limit limit) {
       const std::int64_t m = xt.rows(), n = xt.cols();
       const float* gy = yt.grad();
       float* gx = xt.grad();
-      util::parallel_for(0, m, row_grain(4 * n),
-                         [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const std::int64_t lim = limit(i);
-          const float* yr = yt.data() + i * n;
-          const float* gyr = gy + i * n;
-          float dot = 0.0f;
-          for (std::int64_t j = 0; j < lim; ++j) dot += gyr[j] * yr[j];
-          for (std::int64_t j = 0; j < lim; ++j)
-            gx[i * n + j] += yr[j] * (gyr[j] - dot);
-        }
-      });
+      for (std::int64_t i = 0; i < m; ++i) {
+        const std::int64_t lim = limit(i);
+        const float* yr = yt.data() + i * n;
+        const float* gyr = gy + i * n;
+        float dot = 0.0f;
+        for (std::int64_t j = 0; j < lim; ++j) dot += gyr[j] * yr[j];
+        for (std::int64_t j = 0; j < lim; ++j)
+          gx[i * n + j] += yr[j] * (gyr[j] - dot);
+      }
     });
   }
   return y;
@@ -629,14 +525,11 @@ Tensor sum_log_probs(Tape* tape, const Tensor& logits,
 
 Tensor softplus(Tape* tape, const Tensor& x) {
   Tensor y = Tensor::zeros(x.shape());
-  util::parallel_for(0, x.numel(), kGrainFlops / 16,
-                     [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float v = x.data()[i];
-      // log(1+eᵛ) = max(v,0) + log1p(e^{−|v|})
-      y.data()[i] = std::max(v, 0.0f) + std::log1p(std::exp(-std::fabs(v)));
-    }
-  });
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const float v = x.data()[i];
+    // log(1+eᵛ) = max(v,0) + log1p(e^{−|v|})
+    y.data()[i] = std::max(v, 0.0f) + std::log1p(std::exp(-std::fabs(v)));
+  }
   if (track(tape, {&x})) {
     y.set_requires_grad(true);
     Tensor xt = x, yt = y;
@@ -644,13 +537,10 @@ Tensor softplus(Tape* tape, const Tensor& x) {
       if (!xt.requires_grad()) return;
       float* gx = xt.grad();
       const float* gy = yt.grad();
-      util::parallel_for(0, xt.numel(), kGrainFlops / 16,
-                         [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float s = 1.0f / (1.0f + std::exp(-xt.data()[i]));
-          gx[i] += gy[i] * s;
-        }
-      });
+      for (std::int64_t i = 0; i < xt.numel(); ++i) {
+        const float s = 1.0f / (1.0f + std::exp(-xt.data()[i]));
+        gx[i] += gy[i] * s;
+      }
     });
   }
   return y;

@@ -3,11 +3,11 @@
 // row-major 1-D/2-D tensors, a flat gradient buffer per tensor, and an
 // explicit Tape that records backward closures in execution order.
 //
-// Threading: the hot ops in ops.cpp fan out over the shared thread pool
-// (util/threadpool.hpp) with fixed, reduction-preserving partitions, so
-// results are bitwise-identical at any thread count; Tensor handles and
-// Tape themselves are not synchronized — don't share one Tape across
-// threads (see DESIGN.md "Threading model").
+// Threading: ops run serially on the calling thread, so results are
+// bitwise-identical at any thread count; parallelism lives in the loops
+// above them (pairs, decode slots, pipeline stages). Tensor handles and
+// Tape are not synchronized — don't share one Tape across threads (see
+// DESIGN.md "Threading model").
 #pragma once
 
 #include <cstdint>

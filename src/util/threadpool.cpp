@@ -123,12 +123,6 @@ void ThreadPool::parallel_for(
   });
 }
 
-InlineComputeGuard::InlineComputeGuard() : prev_(t_in_parallel_region) {
-  t_in_parallel_region = true;
-}
-
-InlineComputeGuard::~InlineComputeGuard() { t_in_parallel_region = prev_; }
-
 namespace {
 
 std::unique_ptr<ThreadPool>& global_slot() {

@@ -7,11 +7,12 @@
 //    serial loop would. Reductions must stay within a chunk (partition over
 //    the independent dimension), so single-thread and N-thread runs produce
 //    bitwise-identical floats — no atomics on floats, ever.
-//  - The pool is shared process-wide (global_pool()); ops grab it on the
-//    fly so the tensor library needs no plumbing through call sites.
+//  - The pool is shared process-wide (global_pool()). Only outer loops
+//    use it — DPO's per-pair reference precompute and serve's per-slot
+//    decode step; tensor ops never do.
 //  - Nested parallel_for calls run inline on the calling thread. This keeps
 //    the scheduler trivial (no re-entrancy, no deadlock) and keeps outer
-//    loops (per-pair, per-task) as the unit of parallelism.
+//    loops as the unit of parallelism.
 //  - Thread count resolves, in priority order: explicit set_global_threads()
 //    (e.g. from PipelineConfig::threads), the DPOAF_THREADS environment
 //    variable, then std::thread::hardware_concurrency().
@@ -70,23 +71,6 @@ void set_global_threads(int threads);
 
 /// Current size of the global pool (creating it if needed).
 int global_threads();
-
-/// RAII: mark the calling thread as a compute region, so every
-/// parallel_for it makes runs inline (exactly as if it were a chunk body).
-/// Dataflow stage workers (src/core/dataflow) wrap their per-item compute
-/// in this so the stage's worker count — not the pool fan-out — is the
-/// unit of parallelism. Restores the previous state on destruction, so
-/// guards nest safely.
-class InlineComputeGuard {
- public:
-  InlineComputeGuard();
-  ~InlineComputeGuard();
-  InlineComputeGuard(const InlineComputeGuard&) = delete;
-  InlineComputeGuard& operator=(const InlineComputeGuard&) = delete;
-
- private:
-  bool prev_;
-};
 
 /// Convenience: parallel_for on the global pool.
 inline void parallel_for(

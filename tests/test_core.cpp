@@ -106,7 +106,10 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
   // Regressions, now rejected at construction with the field named:
   // eval_samples_per_task == 0 divided by zero into NaN means;
   // responses_per_task == -1 failed deep in the dataflow with a "dropped
-  // scored candidates" CHECK, and 0 silently collected nothing.
+  // scored candidates" CHECK, and 0 silently collected nothing; a
+  // scenario count outside its range aborted inside the generator.
+  // micro_config() generates no scenarios, so any holdout above 0 is out
+  // of range.
   struct Case {
     const char* field;
     int PipelineConfig::*member;
@@ -117,7 +120,13 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
                         Case{"responses_per_task",
                              &PipelineConfig::responses_per_task, 0},
                         Case{"responses_per_task",
-                             &PipelineConfig::responses_per_task, -1}}) {
+                             &PipelineConfig::responses_per_task, -1},
+                        Case{"generated_scenarios",
+                             &PipelineConfig::generated_scenarios, -1},
+                        Case{"holdout_scenarios",
+                             &PipelineConfig::holdout_scenarios, -1},
+                        Case{"holdout_scenarios",
+                             &PipelineConfig::holdout_scenarios, 9}}) {
     auto cfg = micro_config();
     cfg.*c.member = c.value;
     try {

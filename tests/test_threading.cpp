@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "nn/gpt.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/backend/backend.hpp"
 #include "tensor/ops.hpp"
 #include "util/threadpool.hpp"
@@ -145,6 +147,32 @@ TEST(Determinism, ElementwiseAndRowOpsBitwiseAcrossThreadCounts) {
     expect_bitwise_equal(serial.first, parallel.first);
     expect_bitwise_equal(serial.second, parallel.second);
   });
+}
+
+// Ops are serial: a whole TinyGpt training step — loss forward plus
+// backward at model scale — never enters the pool, however many threads
+// it has. Parallelism belongs to the loops above the ops.
+TEST(Threading, ModelStepNeverEntersThePool) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  util::set_global_threads(4);
+  Rng rng(17);
+  nn::GptConfig cfg;
+  cfg.vocab_size = 40;
+  nn::TinyGpt model(cfg, rng);
+  std::vector<int> ids(64);
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    ids[i] = static_cast<int>((i * 7) % 40);
+
+  obs::Counter& calls = obs::counter("threadpool.parallel_for.calls");
+  const std::uint64_t before = calls.value();
+  Tape tape;
+  Tensor loss = model.nll_loss(&tape, ids);
+  tape.backward(loss);
+  EXPECT_EQ(calls.value(), before);
+
+  util::set_global_threads(1);
+  obs::set_enabled(was_enabled);
 }
 
 // End-to-end: the full DPO-AF loop (pretrain → candidates → pairs → DPO →
