@@ -10,9 +10,10 @@
 //                          [--checkpoint-dir DIR] [--checkpoint-every N]
 //                          [--resume [PATH]]
 // (defaults are sized to finish in about a minute on a laptop core; an
-// unknown flag, a flag missing its value or a value the pipeline rejects,
-// such as --holdout above --generate-scenarios, prints this usage, exit
-// code 2)
+// unknown flag, a flag missing its value, a number that is not a whole
+// decimal integer (seeds must be unsigned) or a value the pipeline
+// rejects, such as --epochs 0 or --holdout above --generate-scenarios,
+// prints this usage, exit code 2)
 //
 // --generate-scenarios N appends N procedurally generated scenarios to the
 // paper's five (docs/GENERATOR.md) and scales the sampling knobs down so
@@ -30,7 +31,8 @@
 // continues an interrupted run from the newest snapshot in the checkpoint
 // directory (or from an explicit .dpoaf path) and produces results
 // bitwise-identical to the uninterrupted run.
-#include <cstdlib>
+#include <charconv>
+#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -40,6 +42,20 @@
 #include "obs/report.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
+
+namespace {
+
+// Strict integer flag value: the whole token must be a decimal integer that
+// fits `T` (no sign for unsigned types), so "abc", "3x" or "-1" as a seed
+// are usage errors instead of silently becoming 0 or wrapping.
+template <typename T>
+bool parse_integer(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dpoaf;
@@ -70,16 +86,17 @@ int main(int argc, char** argv) {
     }
     if (i + 1 >= argc) return usage();  // every other flag takes a value
     const char* value = argv[++i];
+    bool parsed = true;
     if (arg == "--epochs")
-      cfg.dpo.epochs = std::atoi(value);
+      parsed = parse_integer(value, cfg.dpo.epochs);
     else if (arg == "--seed")
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(value));
+      parsed = parse_integer(value, cfg.seed);
     else if (arg == "--generate-scenarios")
-      cfg.generated_scenarios = std::atoi(value);
+      parsed = parse_integer(value, cfg.generated_scenarios);
     else if (arg == "--holdout")
-      cfg.holdout_scenarios = std::atoi(value);
+      parsed = parse_integer(value, cfg.holdout_scenarios);
     else if (arg == "--generator-seed")
-      cfg.generator_seed = static_cast<std::uint64_t>(std::atoll(value));
+      parsed = parse_integer(value, cfg.generator_seed);
     else if (arg == "--metrics-json")
       metrics_path = value;
     else if (arg == "--trace-json")
@@ -87,9 +104,13 @@ int main(int argc, char** argv) {
     else if (arg == "--checkpoint-dir")
       cfg.checkpoint_dir = value;
     else if (arg == "--checkpoint-every")
-      cfg.checkpoint_every_epochs = std::atoi(value);
+      parsed = parse_integer(value, cfg.checkpoint_every_epochs);
     else
       return usage();
+    if (!parsed) {
+      std::cerr << arg << ": invalid value '" << value << "'\n";
+      return usage();
+    }
   }
   cfg.observability = !metrics_path.empty() || !trace_path.empty();
   // Enable metrics before the pipeline constructor runs: scenario

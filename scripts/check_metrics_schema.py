@@ -38,7 +38,7 @@ def is_int(v):
 
 
 def is_number(v):
-    # to_json writes non-finite doubles as null, parsed back as NaN.
+    # to_json writes non-finite doubles as null, which json loads as None.
     return (isinstance(v, (int, float)) and not isinstance(v, bool)) or v is None
 
 

@@ -25,7 +25,9 @@ namespace {
 
 // Rejects counts no run can use before any construction work: a sample
 // count below 1 would otherwise surface deep in the dataflow, or collect
-// nothing at all, and a bad scenario count would abort in the generator.
+// nothing at all, a bad scenario count would abort in the generator, and
+// a DPO epoch or checkpoint interval below 1 leaves no loss history or
+// divides by zero in the trainer.
 const PipelineConfig& validated(const PipelineConfig& config) {
   DPOAF_CHECK_MSG(config.responses_per_task >= 1,
                   "PipelineConfig::responses_per_task must be >= 1, got " +
@@ -41,6 +43,15 @@ const PipelineConfig& validated(const PipelineConfig& config) {
                   "PipelineConfig::holdout_scenarios must be within [0, " +
                       std::to_string(config.generated_scenarios) + "], got " +
                       std::to_string(config.holdout_scenarios));
+  DPOAF_CHECK_MSG(config.dpo.epochs >= 1,
+                  "PipelineConfig::dpo.epochs must be >= 1, got " +
+                      std::to_string(config.dpo.epochs));
+  DPOAF_CHECK_MSG(config.dpo.checkpoint_every >= 1,
+                  "PipelineConfig::dpo.checkpoint_every must be >= 1, got " +
+                      std::to_string(config.dpo.checkpoint_every));
+  DPOAF_CHECK_MSG(config.checkpoint_every_epochs >= 0,
+                  "PipelineConfig::checkpoint_every_epochs must be >= 0, got " +
+                      std::to_string(config.checkpoint_every_epochs));
   return config;
 }
 
@@ -666,7 +677,6 @@ RunResult DpoAfPipeline::run_dpo_impl(
     publish("feedback_cache", result.feedback_cache_stats);
     publish("buchi_cache", result.buchi_cache_stats);
     publish("monitor_cache", result.monitor_cache_stats);
-    result.phases = obs::aggregate_phases(obs::trace_snapshot());
   }
   return result;
 }

@@ -23,7 +23,6 @@
 #include "dpo/trainer.hpp"
 #include "driving/domain.hpp"
 #include "lm/pretrain.hpp"
-#include "obs/trace.hpp"
 
 namespace dpoaf::core {
 
@@ -116,10 +115,11 @@ struct PipelineConfig {
   /// every response is re-parsed and re-verified from scratch.
   bool feedback_cache = true;
 
-  /// Turn on the process-wide observability layer (metric counters, trace
-  /// spans, RunResult::phases). Only ever *enables* — a pipeline built with
-  /// the default never switches globally-enabled observability off, so
-  /// benches that call obs::set_enabled(true) themselves keep recording.
+  /// Turn on the process-wide observability layer (metric counters and
+  /// trace spans; obs::capture_run_report rolls them up into a report).
+  /// Only ever *enables* — a pipeline built with the default never
+  /// switches globally-enabled observability off, so benches that call
+  /// obs::set_enabled(true) themselves keep recording.
   /// Observability never feeds back into any computed number: the property
   /// tests assert RunResult is bitwise-identical with it on or off.
   bool observability = false;
@@ -189,11 +189,6 @@ struct RunResult {
   /// Process-wide LTLf→DFA monitor cache (src/monitor), cumulative like
   /// the Büchi cache; populated by the empirical-evaluation phase.
   util::CacheStats monitor_cache_stats;
-  /// Per-phase wall-time aggregates over the trace recorded so far
-  /// (generation / synthesis / verification / ranking / dpo, plus internal
-  /// sub-spans). Empty unless observability was enabled. Wall times are
-  /// report-only — nothing downstream computes on them.
-  std::vector<obs::PhaseStat> phases;
   /// Procedural-generation tally (all zeros when generation was off),
   /// including the satisfiability pre-pass discard counts.
   driving::generator::GeneratorStats generator_stats;
@@ -243,9 +238,6 @@ class DpoAfPipeline {
   /// construction). Pass nullptr to disable snapshots.
   void set_checkpoint_sink(std::shared_ptr<ckpt::CheckpointSink> sink) {
     sink_ = std::move(sink);
-  }
-  [[nodiscard]] ckpt::CheckpointSink* checkpoint_sink() const {
-    return sink_.get();
   }
 
   /// Verification score of one response for a task (−1 ⇒ unalignable).

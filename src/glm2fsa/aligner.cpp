@@ -6,6 +6,11 @@
 
 namespace dpoaf::glm2fsa {
 
+namespace {
+// Largest normalized edit distance still accepted as a fuzzy match.
+constexpr double kFuzzyThreshold = 0.34;
+}  // namespace
+
 PhraseAligner::PhraseAligner(Vocabulary vocab) : vocab_(std::move(vocab)) {
   for (std::size_t i = 0; i < vocab_.size(); ++i) {
     const auto idx = static_cast<int>(i);
@@ -54,7 +59,7 @@ std::optional<int> PhraseAligner::align(std::string_view phrase) const {
 
   // 3. Fuzzy match by normalized edit distance.
   std::optional<int> best_fuzzy;
-  double best_dist = fuzzy_threshold_;
+  double best_dist = kFuzzyThreshold;
   for (const auto& [form, idx] : lexicon_) {
     const double d = normalized_edit_distance(form, p);
     if (d < best_dist) {

@@ -36,12 +36,9 @@ class PhraseAligner {
   /// Align a free-text phrase to a vocabulary index. Matching order:
   ///  1. exact lexicon lookup (after lowercasing/trimming/article removal),
   ///  2. substring containment of a surface form in the phrase,
-  ///  3. best normalized edit distance below `fuzzy_threshold`.
+  ///  3. best normalized edit distance below a fixed threshold (0.34).
   /// Returns nullopt when nothing matches.
   [[nodiscard]] std::optional<int> align(std::string_view phrase) const;
-
-  [[nodiscard]] double fuzzy_threshold() const { return fuzzy_threshold_; }
-  void set_fuzzy_threshold(double t) { fuzzy_threshold_ = t; }
 
   [[nodiscard]] const Vocabulary& vocab() const { return vocab_; }
 
@@ -50,7 +47,6 @@ class PhraseAligner {
 
   Vocabulary vocab_;
   std::vector<std::pair<std::string, int>> lexicon_;
-  double fuzzy_threshold_ = 0.34;
 };
 
 /// Aligner pre-populated with the driving-domain surface forms (the

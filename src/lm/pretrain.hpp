@@ -68,12 +68,6 @@ struct SamplerConfig {
 struct SampledResponses {
   std::vector<std::string> texts;
   std::vector<bool> truncated;  // parallel to texts
-
-  [[nodiscard]] int truncated_count() const {
-    int n = 0;
-    for (const bool t : truncated) n += t ? 1 : 0;
-    return n;
-  }
 };
 
 /// Sample m responses for a task prompt — the library's one sampling

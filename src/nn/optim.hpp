@@ -33,7 +33,6 @@ class AdamW {
   /// Zero every parameter's gradient buffer.
   void zero_grad();
 
-  void set_lr(float lr) { config_.lr = lr; }
   [[nodiscard]] float lr() const { return config_.lr; }
   [[nodiscard]] std::int64_t steps_taken() const { return t_; }
   /// Global gradient norm observed at the last step() (pre-clipping).

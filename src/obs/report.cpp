@@ -3,10 +3,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <utility>
 
 namespace dpoaf::obs {
@@ -51,7 +48,7 @@ void append_i64(std::string& out, std::int64_t v) {
 }
 
 void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {  // JSON has no NaN/Inf; read back as NaN
+  if (!std::isfinite(v)) {  // JSON has no NaN/Inf
     out += "null";
     return;
   }
@@ -70,7 +67,7 @@ void append_histogram(std::string& out, const HistogramSnapshot& h) {
   out += ",\"max\":";
   append_u64(out, h.max);
   out += ",\"buckets\":[";
-  // Trim trailing zero buckets; from_json restores them.
+  // Trim trailing zero buckets; readers treat absent buckets as zero.
   std::size_t last = 0;
   for (std::size_t i = 0; i < h.buckets.size(); ++i)
     if (h.buckets[i] != 0) last = i + 1;
@@ -93,236 +90,6 @@ void append_trace_event(std::string& out, const TraceEvent& e) {
   out += ",\"dur_ns\":";
   append_u64(out, e.dur_ns);
   out += '}';
-}
-
-// -------------------------------------------------------- JSON parsing --
-//
-// Minimal recursive-descent parser covering exactly the JSON subset the
-// writer emits (objects, arrays, strings with the escapes above, integer
-// and floating numbers, true/false/null). Not a general-purpose parser.
-
-struct JsonValue {
-  enum class Kind { Null, Bool, Number, String, Array, Object };
-  Kind kind = Kind::Null;
-  bool boolean = false;
-  double number = 0.0;        // always set for numbers
-  std::uint64_t uint_val = 0; // exact when the text was a plain integer
-  bool is_negative = false;
-  std::string text;
-  std::vector<JsonValue> items;
-  std::map<std::string, JsonValue> fields;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    const auto it = fields.find(key);
-    return it == fields.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] std::uint64_t as_u64() const {
-    return is_negative ? 0 : uint_val;
-  }
-  [[nodiscard]] std::int64_t as_i64() const {
-    const auto mag = static_cast<std::int64_t>(uint_val);
-    return is_negative ? -mag : mag;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  bool parse(JsonValue& out) {
-    skip_ws();
-    if (!parse_value(out)) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_value(JsonValue& out) {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
-      case '"': out.kind = JsonValue::Kind::String; return parse_string(out.text);
-      case 't':
-        if (text_.substr(pos_, 4) != "true") return false;
-        pos_ += 4;
-        out.kind = JsonValue::Kind::Bool;
-        out.boolean = true;
-        return true;
-      case 'f':
-        if (text_.substr(pos_, 5) != "false") return false;
-        pos_ += 5;
-        out.kind = JsonValue::Kind::Bool;
-        out.boolean = false;
-        return true;
-      case 'n':
-        if (text_.substr(pos_, 4) != "null") return false;
-        pos_ += 4;
-        out.kind = JsonValue::Kind::Null;
-        return true;
-      default: return parse_number(out);
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return false;
-          }
-          // The writer only emits \u00xx control escapes; that is all we
-          // decode (other code points pass through as raw UTF-8).
-          if (code > 0xFF) return false;
-          out += static_cast<char>(code);
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool parse_number(JsonValue& out) {
-    const std::size_t start = pos_;
-    if (consume('-')) out.is_negative = true;
-    bool integral = true;
-    std::uint64_t mag = 0;
-    bool any_digit = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        any_digit = true;
-        mag = mag * 10 + static_cast<std::uint64_t>(c - '0');
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (!any_digit) return false;
-    out.kind = JsonValue::Kind::Number;
-    const std::string token(text_.substr(start, pos_ - start));
-    out.number = std::strtod(token.c_str(), nullptr);
-    out.uint_val = integral ? mag : static_cast<std::uint64_t>(
-                                        std::llabs(std::llround(out.number)));
-    return true;
-  }
-
-  bool parse_object(JsonValue& out) {
-    if (!consume('{')) return false;
-    out.kind = JsonValue::Kind::Object;
-    skip_ws();
-    if (consume('}')) return true;
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.fields.emplace(std::move(key), std::move(value));
-      skip_ws();
-      if (consume(',')) continue;
-      return consume('}');
-    }
-  }
-
-  bool parse_array(JsonValue& out) {
-    if (!consume('[')) return false;
-    out.kind = JsonValue::Kind::Array;
-    skip_ws();
-    if (consume(']')) return true;
-    for (;;) {
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.items.push_back(std::move(value));
-      skip_ws();
-      if (consume(',')) continue;
-      return consume(']');
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-bool is_u64(const JsonValue* v) {
-  return v != nullptr && v->kind == JsonValue::Kind::Number && !v->is_negative;
-}
-bool is_int(const JsonValue* v) {
-  return v != nullptr && v->kind == JsonValue::Kind::Number;
-}
-bool is_str(const JsonValue* v) {
-  return v != nullptr && v->kind == JsonValue::Kind::String;
-}
-
-bool read_histogram(const JsonValue& v, HistogramSnapshot& out) {
-  if (v.kind != JsonValue::Kind::Object) return false;
-  const JsonValue* count = v.find("count");
-  const JsonValue* sum = v.find("sum");
-  const JsonValue* min = v.find("min");
-  const JsonValue* max = v.find("max");
-  const JsonValue* buckets = v.find("buckets");
-  if (!is_u64(count) || !is_u64(sum) || !is_u64(min) || !is_u64(max) ||
-      buckets == nullptr || buckets->kind != JsonValue::Kind::Array ||
-      buckets->items.size() > out.buckets.size())
-    return false;
-  out.count = count->as_u64();
-  out.sum = sum->as_u64();
-  out.min = min->as_u64();
-  out.max = max->as_u64();
-  out.buckets.fill(0);
-  for (std::size_t i = 0; i < buckets->items.size(); ++i) {
-    if (!is_u64(&buckets->items[i])) return false;
-    out.buckets[i] = buckets->items[i].as_u64();
-  }
-  return true;
 }
 
 }  // namespace
@@ -424,89 +191,6 @@ std::string to_chrome_trace(const RunReport& report) {
   }
   out += "]}";
   return out;
-}
-
-bool from_json(std::string_view json, RunReport& out) {
-  JsonValue root;
-  if (!JsonParser(json).parse(root) || root.kind != JsonValue::Kind::Object)
-    return false;
-  const JsonValue* schema = root.find("schema");
-  const JsonValue* version = root.find("version");
-  const JsonValue* tool = root.find("tool");
-  if (!is_str(schema) || schema->text != "dpoaf.run_report" ||
-      !is_int(version) || !is_str(tool))
-    return false;
-  out = RunReport{};
-  out.version = static_cast<int>(version->as_i64());
-  out.tool = tool->text;
-
-  const JsonValue* counters = root.find("counters");
-  const JsonValue* gauges = root.find("gauges");
-  const JsonValue* histograms = root.find("histograms");
-  const JsonValue* phases = root.find("phases");
-  const JsonValue* series = root.find("series");
-  if (counters == nullptr || counters->kind != JsonValue::Kind::Object ||
-      gauges == nullptr || gauges->kind != JsonValue::Kind::Object ||
-      histograms == nullptr || histograms->kind != JsonValue::Kind::Object ||
-      phases == nullptr || phases->kind != JsonValue::Kind::Array ||
-      series == nullptr || series->kind != JsonValue::Kind::Object)
-    return false;
-
-  for (const auto& [name, v] : counters->fields) {
-    if (!is_u64(&v)) return false;
-    out.metrics.counters.push_back({name, v.as_u64()});
-  }
-  for (const auto& [name, v] : gauges->fields) {
-    if (!is_int(&v)) return false;
-    out.metrics.gauges.push_back({name, v.as_i64()});
-  }
-  for (const auto& [name, v] : histograms->fields) {
-    HistogramSample sample;
-    sample.name = name;
-    if (!read_histogram(v, sample.snapshot)) return false;
-    out.metrics.histograms.push_back(std::move(sample));
-  }
-  for (const JsonValue& v : phases->items) {
-    if (v.kind != JsonValue::Kind::Object) return false;
-    const JsonValue* name = v.find("name");
-    const JsonValue* spans = v.find("spans");
-    const JsonValue* total = v.find("total_ns");
-    if (!is_str(name) || !is_u64(spans) || !is_u64(total)) return false;
-    out.phases.push_back({name->text, spans->as_u64(), total->as_u64()});
-  }
-  for (const auto& [name, v] : series->fields) {
-    if (v.kind != JsonValue::Kind::Array) return false;
-    Series s;
-    s.name = name;
-    for (const JsonValue& item : v.items) {
-      if (item.kind == JsonValue::Kind::Null) {
-        s.values.push_back(std::nan(""));
-      } else if (item.kind == JsonValue::Kind::Number) {
-        s.values.push_back(item.number);
-      } else {
-        return false;
-      }
-    }
-    out.series.push_back(std::move(s));
-  }
-  if (const JsonValue* trace = root.find("trace")) {
-    if (trace->kind != JsonValue::Kind::Array) return false;
-    for (const JsonValue& v : trace->items) {
-      if (v.kind != JsonValue::Kind::Object) return false;
-      const JsonValue* name = v.find("name");
-      const JsonValue* tid = v.find("tid");
-      const JsonValue* depth = v.find("depth");
-      const JsonValue* ts = v.find("ts_ns");
-      const JsonValue* dur = v.find("dur_ns");
-      if (!is_str(name) || !is_u64(tid) || !is_u64(depth) || !is_u64(ts) ||
-          !is_u64(dur))
-        return false;
-      out.trace.push_back({name->text, static_cast<std::uint32_t>(tid->as_u64()),
-                           static_cast<std::uint32_t>(depth->as_u64()),
-                           ts->as_u64(), dur->as_u64()});
-    }
-  }
-  return true;
 }
 
 bool write_text_file(const std::string& path, std::string_view content) {

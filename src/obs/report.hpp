@@ -5,9 +5,9 @@
 // Serialized as JSON with a stable schema ("dpoaf.run_report", version 1;
 // field-by-field spec in docs/RUN_REPORT_SCHEMA.md, validated in CI by
 // scripts/check_metrics_schema.py) and as a Chrome trace ("traceEvents")
-// loadable in chrome://tracing / ui.perfetto.dev. from_json() parses
-// exactly what to_json() emits, so reports round-trip — the perf-smoke CI
-// job and future PRs can diff runs structurally.
+// loadable in chrome://tracing / ui.perfetto.dev. The library only writes
+// reports; every reader (the schema checker, CI's report steps) is a
+// Python tool. tests/test_obs.cpp pins the written bytes.
 #pragma once
 
 #include <string>
@@ -20,7 +20,7 @@
 namespace dpoaf::obs {
 
 /// A named sequence of doubles, e.g. {"dpo.loss", one value per epoch}.
-/// Non-finite values serialize as JSON null and parse back as NaN.
+/// Non-finite values serialize as JSON null.
 struct Series {
   std::string name;
   std::vector<double> values;
@@ -63,10 +63,6 @@ void add_series(RunReport& report, std::string name,
 
 /// Chrome trace-event JSON ({"traceEvents": [...]}) of the report's trace.
 [[nodiscard]] std::string to_chrome_trace(const RunReport& report);
-
-/// Parse a to_json() document. Returns false (leaving `out` unspecified)
-/// on malformed JSON or a schema mismatch.
-bool from_json(std::string_view json, RunReport& out);
 
 /// Write `content` to `path` (truncating). Returns false on I/O failure.
 bool write_text_file(const std::string& path, std::string_view content);

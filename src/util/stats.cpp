@@ -35,14 +35,6 @@ double mean_of(const std::vector<double>& xs) {
          static_cast<double>(xs.size());
 }
 
-double stddev_of(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean_of(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size() - 1));
-}
-
 double quantile_of(std::vector<double> xs, double q) {
   DPOAF_CHECK(!xs.empty());
   DPOAF_CHECK(q >= 0.0 && q <= 1.0);

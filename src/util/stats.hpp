@@ -29,9 +29,6 @@ class RunningStats {
 /// Mean of a vector; 0 for an empty vector.
 double mean_of(const std::vector<double>& xs);
 
-/// Sample standard deviation; 0 for fewer than two samples.
-double stddev_of(const std::vector<double>& xs);
-
 /// Linear-interpolation quantile, q in [0, 1]. Requires non-empty input.
 double quantile_of(std::vector<double> xs, double q);
 

@@ -7,10 +7,6 @@
 
 namespace dpoaf::vision {
 
-std::string domain_name(Domain d) {
-  return d == Domain::Simulation ? "simulation" : "real_world";
-}
-
 std::vector<std::string> driving_object_classes() {
   return {"car", "pedestrian", "traffic_light", "stop_sign"};
 }

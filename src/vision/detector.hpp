@@ -19,8 +19,6 @@ namespace dpoaf::vision {
 
 enum class Domain { Simulation, RealWorld };
 
-std::string domain_name(Domain d);
-
 struct DetectionSample {
   std::string object_class;
   double confidence = 0.0;  // model's reported confidence ∈ (0,1)

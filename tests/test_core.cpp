@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace dpoaf::core {
@@ -107,28 +108,42 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
   // eval_samples_per_task == 0 divided by zero into NaN means;
   // responses_per_task == -1 failed deep in the dataflow with a "dropped
   // scored candidates" CHECK, and 0 silently collected nothing; a
-  // scenario count outside its range aborted inside the generator.
+  // scenario count outside its range aborted inside the generator;
+  // dpo.epochs <= 0 left an empty loss history that callers read from,
+  // dpo.checkpoint_every == 0 divided by zero in the trainer, and a
+  // negative checkpoint_every_epochs silently disabled snapshots.
   // micro_config() generates no scenarios, so any holdout above 0 is out
   // of range.
+  using Setter = void (*)(PipelineConfig&, int);
   struct Case {
     const char* field;
-    int PipelineConfig::*member;
+    Setter set;
     int value;
   };
-  for (const Case& c : {Case{"eval_samples_per_task",
-                             &PipelineConfig::eval_samples_per_task, 0},
-                        Case{"responses_per_task",
-                             &PipelineConfig::responses_per_task, 0},
-                        Case{"responses_per_task",
-                             &PipelineConfig::responses_per_task, -1},
-                        Case{"generated_scenarios",
-                             &PipelineConfig::generated_scenarios, -1},
-                        Case{"holdout_scenarios",
-                             &PipelineConfig::holdout_scenarios, -1},
-                        Case{"holdout_scenarios",
-                             &PipelineConfig::holdout_scenarios, 9}}) {
+  for (const Case& c :
+       {Case{"eval_samples_per_task",
+             [](PipelineConfig& p, int v) { p.eval_samples_per_task = v; }, 0},
+        Case{"responses_per_task",
+             [](PipelineConfig& p, int v) { p.responses_per_task = v; }, 0},
+        Case{"responses_per_task",
+             [](PipelineConfig& p, int v) { p.responses_per_task = v; }, -1},
+        Case{"generated_scenarios",
+             [](PipelineConfig& p, int v) { p.generated_scenarios = v; }, -1},
+        Case{"holdout_scenarios",
+             [](PipelineConfig& p, int v) { p.holdout_scenarios = v; }, -1},
+        Case{"holdout_scenarios",
+             [](PipelineConfig& p, int v) { p.holdout_scenarios = v; }, 9},
+        Case{"dpo.epochs", [](PipelineConfig& p, int v) { p.dpo.epochs = v; },
+             0},
+        Case{"dpo.epochs", [](PipelineConfig& p, int v) { p.dpo.epochs = v; },
+             -3},
+        Case{"dpo.checkpoint_every",
+             [](PipelineConfig& p, int v) { p.dpo.checkpoint_every = v; }, 0},
+        Case{"checkpoint_every_epochs",
+             [](PipelineConfig& p, int v) { p.checkpoint_every_epochs = v; },
+             -2}}) {
     auto cfg = micro_config();
-    cfg.*c.member = c.value;
+    c.set(cfg, c.value);
     try {
       DpoAfPipeline pipe(cfg);
       ADD_FAILURE() << c.field << " = " << c.value << " was accepted";

@@ -1,10 +1,11 @@
 // Observability layer: metric registry exactness under contention, trace
 // span nesting/ordering, the disabled-mode zero-footprint guarantee, and
-// RunReport JSON round-tripping (the schema CI validates).
+// the exact RunReport JSON bytes (the schema CI validates).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -241,7 +242,9 @@ TEST_F(ObsTest, SnapshotIsSortedByName) {
 
 obs::RunReport escape_heavy_report() {
   obs::RunReport report;
-  report.tool = "test \"tool\"\\with\nescapes\tand\x01control";
+  // "\x01" "control" stays two literals: a hex escape is greedy, and
+  // "\x01control" would read as the single byte 0x1c followed by "ontrol".
+  report.tool = "test \"tool\"\\with\nescapes\tand\x01" "control";
   obs::CounterSample c;
   c.name = "counter.\"quoted\"";
   c.value = 18446744073709551615ull;  // max uint64 must survive exactly
@@ -260,70 +263,41 @@ obs::RunReport escape_heavy_report() {
   h.snapshot.buckets[8] = 1;
   report.metrics.histograms.push_back(h);
   report.phases.push_back({"phase one", 4, 123456789});
-  obs::add_series(report, "series.with\nnewline", {0.5, -1.25, 3e-17});
+  obs::add_series(report, "series.with\nnewline",
+                  {0.5, -1.25, 3e-17, std::nan("")});
   report.trace.push_back({"span \"x\"", 2, 1, 1000, 2000});
   return report;
 }
 
+// Reports are read by Python tools, not by this library; a round trip could
+// not see a layout drift that reader and writer share, so the tests below pin
+// the exact bytes: control-character escapes, max uint64 and negative
+// integers verbatim, trimmed trailing zero buckets, %.17g doubles and
+// non-finite values as null.
+const std::string kReportHead =
+    R"({"schema":"dpoaf.run_report","version":1,)"
+    R"("tool":"test \"tool\"\\with\nescapes\tand\u0001control",)"
+    R"("counters":{"counter.\"quoted\"":18446744073709551615},)"
+    R"("gauges":{"gauge.negative":-42},)"
+    R"("histograms":{"hist\\back\\slash":{"count":3,"sum":300,"min":50,)"
+    R"("max":150,"buckets":[0,0,0,0,0,0,2,0,1]}},)"
+    R"("phases":[{"name":"phase one","spans":4,"total_ns":123456789}],)"
+    R"("series":{"series.with\nnewline":)"
+    R"([0.5,-1.25,3.0000000000000001e-17,null]})";
+
 TEST_F(ObsTest, JsonRoundTripPreservesEverything) {
   const obs::RunReport report = escape_heavy_report();
   const std::string json = obs::to_json(report, /*include_trace=*/true);
-  obs::RunReport parsed;
-  ASSERT_TRUE(obs::from_json(json, parsed)) << json;
-
-  EXPECT_EQ(parsed.version, report.version);
-  EXPECT_EQ(parsed.tool, report.tool);
-  ASSERT_EQ(parsed.metrics.counters.size(), 1u);
-  EXPECT_EQ(parsed.metrics.counters[0].name, report.metrics.counters[0].name);
-  EXPECT_EQ(parsed.metrics.counters[0].value,
-            report.metrics.counters[0].value);
-  ASSERT_EQ(parsed.metrics.gauges.size(), 1u);
-  EXPECT_EQ(parsed.metrics.gauges[0].value, -42);
-  ASSERT_EQ(parsed.metrics.histograms.size(), 1u);
-  const auto& hs = parsed.metrics.histograms[0];
-  EXPECT_EQ(hs.name, report.metrics.histograms[0].name);
-  EXPECT_EQ(hs.snapshot.count, 3u);
-  EXPECT_EQ(hs.snapshot.sum, 300u);
-  EXPECT_EQ(hs.snapshot.min, 50u);
-  EXPECT_EQ(hs.snapshot.max, 150u);
-  EXPECT_EQ(hs.snapshot.buckets, report.metrics.histograms[0].snapshot.buckets);
-  ASSERT_EQ(parsed.phases.size(), 1u);
-  EXPECT_EQ(parsed.phases[0].name, "phase one");
-  EXPECT_EQ(parsed.phases[0].spans, 4u);
-  EXPECT_EQ(parsed.phases[0].total_ns, 123456789u);
-  ASSERT_EQ(parsed.series.size(), 1u);
-  EXPECT_EQ(parsed.series[0].name, report.series[0].name);
-  EXPECT_EQ(parsed.series[0].values, report.series[0].values);
-  ASSERT_EQ(parsed.trace.size(), 1u);
-  EXPECT_EQ(parsed.trace[0].name, "span \"x\"");
-  EXPECT_EQ(parsed.trace[0].tid, 2u);
-  EXPECT_EQ(parsed.trace[0].depth, 1u);
-  EXPECT_EQ(parsed.trace[0].start_ns, 1000u);
-  EXPECT_EQ(parsed.trace[0].dur_ns, 2000u);
-
+  EXPECT_EQ(json, kReportHead +
+                      R"(,"trace":[{"name":"span \"x\"","tid":2,"depth":1,)"
+                      R"("ts_ns":1000,"dur_ns":2000}]})");
   // Serialization is deterministic: a second encode matches the first.
-  EXPECT_EQ(obs::to_json(parsed, true), json);
+  EXPECT_EQ(obs::to_json(report, true), json);
 }
 
 TEST_F(ObsTest, JsonWithoutTraceDropsOnlyTheTrace) {
-  const obs::RunReport report = escape_heavy_report();
-  const std::string json = obs::to_json(report, /*include_trace=*/false);
-  obs::RunReport parsed;
-  ASSERT_TRUE(obs::from_json(json, parsed));
-  EXPECT_TRUE(parsed.trace.empty());
-  EXPECT_EQ(parsed.phases.size(), report.phases.size());
-  EXPECT_EQ(parsed.metrics.counters.size(), report.metrics.counters.size());
-}
-
-TEST_F(ObsTest, FromJsonRejectsMalformedAndWrongSchema) {
-  obs::RunReport out;
-  EXPECT_FALSE(obs::from_json("", out));
-  EXPECT_FALSE(obs::from_json("{", out));
-  EXPECT_FALSE(obs::from_json("[]", out));
-  EXPECT_FALSE(obs::from_json("{\"schema\":\"other\",\"version\":1}", out));
-  EXPECT_FALSE(obs::from_json(
-      "{\"schema\":\"dpoaf.run_report\",\"version\":1,\"tool\":\"x\"",
-      out));  // truncated
+  EXPECT_EQ(obs::to_json(escape_heavy_report(), /*include_trace=*/false),
+            kReportHead + "}");
 }
 
 TEST_F(ObsTest, ChromeTraceExportContainsEveryEvent) {

@@ -428,9 +428,9 @@ TEST(ObservabilityProperty, InstrumentedRunBitwiseEqualsUninstrumented) {
   obs::set_enabled(false);
   obs::clear_trace();
   const auto plain = run_micro_pipeline(1, true, /*observability=*/false);
-  EXPECT_TRUE(plain.phases.empty());  // nothing recorded while disabled
+  EXPECT_TRUE(obs::trace_snapshot().empty());  // nothing recorded while off
   const auto traced = run_micro_pipeline(1, true, /*observability=*/true);
-  EXPECT_FALSE(traced.phases.empty());  // spans actually fired
+  EXPECT_FALSE(obs::trace_snapshot().empty());  // spans actually fired
   expect_identical_metrics(plain, traced);
   obs::set_enabled(false);
   obs::clear_trace();
