@@ -8,6 +8,11 @@ on disk. External links (http/https/mailto) are not fetched — CI must not
 depend on the network — and pure-fragment links (`#section`) are checked
 against the headings of the containing file.
 
+Backticked source paths outside fenced code blocks (`src/core/pipeline.cpp`)
+must exist too, relative to the repo root. A `{hpp,cpp}` group expands to
+one path per alternative, and a `:line` suffix is ignored, so a doc cannot
+keep naming a header that was deleted.
+
 Usage: check_doc_links.py [FILE.md ...]
 Exit code 0 when all links resolve, 1 otherwise.
 """
@@ -37,12 +42,39 @@ INLINE_LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 # Reference-style definitions: [id]: target
 REF_DEF = re.compile(r"^\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 EXTERNAL = re.compile(r"^(https?|mailto|ftp):")
+SRC_PATH = re.compile(r"`(src/[^`\s]*)`")
+BRACE_GROUP = re.compile(r"\{([^{}]*)\}")
+LINE_SUFFIX = re.compile(r":\d+(-\d+)?$")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def strip_fences(text):
+    return re.sub(r"```.*?```", "", text, flags=re.DOTALL)
 
 
 def strip_code(text):
     """Drop fenced and inline code spans so example snippets aren't linted."""
-    text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
-    return re.sub(r"`[^`\n]*`", "", text)
+    return re.sub(r"`[^`\n]*`", "", strip_fences(text))
+
+
+def expand_braces(path):
+    """`a.{hpp,cpp}` -> [`a.hpp`, `a.cpp`] (groups expand left to right)."""
+    m = BRACE_GROUP.search(path)
+    if not m:
+        return [path]
+    return [expanded for alt in m.group(1).split(",")
+            for expanded in expand_braces(
+                path[:m.start()] + alt + path[m.end():])]
+
+
+def check_src_paths(md_path, raw):
+    errors = []
+    for ref in SRC_PATH.findall(strip_fences(raw)):
+        for path in expand_braces(LINE_SUFFIX.sub("", ref)):
+            if not os.path.exists(os.path.join(REPO_ROOT, path)):
+                errors.append(f"{md_path}: `{ref}` names a missing path "
+                              f"({path})")
+    return errors
 
 
 def heading_anchors(path):
@@ -62,7 +94,9 @@ def heading_anchors(path):
 def check_file(md_path):
     errors = []
     with open(md_path, encoding="utf-8") as f:
-        text = strip_code(f.read())
+        raw = f.read()
+    errors.extend(check_src_paths(md_path, raw))
+    text = strip_code(raw)
     targets = INLINE_LINK.findall(text) + REF_DEF.findall(text)
     base = os.path.dirname(md_path)
     for target in targets:

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "core/dataflow/channel.hpp"
-#include "core/dataflow/reorder.hpp"
 #include "core/dataflow/stage.hpp"
 #include "modelcheck/buchi.hpp"
 #include "monitor/monitor.hpp"
@@ -23,37 +24,45 @@ namespace dpoaf::core {
 
 namespace {
 
-// Rejects counts no run can use before any construction work: a sample
-// count below 1 would otherwise surface deep in the dataflow, or collect
-// nothing at all, a bad scenario count would abort in the generator, and
-// a DPO epoch or checkpoint interval below 1 leaves no loss history or
-// divides by zero in the trainer.
-const PipelineConfig& validated(const PipelineConfig& config) {
-  DPOAF_CHECK_MSG(config.responses_per_task >= 1,
-                  "PipelineConfig::responses_per_task must be >= 1, got " +
-                      std::to_string(config.responses_per_task));
-  DPOAF_CHECK_MSG(config.eval_samples_per_task >= 1,
-                  "PipelineConfig::eval_samples_per_task must be >= 1, got " +
-                      std::to_string(config.eval_samples_per_task));
-  DPOAF_CHECK_MSG(config.generated_scenarios >= 0,
-                  "PipelineConfig::generated_scenarios must be >= 0, got " +
-                      std::to_string(config.generated_scenarios));
-  DPOAF_CHECK_MSG(config.holdout_scenarios >= 0 &&
-                      config.holdout_scenarios <= config.generated_scenarios,
-                  "PipelineConfig::holdout_scenarios must be within [0, " +
-                      std::to_string(config.generated_scenarios) + "], got " +
-                      std::to_string(config.holdout_scenarios));
-  DPOAF_CHECK_MSG(config.dpo.epochs >= 1,
-                  "PipelineConfig::dpo.epochs must be >= 1, got " +
-                      std::to_string(config.dpo.epochs));
-  DPOAF_CHECK_MSG(config.dpo.checkpoint_every >= 1,
-                  "PipelineConfig::dpo.checkpoint_every must be >= 1, got " +
-                      std::to_string(config.dpo.checkpoint_every));
-  DPOAF_CHECK_MSG(config.checkpoint_every_epochs >= 0,
-                  "PipelineConfig::checkpoint_every_epochs must be >= 0, got " +
-                      std::to_string(config.checkpoint_every_epochs));
-  return config;
+// Throws a ContractViolation naming the field unless `c.field op bound`.
+#define DPOAF_REQUIRE(field, op, bound)                                    \
+  DPOAF_CHECK_MSG(c.field op(bound), "PipelineConfig::" #field " must be " \
+                  #op " " + std::to_string(bound) + ", got " +             \
+                      std::to_string(c.field))
+
+// Rejects values no run can use before any construction work. Without
+// these, a sample count below 1 surfaces deep in the dataflow or collects
+// nothing, a bad scenario count aborts in the generator, a DPO epoch or
+// checkpoint interval below 1 leaves no loss history or divides by zero,
+// a model shape or batch size below 1 fails (or raises SIGFPE) only after
+// construction or pre-training, and a non-positive temperature or a
+// negative token budget is rejected by the decoder mid-run.
+const PipelineConfig& validated(const PipelineConfig& c) {
+  DPOAF_REQUIRE(d_model, >=, 1);
+  DPOAF_REQUIRE(n_heads, >=, 1);
+  DPOAF_CHECK_MSG(c.d_model % c.n_heads == 0,
+                  "PipelineConfig::n_heads must divide d_model");
+  DPOAF_REQUIRE(n_layers, >=, 1);
+  DPOAF_REQUIRE(corpus_samples_per_task, >=, 1);
+  DPOAF_REQUIRE(pretrain.batch_size, >=, 1);
+  DPOAF_REQUIRE(responses_per_task, >=, 1);
+  DPOAF_REQUIRE(sampler.temperature, >, 0);
+  DPOAF_REQUIRE(sampler.max_new_tokens, >=, 0);
+  DPOAF_REQUIRE(serve_slots, >=, 1);
+  DPOAF_REQUIRE(dpo.epochs, >=, 1);
+  DPOAF_REQUIRE(dpo.checkpoint_every, >=, 1);
+  DPOAF_REQUIRE(dpo.batch_size, >=, 1);
+  DPOAF_REQUIRE(eval_samples_per_task, >=, 1);
+  DPOAF_REQUIRE(eval_temperature, >, 0);
+  DPOAF_REQUIRE(eval_max_new_tokens, >=, 0);
+  DPOAF_REQUIRE(generated_scenarios, >=, 0);
+  DPOAF_REQUIRE(holdout_scenarios, >=, 0);
+  DPOAF_REQUIRE(holdout_scenarios, <=, c.generated_scenarios);
+  DPOAF_REQUIRE(checkpoint_every_epochs, >=, 0);
+  return c;
 }
+
+#undef DPOAF_REQUIRE
 
 driving::generator::GeneratorConfig make_generator_config(
     const PipelineConfig& config) {
@@ -167,11 +176,7 @@ void DpoAfPipeline::validate_checkpoint(
           "token id " + std::to_string(i) + " — the task catalog changed");
 }
 
-lm::PretrainStats DpoAfPipeline::pretrain_model() {
-  return pretrain_model_impl(nullptr);
-}
-
-lm::PretrainStats DpoAfPipeline::pretrain_model_impl(
+lm::PretrainStats DpoAfPipeline::pretrain_model(
     const lm::PretrainState* resume) {
   // A resume at the final epoch boundary skips the stage entirely; without
   // the guard its span would still charge the corpus rebuild (needed only
@@ -226,19 +231,19 @@ int DpoAfPipeline::score_response(const driving::Task& task,
       .score();
 }
 
-void DpoAfPipeline::stream_scored_responses(
+std::vector<DpoAfPipeline::ScoredItem>
+DpoAfPipeline::stream_scored_responses(
     const std::vector<const driving::Task*>& tasks,
     const std::vector<int>& counts, const TinyGpt& model,
     const lm::SamplerConfig& sampler, bool from_catalog,
-    std::vector<Rng>& task_rngs,
-    const std::function<void(ScoredItem&&)>& consume) const {
+    std::vector<Rng>& task_rngs) const {
   const std::size_t n_tasks = tasks.size();
   // Sequence numbers are assigned at submission, task-major then
   // sample-minor, and request s of task u always decodes with
   // nn::request_rng(config_.seed, task_rngs[u]()) — the s-th serial draw
-  // — whichever scheduler runs it. Reassembling by sequence number thus
-  // yields the same stream at any thread count, serve on or off
-  // (docs/PIPELINE.md).
+  // — whichever scheduler runs it. Each scored response lands in its own
+  // slot out[seq], so the result is the same at any thread count, serve
+  // on or off (docs/PIPELINE.md).
   std::vector<std::uint64_t> seq_base(n_tasks + 1, 0);
   for (std::size_t u = 0; u < n_tasks; ++u)
     seq_base[u + 1] = seq_base[u] + static_cast<std::uint64_t>(counts[u]);
@@ -254,7 +259,8 @@ void DpoAfPipeline::stream_scored_responses(
   const auto capacity = static_cast<std::size_t>(
       config_.stage_queue_capacity < 1 ? 1 : config_.stage_queue_capacity);
   dataflow::Channel<WorkItem> work(capacity, "pipeline.candidates");
-  dataflow::Reorder<ScoredItem> scored("pipeline.scored");
+  std::vector<ScoredItem> out(total);
+  std::atomic<std::uint64_t> filled{0};
   // Overlap telemetry: scorings that complete while the sampler stage is
   // still producing — work a barriered sample-then-score pipeline would
   // have serialized.
@@ -265,43 +271,47 @@ void DpoAfPipeline::stream_scored_responses(
     work.close();
   };
 
-  // In-flight serve submissions between the submitter and the harvester;
-  // FIFO with one producer and one consumer, so submission order is
-  // preserved. Declared before StageSet so workers outlive neither.
-  struct Inflight {
-    std::uint64_t seq = 0;
-    std::size_t task = 0;
-    serve::Submission submission;
-  };
-  const bool use_serve = config_.serve && !from_catalog;
-  std::unique_ptr<dataflow::Channel<Inflight>> inflight;
+  // Declared before StageSet so the sampler worker never outlives it.
   std::unique_ptr<serve::GenerationService> service;
-  if (use_serve) {
-    inflight = std::make_unique<dataflow::Channel<Inflight>>(
-        capacity, "pipeline.inflight");
+  if (config_.serve && !from_catalog)
     service =
         std::make_unique<serve::GenerationService>(model,
                                                    make_serve_config(config_));
-  }
 
-  dataflow::StageSet stages([&] {
-    if (inflight) inflight->fail();
-    work.fail();
-    scored.fail();
-  });
+  dataflow::StageSet stages([&] { work.fail(); });
 
   // --- sampler stage --------------------------------------------------
-  if (use_serve) {
-    // Submitter: draw every per-request seed serially from the task RNGs
-    // and let the service's bounded admission queue provide natural
-    // backpressure.
+  if (service) {
+    // One worker submits in sequence order, drawing every per-request seed
+    // serially from the task RNGs, and harvests in the same order. Once
+    // queue_capacity submissions are in flight it harvests the oldest
+    // before submitting again, so blocking admission never waits.
     stages.spawn(
-        "submit", 1,
+        "sample", 1,
         [&](int) {
+          const auto window =
+              static_cast<std::size_t>(service->config().queue_capacity);
+          std::deque<std::pair<std::size_t, serve::Submission>> inflight;
+          std::uint64_t seq = 0;
+          const auto harvest_oldest = [&] {
+            obs::Span span("generation",
+                           obs::histogram("lm.sample_responses_ns"));
+            const std::size_t u = inflight.front().first;
+            const serve::GenerateResult r =
+                inflight.front().second.result.get();
+            inflight.pop_front();
+            DPOAF_CHECK_MSG(r.finish != serve::FinishReason::kInvalid,
+                            "the generation service rejected a sampling "
+                            "request as invalid");
+            return work.push(
+                {seq++, u, lm::decode_response(tokenizer_, r.ids, r.truncated),
+                 r.truncated});
+          };
           for (std::size_t u = 0; u < n_tasks; ++u) {
             const std::vector<int> prompt =
                 lm::encode_prompt(tokenizer_, tasks[u]->prompt);
             for (int s = 0; s < counts[u]; ++s) {
+              if (inflight.size() >= window && !harvest_oldest()) return;
               serve::GenerateRequest req;
               req.prompt = prompt;
               req.max_new_tokens = sampler.max_new_tokens;
@@ -309,27 +319,11 @@ void DpoAfPipeline::stream_scored_responses(
               req.top_k = sampler.top_k;
               req.eos_id = tokenizer_.eos();
               req.seed = task_rngs[u]();
-              const std::uint64_t seq =
-                  seq_base[u] + static_cast<std::uint64_t>(s);
-              if (!inflight->push({seq, u, service->submit(std::move(req))}))
-                return;
+              inflight.emplace_back(u, service->submit(std::move(req)));
             }
           }
-        },
-        [&] { inflight->close(); });
-    // Harvester: resolve futures in submission order, decode, hand off.
-    stages.spawn(
-        "sample", 1,
-        [&](int) {
-          while (auto sub = inflight->pop()) {
-            obs::Span span("generation",
-                           obs::histogram("lm.sample_responses_ns"));
-            const serve::GenerateResult r = sub->submission.result.get();
-            if (!work.push({sub->seq, sub->task,
-                            lm::decode_response(tokenizer_, r.ids, r.truncated),
-                            r.truncated}))
-              return;
-          }
+          while (!inflight.empty())
+            if (!harvest_oldest()) return;
         },
         close_sampling);
   } else {
@@ -370,30 +364,23 @@ void DpoAfPipeline::stream_scored_responses(
   }
 
   // --- synthesis + verification stage ---------------------------------
-  stages.spawn(
-      "verify", util::global_threads(),
-      [&](int) {
-        while (auto item = work.pop()) {
-          ScoredItem out;
-          out.task_index = item->task;
-          out.truncated = item->truncated;
-          const int score = score_response(*tasks[item->task], item->text);
-          out.candidate = {std::move(item->text), score};
-          if (sampling_open.load(std::memory_order_relaxed))
-            scored_while_sampling.fetch_add(1, std::memory_order_relaxed);
-          if (!scored.push(item->seq, std::move(out))) return;
-        }
-      },
-      [&] { scored.close(); });
+  // Each worker writes only the slots of the items it pops; join() orders
+  // those writes before the caller reads `out`.
+  stages.spawn("verify", util::global_threads(), [&](int) {
+    while (auto item = work.pop()) {
+      ScoredItem& slot = out[item->seq];
+      slot.task_index = item->task;
+      slot.truncated = item->truncated;
+      const int score = score_response(*tasks[item->task], item->text);
+      slot.candidate = {std::move(item->text), score};
+      if (sampling_open.load(std::memory_order_relaxed))
+        scored_while_sampling.fetch_add(1, std::memory_order_relaxed);
+      ++filled;
+    }
+  });
 
-  // --- consumer: the calling thread, in submission order ---------------
-  std::uint64_t consumed = 0;
-  while (auto item = scored.pop()) {
-    consume(std::move(*item));
-    ++consumed;
-  }
   stages.join();  // rethrows the first stage error, if any
-  DPOAF_CHECK_MSG(consumed == total,
+  DPOAF_CHECK_MSG(filled == total,
                   "streaming pipeline dropped scored candidates");
   if (obs::enabled()) {
     obs::gauge("dataflow.pipeline.scored_while_sampling")
@@ -402,6 +389,7 @@ void DpoAfPipeline::stream_scored_responses(
     obs::gauge("dataflow.pipeline.items")
         .record_max(static_cast<std::int64_t>(total));
   }
+  return out;
 }
 
 std::vector<TaskCandidates> DpoAfPipeline::collect_candidates() {
@@ -420,13 +408,13 @@ std::vector<TaskCandidates> DpoAfPipeline::collect_candidates() {
   std::vector<TaskCandidates> out(training.size());
   for (std::size_t u = 0; u < training.size(); ++u)
     out[u].task_id = training[u]->id;
-  stream_scored_responses(training, counts, model_, config_.sampler,
-                          config_.candidates_from_catalog, task_rngs,
-                          [&](ScoredItem&& item) {
-                            TaskCandidates& tc = out[item.task_index];
-                            if (item.truncated) ++tc.truncated;
-                            tc.candidates.push_back(std::move(item.candidate));
-                          });
+  for (ScoredItem& item : stream_scored_responses(
+           training, counts, model_, config_.sampler,
+           config_.candidates_from_catalog, task_rngs)) {
+    TaskCandidates& tc = out[item.task_index];
+    if (item.truncated) ++tc.truncated;
+    tc.candidates.push_back(std::move(item.candidate));
+  }
   return out;
 }
 
@@ -451,19 +439,25 @@ std::vector<dpo::PreferencePair> DpoAfPipeline::build_pairs(
   return pairs;
 }
 
+std::vector<DpoAfPipeline::ScoredItem> DpoAfPipeline::score_eval_samples(
+    const std::vector<const driving::Task*>& tasks, const TinyGpt& model,
+    std::uint64_t stream) const {
+  Rng eval_rng(config_.seed * 0x9E3779B9ULL + stream);
+  lm::SamplerConfig sampler;
+  sampler.temperature = config_.eval_temperature;
+  sampler.top_k = config_.eval_top_k;
+  sampler.max_new_tokens = config_.eval_max_new_tokens;
+  std::vector<Rng> task_rngs = split_task_rngs(eval_rng, tasks.size());
+  const std::vector<int> counts(tasks.size(), config_.eval_samples_per_task);
+  return stream_scored_responses(tasks, counts, model, sampler, false,
+                                 task_rngs);
+}
+
 CheckpointEval DpoAfPipeline::evaluate_model(const TinyGpt& model,
                                              int epoch) const {
   obs::Span span("eval", obs::histogram("pipeline.eval_ns"));
   CheckpointEval eval;
   eval.epoch = epoch;
-  // Deterministic per (seed, epoch) so evaluation noise is shared across
-  // configurations being compared.
-  Rng eval_rng(config_.seed * 0x9E3779B9ULL + static_cast<std::uint64_t>(epoch));
-  lm::SamplerConfig sampler;
-  sampler.temperature = config_.eval_temperature;
-  sampler.top_k = config_.eval_top_k;
-  sampler.max_new_tokens = config_.eval_max_new_tokens;
-
   // Held-out tasks never appear in checkpoint evaluation — they are
   // reserved for evaluate_generalization (and skipping them here keeps the
   // no-holdout RNG stream untouched: the split count only drops when a
@@ -471,22 +465,21 @@ CheckpointEval DpoAfPipeline::evaluate_model(const TinyGpt& model,
   std::vector<const driving::Task*> tasks;
   for (const auto& task : domain_.tasks())
     if (!task.holdout) tasks.push_back(&task);
-  std::vector<Rng> task_rngs = split_task_rngs(eval_rng, tasks.size());
 
-  const std::vector<int> counts(tasks.size(), config_.eval_samples_per_task);
   std::vector<double> score_sum(tasks.size(), 0.0);
   std::vector<int> failures(tasks.size(), 0);
-  stream_scored_responses(tasks, counts, model, sampler, false, task_rngs,
-                          [&](ScoredItem&& item) {
-                            const std::size_t u = item.task_index;
-                            if (item.truncated) ++eval.truncated_responses;
-                            // The mean counts an unalignable response as 0
-                            // satisfied specs; the failure itself is
-                            // tallied separately so the two outcomes stay
-                            // distinguishable.
-                            if (item.candidate.score < 0) ++failures[u];
-                            score_sum[u] += std::max(0, item.candidate.score);
-                          });
+  // Deterministic per (seed, epoch) so evaluation noise is shared across
+  // configurations being compared.
+  for (const ScoredItem& item :
+       score_eval_samples(tasks, model, static_cast<std::uint64_t>(epoch))) {
+    const std::size_t u = item.task_index;
+    if (item.truncated) ++eval.truncated_responses;
+    // The mean counts an unalignable response as 0 satisfied specs; the
+    // failure itself is tallied separately so the two outcomes stay
+    // distinguishable.
+    if (item.candidate.score < 0) ++failures[u];
+    score_sum[u] += std::max(0, item.candidate.score);
+  }
 
   // Serial reduction in task order.
   const auto n = static_cast<double>(config_.eval_samples_per_task);
@@ -522,17 +515,8 @@ CheckpointEval DpoAfPipeline::evaluate_model(const TinyGpt& model,
 
 GeneralizationEval DpoAfPipeline::evaluate_generalization() const {
   GeneralizationEval out;
-  // A fixed offset of the pipeline seed — a private stream, so running (or
-  // skipping) this eval never perturbs any other RNG consumer.
-  Rng gen_rng(config_.seed * 0x9E3779B9ULL + 0xC0FFEEULL);
-  lm::SamplerConfig sampler;
-  sampler.temperature = config_.eval_temperature;
-  sampler.top_k = config_.eval_top_k;
-  sampler.max_new_tokens = config_.eval_max_new_tokens;
-
   std::vector<const driving::Task*> tasks;
   for (const auto& task : domain_.tasks()) tasks.push_back(&task);
-  std::vector<Rng> task_rngs = split_task_rngs(gen_rng, tasks.size());
 
   // Generated rulebooks differ in length, so satisfied counts are
   // normalized by each task's own rulebook size before averaging.
@@ -546,19 +530,18 @@ GeneralizationEval DpoAfPipeline::evaluate_generalization() const {
     double violation = 0.0;
   };
   std::vector<TaskScore> scores(tasks.size());
-  const std::vector<int> counts(tasks.size(), config_.eval_samples_per_task);
-  stream_scored_responses(
-      tasks, counts, model_, sampler, false, task_rngs,
-      [&](ScoredItem&& item) {
-        const std::size_t u = item.task_index;
-        const int score = item.candidate.score;
-        TaskScore& s = scores[u];
-        if (score < 0)
-          s.alignment_failure += 1.0;
-        else if (static_cast<double>(score) < rulebook_size[u])
-          s.violation += 1.0;
-        s.satisfied_fraction += std::max(0, score) / rulebook_size[u];
-      });
+  // A fixed stream offset — private, so running (or skipping) this eval
+  // never perturbs any other RNG consumer.
+  for (const ScoredItem& item : score_eval_samples(tasks, model_, 0xC0FFEE)) {
+    const std::size_t u = item.task_index;
+    const int score = item.candidate.score;
+    TaskScore& s = scores[u];
+    if (score < 0)
+      s.alignment_failure += 1.0;
+    else if (static_cast<double>(score) < rulebook_size[u])
+      s.violation += 1.0;
+    s.satisfied_fraction += std::max(0, score) / rulebook_size[u];
+  }
 
   // Serial reduction in task order.
   const auto n = static_cast<double>(config_.eval_samples_per_task);
@@ -596,11 +579,6 @@ GeneralizationEval DpoAfPipeline::evaluate_generalization() const {
 }
 
 RunResult DpoAfPipeline::run_dpo(
-    const std::vector<dpo::PreferencePair>& pairs) {
-  return run_dpo_impl(pairs, nullptr);
-}
-
-RunResult DpoAfPipeline::run_dpo_impl(
     const std::vector<dpo::PreferencePair>& pairs,
     const ckpt::TrainingCheckpoint* resume) {
   RunResult result;
@@ -690,10 +668,10 @@ RunResult DpoAfPipeline::run() {
       // The stored preference dataset makes stages 1–4 unnecessary; DPO
       // resumes directly and nothing downstream reads the pipeline RNG, so
       // the final RunResult is bitwise-identical to an uninterrupted run.
-      return run_dpo_impl(snap.pairs, &snap);
+      return run_dpo(snap.pairs, &snap);
     }
     const lm::PretrainState state{snap.loop, snap.pretrain_losses};
-    pretrain_model_impl(&state);
+    pretrain_model(&state);
   }
   if (!pretrained_) pretrain_model();
   return run_dpo(build_pairs(collect_candidates()));

@@ -14,7 +14,6 @@
 //      (Figure 9).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -200,16 +199,19 @@ struct RunResult {
 
 class DpoAfPipeline {
  public:
-  /// Throws ContractViolation when responses_per_task or
-  /// eval_samples_per_task is below 1.
+  /// Throws ContractViolation, naming the field, when a count, model-shape
+  /// field, sampling temperature or token budget no run can use is out of
+  /// range (validated() in pipeline.cpp lists every rule).
   explicit DpoAfPipeline(PipelineConfig config);
 
   [[nodiscard]] const DrivingDomain& domain() const { return domain_; }
   [[nodiscard]] const Tokenizer& tokenizer() const { return tokenizer_; }
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
 
-  /// Stage 1. Returns per-epoch pre-training losses.
-  lm::PretrainStats pretrain_model();
+  /// Stage 1. Returns per-epoch pre-training losses. `resume`, when set,
+  /// re-enters the loop from a restored snapshot; snapshots are written to
+  /// the checkpoint sink either way.
+  lm::PretrainStats pretrain_model(const lm::PretrainState* resume = nullptr);
   [[nodiscard]] const TinyGpt& model() const { return model_; }
 
   /// Stages 2–3: sample m responses per training task and score each via
@@ -222,7 +224,10 @@ class DpoAfPipeline {
 
   /// Stages 5–6: DPO fine-tuning with formal-verification checkpoint
   /// evaluation. Leaves the fine-tuned policy accessible via model().
-  RunResult run_dpo(const std::vector<dpo::PreferencePair>& pairs);
+  /// `resume`, when set, continues from a dpo-stage snapshot, splicing its
+  /// metric history and evaluations back in.
+  RunResult run_dpo(const std::vector<dpo::PreferencePair>& pairs,
+                    const ckpt::TrainingCheckpoint* resume = nullptr);
 
   /// Convenience: run all stages —
   /// run_dpo(build_pairs(collect_candidates())) after pre-training — and
@@ -257,8 +262,7 @@ class DpoAfPipeline {
   [[nodiscard]] GeneralizationEval evaluate_generalization() const;
 
  private:
-  /// One scored candidate leaving the streaming dataflow's verifier stage,
-  /// released to the consumer in sequence (task-major, sample-minor) order.
+  /// One scored candidate leaving the streaming dataflow's verifier stage.
   struct ScoredItem {
     std::size_t task_index = 0;
     dpo::Candidate candidate;
@@ -267,15 +271,20 @@ class DpoAfPipeline {
   /// The streaming engine behind candidate collection and both evals:
   /// generate `counts[u]` responses for each task (the catalog's variant
   /// texts when `from_catalog`, else sampled), score each response as soon
-  /// as it is available, and invoke `consume` on the calling thread in
-  /// serial submission order (see docs/PIPELINE.md for the stage graph,
-  /// queue bounds, and the determinism contract).
-  void stream_scored_responses(
+  /// as it is available, and return the scored responses in sequence
+  /// (task-major, sample-minor) order (see docs/PIPELINE.md for the stage
+  /// graph, queue bounds, and the determinism contract).
+  [[nodiscard]] std::vector<ScoredItem> stream_scored_responses(
       const std::vector<const driving::Task*>& tasks,
       const std::vector<int>& counts, const TinyGpt& model,
       const lm::SamplerConfig& sampler, bool from_catalog,
-      std::vector<Rng>& task_rngs,
-      const std::function<void(ScoredItem&&)>& consume) const;
+      std::vector<Rng>& task_rngs) const;
+  /// eval_samples_per_task sampled and scored responses per task at the
+  /// eval sampler settings, with per-task RNGs split from the private
+  /// stream seed * 0x9E3779B9 + `stream`.
+  [[nodiscard]] std::vector<ScoredItem> score_eval_samples(
+      const std::vector<const driving::Task*>& tasks, const TinyGpt& model,
+      std::uint64_t stream) const;
 
   /// A snapshot of `stage` at `loop` with the stage-independent identity
   /// fields (seed, model config, LoRA layout, vocabulary) filled in.
@@ -284,11 +293,6 @@ class DpoAfPipeline {
   /// Throws ckpt::CheckpointError unless the snapshot is resumable under
   /// this exact configuration (seed/architecture/LoRA/vocabulary match).
   void validate_checkpoint(const ckpt::TrainingCheckpoint& ckpt) const;
-  /// pretrain_model() with snapshot hooks and optional restored state.
-  lm::PretrainStats pretrain_model_impl(const lm::PretrainState* resume);
-  /// run_dpo() with snapshot hooks and optional restored state.
-  RunResult run_dpo_impl(const std::vector<dpo::PreferencePair>& pairs,
-                         const ckpt::TrainingCheckpoint* resume);
 
   PipelineConfig config_;
   DrivingDomain domain_;

@@ -68,6 +68,7 @@ CausalSelfAttention::CausalSelfAttention(std::int64_t d_model,
     : qkv(d_model, 3 * d_model, rng, init_scale),
       proj(d_model, d_model, rng, init_scale),
       n_heads_(n_heads) {
+  DPOAF_CHECK_MSG(n_heads >= 1, "n_heads must be >= 1");
   DPOAF_CHECK_MSG(d_model % n_heads == 0,
                   "d_model must be divisible by n_heads");
 }

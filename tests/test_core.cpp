@@ -112,6 +112,10 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
   // dpo.epochs <= 0 left an empty loss history that callers read from,
   // dpo.checkpoint_every == 0 divided by zero in the trainer, and a
   // negative checkpoint_every_epochs silently disabled snapshots.
+  // n_heads == 0 raised SIGFPE in the attention constructor; the other
+  // model-shape and batch fields failed only after construction or
+  // pre-training; a temperature of 0 made the direct sampler throw from
+  // TinyGpt::generate while serve mode scored every response unalignable.
   // micro_config() generates no scenarios, so any holdout above 0 is out
   // of range.
   using Setter = void (*)(PipelineConfig&, int);
@@ -141,7 +145,41 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
              [](PipelineConfig& p, int v) { p.dpo.checkpoint_every = v; }, 0},
         Case{"checkpoint_every_epochs",
              [](PipelineConfig& p, int v) { p.checkpoint_every_epochs = v; },
-             -2}}) {
+             -2},
+        Case{"d_model", [](PipelineConfig& p, int v) { p.d_model = v; }, 0},
+        Case{"n_heads", [](PipelineConfig& p, int v) { p.n_heads = v; }, 0},
+        Case{"n_heads", [](PipelineConfig& p, int v) { p.n_heads = v; }, 3},
+        Case{"n_layers", [](PipelineConfig& p, int v) { p.n_layers = v; }, 0},
+        Case{"corpus_samples_per_task",
+             [](PipelineConfig& p, int v) { p.corpus_samples_per_task = v; },
+             0},
+        Case{"pretrain.batch_size",
+             [](PipelineConfig& p, int v) { p.pretrain.batch_size = v; }, 0},
+        Case{"dpo.batch_size",
+             [](PipelineConfig& p, int v) { p.dpo.batch_size = v; }, 0},
+        Case{"serve_slots",
+             [](PipelineConfig& p, int v) { p.serve_slots = v; }, 0},
+        Case{"sampler.temperature",
+             [](PipelineConfig& p, int v) {
+               p.sampler.temperature = static_cast<float>(v);
+             },
+             0},
+        Case{"eval_temperature",
+             [](PipelineConfig& p, int v) {
+               p.eval_temperature = static_cast<float>(v);
+             },
+             0},
+        Case{"eval_temperature",
+             [](PipelineConfig& p, int v) {
+               p.eval_temperature = static_cast<float>(v);
+             },
+             -1},
+        Case{"sampler.max_new_tokens",
+             [](PipelineConfig& p, int v) { p.sampler.max_new_tokens = v; },
+             -1},
+        Case{"eval_max_new_tokens",
+             [](PipelineConfig& p, int v) { p.eval_max_new_tokens = v; },
+             -1}}) {
     auto cfg = micro_config();
     c.set(cfg, c.value);
     try {

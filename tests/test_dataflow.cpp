@@ -1,12 +1,10 @@
 // The streaming dataflow framework (src/core/dataflow) and the pipeline's
 // determinism contract (docs/PIPELINE.md): bounded channels must enforce
-// backpressure and drain cleanly on close/fail, sequence-numbered
-// reassembly must release items in submission order no matter the
-// completion order, stage errors must unwind the whole graph, and the
-// streaming pipeline must produce bitwise-identical results whether its
-// decodes are scheduled directly or on the serve layer, at any thread
-// count. This suite also runs under TSan in CI (DPOAF_THREADS=4, both
-// tensor backends).
+// backpressure and drain cleanly on close/fail, stage errors must unwind
+// the whole graph, and the streaming pipeline must produce
+// bitwise-identical results whether its decodes are scheduled directly or
+// on the serve layer, at any thread count. This suite also runs under
+// TSan in CI (DPOAF_THREADS=4, both tensor backends).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +15,6 @@
 #include <vector>
 
 #include "core/dataflow/channel.hpp"
-#include "core/dataflow/reorder.hpp"
 #include "core/dataflow/stage.hpp"
 #include "core/pipeline.hpp"
 #include "util/threadpool.hpp"
@@ -26,7 +23,6 @@ namespace dpoaf {
 namespace {
 
 using core::dataflow::Channel;
-using core::dataflow::Reorder;
 using core::dataflow::StageSet;
 
 // ---------------------------------------------------------- channel ----
@@ -92,49 +88,6 @@ TEST(DataflowChannel, FailUnblocksBlockedProducerAndConsumer) {
   // the item pushed before the failure.
   EXPECT_FALSE(ch.pop().has_value());
   EXPECT_TRUE(ch.stats().failed);
-}
-
-// ---------------------------------------------------------- reorder ----
-
-TEST(DataflowReorder, ReleasesInSequenceOrderRegardlessOfArrival) {
-  Reorder<std::string> ro("test.reorder");
-  // Completions arrive in reverse order.
-  for (int i = 4; i >= 0; --i)
-    EXPECT_TRUE(ro.push(static_cast<std::uint64_t>(i), std::to_string(i)));
-  EXPECT_EQ(ro.max_pending(), 5u);
-  ro.close();
-  for (int i = 0; i < 5; ++i) {
-    const auto v = ro.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, std::to_string(i));
-  }
-  EXPECT_FALSE(ro.pop().has_value());
-}
-
-TEST(DataflowReorder, PopBlocksUntilTheNextSequenceNumberArrives) {
-  Reorder<int> ro("test.reorder_block");
-  std::vector<int> seen;
-  std::thread consumer([&] {
-    while (const auto v = ro.pop()) seen.push_back(*v);
-  });
-  ro.push(1, 11);  // out of order: the consumer must keep waiting
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ro.push(0, 10);  // gap filled: both release, in order
-  ro.push(2, 12);
-  ro.close();
-  consumer.join();
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], 10);
-  EXPECT_EQ(seen[1], 11);
-  EXPECT_EQ(seen[2], 12);
-}
-
-TEST(DataflowReorder, FailAbandonsPendingItems) {
-  Reorder<int> ro("test.reorder_fail");
-  ro.push(1, 11);  // would block a pop forever (seq 0 never arrives)
-  ro.fail();
-  EXPECT_FALSE(ro.pop().has_value());
-  EXPECT_FALSE(ro.push(0, 10));  // failed: pushes refuse
 }
 
 // ---------------------------------------------------------- stages -----
@@ -247,6 +200,22 @@ TEST(StreamingEquivalence, ServedCandidatesIdenticalAcrossModesAndThreads) {
   const auto direct = collect(micro_config(false, 1, false));
   expect_same_candidates(direct, collect(micro_config(true, 1, false)));
   expect_same_candidates(direct, collect(micro_config(true, 4, false)));
+
+  // More requests than the serve sampler keeps in flight (the service's
+  // queue_capacity, max(64, 4 * serve_slots) = 64 at one slot), so it must
+  // harvest the oldest submission before each later one.
+  const auto wide = [](bool serve, int threads) {
+    auto cfg = micro_config(serve, threads, false);
+    cfg.responses_per_task = 20;
+    cfg.serve_slots = 1;
+    return cfg;
+  };
+  const auto wide_direct = collect(wide(false, 1));
+  std::size_t requests = 0;
+  for (const auto& tc : wide_direct) requests += tc.candidates.size();
+  ASSERT_GT(requests, 64u);
+  expect_same_candidates(wide_direct, collect(wide(true, 1)));
+  expect_same_candidates(wide_direct, collect(wide(true, 4)));
 }
 
 // Full run() over a generated catalog with held-out scenarios: serve only

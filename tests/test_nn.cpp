@@ -206,6 +206,13 @@ TEST(Modules, AttentionIsCausal) {
       EXPECT_FLOAT_EQ(y1.at(t, j), y2.at(t, j)) << "t=" << t;
 }
 
+TEST(Modules, AttentionRejectsHeadCountThatCannotSplitTheWidth) {
+  // n_heads == 0 used to reach d_model % n_heads and raise SIGFPE.
+  Rng rng(4);
+  EXPECT_THROW(CausalSelfAttention(8, 0, rng, 0.1f), ContractViolation);
+  EXPECT_THROW(CausalSelfAttention(8, 3, rng, 0.1f), ContractViolation);
+}
+
 TEST(Modules, TransformerBlockPreservesShape) {
   Rng rng(5);
   TransformerBlock block(8, 2, 16, rng, 0.1f);
