@@ -30,14 +30,17 @@
 // docs/CHECKPOINT_FORMAT.md) every --checkpoint-every epochs. --resume
 // continues an interrupted run from the newest snapshot in the checkpoint
 // directory (or from an explicit .dpoaf path) and produces results
-// bitwise-identical to the uninterrupted run.
+// bitwise-identical to the uninterrupted run. A snapshot that is missing,
+// corrupted or does not fit this run prints the error, exit code 1.
 #include <charconv>
 #include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
 
+#include "ckpt/format.hpp"
 #include "core/pipeline.hpp"
+#include "nn/optim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "util/check.hpp"
@@ -155,7 +158,15 @@ int main(int argc, char** argv) {
   core::RunResult result;
   if (resume) {
     std::cout << "\nresuming from " << cfg.resume_from << "...\n";
-    result = pipe.run();
+    try {
+      result = pipe.run();
+    } catch (const ckpt::CheckpointError& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 1;
+    } catch (const nn::LoopStateError& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 1;
+    }
     std::cout << "      final loss "
               << TextTable::num(result.metrics.back().loss, 4)
               << ", accuracy "

@@ -1,8 +1,8 @@
 #include "ckpt/format.hpp"
 
 #include <array>
-#include <bit>
-#include <cstring>
+
+#include "util/check.hpp"
 
 namespace dpoaf::ckpt {
 
@@ -19,6 +19,12 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
+// Tag, u64 payload size and u32 CRC: the fixed prefix of every section,
+// and so the fewest bytes a section can take.
+constexpr std::size_t kSectionPrefixBytes = 16;
+
+using Tag = std::array<char, 4>;
+
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
@@ -29,132 +35,19 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   return c ^ 0xFFFFFFFFu;
 }
 
-// ------------------------------------------------------------ writer ----
-
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
-
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void ByteWriter::str(std::string_view s) {
-  u64(s.size());
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void ByteWriter::floats(const std::vector<float>& v) {
-  u64(v.size());
-  for (const float x : v) f32(x);
-}
-
-void ByteWriter::doubles(const std::vector<double>& v) {
-  u64(v.size());
-  for (const double x : v) f64(x);
-}
-
-void ByteWriter::u64s(const std::vector<std::uint64_t>& v) {
-  u64(v.size());
-  for (const std::uint64_t x : v) u64(x);
-}
-
-void ByteWriter::ints(const std::vector<int>& v) {
-  u64(v.size());
-  for (const int x : v) i32(x);
-}
-
 // ------------------------------------------------------------ reader ----
 
 void ByteReader::need(std::size_t n) const {
-  if (size_ - off_ < n)
+  if (remaining() < n)
     throw CheckpointError("truncated checkpoint data in " + context_);
 }
 
-void ByteReader::check_count(std::uint64_t count,
-                             std::size_t elem_size) const {
-  if (count > remaining() / elem_size)
+std::size_t ByteReader::count(std::uint64_t n, std::size_t elem_bytes) const {
+  // Divide rather than multiply: n * elem_bytes could overflow on hostile
+  // input.
+  if (n > remaining() / elem_bytes)
     throw CheckpointError("truncated checkpoint data in " + context_);
-}
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[off_++];
-}
-
-std::uint32_t ByteReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(data_[off_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  off_ += 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(data_[off_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  off_ += 8;
-  return v;
-}
-
-float ByteReader::f32() { return std::bit_cast<float>(u32()); }
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::string ByteReader::str() {
-  const std::uint64_t n = u64();
-  need(n);
-  std::string out(reinterpret_cast<const char*>(data_ + off_),
-                  static_cast<std::size_t>(n));
-  off_ += static_cast<std::size_t>(n);
-  return out;
-}
-
-std::vector<float> ByteReader::floats() {
-  const std::uint64_t n = u64();
-  // Bounds-check the count up front (overflow-safe: elements are ≥ 4
-  // bytes) so a huge bogus count fails fast instead of allocating.
-  check_count(n, 4);
-  std::vector<float> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(f32());
-  return out;
-}
-
-std::vector<double> ByteReader::doubles() {
-  const std::uint64_t n = u64();
-  check_count(n, 8);
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(f64());
-  return out;
-}
-
-std::vector<std::uint64_t> ByteReader::u64s() {
-  const std::uint64_t n = u64();
-  check_count(n, 8);
-  std::vector<std::uint64_t> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(u64());
-  return out;
-}
-
-std::vector<int> ByteReader::ints() {
-  const std::uint64_t n = u64();
-  check_count(n, 4);
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(i32());
-  return out;
+  return static_cast<std::size_t>(n);
 }
 
 void ByteReader::expect_done() const {
@@ -167,17 +60,16 @@ void ByteReader::expect_done() const {
 
 std::vector<std::uint8_t> pack_sections(const std::vector<Section>& sections) {
   ByteWriter w;
-  for (const char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
-  w.u32(kSchemaVersion);
-  w.u32(static_cast<std::uint32_t>(sections.size()));
+  w(std::to_array(kMagic), kSchemaVersion,
+    static_cast<std::uint32_t>(sections.size()));
   for (const Section& s : sections) {
     DPOAF_CHECK_MSG(s.tag.size() == 4, "section tags are exactly 4 bytes");
-    for (const char c : s.tag) w.u8(static_cast<std::uint8_t>(c));
-    w.u64(s.payload.size());
     // Layout: tag, size, crc, payload — the CRC sits in the fixed-size
     // prefix so a truncated payload can never be mistaken for its CRC.
-    w.u32(crc32(s.payload.data(), s.payload.size()));
-    for (const std::uint8_t b : s.payload) w.u8(b);
+    w(Tag{s.tag[0], s.tag[1], s.tag[2], s.tag[3]},
+      static_cast<std::uint64_t>(s.payload.size()),
+      crc32(s.payload.data(), s.payload.size()));
+    for (const std::uint8_t b : s.payload) w(b);
   }
   return w.take();
 }
@@ -185,64 +77,40 @@ std::vector<std::uint8_t> pack_sections(const std::vector<Section>& sections) {
 std::vector<Section> unpack_sections(const std::uint8_t* data,
                                      std::size_t size) {
   ByteReader r(data, size, "checkpoint header");
-  char magic[4];
-  for (char& c : magic) c = static_cast<char>(r.u8());
-  if (std::memcmp(magic, kMagic, 4) != 0)
+  Tag magic{};
+  r(magic);
+  if (magic != std::to_array(kMagic))
     throw CheckpointError("bad magic: not a dpoaf checkpoint file");
-  const std::uint32_t version = r.u32();
+  std::uint32_t version = 0;
+  r(version);
   if (version > kSchemaVersion)
     throw CheckpointError(
         "checkpoint schema version " + std::to_string(version) +
         " is newer than this build supports (" +
         std::to_string(kSchemaVersion) + ")");
-  const std::uint32_t count = r.u32();
-  std::vector<Section> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Section s;
-    s.tag.resize(4);
-    for (char& c : s.tag) c = static_cast<char>(r.u8());
-    const std::uint64_t payload_size = r.u64();
-    const std::uint32_t stored_crc = r.u32();
+  std::uint32_t count = 0;
+  r(count);
+  std::vector<Section> out(r.count(count, kSectionPrefixBytes));
+  for (Section& s : out) {
+    Tag tag{};
+    std::uint64_t payload_size = 0;
+    std::uint32_t stored_crc = 0;
+    r(tag, payload_size, stored_crc);
+    s.tag.assign(tag.begin(), tag.end());
     if (r.remaining() < payload_size)
       throw CheckpointError("truncated checkpoint file in section " + s.tag);
     s.payload.resize(static_cast<std::size_t>(payload_size));
-    for (std::uint64_t b = 0; b < payload_size; ++b)
-      s.payload[static_cast<std::size_t>(b)] = r.u8();
+    for (std::uint8_t& b : s.payload) r(b);
     const std::uint32_t actual_crc = crc32(s.payload.data(), s.payload.size());
     if (actual_crc != stored_crc)
       throw CheckpointError("CRC mismatch in section " + s.tag +
                             " (stored " + std::to_string(stored_crc) +
                             ", computed " + std::to_string(actual_crc) +
                             "): checkpoint is corrupted");
-    out.push_back(std::move(s));
   }
   if (r.remaining() != 0)
     throw CheckpointError("trailing bytes after the last checkpoint section");
   return out;
-}
-
-// ------------------------------------------------------------ tensors ---
-
-void write_tensor(ByteWriter& w, const tensor::Tensor& t) {
-  w.i64(t.rows());
-  w.i64(t.cols());
-  w.u64(static_cast<std::uint64_t>(t.numel()));
-  for (std::int64_t i = 0; i < t.numel(); ++i) w.f32(t.data()[i]);
-}
-
-tensor::Tensor read_tensor(ByteReader& r) {
-  const std::int64_t rows = r.i64();
-  const std::int64_t cols = r.i64();
-  if (rows < 0 || cols < 0)
-    throw CheckpointError("tensor with negative dimensions");
-  const std::uint64_t n = r.u64();
-  if (n != static_cast<std::uint64_t>(rows * cols))
-    throw CheckpointError("tensor data length does not match its shape");
-  std::vector<float> data;
-  data.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) data.push_back(r.f32());
-  return tensor::Tensor::from({rows, cols}, std::move(data));
 }
 
 }  // namespace dpoaf::ckpt

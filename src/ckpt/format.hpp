@@ -1,20 +1,23 @@
-// Low-level binary checkpoint framing: explicit little-endian primitive
-// encoding, CRC32-protected named sections, and the file header
-// (magic + schema version) every .dpoaf checkpoint starts with.
+// Low-level binary checkpoint framing: one type-driven little-endian
+// codec, CRC32-protected named sections, and the file header (magic +
+// schema version) every .dpoaf checkpoint starts with.
 //
 // The byte-level layout is specified normatively in
 // docs/CHECKPOINT_FORMAT.md; this header is the single implementation of
-// it. Everything here is deliberately dependency-free (util/check only)
-// so any subsystem can serialize into the same container.
+// its encoding rules. Everything here is deliberately dependency-free
+// (util/check only) so any subsystem can serialize into the same
+// container.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
-
-#include "tensor/tensor.hpp"
 
 namespace dpoaf::ckpt {
 
@@ -38,25 +41,50 @@ inline constexpr std::uint32_t kSchemaVersion = 1;
 /// crc32("123456789") == 0xCBF43926.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
-/// Append-only little-endian encoder for section payloads. Floating-point
-/// values are written as their IEEE-754 bit patterns, so payloads
-/// round-trip bit-exactly (the property the resume tests depend on).
+/// Field list of a record type stored on the wire. Specialize with
+/// `static void fields(auto& io, auto& r) { io(r.a, r.b, ...); }`, the
+/// fields in wire order; the same list then encodes and decodes.
+template <class T>
+struct Record;
+
+namespace wire {
+
+/// std::array and std::pair: their elements back to back, no prefix.
+template <class T>
+concept TupleLike = requires { std::tuple_size<T>::value; };
+
+/// std::string and std::vector: u64 element count, then the elements.
+template <class T>
+concept Sized = requires(T& t) {
+  t.resize(std::size_t{});
+  t.begin();
+};
+
+/// Fixed-width scalars: integers and enums little-endian at sizeof(T),
+/// floating point as the same-width integer holding its bit pattern.
+template <class T>
+concept Scalar = std::is_arithmetic_v<T> || std::is_enum_v<T>;
+
+template <class T>
+using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+
+/// The fewest bytes one element of T can take on the wire: the count
+/// check's divisor, so a count the payload cannot hold fails before any
+/// allocation.
+template <class T>
+inline constexpr std::size_t kMinBytes = Scalar<T> ? sizeof(T) : 1;
+
+}  // namespace wire
+
+/// Append-only encoder. `w(a, b, ...)` writes each value by its type (see
+/// wire:: above), so payloads round-trip bit-exactly — the property the
+/// resume tests depend on.
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f32(float v);
-  void f64(double v);
-  /// Length-prefixed (u64) UTF-8 bytes.
-  void str(std::string_view s);
-  /// Length-prefixed (u64 element count) packed little-endian arrays.
-  void floats(const std::vector<float>& v);
-  void doubles(const std::vector<double>& v);
-  void u64s(const std::vector<std::uint64_t>& v);
-  void ints(const std::vector<int>& v);
+  template <class... Ts>
+  void operator()(const Ts&... values) {
+    (put(values), ...);
+  }
 
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const {
     return buf_;
@@ -64,30 +92,48 @@ class ByteWriter {
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      put(std::bit_cast<wire::Bits<T>>(v));
+    } else if constexpr (std::is_enum_v<T>) {
+      put(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      const auto u = static_cast<std::make_unsigned_t<T>>(v);
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        buf_.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
+    } else if constexpr (wire::TupleLike<T>) {
+      std::apply([this](const auto&... xs) { (put(xs), ...); }, v);
+    } else if constexpr (wire::Sized<T>) {
+      put(static_cast<std::uint64_t>(v.size()));
+      for (const auto& x : v) put(x);
+    } else {
+      Record<T>::fields(*this, v);
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
-/// Bounds-checked little-endian decoder over a section payload. Every
-/// overrun throws CheckpointError naming the context passed to the
-/// constructor, so a truncated section is reported as such rather than
-/// read as garbage.
+/// Bounds-checked decoder over a section payload: `r(a, b, ...)` reads
+/// each value in place by its type. Every overrun throws CheckpointError
+/// naming the context passed to the constructor, so a truncated section
+/// is reported as such rather than read as garbage.
 class ByteReader {
  public:
   ByteReader(const std::uint8_t* data, std::size_t size, std::string context)
       : data_(data), size_(size), context_(std::move(context)) {}
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  [[nodiscard]] float f32();
-  [[nodiscard]] double f64();
-  [[nodiscard]] std::string str();
-  [[nodiscard]] std::vector<float> floats();
-  [[nodiscard]] std::vector<double> doubles();
-  [[nodiscard]] std::vector<std::uint64_t> u64s();
-  [[nodiscard]] std::vector<int> ints();
+  template <class... Ts>
+  void operator()(Ts&... values) {
+    (get(values), ...);
+  }
+
+  /// `n` as a size, once the remaining bytes can hold `n` elements of at
+  /// least `elem_bytes` each; throws CheckpointError otherwise. Every
+  /// count read from the file passes here before anything is allocated.
+  [[nodiscard]] std::size_t count(std::uint64_t n,
+                                  std::size_t elem_bytes) const;
 
   [[nodiscard]] std::size_t remaining() const { return size_ - off_; }
   /// Assert the payload was consumed exactly — trailing bytes mean the
@@ -95,10 +141,37 @@ class ByteReader {
   void expect_done() const;
 
  private:
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      wire::Bits<T> bits = 0;
+      get(bits);
+      v = std::bit_cast<T>(bits);
+    } else if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> u{};
+      get(u);
+      v = static_cast<T>(u);
+    } else if constexpr (std::is_integral_v<T>) {
+      using U = std::make_unsigned_t<T>;
+      need(sizeof(T));
+      U u = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        u = static_cast<U>(u | static_cast<U>(U{data_[off_ + i]} << (8 * i)));
+      off_ += sizeof(T);
+      v = static_cast<T>(u);
+    } else if constexpr (wire::TupleLike<T>) {
+      std::apply([this](auto&... xs) { (get(xs), ...); }, v);
+    } else if constexpr (wire::Sized<T>) {
+      std::uint64_t n = 0;
+      get(n);
+      v.resize(count(n, wire::kMinBytes<typename T::value_type>));
+      for (auto& x : v) get(x);
+    } else {
+      Record<T>::fields(*this, v);
+    }
+  }
+
   void need(std::size_t n) const;
-  /// Reject element counts that cannot fit in the remaining bytes without
-  /// computing count*elem_size (which could overflow on hostile input).
-  void check_count(std::uint64_t count, std::size_t elem_size) const;
 
   const std::uint8_t* data_;
   std::size_t size_;
@@ -124,13 +197,5 @@ struct Section {
 /// section, and verifies every payload CRC. Throws CheckpointError.
 [[nodiscard]] std::vector<Section> unpack_sections(const std::uint8_t* data,
                                                    std::size_t size);
-
-/// Serialize one tensor (shape + data) into a payload. Zero-size tensors
-/// (any dimension 0) are legal and round-trip to an empty data block.
-void write_tensor(ByteWriter& w, const tensor::Tensor& t);
-
-/// Inverse of write_tensor. Throws CheckpointError on malformed shapes
-/// (negative dimensions, data length not matching rows*cols).
-[[nodiscard]] tensor::Tensor read_tensor(ByteReader& r);
 
 }  // namespace dpoaf::ckpt

@@ -208,7 +208,7 @@ lm::PretrainStats DpoAfPipeline::pretrain_model(
   const auto corpus =
       lm::build_corpus(*corpus_tasks, tokenizer_,
                        config_.corpus_samples_per_task,
-                       config_.corpus_weights, rng_);
+                       lm::VariantWeights{}, rng_);
   lm::PretrainHooks hooks;
   if (sink_ && config_.checkpoint_every_epochs > 0) {
     hooks.snapshot_every = config_.checkpoint_every_epochs;
@@ -445,7 +445,6 @@ std::vector<DpoAfPipeline::ScoredItem> DpoAfPipeline::score_eval_samples(
   Rng eval_rng(config_.seed * 0x9E3779B9ULL + stream);
   lm::SamplerConfig sampler;
   sampler.temperature = config_.eval_temperature;
-  sampler.top_k = config_.eval_top_k;
   sampler.max_new_tokens = config_.eval_max_new_tokens;
   std::vector<Rng> task_rngs = split_task_rngs(eval_rng, tasks.size());
   const std::vector<int> counts(tasks.size(), config_.eval_samples_per_task);

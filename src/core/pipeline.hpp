@@ -55,7 +55,6 @@ struct PipelineConfig {
 
   // Stage 1: pre-training corpus and loop.
   int corpus_samples_per_task = 40;
-  lm::VariantWeights corpus_weights;
   lm::PretrainConfig pretrain;
 
   // Stage 2: sampling the pre-trained model.
@@ -86,12 +85,12 @@ struct PipelineConfig {
   dpo::DpoConfig dpo;
 
   // Checkpoint evaluation: sample this many responses (>= 1) per task at
-  // the given temperature and average the per-response specification
-  // counts (an unalignable response counts 0; the failure *rate* is
-  // reported separately in CheckpointEval). Deterministic per (seed, epoch).
+  // the given temperature (and lm::SamplerConfig's default top_k) and
+  // average the per-response specification counts (an unalignable response
+  // counts 0; the failure *rate* is reported separately in CheckpointEval).
+  // Deterministic per (seed, epoch).
   int eval_samples_per_task = 10;
   float eval_temperature = 0.7f;
-  int eval_top_k = 6;
   int eval_max_new_tokens = 72;
 
   // ---- Procedural scenario generation (docs/GENERATOR.md) ------------

@@ -1,18 +1,22 @@
-// Checkpoint subsystem tests: binary framing (CRC32, little-endian
-// primitives), corruption/truncation/version rejection, full
-// TrainingCheckpoint round-trips (zero-size tensors, LoRA on/off),
-// atomic save/load, retained-last-K rotation, and resume-path
-// resolution. The end-to-end bitwise resume properties live in
-// tests/test_properties.cpp.
+// Checkpoint subsystem tests: binary framing (CRC32, the little-endian
+// codec), corruption/truncation/version rejection, crafted counts and a
+// byte-mutation fuzz of the loader, full TrainingCheckpoint round-trips
+// (empty buffers, LoRA on/off), atomic save/load, retained-last-K
+// rotation, and resume-path resolution. The end-to-end bitwise resume
+// properties live in tests/test_properties.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/format.hpp"
@@ -39,86 +43,91 @@ TEST(Crc32Test, MatchesIeee8023TestVector) {
 }
 
 TEST(ByteCodecTest, PrimitivesRoundTripBitExactly) {
+  const std::uint8_t u8 = 0xAB;
+  const std::uint32_t u32 = 0xDEADBEEFu;
+  const std::uint64_t u64 = 0x0123456789ABCDEFull;
+  const std::int32_t i32 = -42;
+  const std::int64_t i64 = -1234567890123LL;
+  const float f32 = -0.0f;
+  const double f64 = std::numeric_limits<double>::quiet_NaN();
+  const std::string str = "hello world";
+  const std::vector<float> floats = {1.5f, -2.25f, 0.0f};
+  const std::vector<double> doubles = {3.14159, -1e300};
+  const std::vector<std::uint64_t> u64s = {7, 0, 0xFFFFFFFFFFFFFFFFull};
+  const std::vector<int> ints = {-1, 0, 1};
+  const std::array<std::uint64_t, 2> words = {5, 6};
+  const std::pair<std::string, double> named = {"go", 0.5};
   ckpt::ByteWriter w;
-  w.u8(0xAB);
-  w.u32(0xDEADBEEFu);
-  w.u64(0x0123456789ABCDEFull);
-  w.i32(-42);
-  w.i64(-1234567890123LL);
-  w.f32(-0.0f);
-  w.f64(std::numeric_limits<double>::quiet_NaN());
-  w.str("hello world");
-  w.floats({1.5f, -2.25f, 0.0f});
-  w.doubles({3.14159, -1e300});
-  w.u64s({7, 0, 0xFFFFFFFFFFFFFFFFull});
-  w.ints({-1, 0, 1});
+  w(u8, u32, u64, i32, i64, f32, f64, str, floats, doubles, u64s, ints, words,
+    named);
+  // Fixed widths, u64 length prefixes on strings and vectors, none on
+  // arrays and pairs.
+  EXPECT_EQ(w.buffer().size(), 1u + 4 + 8 + 4 + 8 + 4 + 8 + (8 + 11) +
+                                   (8 + 12) + (8 + 16) + (8 + 24) + (8 + 12) +
+                                   16 + (8 + 2 + 8));
+  // Little-endian: the u32 lands low byte first.
+  EXPECT_EQ(w.buffer()[1], 0xEF);
+  EXPECT_EQ(w.buffer()[4], 0xDE);
 
+  std::uint8_t r_u8 = 0;
+  std::uint32_t r_u32 = 0;
+  std::uint64_t r_u64 = 0;
+  std::int32_t r_i32 = 0;
+  std::int64_t r_i64 = 0;
+  float r_f32 = 1.0f;
+  double r_f64 = 0.0;
+  std::string r_str;
+  std::vector<float> r_floats;
+  std::vector<double> r_doubles;
+  std::vector<std::uint64_t> r_u64s;
+  std::vector<int> r_ints;
+  std::array<std::uint64_t, 2> r_words{};
+  std::pair<std::string, double> r_named;
   ckpt::ByteReader r(w.buffer().data(), w.buffer().size(), "test payload");
-  EXPECT_EQ(r.u8(), 0xAB);
-  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(r.i32(), -42);
-  EXPECT_EQ(r.i64(), -1234567890123LL);
-  const float neg_zero = r.f32();
-  EXPECT_EQ(std::bit_cast<std::uint32_t>(neg_zero),
-            std::bit_cast<std::uint32_t>(-0.0f));
-  EXPECT_TRUE(std::isnan(r.f64()));
-  EXPECT_EQ(r.str(), "hello world");
-  EXPECT_EQ(r.floats(), (std::vector<float>{1.5f, -2.25f, 0.0f}));
-  EXPECT_EQ(r.doubles(), (std::vector<double>{3.14159, -1e300}));
-  EXPECT_EQ(r.u64s(), (std::vector<std::uint64_t>{7, 0, 0xFFFFFFFFFFFFFFFFull}));
-  EXPECT_EQ(r.ints(), (std::vector<int>{-1, 0, 1}));
+  r(r_u8, r_u32, r_u64, r_i32, r_i64, r_f32, r_f64, r_str, r_floats,
+    r_doubles, r_u64s, r_ints, r_words, r_named);
+  EXPECT_EQ(r_u8, u8);
+  EXPECT_EQ(r_u32, u32);
+  EXPECT_EQ(r_u64, u64);
+  EXPECT_EQ(r_i32, i32);
+  EXPECT_EQ(r_i64, i64);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(r_f32),
+            std::bit_cast<std::uint32_t>(f32));
+  EXPECT_TRUE(std::isnan(r_f64));
+  EXPECT_EQ(r_str, str);
+  EXPECT_EQ(r_floats, floats);
+  EXPECT_EQ(r_doubles, doubles);
+  EXPECT_EQ(r_u64s, u64s);
+  EXPECT_EQ(r_ints, ints);
+  EXPECT_EQ(r_words, words);
+  EXPECT_EQ(r_named, named);
   EXPECT_NO_THROW(r.expect_done());
 }
 
 TEST(ByteCodecTest, ReaderRejectsOverruns) {
   ckpt::ByteWriter w;
-  w.u32(7);
+  w(std::uint32_t{7});
   ckpt::ByteReader r(w.buffer().data(), w.buffer().size(), "tiny payload");
-  (void)r.u32();
-  EXPECT_THROW((void)r.u8(), ckpt::CheckpointError);
+  std::uint32_t word = 0;
+  r(word);
+  std::uint8_t byte = 0;
+  EXPECT_THROW(r(byte), ckpt::CheckpointError);
 }
 
 TEST(ByteCodecTest, ReaderRejectsHugeBogusElementCount) {
   // A corrupted length prefix must fail fast, not allocate.
   ckpt::ByteWriter w;
-  w.u64(0xFFFFFFFFFFFFFFFFull);
+  w(std::uint64_t{0xFFFFFFFFFFFFFFFFull});
   ckpt::ByteReader r(w.buffer().data(), w.buffer().size(), "bogus count");
-  EXPECT_THROW((void)r.floats(), ckpt::CheckpointError);
-}
-
-TEST(TensorSerdeTest, RoundTripsIncludingZeroSize) {
-  ckpt::ByteWriter w;
-  ckpt::write_tensor(w, tensor::Tensor::from({2, 3},
-                                             {1, 2, 3, 4, 5, 6}));
-  ckpt::write_tensor(w, tensor::Tensor::from({0, 5}, {}));
-  ckpt::ByteReader r(w.buffer().data(), w.buffer().size(), "tensors");
-  const tensor::Tensor a = ckpt::read_tensor(r);
-  EXPECT_EQ(a.rows(), 2);
-  EXPECT_EQ(a.cols(), 3);
-  EXPECT_EQ(a.data()[5], 6.0f);
-  const tensor::Tensor b = ckpt::read_tensor(r);
-  EXPECT_EQ(b.rows(), 0);
-  EXPECT_EQ(b.cols(), 5);
-  EXPECT_EQ(b.numel(), 0);
-  EXPECT_NO_THROW(r.expect_done());
-}
-
-TEST(TensorSerdeTest, RejectsShapeDataMismatch) {
-  ckpt::ByteWriter w;
-  w.i64(2);
-  w.i64(2);
-  w.u64(3);  // claims 3 floats for a 2x2 shape
-  for (int i = 0; i < 3; ++i) w.f32(0.0f);
-  ckpt::ByteReader r(w.buffer().data(), w.buffer().size(), "bad tensor");
-  EXPECT_THROW((void)ckpt::read_tensor(r), ckpt::CheckpointError);
+  std::vector<float> floats;
+  EXPECT_THROW(r(floats), ckpt::CheckpointError);
 }
 
 // ------------------------------------------------------------ framing ---
 
 std::vector<ckpt::Section> sample_sections() {
   ckpt::ByteWriter a;
-  a.str("alpha");
+  a(std::string("alpha"));
   ckpt::ByteWriter b;  // empty payload is legal
   return {{"AAAA", a.take()}, {"BBBB", b.take()}};
 }
@@ -371,6 +380,73 @@ TEST(CheckpointTest, LoadAndDescribeRejectDirectory) {
   const fs::path dir = fresh_dir("ckpt_dir_as_file");
   EXPECT_THROW((void)ckpt::load_checkpoint(dir), ckpt::CheckpointError);
   EXPECT_THROW((void)ckpt::describe_file(dir), ckpt::CheckpointError);
+}
+
+// ------------------------------------------------------ hostile input ---
+
+TEST(CheckpointTest, RejectsCraftedHeaderSectionCount) {
+  // Bytes 8-11 hold the section count, outside every CRC.
+  auto bytes = ckpt::serialize(sample_checkpoint());
+  for (std::size_t i = 8; i < 12; ++i) bytes[i] = 0xFF;
+  EXPECT_THROW((void)ckpt::deserialize(bytes.data(), bytes.size()),
+               ckpt::CheckpointError);
+}
+
+TEST(CheckpointTest, RejectsCraftedSectionCounts) {
+  // A section's leading u64 count set to 2^60 under a recomputed CRC: only
+  // the decoder's count check stands between it and the allocator.
+  const auto bytes = ckpt::serialize(sample_checkpoint());
+  const std::uint64_t count = 1ull << 60;
+  for (const char* tag : {"TOKV", "OPTS", "HIST", "EVAL", "PAIR"}) {
+    SCOPED_TRACE(tag);
+    auto sections = ckpt::unpack_sections(bytes.data(), bytes.size());
+    for (ckpt::Section& s : sections)
+      if (s.tag == tag)
+        for (std::size_t i = 0; i < 8; ++i)
+          s.payload.at(i) = static_cast<std::uint8_t>(count >> (8 * i));
+    const auto crafted = ckpt::pack_sections(sections);
+    EXPECT_THROW((void)ckpt::deserialize(crafted.data(), crafted.size()),
+                 ckpt::CheckpointError);
+  }
+}
+
+TEST(CheckpointFuzzTest, MutatedFilesDecodeOrThrowCheckpointError) {
+  // Every single-bit flip, every truncation, and every payload byte
+  // inverted under a recomputed CRC: deserialize either returns or throws
+  // CheckpointError, never anything else (and, in the sanitizer build,
+  // never undefined behaviour). Truncated files never decode.
+  const auto valid = ckpt::serialize(sample_checkpoint());
+  int failures = 0;
+  const auto probe = [&](const std::vector<std::uint8_t>& bytes,
+                         const char* kind, std::size_t at,
+                         bool must_throw) {
+    try {
+      (void)ckpt::deserialize(bytes.data(), bytes.size());
+      if (must_throw && ++failures <= 5)
+        ADD_FAILURE() << kind << " " << at << ": decoded";
+    } catch (const ckpt::CheckpointError&) {
+    } catch (const std::exception& e) {
+      if (++failures <= 5)
+        ADD_FAILURE() << kind << " " << at << ": " << e.what();
+    }
+  };
+  for (std::size_t bit = 0; bit < valid.size() * 8; ++bit) {
+    auto bytes = valid;
+    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    probe(bytes, "bit flip", bit, false);
+  }
+  for (std::size_t len = 0; len < valid.size(); ++len)
+    probe({valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(len)},
+          "truncation to", len, true);
+  const auto sections = ckpt::unpack_sections(valid.data(), valid.size());
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < sections.size(); ++i)
+    for (std::size_t b = 0; b < sections[i].payload.size(); ++b, ++at) {
+      auto mutated = sections;
+      mutated[i].payload[b] ^= 0xFF;
+      probe(ckpt::pack_sections(mutated), "inverted payload byte", at, false);
+    }
+  EXPECT_EQ(failures, 0);
 }
 
 // -------------------------------------------------------------- store ---
