@@ -1,8 +1,8 @@
 // Continuous-batching vs serial serving throughput (google-benchmark).
-// Both rows push the same 8-request batch through a GenerationService in
-// deterministic mode; only the slot count differs. slots=1 is the serial
-// baseline — one request decodes at a time, and a single decode step has
-// no intra-step parallelism to exploit — while slots=8 lets the scheduler
+// Both rows push the same 8-request batch through a GenerationService;
+// only the slot count differs. slots=1 is the serial baseline — one
+// request decodes at a time, and a single decode step has no intra-step
+// parallelism to exploit — while slots=8 lets the scheduler
 // advance every active request each iteration, spreading the per-slot
 // forward passes across the 4 worker threads. The tok/s ratio between the
 // two rows is the continuous-batching speedup (the CI gate asserts >= 2x).
@@ -62,7 +62,6 @@ void BM_ServeThroughput(benchmark::State& state) {
   serve::ServiceConfig cfg;
   cfg.slots = slots;
   cfg.queue_capacity = 64;
-  cfg.deterministic = true;
   cfg.seed = 7;
   serve::GenerationService service(serving_model(), cfg);
   const auto requests = request_batch(8);
@@ -107,7 +106,6 @@ void BM_ServePrefixSharing(benchmark::State& state) {
   serve::ServiceConfig cfg;
   cfg.slots = 4;
   cfg.queue_capacity = 64;
-  cfg.deterministic = true;
   cfg.seed = 7;
   cfg.kv_block_tokens = 16;
   cfg.prefix_sharing = sharing;
@@ -167,7 +165,6 @@ void BM_AdmitBacklog(benchmark::State& state) {
     serve::ServiceConfig cfg;
     cfg.slots = 1;
     cfg.queue_capacity = backlog;
-    cfg.deterministic = true;
     cfg.prefix_sharing = false;
     serve::GenerationService service(serving_model(), cfg);
     std::vector<std::future<serve::GenerateResult>> futures;

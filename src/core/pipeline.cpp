@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -29,22 +30,32 @@ namespace {
   DPOAF_CHECK_MSG(c.field op(bound), "PipelineConfig::" #field " must be " \
                   #op " " + std::to_string(bound) + ", got " +             \
                       std::to_string(c.field))
+// Throws a ContractViolation naming the field unless `c.field` is finite
+// and positive.
+#define DPOAF_REQUIRE_POSITIVE(field)                                      \
+  DPOAF_CHECK_MSG(std::isfinite(c.field) && c.field > 0,                   \
+                  "PipelineConfig::" #field " must be finite and > 0, got " \
+                      + std::to_string(c.field))
 
 // Rejects values no run can use before any construction work. Without
 // these, a sample count below 1 surfaces deep in the dataflow or collects
 // nothing, a bad scenario count aborts in the generator, a DPO epoch or
 // checkpoint interval below 1 leaves no loss history or divides by zero,
 // a model shape or batch size below 1 fails (or raises SIGFPE) only after
-// construction or pre-training, and a non-positive temperature or a
-// negative token budget is rejected by the decoder mid-run.
+// construction or pre-training, a non-positive temperature or a negative
+// token budget is rejected by the decoder mid-run, d_ff below 1 trains a
+// model stuck at the initial DPO loss, and a NaN learning rate or beta
+// surfaces mid-run as a sampling-weight CHECK.
 const PipelineConfig& validated(const PipelineConfig& c) {
   DPOAF_REQUIRE(d_model, >=, 1);
   DPOAF_REQUIRE(n_heads, >=, 1);
   DPOAF_CHECK_MSG(c.d_model % c.n_heads == 0,
                   "PipelineConfig::n_heads must divide d_model");
   DPOAF_REQUIRE(n_layers, >=, 1);
+  DPOAF_REQUIRE(d_ff, >=, 1);
   DPOAF_REQUIRE(corpus_samples_per_task, >=, 1);
   DPOAF_REQUIRE(pretrain.batch_size, >=, 1);
+  DPOAF_REQUIRE_POSITIVE(pretrain.lr);
   DPOAF_REQUIRE(responses_per_task, >=, 1);
   DPOAF_REQUIRE(sampler.temperature, >, 0);
   DPOAF_REQUIRE(sampler.max_new_tokens, >=, 0);
@@ -52,6 +63,8 @@ const PipelineConfig& validated(const PipelineConfig& c) {
   DPOAF_REQUIRE(dpo.epochs, >=, 1);
   DPOAF_REQUIRE(dpo.checkpoint_every, >=, 1);
   DPOAF_REQUIRE(dpo.batch_size, >=, 1);
+  DPOAF_REQUIRE_POSITIVE(dpo.lr);
+  DPOAF_REQUIRE_POSITIVE(dpo.beta);
   DPOAF_REQUIRE(eval_samples_per_task, >=, 1);
   DPOAF_REQUIRE(eval_temperature, >, 0);
   DPOAF_REQUIRE(eval_max_new_tokens, >=, 0);
@@ -63,6 +76,7 @@ const PipelineConfig& validated(const PipelineConfig& c) {
 }
 
 #undef DPOAF_REQUIRE
+#undef DPOAF_REQUIRE_POSITIVE
 
 driving::generator::GeneratorConfig make_generator_config(
     const PipelineConfig& config) {
@@ -77,7 +91,6 @@ serve::ServiceConfig make_serve_config(const PipelineConfig& config) {
   serve::ServiceConfig scfg;
   scfg.slots = config.serve_slots;
   scfg.queue_capacity = std::max(64, config.serve_slots * 4);
-  scfg.deterministic = true;  // results must not depend on wall-clock
   scfg.seed = config.seed;
   return scfg;
 }
@@ -174,6 +187,25 @@ void DpoAfPipeline::validate_checkpoint(
       throw ckpt::CheckpointError(
           "checkpoint vocabulary differs from this pipeline's tokenizer at "
           "token id " + std::to_string(i) + " — the task catalog changed");
+  // The CRC catches damage, not a crafted file: every stored pair must be
+  // one the DPO trainer can score without tripping a model CHECK.
+  const auto defect = [&](const std::vector<int>& seq,
+                          std::int64_t prompt_len) -> const char* {
+    const auto len = static_cast<std::int64_t>(seq.size());
+    if (len > want.max_seq) return "a sequence longer than max_seq";
+    for (const int t : seq)
+      if (t < 0 || t >= want.vocab_size) return "a token id out of range";
+    if (prompt_len < 1 || prompt_len >= len)
+      return "a prompt_len outside [1, sequence length)";
+    return nullptr;
+  };
+  for (std::size_t i = 0; i < snap.pairs.size(); ++i) {
+    const dpo::PreferencePair& p = snap.pairs[i];
+    for (const std::vector<int>* seq : {&p.chosen, &p.rejected})
+      if (const char* why = defect(*seq, p.prompt_len))
+        throw ckpt::CheckpointError("checkpoint preference pair " +
+                                    std::to_string(i) + " has " + why);
+  }
 }
 
 lm::PretrainStats DpoAfPipeline::pretrain_model(
@@ -303,9 +335,10 @@ DpoAfPipeline::stream_scored_responses(
             DPOAF_CHECK_MSG(r.finish != serve::FinishReason::kInvalid,
                             "the generation service rejected a sampling "
                             "request as invalid");
+            const bool truncated = r.finish == serve::FinishReason::kContext;
             return work.push(
-                {seq++, u, lm::decode_response(tokenizer_, r.ids, r.truncated),
-                 r.truncated});
+                {seq++, u, lm::decode_response(tokenizer_, r.ids, truncated),
+                 truncated});
           };
           for (std::size_t u = 0; u < n_tasks; ++u) {
             const std::vector<int> prompt =

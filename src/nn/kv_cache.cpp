@@ -126,17 +126,12 @@ PrefixTree::Match PrefixTree::match(const std::vector<int>& prompt,
       covered = limit;
     }
   }
-  if (best == nullptr || covered <= 0) {
-    ++misses_;
-    return out;
-  }
+  if (best == nullptr || covered <= 0) return out;
   const std::int64_t n_blocks = pool_->blocks_for(covered);
   out.blocks.assign(best->chain.begin(), best->chain.begin() + n_blocks);
   out.tokens = covered;
   for (const std::int32_t b : out.blocks) pool_->incref(b);
   touch(best);
-  ++hits_;
-  tokens_reused_ += static_cast<std::uint64_t>(covered);
   return out;
 }
 
@@ -224,9 +219,7 @@ std::int64_t PrefixTree::evict_until_free(std::int64_t target_free) {
     const std::int64_t before = pool_->free_blocks();
     release_anchor(node);
     prune_upwards(node);
-    const std::int64_t gained = pool_->free_blocks() - before;
-    freed += gained;
-    evicted_blocks_ += static_cast<std::uint64_t>(gained);
+    freed += pool_->free_blocks() - before;
   }
   return freed;
 }

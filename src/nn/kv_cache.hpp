@@ -170,12 +170,6 @@ class PrefixTree {
   void clear();
 
   [[nodiscard]] std::int64_t anchors() const { return by_stamp_.size(); }
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t tokens_reused() const { return tokens_reused_; }
-  [[nodiscard]] std::uint64_t evicted_blocks() const {
-    return evicted_blocks_;
-  }
 
  private:
   struct Node {
@@ -196,10 +190,6 @@ class PrefixTree {
   std::unique_ptr<Node> root_;
   std::map<std::uint64_t, Node*> by_stamp_;  // anchored nodes, LRU order
   std::uint64_t next_stamp_ = 1;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t tokens_reused_ = 0;
-  std::uint64_t evicted_blocks_ = 0;
 };
 
 }  // namespace dpoaf::nn

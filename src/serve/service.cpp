@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -22,8 +23,6 @@ const char* to_string(FinishReason reason) {
     case FinishReason::kEos: return "eos";
     case FinishReason::kLength: return "length";
     case FinishReason::kContext: return "context";
-    case FinishReason::kDeadline: return "deadline";
-    case FinishReason::kShutdown: return "shutdown";
     case FinishReason::kInvalid: return "invalid";
   }
   return "unknown";
@@ -49,13 +48,31 @@ struct GenerationService::Slot {
   std::promise<GenerateResult> promise;
   std::uint64_t id = 0;
   std::uint64_t admit_ns = 0;
-  std::uint64_t deadline_ns = 0;  // 0 = no deadline
   bool prefilled = false;
   bool registered = false;     // prompt prefix anchored in the tree
   std::int64_t cached = 0;     // prompt positions adopted from the tree
   std::int64_t worst_blocks = 0;  // admission-time block reservation
   GenerateResult result;
 };
+
+namespace {
+
+/// A lifetime total for stats(), added to its `serve.*` obs counter in
+/// the same call: each event is recorded once, where it happens.
+struct Tally {
+  explicit Tally(const char* name) : counter(obs::counter(name)) {}
+  void add(std::uint64_t n = 1) {
+    total.fetch_add(n, std::memory_order_relaxed);
+    counter.add(n);
+  }
+  [[nodiscard]] std::uint64_t get() const {
+    return total.load(std::memory_order_relaxed);
+  }
+  std::atomic<std::uint64_t> total{0};
+  obs::Counter& counter;
+};
+
+}  // namespace
 
 struct GenerationService::Impl {
   // Pool outlives the tree and every session (members destroy in reverse
@@ -73,34 +90,30 @@ struct GenerationService::Impl {
   std::map<int, std::deque<Pending>, std::greater<int>> queue;
   int queue_size = 0;
   bool draining = false;  // no new admissions
-  bool abort = false;     // retire outstanding work as kShutdown
   std::uint64_t next_id = 1;
   int active_count = 0;
   std::vector<Slot> slots;
   std::thread scheduler;
   std::mutex join_mutex;
 
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> rejected_full{0};
-  std::atomic<std::uint64_t> rejected_shutdown{0};
-  std::atomic<std::uint64_t> rejected_invalid{0};
-  std::atomic<std::uint64_t> completed{0};
-  std::atomic<std::uint64_t> generated_tokens{0};
-  std::atomic<std::uint64_t> deadline_expired{0};
-  std::atomic<std::uint64_t> iterations{0};
-  std::atomic<std::uint64_t> prefix_hits{0};
-  std::atomic<std::uint64_t> prefix_tokens_reused{0};
-  std::atomic<std::uint64_t> prefill_steps{0};
-  std::atomic<std::uint64_t> cow_copies{0};
-  std::atomic<std::uint64_t> evicted_blocks{0};
+  Tally accepted{"serve.requests"};
+  Tally rejected_invalid{"serve.rejected"};
+  Tally completed{"serve.completed"};
+  Tally generated_tokens{"serve.generated_tokens"};
+  Tally iterations{"serve.iterations"};
+  Tally prefix_hits{"serve.prefix_hits"};
+  Tally prefix_tokens_reused{"serve.prefix_tokens_reused"};
+  Tally prefill_steps{"serve.prefill_steps"};
+  Tally cow_copies{"serve.cow_copies"};
+  Tally evicted_blocks{"serve.evicted_blocks"};
 };
 
 GenerationService::GenerationService(const nn::TinyGpt& model,
                                      ServiceConfig config)
     : model_(model), config_(config), impl_(std::make_unique<Impl>()) {
   DPOAF_CHECK_MSG(config_.slots >= 1, "service needs at least one slot");
-  DPOAF_CHECK_MSG(config_.queue_capacity >= 0,
-                  "queue_capacity must be >= 0");
+  DPOAF_CHECK_MSG(config_.queue_capacity >= 1,
+                  "queue_capacity must be >= 1");
   DPOAF_CHECK_MSG(config_.kv_block_tokens >= 1,
                   "kv_block_tokens must be >= 1");
   const auto& cfg = model_.config();
@@ -123,7 +136,7 @@ GenerationService::GenerationService(const nn::TinyGpt& model,
   impl_->scheduler = std::thread([this] { scheduler_loop(); });
 }
 
-GenerationService::~GenerationService() { shutdown(true); }
+GenerationService::~GenerationService() { shutdown(); }
 
 std::string GenerationService::validate(const GenerateRequest& req) const {
   // Everything the decode loop would CHECK is rejected here instead, so the
@@ -138,73 +151,24 @@ std::string GenerationService::validate(const GenerateRequest& req) const {
   if (req.max_new_tokens < 0) return "max_new_tokens must be >= 0";
   if (!req.greedy && !(req.temperature > 0.0f))
     return "temperature must be > 0";
-  if (req.timeout_us < 0) return "timeout_us must be >= 0";
   return {};
 }
 
-std::optional<Submission> GenerationService::try_submit(GenerateRequest req,
-                                                        SubmitError* why) {
-  static obs::Counter& accepted_c = obs::counter("serve.requests");
-  static obs::Counter& rejected_c = obs::counter("serve.rejected");
-  if (!validate(req).empty()) {
-    impl_->rejected_invalid.fetch_add(1, std::memory_order_relaxed);
-    if (why != nullptr) *why = SubmitError::kInvalid;
-    rejected_c.add();
-    return std::nullopt;
-  }
+Submission GenerationService::submit(GenerateRequest req) {
   auto& im = *impl_;
   std::promise<GenerateResult> promise;
   Submission sub;
   sub.result = promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(im.mutex);
-    if (im.draining) {
-      im.rejected_shutdown.fetch_add(1, std::memory_order_relaxed);
-      if (why != nullptr) *why = SubmitError::kShutdown;
-      rejected_c.add();
-      return std::nullopt;
-    }
-    if (im.queue_size >= config_.queue_capacity) {
-      im.rejected_full.fetch_add(1, std::memory_order_relaxed);
-      if (why != nullptr) *why = SubmitError::kQueueFull;
-      rejected_c.add();
-      return std::nullopt;
-    }
-    sub.id = im.next_id++;
-    im.queue[req.priority].push_back(Pending{
-        std::move(req), std::move(promise), sub.id, obs::monotonic_now_ns()});
-    ++im.queue_size;
-    im.accepted.fetch_add(1, std::memory_order_relaxed);
-  }
-  im.work_cv.notify_all();
-  accepted_c.add();
-  return sub;
-}
-
-Submission GenerationService::submit(GenerateRequest req) {
-  static obs::Counter& accepted_c = obs::counter("serve.requests");
-  static obs::Counter& rejected_c = obs::counter("serve.rejected");
-  const std::string err = validate(req);
-  if (!err.empty()) {
+  if (!validate(req).empty()) {
     // Rejected requests never reach the scheduler: resolve the future
     // right here instead of crashing the caller (or worse, letting an
     // empty prompt reach the prefill loop).
-    impl_->rejected_invalid.fetch_add(1, std::memory_order_relaxed);
-    rejected_c.add();
-    std::promise<GenerateResult> promise;
-    Submission sub;
-    sub.result = promise.get_future();
+    im.rejected_invalid.add();
     GenerateResult r;
     r.finish = FinishReason::kInvalid;
     promise.set_value(std::move(r));
     return sub;
   }
-  DPOAF_CHECK_MSG(config_.queue_capacity > 0,
-                  "blocking submit needs queue_capacity > 0");
-  auto& im = *impl_;
-  std::promise<GenerateResult> promise;
-  Submission sub;
-  sub.result = promise.get_future();
   {
     std::unique_lock<std::mutex> lock(im.mutex);
     im.space_cv.wait(lock, [&] {
@@ -215,10 +179,9 @@ Submission GenerationService::submit(GenerateRequest req) {
     im.queue[req.priority].push_back(Pending{
         std::move(req), std::move(promise), sub.id, obs::monotonic_now_ns()});
     ++im.queue_size;
-    im.accepted.fetch_add(1, std::memory_order_relaxed);
+    im.accepted.add();
   }
   im.work_cv.notify_all();
-  accepted_c.add();
   return sub;
 }
 
@@ -233,12 +196,11 @@ std::vector<GenerateResult> GenerationService::generate_all(
   return out;
 }
 
-void GenerationService::shutdown(bool drain) {
+void GenerationService::shutdown() {
   auto& im = *impl_;
   {
     std::lock_guard<std::mutex> lock(im.mutex);
     im.draining = true;
-    if (!drain) im.abort = true;
   }
   im.work_cv.notify_all();
   im.space_cv.notify_all();
@@ -249,22 +211,18 @@ void GenerationService::shutdown(bool drain) {
 ServiceStats GenerationService::stats() const {
   const auto& im = *impl_;
   ServiceStats s;
-  s.accepted = im.accepted.load(std::memory_order_relaxed);
-  s.rejected_full = im.rejected_full.load(std::memory_order_relaxed);
-  s.rejected_shutdown = im.rejected_shutdown.load(std::memory_order_relaxed);
-  s.rejected_invalid = im.rejected_invalid.load(std::memory_order_relaxed);
-  s.completed = im.completed.load(std::memory_order_relaxed);
-  s.generated_tokens = im.generated_tokens.load(std::memory_order_relaxed);
-  s.deadline_expired = im.deadline_expired.load(std::memory_order_relaxed);
-  s.iterations = im.iterations.load(std::memory_order_relaxed);
+  s.accepted = im.accepted.get();
+  s.rejected_invalid = im.rejected_invalid.get();
+  s.completed = im.completed.get();
+  s.generated_tokens = im.generated_tokens.get();
+  s.iterations = im.iterations.get();
   s.blocks_total = im.pool->total_blocks();
   s.blocks_free = im.pool->free_blocks();
-  s.prefix_hits = im.prefix_hits.load(std::memory_order_relaxed);
-  s.prefix_tokens_reused =
-      im.prefix_tokens_reused.load(std::memory_order_relaxed);
-  s.prefill_steps = im.prefill_steps.load(std::memory_order_relaxed);
-  s.cow_copies = im.cow_copies.load(std::memory_order_relaxed);
-  s.evicted_blocks = im.evicted_blocks.load(std::memory_order_relaxed);
+  s.prefix_hits = im.prefix_hits.get();
+  s.prefix_tokens_reused = im.prefix_tokens_reused.get();
+  s.prefill_steps = im.prefill_steps.get();
+  s.cow_copies = im.cow_copies.get();
+  s.evicted_blocks = im.evicted_blocks.get();
   return s;
 }
 
@@ -307,10 +265,8 @@ void GenerationService::admit_locked(std::uint64_t now_ns) {
     bool matched = false;
     const auto affordable = [&] {
       if (im.pool->free_blocks() >= reserved + need) return true;
-      im.evicted_blocks.fetch_add(
-          static_cast<std::uint64_t>(
-              im.tree->evict_until_free(reserved + need)),
-          std::memory_order_relaxed);
+      im.evicted_blocks.add(static_cast<std::uint64_t>(
+          im.tree->evict_until_free(reserved + need)));
       return im.pool->free_blocks() >= reserved + need;
     };
     if (config_.prefix_sharing && prompt_len > 1) {
@@ -344,11 +300,6 @@ void GenerationService::admit_locked(std::uint64_t now_ns) {
     slot.promise = std::move(p.promise);
     slot.id = p.id;
     slot.admit_ns = p.admit_ns;
-    slot.deadline_ns =
-        (!config_.deterministic && slot.req.timeout_us > 0)
-            ? p.admit_ns + static_cast<std::uint64_t>(slot.req.timeout_us) *
-                               1000ULL
-            : 0;
     slot.prefilled = false;
     slot.registered = false;
     slot.cached = 0;
@@ -360,10 +311,8 @@ void GenerationService::admit_locked(std::uint64_t now_ns) {
     if (match.tokens > 0) {
       slot.session->adopt_prefix(match.blocks, match.tokens);
       slot.cached = match.tokens;
-      im.prefix_hits.fetch_add(1, std::memory_order_relaxed);
-      im.prefix_tokens_reused.fetch_add(
-          static_cast<std::uint64_t>(match.tokens),
-          std::memory_order_relaxed);
+      im.prefix_hits.add();
+      im.prefix_tokens_reused.add(static_cast<std::uint64_t>(match.tokens));
     }
     ++im.active_count;
   }
@@ -378,12 +327,6 @@ void GenerationService::advance(Slot& slot, std::uint64_t now_ns) {
     slot.finished = true;
     return;
   }
-  if (slot.deadline_ns != 0 && now_ns >= slot.deadline_ns) {
-    r.truncated = true;
-    r.finish = FinishReason::kDeadline;
-    slot.finished = true;
-    return;
-  }
   const auto prompt_len = static_cast<std::int64_t>(slot.req.prompt.size());
   if (!slot.prefilled) {
     // Adopted prefix positions [0, cached) are already in the KV cache;
@@ -391,9 +334,8 @@ void GenerationService::advance(Slot& slot, std::uint64_t now_ns) {
     for (std::int64_t i = slot.cached; i + 1 < prompt_len; ++i)
       slot.session->step(slot.req.prompt[static_cast<std::size_t>(i)]);
     slot.prefilled = true;
-    impl_->prefill_steps.fetch_add(
-        static_cast<std::uint64_t>(prompt_len - 1 - slot.cached),
-        std::memory_order_relaxed);
+    impl_->prefill_steps.add(
+        static_cast<std::uint64_t>(prompt_len - 1 - slot.cached));
   }
   const GenerateRequest& req = slot.req;
   const std::int64_t fed = slot.session->position();
@@ -414,8 +356,7 @@ void GenerationService::advance(Slot& slot, std::uint64_t now_ns) {
     case nn::DecodeStatus::kLength:
       r.finish = FinishReason::kLength;
       break;
-    case nn::DecodeStatus::kContext:
-      r.truncated = true;  // context exhausted before eos/max_new
+    case nn::DecodeStatus::kContext:  // context exhausted before eos/max_new
       r.finish = FinishReason::kContext;
       break;
   }
@@ -456,23 +397,15 @@ void GenerationService::register_prefixes() {
 }
 
 void GenerationService::retire(Slot& slot, std::uint64_t now_ns) {
-  static obs::Counter& tokens_c = obs::counter("serve.generated_tokens");
-  static obs::Counter& completed_c = obs::counter("serve.completed");
   static obs::Histogram& latency_h = obs::histogram("serve.latency_ns");
   static obs::Histogram& ttft_h = obs::histogram("serve.ttft_ns");
   static obs::Histogram& queue_h = obs::histogram("serve.queue_ns");
   auto& im = *impl_;
   GenerateResult r = std::move(slot.result);
   r.total_ns = now_ns - slot.admit_ns;
-  im.completed.fetch_add(1, std::memory_order_relaxed);
-  im.generated_tokens.fetch_add(r.ids.size(), std::memory_order_relaxed);
-  im.cow_copies.fetch_add(
-      static_cast<std::uint64_t>(slot.session->cow_copies()),
-      std::memory_order_relaxed);
-  if (r.finish == FinishReason::kDeadline)
-    im.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-  completed_c.add();
-  tokens_c.add(r.ids.size());
+  im.completed.add();
+  im.generated_tokens.add(r.ids.size());
+  im.cow_copies.add(static_cast<std::uint64_t>(slot.session->cow_copies()));
   latency_h.record(r.total_ns);
   if (r.ttft_ns != 0) ttft_h.record(r.ttft_ns);
   queue_h.record(r.queue_ns);
@@ -491,97 +424,35 @@ void GenerationService::scheduler_loop() {
   static obs::Gauge& active_max = obs::gauge("serve.active_slots.max");
   static obs::Gauge& blocks_total_g = obs::gauge("serve.kv_blocks_total");
   static obs::Gauge& blocks_free_g = obs::gauge("serve.kv_blocks_free");
-  static obs::Counter& iterations_c = obs::counter("serve.iterations");
-  static obs::Counter& prefix_hits_c = obs::counter("serve.prefix_hits");
-  static obs::Counter& prefix_reused_c =
-      obs::counter("serve.prefix_tokens_reused");
-  static obs::Counter& prefill_steps_c = obs::counter("serve.prefill_steps");
-  static obs::Counter& cow_c = obs::counter("serve.cow_copies");
-  static obs::Counter& evicted_c = obs::counter("serve.evicted_blocks");
   auto& im = *impl_;
   blocks_total_g.set(im.pool->total_blocks());
-  // Deltas for mirroring the atomic lifetime totals into obs counters.
-  std::uint64_t seen_hits = 0, seen_reused = 0, seen_prefill = 0,
-                seen_cow = 0, seen_evicted = 0;
-  const auto drain_counters = [&] {
-    const auto mirror = [](std::atomic<std::uint64_t>& total,
-                           std::uint64_t& seen, obs::Counter& c) {
-      const std::uint64_t now = total.load(std::memory_order_relaxed);
-      if (now > seen) {
-        c.add(now - seen);
-        seen = now;
-      }
-    };
-    mirror(im.prefix_hits, seen_hits, prefix_hits_c);
-    mirror(im.prefix_tokens_reused, seen_reused, prefix_reused_c);
-    mirror(im.prefill_steps, seen_prefill, prefill_steps_c);
-    mirror(im.cow_copies, seen_cow, cow_c);
-    mirror(im.evicted_blocks, seen_evicted, evicted_c);
-  };
   // One "serve" span per contiguous busy period (armed only while
   // observability is on), closed whenever the service goes idle.
   std::optional<obs::Span> busy;
   for (;;) {
-    bool do_abort = false;
-    std::vector<Pending> failed;
     {
       std::unique_lock<std::mutex> lock(im.mutex);
       im.work_cv.wait(lock, [&] {
-        return im.abort || im.draining || im.active_count > 0 ||
-               im.queue_size > 0;
+        return im.draining || im.active_count > 0 || im.queue_size > 0;
       });
-      do_abort = im.abort;
-      if (do_abort) {
-        for (auto& lane : im.queue)
-          for (Pending& p : lane.second) failed.push_back(std::move(p));
-        im.queue.clear();
-        im.queue_size = 0;
-      } else {
-        admit_locked(obs::monotonic_now_ns());
-        im.space_cv.notify_all();
-        queue_depth.set(im.queue_size);
-        queue_depth_max.record_max(im.queue_size);
-        active_gauge.set(im.active_count);
-        active_max.record_max(im.active_count);
-        blocks_free_g.set(im.pool->free_blocks());
-        drain_counters();
-        if (im.active_count == 0) {
-          // All slots free ⇒ admit drained the whole queue.
-          busy.reset();
-          if (im.draining) return;
-          continue;
-        }
+      admit_locked(obs::monotonic_now_ns());
+      im.space_cv.notify_all();
+      queue_depth.set(im.queue_size);
+      queue_depth_max.record_max(im.queue_size);
+      active_gauge.set(im.active_count);
+      active_max.record_max(im.active_count);
+      blocks_free_g.set(im.pool->free_blocks());
+      if (im.active_count == 0) {
+        // All slots free ⇒ admit drained the whole queue.
+        busy.reset();
+        if (im.draining) return;
+        continue;
       }
-    }
-    if (do_abort) {
-      const std::uint64_t now = obs::monotonic_now_ns();
-      for (Pending& p : failed) {
-        GenerateResult r;
-        r.truncated = true;
-        r.finish = FinishReason::kShutdown;
-        r.queue_ns = now - p.admit_ns;
-        r.total_ns = r.queue_ns;
-        p.promise.set_value(std::move(r));
-      }
-      int aborted = 0;
-      for (Slot& slot : im.slots) {
-        if (!slot.active) continue;
-        slot.result.truncated = true;
-        slot.result.finish = FinishReason::kShutdown;
-        retire(slot, now);
-        ++aborted;
-      }
-      if (aborted > 0) {
-        std::lock_guard<std::mutex> lock(im.mutex);
-        im.active_count -= aborted;
-      }
-      return;
     }
 
     if (!busy && obs::enabled())
       busy.emplace("serve", obs::histogram("serve.busy_ns"));
-    iterations_c.add();
-    im.iterations.fetch_add(1, std::memory_order_relaxed);
+    im.iterations.add();
     const std::uint64_t iter_ns = obs::monotonic_now_ns();
     auto& slots = im.slots;
     util::parallel_for(

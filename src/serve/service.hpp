@@ -7,10 +7,9 @@
 // lanes); every scheduler iteration admits queued requests into free slots
 // — gated on free KV blocks, not just slot count — and advances each
 // active slot by one generated token, fanning the per-slot steps across
-// util::ThreadPool. Finished, expired, or aborted requests retire at the
-// end of the iteration, release their blocks, and their slot is
-// re-admitted immediately — new work never waits for the whole batch to
-// drain.
+// util::ThreadPool. Finished requests retire at the end of the iteration,
+// release their blocks, and their slot is re-admitted immediately — new
+// work never waits for the whole batch to drain.
 //
 // Prefix sharing (see docs/SERVING.md): completed prompt prefills are
 // anchored in the prefix tree; admission walks the tree and adopts
@@ -26,15 +25,13 @@
 // blocks hold bit-exactly the rows the request's own prefill would have
 // produced, and attention walks positions in the same order at any block
 // size — so token ids are bitwise-identical regardless of arrival order,
-// slot count, thread count, KV block size, or cache hits. In
-// deterministic mode deadlines are ignored (wall-clock expiry is the one
-// scheduling input that could leak into results); wall-clock latency
-// fields are always report-only.
+// slot count, thread count, KV block size, or cache hits. No wall-clock
+// input reaches the scheduler's decisions about a request's tokens; the
+// latency fields are report-only.
 #pragma once
 
 #include <cstdint>
 #include <future>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,8 +46,6 @@ enum class FinishReason {
   kEos,       // sampled the eos token
   kLength,    // emitted max_new_tokens
   kContext,   // hit the model's max_seq context limit (truncated)
-  kDeadline,  // wall-clock deadline expired mid-decode (truncated)
-  kShutdown,  // service aborted before the request completed (truncated)
   kInvalid,   // rejected by validate() without ever reaching a slot
 };
 
@@ -67,16 +62,12 @@ struct GenerateRequest {
   /// Per-request RNG seed; the decode stream is nn::request_rng(service
   /// seed, this seed) — independent of every other request.
   std::uint64_t seed = 0;
-  /// Wall-clock budget from admission, microseconds; 0 = none. Ignored in
-  /// deterministic mode.
-  std::int64_t timeout_us = 0;
   /// Higher-priority requests are admitted first; ties are FIFO.
   int priority = 0;
 };
 
 struct GenerateResult {
-  std::vector<int> ids;    // generated tokens (eos never included)
-  bool truncated = false;  // context, deadline, or shutdown cut it short
+  std::vector<int> ids;  // generated tokens (eos never included)
   FinishReason finish = FinishReason::kEos;
   // Wall-clock latency breakdown, report-only (never fed back into token
   // selection): admission→slot, admission→first decode step (recorded on
@@ -87,12 +78,6 @@ struct GenerateResult {
   std::uint64_t total_ns = 0;
 };
 
-enum class SubmitError {
-  kQueueFull,  // bounded admission queue at capacity
-  kShutdown,   // service no longer accepts requests
-  kInvalid,    // request failed validation (see validate())
-};
-
 /// A ticket for an admitted request.
 struct Submission {
   std::uint64_t id = 0;
@@ -101,10 +86,7 @@ struct Submission {
 
 struct ServiceConfig {
   int slots = 8;            // concurrent decode sessions (>= 1)
-  int queue_capacity = 64;  // admission queue bound, excluding active slots
-  /// Reproducible mode: wall-clock deadlines are ignored so results are a
-  /// pure function of (seed, request set). Latency stats stay wall-clock.
-  bool deterministic = false;
+  int queue_capacity = 64;  // queued requests (>= 1), excluding active slots
   std::uint64_t seed = 0;  // mixed into every per-request RNG
   /// Tokens per KV block. Smaller blocks share prefixes at finer grain
   /// and waste less tail space; larger blocks cut per-block bookkeeping.
@@ -125,12 +107,9 @@ struct ServiceConfig {
 /// Lifetime totals (monotone; read with stats()).
 struct ServiceStats {
   std::uint64_t accepted = 0;
-  std::uint64_t rejected_full = 0;
-  std::uint64_t rejected_shutdown = 0;
   std::uint64_t rejected_invalid = 0;
   std::uint64_t completed = 0;
   std::uint64_t generated_tokens = 0;
-  std::uint64_t deadline_expired = 0;
   std::uint64_t iterations = 0;  // scheduler iterations that advanced work
   // Paged-KV / prefix-sharing telemetry.
   std::int64_t blocks_total = 0;  // pool size (constant)
@@ -147,7 +126,7 @@ class GenerationService {
   /// Binds to `model`, which must outlive the service and must not be
   /// mutated while the service is running.
   GenerationService(const nn::TinyGpt& model, ServiceConfig config);
-  /// Drains outstanding work (shutdown(true)) before returning.
+  /// Drains outstanding work (shutdown()) before returning.
   ~GenerationService();
 
   GenerationService(const GenerationService&) = delete;
@@ -156,12 +135,7 @@ class GenerationService {
   /// Empty when the request is valid for this service's model.
   [[nodiscard]] std::string validate(const GenerateRequest& req) const;
 
-  /// Non-blocking admission. On rejection returns nullopt and sets *why
-  /// (when given) to the reason.
-  std::optional<Submission> try_submit(GenerateRequest req,
-                                       SubmitError* why = nullptr);
-
-  /// Blocking admission: waits for queue space. An invalid request never
+  /// Admission: waits for queue space (backpressure). An invalid request never
   /// reaches the scheduler — its future resolves immediately with
   /// FinishReason::kInvalid. Throws ContractViolation only when called
   /// after shutdown.
@@ -172,11 +146,9 @@ class GenerationService {
   std::vector<GenerateResult> generate_all(
       const std::vector<GenerateRequest>& requests);
 
-  /// Stop accepting requests. drain=true completes all admitted work
-  /// first; drain=false retires active slots with FinishReason::kShutdown
-  /// (keeping any tokens generated so far) and fails queued requests the
-  /// same way. Idempotent; safe to call from multiple threads.
-  void shutdown(bool drain = true);
+  /// Stop accepting requests and complete all admitted work first.
+  /// Idempotent; safe to call from multiple threads.
+  void shutdown();
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
@@ -191,8 +163,8 @@ class GenerationService {
   /// need fits the unreserved pool; caller holds mutex_.
   void admit_locked(std::uint64_t now_ns);
   /// One nn::decode_step (after the prompt prefill, on first call) for an
-  /// active slot, plus the serving-only parts: deadlines, prefill
-  /// accounting, and TTFT.
+  /// active slot, plus the serving-only parts: prefill accounting and
+  /// TTFT.
   void advance(Slot& slot, std::uint64_t now_ns);
   /// Anchor freshly prefilled prompts in the prefix tree (scheduler
   /// thread, between iterations).

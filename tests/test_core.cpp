@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/pipeline.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -116,8 +119,12 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
   // model-shape and batch fields failed only after construction or
   // pre-training; a temperature of 0 made the direct sampler throw from
   // TinyGpt::generate while serve mode scored every response unalignable.
+  // d_ff == 0 ran to the end with the DPO loss stuck at ln 2, and a NaN
+  // learning rate or beta surfaced mid-run as a sampling-weight CHECK.
   // micro_config() generates no scenarios, so any holdout above 0 is out
   // of range.
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
   using Setter = void (*)(PipelineConfig&, int);
   struct Case {
     const char* field;
@@ -179,7 +186,26 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
              -1},
         Case{"eval_max_new_tokens",
              [](PipelineConfig& p, int v) { p.eval_max_new_tokens = v; },
-             -1}}) {
+             -1},
+        Case{"d_ff", [](PipelineConfig& p, int v) { p.d_ff = v; }, 0},
+        Case{"pretrain.lr",
+             [](PipelineConfig& p, int v) {
+               p.pretrain.lr = static_cast<float>(v);
+             },
+             0},
+        Case{"pretrain.lr",
+             [](PipelineConfig& p, int) { p.pretrain.lr = kNaN; }, 0},
+        Case{"dpo.lr",
+             [](PipelineConfig& p, int v) { p.dpo.lr = static_cast<float>(v); },
+             -1},
+        Case{"dpo.lr", [](PipelineConfig& p, int) { p.dpo.lr = kInf; }, 0},
+        Case{"dpo.beta",
+             [](PipelineConfig& p, int v) {
+               p.dpo.beta = static_cast<float>(v);
+             },
+             0},
+        Case{"dpo.beta", [](PipelineConfig& p, int) { p.dpo.beta = kNaN; },
+             0}}) {
     auto cfg = micro_config();
     c.set(cfg, c.value);
     try {

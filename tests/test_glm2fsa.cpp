@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "driving/tasks.hpp"
 #include "glm2fsa/aligner.hpp"
 #include "glm2fsa/builder.hpp"
 #include "glm2fsa/semantic_parser.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace dpoaf::glm2fsa {
 namespace {
@@ -249,6 +257,77 @@ TEST_F(Glm2FsaTest, GuardCollectsAllLiterals) {
   EXPECT_EQ(t[0].guard.must_true, Vocabulary::bit(green_));
   EXPECT_EQ(t[0].guard.must_false,
             Vocabulary::bit(car_left_) | Vocabulary::bit(ped_right_));
+}
+
+// -------------------------------------------------------------- fuzzing ---
+
+// Mutated responses must either align and build a controller or come back
+// unaligned with at least one ParseIssue — never crash or throw. Inputs are
+// every catalog variant of the paper tasks plus the paper's own responses,
+// truncated at every line boundary, with each line dropped, duplicated or
+// swapped with its successor, and under fixed-seed byte flips, inserts and
+// deletes.
+TEST_F(Glm2FsaTest, FuzzMutatedResponsesAlignOrReportIssues) {
+  std::vector<std::string> inputs = {
+      driving::paper_right_turn_before(), driving::paper_right_turn_after(),
+      driving::paper_left_turn_before(), driving::paper_left_turn_after()};
+  for (const driving::Task& task : driving::task_catalog())
+    for (const driving::ResponseVariant& v : task.variants)
+      inputs.push_back(v.text);
+
+  int aligned = 0, unaligned = 0;
+  const auto check = [&](const std::string& text) {
+    const Glm2FsaResult r = glm2fsa(text, aligner_, opts());
+    if (r.parsed.ok()) {
+      EXPECT_GE(r.controller.state_count(), 1u) << text;
+      ++aligned;
+    } else {
+      EXPECT_FALSE(r.parsed.issues.empty()) << text;
+      ++unaligned;
+    }
+  };
+  Rng rng(4242);
+  for (const std::string& input : inputs) {
+    const std::vector<std::string> lines = split(input, '\n');
+    for (std::size_t k = 0; k <= lines.size(); ++k)
+      check(join({lines.begin(), lines.begin() + k}, "\n"));
+    for (std::size_t k = 0; k < lines.size(); ++k) {
+      std::vector<std::string> dropped = lines;
+      dropped.erase(dropped.begin() + k);
+      check(join(dropped, "\n"));
+      std::vector<std::string> duplicated = lines;
+      duplicated.insert(duplicated.begin() + k, lines[k]);
+      check(join(duplicated, "\n"));
+      if (k + 1 < lines.size()) {
+        std::vector<std::string> swapped = lines;
+        std::swap(swapped[k], swapped[k + 1]);
+        check(join(swapped, "\n"));
+      }
+    }
+    // 1-4 random edits per mutant: flip a bit, insert any byte, or delete.
+    for (int trial = 0; trial < 40; ++trial) {
+      std::string text = input;
+      for (std::uint64_t e = 0, n = 1 + rng.below(4); e < n; ++e) {
+        const auto byte = static_cast<char>(rng.below(256));
+        if (text.empty()) {
+          text.push_back(byte);
+          continue;
+        }
+        const std::size_t at = rng.below(text.size());
+        switch (rng.below(3)) {
+          case 0:
+            text[at] = static_cast<char>(text[at] ^ (1 << rng.below(8)));
+            break;
+          case 1: text.insert(at, 1, byte); break;
+          default: text.erase(at, 1); break;
+        }
+      }
+      check(text);
+    }
+  }
+  // Sanity: the mutants land on both sides of the contract.
+  EXPECT_GT(aligned, 100);
+  EXPECT_GT(unaligned, 100);
 }
 
 }  // namespace

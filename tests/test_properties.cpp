@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -610,6 +611,49 @@ TEST(CrashResumeProperty, ResumeRejectsNonPermutationOrder) {
       EXPECT_THROW((void)run_micro_checkpointed(1, false, 2, path),
                    nn::LoopStateError)
           << ckpt::stage_name(stage);
+    }
+  }
+  util::set_global_threads(1);
+}
+
+TEST(CrashResumeProperty, ResumeRejectsMalformedPreferencePairs) {
+  // A CRC-clean dpo snapshot whose stored pair the trainer cannot score
+  // must fail the resume with a CheckpointError naming the pair, not a
+  // model CHECK deep inside DPO.
+  const auto baseline =
+      run_micro_checkpointed(1, /*observability=*/false, /*pretrain_epochs=*/1);
+  const ckpt::TrainingCheckpoint& good =
+      find_snapshot(baseline.snapshots, ckpt::Stage::kDpo, /*epochs=*/1);
+  ASSERT_GE(good.pairs.size(), 2u);
+  const std::int64_t max_seq = good.model_config.max_seq;
+  const std::vector<std::function<void(dpo::PreferencePair&)>> crafts = {
+      [&](dpo::PreferencePair& p) {
+        p.chosen.back() = good.model_config.vocab_size;
+      },
+      [](dpo::PreferencePair& p) { p.rejected.front() = -1; },
+      [&](dpo::PreferencePair& p) {
+        p.rejected.resize(static_cast<std::size_t>(max_seq) + 1, 2);
+      },
+      [](dpo::PreferencePair& p) { p.prompt_len = 0; },
+      [](dpo::PreferencePair& p) {
+        p.prompt_len = static_cast<std::int64_t>(p.chosen.size());
+      },
+  };
+  for (int threads : {1, 4}) {
+    for (std::size_t c = 0; c < crafts.size(); ++c) {
+      ckpt::TrainingCheckpoint snap = good;
+      crafts[c](snap.pairs[1]);
+      const std::string path = save_snapshot(
+          snap, "resume_bad_pair_" + std::to_string(c) + ".dpoaf");
+      try {
+        (void)run_micro_checkpointed(threads, false, 1, path);
+        ADD_FAILURE() << "craft " << c << " resumed at " << threads
+                      << " threads";
+      } catch (const ckpt::CheckpointError& e) {
+        EXPECT_NE(std::string(e.what()).find("preference pair 1 "),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
   util::set_global_threads(1);

@@ -1,8 +1,9 @@
 // Continuous-batching generation service (src/serve): served decoding must
 // reproduce TinyGpt::generate bitwise per request, stay invariant to
-// arrival order / slot count / thread count in deterministic mode, and keep
-// its robustness contract (queue-full rejection, deadline expiry, drain and
-// abort shutdown).
+// arrival order / slot count / thread count / KV block size, and keep its
+// robustness contract (invalid requests resolve without reaching the
+// scheduler, blocking backpressure, draining shutdown, context
+// truncation).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,11 +58,10 @@ std::vector<serve::GenerateRequest> request_set(int n,
 
 struct Outcome {
   std::vector<int> ids;
-  bool truncated = false;
   serve::FinishReason finish = serve::FinishReason::kEos;
 
   bool operator==(const Outcome& o) const {
-    return ids == o.ids && truncated == o.truncated && finish == o.finish;
+    return ids == o.ids && finish == o.finish;
   }
 };
 
@@ -78,7 +78,7 @@ std::vector<Outcome> run_served(const nn::TinyGpt& model,
   std::vector<Outcome> out(reqs.size());
   for (std::size_t u = 0; u < reqs.size(); ++u) {
     serve::GenerateResult r = futures[u].get();
-    out[u] = Outcome{std::move(r.ids), r.truncated, r.finish};
+    out[u] = Outcome{std::move(r.ids), r.finish};
   }
   return out;
 }
@@ -89,7 +89,6 @@ TEST(Serve, MatchesGenerateBitwisePerRequest) {
   const auto reqs = request_set(16);
   serve::ServiceConfig cfg;
   cfg.slots = 4;
-  cfg.deterministic = true;
   cfg.seed = 99;
   serve::GenerationService service(model, cfg);
   const auto results = service.generate_all(reqs);
@@ -101,7 +100,9 @@ TEST(Serve, MatchesGenerateBitwisePerRequest) {
         model.generate(req.prompt, req.max_new_tokens, req.temperature,
                        req.top_k, req.eos_id, rng);
     EXPECT_EQ(results[u].ids, direct.ids) << "request " << u;
-    EXPECT_EQ(results[u].truncated, direct.truncated) << "request " << u;
+    EXPECT_EQ(results[u].finish == serve::FinishReason::kContext,
+              direct.truncated)
+        << "request " << u;
   }
   const auto stats = service.stats();
   std::size_t total_tokens = 0;
@@ -116,7 +117,6 @@ TEST(Serve, GreedyMatchesGenerateGreedy) {
   util::set_global_threads(2);
   const nn::TinyGpt model = small_model(5);
   serve::ServiceConfig cfg;
-  cfg.deterministic = true;
   serve::GenerationService service(model, cfg);
   auto reqs = request_set(8, 23);
   for (auto& req : reqs) req.greedy = true;
@@ -125,7 +125,9 @@ TEST(Serve, GreedyMatchesGenerateGreedy) {
     const auto direct = model.generate_greedy(
         reqs[u].prompt, reqs[u].max_new_tokens, reqs[u].eos_id);
     EXPECT_EQ(results[u].ids, direct.ids) << "request " << u;
-    EXPECT_EQ(results[u].truncated, direct.truncated) << "request " << u;
+    EXPECT_EQ(results[u].finish == serve::FinishReason::kContext,
+              direct.truncated)
+        << "request " << u;
   }
   util::set_global_threads(1);
 }
@@ -143,7 +145,6 @@ TEST(Serve, DeterministicAcrossArrivalOrderSlotsAndThreads) {
   std::vector<std::size_t> reversed(fifo.rbegin(), fifo.rend());
 
   serve::ServiceConfig base;
-  base.deterministic = true;
   base.seed = 4;
 
   util::set_global_threads(1);
@@ -175,40 +176,6 @@ TEST(Serve, DeterministicAcrossArrivalOrderSlotsAndThreads) {
   util::set_global_threads(1);
 }
 
-TEST(Serve, RejectsInvalidFullAndShutdown) {
-  const nn::TinyGpt model = small_model();
-  serve::ServiceConfig cfg;
-  cfg.queue_capacity = 0;  // nothing can ever be admitted
-  serve::GenerationService service(model, cfg);
-
-  serve::GenerateRequest ok;
-  ok.prompt = {2, 3};
-  serve::SubmitError why{};
-  EXPECT_FALSE(service.try_submit(ok, &why).has_value());
-  EXPECT_EQ(why, serve::SubmitError::kQueueFull);
-
-  serve::GenerateRequest bad = ok;
-  bad.prompt.clear();
-  EXPECT_FALSE(service.try_submit(bad, &why).has_value());
-  EXPECT_EQ(why, serve::SubmitError::kInvalid);
-  bad = ok;
-  bad.prompt = {-1};
-  EXPECT_NE(service.validate(bad), "");
-  bad = ok;
-  bad.temperature = 0.0f;
-  EXPECT_NE(service.validate(bad), "");
-  bad = ok;
-  bad.prompt.assign(static_cast<std::size_t>(model.config().max_seq) + 1, 2);
-  EXPECT_NE(service.validate(bad), "");
-
-  service.shutdown();
-  EXPECT_FALSE(service.try_submit(ok, &why).has_value());
-  EXPECT_EQ(why, serve::SubmitError::kShutdown);
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.rejected_full, 1u);
-  EXPECT_EQ(stats.rejected_shutdown, 1u);
-}
-
 TEST(Serve, BlockingSubmitBackpressureCompletesEverything) {
   util::set_global_threads(2);
   const nn::TinyGpt model = small_model();
@@ -225,44 +192,15 @@ TEST(Serve, BlockingSubmitBackpressureCompletesEverything) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.accepted, reqs.size());
   EXPECT_EQ(stats.completed, reqs.size());
-  EXPECT_EQ(stats.rejected_full, 0u);
+  // Admission always blocks for space, so a queue must hold one request.
+  cfg.queue_capacity = 0;
+  EXPECT_THROW((serve::GenerationService{model, cfg}), ContractViolation);
   util::set_global_threads(1);
-}
-
-TEST(Serve, DeadlineExpiryTruncatesWithFlag) {
-  const nn::TinyGpt model = small_model();
-  serve::GenerateRequest req;
-  req.prompt = {2};
-  req.max_new_tokens = 40;  // ≥ 40 decode steps ≫ 1 µs of work
-  req.eos_id = -1;          // never stops early
-  req.timeout_us = 1;
-
-  serve::ServiceConfig wall;
-  wall.deterministic = false;
-  {
-    serve::GenerationService service(model, wall);
-    const auto r = service.submit(req).result.get();
-    EXPECT_EQ(r.finish, serve::FinishReason::kDeadline);
-    EXPECT_TRUE(r.truncated);
-    EXPECT_EQ(service.stats().deadline_expired, 1u);
-  }
-
-  // Deterministic mode ignores wall-clock deadlines entirely.
-  serve::ServiceConfig det;
-  det.deterministic = true;
-  {
-    serve::GenerationService service(model, det);
-    const auto r = service.submit(req).result.get();
-    EXPECT_EQ(r.finish, serve::FinishReason::kLength);
-    EXPECT_FALSE(r.truncated);
-    EXPECT_EQ(static_cast<int>(r.ids.size()), req.max_new_tokens);
-  }
 }
 
 TEST(Serve, ContextExhaustionReportsTruncation) {
   const nn::TinyGpt model = small_model(11);
   serve::ServiceConfig cfg;
-  cfg.deterministic = true;
   serve::GenerationService service(model, cfg);
   const auto max_seq = static_cast<std::size_t>(model.config().max_seq);
 
@@ -273,7 +211,6 @@ TEST(Serve, ContextExhaustionReportsTruncation) {
   full.eos_id = -1;
   const auto r1 = service.submit(full).result.get();
   EXPECT_TRUE(r1.ids.empty());
-  EXPECT_TRUE(r1.truncated);
   EXPECT_EQ(r1.finish, serve::FinishReason::kContext);
 
   // Budget larger than the remaining context: truncated mid-decode.
@@ -283,7 +220,6 @@ TEST(Serve, ContextExhaustionReportsTruncation) {
   over.eos_id = -1;
   const auto r2 = service.submit(over).result.get();
   EXPECT_EQ(r2.ids.size(), max_seq - 1);
-  EXPECT_TRUE(r2.truncated);
   EXPECT_EQ(r2.finish, serve::FinishReason::kContext);
 }
 
@@ -296,67 +232,43 @@ TEST(Serve, GracefulDrainCompletesAllAdmittedWork) {
   const auto reqs = request_set(10, 83);
   std::vector<std::future<serve::GenerateResult>> futures;
   for (const auto& req : reqs) futures.push_back(service.submit(req).result);
-  service.shutdown(true);
-  for (auto& f : futures) {
-    const auto r = f.get();
-    EXPECT_NE(r.finish, serve::FinishReason::kShutdown);
-  }
+  service.shutdown();
+  for (auto& f : futures)
+    EXPECT_NE(f.get().finish, serve::FinishReason::kInvalid);
   EXPECT_EQ(service.stats().completed, reqs.size());
+  // A shut-down service admits nothing more.
+  EXPECT_THROW(service.submit(reqs[0]), ContractViolation);
   util::set_global_threads(1);
 }
 
-TEST(Serve, AbortShutdownFailsOutstandingWorkFast) {
-  util::set_global_threads(2);
-  const nn::TinyGpt model = small_model();
-  serve::ServiceConfig cfg;
-  cfg.slots = 1;
-  cfg.queue_capacity = 64;
-  serve::GenerationService service(model, cfg);
-  auto reqs = request_set(32, 97);
-  for (auto& req : reqs) {
-    req.max_new_tokens = 40;
-    req.eos_id = -1;
-  }
-  std::vector<std::future<serve::GenerateResult>> futures;
-  for (const auto& req : reqs)
-    futures.push_back(service.submit(req).result);
-  service.shutdown(false);
-  for (auto& f : futures) {
-    const auto r = f.get();  // every promise must be fulfilled
-    if (r.finish == serve::FinishReason::kShutdown) {
-      EXPECT_TRUE(r.truncated);
-    }
-  }
-  serve::SubmitError why{};
-  EXPECT_FALSE(service.try_submit(reqs[0], &why).has_value());
-  EXPECT_EQ(why, serve::SubmitError::kShutdown);
-  util::set_global_threads(1);
-}
-
-// An empty prompt must never reach the scheduler: try_submit reports
-// kInvalid, blocking submit resolves the future immediately with
-// FinishReason::kInvalid instead of throwing (or crashing a decode slot).
+// An invalid request must never reach the scheduler: submit resolves the
+// future immediately with FinishReason::kInvalid instead of throwing (or
+// crashing a decode slot).
 TEST(Serve, EmptyPromptResolvesInvalidWithoutReachingScheduler) {
   const nn::TinyGpt model = small_model();
   serve::ServiceConfig cfg;
-  cfg.deterministic = true;
   serve::GenerationService service(model, cfg);
-  serve::GenerateRequest bad;
-  bad.prompt = {};
-  serve::SubmitError why{};
-  EXPECT_FALSE(service.try_submit(bad, &why).has_value());
-  EXPECT_EQ(why, serve::SubmitError::kInvalid);
-  auto sub = service.submit(bad);
-  const auto r = sub.result.get();
-  EXPECT_EQ(r.finish, serve::FinishReason::kInvalid);
-  EXPECT_TRUE(r.ids.empty());
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.rejected_invalid, 2u);
-  EXPECT_EQ(stats.accepted, 0u);
-  // The service still works for valid traffic afterwards.
   serve::GenerateRequest ok;
   ok.prompt = {2, 3};
   ok.max_new_tokens = 2;
+  std::vector<serve::GenerateRequest> bad(4, ok);
+  bad[0].prompt.clear();
+  bad[1].prompt = {-1};
+  bad[2].temperature = 0.0f;
+  bad[3].prompt.assign(static_cast<std::size_t>(model.config().max_seq) + 1,
+                       2);
+  for (const auto& req : bad) {
+    EXPECT_NE(service.validate(req), "");
+    const auto r = service.submit(req).result.get();
+    EXPECT_EQ(r.finish, serve::FinishReason::kInvalid);
+    EXPECT_TRUE(r.ids.empty());
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.rejected_invalid, bad.size());
+  EXPECT_EQ(stats.accepted, 0u);
+  EXPECT_EQ(stats.iterations, 0u);
+  // The service still works for valid traffic afterwards.
+  EXPECT_EQ(service.validate(ok), "");
   EXPECT_EQ(service.submit(ok).result.get().finish,
             serve::FinishReason::kLength);
 }
@@ -367,7 +279,6 @@ TEST(Serve, EmptyPromptResolvesInvalidWithoutReachingScheduler) {
 TEST(Serve, TtftRecordedWhenFirstTokenIsEos) {
   const nn::TinyGpt model = small_model();
   serve::ServiceConfig cfg;
-  cfg.deterministic = true;
   serve::GenerationService service(model, cfg);
   serve::GenerateRequest req;
   req.prompt = {2, 3, 5};
@@ -399,7 +310,6 @@ TEST(Serve, BlockExhaustionThrottlesAdmissionWithoutStranding) {
   const auto reqs = request_set(24, 41);
   serve::ServiceConfig big;
   big.slots = 4;
-  big.deterministic = true;
   big.seed = 7;
   std::vector<std::size_t> order(reqs.size());
   std::iota(order.begin(), order.end(), 0);
@@ -428,7 +338,6 @@ TEST(Serve, DeterministicAcrossKvBlockSizes) {
   std::iota(order.begin(), order.end(), 0);
   serve::ServiceConfig cfg;
   cfg.slots = 4;
-  cfg.deterministic = true;
   cfg.seed = 13;
   cfg.kv_block_tokens = 1;
   const auto want = run_served(model, cfg, reqs, order);
@@ -464,7 +373,6 @@ TEST(Serve, PrefixSharingReusesPreambleAndMatchesPrivatePrefill) {
 
   serve::ServiceConfig cfg;
   cfg.slots = 2;
-  cfg.deterministic = true;
   cfg.seed = 3;
   cfg.kv_block_tokens = 4;
 
@@ -478,7 +386,7 @@ TEST(Serve, PrefixSharingReusesPreambleAndMatchesPrivatePrefill) {
       fs.push_back(service.submit(reqs[u]).result);
     for (auto& f : fs) {
       auto r = f.get();
-      want.push_back(Outcome{std::move(r.ids), r.truncated, r.finish});
+      want.push_back(Outcome{std::move(r.ids), r.finish});
     }
     const auto s = service.stats();
     private_prefill = s.prefill_steps;
@@ -492,7 +400,7 @@ TEST(Serve, PrefixSharingReusesPreambleAndMatchesPrivatePrefill) {
   std::vector<Outcome> got;
   for (auto& f : fs) {
     auto r = f.get();
-    got.push_back(Outcome{std::move(r.ids), r.truncated, r.finish});
+    got.push_back(Outcome{std::move(r.ids), r.finish});
   }
   EXPECT_EQ(got, want);  // byte-identical shared vs independent
   const auto s = service.stats();
