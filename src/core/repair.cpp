@@ -20,32 +20,10 @@ using logic::Symbol;
 using logic::Vocabulary;
 
 // □ψ with propositional ψ (no temporal operators inside)?
-bool is_propositional(const Ltl& f) {
-  switch (f->op) {
-    case LtlOp::True:
-    case LtlOp::False:
-    case LtlOp::Prop:
-      return true;
-    case LtlOp::Not:
-    case LtlOp::And:
-    case LtlOp::Or:
-    case LtlOp::Implies:
-      return (!f->lhs || is_propositional(f->lhs)) &&
-             (!f->rhs || is_propositional(f->rhs));
-    default:
-      return false;
-  }
-}
-
 std::optional<Ltl> safety_body(const Ltl& spec) {
-  if (spec->op == LtlOp::Always && is_propositional(spec->lhs))
+  if (spec->op == LtlOp::Always && logic::is_propositional(spec->lhs))
     return spec->lhs;
   return std::nullopt;
-}
-
-// Evaluate a propositional formula on one symbol.
-bool holds_on(const Ltl& body, Symbol label) {
-  return logic::evaluate_ltlf(body, logic::Trace{label});
 }
 
 // One repair step: find a lasso state whose label falsifies `body`,
@@ -62,7 +40,7 @@ bool apply_patch(const driving::DrivingDomain& domain,
 
   auto try_state = [&](int kripke_state) -> bool {
     const Symbol label = product.labels[static_cast<std::size_t>(kripke_state)];
-    if (holds_on(body, label)) return false;
+    if (logic::holds_on(body, label)) return false;
     const auto origin = product.origin[static_cast<std::size_t>(kripke_state)];
     if (origin.action == 0) return false;  // waiting step: nothing to guard
 
@@ -72,7 +50,7 @@ bool apply_patch(const driving::DrivingDomain& domain,
     // Candidate env literal: flipping it in the label restores ψ.
     for (int bit : domain.vocab().prop_indices()) {
       const Symbol mask = Vocabulary::bit(bit);
-      if (!holds_on(body, label ^ mask)) continue;
+      if (!logic::holds_on(body, label ^ mask)) continue;
       const bool currently_true = (label & mask) != 0;
 
       // Strengthen the matching transition(s).

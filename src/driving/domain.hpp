@@ -59,7 +59,7 @@ struct FeedbackResult {
 struct Scenario {
   std::string key;                    // "traffic_light", "gen007_…", …
   TransitionSystem model;
-  std::vector<logic::Ltl> fairness;   // environment-liveness assumptions
+  std::vector<logic::Ltl> fairness;   // justice conditions (propositional)
   std::vector<NamedSpec> specs;       // this scenario's rulebook
   double perception_noise = 0.05;     // sim observation flip probability
   bool generated = false;             // procedurally generated entry

@@ -55,7 +55,7 @@ struct GeneratedScenario {
   std::string key;  // "gen007_signalized_full_head_nominal"
   ScenarioFeatures features;
   TransitionSystem model;
-  std::vector<logic::Ltl> fairness;
+  std::vector<logic::Ltl> fairness;  // justice conditions (propositional)
   std::vector<NamedSpec> specs;  // post-pre-pass rulebook
   TaskBlueprint task;            // one control task per scenario
   bool holdout = false;

@@ -237,16 +237,16 @@ std::vector<Ltl> derive_fairness(const ScenarioFeatures& f,
   const std::vector<std::string> lamps = signal_props(f.signal);
   if (lamps.empty()) {
     // No signal: the junction simply clears infinitely often.
-    out.push_back(always(eventually(clear)));
+    out.push_back(clear);
     return out;
   }
   // Every lamp opens a clear window infinitely often, and no lamp is
   // stuck on forever — the generalization of the paper's per-scenario
   // FAIRNESS constraints (green window recurs, the head keeps cycling).
   for (const std::string& lamp : lamps)
-    out.push_back(always(eventually(land(prop(idx(v, lamp)), clear))));
+    out.push_back(land(prop(idx(v, lamp)), clear));
   for (const std::string& lamp : lamps)
-    out.push_back(always(eventually(lnot(prop(idx(v, lamp))))));
+    out.push_back(lnot(prop(idx(v, lamp))));
   return out;
 }
 

@@ -89,7 +89,7 @@ std::vector<std::string> signal_props(SignalRegime s);
 TransitionSystem build_model(const ScenarioFeatures& f, const Vocabulary& v,
                              bool conservative = false);
 
-/// Environment-liveness assumptions mirroring `fairness_assumptions()`:
+/// Justice conditions mirroring `fairness_assumptions()`, propositional:
 /// the configuration permitting the manoeuvre (its permission lamp, if
 /// any, plus all agents clear) recurs, and a lit lamp keeps cycling.
 std::vector<Ltl> derive_fairness(const ScenarioFeatures& f,

@@ -128,24 +128,22 @@ std::vector<Ltl> fairness_assumptions(ScenarioId id, const Vocabulary& vocab) {
     case ScenarioId::TrafficLight:
       // A green window with clear traffic recurs, and the signal keeps
       // cycling (it is not stuck on green forever).
-      return {parse("G F (green_traffic_light & !car_from_left & "
-                    "!pedestrian_at_right & !pedestrian_in_front)"),
-              parse("G F !green_traffic_light")};
+      return {parse("green_traffic_light & !car_from_left & "
+                    "!pedestrian_at_right & !pedestrian_in_front"),
+              parse("!green_traffic_light")};
     case ScenarioId::WideMedian:
-      return {parse(
-          "G F (!car_from_left & !car_from_right & !opposite_car)")};
+      return {parse("!car_from_left & !car_from_right & !opposite_car")};
     case ScenarioId::LeftTurnSignal:
       // Both a protected (green arrow) and a permissive (flashing) window
       // recur with oncoming traffic clear, and the arrow keeps cycling.
-      return {parse("G F (green_left_turn_light & !opposite_car)"),
-              parse("G F (flashing_left_turn_light & !opposite_car)"),
-              parse("G F !green_left_turn_light")};
+      return {parse("green_left_turn_light & !opposite_car"),
+              parse("flashing_left_turn_light & !opposite_car"),
+              parse("!green_left_turn_light")};
     case ScenarioId::TwoWayStop:
-      return {parse("G F (!car_from_left & !car_from_right & "
-                    "!pedestrian_in_front)")};
+      return {parse("!car_from_left & !car_from_right & !pedestrian_in_front")};
     case ScenarioId::Roundabout:
-      return {parse("G F (!car_from_left & !pedestrian_at_left & "
-                    "!pedestrian_at_right)")};
+      return {parse("!car_from_left & !pedestrian_at_left & "
+                    "!pedestrian_at_right")};
   }
   return {};
 }

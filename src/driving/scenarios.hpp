@@ -45,11 +45,11 @@ TransitionSystem make_scenario_model(ScenarioId id, const Vocabulary& vocab,
 /// a controller is verified from every state of every scenario at once.
 TransitionSystem make_universal_model(const Vocabulary& vocab);
 
-/// Per-scenario LTL fairness assumptions: the environment is live — the
-/// configuration that permits the scenario's legal manoeuvre (green light
-/// and/or clear traffic) recurs infinitely often. Liveness specifications
-/// (Φ7, Φ10, Φ13, …) are checked under these, mirroring NuSMV FAIRNESS
-/// constraints.
+/// Per-scenario fairness as justice conditions: the environment is live —
+/// the configuration that permits the scenario's legal manoeuvre (green
+/// light and/or clear traffic) holds infinitely often. Each condition is
+/// propositional, a NuSMV `FAIRNESS p`; liveness specifications (Φ7, Φ10,
+/// Φ13, …) are checked only on the traces that meet every one of them.
 std::vector<Ltl> fairness_assumptions(ScenarioId id, const Vocabulary& vocab);
 
 }  // namespace dpoaf::driving

@@ -203,6 +203,23 @@ Ltl to_nnf(const Ltl& f) {
   return nnf_pos(f);
 }
 
+bool is_propositional(const Ltl& f) {
+  switch (f->op) {
+    case LtlOp::True:
+    case LtlOp::False:
+    case LtlOp::Prop:
+      return true;
+    case LtlOp::Not:
+    case LtlOp::And:
+    case LtlOp::Or:
+    case LtlOp::Implies:
+      return (!f->lhs || is_propositional(f->lhs)) &&
+             (!f->rhs || is_propositional(f->rhs));
+    default:
+      return false;
+  }
+}
+
 std::size_t formula_size(const Ltl& f) {
   if (!f) return 0;
   return 1 + formula_size(f->lhs) + formula_size(f->rhs);

@@ -67,6 +67,9 @@ Ltl lor_all(const std::vector<Ltl>& xs);
 /// language of the LTL→Büchi tableau.
 Ltl to_nnf(const Ltl& f);
 
+/// True iff `f` has no temporal operator: a condition on one symbol.
+bool is_propositional(const Ltl& f);
+
 /// Number of nodes in the DAG-unfolded syntax tree (diagnostic metric).
 std::size_t formula_size(const Ltl& f);
 

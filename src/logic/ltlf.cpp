@@ -109,6 +109,10 @@ bool evaluate_ltlf(const Ltl& f, const Trace& trace, std::size_t pos) {
   return memo.memo(f, pos);
 }
 
+bool holds_on(const Ltl& f, Symbol label) {
+  return evaluate_ltlf(f, Trace{label});
+}
+
 double satisfaction_rate(const Ltl& f, const std::vector<Trace>& traces) {
   if (traces.empty()) return 0.0;
   // Empty traces carry no step to evaluate: they are excluded from the

@@ -19,6 +19,9 @@ using Trace = std::vector<Symbol>;
 /// pos < trace.size(). Memoizes internally; O(|f| · |trace|²) worst case.
 bool evaluate_ltlf(const Ltl& f, const Trace& trace, std::size_t pos = 0);
 
+/// Evaluate a propositional formula (see is_propositional) on one symbol.
+bool holds_on(const Ltl& f, Symbol label);
+
 /// Fraction of non-empty traces satisfying `f` — the paper's P_Φ. Empty
 /// *input* → 0; empty traces within the input are excluded from the
 /// denominator (they carry no step to evaluate), and a non-empty input

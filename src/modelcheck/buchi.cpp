@@ -298,9 +298,8 @@ BuchiAutomaton ltl_to_buchi(const Ltl& formula, BuchiStats& stats) {
 namespace {
 
 // Process-wide translation cache. Shard count is modest: the working set
-// is one formula per (spec, fairness set) pair — dozens, not millions —
-// but the capacity must comfortably exceed it so the rulebook is never
-// evicted mid-run.
+// is one ¬Φ per spec — dozens, not millions — but the capacity must
+// comfortably exceed it so the rulebook is never evicted mid-run.
 std::atomic<bool> buchi_cache_on{true};
 
 util::ShardedCache<std::uint64_t, BuchiPtr>& buchi_cache() {

@@ -61,8 +61,9 @@ using BuchiPtr = std::shared_ptr<const BuchiAutomaton>;
 /// Memoized translation: one GPVW tableau run per distinct formula per
 /// process, keyed by hash-consed formula identity (LtlNode::id — pointer
 /// equality ⇔ structural equality, and interned nodes are never freed, so
-/// ids are stable). The checker routes every ¬Φ and fairness-implication
-/// form through this; repeated verification of the same rulebook skips
+/// ids are stable). The checker routes every ¬Φ through this, so there is
+/// one entry per spec (fairness is a justice set in the SCC search, not
+/// part of the formula); repeated verification of the same rulebook skips
 /// both the tableau and its interning traffic on the mutex-guarded LTL
 /// pool. Falls back to a fresh translation when the cache is disabled.
 BuchiPtr ltl_to_buchi_cached(const Ltl& formula);

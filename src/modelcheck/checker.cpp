@@ -1,10 +1,12 @@
 #include "modelcheck/checker.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <utility>
 
+#include "logic/ltlf.hpp"
 #include "modelcheck/buchi.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -181,8 +183,13 @@ std::vector<int> bfs_path(const Product& prod, const std::vector<int>& sources,
 
 }  // namespace
 
-CheckResult check(const Kripke& kripke, const Ltl& spec) {
+CheckResult check(const Kripke& kripke, const Ltl& spec,
+                  const std::vector<Ltl>& justice) {
   DPOAF_CHECK(spec != nullptr);
+  DPOAF_CHECK_MSG(justice.size() <= 32, "at most 32 justice conditions");
+  for (const Ltl& p : justice)
+    DPOAF_CHECK_MSG(p != nullptr && logic::is_propositional(p),
+                    "a justice condition must be propositional");
   static obs::Counter& checks = obs::counter("modelcheck.checks");
   checks.add();
   obs::ScopedTimer timer(obs::histogram("modelcheck.check_ns"));
@@ -204,27 +211,47 @@ CheckResult check(const Kripke& kripke, const Ltl& spec) {
   int scc_count = 0;
   const std::vector<int> comp = tarjan_scc(prod, scc_count);
 
-  // A violation is a reachable accepting state inside a non-trivial SCC
-  // (size > 1 or a self-loop). Everything in `prod` is reachable from the
-  // initial states by construction.
+  // A violation is a fair accepting cycle: a non-trivial SCC (size > 1 or a
+  // self-loop) holding an accepting state and, for each justice condition
+  // p_i, a state whose Kripke label satisfies p_i. Everything in `prod` is
+  // reachable from the initial states by construction.
   std::vector<int> comp_size(static_cast<std::size_t>(scc_count), 0);
   for (int c : comp) ++comp_size[static_cast<std::size_t>(c)];
+  auto accepting_cycle = [&](std::size_t v) {
+    if (!prod.accepting[v]) return false;
+    if (comp_size[static_cast<std::size_t>(comp[v])] > 1) return true;
+    const auto& out = prod.succ[v];
+    return std::find(out.begin(), out.end(), static_cast<int>(v)) != out.end();
+  };
+
+  // Bit i of met(v): v's Kripke label satisfies p_i. Evaluated once per
+  // Kripke state (−1: not yet), and only in SCCs with an accepting cycle
+  // (scc_met[c] ≥ 0).
+  std::vector<std::int64_t> label_bits(kripke.state_count(), -1);
+  auto met = [&](int v) {
+    const auto ks = static_cast<std::size_t>(
+        prod.states[static_cast<std::size_t>(v)].first);
+    if (label_bits[ks] < 0) {
+      label_bits[ks] = 0;
+      for (std::size_t i = 0; i < justice.size(); ++i)
+        if (logic::holds_on(justice[i], kripke.labels[ks]))
+          label_bits[ks] |= std::int64_t{1} << i;
+    }
+    return label_bits[ks];
+  };
+  std::vector<std::int64_t> scc_met(static_cast<std::size_t>(scc_count), -1);
+  for (std::size_t v = 0; v < prod.states.size(); ++v)
+    if (accepting_cycle(v)) scc_met[static_cast<std::size_t>(comp[v])] = 0;
+  for (std::size_t v = 0; v < prod.states.size(); ++v)
+    if (std::int64_t& m = scc_met[static_cast<std::size_t>(comp[v])]; m >= 0)
+      m |= met(static_cast<int>(v));
+  const std::int64_t all_met = (std::int64_t{1} << justice.size()) - 1;
 
   int witness = -1;
-  for (std::size_t v = 0; v < prod.states.size(); ++v) {
-    if (!prod.accepting[v]) continue;
-    const int c = comp[v];
-    bool nontrivial = comp_size[static_cast<std::size_t>(c)] > 1;
-    if (!nontrivial) {
-      const auto& out = prod.succ[v];
-      nontrivial = std::find(out.begin(), out.end(), static_cast<int>(v)) !=
-                   out.end();
-    }
-    if (nontrivial) {
+  for (std::size_t v = 0; v < prod.states.size() && witness < 0; ++v)
+    if (accepting_cycle(v) &&
+        scc_met[static_cast<std::size_t>(comp[v])] == all_met)
       witness = static_cast<int>(v);
-      break;
-    }
-  }
 
   if (witness < 0) {
     res.holds = true;
@@ -232,37 +259,47 @@ CheckResult check(const Kripke& kripke, const Ltl& spec) {
   }
 
   // Counter-example: prefix from an initial state to the witness, then a
-  // cycle through the witness inside its SCC.
+  // cycle inside its SCC from the witness through one state per justice
+  // condition the cycle does not meet yet, and back to the witness.
   const std::vector<int> prefix = bfs_path(prod, prod.initial, witness);
   DPOAF_CHECK(!prefix.empty());
 
   const int wcomp = comp[static_cast<std::size_t>(witness)];
-  std::vector<int> cycle_sources;
-  for (int w : prod.succ[static_cast<std::size_t>(witness)])
-    if (comp[static_cast<std::size_t>(w)] == wcomp) cycle_sources.push_back(w);
-  DPOAF_CHECK(!cycle_sources.empty());
-  std::vector<int> back = bfs_path(prod, cycle_sources, witness, &comp, wcomp);
-  DPOAF_CHECK(!back.empty());
+  auto path_from = [&](int from, int target) {
+    std::vector<int> sources;
+    for (int w : prod.succ[static_cast<std::size_t>(from)])
+      if (comp[static_cast<std::size_t>(w)] == wcomp) sources.push_back(w);
+    std::vector<int> path = bfs_path(prod, sources, target, &comp, wcomp);
+    DPOAF_CHECK(!path.empty());
+    return path;
+  };
+  std::vector<int> cycle{witness};
+  std::int64_t cycle_met = met(witness);
+  for (std::size_t i = 0; i < justice.size(); ++i) {
+    const std::int64_t bit = std::int64_t{1} << i;
+    if ((cycle_met & bit) != 0) continue;
+    int target = 0;
+    while (comp[static_cast<std::size_t>(target)] != wcomp ||
+           (met(target) & bit) == 0)
+      ++target;
+    for (int v : path_from(cycle.back(), target)) {
+      cycle.push_back(v);
+      cycle_met |= met(v);
+    }
+  }
+  // The path back ends at the witness (excluded; the cycle list holds the
+  // witness once, at its head).
+  const std::vector<int> back = path_from(cycle.back(), witness);
+  cycle.insert(cycle.end(), back.begin(), back.end() - 1);
 
   res.holds = false;
   for (std::size_t i = 0; i + 1 < prefix.size(); ++i)
     res.counterexample.prefix.push_back(
         prod.states[static_cast<std::size_t>(prefix[i])].first);
-  // Cycle: witness -> back[0] ... -> back.back()==witness (excluded; the
-  // cycle list holds each state once).
-  res.counterexample.cycle.push_back(
-      prod.states[static_cast<std::size_t>(witness)].first);
-  for (std::size_t i = 0; i + 1 < back.size(); ++i)
+  for (int v : cycle)
     res.counterexample.cycle.push_back(
-        prod.states[static_cast<std::size_t>(back[i])].first);
+        prod.states[static_cast<std::size_t>(v)].first);
   return res;
-}
-
-CheckResult check_under_fairness(const Kripke& kripke, const Ltl& spec,
-                                 const std::vector<Ltl>& assumptions) {
-  if (assumptions.empty()) return check(kripke, spec);
-  const Ltl assume = logic::ltl::land_all(assumptions);
-  return check(kripke, logic::ltl::implies(assume, spec));
 }
 
 std::size_t VerificationReport::satisfied() const {
@@ -287,12 +324,12 @@ std::vector<std::string> VerificationReport::violated() const {
 
 VerificationReport verify_all(const Kripke& kripke,
                               const std::vector<NamedSpec>& specs,
-                              const std::vector<Ltl>& fairness) {
+                              const std::vector<Ltl>& justice) {
   VerificationReport report;
   report.outcomes.reserve(specs.size());
   for (const NamedSpec& spec : specs) {
     report.outcomes.push_back(
-        {spec, check_under_fairness(kripke, spec.formula, fairness)});
+        {spec, check(kripke, spec.formula, justice)});
   }
   return report;
 }

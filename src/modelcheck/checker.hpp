@@ -1,9 +1,10 @@
 // Explicit-state LTL model checker — the repository's substitute for
 // NuSMV (§4.2 of the paper). Checks M ⊗ C ⊨ Φ by translating ¬Φ to a Büchi
 // automaton, forming the synchronous product with the Kripke structure, and
-// searching for a reachable accepting cycle (SCC decomposition). A violation
-// yields a lasso counter-example: a finite prefix plus a cycle of product
-// states, printed in the paper's (p_i, q_i, σ_i ∪ a_i) trace notation.
+// searching for a reachable fair accepting cycle (SCC decomposition). A
+// violation yields a lasso counter-example: a finite prefix plus a cycle of
+// product states, printed in the paper's (p_i, q_i, σ_i ∪ a_i) trace
+// notation.
 #pragma once
 
 #include <string>
@@ -33,15 +34,14 @@ struct CheckResult {
   [[nodiscard]] explicit operator bool() const { return holds; }
 };
 
-/// Check that every infinite trace of `kripke` satisfies `spec`.
-CheckResult check(const Kripke& kripke, const Ltl& spec);
-
-/// Check `spec` under LTL fairness assumptions: verifies
-/// (∧ assumptions) → spec. Used for specifications with eventualities that
-/// only hold when the environment is live (e.g., obstacles clear
-/// infinitely often).
-CheckResult check_under_fairness(const Kripke& kripke, const Ltl& spec,
-                                 const std::vector<Ltl>& assumptions);
+/// Check that every fair infinite trace of `kripke` satisfies `spec`. A
+/// trace is fair iff, for each justice condition p_i (propositional; see
+/// logic::is_propositional), it visits a state whose label satisfies p_i
+/// infinitely often: NuSMV's `FAIRNESS p_i`, i.e. the LTL premise
+/// (∧ □◇p_i) → spec, decided by restricting emptiness to fair SCCs instead
+/// of translating the premise.
+CheckResult check(const Kripke& kripke, const Ltl& spec,
+                  const std::vector<Ltl>& justice = {});
 
 /// A named specification, e.g. {"phi_5", □(car_from_left ∨ … → ¬turn_right)}.
 struct NamedSpec {
@@ -69,7 +69,7 @@ struct VerificationReport {
 
 VerificationReport verify_all(const Kripke& kripke,
                               const std::vector<NamedSpec>& specs,
-                              const std::vector<Ltl>& fairness = {});
+                              const std::vector<Ltl>& justice = {});
 
 /// Render a counter-example in the paper's trace notation, e.g.
 ///   (p0, q3, {green_traffic_light, stop}) -> (p4, q4, …) -> [cycle] …

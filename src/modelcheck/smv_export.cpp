@@ -14,23 +14,16 @@ using logic::LtlOp;
 using logic::Vocabulary;
 
 // NuSMV LTL syntax: G F X U V (NuSMV spells Release as V), &, |, !, ->.
-void print_smv_formula(const Ltl& f, const Vocabulary& vocab,
-                       std::ostringstream& os) {
+std::string smv_formula(const Ltl& f, const Vocabulary& vocab) {
   switch (f->op) {
     case LtlOp::True:
-      os << "TRUE";
-      return;
+      return "TRUE";
     case LtlOp::False:
-      os << "FALSE";
-      return;
+      return "FALSE";
     case LtlOp::Prop:
-      os << vocab.name(f->prop);
-      return;
+      return vocab.name(f->prop);
     case LtlOp::Not:
-      os << "!(";
-      print_smv_formula(f->lhs, vocab, os);
-      os << ")";
-      return;
+      return std::string("!(") + smv_formula(f->lhs, vocab) + ")";
     case LtlOp::And:
     case LtlOp::Or:
     case LtlOp::Implies:
@@ -41,31 +34,27 @@ void print_smv_formula(const Ltl& f, const Vocabulary& vocab,
                        : f->op == LtlOp::Implies ? " -> "
                        : f->op == LtlOp::Until   ? " U "
                                                  : " V ";
-      os << "(";
-      print_smv_formula(f->lhs, vocab, os);
-      os << op;
-      print_smv_formula(f->rhs, vocab, os);
-      os << ")";
-      return;
+      return std::string("(") + smv_formula(f->lhs, vocab) + op +
+             smv_formula(f->rhs, vocab) + ")";
     }
     case LtlOp::Next:
     case LtlOp::Eventually:
     case LtlOp::Always: {
-      os << (f->op == LtlOp::Next         ? "X "
-             : f->op == LtlOp::Eventually ? "F "
-                                          : "G ");
-      os << "(";
-      print_smv_formula(f->lhs, vocab, os);
-      os << ")";
-      return;
+      const char* op = f->op == LtlOp::Next         ? "X ("
+                       : f->op == LtlOp::Eventually ? "F ("
+                                                    : "G (";
+      return std::string(op) + smv_formula(f->lhs, vocab) + ")";
     }
   }
+  return {};
 }
 
-std::string smv_formula(const Ltl& f, const Vocabulary& vocab) {
-  std::ostringstream os;
-  print_smv_formula(f, vocab, os);
-  return os.str();
+// NuSMV set literal "{a, b, …}"; `if_empty` stands in for no members.
+std::string set_literal(const std::vector<int>& members,
+                        const std::string& if_empty) {
+  std::vector<std::string> parts;
+  for (int m : members) parts.push_back(std::to_string(m));
+  return "{" + (parts.empty() ? if_empty : join(parts, ", ")) + "}";
 }
 
 }  // namespace
@@ -73,67 +62,41 @@ std::string smv_formula(const Ltl& f, const Vocabulary& vocab) {
 std::string to_smv(const automata::Kripke& kripke,
                    const logic::Vocabulary& vocab,
                    const std::vector<NamedSpec>& specs,
-                   const std::vector<logic::Ltl>& fairness,
-                   const SmvExportOptions& options) {
+                   const std::vector<logic::Ltl>& justice) {
   DPOAF_CHECK(kripke.state_count() > 0);
   std::ostringstream os;
   const std::size_t n = kripke.state_count();
 
   os << "-- generated by dpoaf (controller ⊗ model product, " << n
      << " states)\n";
-  os << "MODULE " << options.module_name << "\n";
+  os << "MODULE main\n";
   os << "VAR\n  state : 0.." << n - 1 << ";\n";
 
   os << "DEFINE\n";
-  for (std::size_t bit = 0; bit < vocab.size(); ++bit) {
-    const auto idx = static_cast<int>(bit);
-    os << "  " << vocab.name(idx) << " := state in {";
-    bool first = true;
-    bool any = false;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (!Vocabulary::has(kripke.labels[s], idx)) continue;
-      if (!first) os << ", ";
-      os << s;
-      first = false;
-      any = true;
-    }
-    if (!any) os << "-1";  // empty set: no state satisfies it
-    os << "};\n";
+  for (int bit = 0; bit < static_cast<int>(vocab.size()); ++bit) {
+    std::vector<int> holders;
+    for (std::size_t s = 0; s < n; ++s)
+      if (Vocabulary::has(kripke.labels[s], bit))
+        holders.push_back(static_cast<int>(s));
+    // -1: no state satisfies it.
+    os << "  " << vocab.name(bit) << " := state in "
+       << set_literal(holders, "-1") << ";\n";
   }
 
-  os << "INIT\n  state in {";
-  for (std::size_t i = 0; i < kripke.initial.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << kripke.initial[i];
-  }
-  os << "};\n";
+  os << "INIT\n  state in " << set_literal(kripke.initial, "") << ";\n";
 
   os << "TRANS\n  case\n";
   for (std::size_t s = 0; s < n; ++s) {
-    os << "    state = " << s << " : next(state) in {";
-    const auto& succ = kripke.successors[s];
-    for (std::size_t i = 0; i < succ.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << succ[i];
-    }
-    if (succ.empty()) os << s;  // stutter (defensive; products are total)
-    os << "};\n";
+    // An empty successor list stutters (defensive; products are total).
+    os << "    state = " << s << " : next(state) in "
+       << set_literal(kripke.successors[s], std::to_string(s)) << ";\n";
   }
   os << "    TRUE : next(state) = state;\n  esac;\n";
 
-  if (options.emit_fairness) {
-    for (const logic::Ltl& f : fairness) {
-      // NuSMV FAIRNESS takes a propositional condition meaning "true
-      // infinitely often"; □◇φ assumptions map onto it directly.
-      if (f->op == logic::LtlOp::Always &&
-          f->lhs->op == logic::LtlOp::Eventually) {
-        os << "FAIRNESS " << smv_formula(f->lhs->lhs, vocab) << ";\n";
-      } else {
-        os << "-- non-GF fairness assumption (verify as LTL premise): "
-           << smv_formula(f, vocab) << "\n";
-      }
-    }
-  }
+  // NuSMV FAIRNESS p restricts paths to those where p holds infinitely
+  // often, the same justice semantics `check` implements.
+  for (const logic::Ltl& p : justice)
+    os << "FAIRNESS " << smv_formula(p, vocab) << ";\n";
 
   for (const NamedSpec& spec : specs) {
     os << "LTLSPEC NAME " << spec.name << " := "

@@ -1,7 +1,8 @@
 // NuSMV model export (paper Appendix D): renders a controller⊗model
-// product as a NuSMV module with one boolean VAR per proposition, an
-// `action` enumeration, the product's transition relation, and one
-// LTLSPEC per rulebook specification. The emitted file is accepted by
+// product as `MODULE main` with one `state : 0..n-1` VAR, one DEFINE per
+// proposition (the states whose label holds it), the product's transition
+// relation, one FAIRNESS constraint per justice condition, and one LTLSPEC
+// per rulebook specification. The emitted file is accepted by
 // NuSMV 2.6 (`read_model -i file.smv; go; check_ltlspec`), so results from
 // this library's built-in checker can be cross-validated against NuSMV
 // itself when it is available.
@@ -15,18 +16,11 @@
 
 namespace dpoaf::modelcheck {
 
-struct SmvExportOptions {
-  std::string module_name = "main";
-  /// Emit FAIRNESS constraints (as NuSMV `FAIRNESS` on a boolean DEFINE)
-  /// for □◇ assumptions; other shapes are emitted as comments.
-  bool emit_fairness = true;
-};
-
 /// Render the product Kripke structure plus specifications as SMV text.
+/// `justice` holds the propositional conditions `check` takes.
 std::string to_smv(const automata::Kripke& kripke,
                    const logic::Vocabulary& vocab,
                    const std::vector<NamedSpec>& specs,
-                   const std::vector<logic::Ltl>& fairness = {},
-                   const SmvExportOptions& options = {});
+                   const std::vector<logic::Ltl>& justice = {});
 
 }  // namespace dpoaf::modelcheck

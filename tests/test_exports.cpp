@@ -78,8 +78,14 @@ TEST_F(ExportTest, SmvModuleStructure) {
   // One LTLSPEC per rulebook entry, carrying its name.
   for (const auto& spec : domain().specs())
     EXPECT_NE(smv.find("LTLSPEC NAME " + spec.name), std::string::npos);
-  // □◇ fairness assumptions become NuSMV FAIRNESS constraints.
-  EXPECT_NE(smv.find("FAIRNESS"), std::string::npos);
+  // One NuSMV FAIRNESS constraint per justice condition, and no condition
+  // left over as a comment.
+  std::size_t fairness_lines = 0;
+  for (std::size_t at = smv.find("\nFAIRNESS "); at != std::string::npos;
+       at = smv.find("\nFAIRNESS ", at + 1))
+    ++fairness_lines;
+  EXPECT_EQ(fairness_lines, domain().fairness(scenario).size());
+  EXPECT_EQ(smv.find("-- non-GF"), std::string::npos);
   // Release is spelled V in NuSMV; G/F/X/U pass through. The driving specs
   // contain no Release, but every proposition define must exist.
   EXPECT_NE(smv.find("green_traffic_light := state in {"),

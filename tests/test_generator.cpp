@@ -5,6 +5,7 @@
 // pipeline-level held-out generalization eval.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <set>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include "core/pipeline.hpp"
 #include "driving/domain.hpp"
 #include "driving/generator/generator.hpp"
+#include "logic/lasso_eval.hpp"
 #include "logic/parser.hpp"
 #include "monitor/monitor.hpp"
 #include "util/threadpool.hpp"
@@ -257,6 +259,73 @@ TEST(GeneratorDomain, CompliantVariantsOutscoreRecklessOnGeneratedTasks) {
     ASSERT_GE(reckless_score, 0) << t.id;
     EXPECT_GT(good_score, reckless_score) << t.id;
   }
+}
+
+// ------------------------------------------------ verdict certificates ---
+
+// Every verdict DPO-AF trains on is checkable. Over the whole seed-7
+// registry, each catalog variant that aligns is checked against each spec
+// of its scenario under the scenario's justice conditions p_i. The verdict
+// must equal the LTL premise check (∧ G F p_i) → Φ, and each
+// counter-example must be a path of the product from an initial state
+// that falsifies Φ and meets every p_i infinitely often.
+TEST(RegistryCertificate, JusticeVerdictsMatchPremiseAndLassosAreFair) {
+  using namespace logic::ltl;
+  GeneratorConfig cfg;
+  cfg.seed = 7;
+  cfg.count = 64;
+  cfg.holdout = 8;
+  const DrivingDomain domain(cfg);
+  std::size_t checks = 0, violations = 0;
+  for (const Task& t : domain.tasks()) {
+    const Scenario& sc = domain.scenario(t.scenario);
+    std::vector<logic::Ltl> premises;
+    for (const logic::Ltl& p : sc.fairness)
+      premises.push_back(always(eventually(p)));
+    const logic::Ltl fair = land_all(premises);
+    for (const ResponseVariant& v : t.variants) {
+      const auto g2f = glm2fsa::glm2fsa(v.text, domain.aligner(),
+                                        domain.build_options());
+      if (!g2f.parsed.ok()) continue;
+      const automata::Kripke k = automata::make_product(
+          sc.model, g2f.controller, domain.product_options());
+      for (const NamedSpec& spec : sc.specs) {
+        ++checks;
+        const std::string where =
+            t.id + "/" + flaw_name(v.tag) + "/" + spec.name;
+        const auto res = modelcheck::check(k, spec.formula, sc.fairness);
+        ASSERT_EQ(res.holds,
+                  modelcheck::check(k, implies(fair, spec.formula)).holds)
+            << where;
+        if (res.holds) continue;
+        ++violations;
+        const modelcheck::Lasso& lasso = res.counterexample;
+        ASSERT_FALSE(lasso.cycle.empty()) << where;
+        std::vector<int> walk = lasso.prefix;
+        walk.insert(walk.end(), lasso.cycle.begin(), lasso.cycle.end());
+        walk.push_back(lasso.cycle.front());
+        EXPECT_NE(std::find(k.initial.begin(), k.initial.end(), walk.front()),
+                  k.initial.end())
+            << where;
+        for (std::size_t i = 0; i + 1 < walk.size(); ++i) {
+          const auto& out = k.successors[static_cast<std::size_t>(walk[i])];
+          ASSERT_NE(std::find(out.begin(), out.end(), walk[i + 1]), out.end())
+              << where;
+        }
+        logic::LassoWord w;
+        for (int s : lasso.prefix)
+          w.prefix.push_back(k.labels[static_cast<std::size_t>(s)]);
+        for (int s : lasso.cycle)
+          w.cycle.push_back(k.labels[static_cast<std::size_t>(s)]);
+        EXPECT_FALSE(logic::evaluate_lasso(spec.formula, w)) << where;
+        EXPECT_TRUE(logic::evaluate_lasso(fair, w)) << where;
+      }
+    }
+  }
+  // 69 scenarios' aligned variants × their rulebooks; 478 of the checks
+  // fail and so carry a certificate.
+  EXPECT_EQ(checks, 3624u);
+  EXPECT_GT(violations, 0u);
 }
 
 // ------------------------------------------- held-out generalization ---

@@ -8,6 +8,7 @@
 #include "logic/parser.hpp"
 #include "modelcheck/buchi.hpp"
 #include "modelcheck/checker.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace dpoaf::modelcheck {
@@ -190,13 +191,19 @@ TEST_F(CheckerTest, MultipleInitialStatesAllChecked) {
 }
 
 TEST_F(CheckerTest, FairnessAssumptionDischargesEventuality) {
-  // Model may loop on "car from left" forever; under the fairness
-  // assumption GF !car_from_left the spec F !car_from_left holds.
+  // Model may loop on "car from left" forever; under the justice
+  // condition !car_from_left (GF !car_from_left) the spec F !car_from_left
+  // holds.
   auto k = make_kripke({B_, 0}, {{0, 1}, {1}}, {0});
   const Ltl spec = parse("F !car_from_left");
   EXPECT_FALSE(check(k, spec).holds);
-  EXPECT_TRUE(
-      check_under_fairness(k, spec, {parse("G F !car_from_left")}).holds);
+  EXPECT_TRUE(check(k, spec, {parse("!car_from_left")}).holds);
+}
+
+TEST_F(CheckerTest, JusticeConditionMustBePropositional) {
+  auto k = make_kripke({B_, 0}, {{0, 1}, {1}}, {0});
+  EXPECT_THROW((void)check(k, parse("F stop"), {parse("G F stop")}),
+               ContractViolation);
 }
 
 TEST_F(CheckerTest, VerifyAllCountsAndNames) {
@@ -220,11 +227,13 @@ TEST_F(CheckerTest, TautologyAndContradiction) {
   EXPECT_FALSE(check(k, parse("F (stop & !stop)")).holds);
 }
 
-// Property-based validation against the independent lasso-word oracle:
-//  * if the checker reports a violation, the returned lasso must falsify
-//    the specification;
-//  * if the checker reports the spec holds, random lassos sampled from the
-//    Kripke structure must all satisfy it.
+// Property-based validation against the independent lasso-word oracle,
+// under a random justice set {p_i}:
+//  * the verdict equals the premise check (∧ G F p_i) → f;
+//  * if the checker reports a violation, the returned lasso must satisfy
+//    every G F p_i and falsify the specification;
+//  * if the checker reports the spec holds, every random lasso sampled
+//    from the Kripke structure that satisfies all G F p_i satisfies it.
 class CheckerPropertyTest : public CheckerTest,
                             public ::testing::WithParamInterface<int> {};
 
@@ -267,7 +276,25 @@ TEST_P(CheckerPropertyTest, AgreesWithLassoOracle) {
   };
   const Ltl f = gen(3);
 
-  const auto res = check(k, f);
+  // Random justice set: 0–2 propositional conditions over a, b, c.
+  std::function<Ltl(int)> gen_prop = [&](int depth) -> Ltl {
+    if (depth == 0 || rng.chance(0.4)) return atoms[rng.below(atoms.size())];
+    switch (rng.below(3)) {
+      case 0: return lnot(gen_prop(depth - 1));
+      case 1: return land(gen_prop(depth - 1), gen_prop(depth - 1));
+      default: return lor(gen_prop(depth - 1), gen_prop(depth - 1));
+    }
+  };
+  std::vector<Ltl> justice, premises;
+  for (std::uint64_t i = rng.below(3); i > 0; --i) {
+    justice.push_back(gen_prop(2));
+    premises.push_back(always(eventually(justice.back())));
+  }
+  const Ltl fair = land_all(premises);
+
+  const auto res = check(k, f, justice);
+  ASSERT_EQ(res.holds, check(k, implies(fair, f)).holds)
+      << to_string(f, vocab_) << " under " << to_string(fair, vocab_);
   if (!res.holds) {
     ASSERT_FALSE(res.counterexample.cycle.empty());
     LassoWord w;
@@ -277,6 +304,8 @@ TEST_P(CheckerPropertyTest, AgreesWithLassoOracle) {
       w.cycle.push_back(k.labels[static_cast<std::size_t>(s)]);
     EXPECT_FALSE(evaluate_lasso(f, w))
         << "counterexample does not falsify " << to_string(f, vocab_);
+    EXPECT_TRUE(evaluate_lasso(fair, w))
+        << "counterexample is not fair under " << to_string(fair, vocab_);
     // The lasso must also be a real path of the Kripke structure.
     auto edge_ok = [&](int u, int v) {
       const auto& out = k.successors[static_cast<std::size_t>(u)];
@@ -289,7 +318,7 @@ TEST_P(CheckerPropertyTest, AgreesWithLassoOracle) {
       ASSERT_TRUE(edge_ok(walk[i], walk[i + 1]));
     ASSERT_TRUE(edge_ok(walk.back(), res.counterexample.cycle.front()));
   } else {
-    // Sample random lassos from K; all must satisfy f.
+    // Sample random lassos from K; all fair ones must satisfy f.
     for (int trial = 0; trial < 30; ++trial) {
       std::vector<int> path{0};
       std::vector<Symbol> word{k.labels[0]};
@@ -311,9 +340,10 @@ TEST_P(CheckerPropertyTest, AgreesWithLassoOracle) {
       LassoWord w;
       w.prefix.assign(word.begin(), word.begin() + cycle_start);
       w.cycle.assign(word.begin() + cycle_start, word.end());
+      if (!evaluate_lasso(fair, w)) continue;
       EXPECT_TRUE(evaluate_lasso(f, w))
-          << to_string(f, vocab_) << " claimed to hold but a sampled lasso "
-          << "falsifies it";
+          << to_string(f, vocab_) << " claimed to hold but a sampled fair "
+          << "lasso falsifies it";
     }
   }
 }

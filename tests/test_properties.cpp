@@ -24,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
@@ -589,28 +590,54 @@ TEST(CrashResumeProperty, PretrainResumeBitwiseIdentical) {
 }
 
 TEST(CrashResumeProperty, ResumeRejectsNonPermutationOrder) {
-  // The CRC detects accidental damage, not a crafted file: a snapshot
-  // whose shuffle order has the right length but is not a permutation of
-  // the loop's items must be rejected before any item is indexed by it.
+  // The CRC detects accidental damage, not a crafted file: a CRC-clean
+  // snapshot whose loop state breaks any nn::restore_loop_state rule — a
+  // shuffle order of the right length that is not a permutation of the
+  // loop's items, a negative epoch count, weights or optimizer moments
+  // that do not fit the model, all-zero RNG words — must be rejected
+  // before any of it is used, with a LoopStateError. The loader rejects a
+  // negative epoch count first, with a CheckpointError. No mutation may
+  // reach a CHECK.
   const auto baseline =
       run_micro_checkpointed(1, /*observability=*/false, /*pretrain_epochs=*/2);
+  struct Mutation {
+    const char* name;
+    std::function<void(nn::LoopState&)> apply;
+    bool loader_rejects = false;  // CheckpointError before the loop runs
+  };
+  const std::vector<Mutation> mutations = {
+      {"order_out_of_range",
+       [](nn::LoopState& l) { l.order[0] = l.order.size() + 1000; }},
+      {"order_duplicated", [](nn::LoopState& l) { l.order[1] = l.order[0]; }},
+      {"negative_epochs", [](nn::LoopState& l) { l.completed_epochs = -1; },
+       true},
+      {"weights_one_short", [](nn::LoopState& l) { l.weights.pop_back(); }},
+      {"moment_wrong_size", [](nn::LoopState& l) { l.opt_m[0].push_back(0); }},
+      {"rng_all_zero", [](nn::LoopState& l) { l.rng_state = {}; }},
+  };
   for (const ckpt::Stage stage : {ckpt::Stage::kPretrain, ckpt::Stage::kDpo}) {
-    ckpt::TrainingCheckpoint snap =
+    const ckpt::TrainingCheckpoint& good =
         find_snapshot(baseline.snapshots, stage, /*epochs=*/1);
-    const std::vector<std::uint64_t> good = snap.loop.order;
-    ASSERT_GE(good.size(), 2u);
-    std::vector<std::uint64_t> out_of_range = good;
-    out_of_range[0] = good.size() + 1000;
-    std::vector<std::uint64_t> duplicated = good;
-    duplicated[1] = duplicated[0];
-    for (const auto& bad : {out_of_range, duplicated}) {
-      snap.loop.order = bad;
-      const std::string path = save_snapshot(
-          snap, std::string("resume_bad_order_") + ckpt::stage_name(stage) +
-                    ".dpoaf");
-      EXPECT_THROW((void)run_micro_checkpointed(1, false, 2, path),
-                   nn::LoopStateError)
-          << ckpt::stage_name(stage);
+    ASSERT_GE(good.loop.order.size(), 2u);
+    ASSERT_FALSE(good.loop.opt_m.empty());
+    for (const Mutation& m : mutations) {
+      ckpt::TrainingCheckpoint snap = good;
+      m.apply(snap.loop);
+      const std::string label =
+          std::string(ckpt::stage_name(stage)) + "/" + m.name;
+      const std::string path =
+          save_snapshot(snap, "resume_bad_loop_" + std::string(m.name) + "_" +
+                                  ckpt::stage_name(stage) + ".dpoaf");
+      try {
+        (void)run_micro_checkpointed(1, false, 2, path);
+        ADD_FAILURE() << label << " resumed";
+      } catch (const nn::LoopStateError&) {
+        EXPECT_FALSE(m.loader_rejects) << label;
+      } catch (const ckpt::CheckpointError&) {
+        EXPECT_TRUE(m.loader_rejects) << label;
+      } catch (const ContractViolation& e) {
+        ADD_FAILURE() << label << " reached a CHECK: " << e.what();
+      }
     }
   }
   util::set_global_threads(1);
