@@ -41,7 +41,7 @@ struct TableauNode {
   FSet nexts;
 };
 
-// GPVW expansion. `nodes` accumulates the finished tableau nodes.
+// GPVW expansion. `done_` accumulates the finished tableau nodes.
 class Expander {
  public:
   explicit Expander(Registry& reg) : reg_(reg) {}
@@ -51,7 +51,15 @@ class Expander {
     init.name = fresh();
     init.incoming.insert(kInitName);
     init.news.insert(reg_.id(nnf_formula));
-    expand(std::move(init));
+    // Depth-first over an explicit stack (recursion overflows on large
+    // formulas); a split pushes its right node first, so the left finishes
+    // first.
+    pending_.push_back(std::move(init));
+    while (!pending_.empty()) {
+      TableauNode node = std::move(pending_.back());
+      pending_.pop_back();
+      expand(std::move(node));
+    }
     return std::move(done_);
   }
 
@@ -70,6 +78,7 @@ class Expander {
     return false;
   }
 
+  // One step: finishes, discards or rewrites `node` onto `pending_`.
   void expand(TableauNode node) {
     if (node.news.empty()) {
       // Merge with an existing node that has identical Old and Next.
@@ -84,7 +93,7 @@ class Expander {
       next.incoming.insert(node.name);
       next.news = node.nexts;
       done_.push_back(std::move(node));
-      expand(std::move(next));
+      pending_.push_back(std::move(next));
       return;
     }
 
@@ -96,7 +105,7 @@ class Expander {
       case LtlOp::False:
         return;  // inconsistent node: discard
       case LtlOp::True:
-        expand(std::move(node));
+        pending_.push_back(std::move(node));
         return;
       case LtlOp::Prop:
       case LtlOp::Not: {
@@ -104,7 +113,7 @@ class Expander {
                         "tableau input must be in negation normal form");
         if (contradicts(eta, node.olds, reg_)) return;
         node.olds.insert(eta_id);
-        expand(std::move(node));
+        pending_.push_back(std::move(node));
         return;
       }
       case LtlOp::And: {
@@ -113,13 +122,13 @@ class Expander {
           const std::uint64_t pid = reg_.id(part);
           if (node.olds.count(pid) == 0) node.news.insert(pid);
         }
-        expand(std::move(node));
+        pending_.push_back(std::move(node));
         return;
       }
       case LtlOp::Next: {
         node.olds.insert(eta_id);
         node.nexts.insert(reg_.id(eta->lhs));
-        expand(std::move(node));
+        pending_.push_back(std::move(node));
         return;
       }
       case LtlOp::Or: {
@@ -134,8 +143,8 @@ class Expander {
         if (right.olds.count(reg_.id(eta->rhs)) == 0)
           right.news.insert(reg_.id(eta->rhs));
 
-        expand(std::move(left));
-        expand(std::move(right));
+        pending_.push_back(std::move(right));
+        pending_.push_back(std::move(left));
         return;
       }
       case LtlOp::Until: {
@@ -152,8 +161,8 @@ class Expander {
         if (right.olds.count(reg_.id(eta->rhs)) == 0)
           right.news.insert(reg_.id(eta->rhs));
 
-        expand(std::move(left));
-        expand(std::move(right));
+        pending_.push_back(std::move(right));
+        pending_.push_back(std::move(left));
         return;
       }
       case LtlOp::Release: {
@@ -172,8 +181,8 @@ class Expander {
           if (right.olds.count(pid) == 0) right.news.insert(pid);
         }
 
-        expand(std::move(left));
-        expand(std::move(right));
+        pending_.push_back(std::move(right));
+        pending_.push_back(std::move(left));
         return;
       }
       case LtlOp::Implies:
@@ -184,6 +193,7 @@ class Expander {
   }
 
   Registry& reg_;
+  std::vector<TableauNode> pending_;
   std::vector<TableauNode> done_;
   int next_name_ = 0;
 };
