@@ -224,28 +224,22 @@ CheckResult check(const Kripke& kripke, const Ltl& spec,
     return std::find(out.begin(), out.end(), static_cast<int>(v)) != out.end();
   };
 
-  // Bit i of met(v): v's Kripke label satisfies p_i. Evaluated once per
-  // Kripke state (−1: not yet), and only in SCCs with an accepting cycle
-  // (scc_met[c] ≥ 0).
-  std::vector<std::int64_t> label_bits(kripke.state_count(), -1);
-  auto met = [&](int v) {
-    const auto ks = static_cast<std::size_t>(
-        prod.states[static_cast<std::size_t>(v)].first);
-    if (label_bits[ks] < 0) {
-      label_bits[ks] = 0;
-      for (std::size_t i = 0; i < justice.size(); ++i)
-        if (logic::holds_on(justice[i], kripke.labels[ks]))
-          label_bits[ks] |= std::int64_t{1} << i;
-    }
-    return label_bits[ks];
+  // Bit i of met[k]: Kripke state k's label satisfies p_i; scc_met ORs
+  // the bits of each SCC's states.
+  std::vector<std::uint32_t> met(kripke.state_count(), 0);
+  for (std::size_t k = 0; k < met.size(); ++k)
+    for (std::size_t i = 0; i < justice.size(); ++i)
+      if (logic::holds_on(justice[i], kripke.labels[k]))
+        met[k] |= std::uint32_t{1} << i;
+  auto met_at = [&](int v) {
+    return met[static_cast<std::size_t>(
+        prod.states[static_cast<std::size_t>(v)].first)];
   };
-  std::vector<std::int64_t> scc_met(static_cast<std::size_t>(scc_count), -1);
+  std::vector<std::uint32_t> scc_met(static_cast<std::size_t>(scc_count), 0);
   for (std::size_t v = 0; v < prod.states.size(); ++v)
-    if (accepting_cycle(v)) scc_met[static_cast<std::size_t>(comp[v])] = 0;
-  for (std::size_t v = 0; v < prod.states.size(); ++v)
-    if (std::int64_t& m = scc_met[static_cast<std::size_t>(comp[v])]; m >= 0)
-      m |= met(static_cast<int>(v));
-  const std::int64_t all_met = (std::int64_t{1} << justice.size()) - 1;
+    scc_met[static_cast<std::size_t>(comp[v])] |= met_at(static_cast<int>(v));
+  const auto all_met =
+      static_cast<std::uint32_t>((std::uint64_t{1} << justice.size()) - 1);
 
   int witness = -1;
   for (std::size_t v = 0; v < prod.states.size() && witness < 0; ++v)
@@ -274,17 +268,17 @@ CheckResult check(const Kripke& kripke, const Ltl& spec,
     return path;
   };
   std::vector<int> cycle{witness};
-  std::int64_t cycle_met = met(witness);
+  std::uint32_t cycle_met = met_at(witness);
   for (std::size_t i = 0; i < justice.size(); ++i) {
-    const std::int64_t bit = std::int64_t{1} << i;
+    const std::uint32_t bit = std::uint32_t{1} << i;
     if ((cycle_met & bit) != 0) continue;
     int target = 0;
     while (comp[static_cast<std::size_t>(target)] != wcomp ||
-           (met(target) & bit) == 0)
+           (met_at(target) & bit) == 0)
       ++target;
     for (int v : path_from(cycle.back(), target)) {
       cycle.push_back(v);
-      cycle_met |= met(v);
+      cycle_met |= met_at(v);
     }
   }
   // The path back ends at the witness (excluded; the cycle list holds the

@@ -14,16 +14,23 @@ using logic::LtlOp;
 using logic::Vocabulary;
 
 // NuSMV LTL syntax: G F X U V (NuSMV spells Release as V), &, |, !, ->.
-std::string smv_formula(const Ltl& f, const Vocabulary& vocab) {
+void print_smv_formula(const Ltl& f, const Vocabulary& vocab,
+                       std::ostringstream& os) {
   switch (f->op) {
     case LtlOp::True:
-      return "TRUE";
+      os << "TRUE";
+      return;
     case LtlOp::False:
-      return "FALSE";
+      os << "FALSE";
+      return;
     case LtlOp::Prop:
-      return vocab.name(f->prop);
+      os << vocab.name(f->prop);
+      return;
     case LtlOp::Not:
-      return std::string("!(") + smv_formula(f->lhs, vocab) + ")";
+      os << "!(";
+      print_smv_formula(f->lhs, vocab, os);
+      os << ")";
+      return;
     case LtlOp::And:
     case LtlOp::Or:
     case LtlOp::Implies:
@@ -34,27 +41,31 @@ std::string smv_formula(const Ltl& f, const Vocabulary& vocab) {
                        : f->op == LtlOp::Implies ? " -> "
                        : f->op == LtlOp::Until   ? " U "
                                                  : " V ";
-      return std::string("(") + smv_formula(f->lhs, vocab) + op +
-             smv_formula(f->rhs, vocab) + ")";
+      os << "(";
+      print_smv_formula(f->lhs, vocab, os);
+      os << op;
+      print_smv_formula(f->rhs, vocab, os);
+      os << ")";
+      return;
     }
     case LtlOp::Next:
     case LtlOp::Eventually:
     case LtlOp::Always: {
-      const char* op = f->op == LtlOp::Next         ? "X ("
-                       : f->op == LtlOp::Eventually ? "F ("
-                                                    : "G (";
-      return std::string(op) + smv_formula(f->lhs, vocab) + ")";
+      os << (f->op == LtlOp::Next         ? "X "
+             : f->op == LtlOp::Eventually ? "F "
+                                          : "G ");
+      os << "(";
+      print_smv_formula(f->lhs, vocab, os);
+      os << ")";
+      return;
     }
   }
-  return {};
 }
 
-// NuSMV set literal "{a, b, …}"; `if_empty` stands in for no members.
-std::string set_literal(const std::vector<int>& members,
-                        const std::string& if_empty) {
-  std::vector<std::string> parts;
-  for (int m : members) parts.push_back(std::to_string(m));
-  return "{" + (parts.empty() ? if_empty : join(parts, ", ")) + "}";
+std::string smv_formula(const Ltl& f, const Vocabulary& vocab) {
+  std::ostringstream os;
+  print_smv_formula(f, vocab, os);
+  return os.str();
 }
 
 }  // namespace
@@ -73,23 +84,39 @@ std::string to_smv(const automata::Kripke& kripke,
   os << "VAR\n  state : 0.." << n - 1 << ";\n";
 
   os << "DEFINE\n";
-  for (int bit = 0; bit < static_cast<int>(vocab.size()); ++bit) {
-    std::vector<int> holders;
-    for (std::size_t s = 0; s < n; ++s)
-      if (Vocabulary::has(kripke.labels[s], bit))
-        holders.push_back(static_cast<int>(s));
-    // -1: no state satisfies it.
-    os << "  " << vocab.name(bit) << " := state in "
-       << set_literal(holders, "-1") << ";\n";
+  for (std::size_t bit = 0; bit < vocab.size(); ++bit) {
+    const auto idx = static_cast<int>(bit);
+    os << "  " << vocab.name(idx) << " := state in {";
+    bool first = true;
+    bool any = false;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (!Vocabulary::has(kripke.labels[s], idx)) continue;
+      if (!first) os << ", ";
+      os << s;
+      first = false;
+      any = true;
+    }
+    if (!any) os << "-1";  // empty set: no state satisfies it
+    os << "};\n";
   }
 
-  os << "INIT\n  state in " << set_literal(kripke.initial, "") << ";\n";
+  os << "INIT\n  state in {";
+  for (std::size_t i = 0; i < kripke.initial.size(); ++i) {
+    if (i > 0) os << ", ";
+    os << kripke.initial[i];
+  }
+  os << "};\n";
 
   os << "TRANS\n  case\n";
   for (std::size_t s = 0; s < n; ++s) {
-    // An empty successor list stutters (defensive; products are total).
-    os << "    state = " << s << " : next(state) in "
-       << set_literal(kripke.successors[s], std::to_string(s)) << ";\n";
+    os << "    state = " << s << " : next(state) in {";
+    const auto& succ = kripke.successors[s];
+    for (std::size_t i = 0; i < succ.size(); ++i) {
+      if (i > 0) os << ", ";
+      os << succ[i];
+    }
+    if (succ.empty()) os << s;  // stutter (defensive; products are total)
+    os << "};\n";
   }
   os << "    TRUE : next(state) = state;\n  esac;\n";
 
