@@ -18,6 +18,7 @@
 
 #include "bench_common.hpp"
 #include "core/pipeline.hpp"
+#include "nn/decoder.hpp"
 #include "sim/empirical.hpp"
 #include "util/table.hpp"
 
@@ -41,10 +42,19 @@ std::map<std::string, double> evaluate_in_system(
     sim_cfg.epsilon_label = pipe.domain().stop_action();
     sim::Simulator simulator(pipe.domain().model(task.scenario), sim_cfg);
 
-    const auto responses =
-        lm::sample_responses(model, pipe.tokenizer(), task.prompt,
-                             samples_per_task, sampler, pipe.config().seed, rng);
-    for (const auto& response : responses.texts) {
+    // All request seeds are drawn before any rollout consumes `rng`.
+    std::vector<std::uint64_t> seeds(
+        static_cast<std::size_t>(samples_per_task));
+    for (auto& seed : seeds) seed = rng();
+    const std::vector<int> prompt =
+        lm::encode_prompt(pipe.tokenizer(), task.prompt);
+    for (const std::uint64_t seed : seeds) {
+      Rng request = nn::request_rng(pipe.config().seed, seed);
+      const auto gen = model.generate(prompt, sampler.max_new_tokens,
+                                      sampler.temperature, sampler.top_k,
+                                      pipe.tokenizer().eos(), request);
+      const std::string response =
+          lm::decode_response(pipe.tokenizer(), gen.ids, gen.truncated);
       auto g2f = glm2fsa::glm2fsa(response, pipe.domain().aligner(),
                                   pipe.domain().build_options());
       if (!g2f.parsed.ok()) {

@@ -31,7 +31,6 @@ PipelineConfig bench_config() {
   cfg.d_ff = 64;
   cfg.corpus_samples_per_task = 10;
   cfg.pretrain.epochs = 2;
-  cfg.serve = true;
   cfg.serve_slots = 4;
   cfg.eval_samples_per_task = 4;
   cfg.eval_max_new_tokens = 48;

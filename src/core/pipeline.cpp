@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -87,10 +86,13 @@ driving::generator::GeneratorConfig make_generator_config(
   return gen;
 }
 
-serve::ServiceConfig make_serve_config(const PipelineConfig& config) {
+// The admission queue holds all `requests` of one batch.
+serve::ServiceConfig make_serve_config(const PipelineConfig& config,
+                                       std::uint64_t requests) {
   serve::ServiceConfig scfg;
   scfg.slots = config.serve_slots;
-  scfg.queue_capacity = std::max(64, config.serve_slots * 4);
+  scfg.queue_capacity =
+      static_cast<int>(std::max<std::uint64_t>(1, requests));
   scfg.seed = config.seed;
   return scfg;
 }
@@ -272,14 +274,12 @@ DpoAfPipeline::stream_scored_responses(
   const std::size_t n_tasks = tasks.size();
   // Sequence numbers are assigned at submission, task-major then
   // sample-minor, and request s of task u always decodes with
-  // nn::request_rng(config_.seed, task_rngs[u]()) — the s-th serial draw
-  // — whichever scheduler runs it. Each scored response lands in its own
-  // slot out[seq], so the result is the same at any thread count, serve
-  // on or off (docs/PIPELINE.md).
-  std::vector<std::uint64_t> seq_base(n_tasks + 1, 0);
-  for (std::size_t u = 0; u < n_tasks; ++u)
-    seq_base[u + 1] = seq_base[u] + static_cast<std::uint64_t>(counts[u]);
-  const std::uint64_t total = seq_base[n_tasks];
+  // nn::request_rng(config_.seed, task_rngs[u]()) — the s-th serial
+  // draw. Each scored response lands in its own slot out[seq], so the
+  // result is the same at any thread count and slot count
+  // (docs/PIPELINE.md).
+  std::uint64_t total = 0;
+  for (const int c : counts) total += static_cast<std::uint64_t>(c);
 
   struct WorkItem {
     std::uint64_t seq = 0;
@@ -303,98 +303,63 @@ DpoAfPipeline::stream_scored_responses(
     work.close();
   };
 
+  // Sampled sources: every request, its seed drawn serially from its
+  // task's RNG, goes to the service in one batch, so the service's
+  // scheduling (and its serve.* counters) never depends on thread timing.
   // Declared before StageSet so the sampler worker never outlives it.
   std::unique_ptr<serve::GenerationService> service;
-  if (config_.serve && !from_catalog)
-    service =
-        std::make_unique<serve::GenerationService>(model,
-                                                   make_serve_config(config_));
+  std::vector<serve::Submission> submissions;
+  if (!from_catalog) {
+    service = std::make_unique<serve::GenerationService>(
+        model, make_serve_config(config_, total));
+    std::vector<serve::GenerateRequest> requests;
+    requests.reserve(total);
+    for (std::size_t u = 0; u < n_tasks; ++u) {
+      const std::vector<int> prompt =
+          lm::encode_prompt(tokenizer_, tasks[u]->prompt);
+      for (int s = 0; s < counts[u]; ++s) {
+        serve::GenerateRequest req;
+        req.prompt = prompt;
+        req.max_new_tokens = sampler.max_new_tokens;
+        req.temperature = sampler.temperature;
+        req.top_k = sampler.top_k;
+        req.eos_id = tokenizer_.eos();
+        req.seed = task_rngs[u]();
+        requests.push_back(std::move(req));
+      }
+    }
+    submissions = service->submit_all(std::move(requests));
+  }
 
   dataflow::StageSet stages([&] { work.fail(); });
 
   // --- sampler stage --------------------------------------------------
-  if (service) {
-    // One worker submits in sequence order, drawing every per-request seed
-    // serially from the task RNGs, and harvests in the same order. Once
-    // queue_capacity submissions are in flight it harvests the oldest
-    // before submitting again, so blocking admission never waits.
-    stages.spawn(
-        "sample", 1,
-        [&](int) {
-          const auto window =
-              static_cast<std::size_t>(service->config().queue_capacity);
-          std::deque<std::pair<std::size_t, serve::Submission>> inflight;
-          std::uint64_t seq = 0;
-          const auto harvest_oldest = [&] {
-            obs::Span span("generation",
-                           obs::histogram("lm.sample_responses_ns"));
-            const std::size_t u = inflight.front().first;
-            const serve::GenerateResult r =
-                inflight.front().second.result.get();
-            inflight.pop_front();
-            DPOAF_CHECK_MSG(r.finish != serve::FinishReason::kInvalid,
-                            "the generation service rejected a sampling "
-                            "request as invalid");
-            const bool truncated = r.finish == serve::FinishReason::kContext;
-            return work.push(
-                {seq++, u, lm::decode_response(tokenizer_, r.ids, truncated),
-                 truncated});
-          };
-          for (std::size_t u = 0; u < n_tasks; ++u) {
-            const std::vector<int> prompt =
-                lm::encode_prompt(tokenizer_, tasks[u]->prompt);
-            for (int s = 0; s < counts[u]; ++s) {
-              if (inflight.size() >= window && !harvest_oldest()) return;
-              serve::GenerateRequest req;
-              req.prompt = prompt;
-              req.max_new_tokens = sampler.max_new_tokens;
-              req.temperature = sampler.temperature;
-              req.top_k = sampler.top_k;
-              req.eos_id = tokenizer_.eos();
-              req.seed = task_rngs[u]();
-              inflight.emplace_back(u, service->submit(std::move(req)));
+  // One worker pushes items in sequence order: a catalog task's variant
+  // texts, or each served result as soon as it resolves.
+  stages.spawn(
+      "sample", 1,
+      [&](int) {
+        std::uint64_t seq = 0;
+        for (std::size_t u = 0; u < n_tasks; ++u)
+          for (int s = 0; s < counts[u]; ++s, ++seq) {
+            WorkItem item{seq, u, {}, false};
+            if (from_catalog) {
+              item.text = tasks[u]->variants[static_cast<std::size_t>(s)].text;
+            } else {
+              obs::Span span("generation",
+                             obs::histogram("lm.sample_responses_ns"));
+              const serve::GenerateResult r = submissions[seq].result.get();
+              DPOAF_CHECK_MSG(r.finish != serve::FinishReason::kInvalid,
+                              "the generation service rejected a sampling "
+                              "request as invalid");
+              item.truncated = r.finish == serve::FinishReason::kContext;
+              item.text =
+                  lm::decode_response(tokenizer_, r.ids, item.truncated);
             }
+            if (!work.push(std::move(item))) return;
           }
-          while (!inflight.empty())
-            if (!harvest_oldest()) return;
-        },
-        close_sampling);
-  } else {
-    // Direct / catalog sampler: workers claim whole tasks (each task's
-    // RNG stream is private, so the claim order is irrelevant) and decode
-    // serially — the worker count is the stage's parallelism.
-    const int gen_workers =
-        from_catalog ? 1
-                     : static_cast<int>(std::min<std::size_t>(
-                           n_tasks == 0 ? 1 : n_tasks,
-                           static_cast<std::size_t>(util::global_threads())));
-    auto next_task = std::make_shared<std::atomic<std::size_t>>(0);
-    stages.spawn(
-        "sample", gen_workers,
-        [&, next_task](int) {
-          for (;;) {
-            const std::size_t u = next_task->fetch_add(1);
-            if (u >= n_tasks) return;
-            for (int s = 0; s < counts[u]; ++s) {
-              WorkItem item{seq_base[u] + static_cast<std::uint64_t>(s), u,
-                            {}, false};
-              if (from_catalog) {
-                item.text = tasks[u]->variants[static_cast<std::size_t>(s)].text;
-              } else {
-                // One response per call, so each is scored as soon as it
-                // is decoded; the seeds drawn match one m-response call.
-                auto one = lm::sample_responses(model, tokenizer_,
-                                                tasks[u]->prompt, 1, sampler,
-                                                config_.seed, task_rngs[u]);
-                item.text = std::move(one.texts[0]);
-                item.truncated = one.truncated[0];
-              }
-              if (!work.push(std::move(item))) return;
-            }
-          }
-        },
-        close_sampling);
-  }
+      },
+      close_sampling);
 
   // --- synthesis + verification stage ---------------------------------
   // Each worker writes only the slots of the items it pops; join() orders

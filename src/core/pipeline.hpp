@@ -33,8 +33,8 @@ struct PipelineConfig {
   std::uint64_t seed = 1;
 
   /// Size of the global thread pool: the DPO reference log-prob
-  /// precompute and serve's decode step fan out on it, and the sample and
-  /// verify stages run that many workers. Tensor ops stay serial. 0 ⇒
+  /// precompute and serve's decode step fan out on it, and the verify
+  /// stage runs that many workers. Tensor ops stay serial. 0 ⇒
   /// resolve from the DPOAF_THREADS environment variable, else hardware
   /// concurrency. Results are bitwise-identical at any setting (see
   /// DESIGN.md).
@@ -65,14 +65,12 @@ struct PipelineConfig {
   /// the paper's unlimited automated feedback makes the candidate source
   /// interchangeable).
   bool candidates_from_catalog = false;
-  /// Schedule every sampled decode (candidate collection, checkpoint
-  /// evaluation, the held-out eval) on the continuous-batching generation
-  /// service (src/serve) instead of per-task decode loops. Both schedulers
-  /// decode response s of task u with nn::request_rng(seed, task_rng_u()),
-  /// so the RunResult is bitwise-identical either way — a scheduling knob,
-  /// not an experiment axis. See docs/SERVING.md.
+  /// Ignored: every sampled decode runs on the generation service. Only
+  /// perfbench still assigns it.
   bool serve = false;
-  /// Concurrent decode slots when serve is enabled.
+  /// Concurrent decode slots of the generation service (src/serve) that
+  /// runs every sampled decode. Results are bitwise-identical at any slot
+  /// count (docs/SERVING.md).
   int serve_slots = 8;
 
   // ---- Streaming dataflow (docs/PIPELINE.md) -------------------------

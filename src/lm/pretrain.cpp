@@ -2,10 +2,8 @@
 
 #include <numeric>
 
-#include "nn/decoder.hpp"
 #include "nn/optim.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace dpoaf::lm {
@@ -78,29 +76,6 @@ std::string decode_response(const Tokenizer& tok, const std::vector<int>& ids,
   tokens.add(ids.size());
   if (truncated) truncations.add();
   return tok.decode(ids);
-}
-
-SampledResponses sample_responses(const TinyGpt& model, const Tokenizer& tok,
-                                  const std::string& task_prompt, int m,
-                                  const SamplerConfig& config,
-                                  std::uint64_t stream_seed, Rng& rng) {
-  DPOAF_CHECK(m > 0);
-  // "generation" is one of the five pipeline phases in the RunReport; every
-  // sampled batch of m responses is one span (plus per-response counters).
-  obs::Span span("generation", obs::histogram("lm.sample_responses_ns"));
-  const std::vector<int> prompt = encode_prompt(tok, task_prompt);
-  SampledResponses out;
-  out.texts.reserve(static_cast<std::size_t>(m));
-  out.truncated.reserve(static_cast<std::size_t>(m));
-  for (int s = 0; s < m; ++s) {
-    Rng request = nn::request_rng(stream_seed, rng());
-    const auto gen =
-        model.generate(prompt, config.max_new_tokens, config.temperature,
-                       config.top_k, tok.eos(), request);
-    out.texts.push_back(decode_response(tok, gen.ids, gen.truncated));
-    out.truncated.push_back(gen.truncated);
-  }
-  return out;
 }
 
 }  // namespace dpoaf::lm

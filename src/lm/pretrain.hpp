@@ -1,11 +1,11 @@
 // Pre-training loop (next-token cross-entropy over the synthetic corpus)
-// and response sampling — "querying the pre-trained model" in the paper's
-// pipeline. After pre-training, sampled responses mirror the corpus's
-// variant distribution, so the model starts with generic-but-imperfect
-// domain behaviour exactly as the paper assumes of Llama2-7B.
+// plus the sampler settings and response decoding of "querying the
+// pre-trained model" in the paper's pipeline. After pre-training, sampled
+// responses mirror the corpus's variant distribution, so the model starts
+// with generic-but-imperfect domain behaviour exactly as the paper assumes
+// of Llama2-7B.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -61,30 +61,11 @@ struct SamplerConfig {
   int top_k = 6;
 };
 
-/// Decoded response texts (the step lists, ready for GLM2FSA) plus which
-/// of them hit the model's context limit — truncated step lists usually
-/// fail alignment, and the caller must be able to tell that apart from a
-/// genuinely malformed response.
-struct SampledResponses {
-  std::vector<std::string> texts;
-  std::vector<bool> truncated;  // parallel to texts
-};
-
-/// Sample m responses for a task prompt — the library's one sampling
-/// entry point. Response s decodes with its own stream
-/// nn::request_rng(stream_seed, rng()), the m seeds drawn serially from
-/// `rng`: the derivation a deterministic serve::GenerationService seeded
-/// with `stream_seed` applies to requests whose seeds come from the same
-/// draws, so direct and served sampling return identical texts.
-SampledResponses sample_responses(const TinyGpt& model, const Tokenizer& tok,
-                                  const std::string& task_prompt, int m,
-                                  const SamplerConfig& config,
-                                  std::uint64_t stream_seed, Rng& rng);
-
 /// Decode one finished generation into response text and count it in the
 /// lm.responses / lm.generated_tokens / lm.truncated_responses metrics.
-/// The only place those counters are recorded: sample_responses and the
-/// pipeline's serve-backed sampler both finish every response here.
+/// The only place those counters are recorded: every sampled response
+/// finishes here, whether the pipeline's generation service or a direct
+/// TinyGpt::generate call (bench/fig11_empirical_eval) decoded it.
 std::string decode_response(const Tokenizer& tok, const std::vector<int>& ids,
                             bool truncated);
 

@@ -155,34 +155,52 @@ std::string GenerationService::validate(const GenerateRequest& req) const {
 }
 
 Submission GenerationService::submit(GenerateRequest req) {
+  std::vector<GenerateRequest> one;
+  one.push_back(std::move(req));
+  return std::move(submit_all(std::move(one)).front());
+}
+
+std::vector<Submission> GenerationService::submit_all(
+    std::vector<GenerateRequest> requests) {
   auto& im = *impl_;
-  std::promise<GenerateResult> promise;
-  Submission sub;
-  sub.result = promise.get_future();
-  if (!validate(req).empty()) {
-    // Rejected requests never reach the scheduler: resolve the future
-    // right here instead of crashing the caller (or worse, letting an
-    // empty prompt reach the prefill loop).
-    im.rejected_invalid.add();
-    GenerateResult r;
-    r.finish = FinishReason::kInvalid;
-    promise.set_value(std::move(r));
-    return sub;
+  std::vector<Submission> subs(requests.size());
+  std::vector<std::pair<std::size_t, Pending>> valid;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    std::promise<GenerateResult> promise;
+    subs[i].result = promise.get_future();
+    if (!validate(requests[i]).empty()) {
+      // Rejected requests never reach the scheduler: resolve the future
+      // right here instead of crashing the caller (or worse, letting an
+      // empty prompt reach the prefill loop).
+      im.rejected_invalid.add();
+      GenerateResult r;
+      r.finish = FinishReason::kInvalid;
+      promise.set_value(std::move(r));
+      continue;
+    }
+    valid.emplace_back(i, Pending{std::move(requests[i]), std::move(promise)});
   }
+  if (valid.empty()) return subs;
+  const auto n = static_cast<int>(valid.size());
+  DPOAF_CHECK_MSG(n <= config_.queue_capacity,
+                  "submit_all: more valid requests than queue_capacity");
   {
     std::unique_lock<std::mutex> lock(im.mutex);
     im.space_cv.wait(lock, [&] {
-      return im.draining || im.queue_size < config_.queue_capacity;
+      return im.draining || im.queue_size + n <= config_.queue_capacity;
     });
     DPOAF_CHECK_MSG(!im.draining, "submit() after shutdown");
-    sub.id = im.next_id++;
-    im.queue[req.priority].push_back(Pending{
-        std::move(req), std::move(promise), sub.id, obs::monotonic_now_ns()});
-    ++im.queue_size;
-    im.accepted.add();
+    const std::uint64_t now_ns = obs::monotonic_now_ns();
+    for (auto& [i, p] : valid) {
+      p.id = subs[i].id = im.next_id++;
+      p.admit_ns = now_ns;
+      im.queue[p.req.priority].push_back(std::move(p));
+    }
+    im.queue_size += n;
+    im.accepted.add(valid.size());
   }
   im.work_cv.notify_all();
-  return sub;
+  return subs;
 }
 
 std::vector<GenerateResult> GenerationService::generate_all(

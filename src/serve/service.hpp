@@ -141,6 +141,13 @@ class GenerationService {
   /// after shutdown.
   Submission submit(GenerateRequest req);
 
+  /// submit() for a whole list: every valid request enters the queue under
+  /// one lock. With no other submitter, the scheduler's decisions — and so
+  /// every ServiceStats total — then depend only on the list, never on when
+  /// the caller's thread ran. Waits for room for all of them; CHECKs that
+  /// they fit queue_capacity. Submissions come back in input order.
+  std::vector<Submission> submit_all(std::vector<GenerateRequest> requests);
+
   /// Submit every request (blocking for space) and wait; results come back
   /// in input order.
   std::vector<GenerateResult> generate_all(

@@ -117,8 +117,8 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
   // negative checkpoint_every_epochs silently disabled snapshots.
   // n_heads == 0 raised SIGFPE in the attention constructor; the other
   // model-shape and batch fields failed only after construction or
-  // pre-training; a temperature of 0 made the direct sampler throw from
-  // TinyGpt::generate while serve mode scored every response unalignable.
+  // pre-training; a temperature of 0 made TinyGpt::generate throw and the
+  // generation service score every response unalignable.
   // d_ff == 0 ran to the end with the DPO loss stuck at ln 2, and a NaN
   // learning rate or beta surfaced mid-run as a sampling-weight CHECK.
   // micro_config() generates no scenarios, so any holdout above 0 is out

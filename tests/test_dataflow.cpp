@@ -2,21 +2,24 @@
 // determinism contract (docs/PIPELINE.md): bounded channels must enforce
 // backpressure and drain cleanly on close/fail, stage errors must unwind
 // the whole graph, and the streaming pipeline must produce
-// bitwise-identical results whether its decodes are scheduled directly or
-// on the serve layer, at any thread count. This suite also runs under
-// TSan in CI (DPOAF_THREADS=4, both tensor backends).
+// bitwise-identical results at any thread count and serve slot count, with
+// TinyGpt::generate as the oracle for its served decodes. This suite also
+// runs under TSan in CI (DPOAF_THREADS=4, both tensor backends).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dataflow/channel.hpp"
 #include "core/dataflow/stage.hpp"
 #include "core/pipeline.hpp"
+#include "nn/decoder.hpp"
 #include "util/threadpool.hpp"
 
 namespace dpoaf {
@@ -135,9 +138,17 @@ TEST(DataflowStageSet, WorkerErrorFailsTheGraphAndRethrowsOnJoin) {
   EXPECT_THROW(stages.join(), std::runtime_error);
 }
 
-// ------------------------- serve vs direct scheduling: bitwise identical ----
+// ---------------- served sampling: bitwise identical across settings ----
+//
+// Every sampled decode runs on serve::GenerationService. The oracle test
+// pins served decodes to TinyGpt::generate; the other cases require every
+// (threads, serve_slots) setting — the "modes" in their names — to
+// reproduce the first.
 
-core::PipelineConfig micro_config(bool serve, int threads, bool catalog) {
+constexpr std::pair<int, int> kThreadsSlots[] = {{1, 1}, {1, 4}, {4, 1},
+                                                 {4, 4}};
+
+core::PipelineConfig micro_config(int threads, int slots, bool catalog) {
   core::PipelineConfig cfg;
   cfg.seed = 29;
   cfg.threads = threads;
@@ -149,8 +160,7 @@ core::PipelineConfig micro_config(bool serve, int threads, bool catalog) {
   cfg.corpus_samples_per_task = 6;
   cfg.pretrain.epochs = 1;
   cfg.candidates_from_catalog = catalog;
-  cfg.serve = serve;
-  cfg.serve_slots = 4;
+  cfg.serve_slots = slots;
   cfg.responses_per_task = 3;
   cfg.sampler.max_new_tokens = 24;
   cfg.dpo.epochs = 2;
@@ -159,6 +169,14 @@ core::PipelineConfig micro_config(bool serve, int threads, bool catalog) {
   cfg.dpo.lora_rank = 2;
   cfg.eval_samples_per_task = 2;
   cfg.eval_max_new_tokens = 24;
+  return cfg;
+}
+
+// A generated catalog with one held-out scenario.
+core::PipelineConfig with_holdout(core::PipelineConfig cfg) {
+  cfg.generated_scenarios = 3;
+  cfg.holdout_scenarios = 1;
+  cfg.generator_seed = 13;
   return cfg;
 }
 
@@ -184,74 +202,127 @@ void expect_same_candidates(const std::vector<core::TaskCandidates>& a,
   }
 }
 
+// Collects with every setting of kThreadsSlots and compares each result
+// with the first.
+template <typename MakeConfig>
+void expect_candidates_identical_across_settings(MakeConfig make_config) {
+  const auto [threads, slots] = kThreadsSlots[0];
+  const auto reference = collect(make_config(threads, slots));
+  for (const auto& [t, s] : kThreadsSlots) {
+    SCOPED_TRACE(testing::Message() << "threads=" << t << " slots=" << s);
+    expect_same_candidates(reference, collect(make_config(t, s)));
+  }
+}
+
 TEST(StreamingEquivalence, CatalogCandidatesIdenticalAcrossModesAndThreads) {
-  const auto direct = collect(micro_config(false, 1, true));
-  expect_same_candidates(direct, collect(micro_config(false, 4, true)));
-  expect_same_candidates(direct, collect(micro_config(true, 1, true)));
-  expect_same_candidates(direct, collect(micro_config(true, 4, true)));
+  expect_candidates_identical_across_settings(
+      [](int threads, int slots) {
+        return micro_config(threads, slots, true);
+      });
 }
 
 TEST(StreamingEquivalence, SampledCandidatesIdenticalAcrossModesAndThreads) {
-  const auto direct = collect(micro_config(false, 1, false));
-  expect_same_candidates(direct, collect(micro_config(false, 4, false)));
+  expect_candidates_identical_across_settings(
+      [](int threads, int slots) {
+        return micro_config(threads, slots, false);
+      });
 }
 
+// A batch of more than 64 requests, many times the slot count, so most of
+// them wait in the admission queue while the sampler harvests others.
 TEST(StreamingEquivalence, ServedCandidatesIdenticalAcrossModesAndThreads) {
-  const auto direct = collect(micro_config(false, 1, false));
-  expect_same_candidates(direct, collect(micro_config(true, 1, false)));
-  expect_same_candidates(direct, collect(micro_config(true, 4, false)));
-
-  // More requests than the serve sampler keeps in flight (the service's
-  // queue_capacity, max(64, 4 * serve_slots) = 64 at one slot), so it must
-  // harvest the oldest submission before each later one.
-  const auto wide = [](bool serve, int threads) {
-    auto cfg = micro_config(serve, threads, false);
+  const auto wide = [](int threads, int slots) {
+    auto cfg = micro_config(threads, slots, false);
     cfg.responses_per_task = 20;
-    cfg.serve_slots = 1;
     return cfg;
   };
-  const auto wide_direct = collect(wide(false, 1));
   std::size_t requests = 0;
-  for (const auto& tc : wide_direct) requests += tc.candidates.size();
+  for (const auto& tc : collect(wide(1, 1))) requests += tc.candidates.size();
   ASSERT_GT(requests, 64u);
-  expect_same_candidates(wide_direct, collect(wide(true, 1)));
-  expect_same_candidates(wide_direct, collect(wide(true, 4)));
+  expect_candidates_identical_across_settings(wide);
 }
 
-// Full run() over a generated catalog with held-out scenarios: serve only
-// schedules the decodes of collection, checkpoint eval and the held-out
-// eval, so the whole RunResult — DPO history, every checkpoint, the
-// generalization block, the pair count — must match the direct run.
-TEST(StreamingEquivalence, FullRunIdenticalServedAndDirect) {
-  const auto run_with = [](bool serve, int threads) {
-    auto cfg = micro_config(serve, threads, false);
-    cfg.generated_scenarios = 3;
-    cfg.holdout_scenarios = 1;
-    cfg.generator_seed = 13;
+// TinyGpt::generate is the bitwise oracle for served decodes: a test-local
+// loop that splits the eval RNG per non-held-out task, decodes each sample
+// directly with its per-request RNG and scores it must reproduce
+// evaluate_model's per-task means and failure rates.
+TEST(StreamingEquivalence, EvalMatchesGenerateOracle) {
+  constexpr int kEpoch = 2;
+  for (const auto& [threads, slots] : kThreadsSlots) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                    << " slots=" << slots);
+    const auto cfg = with_holdout(micro_config(threads, slots, false));
     core::DpoAfPipeline pipe(cfg);
+    pipe.pretrain_model();
+    const auto eval = pipe.evaluate_model(pipe.model(), kEpoch);
+    util::set_global_threads(1);
+
+    const lm::Tokenizer& tok = pipe.tokenizer();
+    const int top_k = lm::SamplerConfig{}.top_k;
+    const auto n = static_cast<double>(cfg.eval_samples_per_task);
+    Rng eval_rng(cfg.seed * 0x9E3779B9ULL + kEpoch);
+    std::vector<std::pair<std::string, double>> per_task;
+    std::vector<double> per_task_failure;
+    int truncated = 0;
+    bool saw_holdout = false;
+    for (const auto& task : pipe.domain().tasks()) {
+      if (task.holdout) {
+        saw_holdout = true;
+        continue;
+      }
+      Rng task_rng = eval_rng.split();
+      const std::vector<int> prompt = lm::encode_prompt(tok, task.prompt);
+      double score_sum = 0.0;
+      int failures = 0;
+      for (int s = 0; s < cfg.eval_samples_per_task; ++s) {
+        Rng request = nn::request_rng(cfg.seed, task_rng());
+        const auto gen = pipe.model().generate(
+            prompt, cfg.eval_max_new_tokens, cfg.eval_temperature, top_k,
+            tok.eos(), request);
+        if (gen.truncated) ++truncated;
+        const int score = pipe.score_response(task, tok.decode(gen.ids));
+        if (score < 0) ++failures;
+        score_sum += std::max(0, score);
+      }
+      per_task.emplace_back(task.id, score_sum / n);
+      per_task_failure.push_back(static_cast<double>(failures) / n);
+    }
+    ASSERT_TRUE(saw_holdout);
+    EXPECT_EQ(eval.per_task, per_task);
+    EXPECT_EQ(eval.per_task_alignment_failure, per_task_failure);
+    EXPECT_EQ(eval.truncated_responses, truncated);
+  }
+}
+
+// Full run() over a generated catalog with held-out scenarios: slots and
+// threads only schedule the decodes of collection, checkpoint eval and the
+// held-out eval, so the whole RunResult — DPO history, every checkpoint,
+// the generalization block, the pair count — must match across settings.
+TEST(StreamingEquivalence, FullRunIdenticalAcrossSlotsAndThreads) {
+  const auto run_with = [](int threads, int slots) {
+    core::DpoAfPipeline pipe(with_holdout(micro_config(threads, slots, false)));
     auto result = pipe.run();
     util::set_global_threads(1);
     return result;
   };
-  const auto direct = run_with(false, 1);
-  ASSERT_TRUE(direct.has_generalization);
-  EXPECT_GT(direct.pair_count, 0u);
-  for (const auto& [serve, threads] :
-       {std::pair{false, 4}, std::pair{true, 1}, std::pair{true, 4}}) {
-    SCOPED_TRACE(testing::Message() << "serve=" << serve
-                                    << " threads=" << threads);
-    const auto other = run_with(serve, threads);
-    EXPECT_EQ(direct.pair_count, other.pair_count);
-    ASSERT_EQ(direct.metrics.size(), other.metrics.size());
-    for (std::size_t i = 0; i < direct.metrics.size(); ++i) {
-      EXPECT_EQ(direct.metrics[i].loss, other.metrics[i].loss);
-      EXPECT_EQ(direct.metrics[i].accuracy, other.metrics[i].accuracy);
-      EXPECT_EQ(direct.metrics[i].margin, other.metrics[i].margin);
-      EXPECT_EQ(direct.metrics[i].kl, other.metrics[i].kl);
+  const auto [threads, slots] = kThreadsSlots[0];
+  const auto reference = run_with(threads, slots);
+  ASSERT_TRUE(reference.has_generalization);
+  EXPECT_GT(reference.pair_count, 0u);
+  for (const auto& [t, s] : kThreadsSlots) {
+    SCOPED_TRACE(testing::Message() << "threads=" << t << " slots=" << s);
+    const auto other = run_with(t, s);
+    EXPECT_EQ(reference.pair_count, other.pair_count);
+    ASSERT_EQ(reference.metrics.size(), other.metrics.size());
+    for (std::size_t i = 0; i < reference.metrics.size(); ++i) {
+      EXPECT_EQ(reference.metrics[i].loss, other.metrics[i].loss);
+      EXPECT_EQ(reference.metrics[i].accuracy, other.metrics[i].accuracy);
+      EXPECT_EQ(reference.metrics[i].margin, other.metrics[i].margin);
+      EXPECT_EQ(reference.metrics[i].kl, other.metrics[i].kl);
     }
-    ASSERT_EQ(direct.checkpoints.size(), other.checkpoints.size());
-    for (std::size_t i = 0; i < direct.checkpoints.size(); ++i) {
-      const auto& a = direct.checkpoints[i];
+    ASSERT_EQ(reference.checkpoints.size(), other.checkpoints.size());
+    for (std::size_t i = 0; i < reference.checkpoints.size(); ++i) {
+      const auto& a = reference.checkpoints[i];
       const auto& b = other.checkpoints[i];
       EXPECT_EQ(a.epoch, b.epoch);
       EXPECT_EQ(a.train_mean_satisfied, b.train_mean_satisfied);
@@ -264,7 +335,7 @@ TEST(StreamingEquivalence, FullRunIdenticalServedAndDirect) {
       EXPECT_EQ(a.per_task_alignment_failure, b.per_task_alignment_failure);
     }
     ASSERT_TRUE(other.has_generalization);
-    const auto& g = direct.generalization;
+    const auto& g = reference.generalization;
     const auto& h = other.generalization;
     EXPECT_EQ(g.train_tasks, h.train_tasks);
     EXPECT_EQ(g.holdout_tasks, h.holdout_tasks);

@@ -126,32 +126,5 @@ TEST_F(LmTest, PretrainingReducesLoss) {
   EXPECT_LT(stats.epoch_losses.back(), stats.epoch_losses.front() * 0.9);
 }
 
-TEST_F(LmTest, SampledResponsesDecodeToText) {
-  VariantWeights weights;
-  Rng rng(9);
-  const auto corpus = build_corpus(tasks(), tok(), 6, weights, rng);
-  nn::GptConfig cfg;
-  cfg.vocab_size = static_cast<std::int64_t>(tok().vocab_size());
-  cfg.d_model = 16;
-  cfg.n_heads = 2;
-  cfg.n_layers = 1;
-  cfg.d_ff = 32;
-  cfg.max_seq = max_sequence_length(corpus) + 8;
-  nn::TinyGpt model(cfg, rng);
-  PretrainConfig pt;
-  pt.epochs = 1;
-  pretrain(model, corpus, pt, rng);
-
-  SamplerConfig sc;
-  sc.max_new_tokens = 16;
-  const auto responses =
-      sample_responses(model, tok(), tasks()[0].prompt, 3, sc, 9, rng);
-  ASSERT_EQ(responses.texts.size(), 3u);
-  ASSERT_EQ(responses.truncated.size(), 3u);
-  // Responses decode into plain text (may be low quality at 1 epoch —
-  // that's fine; the feedback channel scores them).
-  for (const auto& r : responses.texts) EXPECT_LT(r.size(), 400u);
-}
-
 }  // namespace
 }  // namespace dpoaf::lm

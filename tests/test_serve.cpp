@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -110,6 +111,57 @@ TEST(Serve, MatchesGenerateBitwisePerRequest) {
   EXPECT_EQ(stats.accepted, reqs.size());
   EXPECT_EQ(stats.completed, reqs.size());
   EXPECT_EQ(stats.generated_tokens, total_tokens);
+  util::set_global_threads(1);
+}
+
+// submit_all enqueues a whole batch under one lock, so every scheduling
+// decision — and with it every ServiceStats total — is a function of the
+// batch alone: repeated runs at any thread count agree exactly. Outcomes
+// equal one-by-one submission, and an invalid entry resolves in place.
+TEST(Serve, SubmitAllSchedulesIdenticallyAtAnyThreadCount) {
+  const nn::TinyGpt model = small_model();
+  auto reqs = request_set(40);
+  // Shared preambles give the prefix tree hits; a tight pool forces LRU
+  // evictions of cached prefixes.
+  for (std::size_t u = 0; u < reqs.size(); u += 2)
+    reqs[u].prompt.insert(reqs[u].prompt.begin(), {5, 6, 7, 8, 9, 10, 11});
+  reqs[7].prompt.clear();
+  serve::ServiceConfig cfg;
+  cfg.slots = 4;
+  cfg.seed = 99;
+  cfg.kv_block_tokens = 4;
+  cfg.kv_blocks_total = 24;
+  const auto run = [&](int threads) {
+    util::set_global_threads(threads);
+    serve::GenerationService service(model, cfg);
+    std::vector<Outcome> out;
+    for (serve::Submission& sub : service.submit_all(reqs)) {
+      serve::GenerateResult r = sub.result.get();
+      out.push_back(Outcome{std::move(r.ids), r.finish});
+    }
+    service.shutdown();
+    return std::make_pair(std::move(out), service.stats());
+  };
+  const auto [want, want_stats] = run(1);
+  EXPECT_EQ(want[7].finish, serve::FinishReason::kInvalid);
+  EXPECT_EQ(want_stats.rejected_invalid, 1u);
+  EXPECT_GT(want_stats.prefix_hits, 0u);
+  EXPECT_GT(want_stats.evicted_blocks, 0u);
+  std::vector<std::size_t> order(reqs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  EXPECT_EQ(run_served(model, cfg, reqs, order), want);
+  for (const int threads : {1, 4, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const auto [got, stats] = run(threads);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(stats.accepted, want_stats.accepted);
+    EXPECT_EQ(stats.iterations, want_stats.iterations);
+    EXPECT_EQ(stats.prefix_hits, want_stats.prefix_hits);
+    EXPECT_EQ(stats.prefix_tokens_reused, want_stats.prefix_tokens_reused);
+    EXPECT_EQ(stats.prefill_steps, want_stats.prefill_steps);
+    EXPECT_EQ(stats.cow_copies, want_stats.cow_copies);
+    EXPECT_EQ(stats.evicted_blocks, want_stats.evicted_blocks);
+  }
   util::set_global_threads(1);
 }
 
@@ -414,8 +466,9 @@ TEST(Serve, PrefixSharingReusesPreambleAndMatchesPrivatePrefill) {
   util::set_global_threads(1);
 }
 
-// Pipeline routing: with config.serve on, candidates and checkpoint eval
-// are identical at any (serve_slots, threads) setting.
+// Pipeline routing: every sampled decode runs on the service, so
+// candidates and checkpoint eval are identical at any (serve_slots,
+// threads) setting.
 TEST(Serve, PipelineServeModeDeterministicAcrossSlotsAndThreads) {
   const auto run_with = [](int slots, int threads) {
     core::PipelineConfig cfg;
@@ -431,7 +484,6 @@ TEST(Serve, PipelineServeModeDeterministicAcrossSlotsAndThreads) {
     cfg.sampler.max_new_tokens = 16;
     cfg.eval_samples_per_task = 2;
     cfg.eval_max_new_tokens = 16;
-    cfg.serve = true;
     cfg.serve_slots = slots;
     core::DpoAfPipeline pipe(cfg);
     pipe.pretrain_model();
