@@ -1,9 +1,10 @@
 // Streaming-pipeline wall clock (docs/PIPELINE.md): one full checkpoint
 // evaluation — serve-backed generation of every task's samples, GLM2FSA
 // synthesis, formal verification, per-task means — on a pre-trained
-// pipeline. The --metrics-json report carries the dataflow queue/overlap
-// gauges that show verification running while generation is still
-// draining; CI asserts on them.
+// pipeline. The --metrics-json report carries the overlap gauges
+// (dataflow.pipeline.{scored_while_sampling,items}) that show
+// verification running while generation is still decoding; CI asserts
+// on them.
 //
 //   ./micro_pipeline --benchmark_filter='BM_Pipeline'
 //                    [--metrics-json out.json]

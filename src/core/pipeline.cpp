@@ -4,13 +4,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
-#include "core/dataflow/channel.hpp"
-#include "core/dataflow/stage.hpp"
 #include "modelcheck/buchi.hpp"
 #include "monitor/monitor.hpp"
 #include "obs/metrics.hpp"
@@ -37,7 +36,7 @@ namespace {
                       + std::to_string(c.field))
 
 // Rejects values no run can use before any construction work. Without
-// these, a sample count below 1 surfaces deep in the dataflow or collects
+// these, a sample count below 1 surfaces deep in collection or collects
 // nothing, a bad scenario count aborts in the generator, a DPO epoch or
 // checkpoint interval below 1 leaves no loss history or divides by zero,
 // a model shape or batch size below 1 fails (or raises SIGFPE) only after
@@ -271,115 +270,92 @@ DpoAfPipeline::stream_scored_responses(
     const std::vector<int>& counts, const TinyGpt& model,
     const lm::SamplerConfig& sampler, bool from_catalog,
     std::vector<Rng>& task_rngs) const {
-  const std::size_t n_tasks = tasks.size();
-  // Sequence numbers are assigned at submission, task-major then
-  // sample-minor, and request s of task u always decodes with
+  // Sequence numbers are assigned here, task-major then sample-minor, and
+  // request s of task u always decodes with
   // nn::request_rng(config_.seed, task_rngs[u]()) — the s-th serial
   // draw. Each scored response lands in its own slot out[seq], so the
   // result is the same at any thread count and slot count
   // (docs/PIPELINE.md).
   std::uint64_t total = 0;
   for (const int c : counts) total += static_cast<std::uint64_t>(c);
-
-  struct WorkItem {
-    std::uint64_t seq = 0;
-    std::size_t task = 0;
-    std::string text;
-    bool truncated = false;
-  };
-
-  const auto capacity = static_cast<std::size_t>(
-      config_.stage_queue_capacity < 1 ? 1 : config_.stage_queue_capacity);
-  dataflow::Channel<WorkItem> work(capacity, "pipeline.candidates");
   std::vector<ScoredItem> out(total);
-  std::atomic<std::uint64_t> filled{0};
-  // Overlap telemetry: scorings that complete while the sampler stage is
-  // still producing — work a barriered sample-then-score pipeline would
-  // have serialized.
-  std::atomic<bool> sampling_open{true};
-  std::atomic<std::uint64_t> scored_while_sampling{0};
-  const auto close_sampling = [&] {
-    sampling_open.store(false, std::memory_order_relaxed);
-    work.close();
-  };
+  std::vector<serve::GenerateRequest> requests;
+  requests.reserve(from_catalog ? 0 : total);
+  for (std::size_t u = 0, seq = 0; u < tasks.size(); ++u) {
+    std::vector<int> prompt;
+    if (!from_catalog) prompt = lm::encode_prompt(tokenizer_, tasks[u]->prompt);
+    for (int s = 0; s < counts[u]; ++s) {
+      ScoredItem& item = out[seq++];
+      item.task_index = u;
+      if (from_catalog) {
+        item.candidate.text =
+            tasks[u]->variants[static_cast<std::size_t>(s)].text;
+        continue;
+      }
+      serve::GenerateRequest req;
+      req.prompt = prompt;
+      req.max_new_tokens = sampler.max_new_tokens;
+      req.temperature = sampler.temperature;
+      req.top_k = sampler.top_k;
+      req.eos_id = tokenizer_.eos();
+      req.seed = task_rngs[u]();
+      requests.push_back(std::move(req));
+    }
+  }
 
-  // Sampled sources: every request, its seed drawn serially from its
-  // task's RNG, goes to the service in one batch, so the service's
-  // scheduling (and its serve.* counters) never depends on thread timing.
-  // Declared before StageSet so the sampler worker never outlives it.
+  // Sampled sources: every request goes to the service in one batch, so
+  // its scheduling (and its serve.* counters) never depends on thread
+  // timing. Declared before the workers so none of them outlives it.
   std::unique_ptr<serve::GenerationService> service;
   std::vector<serve::Submission> submissions;
   if (!from_catalog) {
     service = std::make_unique<serve::GenerationService>(
         model, make_serve_config(config_, total));
-    std::vector<serve::GenerateRequest> requests;
-    requests.reserve(total);
-    for (std::size_t u = 0; u < n_tasks; ++u) {
-      const std::vector<int> prompt =
-          lm::encode_prompt(tokenizer_, tasks[u]->prompt);
-      for (int s = 0; s < counts[u]; ++s) {
-        serve::GenerateRequest req;
-        req.prompt = prompt;
-        req.max_new_tokens = sampler.max_new_tokens;
-        req.temperature = sampler.temperature;
-        req.top_k = sampler.top_k;
-        req.eos_id = tokenizer_.eos();
-        req.seed = task_rngs[u]();
-        requests.push_back(std::move(req));
-      }
-    }
     submissions = service->submit_all(std::move(requests));
   }
 
-  dataflow::StageSet stages([&] { work.fail(); });
-
-  // --- sampler stage --------------------------------------------------
-  // One worker pushes items in sequence order: a catalog task's variant
-  // texts, or each served result as soon as it resolves.
-  stages.spawn(
-      "sample", 1,
-      [&](int) {
-        std::uint64_t seq = 0;
-        for (std::size_t u = 0; u < n_tasks; ++u)
-          for (int s = 0; s < counts[u]; ++s, ++seq) {
-            WorkItem item{seq, u, {}, false};
-            if (from_catalog) {
-              item.text = tasks[u]->variants[static_cast<std::size_t>(s)].text;
-            } else {
-              obs::Span span("generation",
-                             obs::histogram("lm.sample_responses_ns"));
-              const serve::GenerateResult r = submissions[seq].result.get();
-              DPOAF_CHECK_MSG(r.finish != serve::FinishReason::kInvalid,
-                              "the generation service rejected a sampling "
-                              "request as invalid");
-              item.truncated = r.finish == serve::FinishReason::kContext;
-              item.text =
-                  lm::decode_response(tokenizer_, r.ids, item.truncated);
-            }
-            if (!work.push(std::move(item))) return;
-          }
-      },
-      close_sampling);
-
-  // --- synthesis + verification stage ---------------------------------
-  // Each worker writes only the slots of the items it pops; join() orders
-  // those writes before the caller reads `out`.
-  stages.spawn("verify", util::global_threads(), [&](int) {
-    while (auto item = work.pop()) {
-      ScoredItem& slot = out[item->seq];
-      slot.task_index = item->task;
-      slot.truncated = item->truncated;
-      const int score = score_response(*tasks[item->task], item->text);
-      slot.candidate = {std::move(item->text), score};
-      if (sampling_open.load(std::memory_order_relaxed))
-        scored_while_sampling.fetch_add(1, std::memory_order_relaxed);
-      ++filled;
+  // Verify workers claim sequence numbers in order, wait for that
+  // response's text, and score it into out[seq]. They are dedicated
+  // threads, not pool jobs: a pool job blocked on a future would hold a
+  // thread that the service's decode step needs. A throwing worker stops
+  // the others from claiming more; get() below rethrows its error.
+  std::atomic<std::uint64_t> next{0};
+  std::atomic<bool> stop{false};
+  // Overlap telemetry: scorings that complete while some response's text
+  // is not yet in hand — work a sample-then-score barrier would serialize.
+  std::atomic<std::uint64_t> undecoded{from_catalog ? 0 : total};
+  std::atomic<std::uint64_t> scored_while_sampling{0};
+  const auto verify = [&] {
+    try {
+      for (std::uint64_t seq = next++; seq < total && !stop; seq = next++) {
+        ScoredItem& item = out[seq];
+        if (!from_catalog) {
+          obs::Span span("generation",
+                         obs::histogram("pipeline.generation_ns"));
+          const serve::GenerateResult r = submissions[seq].result.get();
+          undecoded.fetch_sub(1, std::memory_order_relaxed);
+          DPOAF_CHECK_MSG(r.finish != serve::FinishReason::kInvalid,
+                          "the generation service rejected a sampling "
+                          "request as invalid");
+          item.truncated = r.finish == serve::FinishReason::kContext;
+          item.candidate.text =
+              lm::decode_response(tokenizer_, r.ids, item.truncated);
+        }
+        item.candidate.score =
+            score_response(*tasks[item.task_index], item.candidate.text);
+        if (undecoded.load(std::memory_order_relaxed) > 0)
+          scored_while_sampling.fetch_add(1, std::memory_order_relaxed);
+      }
+    } catch (...) {
+      stop = true;
+      throw;
     }
-  });
+  };
+  std::vector<std::future<void>> workers;
+  for (int w = 0; w < util::global_threads(); ++w)
+    workers.push_back(std::async(std::launch::async, verify));
+  for (std::future<void>& w : workers) w.get();
 
-  stages.join();  // rethrows the first stage error, if any
-  DPOAF_CHECK_MSG(filled == total,
-                  "streaming pipeline dropped scored candidates");
   if (obs::enabled()) {
     obs::gauge("dataflow.pipeline.scored_while_sampling")
         .record_max(static_cast<std::int64_t>(

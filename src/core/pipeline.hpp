@@ -33,8 +33,8 @@ struct PipelineConfig {
   std::uint64_t seed = 1;
 
   /// Size of the global thread pool: the DPO reference log-prob
-  /// precompute and serve's decode step fan out on it, and the verify
-  /// stage runs that many workers. Tensor ops stay serial. 0 ⇒
+  /// precompute and serve's decode step fan out on it, and that many
+  /// verify workers score sampled responses. Tensor ops stay serial. 0 ⇒
   /// resolve from the DPOAF_THREADS environment variable, else hardware
   /// concurrency. Results are bitwise-identical at any setting (see
   /// DESIGN.md).
@@ -72,12 +72,6 @@ struct PipelineConfig {
   /// runs every sampled decode. Results are bitwise-identical at any slot
   /// count (docs/SERVING.md).
   int serve_slots = 8;
-
-  // ---- Streaming dataflow (docs/PIPELINE.md) -------------------------
-  /// Bounded capacity of each inter-stage queue of the sample → verify
-  /// dataflow. Fast stages block once they are this far ahead
-  /// (backpressure); values < 1 are clamped to 1.
-  int stage_queue_capacity = 32;
 
   // Stage 5: DPO.
   dpo::DpoConfig dpo;
@@ -212,7 +206,7 @@ class DpoAfPipeline {
   [[nodiscard]] const TinyGpt& model() const { return model_; }
 
   /// Stages 2–3: sample m responses per training task and score each via
-  /// formal verification, as one streaming dataflow (docs/PIPELINE.md).
+  /// formal verification as soon as it is decoded (docs/PIPELINE.md).
   [[nodiscard]] std::vector<TaskCandidates> collect_candidates();
 
   /// Stage 4: all strictly-ordered preference pairs.
@@ -259,7 +253,8 @@ class DpoAfPipeline {
   [[nodiscard]] GeneralizationEval evaluate_generalization() const;
 
  private:
-  /// One scored candidate leaving the streaming dataflow's verifier stage.
+  /// One response and its verification score: slot `seq` of the vector
+  /// stream_scored_responses returns.
   struct ScoredItem {
     std::size_t task_index = 0;
     dpo::Candidate candidate;
@@ -267,10 +262,11 @@ class DpoAfPipeline {
   };
   /// The streaming engine behind candidate collection and both evals:
   /// generate `counts[u]` responses for each task (the catalog's variant
-  /// texts when `from_catalog`, else sampled), score each response as soon
-  /// as it is available, and return the scored responses in sequence
-  /// (task-major, sample-minor) order (see docs/PIPELINE.md for the stage
-  /// graph, queue bounds, and the determinism contract).
+  /// texts when `from_catalog`, else sampled in one batch on the
+  /// generation service), let verify workers score each response as soon
+  /// as its decode resolves, and return the scored responses in sequence
+  /// (task-major, sample-minor) order (see docs/PIPELINE.md for the
+  /// worker loop, the error model, and the determinism contract).
   [[nodiscard]] std::vector<ScoredItem> stream_scored_responses(
       const std::vector<const driving::Task*>& tasks,
       const std::vector<int>& counts, const TinyGpt& model,

@@ -1,142 +1,23 @@
-// The streaming dataflow framework (src/core/dataflow) and the pipeline's
-// determinism contract (docs/PIPELINE.md): bounded channels must enforce
-// backpressure and drain cleanly on close/fail, stage errors must unwind
-// the whole graph, and the streaming pipeline must produce
-// bitwise-identical results at any thread count and serve slot count, with
-// TinyGpt::generate as the oracle for its served decodes. This suite also
-// runs under TSan in CI (DPOAF_THREADS=4, both tensor backends).
+// The streaming pipeline's determinism contract and error path
+// (docs/PIPELINE.md): scored responses must be bitwise-identical at any
+// thread count and serve slot count, with TinyGpt::generate as the oracle
+// for served decodes, and a verify worker's error must surface on the
+// caller's thread. This suite also runs under TSan in CI
+// (DPOAF_THREADS=4, both tensor backends).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/dataflow/channel.hpp"
-#include "core/dataflow/stage.hpp"
 #include "core/pipeline.hpp"
 #include "nn/decoder.hpp"
+#include "util/check.hpp"
 #include "util/threadpool.hpp"
 
 namespace dpoaf {
 namespace {
-
-using core::dataflow::Channel;
-using core::dataflow::StageSet;
-
-// ---------------------------------------------------------- channel ----
-
-TEST(DataflowChannel, FifoOrderThenCloseDrains) {
-  Channel<int> ch(8, "test.fifo");
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ch.push(i));
-  ch.close();
-  EXPECT_FALSE(ch.push(99));  // closed: push refuses, item dropped
-  for (int i = 0; i < 5; ++i) {
-    const auto v = ch.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);  // buffered items drain in FIFO order after close
-  }
-  EXPECT_FALSE(ch.pop().has_value());  // drained: stream ends
-  EXPECT_FALSE(ch.pop().has_value());  // and stays ended
-  const auto stats = ch.stats();
-  EXPECT_EQ(stats.pushes, 5u);
-  EXPECT_EQ(stats.pops, 5u);
-  EXPECT_TRUE(stats.closed);
-  EXPECT_FALSE(stats.failed);
-}
-
-TEST(DataflowChannel, BackpressureBoundsDepthUnderSlowConsumer) {
-  constexpr std::size_t kCapacity = 2;
-  constexpr int kItems = 24;
-  Channel<int> ch(kCapacity, "test.backpressure");
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(ch.push(i));
-    ch.close();
-  });
-  int received = 0;
-  for (;;) {
-    // The consumer is deliberately slower than the producer, so the
-    // producer must hit the capacity bound and block.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const auto v = ch.pop();
-    if (!v.has_value()) break;
-    EXPECT_EQ(*v, received);  // order survives the blocking
-    ++received;
-  }
-  producer.join();
-  EXPECT_EQ(received, kItems);
-  const auto stats = ch.stats();
-  EXPECT_LE(stats.max_depth, kCapacity);  // the bound held throughout
-  EXPECT_GT(stats.backpressure_waits, 0u);  // and the producer did block
-}
-
-TEST(DataflowChannel, FailUnblocksBlockedProducerAndConsumer) {
-  Channel<int> ch(1, "test.fail");
-  ASSERT_TRUE(ch.push(0));  // fill to capacity
-  std::atomic<bool> push_returned{false};
-  std::thread producer([&] {
-    EXPECT_FALSE(ch.push(1));  // blocks on full, then fails out
-    push_returned.store(true);
-  });
-  // Give the producer time to block on the full channel.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ch.fail();
-  producer.join();
-  EXPECT_TRUE(push_returned.load());
-  // fail() abandons buffered items: the consumer sees end-of-stream, not
-  // the item pushed before the failure.
-  EXPECT_FALSE(ch.pop().has_value());
-  EXPECT_TRUE(ch.stats().failed);
-}
-
-// ---------------------------------------------------------- stages -----
-
-TEST(DataflowStageSet, FanInFanOutDeliversEveryItemExactlyOnce) {
-  constexpr int kWorkers = 4;
-  constexpr int kPerWorker = 100;
-  Channel<int> ch(8, "test.fanin");
-  StageSet stages([&] { ch.fail(); });
-  stages.spawn(
-      "produce", kWorkers,
-      [&](int worker) {
-        for (int i = 0; i < kPerWorker; ++i)
-          ASSERT_TRUE(ch.push(worker * kPerWorker + i));
-      },
-      [&] { ch.close(); });  // fires once, after the LAST worker returns
-  std::vector<bool> seen(kWorkers * kPerWorker, false);
-  while (const auto v = ch.pop()) {
-    ASSERT_FALSE(seen[static_cast<std::size_t>(*v)]);
-    seen[static_cast<std::size_t>(*v)] = true;
-  }
-  stages.join();
-  for (bool s : seen) EXPECT_TRUE(s);
-}
-
-TEST(DataflowStageSet, WorkerErrorFailsTheGraphAndRethrowsOnJoin) {
-  Channel<int> work(2, "test.err_in");
-  Channel<int> done(2, "test.err_out");
-  StageSet stages([&] {
-    work.fail();
-    done.fail();
-  });
-  stages.spawn("explode", 1, [&](int) {
-    throw std::runtime_error("stage worker died");
-  });
-  // A downstream stage blocked on the failed graph must unwind cleanly
-  // instead of hanging.
-  stages.spawn(
-      "drain", 2,
-      [&](int) {
-        while (const auto v = work.pop()) done.push(*v);
-      },
-      [&] { done.close(); });
-  EXPECT_FALSE(done.pop().has_value());  // consumer unblocks with nothing
-  EXPECT_THROW(stages.join(), std::runtime_error);
-}
 
 // ---------------- served sampling: bitwise identical across settings ----
 //
@@ -152,7 +33,6 @@ core::PipelineConfig micro_config(int threads, int slots, bool catalog) {
   core::PipelineConfig cfg;
   cfg.seed = 29;
   cfg.threads = threads;
-  cfg.stage_queue_capacity = 4;  // small bound: force real backpressure
   cfg.d_model = 16;
   cfg.n_heads = 2;
   cfg.n_layers = 1;
@@ -229,7 +109,7 @@ TEST(StreamingEquivalence, SampledCandidatesIdenticalAcrossModesAndThreads) {
 }
 
 // A batch of more than 64 requests, many times the slot count, so most of
-// them wait in the admission queue while the sampler harvests others.
+// them wait in the admission queue while verify workers score others.
 TEST(StreamingEquivalence, ServedCandidatesIdenticalAcrossModesAndThreads) {
   const auto wide = [](int threads, int slots) {
     auto cfg = micro_config(threads, slots, false);
@@ -291,6 +171,35 @@ TEST(StreamingEquivalence, EvalMatchesGenerateOracle) {
     EXPECT_EQ(eval.per_task, per_task);
     EXPECT_EQ(eval.per_task_alignment_failure, per_task_failure);
     EXPECT_EQ(eval.truncated_responses, truncated);
+  }
+}
+
+// A model whose context and vocabulary fit no task prompt: the service
+// marks every request kInvalid, and the verify worker's CHECK must reach
+// the caller as a ContractViolation — no hang, no std::terminate — while
+// the service drains the rest of the batch.
+TEST(StreamingEquivalence, VerifyWorkerErrorSurfacesFromEval) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    core::DpoAfPipeline pipe(micro_config(threads, 4, false));
+    nn::GptConfig tiny_cfg;
+    tiny_cfg.vocab_size = 4;
+    tiny_cfg.d_model = 4;
+    tiny_cfg.n_heads = 1;
+    tiny_cfg.n_layers = 1;
+    tiny_cfg.d_ff = 4;
+    tiny_cfg.max_seq = 4;
+    Rng rng(3);
+    const nn::TinyGpt tiny(tiny_cfg, rng);
+    try {
+      (void)pipe.evaluate_model(tiny, 0);
+      ADD_FAILURE() << "evaluate_model returned";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("rejected a sampling request"),
+                std::string::npos)
+          << e.what();
+    }
+    util::set_global_threads(1);
   }
 }
 
