@@ -9,7 +9,8 @@
 // drifts numerically can never post a throughput number. CI's
 // bench-regression job runs the BM_Matmul and BM_Gelu rows under
 // --benchmark_out and gates on their simd:scalar ratios
-// (scripts/check_bench_regression.py).
+// (scripts/check_bench_regression.py). The BM_MatmulModel rows time
+// forward+backward on the model's own matmul shapes, ungated.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -89,6 +90,88 @@ void matmul_bench(benchmark::State& state, const std::string& be) {
   backend::select("");
   state.counters["GFLOP/s"] = benchmark::Counter(
       static_cast<double>(2 * n * n * n) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
+}
+
+// The model's matmuls at the pipeline's size (d_model 48, 4 heads of 12,
+// d_ff 192, vocab 76) as C[m,n] = A[m,k]·B[k,n] at sequence length T:
+// the narrow attention shapes are where the simd kernels' column tails
+// and dA panels are partial.
+struct ModelMatmul {
+  std::string name;
+  std::int64_t m, k, n;
+};
+
+std::vector<ModelMatmul> model_matmuls() {
+  std::vector<ModelMatmul> out;
+  for (const std::int64_t t : {35, 84}) {
+    const std::string at = "_T" + std::to_string(t);
+    out.push_back({"qkv" + at, t, 48, 144});
+    out.push_back({"qk" + at, t, 12, t});
+    out.push_back({"attnv" + at, t, t, 12});
+    out.push_back({"proj" + at, t, 48, 48});
+    out.push_back({"fc1" + at, t, 48, 192});
+    out.push_back({"fc2" + at, t, 192, 48});
+    out.push_back({"head" + at, t, 48, 76});
+  }
+  return out;
+}
+
+// Forward then backward of ops::matmul on a Tape (upstream gradient 1)
+// on the active backend; returns C, dA and dB and leaves the gradients
+// zeroed.
+std::vector<Tensor> matmul_value_and_grads(Tensor& a, Tensor& b) {
+  Tape tape;
+  Tensor c = ops::matmul(&tape, a, b);
+  std::fill(c.grad(), c.grad() + c.numel(), 1.0f);
+  tape.backward();
+  std::vector<Tensor> out = {
+      c, Tensor::from(a.shape(),
+                      std::vector<float>(a.grad(), a.grad() + a.numel())),
+      Tensor::from(b.shape(),
+                   std::vector<float>(b.grad(), b.grad() + b.numel()))};
+  a.zero_grad();
+  b.zero_grad();
+  return out;
+}
+
+// Forward+backward of one model matmul. Not gated in CI, unlike
+// BM_Matmul/: that gate reads one simd:scalar ratio at the largest
+// numeric size, and these rows are named shapes whose ratios differ by
+// shape (the narrow ones are tail- and reduction-bound), so no one floor
+// would fit them all. They exist to time the narrow paths.
+void model_matmul_bench(benchmark::State& state, const std::string& be,
+                        const ModelMatmul& mm) {
+  if (!backend_available(be)) {
+    state.SkipWithError("simd backend not supported on this CPU/build");
+    return;
+  }
+  Rng rng(8);
+  Tensor a = Tensor::randn({mm.m, mm.k}, rng).set_requires_grad(true);
+  Tensor b = Tensor::randn({mm.k, mm.n}, rng).set_requires_grad(true);
+  backend::select("scalar");
+  const std::vector<Tensor> ref = matmul_value_and_grads(a, b);
+  backend::select(be);
+  const std::vector<Tensor> got = matmul_value_and_grads(a, b);
+  if (!check_equivalent(state, got[0], ref[0], "matmul") ||
+      !check_equivalent(state, got[1], ref[1], "matmul dA") ||
+      !check_equivalent(state, got[2], ref[2], "matmul dB"))
+    return;
+  for (auto _ : state) {
+    Tape tape;
+    Tensor c = ops::matmul(&tape, a, b);
+    std::fill(c.grad(), c.grad() + c.numel(), 1.0f);
+    tape.backward();
+    benchmark::DoNotOptimize(a.grad());
+    benchmark::DoNotOptimize(b.grad());
+    benchmark::ClobberMemory();
+    a.zero_grad();
+    b.zero_grad();
+  }
+  backend::select("");
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      static_cast<double>(6 * mm.m * mm.k * mm.n) *
+          static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 
@@ -253,6 +336,10 @@ void register_backend_benches() {
         ->Arg(48)
         ->Arg(96)
         ->Arg(192);
+    for (const ModelMatmul& mm : model_matmuls())
+      benchmark::RegisterBenchmark(
+          ("BM_MatmulModel/" + name + "/" + mm.name).c_str(),
+          [name, mm](benchmark::State& s) { model_matmul_bench(s, name, mm); });
     benchmark::RegisterBenchmark(
         ("BM_Gelu/" + name).c_str(),
         [name](benchmark::State& s) { gelu_bench(s, name); });

@@ -5,20 +5,22 @@
 // the code in a generic build is safe.
 //
 // Determinism (the contract tests/test_backend.cpp pins): every output
-// element's arithmetic depends only on its absolute indices and the full
-// operand shapes — never on the [i0, i1) chunk bounds. Concretely:
-//  - each output row/cell owns its accumulator registers, and the
-//    register-blocked (several rows / kk) and remainder (1 row) paths run
-//    the same FMA chain per element, so how rows group into blocks
-//    (which chunk bounds shift) cannot change any value;
-//  - column tiling (64/16/8-wide tiles, scalar tails) only groups
-//    independent columns into registers — it never alters a column's own
-//    FMA chain — and the scalar tails use std::fma, which rounds exactly
-//    like a vector FMA lane;
-//  - the K cache tiles spill accumulators to the float32 output between
-//    tiles — a lossless round-trip, so tiling never reorders a rounding;
-//  - GELU is per-element; a tail shorter than a vector runs the vector
-//    code on a zero-padded copy, so it rounds like any other lane.
+// cell runs one fixed arithmetic chain that depends only on its absolute
+// indices and the full operand shapes — never on the [i0, i1) chunk
+// bounds. The chains (SimdMatmulBitwiseEqualsChainReference spells them
+// out in scalar code):
+//  - forward and dB: one FMA per reduction index, ascending, starting
+//    from the value already in the output;
+//  - dA: 8 lane sums l0..l7 (lane l takes j ≡ l mod 8 over the full
+//    8-blocks of j, ascending, from zero), then the tree
+//    ((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7)), then one FMA per tail j, then
+//    ga += s.
+// Everything else only groups independent cells into registers, which
+// cannot change a cell's chain: row blocks and remainder rows, 64/16/8-
+// wide and masked column tiles (a masked lane rounds like any lane), the
+// 8-kk dA panels, and the K cache tiles (they spill accumulators to the
+// float32 output — a lossless round-trip). GELU is per-element; a tail
+// shorter than a vector runs the vector code on a zero-padded copy.
 // Results *do* differ from the scalar backend (FMA fuses the multiply
 // and add into one rounding, and GELU's tanh is a rational approximation
 // rather than libm's); that is the allowed cross-backend delta.
@@ -30,6 +32,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace dpoaf::tensor::backend {
 
@@ -44,82 +47,84 @@ constexpr std::int64_t kNR = 16;
 // while the microkernel sweeps its rows.
 constexpr std::int64_t kKC = 256;
 
-// Fixed-order horizontal sum of 8 lanes (pairwise tree, independent of
-// call-site context).
-float hsum8(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x1));
-  return _mm_cvtss_f32(s);
+// Lanes [0, r) set, r in [1, 8]: the mask of a column tail vector.
+__m256i lane_mask(std::int64_t r) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(r)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
-// C rows [i, i+R) × columns [j, j+16) over K tile [kc0, kc1); the
-// accumulators start from C (zero-filled by the caller, or the previous
-// K tile's exact float32 spill).
-template <std::int64_t R>
-void fwd_tile16(const float* a, const float* b, float* c, std::int64_t k,
-                std::int64_t n, std::int64_t i, std::int64_t j,
-                std::int64_t kc0, std::int64_t kc1) {
+// A full vector, or (masked) only the lanes set in `mask`: masked-off
+// lanes are neither read nor written, so a tail never touches memory
+// past the end of a row.
+template <bool kMasked>
+__m256 load8(const float* p, __m256i mask) {
+  if constexpr (kMasked) return _mm256_maskload_ps(p, mask);
+  return _mm256_loadu_ps(p);
+}
+template <bool kMasked>
+void store8(float* p, __m256 v, __m256i mask) {
+  if constexpr (kMasked) {
+    _mm256_maskstore_ps(p, mask, v);
+  } else {
+    _mm256_storeu_ps(p, v);
+  }
+}
+
+// The FMA tile both the forward and dB run: out rows [r0, r0+R) ×
+// V vectors of columns from j take, for t ascending over [t0, t1),
+// out[r, :] = fma(x(r, t), y[t, :], out[r, :]) — the forward with
+// x(r, t) = a[r·k + t] and t = kk, dB (kDB) with x(r, t) = a[t·k + r]
+// and t = i. The accumulators start from `out` (zeros, the previous K
+// tile's exact float32 spill, or the gradient so far). With kMasked the
+// last vector covers only the lanes in `tail`.
+template <bool kDB, std::int64_t R, int V, bool kMasked>
+void fma_tile(const float* x, std::int64_t k, const float* y, float* out,
+              std::int64_t n, std::int64_t r0, std::int64_t j,
+              std::int64_t t0, std::int64_t t1, __m256i tail) {
+  // acc0 holds the first vector of each row, acc1 the second (V = 2).
   __m256 acc0[R], acc1[R];
   for (std::int64_t r = 0; r < R; ++r) {
-    acc0[r] = _mm256_loadu_ps(c + (i + r) * n + j);
-    acc1[r] = _mm256_loadu_ps(c + (i + r) * n + j + 8);
+    const float* o = out + (r0 + r) * n + j;
+    acc0[r] = load8<kMasked && V == 1>(o, tail);
+    if constexpr (V == 2) acc1[r] = load8<kMasked>(o + 8, tail);
   }
-  for (std::int64_t kk = kc0; kk < kc1; ++kk) {
-    const __m256 b0 = _mm256_loadu_ps(b + kk * n + j);
-    const __m256 b1 = _mm256_loadu_ps(b + kk * n + j + 8);
+  for (std::int64_t t = t0; t < t1; ++t) {
+    const float* yt = y + t * n + j;
+    const __m256 y0 = load8<kMasked && V == 1>(yt, tail);
+    const __m256 y1 = V == 2 ? load8<kMasked>(yt + 8, tail) : y0;
     for (std::int64_t r = 0; r < R; ++r) {
-      const __m256 av = _mm256_broadcast_ss(a + (i + r) * k + kk);
-      acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
-      acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
+      const __m256 xv = _mm256_broadcast_ss(
+          kDB ? x + t * k + r0 + r : x + (r0 + r) * k + t);
+      acc0[r] = _mm256_fmadd_ps(xv, y0, acc0[r]);
+      if constexpr (V == 2) acc1[r] = _mm256_fmadd_ps(xv, y1, acc1[r]);
     }
   }
   for (std::int64_t r = 0; r < R; ++r) {
-    _mm256_storeu_ps(c + (i + r) * n + j, acc0[r]);
-    _mm256_storeu_ps(c + (i + r) * n + j + 8, acc1[r]);
+    float* o = out + (r0 + r) * n + j;
+    store8<kMasked && V == 1>(o, acc0[r], tail);
+    if constexpr (V == 2) store8<kMasked>(o + 8, acc1[r], tail);
   }
 }
 
-// Column tail: 8-wide then std::fma scalars; same per-element FMA chain
-// as the 16-wide path, so which tile a column lands in (a function of N
-// alone) is the only thing that varies.
-template <std::int64_t R>
-void fwd_tail(const float* a, const float* b, float* c, std::int64_t k,
-              std::int64_t n, std::int64_t i, std::int64_t j0,
-              std::int64_t kc0, std::int64_t kc1) {
-  std::int64_t j = j0;
-  for (; j + 8 <= n; j += 8) {
-    __m256 acc[R];
-    for (std::int64_t r = 0; r < R; ++r)
-      acc[r] = _mm256_loadu_ps(c + (i + r) * n + j);
-    for (std::int64_t kk = kc0; kk < kc1; ++kk) {
-      const __m256 bv = _mm256_loadu_ps(b + kk * n + j);
-      for (std::int64_t r = 0; r < R; ++r)
-        acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + (i + r) * k + kk),
-                                 bv, acc[r]);
-    }
-    for (std::int64_t r = 0; r < R; ++r)
-      _mm256_storeu_ps(c + (i + r) * n + j, acc[r]);
+// Columns [j, n) of fma_tile's rows: 16-wide tiles, then the n mod 16
+// remainder as one pass of a full vector plus a masked one (or one
+// masked vector). Which tile a column lands in depends on n alone, and
+// never changes the column's own chain.
+template <bool kDB, std::int64_t R>
+void fma_rows(const float* x, std::int64_t k, const float* y, float* out,
+              std::int64_t n, std::int64_t r0, std::int64_t j,
+              std::int64_t t0, std::int64_t t1) {
+  const __m256i all = _mm256_set1_epi32(-1);
+  for (; j + kNR <= n; j += kNR)
+    fma_tile<kDB, R, 2, false>(x, k, y, out, n, r0, j, t0, t1, all);
+  const std::int64_t rem = n - j;
+  if (rem > 8) {
+    fma_tile<kDB, R, 2, true>(x, k, y, out, n, r0, j, t0, t1,
+                              lane_mask(rem - 8));
+  } else if (rem > 0) {
+    fma_tile<kDB, R, 1, true>(x, k, y, out, n, r0, j, t0, t1,
+                              lane_mask(rem));
   }
-  for (; j < n; ++j) {
-    for (std::int64_t r = 0; r < R; ++r) {
-      float acc = c[(i + r) * n + j];
-      for (std::int64_t kk = kc0; kk < kc1; ++kk)
-        acc = std::fma(a[(i + r) * k + kk], b[kk * n + j], acc);
-      c[(i + r) * n + j] = acc;
-    }
-  }
-}
-
-template <std::int64_t R>
-void fwd_rows(const float* a, const float* b, float* c, std::int64_t k,
-              std::int64_t n, std::int64_t i, std::int64_t kc0,
-              std::int64_t kc1) {
-  std::int64_t j = 0;
-  for (; j + kNR <= n; j += kNR) fwd_tile16<R>(a, b, c, k, n, i, j, kc0, kc1);
-  if (j < n) fwd_tail<R>(a, b, c, k, n, i, j, kc0, kc1);
 }
 
 // Single-row path (remainder rows, and the m=1 matvec the KV-cache
@@ -145,95 +150,104 @@ void fwd_row1(const float* a, const float* b, float* c, std::int64_t k,
     }
     for (int t = 0; t < 8; ++t) _mm256_storeu_ps(cr + j + 8 * t, acc[t]);
   }
-  for (; j + kNR <= n; j += kNR) fwd_tile16<1>(a, b, c, k, n, i, j, kc0, kc1);
-  if (j < n) fwd_tail<1>(a, b, c, k, n, i, j, kc0, kc1);
+  fma_rows<false, 1>(a, k, b, c, n, i, j, kc0, kc1);
 }
 
-// dA cells (i..i+R) × (kk..kk+KB): ga[i,kk] += ⟨gc[i,:], b[kk,:]⟩. Every
-// cell runs the same chain whatever block it lands in: a j-ascending
-// 8-lane FMA accumulator, the hsum8 tree, then a std::fma tail.
-template <std::int64_t R, std::int64_t KB>
-void bwd_a_cells(const float* gc, const float* b, float* ga, std::int64_t k,
-                 std::int64_t n, std::int64_t i, std::int64_t kk) {
-  __m256 acc[R][KB];
-  for (std::int64_t r = 0; r < R; ++r)
-    for (std::int64_t q = 0; q < KB; ++q) acc[r][q] = _mm256_setzero_ps();
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __m256 bv[KB];
-    for (std::int64_t q = 0; q < KB; ++q)
-      bv[q] = _mm256_loadu_ps(b + (kk + q) * n + j);
-    for (std::int64_t r = 0; r < R; ++r) {
-      const __m256 g = _mm256_loadu_ps(gc + (i + r) * n + j);
-      for (std::int64_t q = 0; q < KB; ++q)
-        acc[r][q] = _mm256_fmadd_ps(g, bv[q], acc[r][q]);
+// In-register 8×8 transpose: r[q] lane l ↔ r[l] lane q (constant
+// indices only, so the compiler keeps everything in registers).
+void transpose8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+  const __m256 u1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+  const __m256 u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+  const __m256 u3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+  const __m256 u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+  const __m256 u5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+  const __m256 u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+  const __m256 u7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+  r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+  r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+  r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+  r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+  r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+  r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+  r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+  r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+// b[k, n] packed as ⌈k/8⌉ panels of [n][8]: panel p holds
+// b[8p + q, j] at p·8n + 8j + q, zero where 8p + q ≥ k. Per-thread, so
+// concurrent calls on different row ranges never share it.
+const float* pack_bt(const float* b, std::int64_t k, std::int64_t n) {
+  thread_local std::vector<float> pack;
+  pack.resize(static_cast<std::size_t>((k + 7) / 8 * 8 * n));
+  for (std::int64_t kk0 = 0; kk0 < k; kk0 += 8) {
+    float* panel = pack.data() + kk0 * n;
+    const std::int64_t rows = k - kk0 < 8 ? k - kk0 : 8;
+    for (std::int64_t j = 0; j < n; j += 8) {
+      const std::int64_t cols = n - j < 8 ? n - j : 8;
+      const __m256i live = lane_mask(cols), dead = _mm256_setzero_si256();
+      // Rows past k load as zeros through an all-off mask (their address
+      // is clamped to a real row, never formed past the end of b).
+      __m256 r[8];
+      for (int q = 0; q < 8; ++q)
+        r[q] = _mm256_maskload_ps(b + (kk0 + (q < rows ? q : 0)) * n + j,
+                                  q < rows ? live : dead);
+      transpose8(r);
+      for (int l = 0; l < 8; ++l)
+        if (l < cols) _mm256_storeu_ps(panel + 8 * (j + l), r[l]);
     }
   }
-  for (std::int64_t r = 0; r < R; ++r) {
-    const float* gcr = gc + (i + r) * n;
-    for (std::int64_t q = 0; q < KB; ++q) {
-      const float* br = b + (kk + q) * n;
-      float s = hsum8(acc[r][q]);
-      for (std::int64_t jt = j; jt < n; ++jt) s = std::fma(gcr[jt], br[jt], s);
-      ga[(i + r) * k + kk + q] += s;
-    }
-  }
+  return pack.data();
 }
 
-template <std::int64_t R>
-void bwd_a_rows(const float* gc, const float* b, float* ga, std::int64_t k,
-                std::int64_t n, std::int64_t i) {
-  std::int64_t kk = 0;
-  for (; kk + 4 <= k; kk += 4) bwd_a_cells<R, 4>(gc, b, ga, k, n, i, kk);
-  for (; kk < k; ++kk) bwd_a_cells<R, 1>(gc, b, ga, k, n, i, kk);
-}
-
-// dB rows [kk, kk+R): gb[kk,j] += Σ_i a[i,kk]·gc[i,j]. Each cell's
-// accumulator starts from gb and takes one FMA per i in ascending order
-// (the order every backend preserves), on every tile and block path.
-template <std::int64_t R>
-void bwd_b_rows(const float* a, const float* gc, float* gb, std::int64_t m,
-                std::int64_t k, std::int64_t n, std::int64_t kk) {
-  std::int64_t j = 0;
-  for (; j + kNR <= n; j += kNR) {
-    __m256 acc0[R], acc1[R];
-    for (std::int64_t r = 0; r < R; ++r) {
-      acc0[r] = _mm256_loadu_ps(gb + (kk + r) * n + j);
-      acc1[r] = _mm256_loadu_ps(gb + (kk + r) * n + j + 8);
-    }
-    for (std::int64_t i = 0; i < m; ++i) {
-      const __m256 g0 = _mm256_loadu_ps(gc + i * n + j);
-      const __m256 g1 = _mm256_loadu_ps(gc + i * n + j + 8);
-      for (std::int64_t r = 0; r < R; ++r) {
-        const __m256 av = _mm256_broadcast_ss(a + i * k + kk + r);
-        acc0[r] = _mm256_fmadd_ps(av, g0, acc0[r]);
-        acc1[r] = _mm256_fmadd_ps(av, g1, acc1[r]);
+// dA over packed b, 8 kk cells per vector: lane q of every register
+// below belongs to cell (i, kk0 + q), so a cell's chain runs down one
+// lane — acc[l] is its lane sum l, the three add levels are its tree,
+// and the tail FMAs and the final add follow. A panel narrower than 8
+// (k mod 8) computes zero lanes that the masked store drops.
+void bwd_a_packed(const float* gc, const float* bt, float* ga, std::int64_t k,
+                  std::int64_t n, std::int64_t i0, std::int64_t i1) {
+  for (std::int64_t kk0 = 0; kk0 < k; kk0 += 8) {
+    const float* panel = bt + kk0 * n;
+    const __m256i mask = lane_mask(k - kk0 < 8 ? k - kk0 : 8);
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const float* g = gc + i * n;
+      __m256 acc[8];
+      for (int l = 0; l < 8; ++l) acc[l] = _mm256_setzero_ps();
+      std::int64_t j = 0;
+      for (; j + 8 <= n; j += 8) {
+        // gc[i, j+l] in every lane: l < 4 by broadcast loads, l ≥ 4 by
+        // in-lane permutes of one 4-float broadcast (eases load ports).
+        const __m256 hi =
+            _mm256_broadcast_ps(reinterpret_cast<const __m128*>(g + j + 4));
+        const __m256 gl[8] = {
+            _mm256_broadcast_ss(g + j),     _mm256_broadcast_ss(g + j + 1),
+            _mm256_broadcast_ss(g + j + 2), _mm256_broadcast_ss(g + j + 3),
+            _mm256_permute_ps(hi, 0x00),    _mm256_permute_ps(hi, 0x55),
+            _mm256_permute_ps(hi, 0xAA),    _mm256_permute_ps(hi, 0xFF)};
+        for (int l = 0; l < 8; ++l)
+          acc[l] = _mm256_fmadd_ps(
+              gl[l], _mm256_loadu_ps(panel + 8 * (j + l)), acc[l]);
       }
-    }
-    for (std::int64_t r = 0; r < R; ++r) {
-      _mm256_storeu_ps(gb + (kk + r) * n + j, acc0[r]);
-      _mm256_storeu_ps(gb + (kk + r) * n + j + 8, acc1[r]);
-    }
-  }
-  for (; j + 8 <= n; j += 8) {
-    __m256 acc[R];
-    for (std::int64_t r = 0; r < R; ++r)
-      acc[r] = _mm256_loadu_ps(gb + (kk + r) * n + j);
-    for (std::int64_t i = 0; i < m; ++i) {
-      const __m256 g = _mm256_loadu_ps(gc + i * n + j);
-      for (std::int64_t r = 0; r < R; ++r)
-        acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + i * k + kk + r), g,
-                                 acc[r]);
-    }
-    for (std::int64_t r = 0; r < R; ++r)
-      _mm256_storeu_ps(gb + (kk + r) * n + j, acc[r]);
-  }
-  for (; j < n; ++j) {
-    for (std::int64_t r = 0; r < R; ++r) {
-      float acc = gb[(kk + r) * n + j];
-      for (std::int64_t i = 0; i < m; ++i)
-        acc = std::fma(a[i * k + kk + r], gc[i * n + j], acc);
-      gb[(kk + r) * n + j] = acc;
+      __m256 s = _mm256_add_ps(
+          _mm256_add_ps(_mm256_add_ps(acc[0], acc[4]),
+                        _mm256_add_ps(acc[2], acc[6])),
+          _mm256_add_ps(_mm256_add_ps(acc[1], acc[5]),
+                        _mm256_add_ps(acc[3], acc[7])));
+      for (; j < n; ++j)
+        s = _mm256_fmadd_ps(_mm256_broadcast_ss(g + j),
+                            _mm256_loadu_ps(panel + 8 * j), s);
+      float* out = ga + i * k + kk0;
+      _mm256_maskstore_ps(out, mask,
+                          _mm256_add_ps(_mm256_maskload_ps(out, mask), s));
     }
   }
 }
@@ -307,7 +321,7 @@ class SimdBackend final : public ComputeBackend {
       const std::int64_t kc1 = kc0 + kKC < k ? kc0 + kKC : k;
       std::int64_t i = i0;
       for (; i + kMR <= i1; i += kMR)
-        fwd_rows<kMR>(a, b, c, k, n, i, kc0, kc1);
+        fma_rows<false, kMR>(a, k, b, c, n, i, 0, kc0, kc1);
       for (; i < i1; ++i) fwd_row1(a, b, c, k, n, i, kc0, kc1);
     }
   }
@@ -315,12 +329,8 @@ class SimdBackend final : public ComputeBackend {
   void matmul_bwd_a(const float* gc, const float* b, float* ga, std::int64_t k,
                     std::int64_t n, std::int64_t i0,
                     std::int64_t i1) const override {
-    // 2 rows × 4 kk per sweep (8 chains, each gc vector reused across
-    // four B rows); rows and kk left over fall to the smaller blocks,
-    // which run the same per-cell chain.
-    std::int64_t i = i0;
-    for (; i + 2 <= i1; i += 2) bwd_a_rows<2>(gc, b, ga, k, n, i);
-    for (; i < i1; ++i) bwd_a_rows<1>(gc, b, ga, k, n, i);
+    // Packing costs O(k·n) per call against the O((i1−i0)·k·n) sweep.
+    bwd_a_packed(gc, pack_bt(b, k, n), ga, k, n, i0, i1);
   }
 
   void matmul_bwd_b(const float* a, const float* gc, float* gb, std::int64_t m,
@@ -329,8 +339,9 @@ class SimdBackend final : public ComputeBackend {
     // 4 dB rows per sweep (8 accumulators on the 16-wide tile, each gc
     // vector reused across four rows); leftover rows run alone.
     std::int64_t kk = k0;
-    for (; kk + 4 <= k1; kk += 4) bwd_b_rows<4>(a, gc, gb, m, k, n, kk);
-    for (; kk < k1; ++kk) bwd_b_rows<1>(a, gc, gb, m, k, n, kk);
+    for (; kk + 4 <= k1; kk += 4)
+      fma_rows<true, 4>(a, k, gc, gb, n, kk, 0, 0, m);
+    for (; kk < k1; ++kk) fma_rows<true, 1>(a, k, gc, gb, n, kk, 0, 0, m);
   }
 
   // The elementwise kernels are per-element (no reductions), so vector

@@ -1,8 +1,9 @@
 // Compute-backend contract (docs/BACKENDS.md): selection precedence,
 // cpuid dispatch, per-backend cross-thread bitwise determinism (on odd
 // shapes, so microkernel remainder paths land on different rows as the
-// chunk bounds move), scalar-vs-simd numerical tolerance, and the
-// per-backend observability counters/gauges.
+// chunk bounds move), the simd matmul kernels' per-cell chains,
+// scalar-vs-simd numerical tolerance, and the per-backend observability
+// counters/gauges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,6 +127,19 @@ const MatmulCase kShapes[] = {
     {1, 1, 1}, {3, 5, 2}, {7, 13, 9}, {61, 53, 67}, {96, 96, 96},
     {64, 96, 80}, {33, 257, 19},
 };
+// The model's narrow shapes, where the column tails and dA panels are
+// partial: attn·v and q·kᵀ at T = 84, the LM head at T = 35, and the
+// m = 1 decode head matvec.
+const MatmulCase kModelShapes[] = {
+    {84, 84, 12}, {84, 12, 84}, {35, 48, 76}, {1, 48, 76},
+};
+
+// kShapes then kModelShapes.
+std::vector<MatmulCase> chunking_shapes() {
+  std::vector<MatmulCase> shapes(std::begin(kShapes), std::end(kShapes));
+  shapes.insert(shapes.end(), std::begin(kModelShapes), std::end(kModelShapes));
+  return shapes;
+}
 
 TEST_F(BackendTest, SimdMatmulMatchesScalarWithinTolerance) {
   if (!backend::simd_supported()) GTEST_SKIP() << "no AVX2+FMA";
@@ -198,7 +212,7 @@ TEST_F(BackendTest, ElementwiseOpsMatchScalarWithinTolerance) {
 TEST_F(BackendTest, MatmulBitwiseAcrossThreadCountsPerBackend) {
   for (const std::string& be : available_backends()) {
     backend::select(be);
-    for (const MatmulCase& shape : kShapes) {
+    for (const MatmulCase& shape : chunking_shapes()) {
       auto run = [&shape] {
         Rng rng(29);
         Tensor a = Tensor::randn({shape.m, shape.k}, rng);
@@ -447,9 +461,10 @@ TEST_F(BackendTest, GeluInPlaceWithoutSavedTanhMatches) {
 // bits whether a range is one call — register-blocked — or one call per
 // row — every row on the remainder path — or a grain-1 partition at
 // 1/3/4 threads. m=5/k=7/n=23 leaves a row, kk and column remainder at
-// every block size; 38×12×38 is the attention-score shape.
+// every block size; 38×12×38 and kModelShapes are attention, head and
+// decode shapes.
 TEST_F(BackendTest, MatmulBackwardBitwiseAcrossChunkingPerBackend) {
-  std::vector<MatmulCase> shapes(std::begin(kShapes), std::end(kShapes));
+  std::vector<MatmulCase> shapes = chunking_shapes();
   shapes.push_back({5, 7, 23});
   shapes.push_back({38, 12, 38});
   for (const std::string& name : available_backends()) {
@@ -492,6 +507,126 @@ TEST_F(BackendTest, MatmulBackwardBitwiseAcrossChunkingPerBackend) {
             << where << " threads=" << threads;
       }
     }
+  }
+}
+
+// Test-local scalar spellings of the simd matmul kernels' per-cell
+// chains (docs/BACKENDS.md "Determinism contract"). Forward and dB cells
+// take one std::fma per reduction index, ascending, from the value
+// already there.
+void chain_fwd(const std::vector<float>& a, const std::vector<float>& b,
+               std::vector<float>& c, std::int64_t k, std::int64_t n,
+               std::int64_t i0, std::int64_t i1) {
+  for (std::int64_t i = i0; i < i1; ++i)
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = c[i * n + j];
+      for (std::int64_t kk = 0; kk < k; ++kk)
+        acc = std::fma(a[i * k + kk], b[kk * n + j], acc);
+      c[i * n + j] = acc;
+    }
+}
+
+void chain_bwd_b(const std::vector<float>& a, const std::vector<float>& gc,
+                 std::vector<float>& gb, std::int64_t m, std::int64_t k,
+                 std::int64_t n, std::int64_t k0, std::int64_t k1) {
+  for (std::int64_t kk = k0; kk < k1; ++kk)
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = gb[kk * n + j];
+      for (std::int64_t i = 0; i < m; ++i)
+        acc = std::fma(a[i * k + kk], gc[i * n + j], acc);
+      gb[kk * n + j] = acc;
+    }
+}
+
+// A dA cell: 8 lane sums over the full 8-blocks of j (lane l takes
+// j ≡ l mod 8, ascending, from zero), the fixed tree, the std::fma tail,
+// then ga += s.
+void chain_bwd_a(const std::vector<float>& gc, const std::vector<float>& b,
+                 std::vector<float>& ga, std::int64_t k, std::int64_t n,
+                 std::int64_t i0, std::int64_t i1) {
+  const std::int64_t full = n - n % 8;
+  for (std::int64_t i = i0; i < i1; ++i)
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      float l[8] = {};
+      for (std::int64_t j = 0; j < full; ++j)
+        l[j % 8] = std::fma(gc[i * n + j], b[kk * n + j], l[j % 8]);
+      float s =
+          ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+      for (std::int64_t j = full; j < n; ++j)
+        s = std::fma(gc[i * n + j], b[kk * n + j], s);
+      ga[i * k + kk] += s;
+    }
+}
+
+// Values that stress the chains' rounding: normals at mixed scales, with
+// ±0, subnormals and tiny values whose products underflow mixed in.
+std::vector<float> chain_inputs(std::int64_t count, Rng& rng) {
+  const float edges[] = {0.0f, -0.0f, 1e-40f, -3e-39f, 1e-20f, -2e-22f};
+  std::vector<float> v = normal_values(count, 1.0, rng);
+  for (float& x : v) {
+    const std::uint64_t pick = rng.below(24);
+    if (pick < std::size(edges)) x = edges[pick];
+    if (pick == std::size(edges)) x *= 1e6f;
+  }
+  return v;
+}
+
+// The simd kernels equal the chain references byte for byte, whole-range
+// and on sub-ranges, across every n mod 8 (and n mod 16) and k mod 8
+// residue, m in 1..9 plus the model's sequence lengths, and the model's
+// own shapes (d_model 48, 4 heads of 12, d_ff 192, vocab 76; T = 35 and
+// 84; the m = 1 decode matvecs). A kernel that reorders a single rounding
+// of one cell fails here, where the scalar-tolerance tests cannot see it.
+TEST_F(BackendTest, SimdMatmulBitwiseEqualsChainReference) {
+  if (!backend::simd_supported()) GTEST_SKIP() << "no AVX2+FMA";
+  const backend::ComputeBackend& be = *backend::simd_backend();
+  std::vector<MatmulCase> shapes;
+  for (std::int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 35, 84})
+    for (std::int64_t k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17})
+      for (std::int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                             15, 16, 17, 23, 67, 131})
+        shapes.push_back({m, k, n});
+  for (std::int64_t t : {35, 84}) {
+    for (const MatmulCase& s :
+         {MatmulCase{t, 48, 144}, MatmulCase{t, 12, t}, MatmulCase{t, t, 12},
+          MatmulCase{t, 48, 48}, MatmulCase{t, 48, 192},
+          MatmulCase{t, 192, 48}, MatmulCase{t, 48, 76}})
+      shapes.push_back(s);
+  }
+  shapes.push_back({1, 48, 76});
+  shapes.push_back({1, 48, 144});
+  shapes.push_back({33, 257, 19});  // crosses a K cache tile
+  Rng rng(71);
+  for (const MatmulCase& s : shapes) {
+    const std::vector<float> a = chain_inputs(s.m * s.k, rng);
+    const std::vector<float> b = chain_inputs(s.k * s.n, rng);
+    const std::vector<float> gc = chain_inputs(s.m * s.n, rng);
+    const std::vector<float> c0 = chain_inputs(s.m * s.n, rng);
+    const std::vector<float> ga0 = chain_inputs(s.m * s.k, rng);
+    const std::vector<float> gb0 = chain_inputs(s.k * s.n, rng);
+    // The whole range, then an interior sub-range on top of it.
+    const std::int64_t ri = s.m > 2 ? 1 : 0, rk = s.k > 2 ? 1 : 0;
+    const std::pair<std::int64_t, std::int64_t> rows[] = {{0, s.m},
+                                                          {ri, s.m - ri}};
+    const std::pair<std::int64_t, std::int64_t> ks[] = {{0, s.k},
+                                                        {rk, s.k - rk}};
+    std::vector<float> c = c0, ga = ga0, gb = gb0;
+    std::vector<float> want_c = c0, want_ga = ga0, want_gb = gb0;
+    for (int pass = 0; pass < 2; ++pass) {
+      const auto [i0, i1] = rows[pass];
+      const auto [k0, k1] = ks[pass];
+      be.matmul_fwd(a.data(), b.data(), c.data(), s.k, s.n, i0, i1);
+      be.matmul_bwd_a(gc.data(), b.data(), ga.data(), s.k, s.n, i0, i1);
+      be.matmul_bwd_b(a.data(), gc.data(), gb.data(), s.m, s.k, s.n, k0, k1);
+      chain_fwd(a, b, want_c, s.k, s.n, i0, i1);
+      chain_bwd_a(gc, b, want_ga, s.k, s.n, i0, i1);
+      chain_bwd_b(a, gc, want_gb, s.m, s.k, s.n, k0, k1);
+    }
+    const std::string where = std::to_string(s.m) + "x" +
+                              std::to_string(s.k) + "x" + std::to_string(s.n);
+    EXPECT_TRUE(same_bits(c, want_c)) << "forward " << where;
+    EXPECT_TRUE(same_bits(ga, want_ga)) << "dA " << where;
+    EXPECT_TRUE(same_bits(gb, want_gb)) << "dB " << where;
   }
 }
 
