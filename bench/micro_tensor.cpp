@@ -10,11 +10,14 @@
 // bench-regression job runs the BM_Matmul and BM_Gelu rows under
 // --benchmark_out and gates on their simd:scalar ratios
 // (scripts/check_bench_regression.py). The BM_MatmulModel rows time
-// forward+backward on the model's own matmul shapes, ungated.
+// forward+backward on the model's own matmul shapes, and the
+// BM_CausalAttention rows the fused attention op (checked bit for bit
+// against the unfused op chain it replaced), both ungated.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "nn/gpt.hpp"
 #include "tensor/backend/backend.hpp"
 #include "tensor/ops.hpp"
+#include "unfused_attention.hpp"
 
 namespace {
 
@@ -175,6 +179,59 @@ void model_matmul_bench(benchmark::State& state, const std::string& be,
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 
+// Output and qkv gradient of one forward+backward of `fn` on `tape`
+// (reset first) with upstream gradient 1, flattened into one vector.
+template <typename Attention>
+std::vector<float> attention_fwd_bwd(Tape& tape, Tensor& qkv, Attention fn) {
+  tape.reset();
+  qkv.zero_grad();
+  Tensor out = fn(&tape, qkv, 4);
+  std::fill(out.grad(), out.grad() + out.numel(), 1.0f);
+  tape.backward();
+  std::vector<float> flat(out.data(), out.data() + out.numel());
+  flat.insert(flat.end(), qkv.grad(), qkv.grad() + qkv.numel());
+  return flat;
+}
+
+// Forward+backward of the fused attention op at the model's width (d 48,
+// 4 heads) and sequence length T, on one Tape reset per iteration as the
+// training loops do. Ungated like BM_MatmulModel.
+void causal_attention_bench(benchmark::State& state, const std::string& be,
+                            std::int64_t t) {
+  if (!backend_available(be)) {
+    state.SkipWithError("simd backend not supported on this CPU/build");
+    return;
+  }
+  backend::select(be);
+  Rng rng(9);
+  Tensor qkv = Tensor::randn({t, 144}, rng).set_requires_grad(true);
+  Tape tape;
+  const std::vector<float> want =
+      attention_fwd_bwd(tape, qkv, tensor::reference::unfused_attention);
+  const std::vector<float> got =
+      attention_fwd_bwd(tape, qkv, ops::causal_attention);
+  if (std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) != 0) {
+    state.SkipWithError("causal_attention differs from the unfused chain");
+    backend::select("");
+    return;
+  }
+  for (auto _ : state) {
+    tape.reset();
+    Tensor out = ops::causal_attention(&tape, qkv, 4);
+    std::fill(out.grad(), out.grad() + out.numel(), 1.0f);
+    tape.backward();
+    benchmark::DoNotOptimize(qkv.grad());
+    benchmark::ClobberMemory();
+    qkv.zero_grad();
+  }
+  backend::select("");
+  // q·kᵀ and attn·v: forward plus both backward products.
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      static_cast<double>(2 * 6 * t * t * 48) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
+}
+
 // GELU forward+backward on the active backend, upstream gradient 1.
 Tensor gelu_fwd_bwd(Tensor& x) {
   Tape tape;
@@ -315,8 +372,9 @@ void gpt_forward_backward_bench(benchmark::State& state,
   if (!check_equivalent(state, got.first, ref.first, "gpt loss") ||
       !check_equivalent(state, got.second, ref.second, "gpt gradients"))
     return;
+  Tape tape;  // hoisted and reset per step, as in training
   for (auto _ : state) {
-    Tape tape;
+    tape.reset();
     Tensor loss = model.nll_loss(&tape, ids);
     tape.backward(loss);
     benchmark::DoNotOptimize(loss.item());
@@ -340,6 +398,12 @@ void register_backend_benches() {
       benchmark::RegisterBenchmark(
           ("BM_MatmulModel/" + name + "/" + mm.name).c_str(),
           [name, mm](benchmark::State& s) { model_matmul_bench(s, name, mm); });
+    for (const std::int64_t t : {35, 84})
+      benchmark::RegisterBenchmark(
+          ("BM_CausalAttention/" + name + "/" + std::to_string(t)).c_str(),
+          [name, t](benchmark::State& s) {
+            causal_attention_bench(s, name, t);
+          });
     benchmark::RegisterBenchmark(
         ("BM_Gelu/" + name).c_str(),
         [name](benchmark::State& s) { gelu_bench(s, name); });

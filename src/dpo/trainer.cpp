@@ -79,6 +79,7 @@ std::vector<EpochMetrics> DpoTrainer::train(
   static obs::Counter& step_counter = obs::counter("dpo.steps");
   static obs::Counter& pair_counter = obs::counter("dpo.pairs_seen");
   static obs::Counter& epoch_counter = obs::counter("dpo.epochs");
+  Tape tape;  // reset() per minibatch rewinds its arena (see lm::pretrain)
   for (int epoch = start_epoch; epoch <= config_.epochs; ++epoch) {
     obs::Span epoch_span("dpo.epoch", obs::histogram("dpo.epoch_ns"));
     epoch_counter.add();
@@ -95,7 +96,7 @@ std::vector<EpochMetrics> DpoTrainer::train(
       const std::size_t batch_end = std::min(
           epoch_pairs, i + static_cast<std::size_t>(config_.batch_size));
       const auto n_in_batch = static_cast<float>(batch_end - i);
-      Tape tape;
+      tape.reset();
       Tensor batch_loss;
       bool first = true;
       for (; i < batch_end; ++i) {

@@ -33,6 +33,9 @@ PretrainStats pretrain(TinyGpt& model,
     start_epoch = resume->loop.completed_epochs;
   }
 
+  // One tape for every minibatch: reset() rewinds its arena, so steady
+  // state reuses the same activation and gradient memory.
+  Tape tape;
   for (int epoch = start_epoch; epoch < config.epochs; ++epoch) {
     obs::ScopedTimer timer(obs::histogram("lm.pretrain.epoch_ns"));
     rng.shuffle(order);
@@ -41,7 +44,7 @@ PretrainStats pretrain(TinyGpt& model,
     while (i < order.size()) {
       const std::size_t batch_end =
           std::min(order.size(), i + static_cast<std::size_t>(config.batch_size));
-      Tape tape;
+      tape.reset();
       Tensor batch_loss;
       const auto n_in_batch = static_cast<float>(batch_end - i);
       bool first = true;

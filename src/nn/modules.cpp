@@ -1,7 +1,5 @@
 #include "nn/modules.hpp"
 
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace dpoaf::nn {
@@ -74,23 +72,8 @@ CausalSelfAttention::CausalSelfAttention(std::int64_t d_model,
 }
 
 Tensor CausalSelfAttention::forward(Tape* tape, const Tensor& x) const {
-  const std::int64_t d = x.cols();
-  const std::int64_t dh = d / n_heads_;
   const Tensor fused = qkv.forward(tape, x);  // [T, 3d]
-
-  std::vector<Tensor> head_outputs;
-  head_outputs.reserve(static_cast<std::size_t>(n_heads_));
-  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
-  for (std::int64_t h = 0; h < n_heads_; ++h) {
-    const Tensor q = ops::slice_cols(tape, fused, h * dh, dh);
-    const Tensor k = ops::slice_cols(tape, fused, d + h * dh, dh);
-    const Tensor v = ops::slice_cols(tape, fused, 2 * d + h * dh, dh);
-    const Tensor scores = ops::scale(
-        tape, ops::matmul(tape, q, ops::transpose(tape, k)), inv_sqrt);
-    const Tensor attn = ops::causal_softmax_rows(tape, scores);
-    head_outputs.push_back(ops::matmul(tape, attn, v));
-  }
-  return proj.forward(tape, ops::concat_cols(tape, head_outputs));
+  return proj.forward(tape, ops::causal_attention(tape, fused, n_heads_));
 }
 
 void CausalSelfAttention::enable_lora(std::int64_t rank, float alpha,

@@ -12,11 +12,13 @@ namespace dpoaf::tensor::ops {
 
 namespace {
 
-bool track(const Tape* tape, std::initializer_list<const Tensor*> inputs) {
-  if (tape == nullptr) return false;
+// The tape an op records on: `tape` when an input takes a gradient, else
+// nullptr (the op runs as inference).
+Tape* track(Tape* tape, std::initializer_list<const Tensor*> inputs) {
+  if (tape == nullptr) return nullptr;
   for (const Tensor* t : inputs)
-    if (t->requires_grad()) return true;
-  return false;
+    if (t->requires_grad()) return tape;
+  return nullptr;
 }
 
 std::string shape_str(const Shape& s) {
@@ -33,6 +35,65 @@ std::string shapes_msg(const char* op, const Shape& a, const Shape& b) {
   return std::string(op) + ": " + shape_str(a) + " vs " + shape_str(b);
 }
 
+// An op output: in the arena of the tape the op records on, on the heap
+// when it records nothing. Only outputs a kernel accumulates into ask for
+// `zero`; every other op writes each entry.
+Tensor output(Tape* tape, Shape shape, bool zero = false) {
+  return tape != nullptr ? tape->tensor(shape, zero) : Tensor::zeros(shape);
+}
+
+// Throughput telemetry (counts only; obs::counter is a no-op when
+// observability is off): calls and multiply-add flops of each matmul
+// forward and backward, totalled and broken out per backend
+// (docs/BACKENDS.md).
+void count_matmul_fwd(const backend::ComputeBackend& be, std::int64_t m,
+                      std::int64_t k, std::int64_t n) {
+  static obs::Counter& calls = obs::counter("tensor.matmul.calls");
+  static obs::Counter& flops = obs::counter("tensor.matmul.flops");
+  const auto f = static_cast<std::uint64_t>(2 * m * k * n);
+  calls.add();
+  flops.add(f);
+  be.matmul_counters().fwd_calls.add();
+  be.matmul_counters().fwd_flops.add(f);
+}
+
+// `grads` is how many of the two operands take a gradient.
+void count_matmul_bwd(const backend::ComputeBackend& be, std::int64_t m,
+                      std::int64_t k, std::int64_t n, int grads) {
+  static obs::Counter& calls = obs::counter("tensor.matmul.bwd_calls");
+  static obs::Counter& flops = obs::counter("tensor.matmul.bwd_flops");
+  const auto f = static_cast<std::uint64_t>(2 * m * k * n * grads);
+  calls.add();
+  flops.add(f);
+  be.matmul_counters().bwd_calls.add();
+  be.matmul_counters().bwd_flops.add(f);
+}
+
+// The softmax row loops, shared by softmax_rows, causal_softmax_rows and
+// causal_attention. Forward: y[0, lim) = softmax(x[0, lim)) and
+// y[lim, n) = 0 (the causal mask), so y needs no zero-fill.
+void softmax_row(const float* xr, float* yr, std::int64_t lim,
+                 std::int64_t n) {
+  float mx = -1e30f;
+  for (std::int64_t j = 0; j < lim; ++j) mx = std::max(mx, xr[j]);
+  float z = 0.0f;
+  for (std::int64_t j = 0; j < lim; ++j) {
+    yr[j] = std::exp(xr[j] - mx);
+    z += yr[j];
+  }
+  const float inv = 1.0f / z;
+  for (std::int64_t j = 0; j < lim; ++j) yr[j] *= inv;
+  for (std::int64_t j = lim; j < n; ++j) yr[j] = 0.0f;
+}
+
+// Backward: gx[0, lim) += y·(gy − ⟨gy, y⟩).
+void softmax_row_bwd(const float* yr, const float* gyr, float* gxr,
+                     std::int64_t lim) {
+  float dot = 0.0f;
+  for (std::int64_t j = 0; j < lim; ++j) dot += gyr[j] * yr[j];
+  for (std::int64_t j = 0; j < lim; ++j) gxr[j] += yr[j] * (gyr[j] - dot);
+}
+
 }  // namespace
 
 Tensor matmul(Tape* tape, const Tensor& a, const Tensor& b) {
@@ -40,33 +101,20 @@ Tensor matmul(Tape* tape, const Tensor& a, const Tensor& b) {
                   shapes_msg("matmul: inner dimensions differ", a.shape(),
                              b.shape()));
   const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  // Throughput telemetry (counts only; obs::counter is a no-op when
-  // observability is off): calls and multiply-add flops of the forward,
-  // totalled and broken out per backend (docs/BACKENDS.md).
-  static obs::Counter& fwd_calls = obs::counter("tensor.matmul.calls");
-  static obs::Counter& fwd_flops = obs::counter("tensor.matmul.flops");
   const backend::ComputeBackend& be = backend::active();
-  fwd_calls.add();
-  fwd_flops.add(static_cast<std::uint64_t>(2 * m * k * n));
-  be.matmul_counters().fwd_calls.add();
-  be.matmul_counters().fwd_flops.add(static_cast<std::uint64_t>(2 * m * k * n));
-  Tensor c = Tensor::zeros({m, n});
+  count_matmul_fwd(be, m, k, n);
+  Tape* const rec = track(tape, {&a, &b});
+  Tensor c = output(rec, {m, n}, /*zero=*/true);
   be.matmul_fwd(a.data(), b.data(), c.data(), k, n, 0, m);
-  if (track(tape, {&a, &b})) {
+  if (rec != nullptr) {
     c.set_requires_grad(true);
     Tensor at = a, bt = b, ct = c;
-    tape->record([at, bt, ct]() mutable {
+    rec->record([at, bt, ct]() mutable {
       const std::int64_t m = at.rows(), k = at.cols(), n = bt.cols();
-      static obs::Counter& bwd_calls = obs::counter("tensor.matmul.bwd_calls");
-      static obs::Counter& bwd_flops = obs::counter("tensor.matmul.bwd_flops");
       const backend::ComputeBackend& be = backend::active();
-      const auto flops = static_cast<std::uint64_t>(
-          2 * m * k * n * ((at.requires_grad() ? 1 : 0) +
-                           (bt.requires_grad() ? 1 : 0)));
-      bwd_calls.add();
-      bwd_flops.add(flops);
-      be.matmul_counters().bwd_calls.add();
-      be.matmul_counters().bwd_flops.add(flops);
+      count_matmul_bwd(be, m, k, n,
+                       (at.requires_grad() ? 1 : 0) +
+                           (bt.requires_grad() ? 1 : 0));
       const float* gc = ct.grad();
       // dA[i,kk] += Σ_j gC[i,j] · B[kk,j]
       if (at.requires_grad())
@@ -82,13 +130,14 @@ Tensor matmul(Tape* tape, const Tensor& a, const Tensor& b) {
 Tensor add(Tape* tape, const Tensor& a, const Tensor& b) {
   DPOAF_CHECK_MSG(a.shape() == b.shape(),
                   shapes_msg("add: shape mismatch", a.shape(), b.shape()));
-  Tensor c = Tensor::zeros(a.shape());
+  Tape* const rec = track(tape, {&a, &b});
+  Tensor c = output(rec, a.shape());
   const backend::ComputeBackend& be = backend::active();
   be.ew_add(a.data(), b.data(), c.data(), 0, a.numel());
-  if (track(tape, {&a, &b})) {
+  if (rec != nullptr) {
     c.set_requires_grad(true);
     Tensor at = a, bt = b, ct = c;
-    tape->record([at, bt, ct]() mutable {
+    rec->record([at, bt, ct]() mutable {
       const backend::ComputeBackend& be = backend::active();
       const float* gc = ct.grad();
       if (at.requires_grad()) be.ew_axpy(1.0f, gc, at.grad(), 0, at.numel());
@@ -103,14 +152,15 @@ Tensor add_rowwise(Tape* tape, const Tensor& x, const Tensor& bias) {
       bias.rows() == 1 && bias.cols() == x.cols(),
       shapes_msg("add_rowwise: bias must be [1 x cols(x)]", x.shape(),
                  bias.shape()));
-  Tensor c = Tensor::zeros(x.shape());
+  Tape* const rec = track(tape, {&x, &bias});
+  Tensor c = output(rec, x.shape());
   const std::int64_t m = x.rows(), n = x.cols();
   const backend::ComputeBackend& be = backend::active();
   be.row_bias_add(x.data(), bias.data(), c.data(), n, 0, m);
-  if (track(tape, {&x, &bias})) {
+  if (rec != nullptr) {
     c.set_requires_grad(true);
     Tensor xt = x, bt = bias, ct = c;
-    tape->record([xt, bt, ct]() mutable {
+    rec->record([xt, bt, ct]() mutable {
       const std::int64_t m = xt.rows(), n = xt.cols();
       const float* gc = ct.grad();
       if (xt.requires_grad())
@@ -128,13 +178,14 @@ Tensor add_rowwise(Tape* tape, const Tensor& x, const Tensor& bias) {
 Tensor mul(Tape* tape, const Tensor& a, const Tensor& b) {
   DPOAF_CHECK_MSG(a.shape() == b.shape(),
                   shapes_msg("mul: shape mismatch", a.shape(), b.shape()));
-  Tensor c = Tensor::zeros(a.shape());
+  Tape* const rec = track(tape, {&a, &b});
+  Tensor c = output(rec, a.shape());
   const backend::ComputeBackend& be = backend::active();
   be.ew_mul(a.data(), b.data(), c.data(), 0, a.numel());
-  if (track(tape, {&a, &b})) {
+  if (rec != nullptr) {
     c.set_requires_grad(true);
     Tensor at = a, bt = b, ct = c;
-    tape->record([at, bt, ct]() mutable {
+    rec->record([at, bt, ct]() mutable {
       const backend::ComputeBackend& be = backend::active();
       const float* gc = ct.grad();
       if (at.requires_grad())
@@ -151,13 +202,14 @@ Tensor sub(Tape* tape, const Tensor& a, const Tensor& b) {
 }
 
 Tensor scale(Tape* tape, const Tensor& a, float s) {
-  Tensor c = Tensor::zeros(a.shape());
+  Tape* const rec = track(tape, {&a});
+  Tensor c = output(rec, a.shape());
   const backend::ComputeBackend& be = backend::active();
   be.ew_scale(a.data(), s, c.data(), 0, a.numel());
-  if (track(tape, {&a})) {
+  if (rec != nullptr) {
     c.set_requires_grad(true);
     Tensor at = a, ct = c;
-    tape->record([at, ct, s]() mutable {
+    rec->record([at, ct, s]() mutable {
       if (!at.requires_grad()) return;
       backend::active().ew_axpy(s, ct.grad(), at.grad(), 0, at.numel());
     });
@@ -166,18 +218,19 @@ Tensor scale(Tape* tape, const Tensor& a, float s) {
 }
 
 Tensor gelu(Tape* tape, const Tensor& a) {
-  Tensor c = Tensor::zeros(a.shape());
-  const bool tracked = track(tape, {&a});
+  Tape* const rec = track(tape, {&a});
+  Tensor c = output(rec, a.shape());
   // The forward's tanh term, saved so the backward does not recompute it.
-  Tensor t = tracked ? Tensor::zeros(a.shape()) : Tensor();
+  Tensor t = rec != nullptr ? output(rec, a.shape()) : Tensor();
   const backend::ComputeBackend& be = backend::active();
-  be.gelu_fwd(a.data(), c.data(), tracked ? t.data() : nullptr, 0, a.numel());
-  if (tracked) {
+  be.gelu_fwd(a.data(), c.data(), rec != nullptr ? t.data() : nullptr, 0,
+              a.numel());
+  if (rec != nullptr) {
     c.set_requires_grad(true);
     Tensor at = a, ct = c;
     // The backend that saved t also reads it back (backends are static).
     const backend::ComputeBackend* fwd_be = &be;
-    tape->record([at, ct, t, fwd_be]() mutable {
+    rec->record([at, ct, t, fwd_be]() mutable {
       if (!at.requires_grad()) return;
       fwd_be->gelu_bwd(at.data(), t.data(), ct.grad(), at.grad(), 0,
                        at.numel());
@@ -197,10 +250,11 @@ Tensor layer_norm(Tape* tape, const Tensor& x, const Tensor& gamma,
       shapes_msg("layer_norm: beta must be [1 x cols(x)]", x.shape(),
                  beta.shape()));
   const std::int64_t m = x.rows(), n = x.cols();
-  Tensor y = Tensor::zeros(x.shape());
-  // Cache per-row mean and inverse stddev for the backward pass.
-  std::vector<float> mean(static_cast<std::size_t>(m));
-  std::vector<float> inv_std(static_cast<std::size_t>(m));
+  Tape* const rec = track(tape, {&x, &gamma, &beta});
+  Tensor y = output(rec, x.shape());
+  // Per-row mean and inverse stddev, saved in the arena for the backward.
+  float* mean = rec != nullptr ? rec->scratch(2 * m) : nullptr;
+  float* inv_std = rec != nullptr ? mean + m : nullptr;
   for (std::int64_t i = 0; i < m; ++i) {
     const float* xr = x.data() + i * n;
     float mu = 0.0f;
@@ -210,23 +264,25 @@ Tensor layer_norm(Tape* tape, const Tensor& x, const Tensor& gamma,
     for (std::int64_t j = 0; j < n; ++j) var += (xr[j] - mu) * (xr[j] - mu);
     var /= static_cast<float>(n);
     const float is = 1.0f / std::sqrt(var + eps);
-    mean[static_cast<std::size_t>(i)] = mu;
-    inv_std[static_cast<std::size_t>(i)] = is;
+    if (rec != nullptr) {
+      mean[i] = mu;
+      inv_std[i] = is;
+    }
     float* yr = y.data() + i * n;
     for (std::int64_t j = 0; j < n; ++j)
       yr[j] = (xr[j] - mu) * is * gamma.data()[j] + beta.data()[j];
   }
-  if (track(tape, {&x, &gamma, &beta})) {
+  if (rec != nullptr) {
     y.set_requires_grad(true);
     Tensor xt = x, gt = gamma, bt = beta, yt = y;
-    tape->record([xt, gt, bt, yt, mean, inv_std]() mutable {
+    rec->record([xt, gt, bt, yt, mean, inv_std]() mutable {
       const std::int64_t m = xt.rows(), n = xt.cols();
       const float* gy = yt.grad();
       for (std::int64_t i = 0; i < m; ++i) {
         const float* xr = xt.data() + i * n;
         const float* gyr = gy + i * n;
-        const float mu = mean[static_cast<std::size_t>(i)];
-        const float is = inv_std[static_cast<std::size_t>(i)];
+        const float mu = mean[i];
+        const float is = inv_std[i];
         if (gt.requires_grad() || bt.requires_grad()) {
           float* gg = gt.grad();
           float* gb = bt.grad();
@@ -260,43 +316,24 @@ Tensor layer_norm(Tape* tape, const Tensor& x, const Tensor& gamma,
 
 namespace {
 
-// Shared forward for (masked) row softmax; `limit(i)` gives the exclusive
-// column bound for row i.
+// Row softmax where `limit(i)` gives row i's exclusive column bound.
 template <typename Limit>
 Tensor softmax_impl(Tape* tape, const Tensor& x, Limit limit) {
   const std::int64_t m = x.rows(), n = x.cols();
-  Tensor y = Tensor::zeros(x.shape());
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t lim = limit(i);
-    const float* xr = x.data() + i * n;
-    float* yr = y.data() + i * n;
-    float mx = -1e30f;
-    for (std::int64_t j = 0; j < lim; ++j) mx = std::max(mx, xr[j]);
-    float z = 0.0f;
-    for (std::int64_t j = 0; j < lim; ++j) {
-      yr[j] = std::exp(xr[j] - mx);
-      z += yr[j];
-    }
-    const float inv = 1.0f / z;
-    for (std::int64_t j = 0; j < lim; ++j) yr[j] *= inv;
-  }
-  if (track(tape, {&x})) {
+  Tape* const rec = track(tape, {&x});
+  Tensor y = output(rec, x.shape());
+  for (std::int64_t i = 0; i < m; ++i)
+    softmax_row(x.data() + i * n, y.data() + i * n, limit(i), n);
+  if (rec != nullptr) {
     y.set_requires_grad(true);
     Tensor xt = x, yt = y;
-    tape->record([xt, yt, limit]() mutable {
+    rec->record([xt, yt, limit]() mutable {
       if (!xt.requires_grad()) return;
       const std::int64_t m = xt.rows(), n = xt.cols();
       const float* gy = yt.grad();
       float* gx = xt.grad();
-      for (std::int64_t i = 0; i < m; ++i) {
-        const std::int64_t lim = limit(i);
-        const float* yr = yt.data() + i * n;
-        const float* gyr = gy + i * n;
-        float dot = 0.0f;
-        for (std::int64_t j = 0; j < lim; ++j) dot += gyr[j] * yr[j];
-        for (std::int64_t j = 0; j < lim; ++j)
-          gx[i * n + j] += yr[j] * (gyr[j] - dot);
-      }
+      for (std::int64_t i = 0; i < m; ++i)
+        softmax_row_bwd(yt.data() + i * n, gy + i * n, gx + i * n, limit(i));
     });
   }
   return y;
@@ -316,11 +353,111 @@ Tensor causal_softmax_rows(Tape* tape, const Tensor& scores) {
                       [](std::int64_t i) { return i + 1; });
 }
 
+Tensor causal_attention(Tape* tape, const Tensor& qkv,
+                        std::int64_t n_heads) {
+  DPOAF_CHECK_MSG(n_heads >= 1 && qkv.cols() % (3 * n_heads) == 0,
+                  "causal_attention: " + std::to_string(n_heads) +
+                      " heads do not split qkv " + shape_str(qkv.shape()));
+  const std::int64_t t = qkv.rows(), w = qkv.cols(), d = w / 3;
+  const std::int64_t dh = d / n_heads;
+  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
+  Tape* const rec = track(tape, {&qkv});
+  // One head's q [t,dh], kᵀ [dh,t], v [t,dh] and attention weights [t,t];
+  // the backward reads every head's, so a recorded op keeps them all.
+  const std::int64_t head = 3 * t * dh + t * t;
+  const std::int64_t heads_kept = rec != nullptr ? n_heads : 1;
+  // Then the scores [t,t] and one head's output [t,dh].
+  const std::int64_t floats = heads_kept * head + t * t + t * dh;
+  std::vector<float> heap;
+  if (rec == nullptr) heap.resize(static_cast<std::size_t>(floats));
+  float* const saved = rec != nullptr ? rec->scratch(floats) : heap.data();
+  float* const scores = saved + heads_kept * head;
+  float* const o = scores + t * t;
+
+  Tensor out = output(rec, {t, d});
+  const float* x = qkv.data();
+  const backend::ComputeBackend& be = backend::active();
+  for (std::int64_t h = 0; h < n_heads; ++h) {
+    float* q = saved + (rec != nullptr ? h : 0) * head;
+    float* kt = q + t * dh;
+    float* v = kt + dh * t;
+    float* attn = v + t * dh;
+    for (std::int64_t i = 0; i < t; ++i)
+      for (std::int64_t j = 0; j < dh; ++j) {
+        const float* xr = x + i * w + h * dh + j;
+        q[i * dh + j] = xr[0];
+        kt[j * t + i] = xr[d];
+        v[i * dh + j] = xr[2 * d];
+      }
+    count_matmul_fwd(be, t, dh, t);
+    std::fill(scores, scores + t * t, 0.0f);
+    be.matmul_fwd(q, kt, scores, dh, t, 0, t);
+    be.ew_scale(scores, inv_sqrt, scores, 0, t * t);
+    for (std::int64_t i = 0; i < t; ++i)
+      softmax_row(scores + i * t, attn + i * t, i + 1, t);
+    count_matmul_fwd(be, t, t, dh);
+    std::fill(o, o + t * dh, 0.0f);
+    be.matmul_fwd(attn, v, o, t, dh, 0, t);
+    for (std::int64_t i = 0; i < t; ++i)
+      std::copy(o + i * dh, o + (i + 1) * dh, out.data() + i * d + h * dh);
+  }
+  if (rec != nullptr) {
+    out.set_requires_grad(true);
+    // Backward scratch, reused by every head: gradients of the head
+    // output, v, q and kᵀ, then of the weights, scaled and raw scores.
+    float* const g = rec->scratch(4 * t * dh + 3 * t * t);
+    Tensor xt = qkv, yt = out;
+    rec->record([xt, yt, saved, g, t, w, d, dh, n_heads, head,
+                  inv_sqrt]() mutable {
+      const backend::ComputeBackend& be = backend::active();
+      float* go = g;
+      float* gv = go + t * dh;
+      float* gq = gv + t * dh;
+      float* gkt = gq + t * dh;
+      float* gattn = gkt + dh * t;
+      float* gs = gattn + t * t;
+      float* gs0 = gs + t * t;
+      const float* gy = yt.grad();
+      float* gx = xt.grad();
+      for (std::int64_t h = n_heads - 1; h >= 0; --h) {
+        const float* q = saved + h * head;
+        const float* kt = q + t * dh;
+        const float* v = kt + dh * t;
+        const float* attn = v + t * dh;
+        std::fill(g, g + 4 * t * dh + 3 * t * t, 0.0f);
+        for (std::int64_t i = 0; i < t; ++i)
+          for (std::int64_t j = 0; j < dh; ++j)
+            go[i * dh + j] += gy[i * d + h * dh + j];
+        count_matmul_bwd(be, t, t, dh, 2);
+        be.matmul_bwd_a(go, v, gattn, t, dh, 0, t);
+        be.matmul_bwd_b(attn, go, gv, t, t, dh, 0, t);
+        for (std::int64_t i = 0; i < t; ++i)
+          softmax_row_bwd(attn + i * t, gattn + i * t, gs + i * t, i + 1);
+        be.ew_axpy(inv_sqrt, gs, gs0, 0, t * t);
+        count_matmul_bwd(be, t, dh, t, 2);
+        be.matmul_bwd_a(gs0, kt, gq, dh, t, 0, t);
+        be.matmul_bwd_b(q, gs0, gkt, t, dh, t, 0, dh);
+        // qkv's gradient is zeroed on first use, so each += turns a −0
+        // into +0 exactly as a separate slice's backward would.
+        for (std::int64_t i = 0; i < t; ++i)
+          for (std::int64_t j = 0; j < dh; ++j) {
+            float* gr = gx + i * w + h * dh + j;
+            gr[0] += gq[i * dh + j];
+            gr[d] += gkt[j * t + i];
+            gr[2 * d] += gv[i * dh + j];
+          }
+      }
+    });
+  }
+  return out;
+}
+
 Tensor embedding(Tape* tape, const Tensor& table,
                  const std::vector<int>& ids) {
   const std::int64_t v = table.rows(), d = table.cols();
   const auto t_len = static_cast<std::int64_t>(ids.size());
-  Tensor out = Tensor::zeros({t_len, d});
+  Tape* const rec = track(tape, {&table});
+  Tensor out = output(rec, {t_len, d});
   for (std::int64_t t = 0; t < t_len; ++t) {
     const int id = ids[static_cast<std::size_t>(t)];
     DPOAF_CHECK_MSG(id >= 0 && id < v, "embedding id out of range");
@@ -328,10 +465,10 @@ Tensor embedding(Tape* tape, const Tensor& table,
     float* dst = out.data() + t * d;
     for (std::int64_t j = 0; j < d; ++j) dst[j] = row[j];
   }
-  if (track(tape, {&table})) {
+  if (rec != nullptr) {
     out.set_requires_grad(true);
     Tensor tt = table, ot = out;
-    tape->record([tt, ot, ids]() mutable {
+    rec->record([tt, ot, ids]() mutable {
       if (!tt.requires_grad()) return;
       const std::int64_t d = tt.cols();
       float* gt = tt.grad();
@@ -346,106 +483,16 @@ Tensor embedding(Tape* tape, const Tensor& table,
   return out;
 }
 
-Tensor slice_cols(Tape* tape, const Tensor& x, std::int64_t start,
-                  std::int64_t len) {
-  DPOAF_CHECK_MSG(start >= 0 && len > 0 && start + len <= x.cols(),
-                  "slice_cols: [" + std::to_string(start) + ", " +
-                      std::to_string(start + len) + ") out of range for " +
-                      shape_str(x.shape()));
-  const std::int64_t m = x.rows(), n = x.cols();
-  Tensor y = Tensor::zeros({m, len});
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < len; ++j)
-      y.data()[i * len + j] = x.data()[i * n + start + j];
-  if (track(tape, {&x})) {
-    y.set_requires_grad(true);
-    Tensor xt = x, yt = y;
-    tape->record([xt, yt, start, len]() mutable {
-      if (!xt.requires_grad()) return;
-      const std::int64_t m = xt.rows(), n = xt.cols();
-      float* gx = xt.grad();
-      const float* gy = yt.grad();
-      for (std::int64_t i = 0; i < m; ++i)
-        for (std::int64_t j = 0; j < len; ++j)
-          gx[i * n + start + j] += gy[i * len + j];
-    });
-  }
-  return y;
-}
-
-Tensor concat_cols(Tape* tape, const std::vector<Tensor>& parts) {
-  DPOAF_CHECK(!parts.empty());
-  const std::int64_t m = parts.front().rows();
-  std::int64_t n = 0;
-  for (const Tensor& p : parts) {
-    DPOAF_CHECK_MSG(p.rows() == m,
-                    shapes_msg("concat_cols: row mismatch",
-                               parts.front().shape(), p.shape()));
-    n += p.cols();
-  }
-  Tensor y = Tensor::zeros({m, n});
-  std::int64_t off = 0;
-  bool needs_grad = false;
-  for (const Tensor& p : parts) {
-    for (std::int64_t i = 0; i < m; ++i)
-      for (std::int64_t j = 0; j < p.cols(); ++j)
-        y.data()[i * n + off + j] = p.data()[i * p.cols() + j];
-    off += p.cols();
-    needs_grad = needs_grad || p.requires_grad();
-  }
-  if (tape != nullptr && needs_grad) {
-    y.set_requires_grad(true);
-    std::vector<Tensor> ps = parts;
-    Tensor yt = y;
-    tape->record([ps, yt]() mutable {
-      const std::int64_t m = yt.rows(), n = yt.cols();
-      const float* gy = yt.grad();
-      std::int64_t off = 0;
-      for (Tensor& p : ps) {
-        if (p.requires_grad()) {
-          float* gp = p.grad();
-          for (std::int64_t i = 0; i < m; ++i)
-            for (std::int64_t j = 0; j < p.cols(); ++j)
-              gp[i * p.cols() + j] += gy[i * n + off + j];
-        }
-        off += p.cols();
-      }
-    });
-  }
-  return y;
-}
-
-Tensor transpose(Tape* tape, const Tensor& x) {
-  const std::int64_t m = x.rows(), n = x.cols();
-  Tensor y = Tensor::zeros({n, m});
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j)
-      y.data()[j * m + i] = x.data()[i * n + j];
-  if (track(tape, {&x})) {
-    y.set_requires_grad(true);
-    Tensor xt = x, yt = y;
-    tape->record([xt, yt]() mutable {
-      if (!xt.requires_grad()) return;
-      const std::int64_t m = xt.rows(), n = xt.cols();
-      float* gx = xt.grad();
-      const float* gy = yt.grad();
-      for (std::int64_t i = 0; i < m; ++i)
-        for (std::int64_t j = 0; j < n; ++j)
-          gx[i * n + j] += gy[j * m + i];
-    });
-  }
-  return y;
-}
-
 Tensor sum(Tape* tape, const Tensor& x) {
-  Tensor y = Tensor::zeros({1, 1});
+  Tape* const rec = track(tape, {&x});
+  Tensor y = output(rec, {1, 1});
   float acc = 0.0f;
   for (std::int64_t i = 0; i < x.numel(); ++i) acc += x.data()[i];
   y.data()[0] = acc;
-  if (track(tape, {&x})) {
+  if (rec != nullptr) {
     y.set_requires_grad(true);
     Tensor xt = x, yt = y;
-    tape->record([xt, yt]() mutable {
+    rec->record([xt, yt]() mutable {
       if (!xt.requires_grad()) return;
       float* gx = xt.grad();
       const float g = yt.grad()[0];
@@ -470,8 +517,9 @@ Tensor nll(Tape* tape, const Tensor& logits, const std::vector<int>& targets,
     if (targets[static_cast<std::size_t>(t)] >= 0) positions.push_back(t);
   DPOAF_CHECK_MSG(!positions.empty(), "no scored positions");
 
+  Tape* const rec = track(tape, {&logits});
   // Row-wise log-softmax at scored positions only.
-  Tensor out = Tensor::zeros({1, 1});
+  Tensor out = output(rec, {1, 1});
   std::vector<float> logz(positions.size());
   float acc = 0.0f;
   for (std::size_t p = 0; p < positions.size(); ++p) {
@@ -487,10 +535,10 @@ Tensor nll(Tape* tape, const Tensor& logits, const std::vector<int>& targets,
   const float denom = mean ? static_cast<float>(positions.size()) : 1.0f;
   out.data()[0] = sign * acc / denom;
 
-  if (track(tape, {&logits})) {
+  if (rec != nullptr) {
     out.set_requires_grad(true);
     Tensor lt = logits, ot = out;
-    tape->record([lt, ot, targets, positions, logz, denom, sign]() mutable {
+    rec->record([lt, ot, targets, positions, logz, denom, sign]() mutable {
       if (!lt.requires_grad()) return;
       const std::int64_t v = lt.cols();
       const float g = ot.grad()[0] * sign / denom;
@@ -524,16 +572,17 @@ Tensor sum_log_probs(Tape* tape, const Tensor& logits,
 }
 
 Tensor softplus(Tape* tape, const Tensor& x) {
-  Tensor y = Tensor::zeros(x.shape());
+  Tape* const rec = track(tape, {&x});
+  Tensor y = output(rec, x.shape());
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     const float v = x.data()[i];
     // log(1+eᵛ) = max(v,0) + log1p(e^{−|v|})
     y.data()[i] = std::max(v, 0.0f) + std::log1p(std::exp(-std::fabs(v)));
   }
-  if (track(tape, {&x})) {
+  if (rec != nullptr) {
     y.set_requires_grad(true);
     Tensor xt = x, yt = y;
-    tape->record([xt, yt]() mutable {
+    rec->record([xt, yt]() mutable {
       if (!xt.requires_grad()) return;
       float* gx = xt.grad();
       const float* gy = yt.grad();

@@ -41,19 +41,17 @@ Tensor softmax_rows(Tape* tape, const Tensor& x);
 /// only (entries j > i are exactly zero in the output).
 Tensor causal_softmax_rows(Tape* tape, const Tensor& scores);
 
+/// Multi-head causal self-attention over a fused projection qkv[T,3D]
+/// (q, k and v side by side, each split into n_heads column blocks of
+/// D/n_heads): out[T,D] concatenates, per head, softmax_causal(q·kᵀ/√dh)·v.
+/// One tape node. Per head it runs the same kernels, in the same order,
+/// as matmul, scale, causal_softmax_rows and matmul would, so its output
+/// and gradients are bitwise those of that chain (docs/BACKENDS.md).
+Tensor causal_attention(Tape* tape, const Tensor& qkv, std::int64_t n_heads);
+
 /// out[T,D] = table[ids[t], :]; backward scatter-adds into the table.
 Tensor embedding(Tape* tape, const Tensor& table,
                  const std::vector<int>& ids);
-
-/// Columns [start, start+len) of x.
-Tensor slice_cols(Tape* tape, const Tensor& x, std::int64_t start,
-                  std::int64_t len);
-
-/// Horizontal concatenation of tensors with equal row counts.
-Tensor concat_cols(Tape* tape, const std::vector<Tensor>& parts);
-
-/// xᵀ
-Tensor transpose(Tape* tape, const Tensor& x);
 
 /// Scalar sum of all entries.
 Tensor sum(Tape* tape, const Tensor& x);

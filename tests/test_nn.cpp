@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -277,6 +278,79 @@ TEST(Gpt, TrainingReducesLoss) {
   }
   const float after = model.nll_loss(nullptr, seq).item();
   EXPECT_LT(after, before * 0.5f);
+}
+
+TEST(Gpt, TapeRecordsOneAttentionNodePerBlock) {
+  Rng rng(8);
+  const GptConfig cfg = tiny_config();
+  TinyGpt model(cfg, rng);
+  Tape tape;
+  const Tensor loss = model.nll_loss(&tape, {1, 5, 9, 5});
+  // Two embeddings and their add, then per block: ln1, qkv (matmul, bias),
+  // attention, proj (matmul, bias), residual add, ln2, fc1, gelu, fc2 and
+  // residual add; then ln_f, the head (matmul, bias) and the loss.
+  EXPECT_EQ(tape.size(), static_cast<std::size_t>(3 + 14 * cfg.n_layers + 4));
+}
+
+// Every parameter gradient, flattened.
+std::vector<float> param_grads(const TinyGpt& model) {
+  std::vector<float> out;
+  for (Tensor p : model.parameters())
+    out.insert(out.end(), p.grad(), p.grad() + p.numel());
+  return out;
+}
+
+// Loss and parameter gradients of one two-sequence minibatch on `tape`,
+// which is reset first.
+std::vector<float> minibatch_grads(TinyGpt& model, Tape& tape) {
+  tape.reset();
+  for (Tensor p : model.parameters()) p.zero_grad();
+  const Tensor loss = ops::add(&tape, model.nll_loss(&tape, {1, 5, 9, 5, 2}),
+                               model.nll_loss(&tape, {3, 4, 1, 7, 7, 2, 8}));
+  tape.backward(loss);
+  std::vector<float> out = param_grads(model);
+  out.push_back(loss.item());
+  return out;
+}
+
+TEST(Gpt, TapeResetRerunIsBitwiseAndReusesTheArena) {
+  Rng rng(8);
+  TinyGpt model(tiny_config(), rng);
+  Tape tape;
+  const std::vector<float> first = minibatch_grads(model, tape);
+  const std::vector<float> second = minibatch_grads(model, tape);
+  const std::size_t capacity = tape.arena_capacity();
+  EXPECT_GT(capacity, 0u);
+  const std::vector<float> third = minibatch_grads(model, tape);
+  ASSERT_EQ(second.size(), first.size());
+  EXPECT_EQ(std::memcmp(second.data(), first.data(),
+                        first.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(third.data(), first.data(),
+                        first.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(tape.arena_capacity(), capacity);
+}
+
+TEST(Gpt, ParameterGradsAndOptimizerStateSurviveTapeReset) {
+  Rng rng(8);
+  TinyGpt model(tiny_config(), rng);
+  AdamW opt(model.trainable_parameters(), AdamWConfig{});
+  Tape tape;
+  (void)minibatch_grads(model, tape);
+  opt.step();
+  const std::vector<float> grads = param_grads(model);
+  const auto m = opt.moments_m();
+  const auto v = opt.moments_v();
+  const std::vector<float> weights = model.state();
+  tape.reset();
+  // Overwrite the recycled arena memory with a different minibatch.
+  (void)model.nll_loss(&tape, {2, 2, 2, 2, 2, 2, 2, 2, 2, 2});
+  tape.reset();
+  EXPECT_EQ(param_grads(model), grads);
+  EXPECT_EQ(opt.moments_m(), m);
+  EXPECT_EQ(opt.moments_v(), v);
+  EXPECT_EQ(model.state(), weights);
 }
 
 TEST(Gpt, ResponseLogProbMatchesManualSum) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
 
+#include "tensor/backend/backend.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
+#include "unfused_attention.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -237,31 +241,6 @@ TEST(Ops, EmbeddingOutOfRangeThrows) {
   EXPECT_THROW((void)ops::embedding(nullptr, table, {3}), ContractViolation);
 }
 
-TEST(Ops, SliceAndConcatRoundTrip) {
-  Rng rng(11);
-  Tensor x = Tensor::randn({2, 6}, rng).set_requires_grad(true);
-  Tensor a = ops::slice_cols(nullptr, x, 0, 3);
-  Tensor b = ops::slice_cols(nullptr, x, 3, 3);
-  Tensor back = ops::concat_cols(nullptr, {a, b});
-  for (std::int64_t i = 0; i < x.numel(); ++i)
-    EXPECT_EQ(back.data()[i], x.data()[i]);
-
-  check_gradients({x}, [&](Tape* t) {
-    Tensor s1 = ops::slice_cols(t, x, 1, 2);
-    Tensor s2 = ops::slice_cols(t, x, 3, 2);
-    return ops::sum(t, ops::mul(t, s1, s2));
-  });
-}
-
-TEST(Ops, TransposeGradients) {
-  Rng rng(12);
-  Tensor x = Tensor::randn({2, 3}, rng).set_requires_grad(true);
-  Tensor w = Tensor::randn({3, 2}, rng);
-  check_gradients({x}, [&](Tape* t) {
-    return ops::sum(t, ops::mul(t, ops::transpose(t, x), w));
-  });
-}
-
 TEST(Ops, CrossEntropyMatchesManualComputation) {
   // Uniform logits over V classes → CE = log V.
   Tensor logits = Tensor::zeros({2, 4});
@@ -350,6 +329,151 @@ TEST(Tape, BackwardAccumulatesAcrossUses) {
 TEST(Tape, BackwardRequiresScalarSeed) {
   Tape tape;
   EXPECT_THROW(tape.backward(Tensor::zeros({2, 1})), ContractViolation);
+}
+
+}  // namespace
+}  // namespace dpoaf::tensor
+
+namespace dpoaf::tensor {
+namespace {
+
+// ------------------------------------------------- fused attention ---
+
+bool bitwise_equal(const float* a, const float* b, std::int64_t n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+// Values with exact zeros of both signs sprinkled in.
+Tensor signed_zero_randn(Shape shape, Rng& rng) {
+  Tensor t = Tensor::randn(shape, rng);
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    if (i % 7 == 3) t.data()[i] = -0.0f;
+    if (i % 11 == 5) t.data()[i] = 0.0f;
+  }
+  return t;
+}
+
+using AttentionFn = Tensor (*)(Tape*, const Tensor&, std::int64_t);
+
+// Output and qkv gradient of one forward and backward of `fn`, seeded
+// with the upstream gradient `up`.
+std::pair<Tensor, Tensor> attention_value_and_grad(AttentionFn fn,
+                                                   const Tensor& qkv_values,
+                                                   const Tensor& up,
+                                                   std::int64_t n_heads) {
+  Tensor qkv = qkv_values.clone().set_requires_grad(true);
+  Tape tape;
+  Tensor out = fn(&tape, qkv, n_heads);
+  std::copy(up.data(), up.data() + up.numel(), out.grad());
+  tape.backward();
+  Tensor value = out.clone();
+  Tensor grad = Tensor::from(
+      qkv.shape(), std::vector<float>(qkv.grad(), qkv.grad() + qkv.numel()));
+  return {value, grad};
+}
+
+TEST(CausalAttention, BitwiseEqualsUnfusedChain) {
+  constexpr std::int64_t d = 48;
+  const AttentionFn fused = &ops::causal_attention;
+  const AttentionFn unfused = &reference::unfused_attention;
+  for (const char* be : {"scalar", "simd"}) {
+    if (std::string(be) == "simd" && !backend::simd_supported()) continue;
+    backend::select(be);
+    for (const std::int64_t t : {1, 2, 35, 84}) {
+      for (const std::int64_t heads : {1, 2, 4}) {
+        SCOPED_TRACE(std::string(be) + " T=" + std::to_string(t) +
+                     " heads=" + std::to_string(heads));
+        Rng rng(static_cast<std::uint64_t>(100 * t + heads));
+        const Tensor qkv = signed_zero_randn({t, 3 * d}, rng);
+        const Tensor up = signed_zero_randn({t, d}, rng);
+
+        const Tensor plain_ref = unfused(nullptr, qkv, heads);
+        const Tensor plain = ops::causal_attention(nullptr, qkv, heads);
+        EXPECT_TRUE(bitwise_equal(plain.data(), plain_ref.data(), t * d));
+
+        const auto ref = attention_value_and_grad(unfused, qkv, up, heads);
+        const auto got = attention_value_and_grad(fused, qkv, up, heads);
+        EXPECT_TRUE(bitwise_equal(got.first.data(), ref.first.data(), t * d));
+        EXPECT_TRUE(bitwise_equal(got.first.data(), plain.data(), t * d));
+        EXPECT_TRUE(
+            bitwise_equal(got.second.data(), ref.second.data(), t * 3 * d));
+      }
+    }
+  }
+  backend::select("");
+}
+
+TEST(CausalAttention, Gradients) {
+  Rng rng(21);
+  Tensor qkv = Tensor::randn({5, 12}, rng).set_requires_grad(true);
+  Tensor w = Tensor::randn({5, 4}, rng);
+  check_gradients({qkv}, [&](Tape* t) {
+    return ops::sum(t, ops::mul(t, ops::causal_attention(t, qkv, 2), w));
+  });
+}
+
+TEST(CausalAttention, RejectsHeadsThatDoNotSplitTheWidth) {
+  const Tensor qkv = Tensor::zeros({3, 12});
+  EXPECT_THROW((void)ops::causal_attention(nullptr, qkv, 3), ContractViolation);
+  EXPECT_THROW((void)ops::causal_attention(nullptr, qkv, 0), ContractViolation);
+}
+
+// ----------------------------------------------------------- arena ---
+
+TEST(Tape, ResetWithEscapedTensorIsAContractViolation) {
+  Tensor a = Tensor::from({1, 2}, {1, 2}).set_requires_grad(true);
+  Tape tape;
+  Tensor kept = ops::scale(&tape, a, 2.0f);
+  EXPECT_THROW(tape.reset(), ContractViolation);
+  // The arena was not rewound: the escaped tensor still reads its values.
+  Tensor other = ops::scale(&tape, a, 3.0f);
+  EXPECT_EQ(kept.data()[1], 4.0f);
+  EXPECT_EQ(other.data()[1], 6.0f);
+  kept = Tensor();
+  other = Tensor();
+  tape.reset();
+}
+
+TEST(Tape, TensorOutlivingTheTapeKeepsItsStorage) {
+  Tensor a = Tensor::from({1, 2}, {1, 2}).set_requires_grad(true);
+  Tensor kept;
+  {
+    Tape tape;
+    kept = ops::scale(&tape, a, 2.0f);
+    tape.backward(ops::sum(&tape, kept));
+  }
+  EXPECT_EQ(kept.data()[1], 4.0f);
+  EXPECT_EQ(kept.grad()[1], 1.0f);
+  EXPECT_EQ(a.grad()[1], 2.0f);
+}
+
+TEST(Tape, RecycledArenaMemoryGivesTheSameValuesAndGradients) {
+  // Recycled arena memory is dirty: a second pass over the same ops must
+  // still give the same values and gradients.
+  Rng rng(22);
+  Tensor x = Tensor::randn({4, 6}, rng).set_requires_grad(true);
+  Tensor w = Tensor::randn({6, 4}, rng).set_requires_grad(true);
+  Tape tape;
+  std::vector<float> first;
+  for (int pass = 0; pass < 2; ++pass) {
+    tape.reset();
+    x.zero_grad();
+    w.zero_grad();
+    Tensor s = ops::causal_softmax_rows(&tape, ops::matmul(&tape, x, w));
+    Tensor loss = ops::sum(&tape, ops::mul(&tape, s, ops::gelu(&tape, s)));
+    tape.backward(loss);
+    std::vector<float> got(s.data(), s.data() + s.numel());
+    got.insert(got.end(), x.grad(), x.grad() + x.numel());
+    got.insert(got.end(), w.grad(), w.grad() + w.numel());
+    if (pass == 0) {
+      first = got;
+      for (std::int64_t i = 0; i < 4; ++i)
+        for (std::int64_t j = i + 1; j < 4; ++j) EXPECT_EQ(s.at(i, j), 0.0f);
+    } else {
+      EXPECT_TRUE(bitwise_equal(got.data(), first.data(),
+                                static_cast<std::int64_t>(got.size())));
+    }
+  }
 }
 
 }  // namespace
