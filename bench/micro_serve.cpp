@@ -6,6 +6,9 @@
 // advance every active request each iteration, spreading the per-slot
 // forward passes across the 4 worker threads. The tok/s ratio between the
 // two rows is the continuous-batching speedup (the CI gate asserts >= 2x).
+// A third row (lora:1) decodes serially with the LoRA policy the pipeline
+// evaluates after DPO: rank-4 adapters on every block Linear, perturbed so
+// they contribute (ungated).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -36,6 +39,21 @@ nn::TinyGpt& serving_model() {
   return model;
 }
 
+// The serving model with rank-4 LoRA adapters. enable_lora zero-fills B,
+// so the adapters are perturbed to make every delta nonzero.
+const nn::TinyGpt& lora_serving_model() {
+  static const nn::TinyGpt model = [] {
+    nn::TinyGpt m = serving_model().clone();
+    Rng rng(5);
+    m.enable_lora(4, 8.0f, rng);
+    for (nn::Tensor p : m.trainable_parameters())
+      for (std::int64_t i = 0; i < p.numel(); ++i)
+        p.data()[i] += static_cast<float>(rng.normal()) * 0.05f;
+    return m;
+  }();
+  return model;
+}
+
 std::vector<serve::GenerateRequest> request_batch(int n) {
   Rng rng(11);
   std::vector<serve::GenerateRequest> reqs;
@@ -58,12 +76,14 @@ std::vector<serve::GenerateRequest> request_batch(int n) {
 // threads, so the calling thread's CPU clock would measure nothing.
 void BM_ServeThroughput(benchmark::State& state) {
   const int slots = static_cast<int>(state.range(0));
+  const bool lora = state.range(1) != 0;
   util::set_global_threads(4);
   serve::ServiceConfig cfg;
   cfg.slots = slots;
   cfg.queue_capacity = 64;
   cfg.seed = 7;
-  serve::GenerationService service(serving_model(), cfg);
+  serve::GenerationService service(
+      lora ? lora_serving_model() : serving_model(), cfg);
   const auto requests = request_batch(8);
   std::int64_t tokens = 0;
   for (auto _ : state) {
@@ -76,7 +96,12 @@ void BM_ServeThroughput(benchmark::State& state) {
   state.counters["tok/s"] = benchmark::Counter(
       static_cast<double>(tokens), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ServeThroughput)->Arg(1)->Arg(8)->ArgName("slots")->UseRealTime();
+BENCHMARK(BM_ServeThroughput)
+    ->ArgNames({"slots", "lora"})
+    ->Args({1, 0})
+    ->Args({8, 0})
+    ->Args({1, 1})
+    ->UseRealTime();
 
 // Prefix-heavy trace: every request repeats the same 48-token scenario
 // preamble and differs only in its last prompt tokens — the serve-layer

@@ -32,8 +32,6 @@
 // directory (or from an explicit .dpoaf path) and produces results
 // bitwise-identical to the uninterrupted run. A snapshot that is missing,
 // corrupted or does not fit this run prints the error, exit code 1.
-#include <charconv>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -43,25 +41,13 @@
 #include "nn/optim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "parse_integer.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-// Strict integer flag value: the whole token must be a decimal integer that
-// fits `T` (no sign for unsigned types), so "abc", "3x" or "-1" as a seed
-// are usage errors instead of silently becoming 0 or wrapping.
-template <typename T>
-bool parse_integer(const char* text, T& out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace dpoaf;
+  using examples::parse_integer;
 
   core::PipelineConfig cfg;
   cfg.seed = 3;

@@ -14,6 +14,8 @@
 // Usage: serve_demo [--requests N] [--slots N] [--threads N] [--seed N]
 //                   [--arrival-us N] [--max-new N] [--latency-out PATH]
 //                   [--kv-block N] [--preamble N] [--no-prefix]
+// (an unknown flag, a missing value, a non-integer or an out-of-range
+// integer — e.g. --slots 0 — prints this usage, exit code 2)
 //
 // Half the trace shares a scenario preamble of --preamble tokens, so the
 // paged KV cache's prefix sharing engages; --kv-block sets the block size
@@ -24,15 +26,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "nn/gpt.hpp"
+#include "parse_integer.hpp"
 #include "serve/service.hpp"
+#include "util/check.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/threadpool.hpp"
@@ -55,6 +59,7 @@ std::uint64_t hash_ids(const std::vector<int>& ids) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using examples::parse_integer;
   int requests = 24;
   int slots = 4;
   int threads = 4;
@@ -65,24 +70,47 @@ int main(int argc, char** argv) {
   int preamble_len = 12;
   bool prefix_sharing = true;
   std::string latency_out;
+  const auto usage = [&] {
+    std::cerr << "usage: " << argv[0]
+              << " [--requests N] [--slots N] [--threads N] [--seed N]"
+                 " [--arrival-us N] [--max-new N] [--latency-out PATH]"
+                 " [--kv-block N] [--preamble N] [--no-prefix]\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--requests" && i + 1 < argc) requests = std::atoi(argv[i + 1]);
-    if (arg == "--slots" && i + 1 < argc) slots = std::atoi(argv[i + 1]);
-    if (arg == "--threads" && i + 1 < argc) threads = std::atoi(argv[i + 1]);
-    if (arg == "--seed" && i + 1 < argc)
-      seed = static_cast<std::uint64_t>(std::atoll(argv[i + 1]));
-    if (arg == "--arrival-us" && i + 1 < argc)
-      arrival_us = std::atoi(argv[i + 1]);
-    if (arg == "--max-new" && i + 1 < argc) max_new = std::atoi(argv[i + 1]);
-    if (arg == "--kv-block" && i + 1 < argc) kv_block = std::atoi(argv[i + 1]);
-    if (arg == "--preamble" && i + 1 < argc)
-      preamble_len = std::atoi(argv[i + 1]);
-    if (arg == "--no-prefix") prefix_sharing = false;
-    if (arg == "--latency-out" && i + 1 < argc) latency_out = argv[i + 1];
+    if (arg == "--no-prefix") {
+      prefix_sharing = false;
+      continue;
+    }
+    if (i + 1 >= argc) return usage();  // every other flag takes a value
+    const char* value = argv[++i];
+    bool parsed = true;
+    if (arg == "--requests")
+      parsed = parse_integer(value, requests) && requests >= 0;
+    else if (arg == "--slots")
+      parsed = parse_integer(value, slots);
+    else if (arg == "--threads")
+      parsed = parse_integer(value, threads);
+    else if (arg == "--seed")
+      parsed = parse_integer(value, seed);
+    else if (arg == "--arrival-us")
+      parsed = parse_integer(value, arrival_us);
+    else if (arg == "--max-new")
+      parsed = parse_integer(value, max_new);
+    else if (arg == "--kv-block")
+      parsed = parse_integer(value, kv_block);
+    else if (arg == "--preamble")
+      parsed = parse_integer(value, preamble_len);
+    else if (arg == "--latency-out")
+      latency_out = value;
+    else
+      return usage();
+    if (!parsed) {
+      std::cerr << arg << ": invalid value '" << value << "'\n";
+      return usage();
+    }
   }
-
-  util::set_global_threads(threads);
 
   nn::GptConfig mcfg;
   mcfg.vocab_size = 80;
@@ -100,7 +128,17 @@ int main(int argc, char** argv) {
   scfg.seed = seed;
   scfg.kv_block_tokens = kv_block;
   scfg.prefix_sharing = prefix_sharing;
-  serve::GenerationService service(model, scfg);
+  // A thread count or service setting the library rejects (e.g. --slots 0,
+  // --kv-block 0) is a usage error, not an abort.
+  std::optional<serve::GenerationService> built;
+  try {
+    util::set_global_threads(threads);
+    built.emplace(model, scfg);
+  } catch (const ContractViolation& e) {
+    std::cerr << e.what() << "\n";
+    return usage();
+  }
+  serve::GenerationService& service = *built;
 
   // Build the trace up front so request contents never depend on timing.
   // Even-indexed requests open with a shared scenario preamble — the

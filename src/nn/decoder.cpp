@@ -5,9 +5,12 @@
 #include <utility>
 
 #include "tensor/backend/backend.hpp"
+#include "tensor/ops.hpp"
 #include "util/check.hpp"
 
 namespace dpoaf::nn {
+
+namespace ops = tensor::ops;
 
 namespace {
 constexpr std::int64_t kDefaultBlockTokens = 16;
@@ -81,54 +84,6 @@ DecodeStatus decode_step(DecodeSession& session,
              : DecodeStatus::kContinue;
 }
 
-namespace {
-
-// y[out] = x[in] · W + b (+ LoRA delta); single-row inference kernel.
-// The dense matvec is a one-row matmul_fwd on the active compute backend
-// (docs/BACKENDS.md): the kernel accumulates into y, so seeding y with
-// the bias makes it compute b + x·W directly.
-void row_linear(const Linear& lin, const float* x, float* y) {
-  const std::int64_t in = lin.weight.rows();
-  const std::int64_t out = lin.weight.cols();
-  const float* b = lin.bias.data();
-  for (std::int64_t j = 0; j < out; ++j) y[j] = b[j];
-  tensor::backend::active().matmul_fwd(x, lin.weight.data(), y, in, out, 0, 1);
-  if (lin.lora_enabled()) {
-    const std::int64_t rank = lin.lora_rank();
-    const float* a = lin.lora_a.data();
-    const float* bb = lin.lora_b.data();
-    std::vector<float> xa(static_cast<std::size_t>(rank), 0.0f);
-    for (std::int64_t i = 0; i < in; ++i) {
-      const float xi = x[i];
-      const float* ar = a + i * rank;
-      for (std::int64_t r = 0; r < rank; ++r) xa[static_cast<std::size_t>(r)] += xi * ar[r];
-    }
-    const float scale = lin.lora_scale();
-    for (std::int64_t r = 0; r < rank; ++r) {
-      const float xr = xa[static_cast<std::size_t>(r)] * scale;
-      const float* br = bb + r * out;
-      for (std::int64_t j = 0; j < out; ++j) y[j] += xr * br[j];
-    }
-  }
-}
-
-void row_layer_norm(const LayerNorm& ln, const float* x, std::int64_t n,
-                    float* y) {
-  float mu = 0.0f;
-  for (std::int64_t j = 0; j < n; ++j) mu += x[j];
-  mu /= static_cast<float>(n);
-  float var = 0.0f;
-  for (std::int64_t j = 0; j < n; ++j) var += (x[j] - mu) * (x[j] - mu);
-  var /= static_cast<float>(n);
-  const float inv = 1.0f / std::sqrt(var + 1e-5f);
-  const float* gamma = ln.gamma.data();
-  const float* beta = ln.beta.data();
-  for (std::int64_t j = 0; j < n; ++j)
-    y[j] = (x[j] - mu) * inv * gamma[j] + beta[j];
-}
-
-}  // namespace
-
 DecodeSession::DecodeSession(const TinyGpt& model, KvBlockPool* pool,
                              std::int64_t block_tokens)
     : model_(model) {
@@ -144,13 +99,22 @@ DecodeSession::DecodeSession(const TinyGpt& model, KvBlockPool* pool,
   }
   table_.reserve(
       static_cast<std::size_t>(pool_->blocks_for(cfg.max_seq)));
+  const auto d = static_cast<std::size_t>(cfg.d_model);
+  const auto dh = d / static_cast<std::size_t>(cfg.n_heads);
+  const auto t = static_cast<std::size_t>(cfg.max_seq);
   logits_.resize(static_cast<std::size_t>(cfg.vocab_size));
-  x_.resize(static_cast<std::size_t>(cfg.d_model));
-  h_.resize(static_cast<std::size_t>(cfg.d_model));
-  qkv_.resize(static_cast<std::size_t>(3 * cfg.d_model));
-  attn_out_.resize(static_cast<std::size_t>(cfg.d_model));
+  x_.resize(d);
+  h_.resize(d);
+  qkv_.resize(3 * d);
+  attn_out_.resize(d);
   mlp_.resize(static_cast<std::size_t>(cfg.d_ff));
-  scores_.resize(static_cast<std::size_t>(cfg.max_seq));
+  kt_.resize(dh * t);
+  v_.resize(t * dh);
+  scores_.resize(t);
+  attn_.resize(t);
+  lora_.resize(static_cast<std::size_t>(
+      model_.lora_rank_ +
+      std::max({3 * cfg.d_model, cfg.d_ff, cfg.vocab_size})));
 }
 
 DecodeSession::~DecodeSession() { reset(); }
@@ -183,10 +147,8 @@ const std::vector<float>& DecodeSession::step(int token_id) {
                   "decode session exceeded max_seq");
   DPOAF_CHECK(token_id >= 0 && token_id < cfg.vocab_size);
   const std::int64_t d = cfg.d_model;
-  const std::int64_t n_heads = cfg.n_heads;
-  const std::int64_t dh = d / n_heads;
+  const std::int64_t dh = d / cfg.n_heads;
   const std::int64_t bt = pool_->block_tokens();
-  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
 
   // Map this position onto the block table: start a fresh block at a
   // boundary, and copy-on-write the tail block when it is shared (an
@@ -207,71 +169,56 @@ const std::vector<float>& DecodeSession::step(int token_id) {
   pending_cow_ = false;
   const std::int32_t tail = table_[static_cast<std::size_t>(bi)];
 
-  // Token + positional embedding.
-  const float* tok = model_.tok_emb_.data() + token_id * d;
-  const float* pos = model_.pos_emb_.data() + position_ * d;
-  for (std::int64_t j = 0; j < d; ++j) x_[static_cast<std::size_t>(j)] = tok[j] + pos[j];
+  // The batch forward's row, op for op: the same row kernels and backend
+  // calls in the same order, so the logits are its bytes.
+  const tensor::backend::ComputeBackend& be = tensor::backend::active();
+  float* const x = x_.data();
+  float* const h = h_.data();
+  float* const qkv = qkv_.data();
+  float* const kt = kt_.data();
+  float* const v = v_.data();
+  const auto layer_norm = [&](const LayerNorm& ln) {
+    ops::layer_norm_row(x, ln.gamma.data(), ln.beta.data(), d, h);
+  };
+  be.ew_add(model_.tok_emb_.data() + token_id * d,
+            model_.pos_emb_.data() + position_ * d, x, 0, d);
 
   const std::int64_t t_len = position_ + 1;
-  float* const scores = scores_.data();
   for (std::size_t l = 0; l < model_.blocks_.size(); ++l) {
     const TransformerBlock& block = model_.blocks_[l];
     const auto layer = static_cast<std::int64_t>(l);
 
-    // Attention sublayer.
-    row_layer_norm(block.ln1, x_.data(), d, h_.data());
-    row_linear(block.attn.qkv, h_.data(), qkv_.data());
-    std::copy(qkv_.begin() + d, qkv_.begin() + 2 * d,
-              pool_->k(layer, tail) + row * d);
-    std::copy(qkv_.begin() + 2 * d, qkv_.begin() + 3 * d,
-              pool_->v(layer, tail) + row * d);
-
-    for (std::int64_t head = 0; head < n_heads; ++head) {
-      const float* q = qkv_.data() + head * dh;
-      // Scores over the cached prefix (causal: all cached positions),
-      // walked in position order so the arithmetic matches a contiguous
-      // layout bit-for-bit at any block size.
-      float mx = -1e30f;
+    layer_norm(block.ln1);
+    block.attn.qkv.forward_row(h, qkv, lora_.data());
+    std::copy(qkv + d, qkv + 2 * d, pool_->k(layer, tail) + row * d);
+    std::copy(qkv + 2 * d, qkv + 3 * d, pool_->v(layer, tail) + row * d);
+    for (std::int64_t head = 0; head < cfg.n_heads; ++head) {
+      // Gather this head's kᵀ [dh, t_len] and v [t_len, dh] from the
+      // block table, position by position.
       for (std::int64_t t = 0; t < t_len; ++t) {
-        const float* kt =
-            pool_->k(layer, table_[static_cast<std::size_t>(t / bt)]) +
-            (t % bt) * d + head * dh;
-        float acc = 0.0f;
-        for (std::int64_t j = 0; j < dh; ++j) acc += q[j] * kt[j];
-        scores[t] = acc * inv_sqrt;
-        mx = std::max(mx, scores[t]);
+        const std::int32_t b = table_[static_cast<std::size_t>(t / bt)];
+        const std::int64_t off = (t % bt) * d + head * dh;
+        const float* kr = pool_->k(layer, b) + off;
+        for (std::int64_t j = 0; j < dh; ++j) kt[j * t_len + t] = kr[j];
+        const float* vr = pool_->v(layer, b) + off;
+        std::copy(vr, vr + dh, v + t * dh);
       }
-      float z = 0.0f;
-      for (std::int64_t t = 0; t < t_len; ++t) {
-        scores[t] = std::exp(scores[t] - mx);
-        z += scores[t];
-      }
-      const float inv_z = 1.0f / z;
-      float* ctx = attn_out_.data() + head * dh;
-      for (std::int64_t j = 0; j < dh; ++j) ctx[j] = 0.0f;
-      for (std::int64_t t = 0; t < t_len; ++t) {
-        const float p = scores[t] * inv_z;
-        const float* vt =
-            pool_->v(layer, table_[static_cast<std::size_t>(t / bt)]) +
-            (t % bt) * d + head * dh;
-        for (std::int64_t j = 0; j < dh; ++j) ctx[j] += p * vt[j];
-      }
+      ops::attention_head(qkv + head * dh, kt, v, 1, t_len, dh,
+                          scores_.data(), attn_.data(),
+                          attn_out_.data() + head * dh);
     }
-    // Projection + residual (reuse h_ for the projected output).
-    row_linear(block.attn.proj, attn_out_.data(), h_.data());
-    for (std::int64_t j = 0; j < d; ++j) x_[static_cast<std::size_t>(j)] += h_[static_cast<std::size_t>(j)];
+    block.attn.proj.forward_row(attn_out_.data(), h, lora_.data());
+    be.ew_add(x, h, x, 0, d);
 
-    // MLP sublayer.
-    row_layer_norm(block.ln2, x_.data(), d, h_.data());
-    row_linear(block.fc1, h_.data(), mlp_.data());
-    tensor::backend::active().gelu_fwd(mlp_.data(), mlp_.data(), nullptr, 0,
-                                       cfg.d_ff);
-    row_linear(block.fc2, mlp_.data(), h_.data());
-    for (std::int64_t j = 0; j < d; ++j) x_[static_cast<std::size_t>(j)] += h_[static_cast<std::size_t>(j)];
+    layer_norm(block.ln2);
+    block.fc1.forward_row(h, mlp_.data(), lora_.data());
+    be.gelu_fwd(mlp_.data(), mlp_.data(), nullptr, 0, cfg.d_ff);
+    block.fc2.forward_row(mlp_.data(), h, lora_.data());
+    be.ew_add(x, h, x, 0, d);
   }
 
-  row_layer_norm(model_.ln_f_, x_.data(), d, h_.data());
-  row_linear(model_.head_, h_.data(), logits_.data());
+  layer_norm(model_.ln_f_);
+  model_.head_.forward_row(h, logits_.data(), lora_.data());
   ++position_;
   return logits_;
 }

@@ -9,15 +9,12 @@
 // of block table[p / block_tokens]. A standalone session owns a private,
 // exactly-sized pool; the serve layer instead passes a shared pool so
 // concurrent requests can adopt each other's prompt-prefix blocks
-// (copy-on-write isolates appends into shared blocks). Attention walks
-// positions in the same order and with the same arithmetic as the old
-// contiguous layout, so logits are bit-identical across block sizes and
-// sharing decisions.
+// (copy-on-write isolates appends into shared blocks).
 //
-// Numerical note: the cached path accumulates in a different order than
-// the batch forward, so logits agree to float tolerance (~1e-4), not
-// bit-exactly; the test suite checks closeness and identical greedy
-// decodes.
+// Bitwise contract: a step runs the batch forward's own row code in its
+// order, so its logits are the bytes of TinyGpt::forward's row on the
+// active backend, at any block size and with adopted prefixes: responses
+// are sampled from exactly the distribution DPO scores.
 #pragma once
 
 #include <cstdint>
@@ -117,9 +114,11 @@ class DecodeSession {
   bool pending_cow_ = false;
   std::int64_t cow_copies_ = 0;
   std::vector<float> logits_;
-  // Scratch buffers reused across steps (scores_ holds the per-head
-  // attention row — sized to max_seq once, never reallocated per token).
-  std::vector<float> x_, h_, qkv_, attn_out_, mlp_, scores_;
+  // Scratch sized once, so a step never allocates: row activations, one
+  // head's gathered kᵀ, v, scores and weights, and forward_row's LoRA
+  // scratch.
+  std::vector<float> x_, h_, qkv_, attn_out_, mlp_, kt_, v_, scores_, attn_,
+      lora_;
 };
 
 /// One autoregressive decode step — the single step behind

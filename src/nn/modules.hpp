@@ -24,13 +24,15 @@ class Linear {
 
   [[nodiscard]] Tensor forward(Tape* tape, const Tensor& x) const;
 
+  /// One row of forward() without a tape: y[out] from x[in] by forward()'s
+  /// kernels in forward()'s order, so y is bitwise forward()'s row. With
+  /// an adapter, `lora` is rank + out floats of caller scratch.
+  void forward_row(const float* x, float* y, float* lora) const;
+
   /// Attach a LoRA adapter W̃ = W + (α/k)·A·B with A ∈ R^{in×k} Gaussian,
   /// B ∈ R^{k×out} zero (so the adapted model starts identical to the
   /// base). Freezes W and b; only A and B remain trainable.
   void enable_lora(std::int64_t rank, float alpha, Rng& rng);
-  [[nodiscard]] bool lora_enabled() const { return lora_rank_ > 0; }
-  [[nodiscard]] std::int64_t lora_rank() const { return lora_rank_; }
-  [[nodiscard]] float lora_scale() const { return lora_scale_; }
 
   void collect_params(ParamList& out) const;
 

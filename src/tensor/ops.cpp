@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <tuple>
 
 #include "obs/metrics.hpp"
 #include "tensor/backend/backend.hpp"
@@ -69,24 +70,7 @@ void count_matmul_bwd(const backend::ComputeBackend& be, std::int64_t m,
   be.matmul_counters().bwd_flops.add(f);
 }
 
-// The softmax row loops, shared by softmax_rows, causal_softmax_rows and
-// causal_attention. Forward: y[0, lim) = softmax(x[0, lim)) and
-// y[lim, n) = 0 (the causal mask), so y needs no zero-fill.
-void softmax_row(const float* xr, float* yr, std::int64_t lim,
-                 std::int64_t n) {
-  float mx = -1e30f;
-  for (std::int64_t j = 0; j < lim; ++j) mx = std::max(mx, xr[j]);
-  float z = 0.0f;
-  for (std::int64_t j = 0; j < lim; ++j) {
-    yr[j] = std::exp(xr[j] - mx);
-    z += yr[j];
-  }
-  const float inv = 1.0f / z;
-  for (std::int64_t j = 0; j < lim; ++j) yr[j] *= inv;
-  for (std::int64_t j = lim; j < n; ++j) yr[j] = 0.0f;
-}
-
-// Backward: gx[0, lim) += y·(gy − ⟨gy, y⟩).
+// softmax_row's backward: gx[0, lim) += y·(gy − ⟨gy, y⟩).
 void softmax_row_bwd(const float* yr, const float* gyr, float* gxr,
                      std::int64_t lim) {
   float dot = 0.0f;
@@ -95,6 +79,49 @@ void softmax_row_bwd(const float* yr, const float* gyr, float* gxr,
 }
 
 }  // namespace
+
+std::pair<float, float> layer_norm_row(const float* x, const float* gamma,
+                                       const float* beta, std::int64_t n,
+                                       float* y, float eps) {
+  float mu = 0.0f;
+  for (std::int64_t j = 0; j < n; ++j) mu += x[j];
+  mu /= static_cast<float>(n);
+  float var = 0.0f;
+  for (std::int64_t j = 0; j < n; ++j) var += (x[j] - mu) * (x[j] - mu);
+  var /= static_cast<float>(n);
+  const float is = 1.0f / std::sqrt(var + eps);
+  for (std::int64_t j = 0; j < n; ++j)
+    y[j] = (x[j] - mu) * is * gamma[j] + beta[j];
+  return {mu, is};
+}
+
+// y needs no zero-fill: the masked tail [lim, n) is written here.
+void softmax_row(const float* x, float* y, std::int64_t lim, std::int64_t n) {
+  float mx = -1e30f;
+  for (std::int64_t j = 0; j < lim; ++j) mx = std::max(mx, x[j]);
+  float z = 0.0f;
+  for (std::int64_t j = 0; j < lim; ++j) {
+    y[j] = std::exp(x[j] - mx);
+    z += y[j];
+  }
+  const float inv = 1.0f / z;
+  for (std::int64_t j = 0; j < lim; ++j) y[j] *= inv;
+  for (std::int64_t j = lim; j < n; ++j) y[j] = 0.0f;
+}
+
+void attention_head(const float* q, const float* kt, const float* v,
+                    std::int64_t rows, std::int64_t t, std::int64_t dh,
+                    float* scores, float* attn, float* o) {
+  const backend::ComputeBackend& be = backend::active();
+  std::fill(scores, scores + rows * t, 0.0f);
+  be.matmul_fwd(q, kt, scores, dh, t, 0, rows);
+  be.ew_scale(scores, 1.0f / std::sqrt(static_cast<float>(dh)), scores, 0,
+              rows * t);
+  for (std::int64_t i = 0; i < rows; ++i)
+    softmax_row(scores + i * t, attn + i * t, t - rows + i + 1, t);
+  std::fill(o, o + rows * dh, 0.0f);
+  be.matmul_fwd(attn, v, o, t, dh, 0, rows);
+}
 
 Tensor matmul(Tape* tape, const Tensor& a, const Tensor& b) {
   DPOAF_CHECK_MSG(a.cols() == b.rows(),
@@ -256,21 +283,9 @@ Tensor layer_norm(Tape* tape, const Tensor& x, const Tensor& gamma,
   float* mean = rec != nullptr ? rec->scratch(2 * m) : nullptr;
   float* inv_std = rec != nullptr ? mean + m : nullptr;
   for (std::int64_t i = 0; i < m; ++i) {
-    const float* xr = x.data() + i * n;
-    float mu = 0.0f;
-    for (std::int64_t j = 0; j < n; ++j) mu += xr[j];
-    mu /= static_cast<float>(n);
-    float var = 0.0f;
-    for (std::int64_t j = 0; j < n; ++j) var += (xr[j] - mu) * (xr[j] - mu);
-    var /= static_cast<float>(n);
-    const float is = 1.0f / std::sqrt(var + eps);
-    if (rec != nullptr) {
-      mean[i] = mu;
-      inv_std[i] = is;
-    }
-    float* yr = y.data() + i * n;
-    for (std::int64_t j = 0; j < n; ++j)
-      yr[j] = (xr[j] - mu) * is * gamma.data()[j] + beta.data()[j];
+    const auto stats = layer_norm_row(x.data() + i * n, gamma.data(),
+                                      beta.data(), n, y.data() + i * n, eps);
+    if (rec != nullptr) std::tie(mean[i], inv_std[i]) = stats;
   }
   if (rec != nullptr) {
     y.set_requires_grad(true);
@@ -390,14 +405,8 @@ Tensor causal_attention(Tape* tape, const Tensor& qkv,
         v[i * dh + j] = xr[2 * d];
       }
     count_matmul_fwd(be, t, dh, t);
-    std::fill(scores, scores + t * t, 0.0f);
-    be.matmul_fwd(q, kt, scores, dh, t, 0, t);
-    be.ew_scale(scores, inv_sqrt, scores, 0, t * t);
-    for (std::int64_t i = 0; i < t; ++i)
-      softmax_row(scores + i * t, attn + i * t, i + 1, t);
     count_matmul_fwd(be, t, t, dh);
-    std::fill(o, o + t * dh, 0.0f);
-    be.matmul_fwd(attn, v, o, t, dh, 0, t);
+    attention_head(q, kt, v, t, t, dh, scores, attn, o);
     for (std::int64_t i = 0; i < t; ++i)
       std::copy(o + i * dh, o + (i + 1) * dh, out.data() + i * d + h * dh);
   }

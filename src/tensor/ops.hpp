@@ -3,6 +3,7 @@
 // Gradients flow only into inputs with requires_grad().
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -69,5 +70,25 @@ Tensor sum_log_probs(Tape* tape, const Tensor& logits,
 
 /// softplus(x) = log(1 + eˣ), elementwise (numerically stable).
 Tensor softplus(Tape* tape, const Tensor& x);
+
+// Row kernels of layer_norm, the softmaxes and causal_attention, shared
+// with the KV-cache decode step so its logits are bitwise the batch
+// forward's row (docs/BACKENDS.md).
+
+/// One layer_norm row of n columns into y; returns {mean, 1/stddev}.
+std::pair<float, float> layer_norm_row(const float* x, const float* gamma,
+                                       const float* beta, std::int64_t n,
+                                       float* y, float eps = 1e-5f);
+
+/// y[0, lim) = softmax(x[0, lim)), y[lim, n) = 0.
+void softmax_row(const float* x, float* y, std::int64_t lim, std::int64_t n);
+
+/// causal_attention's per-head forward for the last `rows` of t positions:
+/// q [rows, dh], kt [dh, t], v [t, dh] → scores and weights [rows, t],
+/// output o [rows, dh]; row r sees positions [0, t − rows + r]. Counts
+/// no matmul.
+void attention_head(const float* q, const float* kt, const float* v,
+                    std::int64_t rows, std::int64_t t, std::int64_t dh,
+                    float* scores, float* attn, float* o);
 
 }  // namespace dpoaf::tensor::ops

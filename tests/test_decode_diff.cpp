@@ -1,12 +1,14 @@
 // Differential property test: the KV-cache DecodeSession must agree with
-// the batch TinyGpt::forward across randomized model shapes (LoRA on and
-// off). The two paths accumulate floats in different orders, so logits
-// agree to ~1e-4, not bitwise — but greedy decodes must be token-identical
-// whenever the argmax is not a float-tolerance near-tie.
+// the batch TinyGpt::forward across randomized model shapes (parameters
+// perturbed as after training; LoRA on and off, adapters perturbed so
+// they contribute). A decode step runs the batch forward's own row
+// kernels in the same order, so every step's logits must equal the
+// matching forward row byte for byte on the active backend, and greedy
+// decodes must be token-identical with no tolerance.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "nn/decoder.hpp"
@@ -18,15 +20,52 @@ namespace {
 
 constexpr std::int64_t kVocab = 32;
 
-nn::GptConfig random_config(Rng& rng) {
+struct Shape {
   nn::GptConfig cfg;
-  cfg.vocab_size = kVocab;
-  cfg.n_heads = static_cast<std::int64_t>(rng.between(1, 4));
-  cfg.d_model = cfg.n_heads * static_cast<std::int64_t>(rng.between(4, 12));
-  cfg.n_layers = static_cast<std::int64_t>(rng.between(1, 3));
-  cfg.d_ff = static_cast<std::int64_t>(rng.between(8, 48));
-  cfg.max_seq = static_cast<std::int64_t>(rng.between(8, 40));
-  return cfg;
+  std::int64_t lora_rank = 1;
+};
+
+// A random small shape, or (one draw in four) the production model shape
+// of the pipeline: d_model 48, 4 heads, d_ff 192, max_seq 96, LoRA rank 4.
+Shape random_shape(Rng& rng) {
+  Shape s;
+  s.cfg.vocab_size = kVocab;
+  if (rng.below(4) == 0) {
+    s.cfg.d_model = 48;
+    s.cfg.n_heads = 4;
+    s.cfg.n_layers = 2;
+    s.cfg.d_ff = 192;
+    s.cfg.max_seq = 96;
+    s.lora_rank = 4;
+    return s;
+  }
+  s.cfg.n_heads = static_cast<std::int64_t>(rng.between(1, 4));
+  s.cfg.d_model = s.cfg.n_heads * static_cast<std::int64_t>(rng.between(4, 12));
+  s.cfg.n_layers = static_cast<std::int64_t>(rng.between(1, 3));
+  s.cfg.d_ff = static_cast<std::int64_t>(rng.between(8, 48));
+  s.cfg.max_seq = static_cast<std::int64_t>(rng.between(8, 40));
+  s.lora_rank = static_cast<std::int64_t>(rng.between(1, 4));
+  return s;
+}
+
+void perturb(const nn::ParamList& params, Rng& rng) {
+  for (nn::Tensor p : params)
+    for (std::int64_t i = 0; i < p.numel(); ++i)
+      p.data()[i] += static_cast<float>(rng.normal()) * 0.05f;
+}
+
+// A model of `shape` with every parameter perturbed, as after training
+// (nonzero biases and layer-norm offsets). With `lora`, adapters of the
+// shape's rank are attached and perturbed too: enable_lora zero-fills B,
+// which would make every adapter delta exactly 0.
+nn::TinyGpt random_model(const Shape& shape, bool lora, Rng& rng) {
+  nn::TinyGpt model(shape.cfg, rng);
+  perturb(model.parameters(), rng);
+  if (lora) {
+    model.enable_lora(shape.lora_rank, 8.0f, rng);
+    perturb(model.trainable_parameters(), rng);
+  }
+  return model;
 }
 
 std::vector<int> random_prompt(Rng& rng, std::int64_t max_len) {
@@ -36,10 +75,10 @@ std::vector<int> random_prompt(Rng& rng, std::int64_t max_len) {
   return prompt;
 }
 
-// Feed `ids` token by token; every step's logits must match the matching
-// row of the batch forward within tol.
-void expect_logits_close(const nn::TinyGpt& model, const std::vector<int>& ids,
-                         float tol = 1e-4f) {
+// Feed `ids` token by token; every step's logits must be the bytes of the
+// matching row of the batch forward.
+void expect_logits_bitwise(const nn::TinyGpt& model,
+                           const std::vector<int>& ids) {
   const auto batch = model.forward(nullptr, ids);
   ASSERT_EQ(batch.rows(), static_cast<std::int64_t>(ids.size()));
   ASSERT_EQ(batch.cols(), kVocab);
@@ -47,27 +86,18 @@ void expect_logits_close(const nn::TinyGpt& model, const std::vector<int>& ids,
   for (std::size_t t = 0; t < ids.size(); ++t) {
     const auto& cached = session.step(ids[t]);
     const float* row = batch.data() + static_cast<std::int64_t>(t) * kVocab;
-    for (std::int64_t j = 0; j < kVocab; ++j)
-      ASSERT_NEAR(cached[static_cast<std::size_t>(j)], row[j], tol)
-          << "position " << t << " vocab " << j;
+    ASSERT_EQ(0, std::memcmp(cached.data(), row, kVocab * sizeof(float)))
+        << "position " << t;
   }
 }
 
-// Greedy decode via the batch forward path (recompute the whole prefix
-// every step, argmax with lowest-id tie-break). Returns false instead of a
-// token when the top-2 gap is a float-tolerance near-tie — the cached path
-// may legitimately pick the other side of such a tie.
-bool batch_greedy_step(const nn::TinyGpt& model, const std::vector<int>& ids,
-                       int* out) {
+// Greedy decode via the batch forward path: recompute the whole prefix
+// every step, argmax with lowest-id tie-break.
+int batch_greedy_step(const nn::TinyGpt& model, const std::vector<int>& ids) {
   const auto logits = model.forward(nullptr, ids);
-  const float* row =
-      logits.data() + (static_cast<std::int64_t>(ids.size()) - 1) * kVocab;
-  const int best = nn::argmax_token(row, kVocab);
-  float second = -1e30f;
-  for (std::int64_t j = 0; j < kVocab; ++j)
-    if (static_cast<int>(j) != best) second = std::max(second, row[j]);
-  *out = best;
-  return row[best] - second > 1e-3f;
+  return nn::argmax_token(
+      logits.data() + (static_cast<std::int64_t>(ids.size()) - 1) * kVocab,
+      kVocab);
 }
 
 void expect_greedy_identical(const nn::TinyGpt& model,
@@ -75,52 +105,47 @@ void expect_greedy_identical(const nn::TinyGpt& model,
                              int eos_id) {
   const auto cached = model.generate_greedy(prompt, max_new, eos_id);
   std::vector<int> ids = prompt;
-  std::size_t compared = 0;
+  std::vector<int> slow;
   const auto max_seq = model.config().max_seq;
   for (int step = 0; step < max_new; ++step) {
     if (static_cast<std::int64_t>(ids.size()) >= max_seq) break;
-    int next = 0;
-    if (!batch_greedy_step(model, ids, &next)) return;  // near-tie: stop here
+    const int next = batch_greedy_step(model, ids);
     if (next == eos_id) break;
-    ASSERT_LT(compared, cached.ids.size());
-    EXPECT_EQ(cached.ids[compared], next) << "step " << step;
-    ++compared;
+    slow.push_back(next);
     ids.push_back(next);
   }
+  EXPECT_EQ(cached.ids, slow);
 }
 
 TEST(DecodeDiff, LogitsMatchForwardAcrossRandomConfigs) {
   Rng rng(101);
   for (int trial = 0; trial < 12; ++trial) {
-    const nn::GptConfig cfg = random_config(rng);
-    nn::TinyGpt model(cfg, rng);
-    const auto ids = random_prompt(rng, cfg.max_seq);
+    const Shape shape = random_shape(rng);
+    const nn::TinyGpt model = random_model(shape, false, rng);
+    const auto ids = random_prompt(rng, shape.cfg.max_seq);
     SCOPED_TRACE("trial " + std::to_string(trial));
-    expect_logits_close(model, ids);
+    expect_logits_bitwise(model, ids);
   }
 }
 
 TEST(DecodeDiff, LogitsMatchForwardWithLora) {
   Rng rng(211);
   for (int trial = 0; trial < 8; ++trial) {
-    const nn::GptConfig cfg = random_config(rng);
-    nn::TinyGpt model(cfg, rng);
-    model.enable_lora(static_cast<std::int64_t>(rng.between(1, 4)), 8.0f,
-                      rng);
-    const auto ids = random_prompt(rng, cfg.max_seq);
+    const Shape shape = random_shape(rng);
+    const nn::TinyGpt model = random_model(shape, true, rng);
+    const auto ids = random_prompt(rng, shape.cfg.max_seq);
     SCOPED_TRACE("trial " + std::to_string(trial));
-    expect_logits_close(model, ids);
+    expect_logits_bitwise(model, ids);
   }
 }
 
 TEST(DecodeDiff, GreedyDecodesTokenIdentical) {
   Rng rng(307);
   for (int trial = 0; trial < 10; ++trial) {
-    const nn::GptConfig cfg = random_config(rng);
-    nn::TinyGpt model(cfg, rng);
-    if (trial % 2 == 1)
-      model.enable_lora(2, 8.0f, rng);
-    const auto prompt = random_prompt(rng, std::max<std::int64_t>(1, cfg.max_seq / 2));
+    const Shape shape = random_shape(rng);
+    const nn::TinyGpt model = random_model(shape, trial % 2 == 1, rng);
+    const auto prompt = random_prompt(
+        rng, std::max<std::int64_t>(1, shape.cfg.max_seq / 2));
     SCOPED_TRACE("trial " + std::to_string(trial));
     expect_greedy_identical(model, prompt, 16, /*eos_id=*/1);
   }
@@ -128,8 +153,9 @@ TEST(DecodeDiff, GreedyDecodesTokenIdentical) {
 
 TEST(DecodeDiff, PromptExactlyFillsContext) {
   Rng rng(401);
-  const nn::GptConfig cfg = random_config(rng);
-  nn::TinyGpt model(cfg, rng);
+  const Shape shape = random_shape(rng);
+  const nn::GptConfig& cfg = shape.cfg;
+  const nn::TinyGpt model = random_model(shape, false, rng);
   std::vector<int> prompt(static_cast<std::size_t>(cfg.max_seq), 3);
   // The whole context is consumed by the prompt: generation truncates
   // immediately with zero tokens, and the session accepts exactly max_seq
@@ -137,7 +163,7 @@ TEST(DecodeDiff, PromptExactlyFillsContext) {
   const auto gen = model.generate_greedy(prompt, 8, /*eos_id=*/-1);
   EXPECT_TRUE(gen.ids.empty());
   EXPECT_TRUE(gen.truncated);
-  expect_logits_close(model, prompt);
+  expect_logits_bitwise(model, prompt);
   nn::DecodeSession session(model);
   for (const int t : prompt) session.step(t);
   EXPECT_EQ(session.position(), cfg.max_seq);
@@ -147,11 +173,10 @@ TEST(DecodeDiff, PromptExactlyFillsContext) {
 TEST(DecodeDiff, SingleTokenPrompt) {
   Rng rng(503);
   for (int trial = 0; trial < 6; ++trial) {
-    const nn::GptConfig cfg = random_config(rng);
-    nn::TinyGpt model(cfg, rng);
+    const nn::TinyGpt model = random_model(random_shape(rng), false, rng);
     const std::vector<int> prompt = {static_cast<int>(rng.below(kVocab))};
     SCOPED_TRACE("trial " + std::to_string(trial));
-    expect_logits_close(model, prompt);
+    expect_logits_bitwise(model, prompt);
     expect_greedy_identical(model, prompt, 8, /*eos_id=*/1);
   }
 }

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstring>
 
 #include "automata/dot_export.hpp"
 #include "driving/domain.hpp"
@@ -127,9 +127,9 @@ TEST_F(DecoderTest, MatchesBatchForwardLogits) {
     const auto& incremental = session.step(ids.back());
     const auto batch = model.forward(nullptr, ids);
     const float* row = batch.data() + (batch.rows() - 1) * batch.cols();
-    for (std::int64_t j = 0; j < batch.cols(); ++j)
-      ASSERT_NEAR(incremental[static_cast<std::size_t>(j)], row[j], 2e-3f)
-          << "t=" << t << " j=" << j;
+    ASSERT_EQ(0, std::memcmp(incremental.data(), row,
+                             incremental.size() * sizeof(float)))
+        << "t=" << t;
   }
 }
 
@@ -148,8 +148,9 @@ TEST_F(DecoderTest, MatchesBatchForwardWithLora) {
     const auto& incremental = session.step(ids.back());
     const auto batch = model.forward(nullptr, ids);
     const float* row = batch.data() + (batch.rows() - 1) * batch.cols();
-    for (std::int64_t j = 0; j < batch.cols(); ++j)
-      ASSERT_NEAR(incremental[static_cast<std::size_t>(j)], row[j], 2e-3f);
+    ASSERT_EQ(0, std::memcmp(incremental.data(), row,
+                             incremental.size() * sizeof(float)))
+        << "t=" << t;
   }
 }
 

@@ -1,12 +1,13 @@
 // Block-paged KV storage (src/nn/kv_cache): pool refcount/recycle
 // invariants, prefix-tree anchoring/matching/eviction, and the decode
-// guarantees the serve layer leans on — logits bitwise-invariant to the
-// KV block size, and adopted prefixes + copy-on-write reproducing a
-// private prefill exactly.
+// guarantees the serve layer leans on — logits equal to the batch
+// forward's rows byte for byte at every KV block size, and adopted
+// prefixes + copy-on-write reproducing a private prefill exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "nn/decoder.hpp"
@@ -28,9 +29,16 @@ nn::GptConfig tiny_config(std::int64_t max_seq = 32) {
   return cfg;
 }
 
+// Every parameter perturbed, as after training: nonzero biases and
+// layer-norm offsets make a decode that adds them in another order than
+// the batch forward show up in a bitwise comparison.
 nn::TinyGpt tiny_model(std::uint64_t seed = 5) {
   Rng rng(seed);
-  return nn::TinyGpt(tiny_config(), rng);
+  nn::TinyGpt model(tiny_config(), rng);
+  for (nn::Tensor p : model.parameters())
+    for (std::int64_t i = 0; i < p.numel(); ++i)
+      p.data()[i] += static_cast<float>(rng.normal()) * 0.05f;
+  return model;
 }
 
 std::vector<int> prompt_of(std::initializer_list<int> ids) { return ids; }
@@ -191,31 +199,37 @@ TEST(PrefixTree, EvictionIsLruAndSparesSharedBlocks) {
   EXPECT_EQ(pool.free_blocks(), 6);
 }
 
-// Logits must be byte-identical at every block size: attention walks
-// positions in order with the same arithmetic regardless of the block
-// geometry beneath the table.
+// Row t of the batch forward must be the bytes of decode step t.
+void expect_row(const nn::Tensor& batch, std::size_t t,
+                const std::vector<float>& got) {
+  ASSERT_EQ(0, std::memcmp(got.data(),
+                           batch.data() + static_cast<std::int64_t>(t) *
+                                              batch.cols(),
+                           got.size() * sizeof(float)))
+      << "position " << t;
+}
+
+// Logits must be the batch forward's rows at every block size: attention
+// gathers kᵀ and v position by position, whatever the block geometry
+// beneath the table.
 TEST(PagedDecode, LogitsBitIdenticalAcrossBlockSizes) {
   const nn::TinyGpt model = tiny_model();
   Rng rng(11);
   std::vector<int> ids(20);
   for (auto& t : ids) t = static_cast<int>(rng.below(40));
-  nn::DecodeSession ref(model, nullptr, 1);
-  std::vector<std::vector<float>> want;
-  for (const int t : ids) want.push_back(ref.step(t));
-  for (const std::int64_t bt : {3, 8, 64}) {
+  const nn::Tensor batch = model.forward(nullptr, ids);
+  for (const std::int64_t bt : {std::int64_t{1}, std::int64_t{3},
+                                std::int64_t{16}, model.config().max_seq}) {
     nn::DecodeSession session(model, nullptr, bt);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const auto& got = session.step(ids[i]);
-      ASSERT_EQ(0, std::memcmp(got.data(), want[i].data(),
-                               want[i].size() * sizeof(float)))
-          << "block_tokens " << bt << " step " << i;
-    }
+    SCOPED_TRACE("block_tokens " + std::to_string(bt));
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      expect_row(batch, i, session.step(ids[i]));
   }
 }
 
-// Adopting a cached prefix must reproduce a private prefill bitwise, and
-// copy-on-write must keep the donor blocks untouched while both adopters
-// diverge.
+// Adopting a cached prefix must reproduce a private prefill and the batch
+// forward bitwise, and copy-on-write must keep the donor blocks untouched
+// while both adopters diverge.
 TEST(PagedDecode, AdoptedPrefixAndCowMatchPrivatePrefill) {
   const nn::TinyGpt model = tiny_model();
   const auto& cfg = model.config();
@@ -243,13 +257,18 @@ TEST(PagedDecode, AdoptedPrefixAndCowMatchPrivatePrefill) {
     nn::DecodeSession fresh(model, &pool);
     for (const int t : preamble) fresh.step(t);
 
-    std::vector<int> suffix = {divergent, 2, 6};
-    for (const int t : suffix) {
-      const auto& got = adopter.step(t);
-      const auto& want = fresh.step(t);
+    const std::vector<int> suffix = {divergent, 2, 6};
+    std::vector<int> full = preamble;
+    full.insert(full.end(), suffix.begin(), suffix.end());
+    const nn::Tensor batch = model.forward(nullptr, full);
+    for (std::size_t i = 0; i < suffix.size(); ++i) {
+      SCOPED_TRACE("divergent " + std::to_string(divergent));
+      const auto& got = adopter.step(suffix[i]);
+      const auto& want = fresh.step(suffix[i]);
       ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
                                want.size() * sizeof(float)))
-          << "divergent " << divergent << " token " << t;
+          << "token " << suffix[i];
+      expect_row(batch, preamble.size() + i, got);
     }
     // The shared tail was copied before the first append...
     EXPECT_EQ(adopter.cow_copies(), 1);
@@ -264,7 +283,8 @@ TEST(PagedDecode, AdoptedPrefixAndCowMatchPrivatePrefill) {
   nn::DecodeSession boundary(model, &pool);
   boundary.adopt_prefix(m.blocks, m.tokens);
   EXPECT_FALSE(boundary.pending_cow());
-  boundary.step(preamble[4]);
+  expect_row(model.forward(nullptr, {3, 1, 4, 1, 5}), 4,
+             boundary.step(preamble[4]));
   EXPECT_EQ(boundary.cow_copies(), 0);
   // Appends went into a fresh block, never the shared one.
   EXPECT_NE(boundary.block_table()[1], chain[1]);
