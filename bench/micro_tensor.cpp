@@ -11,8 +11,9 @@
 // --benchmark_out and gates on their simd:scalar ratios
 // (scripts/check_bench_regression.py). The BM_MatmulModel rows time
 // forward+backward on the model's own matmul shapes, and the
-// BM_CausalAttention rows the fused attention op (checked bit for bit
-// against the unfused op chain it replaced), both ungated.
+// BM_CausalAttention rows the fused attention op and the BM_Linear rows
+// the fused linear op (each checked bit for bit against the unfused op
+// chain it replaced), all ungated.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "tensor/backend/backend.hpp"
 #include "tensor/ops.hpp"
 #include "unfused_attention.hpp"
+#include "unfused_linear.hpp"
 
 namespace {
 
@@ -232,6 +234,82 @@ void causal_attention_bench(benchmark::State& state, const std::string& be,
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 
+// Operands of one linear layer at sequence length 64 (rank-4 adapter).
+struct LinearOperands {
+  Tensor x, w, b, a, bb;
+  bool lora;
+};
+
+// Output and every gradient of one forward+backward of `fn` on `tape`
+// (reset first) with upstream gradient 1, flattened.
+template <typename Linear>
+std::vector<float> linear_fwd_bwd(Tape& tape, LinearOperands& p, Linear fn) {
+  tape.reset();
+  for (Tensor* t : {&p.x, &p.w, &p.b, &p.a, &p.bb}) t->zero_grad();
+  const ops::LoRA lora{p.a, p.bb, 2.0f};
+  Tensor y = fn(&tape, p.x, p.w, p.b, p.lora ? &lora : nullptr);
+  std::fill(y.grad(), y.grad() + y.numel(), 1.0f);
+  tape.backward();
+  std::vector<float> flat(y.data(), y.data() + y.numel());
+  for (Tensor* t : {&p.x, &p.w, &p.b, &p.a, &p.bb})
+    if (t->has_grad())
+      flat.insert(flat.end(), t->grad(), t->grad() + t->numel());
+  return flat;
+}
+
+// Forward+backward of the fused linear op on the model's qkv [48,144] or
+// fc1 [48,192] projection: without an adapter x, W and b train (as in
+// pre-training), with one x, A and B train (as in a DPO block past the
+// first). One Tape, reset per iteration. Ungated like BM_MatmulModel.
+void linear_bench(benchmark::State& state, const std::string& be,
+                  std::int64_t out, bool lora) {
+  constexpr std::int64_t t = 64, in = 48, rank = 4;
+  if (!backend_available(be)) {
+    state.SkipWithError("simd backend not supported on this CPU/build");
+    return;
+  }
+  backend::select(be);
+  Rng rng(10);
+  LinearOperands p{Tensor::randn({t, in}, rng).set_requires_grad(true),
+                   Tensor::randn({in, out}, rng, 0.1f),
+                   Tensor::randn({1, out}, rng),
+                   Tensor::randn({in, rank}, rng, 0.02f),
+                   Tensor::randn({rank, out}, rng, 0.1f),
+                   lora};
+  p.w.set_requires_grad(!lora);
+  p.b.set_requires_grad(!lora);
+  p.a.set_requires_grad(lora);
+  p.bb.set_requires_grad(lora);
+  Tape tape;
+  const std::vector<float> want =
+      linear_fwd_bwd(tape, p, tensor::reference::unfused_linear);
+  const std::vector<float> got = linear_fwd_bwd(tape, p, ops::linear);
+  if (got.size() != want.size() ||
+      std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) != 0) {
+    state.SkipWithError("linear differs from the unfused chain");
+    backend::select("");
+    return;
+  }
+  const ops::LoRA adapter{p.a, p.bb, 2.0f};
+  for (auto _ : state) {
+    tape.reset();
+    Tensor y = ops::linear(&tape, p.x, p.w, p.b, lora ? &adapter : nullptr);
+    std::fill(y.grad(), y.grad() + y.numel(), 1.0f);
+    tape.backward();
+    benchmark::DoNotOptimize(p.x.grad());
+    benchmark::ClobberMemory();
+    for (Tensor* g : {&p.x, &p.w, &p.b, &p.a, &p.bb}) g->zero_grad();
+  }
+  backend::select("");
+  // Without an adapter: x·W and both backward products. With one: x·W
+  // and dx through W, plus x·A, (x·A)·B and their four backward products.
+  const std::int64_t flops = lora ? 4 * t * in * out + 6 * t * rank * (in + out)
+                                  : 6 * t * in * out;
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      static_cast<double>(flops) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
+}
+
 // GELU forward+backward on the active backend, upstream gradient 1.
 Tensor gelu_fwd_bwd(Tensor& x) {
   Tape tape;
@@ -404,6 +482,16 @@ void register_backend_benches() {
           [name, t](benchmark::State& s) {
             causal_attention_bench(s, name, t);
           });
+    for (const auto& [proj, out] :
+         {std::pair<const char*, std::int64_t>{"qkv", 144}, {"fc1", 192}})
+      for (const bool lora : {false, true})
+        benchmark::RegisterBenchmark(
+            ("BM_Linear/" + name + "/" + proj + "/lora:" +
+             std::to_string(lora ? 1 : 0))
+                .c_str(),
+            [name, out, lora](benchmark::State& s) {
+              linear_bench(s, name, out, lora);
+            });
     benchmark::RegisterBenchmark(
         ("BM_Gelu/" + name).c_str(),
         [name](benchmark::State& s) { gelu_bench(s, name); });

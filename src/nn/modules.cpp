@@ -1,8 +1,5 @@
 #include "nn/modules.hpp"
 
-#include <algorithm>
-
-#include "tensor/backend/backend.hpp"
 #include "util/check.hpp"
 
 namespace dpoaf::nn {
@@ -16,29 +13,14 @@ Linear::Linear(std::int64_t in, std::int64_t out, Rng& rng,
 }
 
 Tensor Linear::forward(Tape* tape, const Tensor& x) const {
-  Tensor y = ops::add_rowwise(tape, ops::matmul(tape, x, weight), bias);
-  if (lora_rank_ > 0) {
-    const Tensor delta = ops::scale(
-        tape, ops::matmul(tape, ops::matmul(tape, x, lora_a), lora_b),
-        lora_scale_);
-    y = ops::add(tape, y, delta);
-  }
-  return y;
+  const ops::LoRA lora{lora_a, lora_b, lora_scale_};
+  return ops::linear(tape, x, weight, bias, lora_rank_ > 0 ? &lora : nullptr);
 }
 
 void Linear::forward_row(const float* x, float* y, float* lora) const {
-  const tensor::backend::ComputeBackend& be = tensor::backend::active();
-  const std::int64_t in = weight.rows(), out = weight.cols();
-  std::fill(y, y + out, 0.0f);
-  be.matmul_fwd(x, weight.data(), y, in, out, 0, 1);
-  be.row_bias_add(y, bias.data(), y, out, 0, 1);
-  if (lora_rank_ == 0) return;
-  float* const delta = lora + lora_rank_;  // lora[0, rank) holds x·A
-  std::fill(lora, delta + out, 0.0f);
-  be.matmul_fwd(x, lora_a.data(), lora, in, lora_rank_, 0, 1);
-  be.matmul_fwd(lora, lora_b.data(), delta, lora_rank_, out, 0, 1);
-  be.ew_scale(delta, lora_scale_, delta, 0, out);
-  be.ew_add(y, delta, y, 0, out);
+  const ops::LoRA adapter{lora_a, lora_b, lora_scale_};
+  ops::linear_rows(x, 1, weight, bias, lora_rank_ > 0 ? &adapter : nullptr,
+                   y, lora, lora + lora_rank_);
 }
 
 void Linear::enable_lora(std::int64_t rank, float alpha, Rng& rng) {

@@ -22,11 +22,12 @@ class Linear {
   Linear() = default;
   Linear(std::int64_t in, std::int64_t out, Rng& rng, float init_scale);
 
+  /// x·W + b (+ the adapter's update): one ops::linear tape node.
   [[nodiscard]] Tensor forward(Tape* tape, const Tensor& x) const;
 
-  /// One row of forward() without a tape: y[out] from x[in] by forward()'s
-  /// kernels in forward()'s order, so y is bitwise forward()'s row. With
-  /// an adapter, `lora` is rank + out floats of caller scratch.
+  /// One row of forward() without a tape: y[out] from x[in] by the same
+  /// ops::linear_rows call on one row, so y is bitwise forward()'s row.
+  /// With an adapter, `lora` is rank + out floats of caller scratch.
   void forward_row(const float* x, float* y, float* lora) const;
 
   /// Attach a LoRA adapter W̃ = W + (α/k)·A·B with A ∈ R^{in×k} Gaussian,

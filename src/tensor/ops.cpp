@@ -70,12 +70,63 @@ void count_matmul_bwd(const backend::ComputeBackend& be, std::int64_t m,
   be.matmul_counters().bwd_flops.add(f);
 }
 
+// n floats of per-thread scratch for buffers that live only inside one
+// op call or one backward closure (linear's [T,out] terms): one buffer
+// per thread, grown to the largest request and then reused.
+float* transient(std::int64_t n) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < static_cast<std::size_t>(n))
+    buf.resize(static_cast<std::size_t>(n));
+  return buf.data();
+}
+
 // softmax_row's backward: gx[0, lim) += y·(gy − ⟨gy, y⟩).
 void softmax_row_bwd(const float* yr, const float* gyr, float* gxr,
                      std::int64_t lim) {
   float dot = 0.0f;
   for (std::int64_t j = 0; j < lim; ++j) dot += gyr[j] * yr[j];
   for (std::int64_t j = 0; j < lim; ++j) gxr[j] += yr[j] * (gyr[j] - dot);
+}
+
+// layer_norm's backward over one row of n columns, given its mean and
+// inverse stddev: one read pass adds the γ/β gradients (when gg and gb are
+// given), keeps x̂ in the row scratch xh and runs both reductions over
+// d x̂ = gy·γ in column order; a second pass adds dx (when gx is given).
+// Every expression keeps the association of the two-pass loop this
+// replaced, and the restrict-qualified rows (no two overlap) let the
+// compiler vectorize the read pass as it did that loop's reduction pass,
+// so the bits are equal.
+void layer_norm_row_bwd(const float* __restrict xr,
+                        const float* __restrict gyr,
+                        const float* __restrict gamma, float mu, float is,
+                        std::int64_t n, float* __restrict gg,
+                        float* __restrict gb, float* __restrict xh,
+                        float* __restrict gx) {
+  if (gx == nullptr) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      gg[j] += gyr[j] * (xr[j] - mu) * is;
+      gb[j] += gyr[j];
+    }
+    return;
+  }
+  float sum_dxh = 0.0f, sum_dxh_xh = 0.0f;
+  for (std::int64_t j = 0; j < n; ++j) {
+    if (gg != nullptr) {
+      gg[j] += gyr[j] * (xr[j] - mu) * is;
+      gb[j] += gyr[j];
+    }
+    xh[j] = (xr[j] - mu) * is;
+    const float dxh = gyr[j] * gamma[j];
+    sum_dxh += dxh;
+    sum_dxh_xh += dxh * xh[j];
+  }
+  // dx = is(d x̂ − mean(d x̂) − x̂·mean(d x̂·x̂)); d x̂ is recomputed as
+  // gy·γ, not read back, because the compiler fuses that product into the
+  // subtraction.
+  const float inv_n = 1.0f / static_cast<float>(n);
+  for (std::int64_t j = 0; j < n; ++j)
+    gx[j] += is * (gyr[j] * gamma[j] - inv_n * sum_dxh -
+                   xh[j] * inv_n * sum_dxh_xh);
 }
 
 }  // namespace
@@ -174,32 +225,113 @@ Tensor add(Tape* tape, const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor add_rowwise(Tape* tape, const Tensor& x, const Tensor& bias) {
-  DPOAF_CHECK_MSG(
-      bias.rows() == 1 && bias.cols() == x.cols(),
-      shapes_msg("add_rowwise: bias must be [1 x cols(x)]", x.shape(),
-                 bias.shape()));
-  Tape* const rec = track(tape, {&x, &bias});
-  Tensor c = output(rec, x.shape());
-  const std::int64_t m = x.rows(), n = x.cols();
+void linear_rows(const float* x, std::int64_t m, const Tensor& w,
+                 const Tensor& b, const LoRA* lora, float* y, float* xa,
+                 float* delta) {
   const backend::ComputeBackend& be = backend::active();
-  be.row_bias_add(x.data(), bias.data(), c.data(), n, 0, m);
-  if (rec != nullptr) {
-    c.set_requires_grad(true);
-    Tensor xt = x, bt = bias, ct = c;
-    rec->record([xt, bt, ct]() mutable {
-      const std::int64_t m = xt.rows(), n = xt.cols();
-      const float* gc = ct.grad();
-      if (xt.requires_grad())
-        backend::active().ew_axpy(1.0f, gc, xt.grad(), 0, m * n);
-      if (bt.requires_grad()) {
-        float* gb = bt.grad();
-        for (std::int64_t i = 0; i < m; ++i)
-          for (std::int64_t j = 0; j < n; ++j) gb[j] += gc[i * n + j];
-      }
-    });
+  const std::int64_t in = w.rows(), out = w.cols();
+  std::fill(y, y + m * out, 0.0f);
+  be.matmul_fwd(x, w.data(), y, in, out, 0, m);
+  be.row_bias_add(y, b.data(), y, out, 0, m);
+  if (lora == nullptr) return;
+  const std::int64_t r = lora->a.cols();
+  std::fill(xa, xa + m * r, 0.0f);
+  be.matmul_fwd(x, lora->a.data(), xa, in, r, 0, m);
+  std::fill(delta, delta + m * out, 0.0f);
+  be.matmul_fwd(xa, lora->b.data(), delta, r, out, 0, m);
+  be.ew_scale(delta, lora->scale, delta, 0, m * out);
+  be.ew_add(y, delta, y, 0, m * out);
+}
+
+Tensor linear(Tape* tape, const Tensor& x, const Tensor& w, const Tensor& b,
+              const LoRA* lora) {
+  DPOAF_CHECK_MSG(x.cols() == w.rows(),
+                  shapes_msg("linear: inner dimensions differ", x.shape(),
+                             w.shape()));
+  DPOAF_CHECK_MSG(
+      b.rows() == 1 && b.cols() == w.cols(),
+      shapes_msg("linear: bias must be [1 x cols(w)]", w.shape(), b.shape()));
+  const std::int64_t m = x.rows(), in = x.cols(), out = w.cols();
+  const std::int64_t r = lora != nullptr ? lora->a.cols() : 0;
+  if (lora != nullptr) {
+    DPOAF_CHECK_MSG(lora->a.rows() == in,
+                    shapes_msg("linear: LoRA A must be [rows(w) x r]",
+                               w.shape(), lora->a.shape()));
+    DPOAF_CHECK_MSG(lora->b.rows() == r && lora->b.cols() == out,
+                    shapes_msg("linear: LoRA B must be [r x cols(w)]",
+                               lora->a.shape(), lora->b.shape()));
   }
-  return c;
+  const backend::ComputeBackend& be = backend::active();
+  count_matmul_fwd(be, m, in, out);
+  if (lora != nullptr) {
+    count_matmul_fwd(be, m, in, r);
+    count_matmul_fwd(be, m, r, out);
+  }
+  Tape* const rec =
+      lora != nullptr ? track(tape, {&x, &w, &b, &lora->a, &lora->b})
+                      : track(tape, {&x, &w, &b});
+  Tensor y = output(rec, {m, out});
+  // (x·A)·B [T,out] is transient; x·A [T,r] too unless the backward
+  // needs it.
+  float* const delta = transient(m * (out + r));
+  float* const xa = rec != nullptr && r > 0 ? rec->scratch(m * r)
+                                            : delta + m * out;
+  linear_rows(x.data(), m, w, b, lora, y.data(), xa, delta);
+  if (rec == nullptr) return y;
+
+  y.set_requires_grad(true);
+  Tensor xt = x, wt = w, bt = b, yt = y;
+  Tensor at = lora != nullptr ? lora->a : Tensor();
+  Tensor bbt = lora != nullptr ? lora->b : Tensor();
+  const float s = lora != nullptr ? lora->scale : 0.0f;
+  rec->record([xt, wt, bt, at, bbt, yt, xa, s, r]() mutable {
+    const std::int64_t m = xt.rows(), in = xt.cols(), out = wt.cols();
+    const backend::ComputeBackend& be = backend::active();
+    // Which nodes of the chain would have recorded — matmul(x, W), its
+    // bias add, matmul(x, A), and matmul(x·A, B) with its scale and add —
+    // and so which of their branches run.
+    const bool gx = xt.requires_grad(), gw = wt.requires_grad();
+    const bool gb = bt.requires_grad();
+    const bool ga = at.requires_grad(), gbb = bbt.requires_grad();
+    const bool mm = gx || gw;
+    const bool xa_node = gx || ga;
+    const float* gy = yt.grad();
+    // The chain's fresh gradient tensors: g [T,out] for s·gy, then for
+    // the bias add's input, and gxa [T,r] for x·A.
+    float* const g = transient(m * (out + r));
+    float* const gxa = g + m * out;
+    if (r > 0 && (xa_node || gbb)) {
+      // add → scale: 0 + s·(0 + 1·gy) is 0 + s·gy, bit for bit.
+      std::fill(g, g + m * out, 0.0f);
+      be.ew_axpy(s, gy, g, 0, m * out);
+      count_matmul_bwd(be, m, r, out, (xa_node ? 1 : 0) + (gbb ? 1 : 0));
+      if (gbb) be.matmul_bwd_b(xa, g, bbt.grad(), m, r, out, 0, r);
+      if (xa_node) {
+        std::fill(gxa, gxa + m * r, 0.0f);
+        be.matmul_bwd_a(g, bbt.data(), gxa, r, out, 0, m);
+        count_matmul_bwd(be, m, in, r, (gx ? 1 : 0) + (ga ? 1 : 0));
+        if (ga) be.matmul_bwd_b(xt.data(), gxa, at.grad(), m, in, r, 0, in);
+        if (gx) be.matmul_bwd_a(gxa, at.data(), xt.grad(), in, r, 0, m);
+      }
+    }
+    if (!mm && !gb) return;
+    // The bias add's output gradient: gy itself, or with an adapter the
+    // add's seeded copy 0 + 1·gy; its input's gradient is seeded the same
+    // way (0 + 1·(0 + 1·gy) is 0 + 1·gy), turning a −0 into +0.
+    std::fill(g, g + m * out, 0.0f);
+    be.ew_axpy(1.0f, gy, g, 0, m * out);
+    if (gb) {
+      const float* gc = r > 0 ? g : gy;
+      float* gbias = bt.grad();
+      for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = 0; j < out; ++j) gbias[j] += gc[i * out + j];
+    }
+    if (!mm) return;
+    count_matmul_bwd(be, m, in, out, (gx ? 1 : 0) + (gw ? 1 : 0));
+    if (gx) be.matmul_bwd_a(g, wt.data(), xt.grad(), in, out, 0, m);
+    if (gw) be.matmul_bwd_b(xt.data(), g, wt.grad(), m, in, out, 0, in);
+  });
+  return y;
 }
 
 Tensor mul(Tape* tape, const Tensor& a, const Tensor& b) {
@@ -276,11 +408,16 @@ Tensor layer_norm(Tape* tape, const Tensor& x, const Tensor& gamma,
       beta.rows() == 1 && beta.cols() == x.cols(),
       shapes_msg("layer_norm: beta must be [1 x cols(x)]", x.shape(),
                  beta.shape()));
+  // The backward's restrict-qualified row loop needs three storages.
+  DPOAF_CHECK_MSG(!x.same_storage(gamma) && !x.same_storage(beta) &&
+                      !gamma.same_storage(beta),
+                  "layer_norm: x, gamma and beta must not alias");
   const std::int64_t m = x.rows(), n = x.cols();
   Tape* const rec = track(tape, {&x, &gamma, &beta});
   Tensor y = output(rec, x.shape());
-  // Per-row mean and inverse stddev, saved in the arena for the backward.
-  float* mean = rec != nullptr ? rec->scratch(2 * m) : nullptr;
+  // Per-row mean and inverse stddev, saved in the arena for the backward,
+  // then one row of x̂ scratch for it.
+  float* mean = rec != nullptr ? rec->scratch(2 * m + n) : nullptr;
   float* inv_std = rec != nullptr ? mean + m : nullptr;
   for (std::int64_t i = 0; i < m; ++i) {
     const auto stats = layer_norm_row(x.data() + i * n, gamma.data(),
@@ -292,38 +429,14 @@ Tensor layer_norm(Tape* tape, const Tensor& x, const Tensor& gamma,
     Tensor xt = x, gt = gamma, bt = beta, yt = y;
     rec->record([xt, gt, bt, yt, mean, inv_std]() mutable {
       const std::int64_t m = xt.rows(), n = xt.cols();
+      const bool params = gt.requires_grad() || bt.requires_grad();
+      float* const gg = params ? gt.grad() : nullptr;
+      float* const gb = params ? bt.grad() : nullptr;
       const float* gy = yt.grad();
-      for (std::int64_t i = 0; i < m; ++i) {
-        const float* xr = xt.data() + i * n;
-        const float* gyr = gy + i * n;
-        const float mu = mean[i];
-        const float is = inv_std[i];
-        if (gt.requires_grad() || bt.requires_grad()) {
-          float* gg = gt.grad();
-          float* gb = bt.grad();
-          for (std::int64_t j = 0; j < n; ++j) {
-            gg[j] += gyr[j] * (xr[j] - mu) * is;
-            gb[j] += gyr[j];
-          }
-        }
-        if (xt.requires_grad()) {
-          // d x̂ = gy·γ ; dx = is(d x̂ − mean(d x̂) − x̂·mean(d x̂·x̂))
-          float sum_dxh = 0.0f, sum_dxh_xh = 0.0f;
-          for (std::int64_t j = 0; j < n; ++j) {
-            const float xh = (xr[j] - mu) * is;
-            const float dxh = gyr[j] * gt.data()[j];
-            sum_dxh += dxh;
-            sum_dxh_xh += dxh * xh;
-          }
-          const float inv_n = 1.0f / static_cast<float>(n);
-          float* gx = xt.grad() + i * n;
-          for (std::int64_t j = 0; j < n; ++j) {
-            const float xh = (xr[j] - mu) * is;
-            const float dxh = gyr[j] * gt.data()[j];
-            gx[j] += is * (dxh - inv_n * sum_dxh - xh * inv_n * sum_dxh_xh);
-          }
-        }
-      }
+      for (std::int64_t i = 0; i < m; ++i)
+        layer_norm_row_bwd(xt.data() + i * n, gy + i * n, gt.data(), mean[i],
+                           inv_std[i], n, gg, gb, inv_std + m,
+                           xt.requires_grad() ? xt.grad() + i * n : nullptr);
     });
   }
   return y;

@@ -16,8 +16,22 @@ Tensor matmul(Tape* tape, const Tensor& a, const Tensor& b);
 /// Elementwise sum; shapes must match.
 Tensor add(Tape* tape, const Tensor& a, const Tensor& b);
 
-/// x[M,N] + bias broadcast over rows; bias is [1,N].
-Tensor add_rowwise(Tape* tape, const Tensor& x, const Tensor& bias);
+/// A LoRA adapter on a linear layer (Hu et al. 2021): A [in,r],
+/// B [r,out] and the scale s = α/r.
+struct LoRA {
+  const Tensor& a;
+  const Tensor& b;
+  float scale;
+};
+
+/// y[T,out] = ((x·W) + b) + s·((x·A)·B) for x [T,in], W [in,out] and
+/// b [1,out]; the adapter term only when `lora` is given. One tape node.
+/// It runs the kernels of matmul, bias add, matmul, matmul, scale and
+/// add in that chain's order, so its output and gradients are bitwise
+/// that chain's (docs/BACKENDS.md "Fused linear"); of the chain's
+/// activations it keeps only x·A [T,r].
+Tensor linear(Tape* tape, const Tensor& x, const Tensor& w, const Tensor& b,
+              const LoRA* lora = nullptr);
 
 /// Elementwise product; shapes must match.
 Tensor mul(Tape* tape, const Tensor& a, const Tensor& b);
@@ -71,9 +85,16 @@ Tensor sum_log_probs(Tape* tape, const Tensor& logits,
 /// softplus(x) = log(1 + eˣ), elementwise (numerically stable).
 Tensor softplus(Tape* tape, const Tensor& x);
 
-// Row kernels of layer_norm, the softmaxes and causal_attention, shared
-// with the KV-cache decode step so its logits are bitwise the batch
-// forward's row (docs/BACKENDS.md).
+// Row kernels of linear, layer_norm, the softmaxes and causal_attention,
+// shared with the KV-cache decode step so its logits are bitwise the
+// batch forward's row (docs/BACKENDS.md).
+
+/// linear's forward on m rows without a tape: x [m,in] → y [m,out]. With
+/// an adapter, xa [m,r] and delta [m,out] are caller scratch (x·A is left
+/// in xa). Counts no matmul.
+void linear_rows(const float* x, std::int64_t m, const Tensor& w,
+                 const Tensor& b, const LoRA* lora, float* y, float* xa,
+                 float* delta);
 
 /// One layer_norm row of n columns into y; returns {mean, 1/stddev}.
 std::pair<float, float> layer_norm_row(const float* x, const float* gamma,

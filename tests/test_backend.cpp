@@ -188,10 +188,13 @@ TEST_F(BackendTest, ElementwiseOpsMatchScalarWithinTolerance) {
     Tensor x = Tensor::randn({37, 41}, rng).set_requires_grad(true);
     Tensor y = Tensor::randn({37, 41}, rng).set_requires_grad(true);
     Tensor bias = Tensor::randn({1, 41}, rng);
+    // An identity weight: the linear op adds the bias to exact copies.
+    Tensor eye = Tensor::zeros({41, 41});
+    for (std::int64_t i = 0; i < 41; ++i) eye.at(i, i) = 1.0f;
     Tape tape;
-    Tensor h = ops::add_rowwise(
+    Tensor h = ops::linear(
         &tape, ops::add(&tape, ops::mul(&tape, x, y), ops::scale(&tape, y, 0.3f)),
-        bias);
+        eye, bias);
     Tensor loss = ops::sum(&tape, h);
     tape.backward(loss);
     Tensor gx = Tensor::from(

@@ -286,10 +286,10 @@ TEST(Gpt, TapeRecordsOneAttentionNodePerBlock) {
   TinyGpt model(cfg, rng);
   Tape tape;
   const Tensor loss = model.nll_loss(&tape, {1, 5, 9, 5});
-  // Two embeddings and their add, then per block: ln1, qkv (matmul, bias),
-  // attention, proj (matmul, bias), residual add, ln2, fc1, gelu, fc2 and
-  // residual add; then ln_f, the head (matmul, bias) and the loss.
-  EXPECT_EQ(tape.size(), static_cast<std::size_t>(3 + 14 * cfg.n_layers + 4));
+  // Two embeddings and their add, then per block: ln1, qkv, attention,
+  // proj, residual add, ln2, fc1, gelu, fc2 and residual add; then ln_f,
+  // the head and the loss. Each linear layer is one node.
+  EXPECT_EQ(tape.size(), static_cast<std::size_t>(3 + 10 * cfg.n_layers + 3));
 }
 
 // Every parameter gradient, flattened.

@@ -4,11 +4,16 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
+#include "obs/metrics.hpp"
 #include "tensor/backend/backend.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "unfused_attention.hpp"
+#include "unfused_linear.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -116,12 +121,21 @@ TEST(Ops, AddMulSubScaleGradients) {
   });
 }
 
-TEST(Ops, AddRowwiseGradients) {
+TEST(Ops, LinearGradients) {
   Rng rng(3);
   Tensor x = Tensor::randn({3, 4}, rng).set_requires_grad(true);
-  Tensor b = Tensor::randn({1, 4}, rng).set_requires_grad(true);
-  check_gradients({x, b}, [&](Tape* t) {
-    return ops::sum(t, ops::add_rowwise(t, x, b));
+  Tensor w = Tensor::randn({4, 5}, rng).set_requires_grad(true);
+  Tensor b = Tensor::randn({1, 5}, rng).set_requires_grad(true);
+  Tensor a = Tensor::randn({4, 2}, rng).set_requires_grad(true);
+  Tensor bb = Tensor::randn({2, 5}, rng).set_requires_grad(true);
+  Tensor u = Tensor::randn({3, 5}, rng);  // weighting makes the loss non-flat
+  check_gradients({x, w, b}, [&](Tape* t) {
+    return ops::sum(t, ops::mul(t, ops::linear(t, x, w, b), u));
+  });
+  for (Tensor* p : {&x, &w, &b}) p->zero_grad();
+  const ops::LoRA lora{a, bb, 1.5f};
+  check_gradients({x, w, b, a, bb}, [&](Tape* t) {
+    return ops::sum(t, ops::mul(t, ops::linear(t, x, w, b, &lora), u));
   });
 }
 
@@ -416,6 +430,245 @@ TEST(CausalAttention, RejectsHeadsThatDoNotSplitTheWidth) {
   const Tensor qkv = Tensor::zeros({3, 12});
   EXPECT_THROW((void)ops::causal_attention(nullptr, qkv, 3), ContractViolation);
   EXPECT_THROW((void)ops::causal_attention(nullptr, qkv, 0), ContractViolation);
+}
+
+// ---------------------------------------------------- fused linear ---
+
+using LinearFn = Tensor (*)(Tape*, const Tensor&, const Tensor&,
+                            const Tensor&, const ops::LoRA*);
+
+// Which of x, W, b and the adapter factors take a gradient: the patterns
+// the pipeline runs, plus one with nothing trainable.
+struct Freeze {
+  const char* name;
+  bool x, w, b, adapter;
+};
+constexpr Freeze kFreezes[] = {
+    {"pretrain", true, true, true, true},
+    {"dpo_block0", false, false, false, true},
+    {"dpo_later_block", true, false, false, true},
+    {"frozen_head", true, false, false, false},
+    {"nothing", false, false, false, false},
+};
+
+// The values one linear forward and backward reads.
+struct LinearCase {
+  Tensor x, w, b, a, bb, up;
+};
+
+// Output, then per input (x, W, b, A, B) its gradient or, when it took
+// none, one NaN marker; and the four global tensor.matmul counters' rise.
+std::pair<std::vector<float>, std::vector<std::uint64_t>> linear_run(
+    LinearFn fn, const LinearCase& c, const Freeze& f, bool adapter,
+    bool taped) {
+  Tensor x = c.x.clone().set_requires_grad(f.x);
+  Tensor w = c.w.clone().set_requires_grad(f.w);
+  Tensor b = c.b.clone().set_requires_grad(f.b);
+  Tensor a = c.a.clone().set_requires_grad(f.adapter);
+  Tensor bb = c.bb.clone().set_requires_grad(f.adapter);
+  const ops::LoRA lora{a, bb, 2.0f};
+  auto& registry = obs::MetricsRegistry::instance();
+  std::vector<obs::Counter*> counters;
+  std::vector<std::uint64_t> rise;
+  for (const char* name : {"tensor.matmul.calls", "tensor.matmul.flops",
+                           "tensor.matmul.bwd_calls",
+                           "tensor.matmul.bwd_flops"}) {
+    counters.push_back(&registry.counter(name));
+    rise.push_back(counters.back()->value());
+  }
+  std::vector<float> flat;
+  {
+    Tape tape;
+    Tensor y = fn(taped ? &tape : nullptr, x, w, b, adapter ? &lora : nullptr);
+    if (y.requires_grad()) {
+      std::copy(c.up.data(), c.up.data() + c.up.numel(), y.grad());
+      tape.backward();
+    }
+    flat.assign(y.data(), y.data() + y.numel());
+  }
+  for (Tensor* t : {&x, &w, &b, &a, &bb}) {
+    if (t->has_grad())
+      flat.insert(flat.end(), t->grad(), t->grad() + t->numel());
+    else
+      flat.push_back(std::nanf(""));
+  }
+  for (std::size_t i = 0; i < counters.size(); ++i)
+    rise[i] = counters[i]->value() - rise[i];
+  return {flat, rise};
+}
+
+TEST(Linear, FusedBitwiseEqualsUnfusedChain) {
+  obs::set_enabled(true);
+  const LinearFn fused = &ops::linear;
+  const LinearFn unfused = &reference::unfused_linear;
+  // The model's projections at d 48, d_ff 192: qkv, proj, fc1, fc2, and a
+  // vocabulary-wide head.
+  constexpr std::pair<std::int64_t, std::int64_t> kShapes[] = {
+      {48, 144}, {48, 48}, {48, 192}, {192, 48}, {48, 75}};
+  constexpr std::int64_t kRank = 4;
+  for (const char* be : {"scalar", "simd"}) {
+    if (std::string(be) == "simd" && !backend::simd_supported()) continue;
+    backend::select(be);
+    for (const std::int64_t t : {1, 35, 84}) {
+      for (const auto& [in, out] : kShapes) {
+        Rng rng(static_cast<std::uint64_t>(1000 * t + in + out));
+        LinearCase c;
+        c.x = signed_zero_randn({t, in}, rng);
+        c.w = Tensor::randn({in, out}, rng, 0.1f);
+        c.b = signed_zero_randn({1, out}, rng);
+        c.a = Tensor::randn({in, kRank}, rng, 0.02f);
+        // enable_lora zero-fills B; perturbed so the update contributes.
+        c.bb = signed_zero_randn({kRank, out}, rng);
+        c.up = signed_zero_randn({t, out}, rng);
+        for (const bool adapter : {false, true}) {
+          for (const Freeze& f : kFreezes) {
+            for (const bool taped : {true, false}) {
+              SCOPED_TRACE(std::string(be) + " T=" + std::to_string(t) +
+                           " " + std::to_string(in) + "x" +
+                           std::to_string(out) + " lora=" +
+                           std::to_string(adapter) + " " + f.name +
+                           (taped ? "" : " tape-less"));
+              const auto want = linear_run(unfused, c, f, adapter, taped);
+              const auto got = linear_run(fused, c, f, adapter, taped);
+              ASSERT_EQ(got.first.size(), want.first.size());
+              EXPECT_TRUE(bitwise_equal(
+                  got.first.data(), want.first.data(),
+                  static_cast<std::int64_t>(want.first.size())));
+              EXPECT_EQ(got.second, want.second);
+            }
+          }
+        }
+      }
+    }
+  }
+  backend::select("");
+}
+
+TEST(Linear, RejectsMismatchedShapes) {
+  const Tensor x = Tensor::zeros({2, 4});
+  const Tensor w = Tensor::zeros({4, 3});
+  const Tensor b = Tensor::zeros({1, 3});
+  const Tensor a = Tensor::zeros({4, 2});
+  const Tensor bb = Tensor::zeros({2, 3});
+  const Tensor odd = Tensor::zeros({3, 2});
+  EXPECT_THROW((void)ops::linear(nullptr, x, Tensor::zeros({3, 3}), b),
+               ContractViolation);
+  EXPECT_THROW((void)ops::linear(nullptr, x, w, Tensor::zeros({1, 4})),
+               ContractViolation);
+  const ops::LoRA bad_a{odd, bb, 1.0f};
+  EXPECT_THROW((void)ops::linear(nullptr, x, w, b, &bad_a), ContractViolation);
+  const ops::LoRA bad_b{a, odd, 1.0f};
+  EXPECT_THROW((void)ops::linear(nullptr, x, w, b, &bad_b), ContractViolation);
+}
+
+// --------------------------------------------------- layer-norm backward ---
+
+// layer_norm with the backward it had before it kept x̂ and d x̂ in row
+// scratch: a γ/β pass, then per row two passes that each recompute x̂ and
+// d x̂. The reference the one-pass backward must match bit for bit.
+Tensor two_pass_layer_norm(Tape* tape, const Tensor& x, const Tensor& gamma,
+                           const Tensor& beta) {
+  const std::int64_t m = x.rows(), n = x.cols();
+  Tensor y = Tensor::zeros(x.shape());
+  std::vector<float> mean(static_cast<std::size_t>(m));
+  std::vector<float> inv_std(static_cast<std::size_t>(m));
+  for (std::int64_t i = 0; i < m; ++i)
+    std::tie(mean[i], inv_std[i]) = ops::layer_norm_row(
+        x.data() + i * n, gamma.data(), beta.data(), n, y.data() + i * n);
+  if (tape == nullptr ||
+      !(x.requires_grad() || gamma.requires_grad() || beta.requires_grad()))
+    return y;
+  y.set_requires_grad(true);
+  Tensor xt = x, gt = gamma, bt = beta, yt = y;
+  tape->record([xt, gt, bt, yt, mean, inv_std]() mutable {
+    const std::int64_t m = xt.rows(), n = xt.cols();
+    const float* gy = yt.grad();
+    for (std::int64_t i = 0; i < m; ++i) {
+      const float* xr = xt.data() + i * n;
+      const float* gyr = gy + i * n;
+      const float mu = mean[i];
+      const float is = inv_std[i];
+      if (gt.requires_grad() || bt.requires_grad()) {
+        float* gg = gt.grad();
+        float* gb = bt.grad();
+        for (std::int64_t j = 0; j < n; ++j) {
+          gg[j] += gyr[j] * (xr[j] - mu) * is;
+          gb[j] += gyr[j];
+        }
+      }
+      if (xt.requires_grad()) {
+        float sum_dxh = 0.0f, sum_dxh_xh = 0.0f;
+        for (std::int64_t j = 0; j < n; ++j) {
+          const float xh = (xr[j] - mu) * is;
+          const float dxh = gyr[j] * gt.data()[j];
+          sum_dxh += dxh;
+          sum_dxh_xh += dxh * xh;
+        }
+        const float inv_n = 1.0f / static_cast<float>(n);
+        float* gx = xt.grad() + i * n;
+        for (std::int64_t j = 0; j < n; ++j) {
+          const float xh = (xr[j] - mu) * is;
+          const float dxh = gyr[j] * gt.data()[j];
+          gx[j] += is * (dxh - inv_n * sum_dxh - xh * inv_n * sum_dxh_xh);
+        }
+      }
+    }
+  });
+  return y;
+}
+
+TEST(LayerNorm, OnePassBackwardBitwiseEqualsTwoPass) {
+  using LayerNormFn = Tensor (*)(Tape*, const Tensor&, const Tensor&,
+                                 const Tensor&);
+  const LayerNormFn one_pass = [](Tape* t, const Tensor& x, const Tensor& g,
+                                  const Tensor& b) {
+    return ops::layer_norm(t, x, g, b);
+  };
+  // Output, then the gradients of x, γ and β (a NaN marker for none).
+  auto run = [](LayerNormFn fn, const Tensor& xv, const Tensor& gv,
+                const Tensor& bv, const Tensor& up, bool grad_x,
+                bool grad_params) {
+    Tensor x = xv.clone().set_requires_grad(grad_x);
+    Tensor g = gv.clone().set_requires_grad(grad_params);
+    Tensor b = bv.clone().set_requires_grad(grad_params);
+    std::vector<float> flat;
+    {
+      Tape tape;
+      Tensor y = fn(&tape, x, g, b);
+      std::copy(up.data(), up.data() + up.numel(), y.grad());
+      tape.backward();
+      flat.assign(y.data(), y.data() + y.numel());
+    }
+    for (Tensor* t : {&x, &g, &b}) {
+      if (t->has_grad())
+        flat.insert(flat.end(), t->grad(), t->grad() + t->numel());
+      else
+        flat.push_back(std::nanf(""));
+    }
+    return flat;
+  };
+  for (const auto& [m, n] : {std::pair<std::int64_t, std::int64_t>{1, 48},
+                             {35, 48},
+                             {84, 48},
+                             {7, 13}}) {
+    Rng rng(static_cast<std::uint64_t>(m * 100 + n));
+    const Tensor x = signed_zero_randn({m, n}, rng);
+    const Tensor g = signed_zero_randn({1, n}, rng);
+    const Tensor b = signed_zero_randn({1, n}, rng);
+    const Tensor up = signed_zero_randn({m, n}, rng);
+    for (const auto& [grad_x, grad_params] :
+         {std::pair{true, true}, {true, false}, {false, true}}) {
+      SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n) +
+                   " grad_x=" + std::to_string(grad_x) +
+                   " grad_params=" + std::to_string(grad_params));
+      const auto want =
+          run(two_pass_layer_norm, x, g, b, up, grad_x, grad_params);
+      const auto got = run(one_pass, x, g, b, up, grad_x, grad_params);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_TRUE(bitwise_equal(got.data(), want.data(),
+                                static_cast<std::int64_t>(want.size())));
+    }
+  }
 }
 
 // ----------------------------------------------------------- arena ---
