@@ -29,21 +29,26 @@ namespace {
                   #op " " + std::to_string(bound) + ", got " +             \
                       std::to_string(c.field))
 // Throws a ContractViolation naming the field unless `c.field` is finite
-// and positive.
-#define DPOAF_REQUIRE_POSITIVE(field)                                      \
-  DPOAF_CHECK_MSG(std::isfinite(c.field) && c.field > 0,                   \
-                  "PipelineConfig::" #field " must be finite and > 0, got " \
-                      + std::to_string(c.field))
+// and `c.field op bound`.
+#define DPOAF_REQUIRE_FINITE(field, op, bound)                             \
+  DPOAF_CHECK_MSG(std::isfinite(c.field) && c.field op(bound),             \
+                  "PipelineConfig::" #field " must be finite and " #op " " + \
+                      std::to_string(bound) + ", got " +                    \
+                      std::to_string(c.field))
 
 // Rejects values no run can use before any construction work. Without
 // these, a sample count below 1 surfaces deep in collection or collects
 // nothing, a bad scenario count aborts in the generator, a DPO epoch or
 // checkpoint interval below 1 leaves no loss history or divides by zero,
-// a model shape or batch size below 1 fails (or raises SIGFPE) only after
-// construction or pre-training, a non-positive temperature or a negative
-// token budget is rejected by the decoder mid-run, d_ff below 1 trains a
-// model stuck at the initial DPO loss, and a NaN learning rate or beta
-// surfaces mid-run as a sampling-weight CHECK.
+// a model shape below 1 fails (or raises SIGFPE) only after construction,
+// a non-positive temperature or a negative token budget is rejected by the
+// decoder mid-run, d_ff below 1 trains a model stuck at the initial DPO
+// loss, and a NaN learning rate or beta surfaces mid-run as a
+// sampling-weight CHECK. The trainers would silently reinterpret the
+// rest: a NaN or negative nll_coef drops the RPO anchor, a negative
+// pairs_per_epoch trains on all pairs, a negative lora_rank trains every
+// parameter (and is written into checkpoints), and a negative pre-training
+// epoch count trains nothing.
 const PipelineConfig& validated(const PipelineConfig& c) {
   DPOAF_REQUIRE(d_model, >=, 1);
   DPOAF_REQUIRE(n_heads, >=, 1);
@@ -52,17 +57,20 @@ const PipelineConfig& validated(const PipelineConfig& c) {
   DPOAF_REQUIRE(n_layers, >=, 1);
   DPOAF_REQUIRE(d_ff, >=, 1);
   DPOAF_REQUIRE(corpus_samples_per_task, >=, 1);
-  DPOAF_REQUIRE(pretrain.batch_size, >=, 1);
-  DPOAF_REQUIRE_POSITIVE(pretrain.lr);
+  DPOAF_REQUIRE(pretrain.epochs, >=, 0);
+  DPOAF_REQUIRE_FINITE(pretrain.lr, >, 0);
   DPOAF_REQUIRE(responses_per_task, >=, 1);
   DPOAF_REQUIRE(sampler.temperature, >, 0);
   DPOAF_REQUIRE(sampler.max_new_tokens, >=, 0);
   DPOAF_REQUIRE(serve_slots, >=, 1);
   DPOAF_REQUIRE(dpo.epochs, >=, 1);
   DPOAF_REQUIRE(dpo.checkpoint_every, >=, 1);
-  DPOAF_REQUIRE(dpo.batch_size, >=, 1);
-  DPOAF_REQUIRE_POSITIVE(dpo.lr);
-  DPOAF_REQUIRE_POSITIVE(dpo.beta);
+  DPOAF_REQUIRE_FINITE(dpo.lr, >, 0);
+  DPOAF_REQUIRE_FINITE(dpo.beta, >, 0);
+  DPOAF_REQUIRE_FINITE(dpo.nll_coef, >=, 0);
+  DPOAF_REQUIRE(dpo.pairs_per_epoch, >=, 0);
+  DPOAF_REQUIRE(dpo.lora_rank, >=, 0);
+  DPOAF_REQUIRE_FINITE(dpo.lora_alpha, >, 0);
   DPOAF_REQUIRE(eval_samples_per_task, >=, 1);
   DPOAF_REQUIRE(eval_temperature, >, 0);
   DPOAF_REQUIRE(eval_max_new_tokens, >=, 0);
@@ -74,7 +82,7 @@ const PipelineConfig& validated(const PipelineConfig& c) {
 }
 
 #undef DPOAF_REQUIRE
-#undef DPOAF_REQUIRE_POSITIVE
+#undef DPOAF_REQUIRE_FINITE
 
 driving::generator::GeneratorConfig make_generator_config(
     const PipelineConfig& config) {

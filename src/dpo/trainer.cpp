@@ -1,7 +1,6 @@
 #include "dpo/trainer.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "nn/optim.hpp"
 #include "obs/metrics.hpp"
@@ -29,25 +28,16 @@ std::vector<EpochMetrics> DpoTrainer::train(
     const std::vector<PreferencePair>& pairs, const TrainHooks& hooks,
     const TrainerCheckpointState* resume) {
   DPOAF_CHECK_MSG(!pairs.empty(), "DPO requires at least one pair");
-  DPOAF_CHECK(config_.batch_size > 0);
-
-  nn::AdamWConfig opt_cfg;
-  opt_cfg.lr = config_.lr;
-  nn::AdamW opt(policy_.trainable_parameters(), opt_cfg);
-
-  // Restore weights before the reference precompute below: ref_w/ref_l are
-  // a pure function of (pairs, reference weights), so once the reference
-  // is back to its snapshot values the recomputed table is bit-identical
-  // to the one the interrupted run used.
-  int start_epoch = 1;
-  std::vector<std::size_t> order(pairs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  // The loop restores the policy before the reference precompute below:
+  // ref_w/ref_l are a pure function of (pairs, reference weights), so once
+  // the reference is back to its snapshot values the recomputed table is
+  // bit-identical to the one the interrupted run used.
+  nn::MinibatchLoop loop(policy_, config_.lr, rng_, pairs.size(),
+                         resume != nullptr ? &resume->loop : nullptr);
   std::vector<EpochMetrics> history;
   if (resume != nullptr) {
-    nn::restore_loop_state(resume->loop, policy_, opt, rng_, order);
     reference_.load_state(resume->reference_state);
     history = resume->history;
-    start_epoch = resume->loop.completed_epochs + 1;
   }
 
   // The reference model is frozen: its per-pair log-probabilities are
@@ -79,68 +69,45 @@ std::vector<EpochMetrics> DpoTrainer::train(
   static obs::Counter& step_counter = obs::counter("dpo.steps");
   static obs::Counter& pair_counter = obs::counter("dpo.pairs_seen");
   static obs::Counter& epoch_counter = obs::counter("dpo.epochs");
-  Tape tape;  // reset() per minibatch rewinds its arena (see lm::pretrain)
-  for (int epoch = start_epoch; epoch <= config_.epochs; ++epoch) {
+  std::size_t epoch_pairs = pairs.size();
+  if (config_.pairs_per_epoch > 0)
+    epoch_pairs = std::min(epoch_pairs,
+                           static_cast<std::size_t>(config_.pairs_per_epoch));
+  while (loop.completed_epochs() < config_.epochs) {
     obs::Span epoch_span("dpo.epoch", obs::histogram("dpo.epoch_ns"));
     epoch_counter.add();
-    rng_.shuffle(order);
-    std::size_t epoch_pairs = order.size();
-    if (config_.pairs_per_epoch > 0)
-      epoch_pairs = std::min(
-          epoch_pairs, static_cast<std::size_t>(config_.pairs_per_epoch));
-
     EpochMetrics metrics;
-    metrics.epoch = epoch;
-    std::size_t i = 0;
-    while (i < epoch_pairs) {
-      const std::size_t batch_end = std::min(
-          epoch_pairs, i + static_cast<std::size_t>(config_.batch_size));
-      const auto n_in_batch = static_cast<float>(batch_end - i);
-      tape.reset();
-      Tensor batch_loss;
-      bool first = true;
-      for (; i < batch_end; ++i) {
-        const PreferencePair& pair = pairs[order[i]];
-        Tensor lp_w =
-            policy_.response_log_prob(&tape, pair.chosen, pair.prompt_len);
-        Tensor lp_l =
-            policy_.response_log_prob(&tape, pair.rejected, pair.prompt_len);
-        const float ref_delta = ref_w[order[i]] - ref_l[order[i]];
-        // z = (lp_w − lp_l) − (ref_w − ref_l);  loss = softplus(−β z)
-        Tensor z = ops::add(&tape, ops::sub(&tape, lp_w, lp_l),
-                            Tensor::full({1, 1}, -ref_delta));
-        Tensor loss =
-            ops::softplus(&tape, ops::scale(&tape, z, -config_.beta));
-        // Figure 8 reports the DPO loss proper, before the anchor term.
-        metrics.loss += loss.item();
-        if (config_.nll_coef > 0.0f) {
-          // Anchor: keep the chosen response likely in absolute terms
-          // (mean per-token NLL over its response region).
-          const auto resp_tokens = static_cast<float>(
-              pair.chosen.size() - static_cast<std::size_t>(pair.prompt_len));
-          Tensor nll = ops::scale(&tape, lp_w,
-                                  -config_.nll_coef / resp_tokens);
-          loss = ops::add(&tape, loss, nll);
-        }
-
-        metrics.accuracy += lp_w.item() > lp_l.item() ? 1.0 : 0.0;
-        metrics.margin += static_cast<double>(z.item());
-        // Sampled-KL proxy: mean (policy − reference) log-probability over
-        // the pair's two responses (see EpochMetrics::kl).
-        metrics.kl +=
-            0.5 * ((static_cast<double>(lp_w.item()) - ref_w[order[i]]) +
-                   (static_cast<double>(lp_l.item()) - ref_l[order[i]]));
-
-        Tensor scaled = ops::scale(&tape, loss, 1.0f / n_in_batch);
-        batch_loss = first ? scaled : ops::add(&tape, batch_loss, scaled);
-        first = false;
+    metrics.epoch = loop.completed_epochs() + 1;
+    step_counter.add(loop.epoch(epoch_pairs, [&](Tape* tape, std::size_t i) {
+      const PreferencePair& pair = pairs[i];
+      Tensor lp_w = policy_.response_log_prob(tape, pair.chosen,
+                                              pair.prompt_len);
+      Tensor lp_l = policy_.response_log_prob(tape, pair.rejected,
+                                              pair.prompt_len);
+      // z = (lp_w − lp_l) − (ref_w − ref_l);  loss = softplus(−β z)
+      Tensor z = ops::add(tape, ops::sub(tape, lp_w, lp_l),
+                          Tensor::full({1, 1}, -(ref_w[i] - ref_l[i])));
+      Tensor loss = ops::softplus(tape, ops::scale(tape, z, -config_.beta));
+      // Figure 8 reports the DPO loss proper, before the anchor term.
+      metrics.loss += loss.item();
+      if (config_.nll_coef > 0.0f) {
+        // Anchor: keep the chosen response likely in absolute terms
+        // (mean per-token NLL over its response region).
+        const auto resp_tokens = static_cast<float>(
+            pair.chosen.size() - static_cast<std::size_t>(pair.prompt_len));
+        loss = ops::add(tape, loss,
+                        ops::scale(tape, lp_w,
+                                   -config_.nll_coef / resp_tokens));
       }
-      opt.zero_grad();
-      tape.backward(batch_loss);
-      opt.step();
-      step_counter.add();
-      pair_counter.add(static_cast<std::uint64_t>(n_in_batch));
-    }
+      metrics.accuracy += lp_w.item() > lp_l.item() ? 1.0 : 0.0;
+      metrics.margin += static_cast<double>(z.item());
+      // Sampled-KL proxy: mean (policy − reference) log-probability over
+      // the pair's two responses (see EpochMetrics::kl).
+      metrics.kl += 0.5 * ((static_cast<double>(lp_w.item()) - ref_w[i]) +
+                           (static_cast<double>(lp_l.item()) - ref_l[i]));
+      return loss;
+    }));
+    pair_counter.add(epoch_pairs);
     metrics.loss /= static_cast<double>(epoch_pairs);
     metrics.accuracy /= static_cast<double>(epoch_pairs);
     metrics.margin /= static_cast<double>(epoch_pairs);
@@ -150,13 +117,11 @@ std::vector<EpochMetrics> DpoTrainer::train(
     // Evaluation first, snapshot second: a snapshot must carry every
     // evaluation recorded up to and including its own epoch, so a resumed
     // run can splice the history without gaps or duplicates.
-    if (hooks.checkpoint && (epoch % config_.checkpoint_every == 0 ||
-                             epoch == config_.epochs))
-      hooks.checkpoint(epoch, policy_);
-    if (hooks.snapshot && hooks.snapshot_every > 0 &&
-        (epoch % hooks.snapshot_every == 0 || epoch == config_.epochs))
-      hooks.snapshot({nn::capture_loop_state(epoch, policy_, opt, rng_, order),
-                      reference_.state(), history});
+    const bool last = metrics.epoch == config_.epochs;
+    if (hooks.checkpoint && loop.due(config_.checkpoint_every, last))
+      hooks.checkpoint(metrics.epoch, policy_);
+    if (hooks.snapshot && loop.due(hooks.snapshot_every, last))
+      hooks.snapshot({loop.capture(), reference_.state(), history});
   }
   return history;
 }

@@ -34,13 +34,13 @@ struct DpoConfig {
   /// margin saturates (see EXPERIMENTS.md). 0 disables.
   float nll_coef = 0.2f;
   int epochs = 100;
-  int batch_size = 8;
   /// Train on a random subsample of this many pairs each epoch (0 = all).
   int pairs_per_epoch = 0;
   /// LoRA adapter rank/alpha; rank 0 trains all parameters instead.
   std::int64_t lora_rank = 4;
   float lora_alpha = 8.0f;
-  /// Invoke the checkpoint hook every this many epochs (paper: 20).
+  /// Invoke the checkpoint hook every this many epochs (paper: 20); ≤ 0
+  /// invokes it at epoch 0 only.
   int checkpoint_every = 20;
 };
 

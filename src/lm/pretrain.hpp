@@ -20,7 +20,6 @@ using nn::TinyGpt;
 
 struct PretrainConfig {
   int epochs = 12;
-  int batch_size = 8;
   float lr = 3e-3f;
 };
 

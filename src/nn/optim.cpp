@@ -1,8 +1,11 @@
 #include "nn/optim.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "nn/gpt.hpp"
+#include "tensor/ops.hpp"
 #include "util/check.hpp"
 
 namespace dpoaf::nn {
@@ -75,35 +78,27 @@ void AdamW::load_state(const std::vector<std::vector<float>>& m,
   t_ = steps;
 }
 
-LoopState capture_loop_state(int completed_epochs, const TinyGpt& model,
-                             const AdamW& opt, const Rng& rng,
-                             const std::vector<std::size_t>& order) {
-  LoopState s;
-  s.completed_epochs = completed_epochs;
-  s.weights = model.state();
-  s.opt_m = opt.moments_m();
-  s.opt_v = opt.moments_v();
-  s.opt_steps = opt.steps_taken();
-  s.rng_state = rng.state_words();
-  s.order.assign(order.begin(), order.end());
-  return s;
-}
-
-void restore_loop_state(const LoopState& state, TinyGpt& model, AdamW& opt,
-                        Rng& rng, std::vector<std::size_t>& order) {
-  const std::size_t n = order.size();
+MinibatchLoop::MinibatchLoop(TinyGpt& model, float lr, Rng& rng,
+                             std::size_t items, const LoopState* resume)
+    : model_(model),
+      rng_(rng),
+      opt_(model.trainable_parameters(), AdamWConfig{.lr = lr}),
+      order_(items) {
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  if (resume == nullptr) return;
+  const LoopState& state = *resume;
   if (state.completed_epochs < 0 || state.opt_steps < 0)
     throw LoopStateError("loop state has a negative epoch or step count");
-  if (state.order.size() != n)
+  if (state.order.size() != items)
     throw LoopStateError("loop state order has " +
                          std::to_string(state.order.size()) +
                          " entries but the loop trains on " +
-                         std::to_string(n) + " items");
-  std::vector<bool> seen(n, false);
+                         std::to_string(items) + " items");
+  std::vector<bool> seen(items, false);
   for (const std::uint64_t i : state.order) {
-    if (i >= n || seen[i])
+    if (i >= items || seen[i])
       throw LoopStateError("loop state order is not a permutation of [0, " +
-                           std::to_string(n) + ")");
+                           std::to_string(items) + ")");
     seen[i] = true;
   }
   if (state.weights.size() != model.parameter_count())
@@ -111,7 +106,7 @@ void restore_loop_state(const LoopState& state, TinyGpt& model, AdamW& opt,
                          std::to_string(state.weights.size()) +
                          " weights but the model has " +
                          std::to_string(model.parameter_count()));
-  const auto& live_m = opt.moments_m();
+  const auto& live_m = opt_.moments_m();
   bool moments_fit = state.opt_m.size() == live_m.size() &&
                      state.opt_v.size() == live_m.size();
   for (std::size_t p = 0; moments_fit && p < live_m.size(); ++p)
@@ -124,9 +119,40 @@ void restore_loop_state(const LoopState& state, TinyGpt& model, AdamW& opt,
   if (state.rng_state == std::array<std::uint64_t, 4>{})
     throw LoopStateError("loop state RNG words are all zero");
   model.load_state(state.weights);
-  opt.load_state(state.opt_m, state.opt_v, state.opt_steps);
+  opt_.load_state(state.opt_m, state.opt_v, state.opt_steps);
   rng.set_state_words(state.rng_state);
-  order.assign(state.order.begin(), state.order.end());
+  order_.assign(state.order.begin(), state.order.end());
+  completed_ = state.completed_epochs;
+}
+
+std::size_t MinibatchLoop::epoch(std::size_t items,
+                                 const ItemLoss& item_loss) {
+  DPOAF_CHECK(items <= order_.size());
+  rng_.shuffle(order_);
+  std::size_t steps = 0;
+  for (std::size_t i = 0; i < items; i += kBatchSize, ++steps) {
+    const std::size_t batch_end = std::min(items, i + kBatchSize);
+    const auto n_in_batch = static_cast<float>(batch_end - i);
+    tape_.reset();
+    tensor::Tensor batch_loss;
+    for (std::size_t j = i; j < batch_end; ++j) {
+      tensor::Tensor scaled = tensor::ops::scale(
+          &tape_, item_loss(&tape_, order_[j]), 1.0f / n_in_batch);
+      batch_loss =
+          j == i ? scaled : tensor::ops::add(&tape_, batch_loss, scaled);
+    }
+    opt_.zero_grad();
+    tape_.backward(batch_loss);
+    opt_.step();
+  }
+  ++completed_;
+  return steps;
+}
+
+LoopState MinibatchLoop::capture() const {
+  return {completed_,       model_.state(),     opt_.moments_m(),
+          opt_.moments_v(), opt_.steps_taken(), rng_.state_words(),
+          {order_.begin(), order_.end()}};
 }
 
 }  // namespace dpoaf::nn

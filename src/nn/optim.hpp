@@ -1,9 +1,11 @@
 // AdamW (decoupled weight decay) over an explicit parameter list, and the
-// resumable epoch-boundary state of a training loop built on it.
+// shuffled-minibatch training loop built on it with its resumable
+// epoch-boundary state.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -62,12 +64,12 @@ class AdamW {
   double last_grad_norm_ = 0.0;
 };
 
-/// Everything a shuffled-minibatch AdamW loop needs to continue from an
-/// epoch boundary exactly as if it had never stopped: the trained model's
-/// weights (TinyGpt::state() order), the AdamW moments (trainable-parameter
-/// order) and step count, the loop's RNG stream (xoshiro256** state words)
-/// and its in-place shuffle permutation. Pre-training and DPO both carry
-/// one; the .dpoaf checkpoint persists one.
+/// Everything a MinibatchLoop needs to continue from an epoch boundary
+/// exactly as if it had never stopped: the trained model's weights
+/// (TinyGpt::state() order), the AdamW moments (trainable-parameter order)
+/// and step count, the loop's RNG stream (xoshiro256** state words) and
+/// its in-place shuffle permutation. Pre-training and DPO both carry one;
+/// the .dpoaf checkpoint persists one.
 struct LoopState {
   int completed_epochs = 0;
   std::vector<float> weights;
@@ -78,27 +80,59 @@ struct LoopState {
   std::vector<std::uint64_t> order;
 };
 
-/// Thrown by restore_loop_state() for a state that cannot belong to the
-/// loop it is restored into (e.g. a crafted checkpoint whose shuffle order
-/// is not a permutation of the loop's items).
+/// Thrown by MinibatchLoop's constructor for a resume state that cannot
+/// belong to the loop (e.g. a crafted checkpoint whose shuffle order is
+/// not a permutation of the loop's items).
 class LoopStateError : public std::runtime_error {
  public:
   explicit LoopStateError(const std::string& what)
       : std::runtime_error(what) {}
 };
 
-/// Snapshot a loop at the boundary after `completed_epochs` epochs.
-[[nodiscard]] LoopState capture_loop_state(
-    int completed_epochs, const TinyGpt& model, const AdamW& opt,
-    const Rng& rng, const std::vector<std::size_t>& order);
+/// Items per minibatch in every training loop (the last one of an epoch
+/// may be short).
+inline constexpr std::size_t kBatchSize = 8;
 
-/// Restore a captured state into a live loop. `order` must already have
-/// one slot per item the loop trains on. Throws LoopStateError, before
-/// touching anything, unless `state.order` is a permutation of
-/// [0, order.size()), the weights and moments fit `model` and `opt`,
-/// `completed_epochs` and `opt_steps` are non-negative and the RNG words
-/// are not all zero.
-void restore_loop_state(const LoopState& state, TinyGpt& model, AdamW& opt,
-                        Rng& rng, std::vector<std::size_t>& order);
+/// The shuffled-minibatch AdamW loop that pre-training and DPO both run:
+/// the optimizer over the model's trainable parameters, an in-place
+/// shuffle order over the items, the caller's RNG stream that shuffles it
+/// and one Tape reused by every minibatch. `model` and `rng` must outlive
+/// the loop.
+class MinibatchLoop {
+ public:
+  /// Scalar loss of one item (an index into the caller's items), recorded
+  /// on `tape`.
+  using ItemLoss = std::function<tensor::Tensor(tensor::Tape*, std::size_t)>;
+
+  /// With `resume` non-null, continues from that state. Throws
+  /// LoopStateError, before touching anything, unless `resume->order` is a
+  /// permutation of [0, items), the weights and moments fit `model`,
+  /// `completed_epochs` and `opt_steps` are non-negative and the RNG words
+  /// are not all zero.
+  MinibatchLoop(TinyGpt& model, float lr, Rng& rng, std::size_t items,
+                const LoopState* resume);
+
+  /// Shuffles the order, then takes one AdamW step per kBatchSize slice
+  /// of its first `items` entries on the mean of `item_loss` over the
+  /// slice, in order. Returns the number of steps.
+  std::size_t epoch(std::size_t items, const ItemLoss& item_loss);
+
+  [[nodiscard]] int completed_epochs() const { return completed_; }
+  /// Snapshot at the current epoch boundary.
+  [[nodiscard]] LoopState capture() const;
+  /// Whether a hook with period `every` (≤ 0 never) fires at the current
+  /// boundary; `last` marks the run's last epoch, where it always fires.
+  [[nodiscard]] bool due(int every, bool last) const {
+    return every > 0 && (completed_ % every == 0 || last);
+  }
+
+ private:
+  TinyGpt& model_;
+  Rng& rng_;
+  AdamW opt_;
+  std::vector<std::size_t> order_;
+  int completed_ = 0;
+  tensor::Tape tape_;
+};
 
 }  // namespace dpoaf::nn

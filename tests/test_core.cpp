@@ -116,11 +116,16 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
   // dpo.checkpoint_every == 0 divided by zero in the trainer, and a
   // negative checkpoint_every_epochs silently disabled snapshots.
   // n_heads == 0 raised SIGFPE in the attention constructor; the other
-  // model-shape and batch fields failed only after construction or
-  // pre-training; a temperature of 0 made TinyGpt::generate throw and the
-  // generation service score every response unalignable.
+  // model-shape fields failed only after construction; a temperature of 0
+  // made TinyGpt::generate throw and the generation service score every
+  // response unalignable.
   // d_ff == 0 ran to the end with the DPO loss stuck at ln 2, and a NaN
   // learning rate or beta surfaced mid-run as a sampling-weight CHECK.
+  // The trainers silently reinterpreted the rest: a negative or NaN
+  // dpo.nll_coef dropped the RPO anchor, a negative dpo.pairs_per_epoch
+  // trained on all pairs, a negative dpo.lora_rank trained every parameter,
+  // a dpo.lora_alpha of 0 kept the adapter update at zero (an infinite one
+  // made it NaN), and a negative pretrain.epochs trained nothing.
   // micro_config() generates no scenarios, so any holdout above 0 is out
   // of range.
   constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
@@ -160,10 +165,26 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
         Case{"corpus_samples_per_task",
              [](PipelineConfig& p, int v) { p.corpus_samples_per_task = v; },
              0},
-        Case{"pretrain.batch_size",
-             [](PipelineConfig& p, int v) { p.pretrain.batch_size = v; }, 0},
-        Case{"dpo.batch_size",
-             [](PipelineConfig& p, int v) { p.dpo.batch_size = v; }, 0},
+        Case{"pretrain.epochs",
+             [](PipelineConfig& p, int v) { p.pretrain.epochs = v; }, -1},
+        Case{"dpo.nll_coef",
+             [](PipelineConfig& p, int v) {
+               p.dpo.nll_coef = static_cast<float>(v);
+             },
+             -1},
+        Case{"dpo.nll_coef",
+             [](PipelineConfig& p, int) { p.dpo.nll_coef = kNaN; }, 0},
+        Case{"dpo.pairs_per_epoch",
+             [](PipelineConfig& p, int v) { p.dpo.pairs_per_epoch = v; }, -1},
+        Case{"dpo.lora_rank",
+             [](PipelineConfig& p, int v) { p.dpo.lora_rank = v; }, -1},
+        Case{"dpo.lora_alpha",
+             [](PipelineConfig& p, int v) {
+               p.dpo.lora_alpha = static_cast<float>(v);
+             },
+             0},
+        Case{"dpo.lora_alpha",
+             [](PipelineConfig& p, int) { p.dpo.lora_alpha = kInf; }, 0},
         Case{"serve_slots",
              [](PipelineConfig& p, int v) { p.serve_slots = v; }, 0},
         Case{"sampler.temperature",

@@ -584,17 +584,102 @@ TEST(AdamW, RequiresParameters) {
   EXPECT_THROW(AdamW({}, cfg), ContractViolation);
 }
 
+// ------------------------------------------------------ minibatch loop ---
+
+// Item i of the MinibatchLoop tests: a short sequence for tiny_config().
+std::vector<int> loop_item(std::size_t i) {
+  return {1, static_cast<int>(2 + i % 7), static_cast<int>(3 + i % 5), 4};
+}
+
+// One epoch over the first `items` entries; returns the items visited.
+std::vector<std::uint64_t> train_epoch(MinibatchLoop& loop,
+                                       const TinyGpt& model,
+                                       std::size_t items) {
+  std::vector<std::uint64_t> seen;
+  loop.epoch(items, [&](Tape* tape, std::size_t i) {
+    seen.push_back(i);
+    return model.nll_loss(tape, loop_item(i));
+  });
+  return seen;
+}
+
+TEST(MinibatchLoop, EpochTakesOneStepPerStartedBatch) {
+  Rng rng(45);
+  TinyGpt model(tiny_config(), rng);
+  MinibatchLoop loop(model, 1e-3f, rng, 11, nullptr);
+  const std::size_t steps =
+      loop.epoch(11, [&](Tape* tape, std::size_t i) {
+        return model.nll_loss(tape, loop_item(i));
+      });
+  EXPECT_EQ(steps, 2u);  // 8 + 3
+  EXPECT_EQ(loop.capture().opt_steps, 2);
+  EXPECT_EQ(loop.completed_epochs(), 1);
+}
+
+TEST(MinibatchLoop, PartialEpochVisitsTheShuffledPrefixInOrder) {
+  Rng rng(46);
+  TinyGpt model(tiny_config(), rng);
+  MinibatchLoop loop(model, 1e-3f, rng, 11, nullptr);
+  std::vector<std::uint64_t> seen;
+  const std::size_t steps = loop.epoch(5, [&](Tape* tape, std::size_t i) {
+    seen.push_back(i);
+    return model.nll_loss(tape, loop_item(i));
+  });
+  EXPECT_EQ(steps, 1u);
+  const LoopState state = loop.capture();
+  ASSERT_EQ(state.order.size(), 11u);
+  // The order is a permutation, so an equal prefix visits each once.
+  EXPECT_EQ(seen, std::vector<std::uint64_t>(state.order.begin(),
+                                             state.order.begin() + 5));
+}
+
+TEST(MinibatchLoop, ResumedEpochMatchesAStraightRun) {
+  Rng init_a(47), rng_a(48);
+  TinyGpt straight(tiny_config(), init_a);
+  MinibatchLoop a(straight, 1e-2f, rng_a, 11, nullptr);
+  train_epoch(a, straight, 11);
+  train_epoch(a, straight, 11);
+
+  Rng init_b(47), rng_b(48);
+  TinyGpt first(tiny_config(), init_b);
+  MinibatchLoop before(first, 1e-2f, rng_b, 11, nullptr);
+  train_epoch(before, first, 11);
+  const LoopState mid = before.capture();
+  // Different initial weights and RNG stream: the resume must replace both.
+  Rng init_c(99), rng_c(7);
+  TinyGpt second(tiny_config(), init_c);
+  MinibatchLoop b(second, 1e-2f, rng_c, 11, &mid);
+  train_epoch(b, second, 11);
+
+  const LoopState sa = a.capture();
+  const LoopState sb = b.capture();
+  ASSERT_EQ(sa.weights.size(), sb.weights.size());
+  EXPECT_EQ(std::memcmp(sa.weights.data(), sb.weights.data(),
+                        sa.weights.size() * sizeof(float)),
+            0);
+  EXPECT_NE(sa.weights, mid.weights);
+  EXPECT_EQ(sa.opt_m, sb.opt_m);
+  EXPECT_EQ(sa.opt_v, sb.opt_v);
+  EXPECT_EQ(sa.opt_steps, 4);
+  EXPECT_EQ(sb.opt_steps, 4);
+  EXPECT_EQ(sa.rng_state, sb.rng_state);
+  EXPECT_EQ(rng_a.state_words(), rng_c.state_words());
+  EXPECT_EQ(sa.order, sb.order);
+  EXPECT_EQ(sb.completed_epochs, 2);
+}
+
 TEST(LoopState, RestoreRejectsStateThatDoesNotFit) {
   // Checkpoints arrive from outside the program, and a CRC-clean file can
   // still carry an order that would index past the loop's items.
   Rng rng(44);
   TinyGpt model(tiny_config(), rng);
-  AdamW opt(model.trainable_parameters(), AdamWConfig{});
-  std::vector<std::size_t> order{0, 1, 2};
-  LoopState good = capture_loop_state(1, model, opt, rng, order);
+  MinibatchLoop live(model, 1e-3f, rng, 3, nullptr);
+  train_epoch(live, model, 3);
+  const LoopState before = live.capture();
+  LoopState good = before;
   for (float& w : good.weights) w += 1.0f;
-  good.order = {2, 0, 1};
-  const std::vector<float> before = model.state();
+  good.order = {good.order[1], good.order[2], good.order[0]};
+  good.rng_state[0] ^= 1;
 
   std::vector<LoopState> bad(8, good);
   bad[0].order = {0, 1, 3};          // out of range
@@ -606,15 +691,19 @@ TEST(LoopState, RestoreRejectsStateThatDoesNotFit) {
   bad[6].opt_v.back().push_back(0.0f);
   bad[7].rng_state = {0, 0, 0, 0};
   for (std::size_t i = 0; i < bad.size(); ++i)
-    EXPECT_THROW(restore_loop_state(bad[i], model, opt, rng, order),
-                 LoopStateError)
+    EXPECT_THROW(MinibatchLoop(model, 1e-3f, rng, 3, &bad[i]), LoopStateError)
         << "case " << i;
-  // A rejected state touches nothing; the unmodified one restores.
-  EXPECT_EQ(model.state(), before);
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
-  restore_loop_state(good, model, opt, rng, order);
+  // A rejected state touches nothing: the live loop's weights, RNG words
+  // and order are as they were. The unmodified state restores.
+  const LoopState after = live.capture();
+  EXPECT_EQ(after.weights, before.weights);
+  EXPECT_EQ(after.rng_state, before.rng_state);
+  EXPECT_EQ(after.order, before.order);
+  const MinibatchLoop restored(model, 1e-3f, rng, 3, &good);
   EXPECT_EQ(model.state(), good.weights);
-  EXPECT_EQ(order, (std::vector<std::size_t>{2, 0, 1}));
+  EXPECT_EQ(rng.state_words(), good.rng_state);
+  EXPECT_EQ(restored.capture().order, good.order);
+  EXPECT_EQ(restored.completed_epochs(), 1);
 }
 
 }  // namespace

@@ -591,8 +591,8 @@ TEST(CrashResumeProperty, PretrainResumeBitwiseIdentical) {
 
 TEST(CrashResumeProperty, ResumeRejectsNonPermutationOrder) {
   // The CRC detects accidental damage, not a crafted file: a CRC-clean
-  // snapshot whose loop state breaks any nn::restore_loop_state rule — a
-  // shuffle order of the right length that is not a permutation of the
+  // snapshot whose loop state breaks any nn::MinibatchLoop resume rule —
+  // a shuffle order of the right length that is not a permutation of the
   // loop's items, a negative epoch count, weights or optimizer moments
   // that do not fit the model, all-zero RNG words — must be rejected
   // before any of it is used, with a LoopStateError. The loader rejects a
