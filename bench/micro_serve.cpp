@@ -11,7 +11,6 @@
 // they contribute (ungated).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -103,68 +102,6 @@ BENCHMARK(BM_ServeThroughput)
     ->Args({1, 1})
     ->UseRealTime();
 
-// Prefix-heavy trace: every request repeats the same 48-token scenario
-// preamble and differs only in its last prompt tokens — the serve-layer
-// shape of the paper's per-scenario prompt templates. sharing=1 adopts the
-// cached preamble blocks from the prefix tree; sharing=0 prefills every
-// prompt privately. The prefill/req counter is the CI gate: sharing must
-// cut it by the preamble length, with prefix hits > 0.
-void BM_ServePrefixSharing(benchmark::State& state) {
-  const bool sharing = state.range(0) != 0;
-  util::set_global_threads(4);
-  Rng rng(23);
-  std::vector<int> preamble(48);
-  for (auto& t : preamble) t = static_cast<int>(rng.below(80));
-  std::vector<serve::GenerateRequest> requests;
-  for (int i = 0; i < 16; ++i) {
-    serve::GenerateRequest req;
-    req.prompt = preamble;
-    for (int j = 0; j < 4; ++j)
-      req.prompt.push_back(static_cast<int>(rng.below(80)));
-    req.max_new_tokens = 8;
-    req.temperature = 1.0f;
-    req.top_k = 4;
-    req.eos_id = -1;
-    req.seed = rng();
-    requests.push_back(std::move(req));
-  }
-  serve::ServiceConfig cfg;
-  cfg.slots = 4;
-  cfg.queue_capacity = 64;
-  cfg.seed = 7;
-  cfg.kv_block_tokens = 16;
-  cfg.prefix_sharing = sharing;
-  std::uint64_t prefill = 0, hits = 0, requests_done = 0;
-  std::int64_t tokens = 0;
-  for (auto _ : state) {
-    state.PauseTiming();  // fresh service: the tree starts cold every run
-    serve::GenerationService service(serving_model(), cfg);
-    state.ResumeTiming();
-    const auto results = service.generate_all(requests);
-    for (const auto& r : results)
-      tokens += static_cast<std::int64_t>(r.ids.size());
-    const auto s = service.stats();
-    prefill += s.prefill_steps;
-    hits += s.prefix_hits;
-    requests_done += s.completed;
-  }
-  util::set_global_threads(1);
-  state.SetItemsProcessed(tokens);
-  state.counters["tok/s"] = benchmark::Counter(
-      static_cast<double>(tokens), benchmark::Counter::kIsRate);
-  state.counters["prefill/req"] =
-      static_cast<double>(prefill) /
-      static_cast<double>(std::max<std::uint64_t>(1, requests_done));
-  state.counters["hits/req"] =
-      static_cast<double>(hits) /
-      static_cast<double>(std::max<std::uint64_t>(1, requests_done));
-}
-BENCHMARK(BM_ServePrefixSharing)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("sharing")
-    ->UseRealTime();
-
 // Admission-under-backlog regression check: queue a deep backlog of
 // near-trivial requests and drain it through one slot, so scheduler
 // iterations are dominated by admission bookkeeping. The per-priority FIFO
@@ -190,12 +127,11 @@ void BM_AdmitBacklog(benchmark::State& state) {
     serve::ServiceConfig cfg;
     cfg.slots = 1;
     cfg.queue_capacity = backlog;
-    cfg.prefix_sharing = false;
     serve::GenerationService service(serving_model(), cfg);
     std::vector<std::future<serve::GenerateResult>> futures;
     futures.reserve(requests.size());
     for (const auto& req : requests)
-      futures.push_back(service.submit(req).result);
+      futures.push_back(service.submit(req));
     for (auto& f : futures) f.get();
     drained += static_cast<std::uint64_t>(backlog);
   }

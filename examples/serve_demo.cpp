@@ -13,16 +13,15 @@
 //
 // Usage: serve_demo [--requests N] [--slots N] [--threads N] [--seed N]
 //                   [--arrival-us N] [--max-new N] [--latency-out PATH]
-//                   [--kv-block N] [--preamble N] [--no-prefix]
+//                   [--kv-block N] [--preamble N]
 // (an unknown flag, a missing value, a non-integer or an out-of-range
 // integer — e.g. --slots 0 — prints this usage, exit code 2)
 //
-// Half the trace shares a scenario preamble of --preamble tokens, so the
-// paged KV cache's prefix sharing engages; --kv-block sets the block size
-// (outputs are byte-identical at any value — CI diffs runs across
-// {1, 8, 64}) and --no-prefix disables sharing (same outputs, more
-// prefill). Cache telemetry is wall-clock/timing dependent and therefore
-// printed with the latency table, never on stdout.
+// Half the trace opens with a common scenario preamble of --preamble
+// tokens, the prompt shape of the paper's per-scenario templates;
+// --kv-block sets the paged KV cache's block size (outputs are
+// byte-identical at any value — CI diffs runs across {1, 8, 64}). Cache
+// telemetry is printed with the latency table, never on stdout.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -68,22 +67,17 @@ int main(int argc, char** argv) {
   int max_new = 24;
   int kv_block = 16;
   int preamble_len = 12;
-  bool prefix_sharing = true;
   std::string latency_out;
   const auto usage = [&] {
     std::cerr << "usage: " << argv[0]
               << " [--requests N] [--slots N] [--threads N] [--seed N]"
                  " [--arrival-us N] [--max-new N] [--latency-out PATH]"
-                 " [--kv-block N] [--preamble N] [--no-prefix]\n";
+                 " [--kv-block N] [--preamble N]\n";
     return 2;
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--no-prefix") {
-      prefix_sharing = false;
-      continue;
-    }
-    if (i + 1 >= argc) return usage();  // every other flag takes a value
+    if (i + 1 >= argc) return usage();  // every flag takes a value
     const char* value = argv[++i];
     bool parsed = true;
     if (arg == "--requests")
@@ -127,7 +121,6 @@ int main(int argc, char** argv) {
   scfg.queue_capacity = std::max(64, requests);
   scfg.seed = seed;
   scfg.kv_block_tokens = kv_block;
-  scfg.prefix_sharing = prefix_sharing;
   // A thread count or service setting the library rejects (e.g. --slots 0,
   // --kv-block 0) is a usage error, not an abort.
   std::optional<serve::GenerationService> built;
@@ -141,8 +134,7 @@ int main(int argc, char** argv) {
   serve::GenerationService& service = *built;
 
   // Build the trace up front so request contents never depend on timing.
-  // Even-indexed requests open with a shared scenario preamble — the
-  // prefix tree caches its KV blocks once and later arrivals adopt them.
+  // Even-indexed requests open with a common scenario preamble.
   Rng trace_rng(seed + 1);
   std::vector<int> preamble(static_cast<std::size_t>(
       std::max(0, std::min(preamble_len, static_cast<int>(mcfg.max_seq) -
@@ -170,7 +162,7 @@ int main(int argc, char** argv) {
   // Open-loop submission: one request per arrival tick, regardless of how
   // the previous ones are progressing (blocking submit applies
   // backpressure only if the queue saturates).
-  std::vector<serve::Submission> pending;
+  std::vector<std::future<serve::GenerateResult>> pending;
   pending.reserve(trace.size());
   for (auto& req : trace) {
     pending.push_back(service.submit(serve::GenerateRequest(req)));
@@ -182,7 +174,7 @@ int main(int argc, char** argv) {
   std::uint64_t tokens = 0;
   std::cout << "req  prompt  tokens  finish    truncated  ids_hash\n";
   for (std::size_t i = 0; i < pending.size(); ++i) {
-    const serve::GenerateResult r = pending[i].result.get();
+    const serve::GenerateResult r = pending[i].get();
     tokens += r.ids.size();
     queue_ms.push_back(static_cast<double>(r.queue_ns) / 1e6);
     if (r.ttft_ns > 0) ttft_ms.push_back(static_cast<double>(r.ttft_ns) / 1e6);
@@ -216,18 +208,13 @@ int main(int argc, char** argv) {
   add_stage("queue", queue_ms);
   add_stage("ttft", ttft_ms);
   add_stage("total", total_ms);
-  // Paged-KV telemetry rides with the latency table: hit counts depend on
-  // admission timing, so they stay off the byte-diffed stdout.
+  // Paged-KV telemetry rides with the latency table; stdout keeps only
+  // the request outcomes.
   TextTable cache("paged kv cache");
   cache.set_header({"metric", "value"});
   cache.add_row({"blocks total", std::to_string(stats.blocks_total)});
   cache.add_row({"blocks free", std::to_string(stats.blocks_free)});
-  cache.add_row({"prefix hits", std::to_string(stats.prefix_hits)});
-  cache.add_row(
-      {"prefix tokens reused", std::to_string(stats.prefix_tokens_reused)});
   cache.add_row({"prefill steps", std::to_string(stats.prefill_steps)});
-  cache.add_row({"cow copies", std::to_string(stats.cow_copies)});
-  cache.add_row({"evicted blocks", std::to_string(stats.evicted_blocks)});
   if (!latency_out.empty()) {
     std::ofstream out(latency_out);
     if (!out) {

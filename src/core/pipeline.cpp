@@ -315,11 +315,11 @@ DpoAfPipeline::stream_scored_responses(
   // its scheduling (and its serve.* counters) never depends on thread
   // timing. Declared before the workers so none of them outlives it.
   std::unique_ptr<serve::GenerationService> service;
-  std::vector<serve::Submission> submissions;
+  std::vector<std::future<serve::GenerateResult>> responses;
   if (!from_catalog) {
     service = std::make_unique<serve::GenerationService>(
         model, make_serve_config(config_, total));
-    submissions = service->submit_all(std::move(requests));
+    responses = service->submit_all(std::move(requests));
   }
 
   // Verify workers claim sequence numbers in order, wait for that
@@ -340,7 +340,7 @@ DpoAfPipeline::stream_scored_responses(
         if (!from_catalog) {
           obs::Span span("generation",
                          obs::histogram("pipeline.generation_ns"));
-          const serve::GenerateResult r = submissions[seq].result.get();
+          const serve::GenerateResult r = responses[seq].get();
           undecoded.fetch_sub(1, std::memory_order_relaxed);
           DPOAF_CHECK_MSG(r.finish != serve::FinishReason::kInvalid,
                           "the generation service rejected a sampling "

@@ -121,24 +121,8 @@ DecodeSession::~DecodeSession() { reset(); }
 
 void DecodeSession::reset() {
   position_ = 0;
-  for (const std::int32_t b : table_) pool_->decref(b);
+  for (const std::int32_t b : table_) pool_->release(b);
   table_.clear();
-  pending_cow_ = false;
-  cow_copies_ = 0;
-}
-
-void DecodeSession::adopt_prefix(const std::vector<std::int32_t>& blocks,
-                                 std::int64_t tokens) {
-  DPOAF_CHECK_MSG(position_ == 0 && table_.empty(),
-                  "adopt_prefix requires a fresh session");
-  DPOAF_CHECK(tokens >= 0);
-  DPOAF_CHECK(static_cast<std::int64_t>(blocks.size()) ==
-              pool_->blocks_for(tokens));
-  table_ = blocks;
-  position_ = tokens;
-  // The partially-filled tail (if any) may be shared with the prefix tree
-  // or other sessions; the first append resolves it via copy-on-write.
-  pending_cow_ = tokens % pool_->block_tokens() != 0;
 }
 
 const std::vector<float>& DecodeSession::step(int token_id) {
@@ -150,24 +134,11 @@ const std::vector<float>& DecodeSession::step(int token_id) {
   const std::int64_t dh = d / cfg.n_heads;
   const std::int64_t bt = pool_->block_tokens();
 
-  // Map this position onto the block table: start a fresh block at a
-  // boundary, and copy-on-write the tail block when it is shared (an
-  // adopted partial prefix, or a block the prefix tree anchored).
-  const std::int64_t bi = position_ / bt;
+  // Map this position onto the block table, starting a fresh block at
+  // each block boundary.
   const std::int64_t row = position_ % bt;
-  if (bi == static_cast<std::int64_t>(table_.size())) {
-    table_.push_back(pool_->allocate());
-  } else if (pending_cow_ &&
-             pool_->refcount(table_[static_cast<std::size_t>(bi)]) > 1) {
-    const std::int32_t shared = table_[static_cast<std::size_t>(bi)];
-    const std::int32_t fresh = pool_->allocate();
-    pool_->copy_rows(shared, fresh, row);
-    pool_->decref(shared);
-    table_[static_cast<std::size_t>(bi)] = fresh;
-    ++cow_copies_;
-  }
-  pending_cow_ = false;
-  const std::int32_t tail = table_[static_cast<std::size_t>(bi)];
+  if (row == 0) table_.push_back(pool_->allocate());
+  const std::int32_t tail = table_.back();
 
   // The batch forward's row, op for op: the same row kernels and backend
   // calls in the same order, so the logits are its bytes.

@@ -7,14 +7,13 @@
 // Storage is a KvBlockPool block table rather than contiguous per-layer
 // vectors (see nn/kv_cache.hpp): position p lives in row p % block_tokens
 // of block table[p / block_tokens]. A standalone session owns a private,
-// exactly-sized pool; the serve layer instead passes a shared pool so
-// concurrent requests can adopt each other's prompt-prefix blocks
-// (copy-on-write isolates appends into shared blocks).
+// exactly-sized pool; the serve layer instead passes one pool shared by
+// all its slots, so admission can be gated on free blocks.
 //
 // Bitwise contract: a step runs the batch forward's own row code in its
 // order, so its logits are the bytes of TinyGpt::forward's row on the
-// active backend, at any block size and with adopted prefixes: responses
-// are sampled from exactly the distribution DPO scores.
+// active backend, at any block size: responses are sampled from exactly
+// the distribution DPO scores.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +60,8 @@ class DecodeSession {
   /// Binds to `model` (which must outlive the session). With `pool` null
   /// the session owns a private pool sized for one max_seq sequence at
   /// `block_tokens` tokens per block (0 picks a default); with a shared
-  /// pool the session allocates, adopts, and releases that pool's blocks
-  /// and `block_tokens` is taken from the pool.
+  /// pool the session allocates and releases that pool's blocks and
+  /// `block_tokens` is taken from the pool.
   explicit DecodeSession(const TinyGpt& model, KvBlockPool* pool = nullptr,
                          std::int64_t block_tokens = 0);
   ~DecodeSession();
@@ -77,32 +76,14 @@ class DecodeSession {
   /// Number of tokens consumed so far.
   [[nodiscard]] std::int64_t position() const { return position_; }
 
-  /// Reset to an empty prefix (all block references released, position 0).
+  /// Reset to an empty prefix (all blocks released, position 0).
   void reset();
-
-  /// Install an already-computed prefix: `blocks` hold the K/V of the
-  /// first `tokens` positions and the session takes ownership of one
-  /// reference per block (the caller must have increffed them, e.g. via
-  /// PrefixTree::match). Only valid on a fresh/reset session. If the last
-  /// block is partially filled and shared, the first append copies it
-  /// (copy-on-write) so other readers never observe the write.
-  void adopt_prefix(const std::vector<std::int32_t>& blocks,
-                    std::int64_t tokens);
 
   /// The block chain backing positions [0, position()).
   [[nodiscard]] const std::vector<std::int32_t>& block_table() const {
     return table_;
   }
 
-  /// True while the tail block is (or may be) shared, i.e. the next step
-  /// will allocate a copy-on-write replacement. The serve scheduler folds
-  /// this into its free-block reservation.
-  [[nodiscard]] bool pending_cow() const { return pending_cow_; }
-
-  /// Copy-on-write block copies performed since construction/reset.
-  [[nodiscard]] std::int64_t cow_copies() const { return cow_copies_; }
-
-  [[nodiscard]] const KvBlockPool& pool() const { return *pool_; }
   [[nodiscard]] const TinyGpt& model() const { return model_; }
 
  private:
@@ -111,8 +92,6 @@ class DecodeSession {
   KvBlockPool* pool_;
   std::int64_t position_ = 0;
   std::vector<std::int32_t> table_;
-  bool pending_cow_ = false;
-  std::int64_t cow_copies_ = 0;
   std::vector<float> logits_;
   // Scratch sized once, so a step never allocates: row activations, one
   // head's gathered kᵀ, v, scores and weights, and forward_row's LoRA

@@ -32,7 +32,6 @@ const char* to_string(FinishReason reason) {
 struct GenerationService::Pending {
   GenerateRequest req;
   std::promise<GenerateResult> promise;
-  std::uint64_t id = 0;
   std::uint64_t admit_ns = 0;
 };
 
@@ -46,11 +45,8 @@ struct GenerationService::Slot {
   Rng rng{0};
   GenerateRequest req;
   std::promise<GenerateResult> promise;
-  std::uint64_t id = 0;
   std::uint64_t admit_ns = 0;
   bool prefilled = false;
-  bool registered = false;     // prompt prefix anchored in the tree
-  std::int64_t cached = 0;     // prompt positions adopted from the tree
   std::int64_t worst_blocks = 0;  // admission-time block reservation
   GenerateResult result;
 };
@@ -75,11 +71,9 @@ struct Tally {
 }  // namespace
 
 struct GenerationService::Impl {
-  // Pool outlives the tree and every session (members destroy in reverse
-  // declaration order; sessions and the tree release block references on
-  // destruction).
+  // Pool outlives every session (members destroy in reverse declaration
+  // order; sessions release their blocks on destruction).
   std::unique_ptr<nn::KvBlockPool> pool;
-  std::unique_ptr<nn::PrefixTree> tree;  // scheduler-thread confined
 
   std::mutex mutex;
   std::condition_variable work_cv;   // wakes the scheduler
@@ -90,7 +84,6 @@ struct GenerationService::Impl {
   std::map<int, std::deque<Pending>, std::greater<int>> queue;
   int queue_size = 0;
   bool draining = false;  // no new admissions
-  std::uint64_t next_id = 1;
   int active_count = 0;
   std::vector<Slot> slots;
   std::thread scheduler;
@@ -101,11 +94,7 @@ struct GenerationService::Impl {
   Tally completed{"serve.completed"};
   Tally generated_tokens{"serve.generated_tokens"};
   Tally iterations{"serve.iterations"};
-  Tally prefix_hits{"serve.prefix_hits"};
-  Tally prefix_tokens_reused{"serve.prefix_tokens_reused"};
   Tally prefill_steps{"serve.prefill_steps"};
-  Tally cow_copies{"serve.cow_copies"};
-  Tally evicted_blocks{"serve.evicted_blocks"};
 };
 
 GenerationService::GenerationService(const nn::TinyGpt& model,
@@ -128,7 +117,6 @@ GenerationService::GenerationService(const nn::TinyGpt& model,
                   "kv_blocks_total smaller than one max_seq sequence");
   impl_->pool = std::make_unique<nn::KvBlockPool>(cfg.n_layers, cfg.d_model,
                                                   bt, total);
-  impl_->tree = std::make_unique<nn::PrefixTree>(impl_->pool.get());
   impl_->slots.resize(static_cast<std::size_t>(config_.slots));
   for (Slot& slot : impl_->slots)
     slot.session =
@@ -154,21 +142,22 @@ std::string GenerationService::validate(const GenerateRequest& req) const {
   return {};
 }
 
-Submission GenerationService::submit(GenerateRequest req) {
+std::future<GenerateResult> GenerationService::submit(GenerateRequest req) {
   std::vector<GenerateRequest> one;
   one.push_back(std::move(req));
   return std::move(submit_all(std::move(one)).front());
 }
 
-std::vector<Submission> GenerationService::submit_all(
+std::vector<std::future<GenerateResult>> GenerationService::submit_all(
     std::vector<GenerateRequest> requests) {
   auto& im = *impl_;
-  std::vector<Submission> subs(requests.size());
-  std::vector<std::pair<std::size_t, Pending>> valid;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  std::vector<std::future<GenerateResult>> futures;
+  futures.reserve(requests.size());
+  std::vector<Pending> valid;
+  for (GenerateRequest& req : requests) {
     std::promise<GenerateResult> promise;
-    subs[i].result = promise.get_future();
-    if (!validate(requests[i]).empty()) {
+    futures.push_back(promise.get_future());
+    if (!validate(req).empty()) {
       // Rejected requests never reach the scheduler: resolve the future
       // right here instead of crashing the caller (or worse, letting an
       // empty prompt reach the prefill loop).
@@ -178,9 +167,9 @@ std::vector<Submission> GenerationService::submit_all(
       promise.set_value(std::move(r));
       continue;
     }
-    valid.emplace_back(i, Pending{std::move(requests[i]), std::move(promise)});
+    valid.push_back(Pending{std::move(req), std::move(promise)});
   }
-  if (valid.empty()) return subs;
+  if (valid.empty()) return futures;
   const auto n = static_cast<int>(valid.size());
   DPOAF_CHECK_MSG(n <= config_.queue_capacity,
                   "submit_all: more valid requests than queue_capacity");
@@ -191,8 +180,7 @@ std::vector<Submission> GenerationService::submit_all(
     });
     DPOAF_CHECK_MSG(!im.draining, "submit() after shutdown");
     const std::uint64_t now_ns = obs::monotonic_now_ns();
-    for (auto& [i, p] : valid) {
-      p.id = subs[i].id = im.next_id++;
+    for (Pending& p : valid) {
       p.admit_ns = now_ns;
       im.queue[p.req.priority].push_back(std::move(p));
     }
@@ -200,17 +188,17 @@ std::vector<Submission> GenerationService::submit_all(
     im.accepted.add(valid.size());
   }
   im.work_cv.notify_all();
-  return subs;
+  return futures;
 }
 
 std::vector<GenerateResult> GenerationService::generate_all(
     const std::vector<GenerateRequest>& requests) {
-  std::vector<Submission> subs;
-  subs.reserve(requests.size());
-  for (const GenerateRequest& req : requests) subs.push_back(submit(req));
+  std::vector<std::future<GenerateResult>> futures;
+  futures.reserve(requests.size());
+  for (const GenerateRequest& req : requests) futures.push_back(submit(req));
   std::vector<GenerateResult> out;
-  out.reserve(subs.size());
-  for (Submission& sub : subs) out.push_back(sub.result.get());
+  out.reserve(futures.size());
+  for (auto& f : futures) out.push_back(f.get());
   return out;
 }
 
@@ -236,11 +224,7 @@ ServiceStats GenerationService::stats() const {
   s.iterations = im.iterations.get();
   s.blocks_total = im.pool->total_blocks();
   s.blocks_free = im.pool->free_blocks();
-  s.prefix_hits = im.prefix_hits.get();
-  s.prefix_tokens_reused = im.prefix_tokens_reused.get();
   s.prefill_steps = im.prefill_steps.get();
-  s.cow_copies = im.cow_copies.get();
-  s.evicted_blocks = im.evicted_blocks.get();
   return s;
 }
 
@@ -255,12 +239,10 @@ std::int64_t GenerationService::worst_case_blocks(
 
 std::int64_t GenerationService::remaining_need(const Slot& slot) const {
   // Blocks the slot's session may still allocate: its admission-time
-  // worst case minus what its table already holds, plus one replacement
-  // when the (adopted) tail is still shared and awaits copy-on-write.
+  // worst case minus what its table already holds.
   const auto held =
       static_cast<std::int64_t>(slot.session->block_table().size());
-  const std::int64_t cow = slot.session->pending_cow() ? 1 : 0;
-  return std::max<std::int64_t>(0, slot.worst_blocks - held + cow);
+  return std::max<std::int64_t>(0, slot.worst_blocks - held);
 }
 
 void GenerationService::admit_locked(std::uint64_t now_ns) {
@@ -273,37 +255,8 @@ void GenerationService::admit_locked(std::uint64_t now_ns) {
 
     auto lane = im.queue.begin();  // highest priority, FIFO within
     Pending& head = lane->second.front();
-    const auto prompt_len =
-        static_cast<std::int64_t>(head.req.prompt.size());
-
-    // Worst-case need first; a prefix match can only shrink it, so only
-    // pay for the tree walk when the conservative bound doesn't fit.
-    std::int64_t need = worst_case_blocks(head.req);
-    nn::PrefixTree::Match match;
-    bool matched = false;
-    const auto affordable = [&] {
-      if (im.pool->free_blocks() >= reserved + need) return true;
-      im.evicted_blocks.add(static_cast<std::uint64_t>(
-          im.tree->evict_until_free(reserved + need)));
-      return im.pool->free_blocks() >= reserved + need;
-    };
-    if (config_.prefix_sharing && prompt_len > 1) {
-      if (!affordable()) {
-        // Retry with the adopted prefix discounted. Matched full blocks
-        // are already resident, so they drop out of the reservation.
-        match = im.tree->match(head.req.prompt, prompt_len - 1);
-        matched = true;
-        need = worst_case_blocks(head.req) -
-               match.tokens / config_.kv_block_tokens;
-      }
-      if (!affordable()) {
-        for (const std::int32_t b : match.blocks) im.pool->decref(b);
-        break;  // head-of-line blocks; retirements will free space
-      }
-      if (!matched) match = im.tree->match(head.req.prompt, prompt_len - 1);
-    } else if (!affordable()) {
-      break;
-    }
+    if (im.pool->free_blocks() < reserved + worst_case_blocks(head.req))
+      break;  // head-of-line blocks; retirements will free space
 
     std::size_t si = 0;
     while (im.slots[si].active) ++si;  // lowest free slot
@@ -316,22 +269,13 @@ void GenerationService::admit_locked(std::uint64_t now_ns) {
     slot.finished = false;
     slot.req = std::move(p.req);
     slot.promise = std::move(p.promise);
-    slot.id = p.id;
     slot.admit_ns = p.admit_ns;
     slot.prefilled = false;
-    slot.registered = false;
-    slot.cached = 0;
     slot.worst_blocks = worst_case_blocks(slot.req);
     slot.result = GenerateResult{};
     slot.result.queue_ns = now_ns - p.admit_ns;
     slot.rng = nn::request_rng(config_.seed, slot.req.seed);
     slot.session->reset();
-    if (match.tokens > 0) {
-      slot.session->adopt_prefix(match.blocks, match.tokens);
-      slot.cached = match.tokens;
-      im.prefix_hits.add();
-      im.prefix_tokens_reused.add(static_cast<std::uint64_t>(match.tokens));
-    }
     ++im.active_count;
   }
 }
@@ -347,13 +291,12 @@ void GenerationService::advance(Slot& slot, std::uint64_t now_ns) {
   }
   const auto prompt_len = static_cast<std::int64_t>(slot.req.prompt.size());
   if (!slot.prefilled) {
-    // Adopted prefix positions [0, cached) are already in the KV cache;
-    // prefill only the un-cached suffix of the prompt.
-    for (std::int64_t i = slot.cached; i + 1 < prompt_len; ++i)
+    // Feed every prompt token but the last; the first decode step feeds
+    // that one.
+    for (std::int64_t i = 0; i + 1 < prompt_len; ++i)
       slot.session->step(slot.req.prompt[static_cast<std::size_t>(i)]);
     slot.prefilled = true;
-    impl_->prefill_steps.add(
-        static_cast<std::uint64_t>(prompt_len - 1 - slot.cached));
+    impl_->prefill_steps.add(static_cast<std::uint64_t>(prompt_len - 1));
   }
   const GenerateRequest& req = slot.req;
   const std::int64_t fed = slot.session->position();
@@ -381,39 +324,6 @@ void GenerationService::advance(Slot& slot, std::uint64_t now_ns) {
   slot.finished = true;
 }
 
-void GenerationService::register_prefixes() {
-  auto& im = *impl_;
-  if (!config_.prefix_sharing) return;
-  const std::int64_t bt = config_.kv_block_tokens;
-  for (Slot& slot : im.slots) {
-    if (!slot.active || slot.registered || !slot.prefilled) continue;
-    slot.registered = true;
-    // Cache-resident prompt positions: the full prompt once the first
-    // decode step fed prompt.back(), one less when the slot finished
-    // before that step (max_new == 0 or immediate context exhaustion).
-    const std::int64_t len =
-        std::min(slot.session->position(),
-                 static_cast<std::int64_t>(slot.req.prompt.size()));
-    if (len <= 0) continue;
-    const auto& chain = slot.session->block_table();
-    std::int32_t partial = -1;
-    if (len % bt != 0 && !im.tree->has_anchor(slot.req.prompt.data(), len)) {
-      // The tail block keeps receiving generated-token rows, so the tree
-      // anchors a snapshot copy — paid for only when the pool can spare a
-      // block beyond every admitted request's reservation.
-      std::int64_t reserved = 0;
-      for (const Slot& s : im.slots)
-        if (s.active) reserved += remaining_need(s);
-      if (im.pool->free_blocks() > reserved) {
-        partial = im.pool->allocate();
-        im.pool->copy_rows(chain[static_cast<std::size_t>(len / bt)],
-                           partial, len % bt);
-      }
-    }
-    im.tree->insert(slot.req.prompt.data(), len, chain, partial);
-  }
-}
-
 void GenerationService::retire(Slot& slot, std::uint64_t now_ns) {
   static obs::Histogram& latency_h = obs::histogram("serve.latency_ns");
   static obs::Histogram& ttft_h = obs::histogram("serve.ttft_ns");
@@ -423,13 +333,11 @@ void GenerationService::retire(Slot& slot, std::uint64_t now_ns) {
   r.total_ns = now_ns - slot.admit_ns;
   im.completed.add();
   im.generated_tokens.add(r.ids.size());
-  im.cow_copies.add(static_cast<std::uint64_t>(slot.session->cow_copies()));
   latency_h.record(r.total_ns);
   if (r.ttft_ns != 0) ttft_h.record(r.ttft_ns);
   queue_h.record(r.queue_ns);
-  // Release this sequence's block references immediately so the freed
-  // space is visible to the very next admission pass (tree-anchored
-  // prefix blocks stay resident until evicted).
+  // Release this sequence's blocks immediately so the freed space is
+  // visible to the very next admission pass.
   slot.session->reset();
   slot.active = false;
   slot.promise.set_value(std::move(r));
@@ -481,9 +389,6 @@ void GenerationService::scheduler_loop() {
             if (slot.active && !slot.finished) advance(slot, iter_ns);
           }
         });
-    // Anchor freshly prefilled prompts before retirement can release
-    // their blocks; runs on the scheduler thread, after the fork/join.
-    register_prefixes();
     const std::uint64_t end_ns = obs::monotonic_now_ns();
     int retired = 0;
     for (Slot& slot : slots) {

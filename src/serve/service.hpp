@@ -1,33 +1,24 @@
 // Continuous-batching generation service (Orca-style iteration-level
-// scheduling) over block-paged KV storage with prefix sharing.
+// scheduling) over block-paged KV storage.
 //
 // A GenerationService owns a fixed fleet of decode slots, one shared
-// KvBlockPool, a PrefixTree of cached prompt prefixes, and one scheduler
-// thread. Requests enter a bounded admission queue (per-priority FIFO
-// lanes); every scheduler iteration admits queued requests into free slots
-// — gated on free KV blocks, not just slot count — and advances each
-// active slot by one generated token, fanning the per-slot steps across
-// util::ThreadPool. Finished requests retire at the end of the iteration,
-// release their blocks, and their slot is re-admitted immediately — new
-// work never waits for the whole batch to drain.
-//
-// Prefix sharing (see docs/SERVING.md): completed prompt prefills are
-// anchored in the prefix tree; admission walks the tree and adopts
-// already-computed prefix blocks, so requests sharing a scenario preamble
-// prefill only their un-cached suffix. Copy-on-write keeps shared blocks
-// immutable. Admission reserves each request's worst-case block need
-// (evicting cached prefixes LRU-first when short), so an admitted request
-// can always run to completion — the pool can never strand a slot
-// mid-decode.
+// KvBlockPool, and one scheduler thread. Requests enter a bounded
+// admission queue (per-priority FIFO lanes); every scheduler iteration
+// admits queued requests into free slots — gated on free KV blocks, not
+// just slot count — and advances each active slot by one generated token,
+// fanning the per-slot steps across util::ThreadPool. Finished requests
+// retire at the end of the iteration, release their blocks, and their slot
+// is re-admitted immediately — new work never waits for the whole batch to
+// drain. Admission reserves each request's worst-case block need, so an
+// admitted request can always run to completion — the pool can never
+// strand a slot mid-decode.
 //
 // Determinism: a request's output depends only on the model weights, its
-// own fields, and nn::request_rng(config.seed, request.seed). Adopted prefix
-// blocks hold bit-exactly the rows the request's own prefill would have
-// produced, and attention walks positions in the same order at any block
-// size — so token ids are bitwise-identical regardless of arrival order,
-// slot count, thread count, KV block size, or cache hits. No wall-clock
-// input reaches the scheduler's decisions about a request's tokens; the
-// latency fields are report-only.
+// own fields, and nn::request_rng(config.seed, request.seed). Attention
+// walks positions in the same order at any block size — so token ids are
+// bitwise-identical regardless of arrival order, slot count, thread count
+// or KV block size. No wall-clock input reaches the scheduler's decisions
+// about a request's tokens; the latency fields are report-only.
 #pragma once
 
 #include <cstdint>
@@ -78,19 +69,13 @@ struct GenerateResult {
   std::uint64_t total_ns = 0;
 };
 
-/// A ticket for an admitted request.
-struct Submission {
-  std::uint64_t id = 0;
-  std::future<GenerateResult> result;
-};
-
 struct ServiceConfig {
   int slots = 8;            // concurrent decode sessions (>= 1)
   int queue_capacity = 64;  // queued requests (>= 1), excluding active slots
   std::uint64_t seed = 0;  // mixed into every per-request RNG
-  /// Tokens per KV block. Smaller blocks share prefixes at finer grain
-  /// and waste less tail space; larger blocks cut per-block bookkeeping.
-  /// Results are bitwise-identical at any value (>= 1).
+  /// Tokens per KV block. Smaller blocks waste less tail space; larger
+  /// blocks cut per-block bookkeeping. Results are bitwise-identical at
+  /// any value (>= 1).
   int kv_block_tokens = 16;
   /// Total blocks in the shared pool; 0 sizes it to fit `slots`
   /// worst-case sequences (slots * ceil(max_seq / kv_block_tokens)).
@@ -98,10 +83,6 @@ struct ServiceConfig {
   /// admitted request's remaining need, so smaller pools throttle
   /// concurrency instead of stranding requests.
   std::int64_t kv_blocks_total = 0;
-  /// Adopt cached prompt prefixes from the prefix tree (and anchor new
-  /// ones). Off = every request prefills privately; outputs are identical
-  /// either way.
-  bool prefix_sharing = true;
 };
 
 /// Lifetime totals (monotone; read with stats()).
@@ -111,14 +92,10 @@ struct ServiceStats {
   std::uint64_t completed = 0;
   std::uint64_t generated_tokens = 0;
   std::uint64_t iterations = 0;  // scheduler iterations that advanced work
-  // Paged-KV / prefix-sharing telemetry.
-  std::int64_t blocks_total = 0;  // pool size (constant)
-  std::int64_t blocks_free = 0;   // free blocks at sampling time
-  std::uint64_t prefix_hits = 0;  // admissions that adopted a cached prefix
-  std::uint64_t prefix_tokens_reused = 0;  // prompt positions not prefilled
-  std::uint64_t prefill_steps = 0;  // prompt positions actually computed
-  std::uint64_t cow_copies = 0;     // copy-on-write block copies
-  std::uint64_t evicted_blocks = 0;  // cached-prefix blocks reclaimed
+  // Paged-KV telemetry.
+  std::int64_t blocks_total = 0;    // pool size (constant)
+  std::int64_t blocks_free = 0;     // free blocks at sampling time
+  std::uint64_t prefill_steps = 0;  // prompt positions computed
 };
 
 class GenerationService {
@@ -139,14 +116,15 @@ class GenerationService {
   /// reaches the scheduler — its future resolves immediately with
   /// FinishReason::kInvalid. Throws ContractViolation only when called
   /// after shutdown.
-  Submission submit(GenerateRequest req);
+  std::future<GenerateResult> submit(GenerateRequest req);
 
   /// submit() for a whole list: every valid request enters the queue under
   /// one lock. With no other submitter, the scheduler's decisions — and so
   /// every ServiceStats total — then depend only on the list, never on when
   /// the caller's thread ran. Waits for room for all of them; CHECKs that
-  /// they fit queue_capacity. Submissions come back in input order.
-  std::vector<Submission> submit_all(std::vector<GenerateRequest> requests);
+  /// they fit queue_capacity. Futures come back in input order.
+  std::vector<std::future<GenerateResult>> submit_all(
+      std::vector<GenerateRequest> requests);
 
   /// Submit every request (blocking for space) and wait; results come back
   /// in input order.
@@ -173,14 +151,12 @@ class GenerationService {
   /// active slot, plus the serving-only parts: prefill accounting and
   /// TTFT.
   void advance(Slot& slot, std::uint64_t now_ns);
-  /// Anchor freshly prefilled prompts in the prefix tree (scheduler
-  /// thread, between iterations).
-  void register_prefixes();
   /// Fulfill a finished slot's promise and free it.
   void retire(Slot& slot, std::uint64_t now_ns);
   /// KV blocks the slot may still allocate (drives admission reservation).
   [[nodiscard]] std::int64_t remaining_need(const Slot& slot) const;
-  /// Worst-case block count for a request before any prefix adoption.
+  /// Worst-case block count for a request: its prompt plus its token
+  /// budget, capped at max_seq.
   [[nodiscard]] std::int64_t worst_case_blocks(
       const GenerateRequest& req) const;
 

@@ -75,7 +75,7 @@ std::vector<Outcome> run_served(const nn::TinyGpt& model,
   serve::GenerationService service(model, cfg);
   std::vector<std::future<serve::GenerateResult>> futures(reqs.size());
   for (const std::size_t u : order)
-    futures[u] = service.submit(reqs[u]).result;
+    futures[u] = service.submit(reqs[u]);
   std::vector<Outcome> out(reqs.size());
   for (std::size_t u = 0; u < reqs.size(); ++u) {
     serve::GenerateResult r = futures[u].get();
@@ -111,18 +111,21 @@ TEST(Serve, MatchesGenerateBitwisePerRequest) {
   EXPECT_EQ(stats.accepted, reqs.size());
   EXPECT_EQ(stats.completed, reqs.size());
   EXPECT_EQ(stats.generated_tokens, total_tokens);
+  // kv_blocks_total 0 sizes the pool to `slots` worst-case sequences.
+  EXPECT_EQ(stats.blocks_total, 4 * ((model.config().max_seq + 15) / 16));
   util::set_global_threads(1);
 }
 
 // submit_all enqueues a whole batch under one lock, so every scheduling
 // decision — and with it every ServiceStats total — is a function of the
 // batch alone: repeated runs at any thread count agree exactly. Outcomes
-// equal one-by-one submission, and an invalid entry resolves in place.
+// equal one-by-one submission, an invalid entry resolves in place, and
+// every valid prompt is prefilled in full.
 TEST(Serve, SubmitAllSchedulesIdenticallyAtAnyThreadCount) {
   const nn::TinyGpt model = small_model();
   auto reqs = request_set(40);
-  // Shared preambles give the prefix tree hits; a tight pool forces LRU
-  // evictions of cached prefixes.
+  // Longer prompts on half the requests; a tight pool makes admission
+  // wait on blocks.
   for (std::size_t u = 0; u < reqs.size(); u += 2)
     reqs[u].prompt.insert(reqs[u].prompt.begin(), {5, 6, 7, 8, 9, 10, 11});
   reqs[7].prompt.clear();
@@ -135,8 +138,8 @@ TEST(Serve, SubmitAllSchedulesIdenticallyAtAnyThreadCount) {
     util::set_global_threads(threads);
     serve::GenerationService service(model, cfg);
     std::vector<Outcome> out;
-    for (serve::Submission& sub : service.submit_all(reqs)) {
-      serve::GenerateResult r = sub.result.get();
+    for (auto& f : service.submit_all(reqs)) {
+      serve::GenerateResult r = f.get();
       out.push_back(Outcome{std::move(r.ids), r.finish});
     }
     service.shutdown();
@@ -145,8 +148,11 @@ TEST(Serve, SubmitAllSchedulesIdenticallyAtAnyThreadCount) {
   const auto [want, want_stats] = run(1);
   EXPECT_EQ(want[7].finish, serve::FinishReason::kInvalid);
   EXPECT_EQ(want_stats.rejected_invalid, 1u);
-  EXPECT_GT(want_stats.prefix_hits, 0u);
-  EXPECT_GT(want_stats.evicted_blocks, 0u);
+  std::uint64_t prefill = 0;
+  for (const auto& req : reqs)
+    if (!req.prompt.empty()) prefill += req.prompt.size() - 1;
+  EXPECT_EQ(want_stats.prefill_steps, prefill);
+  EXPECT_EQ(want_stats.blocks_total, cfg.kv_blocks_total);
   std::vector<std::size_t> order(reqs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   EXPECT_EQ(run_served(model, cfg, reqs, order), want);
@@ -156,11 +162,7 @@ TEST(Serve, SubmitAllSchedulesIdenticallyAtAnyThreadCount) {
     EXPECT_EQ(got, want);
     EXPECT_EQ(stats.accepted, want_stats.accepted);
     EXPECT_EQ(stats.iterations, want_stats.iterations);
-    EXPECT_EQ(stats.prefix_hits, want_stats.prefix_hits);
-    EXPECT_EQ(stats.prefix_tokens_reused, want_stats.prefix_tokens_reused);
     EXPECT_EQ(stats.prefill_steps, want_stats.prefill_steps);
-    EXPECT_EQ(stats.cow_copies, want_stats.cow_copies);
-    EXPECT_EQ(stats.evicted_blocks, want_stats.evicted_blocks);
   }
   util::set_global_threads(1);
 }
@@ -239,7 +241,7 @@ TEST(Serve, BlockingSubmitBackpressureCompletesEverything) {
   std::vector<std::future<serve::GenerateResult>> futures;
   futures.reserve(reqs.size());
   for (const auto& req : reqs)
-    futures.push_back(service.submit(req).result);
+    futures.push_back(service.submit(req));
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
   const auto stats = service.stats();
   EXPECT_EQ(stats.accepted, reqs.size());
@@ -261,7 +263,7 @@ TEST(Serve, ContextExhaustionReportsTruncation) {
   full.prompt.assign(max_seq, 2);
   full.max_new_tokens = 8;
   full.eos_id = -1;
-  const auto r1 = service.submit(full).result.get();
+  const auto r1 = service.submit(full).get();
   EXPECT_TRUE(r1.ids.empty());
   EXPECT_EQ(r1.finish, serve::FinishReason::kContext);
 
@@ -270,7 +272,7 @@ TEST(Serve, ContextExhaustionReportsTruncation) {
   over.prompt = {2};
   over.max_new_tokens = 1000;
   over.eos_id = -1;
-  const auto r2 = service.submit(over).result.get();
+  const auto r2 = service.submit(over).get();
   EXPECT_EQ(r2.ids.size(), max_seq - 1);
   EXPECT_EQ(r2.finish, serve::FinishReason::kContext);
 }
@@ -283,7 +285,7 @@ TEST(Serve, GracefulDrainCompletesAllAdmittedWork) {
   serve::GenerationService service(model, cfg);
   const auto reqs = request_set(10, 83);
   std::vector<std::future<serve::GenerateResult>> futures;
-  for (const auto& req : reqs) futures.push_back(service.submit(req).result);
+  for (const auto& req : reqs) futures.push_back(service.submit(req));
   service.shutdown();
   for (auto& f : futures)
     EXPECT_NE(f.get().finish, serve::FinishReason::kInvalid);
@@ -311,7 +313,7 @@ TEST(Serve, EmptyPromptResolvesInvalidWithoutReachingScheduler) {
                        2);
   for (const auto& req : bad) {
     EXPECT_NE(service.validate(req), "");
-    const auto r = service.submit(req).result.get();
+    const auto r = service.submit(req).get();
     EXPECT_EQ(r.finish, serve::FinishReason::kInvalid);
     EXPECT_TRUE(r.ids.empty());
   }
@@ -321,7 +323,7 @@ TEST(Serve, EmptyPromptResolvesInvalidWithoutReachingScheduler) {
   EXPECT_EQ(stats.iterations, 0u);
   // The service still works for valid traffic afterwards.
   EXPECT_EQ(service.validate(ok), "");
-  EXPECT_EQ(service.submit(ok).result.get().finish,
+  EXPECT_EQ(service.submit(ok).get().finish,
             serve::FinishReason::kLength);
 }
 
@@ -339,10 +341,10 @@ TEST(Serve, TtftRecordedWhenFirstTokenIsEos) {
   req.eos_id = -1;
   // Probe the deterministic greedy decode for its first token, then make
   // exactly that token the eos.
-  const auto probe = service.submit(req).result.get();
+  const auto probe = service.submit(req).get();
   ASSERT_FALSE(probe.ids.empty());
   req.eos_id = probe.ids.front();
-  const auto r = service.submit(req).result.get();
+  const auto r = service.submit(req).get();
   EXPECT_EQ(r.finish, serve::FinishReason::kEos);
   EXPECT_TRUE(r.ids.empty());
   EXPECT_GT(r.ttft_ns, 0u);
@@ -350,7 +352,7 @@ TEST(Serve, TtftRecordedWhenFirstTokenIsEos) {
   // No decode step at all (max_new == 0) still legitimately reports 0.
   req.eos_id = -1;
   req.max_new_tokens = 0;
-  EXPECT_EQ(service.submit(req).result.get().ttft_ns, 0u);
+  EXPECT_EQ(service.submit(req).get().ttft_ns, 0u);
 }
 
 // A pool far smaller than slots * max_seq throttles admission instead of
@@ -377,13 +379,12 @@ TEST(Serve, BlockExhaustionThrottlesAdmissionWithoutStranding) {
   util::set_global_threads(1);
 }
 
-// Outputs are bitwise-invariant to the KV block size, with or without
-// prefix sharing in the mix.
+// Outputs are bitwise-invariant to the KV block size.
 TEST(Serve, DeterministicAcrossKvBlockSizes) {
   util::set_global_threads(2);
   const nn::TinyGpt model = small_model();
   auto reqs = request_set(12, 59);
-  // Give half the requests a common preamble so sharing actually engages.
+  // Half the requests share a preamble, so their prompts span blocks.
   for (std::size_t u = 0; u < reqs.size(); u += 2)
     reqs[u].prompt.insert(reqs[u].prompt.begin(), {9, 8, 7, 6, 5, 4});
   std::vector<std::size_t> order(reqs.size());
@@ -395,74 +396,9 @@ TEST(Serve, DeterministicAcrossKvBlockSizes) {
   const auto want = run_served(model, cfg, reqs, order);
   for (const int bt : {3, 8, 64}) {
     cfg.kv_block_tokens = bt;
-    for (const bool sharing : {true, false}) {
-      cfg.prefix_sharing = sharing;
-      EXPECT_EQ(run_served(model, cfg, reqs, order), want)
-          << "kv_block_tokens " << bt << " sharing " << sharing;
-    }
+    EXPECT_EQ(run_served(model, cfg, reqs, order), want)
+        << "kv_block_tokens " << bt;
   }
-  util::set_global_threads(1);
-}
-
-// Prefix sharing: identical results to private prefill, fewer prefill
-// steps, and hit/reuse telemetry that accounts for the skipped work.
-TEST(Serve, PrefixSharingReusesPreambleAndMatchesPrivatePrefill) {
-  util::set_global_threads(2);
-  const nn::TinyGpt model = small_model();
-  const std::vector<int> preamble = {9, 8, 7, 6, 5, 4, 3, 2, 9, 8, 7, 6};
-  std::vector<serve::GenerateRequest> reqs(8);
-  Rng rng(71);
-  for (std::size_t u = 0; u < reqs.size(); ++u) {
-    auto& req = reqs[u];
-    req.prompt = preamble;
-    req.prompt.push_back(static_cast<int>(rng.below(48)));
-    req.max_new_tokens = 6;
-    req.eos_id = 1;
-    req.seed = rng();
-  }
-  std::vector<std::size_t> order(reqs.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  serve::ServiceConfig cfg;
-  cfg.slots = 2;
-  cfg.seed = 3;
-  cfg.kv_block_tokens = 4;
-
-  cfg.prefix_sharing = false;
-  std::uint64_t private_prefill = 0;
-  std::vector<Outcome> want;
-  {
-    serve::GenerationService service(model, cfg);
-    std::vector<std::future<serve::GenerateResult>> fs;
-    for (const std::size_t u : order)
-      fs.push_back(service.submit(reqs[u]).result);
-    for (auto& f : fs) {
-      auto r = f.get();
-      want.push_back(Outcome{std::move(r.ids), r.finish});
-    }
-    const auto s = service.stats();
-    private_prefill = s.prefill_steps;
-    EXPECT_EQ(s.prefix_hits, 0u);
-  }
-
-  cfg.prefix_sharing = true;
-  serve::GenerationService service(model, cfg);
-  std::vector<std::future<serve::GenerateResult>> fs;
-  for (const std::size_t u : order) fs.push_back(service.submit(reqs[u]).result);
-  std::vector<Outcome> got;
-  for (auto& f : fs) {
-    auto r = f.get();
-    got.push_back(Outcome{std::move(r.ids), r.finish});
-  }
-  EXPECT_EQ(got, want);  // byte-identical shared vs independent
-  const auto s = service.stats();
-  EXPECT_GT(s.prefix_hits, 0u);
-  EXPECT_GT(s.prefix_tokens_reused, 0u);
-  EXPECT_LT(s.prefill_steps, private_prefill);
-  EXPECT_EQ(s.prefill_steps + s.prefix_tokens_reused, private_prefill);
-  EXPECT_EQ(s.blocks_total, service.config().kv_blocks_total == 0
-                                ? 2 * ((model.config().max_seq + 3) / 4)
-                                : service.config().kv_blocks_total);
   util::set_global_threads(1);
 }
 
