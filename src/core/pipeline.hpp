@@ -32,12 +32,11 @@ using nn::Tokenizer;
 struct PipelineConfig {
   std::uint64_t seed = 1;
 
-  /// Size of the global thread pool: the DPO reference log-prob
-  /// precompute and serve's decode step fan out on it, and that many
-  /// verify workers score sampled responses. Tensor ops stay serial. 0 ⇒
-  /// resolve from the DPOAF_THREADS environment variable, else hardware
-  /// concurrency. Results are bitwise-identical at any setting (see
-  /// DESIGN.md).
+  /// Size of the global thread pool: serve's decode step fans out on it,
+  /// and that many verify workers score sampled responses. Tensor ops
+  /// and training stay serial. 0 ⇒ resolve from the DPOAF_THREADS
+  /// environment variable, else hardware concurrency. Results are
+  /// bitwise-identical at any setting (see DESIGN.md).
   int threads = 0;
 
   /// Tensor compute backend: "scalar", "simd", or "auto". Empty (the

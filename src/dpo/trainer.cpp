@@ -7,7 +7,6 @@
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
-#include "util/threadpool.hpp"
 
 namespace dpoaf::dpo {
 
@@ -28,10 +27,6 @@ std::vector<EpochMetrics> DpoTrainer::train(
     const std::vector<PreferencePair>& pairs, const TrainHooks& hooks,
     const TrainerCheckpointState* resume) {
   DPOAF_CHECK_MSG(!pairs.empty(), "DPO requires at least one pair");
-  // The loop restores the policy before the reference precompute below:
-  // ref_w/ref_l are a pure function of (pairs, reference weights), so once
-  // the reference is back to its snapshot values the recomputed table is
-  // bit-identical to the one the interrupted run used.
   nn::MinibatchLoop loop(policy_, config_.lr, rng_, pairs.size(),
                          resume != nullptr ? &resume->loop : nullptr);
   std::vector<EpochMetrics> history;
@@ -40,27 +35,14 @@ std::vector<EpochMetrics> DpoTrainer::train(
     history = resume->history;
   }
 
-  // The reference model is frozen: its per-pair log-probabilities are
-  // computed once up front (this is what makes long runs affordable).
-  // Pairs are independent and the reference is read-only, so the
-  // precompute fans out across the pool — each slot is written by exactly
-  // one chunk and each pair's forward is the same serial computation, so
-  // the values are thread-count-invariant.
+  // The reference model is frozen: a pair's reference log-probabilities
+  // are computed the first time an epoch visits it and reused after. They
+  // are a pure function of (pair, reference weights), so a pair no epoch
+  // visits costs nothing, and a resumed run (reference restored above)
+  // gets the values the interrupted run used.
   std::vector<float> ref_w(pairs.size());
   std::vector<float> ref_l(pairs.size());
-  {
-    obs::Span span("dpo.ref_precompute");
-    util::parallel_for(0, static_cast<std::int64_t>(pairs.size()), 1,
-                       [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const auto u = static_cast<std::size_t>(i);
-        ref_w[u] = static_cast<float>(reference_.response_log_prob_value(
-            pairs[u].chosen, pairs[u].prompt_len));
-        ref_l[u] = static_cast<float>(reference_.response_log_prob_value(
-            pairs[u].rejected, pairs[u].prompt_len));
-      }
-    });
-  }
+  std::vector<bool> have_ref(pairs.size(), false);
 
   // The epoch-0 evaluation already happened (and was persisted) before
   // the snapshot we are resuming from — re-running it would double-count.
@@ -73,6 +55,16 @@ std::vector<EpochMetrics> DpoTrainer::train(
   if (config_.pairs_per_epoch > 0)
     epoch_pairs = std::min(epoch_pairs,
                            static_cast<std::size_t>(config_.pairs_per_epoch));
+  // One pair's contribution to its epoch's metrics. The loop visits a
+  // minibatch's pairs last to first; the epoch sums them afterwards in
+  // shuffle order, so the sums' bits do not depend on that.
+  struct PairMetrics {
+    float loss = 0.0f;
+    bool preferred = false;
+    float margin = 0.0f;
+    double kl = 0.0;
+  };
+  std::vector<PairMetrics> per_pair(pairs.size());
   while (loop.completed_epochs() < config_.epochs) {
     obs::Span epoch_span("dpo.epoch", obs::histogram("dpo.epoch_ns"));
     epoch_counter.add();
@@ -80,6 +72,14 @@ std::vector<EpochMetrics> DpoTrainer::train(
     metrics.epoch = loop.completed_epochs() + 1;
     step_counter.add(loop.epoch(epoch_pairs, [&](Tape* tape, std::size_t i) {
       const PreferencePair& pair = pairs[i];
+      if (!have_ref[i]) {
+        obs::Span span("dpo.ref_precompute");
+        ref_w[i] = static_cast<float>(reference_.response_log_prob_value(
+            pair.chosen, pair.prompt_len));
+        ref_l[i] = static_cast<float>(reference_.response_log_prob_value(
+            pair.rejected, pair.prompt_len));
+        have_ref[i] = true;
+      }
       Tensor lp_w = policy_.response_log_prob(tape, pair.chosen,
                                               pair.prompt_len);
       Tensor lp_l = policy_.response_log_prob(tape, pair.rejected,
@@ -89,7 +89,12 @@ std::vector<EpochMetrics> DpoTrainer::train(
                           Tensor::full({1, 1}, -(ref_w[i] - ref_l[i])));
       Tensor loss = ops::softplus(tape, ops::scale(tape, z, -config_.beta));
       // Figure 8 reports the DPO loss proper, before the anchor term.
-      metrics.loss += loss.item();
+      per_pair[i] = {
+          loss.item(), lp_w.item() > lp_l.item(), z.item(),
+          // Sampled-KL proxy: mean (policy − reference) log-probability
+          // over the pair's two responses (see EpochMetrics::kl).
+          0.5 * ((static_cast<double>(lp_w.item()) - ref_w[i]) +
+                 (static_cast<double>(lp_l.item()) - ref_l[i]))};
       if (config_.nll_coef > 0.0f) {
         // Anchor: keep the chosen response likely in absolute terms
         // (mean per-token NLL over its response region).
@@ -99,15 +104,16 @@ std::vector<EpochMetrics> DpoTrainer::train(
                         ops::scale(tape, lp_w,
                                    -config_.nll_coef / resp_tokens));
       }
-      metrics.accuracy += lp_w.item() > lp_l.item() ? 1.0 : 0.0;
-      metrics.margin += static_cast<double>(z.item());
-      // Sampled-KL proxy: mean (policy − reference) log-probability over
-      // the pair's two responses (see EpochMetrics::kl).
-      metrics.kl += 0.5 * ((static_cast<double>(lp_w.item()) - ref_w[i]) +
-                           (static_cast<double>(lp_l.item()) - ref_l[i]));
       return loss;
     }));
     pair_counter.add(epoch_pairs);
+    for (std::size_t k = 0; k < epoch_pairs; ++k) {
+      const PairMetrics& p = per_pair[loop.order()[k]];
+      metrics.loss += p.loss;
+      metrics.accuracy += p.preferred ? 1.0 : 0.0;
+      metrics.margin += static_cast<double>(p.margin);
+      metrics.kl += p.kl;
+    }
     metrics.loss /= static_cast<double>(epoch_pairs);
     metrics.accuracy /= static_cast<double>(epoch_pairs);
     metrics.margin /= static_cast<double>(epoch_pairs);

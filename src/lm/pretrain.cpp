@@ -20,14 +20,18 @@ PretrainStats pretrain(TinyGpt& model,
   PretrainStats stats;
   if (resume != nullptr) stats.epoch_losses = resume->epoch_losses;
 
+  std::vector<float> item_losses(corpus.size());
   while (loop.completed_epochs() < config.epochs) {
     obs::ScopedTimer timer(obs::histogram("lm.pretrain.epoch_ns"));
-    double epoch_loss = 0.0;
     loop.epoch(corpus.size(), [&](Tape* tape, std::size_t item) {
       Tensor loss = model.nll_loss(tape, corpus[item].ids);
-      epoch_loss += loss.item();
+      item_losses[item] = loss.item();
       return loss;
     });
+    // Summed in shuffle order: the loop visits each minibatch last to
+    // first.
+    double epoch_loss = 0.0;
+    for (const std::size_t item : loop.order()) epoch_loss += item_losses[item];
     stats.epoch_losses.push_back(epoch_loss /
                                  static_cast<double>(corpus.size()));
     if (hooks.snapshot &&

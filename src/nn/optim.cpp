@@ -133,16 +133,12 @@ std::size_t MinibatchLoop::epoch(std::size_t items,
   for (std::size_t i = 0; i < items; i += kBatchSize, ++steps) {
     const std::size_t batch_end = std::min(items, i + kBatchSize);
     const auto n_in_batch = static_cast<float>(batch_end - i);
-    tape_.reset();
-    tensor::Tensor batch_loss;
-    for (std::size_t j = i; j < batch_end; ++j) {
-      tensor::Tensor scaled = tensor::ops::scale(
-          &tape_, item_loss(&tape_, order_[j]), 1.0f / n_in_batch);
-      batch_loss =
-          j == i ? scaled : tensor::ops::add(&tape_, batch_loss, scaled);
-    }
     opt_.zero_grad();
-    tape_.backward(batch_loss);
+    for (std::size_t j = batch_end; j-- > i;) {
+      tape_.reset();
+      tape_.backward(tensor::ops::scale(
+          &tape_, item_loss(&tape_, order_[j]), 1.0f / n_in_batch));
+    }
     opt_.step();
   }
   ++completed_;

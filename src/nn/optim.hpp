@@ -96,12 +96,13 @@ inline constexpr std::size_t kBatchSize = 8;
 /// The shuffled-minibatch AdamW loop that pre-training and DPO both run:
 /// the optimizer over the model's trainable parameters, an in-place
 /// shuffle order over the items, the caller's RNG stream that shuffles it
-/// and one Tape reused by every minibatch. `model` and `rng` must outlive
-/// the loop.
+/// and one Tape reused by every item. `model` and `rng` must outlive the
+/// loop.
 class MinibatchLoop {
  public:
   /// Scalar loss of one item (an index into the caller's items), recorded
-  /// on `tape`.
+  /// on `tape`. No tensor recorded on `tape` may outlive the call's
+  /// backward: the tape is reset before the next item.
   using ItemLoss = std::function<tensor::Tensor(tensor::Tape*, std::size_t)>;
 
   /// With `resume` non-null, continues from that state. Throws
@@ -114,9 +115,31 @@ class MinibatchLoop {
 
   /// Shuffles the order, then takes one AdamW step per kBatchSize slice
   /// of its first `items` entries on the mean of `item_loss` over the
-  /// slice, in order. Returns the number of steps.
+  /// slice. Returns the number of steps.
+  ///
+  /// Per slice: zero the gradients; then, for each item from the slice's
+  /// last to its first, reset the tape, record `item_loss` scaled by
+  /// 1/(slice size) and backpropagate it into the parameter gradients;
+  /// then step. The tape holds one item at a time, so its arena peaks at
+  /// the largest item, not at a slice of them.
+  ///
+  /// Last item first is what makes this the bits of one backward over a
+  /// tape recording the whole slice (sum of scaled item losses): that
+  /// backward replays the items' nodes last to first, so every parameter
+  /// gradient accumulated item b−1's contribution first, and matmul dB
+  /// carries its FMA chain on from the gradient so far. Forward order,
+  /// or per-item gradients summed afterwards, round differently.
+  ///
+  /// `item_loss` therefore runs on the slice's items in reverse. A caller
+  /// that sums per-item values must keep them per item and sum them in
+  /// order() after the epoch to keep the sums' bits.
   std::size_t epoch(std::size_t items, const ItemLoss& item_loss);
 
+  /// The shuffle order over every item: after epoch(), the order its
+  /// minibatches cover them in (the first `items` entries were visited).
+  [[nodiscard]] const std::vector<std::size_t>& order() const {
+    return order_;
+  }
   [[nodiscard]] int completed_epochs() const { return completed_; }
   /// Snapshot at the current epoch boundary.
   [[nodiscard]] LoopState capture() const;

@@ -133,9 +133,10 @@ class Tensor {
 /// arena instead of the heap; leaf tensors (Tensor::zeros/from/...) and
 /// tape-less ops stay on the heap, so parameter gradients and optimizer
 /// state never live in an arena. A training loop keeps one Tape for all
-/// its minibatches and calls reset() between them: that drops the
-/// closures and rewinds the arena, so the next minibatch reuses the same
-/// memory. Escape rule: every tensor from the tape must be dead by
+/// its items and calls reset() before each one (nn::MinibatchLoop
+/// backpropagates item by item into the parameter gradients): that drops
+/// the closures and rewinds the arena, so the next item reuses the same
+/// memory and the arena peaks at one item. Escape rule: every tensor from the tape must be dead by
 /// reset() — one still alive is a ContractViolation (and the arena is
 /// then left as is), never a dangling pointer. A tensor that outlives the
 /// Tape itself keeps the arena alive.

@@ -8,8 +8,7 @@
 //    the independent dimension), so single-thread and N-thread runs produce
 //    bitwise-identical floats — no atomics on floats, ever.
 //  - The pool is shared process-wide (global_pool()). Only outer loops
-//    use it — DPO's per-pair reference precompute and serve's per-slot
-//    decode step; tensor ops never do.
+//    use it — serve's per-slot decode step; tensor ops never do.
 //  - Nested parallel_for calls run inline on the calling thread. This keeps
 //    the scheduler trivial (no re-entrancy, no deadlock) and keeps outer
 //    loops as the unit of parallelism.

@@ -2,6 +2,7 @@
 
 #include "dpo/trainer.hpp"
 #include "lm/corpus.hpp"
+#include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace dpoaf::dpo {
@@ -204,6 +205,32 @@ TEST_F(TrainerTest, EmptyPairsRejected) {
   cfg.lora_rank = 2;
   DpoTrainer trainer(model.clone(), cfg, rng);
   EXPECT_THROW(trainer.train({}), ContractViolation);
+}
+
+TEST_F(TrainerTest, UnvisitedPairCostsNoReferenceForward) {
+  // One epoch of one pair visits one pair, so train() runs the same
+  // forwards whether the other pairs number 0 or 11: the policy's and the
+  // reference's on the visited pair.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& forwards = obs::counter("tensor.matmul.calls");
+  const PreferencePair pair = make_pairs().front();
+  const auto matmuls_of_train = [&](std::size_t copies) {
+    Rng rng(28);
+    nn::TinyGpt model = make_model(rng);
+    DpoConfig cfg;
+    cfg.epochs = 1;
+    cfg.pairs_per_epoch = 1;
+    cfg.lora_rank = 2;
+    DpoTrainer trainer(model.clone(), cfg, rng);
+    const std::uint64_t before = forwards.value();
+    trainer.train(std::vector<PreferencePair>(copies, pair));
+    return forwards.value() - before;
+  };
+  const std::uint64_t one = matmuls_of_train(1);
+  EXPECT_GT(one, 0u);
+  EXPECT_EQ(matmuls_of_train(12), one);
+  obs::set_enabled(was_enabled);
 }
 
 TEST_F(TrainerTest, NllAnchorKeepsChosenLikely) {

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "nn/gpt.hpp"
 #include "nn/optim.hpp"
 #include "nn/tokenizer.hpp"
+#include "obs/metrics.hpp"
+#include "one_tape_epoch.hpp"
+#include "tensor/backend/backend.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -616,21 +621,119 @@ TEST(MinibatchLoop, EpochTakesOneStepPerStartedBatch) {
   EXPECT_EQ(loop.completed_epochs(), 1);
 }
 
-TEST(MinibatchLoop, PartialEpochVisitsTheShuffledPrefixInOrder) {
+TEST(MinibatchLoop, PartialEpochVisitsEachBatchOfTheShuffledPrefixLastToFirst) {
   Rng rng(46);
   TinyGpt model(tiny_config(), rng);
   MinibatchLoop loop(model, 1e-3f, rng, 11, nullptr);
   std::vector<std::uint64_t> seen;
-  const std::size_t steps = loop.epoch(5, [&](Tape* tape, std::size_t i) {
+  const std::size_t steps = loop.epoch(10, [&](Tape* tape, std::size_t i) {
     seen.push_back(i);
     return model.nll_loss(tape, loop_item(i));
   });
-  EXPECT_EQ(steps, 1u);
+  EXPECT_EQ(steps, 2u);  // 8 + 2
   const LoopState state = loop.capture();
   ASSERT_EQ(state.order.size(), 11u);
-  // The order is a permutation, so an equal prefix visits each once.
-  EXPECT_EQ(seen, std::vector<std::uint64_t>(state.order.begin(),
-                                             state.order.begin() + 5));
+  EXPECT_EQ(std::vector<std::size_t>(state.order.begin(), state.order.end()),
+            loop.order());
+  // The order is a permutation, so the visits cover each item of the
+  // prefix once: each minibatch's slice of it, last item first.
+  std::vector<std::uint64_t> want(state.order.begin(),
+                                  state.order.begin() + 10);
+  std::reverse(want.begin(), want.begin() + 8);
+  std::reverse(want.begin() + 8, want.end());
+  EXPECT_EQ(seen, want);
+}
+
+// An item's loss for the bitwise tests: one sequence, or two scored as a
+// preference pair (two forwards on one tape, as DPO records them).
+Tensor bitwise_item_loss(const TinyGpt& model, Tape* tape, std::size_t i,
+                         bool pair) {
+  if (!pair) return model.nll_loss(tape, loop_item(i));
+  const Tensor lp_w = model.response_log_prob(tape, loop_item(i), 2);
+  const Tensor lp_l = model.response_log_prob(tape, loop_item(i + 3), 2);
+  return ops::softplus(tape, ops::sub(tape, lp_l, lp_w));
+}
+
+TEST(MinibatchLoop, PerItemBackwardBitwiseEqualsOneTapeMinibatch) {
+  for (const char* be : {"scalar", "simd"}) {
+    if (std::string(be) == "simd" && !tensor::backend::simd_supported())
+      continue;
+    tensor::backend::select(be);
+    for (const bool lora : {false, true}) {
+      for (const bool pair : {false, true}) {
+        SCOPED_TRACE(std::string(be) + (lora ? " lora" : "") +
+                     (pair ? " pair" : ""));
+        Rng init_a(50), rng_a(51), init_b(50), rng_b(51);
+        TinyGpt a(tiny_config(), init_a);
+        TinyGpt b(tiny_config(), init_b);
+        if (lora) {
+          a.enable_lora(2, 4.0f, init_a);
+          b.enable_lora(2, 4.0f, init_b);
+        }
+        MinibatchLoop loop(a, 1e-2f, rng_a, 11, nullptr);
+        AdamW opt(b.trainable_parameters(), AdamWConfig{.lr = 1e-2f});
+        std::vector<std::size_t> order(11);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        Tape tape;
+        for (int epoch = 0; epoch < 2; ++epoch) {  // 8 + 3 items each
+          const std::size_t steps =
+              loop.epoch(11, [&](Tape* t, std::size_t i) {
+                return bitwise_item_loss(a, t, i, pair);
+              });
+          EXPECT_EQ(steps, reference::one_tape_epoch(
+                               opt, rng_b, order, tape, 11,
+                               [&](Tape* t, std::size_t i) {
+                                 return bitwise_item_loss(b, t, i, pair);
+                               }));
+        }
+        EXPECT_EQ(loop.order(), order);
+        const LoopState got = loop.capture();
+        const std::vector<float> want = b.state();
+        ASSERT_EQ(got.weights.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.weights.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0);
+        ASSERT_EQ(got.opt_m.size(), opt.moments_m().size());
+        for (std::size_t p = 0; p < got.opt_m.size(); ++p) {
+          const std::size_t bytes = got.opt_m[p].size() * sizeof(float);
+          ASSERT_EQ(got.opt_m[p].size(), opt.moments_m()[p].size());
+          EXPECT_EQ(
+              std::memcmp(got.opt_m[p].data(), opt.moments_m()[p].data(),
+                          bytes),
+              0)
+              << "m of parameter " << p;
+          EXPECT_EQ(
+              std::memcmp(got.opt_v[p].data(), opt.moments_v()[p].data(),
+                          bytes),
+              0)
+              << "v of parameter " << p;
+        }
+      }
+    }
+  }
+  tensor::backend::select("");
+}
+
+TEST(MinibatchLoop, ArenaPeaksAtOneItemWhateverTheBatch) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Gauge& peak = obs::gauge("tensor.tape.arena_peak_bytes");
+  const auto peak_after_epoch = [&peak](std::size_t copies) {
+    peak.set(0);
+    Rng rng(52);
+    TinyGpt model(tiny_config(), rng);
+    {
+      MinibatchLoop loop(model, 1e-3f, rng, copies, nullptr);
+      loop.epoch(copies, [&](Tape* tape, std::size_t) {
+        return model.nll_loss(tape, loop_item(0));
+      });
+    }  // the loop's tape publishes its peak as it is destroyed
+    return peak.value();
+  };
+  const std::int64_t one = peak_after_epoch(1);
+  EXPECT_GT(one, 0);
+  EXPECT_EQ(peak_after_epoch(kBatchSize), one);
+  obs::set_enabled(was_enabled);
 }
 
 TEST(MinibatchLoop, ResumedEpochMatchesAStraightRun) {
