@@ -8,10 +8,6 @@
 #include "bench_metrics_main.hpp"
 #include "driving/domain.hpp"
 #include "modelcheck/buchi.hpp"
-#include "monitor/monitor.hpp"
-#include "sim/empirical.hpp"
-#include "sim/simulator.hpp"
-#include "util/check.hpp"
 
 namespace {
 
@@ -146,73 +142,6 @@ void BM_ScoreRepeatedCandidates(benchmark::State& state) {
   state.SetLabel(cached ? "cached" : "uncached");
 }
 BENCHMARK(BM_ScoreRepeatedCandidates)->Arg(0)->Arg(1);
-
-void BM_MonitorCompile(benchmark::State& state) {
-  // Uncached LTLf→NFA→DFA→minimal-DFA compilation per rulebook spec — the
-  // one-time cost monitor_for amortizes across the whole run.
-  const auto& spec =
-      domain().specs()[static_cast<std::size_t>(state.range(0))];
-  std::size_t dfa_states = 0;
-  for (auto _ : state) {
-    const auto m = monitor::compile_monitor(spec.formula);
-    DPOAF_CHECK(m != nullptr);
-    dfa_states = m->state_count();
-    benchmark::DoNotOptimize(dfa_states);
-  }
-  state.counters["dfa_states"] = static_cast<double>(dfa_states);
-  state.SetLabel(spec.name);
-}
-BENCHMARK(BM_MonitorCompile)->DenseRange(0, 14, 7);
-
-void BM_StreamingSatisfaction(benchmark::State& state) {
-  // The repeated-spec empirical-evaluation workload: the full rulebook
-  // checked against a fixed batch of simulator traces, round after round.
-  // Arg 0: tree evaluator (monitors disabled). Arg 1: compiled monitors
-  // through the cache. Verdicts are asserted equal up front; throughput is
-  // reported as steps/sec (one trace step against one spec = one item).
-  const bool use_monitors = state.range(0) != 0;
-  auto& d = domain();
-  sim::SimulatorConfig cfg;
-  cfg.horizon = 60;
-  cfg.perception_noise = 0.1;
-  cfg.noise_mask = d.vocab().env_mask();
-  cfg.epsilon_label = d.stop_action();
-  sim::Simulator simulator(d.model(driving::ScenarioId::TrafficLight), cfg);
-  Rng rng(7);
-  const std::vector<logic::Trace> traces =
-      simulator.collect_traces(after_controller(), 50, rng);
-
-  // Equivalence gate: identical per-spec counts on this exact workload.
-  monitor::clear_monitor_cache();
-  for (const auto& spec : d.specs()) {
-    monitor::set_monitors_enabled(false);
-    const auto tree = monitor::satisfaction_counts(spec.formula, traces);
-    monitor::set_monitors_enabled(true);
-    const auto dfa = monitor::satisfaction_counts(spec.formula, traces);
-    DPOAF_CHECK_MSG(tree.satisfied == dfa.satisfied &&
-                        tree.evaluated == dfa.evaluated,
-                    "monitor/evaluator verdict divergence on " + spec.name);
-  }
-
-  monitor::set_monitors_enabled(use_monitors);
-  std::size_t steps = 0;
-  for (const auto& t : traces) steps += t.size();
-  steps *= d.specs().size();
-  double rate = 0.0;
-  for (auto _ : state) {
-    for (const auto& spec : d.specs()) {
-      const auto counts = monitor::satisfaction_counts(spec.formula, traces);
-      rate = counts.rate();
-      benchmark::DoNotOptimize(rate);
-    }
-  }
-  monitor::set_monitors_enabled(true);
-  state.SetItemsProcessed(static_cast<std::int64_t>(steps) *
-                          state.iterations());
-  state.counters["specs"] = static_cast<double>(d.specs().size());
-  state.SetLabel(use_monitors ? "dfa_monitor" : "tree_evaluator");
-}
-BENCHMARK(BM_StreamingSatisfaction)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -213,7 +213,6 @@ int main(int argc, char** argv) {
   TextTable cache("paged kv cache");
   cache.set_header({"metric", "value"});
   cache.add_row({"blocks total", std::to_string(stats.blocks_total)});
-  cache.add_row({"blocks free", std::to_string(stats.blocks_free)});
   cache.add_row({"prefill steps", std::to_string(stats.prefill_steps)});
   if (!latency_out.empty()) {
     std::ofstream out(latency_out);

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "modelcheck/buchi.hpp"
-#include "monitor/monitor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/service.hpp"
@@ -619,7 +618,6 @@ RunResult DpoAfPipeline::run_dpo(
     }
   result.feedback_cache_stats = domain_.feedback_cache_stats();
   result.buchi_cache_stats = modelcheck::buchi_cache_stats();
-  result.monitor_cache_stats = monitor::monitor_cache_stats();
   if (obs::enabled()) {
     // Mirror the cache counters into gauges so a MetricsSnapshot alone
     // (e.g. a bench's --metrics-json report) carries them too.
@@ -635,7 +633,6 @@ RunResult DpoAfPipeline::run_dpo(
     };
     publish("feedback_cache", result.feedback_cache_stats);
     publish("buchi_cache", result.buchi_cache_stats);
-    publish("monitor_cache", result.monitor_cache_stats);
   }
   return result;
 }

@@ -175,8 +175,8 @@ struct RunResult {
   /// translation cache (the latter is cumulative across pipelines).
   util::CacheStats feedback_cache_stats;
   util::CacheStats buchi_cache_stats;
-  /// Process-wide LTLf→DFA monitor cache (src/monitor), cumulative like
-  /// the Büchi cache; populated by the empirical-evaluation phase.
+  /// Inert: always zero. The compiled-monitor cache it counted is gone;
+  /// the field stays only because perfbench/worker.cpp still reads it.
   util::CacheStats monitor_cache_stats;
   /// Procedural-generation tally (all zeros when generation was off),
   /// including the satisfiability pre-pass discard counts.

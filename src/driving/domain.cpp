@@ -1,7 +1,6 @@
 #include "driving/domain.hpp"
 
 #include "automata/product.hpp"
-#include "monitor/monitor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -23,13 +22,13 @@ DrivingDomain::DrivingDomain(const generator::GeneratorConfig& gen)
   // the tolerant version of this gate inside instantiate_rulebook, where
   // degenerate instantiations are expected and silently discarded.)
   for (const modelcheck::NamedSpec& spec : specs_) {
-    const monitor::SpecClass cls = monitor::classify_spec(spec.formula);
-    DPOAF_CHECK_MSG(cls != monitor::SpecClass::kUnsatisfiable,
+    const modelcheck::SpecClass cls = modelcheck::classify_spec(spec.formula);
+    DPOAF_CHECK_MSG(cls != modelcheck::SpecClass::kUnsatisfiable,
                     "rulebook spec '" + spec.name +
-                        "' is unsatisfiable over finite traces");
-    DPOAF_CHECK_MSG(cls != monitor::SpecClass::kTriviallyTrue,
+                        "' is unsatisfiable under LTL");
+    DPOAF_CHECK_MSG(cls != modelcheck::SpecClass::kTriviallyTrue,
                     "rulebook spec '" + spec.name +
-                        "' is trivially true over finite traces");
+                        "' is trivially true under LTL");
   }
   for (ScenarioId id : all_scenarios()) {
     Scenario s;

@@ -2,7 +2,6 @@
 
 #include <string_view>
 
-#include "monitor/monitor.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
@@ -161,16 +160,16 @@ std::vector<NamedSpec> filter_satisfiable(std::vector<NamedSpec> specs,
   for (NamedSpec& spec : specs) {
     instantiated.add();
     if (stats != nullptr) ++stats->instantiated;
-    switch (monitor::classify_spec(spec.formula)) {
-      case monitor::SpecClass::kUnsatisfiable:
+    switch (modelcheck::classify_spec(spec.formula)) {
+      case modelcheck::SpecClass::kUnsatisfiable:
         dropped_unsat.add();
         if (stats != nullptr) ++stats->discarded_unsat;
         break;
-      case monitor::SpecClass::kTriviallyTrue:
+      case modelcheck::SpecClass::kTriviallyTrue:
         dropped_trivial.add();
         if (stats != nullptr) ++stats->discarded_trivial;
         break;
-      case monitor::SpecClass::kNormal:
+      case modelcheck::SpecClass::kNormal:
         kept.push_back(std::move(spec));
         break;
     }

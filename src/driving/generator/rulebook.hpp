@@ -5,7 +5,7 @@
 // whose permission slot has no lamp in this scenario degenerates to a
 // tautology (e.g. the turn-right permission gate in a junction with no
 // signal head), so every instantiated rule passes through a
-// satisfiability pre-pass (monitor::classify_spec) and kUnsatisfiable /
+// satisfiability pre-pass (modelcheck::classify_spec) and kUnsatisfiable /
 // kTriviallyTrue instantiations are discarded — the same authoring gate
 // DrivingDomain applies to the hand-written rulebook, made tolerant
 // because degeneration is expected here, not a bug.
@@ -30,11 +30,11 @@ struct RulebookStats {
 /// Every template instantiated over the scenario's propositions, *before*
 /// the satisfiability pre-pass (exposed for the fuzz bridge, which feeds
 /// raw instantiations through the printer→parser round-trip and the
-/// monitor compiler).
+/// pre-pass).
 std::vector<NamedSpec> rule_templates(const ScenarioFeatures& f,
                                       const Vocabulary& v);
 
-/// The satisfiability pre-pass: classify each spec over finite traces and
+/// The satisfiability pre-pass: classify each spec under LTL and
 /// drop the unsatisfiable / trivially-true ones, tallying into `stats`
 /// (which is accumulated into, not reset). Exposed for tests.
 std::vector<NamedSpec> filter_satisfiable(std::vector<NamedSpec> specs,

@@ -26,8 +26,7 @@ bool holds_on(const Ltl& f, Symbol label);
 /// *input* → 0; empty traces within the input are excluded from the
 /// denominator (they carry no step to evaluate), and a non-empty input
 /// consisting solely of empty traces CHECKs — that is a simulator bug,
-/// not a 0% satisfaction rate. The compiled-monitor fast path
-/// (monitor::satisfaction_counts) is verdict-identical to this function.
+/// not a 0% satisfaction rate.
 double satisfaction_rate(const Ltl& f, const std::vector<Trace>& traces);
 
 }  // namespace dpoaf::logic

@@ -6,6 +6,7 @@
 #include <map>
 #include <utility>
 
+#include "logic/lasso_eval.hpp"
 #include "logic/ltlf.hpp"
 #include "modelcheck/buchi.hpp"
 #include "obs/metrics.hpp"
@@ -181,6 +182,36 @@ std::vector<int> bfs_path(const Product& prod, const std::vector<int>& sources,
   return {};
 }
 
+// L(B) = ∅ iff no reachable accepting state lies on a cycle. A state's
+// literals constrain only the letter read on entering it, and the tableau
+// discards every node whose literals contradict, so every path spells a
+// word.
+bool accepts_nothing(const BuchiAutomaton& ba) {
+  // `from` and every state after it.
+  const auto reach = [&](const std::vector<int>& from) {
+    std::vector<bool> seen(ba.states.size(), false);
+    std::vector<int> stack;
+    const auto visit = [&](int s) {
+      if (seen[static_cast<std::size_t>(s)]) return;
+      seen[static_cast<std::size_t>(s)] = true;
+      stack.push_back(s);
+    };
+    for (int s : from) visit(s);
+    while (!stack.empty()) {
+      const int s = stack.back();
+      stack.pop_back();
+      for (int t : ba.states[static_cast<std::size_t>(s)].successors) visit(t);
+    }
+    return seen;
+  };
+  const std::vector<bool> reachable = reach(ba.initial);
+  for (std::size_t s = 0; s < ba.states.size(); ++s)
+    if (reachable[s] && ba.states[s].accepting &&
+        reach(ba.states[s].successors)[s])
+      return false;
+  return true;
+}
+
 }  // namespace
 
 CheckResult check(const Kripke& kripke, const Ltl& spec,
@@ -326,6 +357,20 @@ VerificationReport verify_all(const Kripke& kripke,
         {spec, check(kripke, spec.formula, justice)});
   }
   return report;
+}
+
+SpecClass classify_spec(const Ltl& formula) {
+  DPOAF_CHECK(formula != nullptr);
+  // The same hash-consed ¬Φ that check() looks up in the cache.
+  if (accepts_nothing(*ltl_to_buchi_cached(logic::ltl::lnot(formula))))
+    return SpecClass::kTriviallyTrue;
+  // A constant word that satisfies φ proves it satisfiable without
+  // translating φ; one of the two does for every rulebook spec.
+  for (const Symbol letter : {Symbol{0}, ~Symbol{0}})
+    if (logic::evaluate_lasso(formula, {{}, {letter}}))
+      return SpecClass::kNormal;
+  return accepts_nothing(ltl_to_buchi(formula)) ? SpecClass::kUnsatisfiable
+                                                : SpecClass::kNormal;
 }
 
 std::string format_counterexample(const Lasso& lasso, const Kripke& kripke,

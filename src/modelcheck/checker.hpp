@@ -71,6 +71,22 @@ VerificationReport verify_all(const Kripke& kripke,
                               const std::vector<NamedSpec>& specs,
                               const std::vector<Ltl>& justice = {});
 
+/// Rulebook pre-pass verdict for one spec under LTL, the semantics check()
+/// decides (docs/VERIFICATION.md "Rulebook pre-pass").
+enum class SpecClass {
+  kNormal,         // satisfiable and falsifiable: a real constraint
+  kUnsatisfiable,  // no infinite word satisfies it (contradiction)
+  kTriviallyTrue,  // every infinite word satisfies it (tautology)
+};
+
+/// kTriviallyTrue iff B(¬φ) accepts nothing; its translation goes through
+/// ltl_to_buchi_cached, so a later check() of φ reuses it. kUnsatisfiable
+/// iff neither constant word ∅^ω nor (all propositions)^ω satisfies φ and
+/// B(φ) accepts nothing. Rejects degenerate specs before they enter a
+/// rulebook: DrivingDomain CHECKs the shipped 15, and the generator's
+/// filter_satisfiable drops degenerate template instances.
+[[nodiscard]] SpecClass classify_spec(const Ltl& formula);
+
 /// Render a counter-example in the paper's trace notation, e.g.
 ///   (p0, q3, {green_traffic_light, stop}) -> (p4, q4, …) -> [cycle] …
 std::string format_counterexample(const Lasso& lasso, const Kripke& kripke,

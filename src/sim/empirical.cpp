@@ -1,6 +1,6 @@
 #include "sim/empirical.hpp"
 
-#include "monitor/monitor.hpp"
+#include "logic/ltlf.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
@@ -33,16 +33,11 @@ EmpiricalReport empirical_evaluation(const Simulator& simulator,
   for (const logic::Trace& t : traces)
     if (t.empty()) ++report.skipped_traces;
   report.per_spec.reserve(specs.size());
-  // Per-spec streaming check through the compiled-monitor cache: the
-  // first evaluation of a spec pays one LTLf→DFA compile, every later
-  // one is a shared-pointer cache hit plus |trace| table lookups per
-  // trace. monitor::satisfaction_counts falls back to the tree evaluator
-  // (verdict-identically) when monitors are disabled or the spec is
-  // uncompilable, and CHECKs when every trace is empty.
-  for (const NamedSpec& spec : specs) {
-    const auto counts = monitor::satisfaction_counts(spec.formula, traces);
-    report.per_spec.push_back({spec.name, counts.rate()});
-  }
+  // satisfaction_rate skips empty traces and CHECKs when every trace is
+  // empty.
+  for (const NamedSpec& spec : specs)
+    report.per_spec.push_back(
+        {spec.name, logic::satisfaction_rate(spec.formula, traces)});
   return report;
 }
 

@@ -37,10 +37,8 @@ struct EmpiricalReport {
 };
 
 /// Run `rollouts` simulations of `controller` and evaluate every spec on
-/// every trace, streaming each trace through the spec's compiled DFA
-/// monitor (monitor::monitor_for cache; see docs/VERIFICATION.md). The
-/// report is byte-identical whether monitors are enabled or the LTLf
-/// tree evaluator runs — tests/test_monitor.cpp enforces it.
+/// every trace with the LTLf evaluator (logic::satisfaction_rate; see
+/// docs/VERIFICATION.md).
 EmpiricalReport empirical_evaluation(const Simulator& simulator,
                                      const FsaController& controller,
                                      const std::vector<NamedSpec>& specs,

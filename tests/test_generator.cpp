@@ -17,7 +17,6 @@
 #include "driving/generator/generator.hpp"
 #include "logic/lasso_eval.hpp"
 #include "logic/parser.hpp"
-#include "monitor/monitor.hpp"
 #include "util/threadpool.hpp"
 
 namespace dpoaf::driving::generator {
@@ -177,8 +176,8 @@ TEST(GeneratorRulebook, PrePassDiscardsDegenerateInstantiationsOnly) {
   // Everything that survived classifies kNormal.
   for (const auto& g : scenarios)
     for (const auto& spec : g.specs)
-      EXPECT_EQ(monitor::classify_spec(spec.formula),
-                monitor::SpecClass::kNormal)
+      EXPECT_EQ(modelcheck::classify_spec(spec.formula),
+                modelcheck::SpecClass::kNormal)
           << g.key << "/" << spec.name;
 }
 

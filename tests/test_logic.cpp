@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "logic/lasso_eval.hpp"
 #include "logic/ltl.hpp"
@@ -198,6 +200,59 @@ TEST_F(LtlfTest, PedestrianSpecOnTraces) {
   const Trace bad{sym({"pedestrian_in_front"}), sym({"go_straight"})};
   EXPECT_TRUE(evaluate_ltlf(phi1, good));
   EXPECT_FALSE(evaluate_ltlf(phi1, bad));
+}
+
+// Each row pins the verdict at a semantic boundary: length-1 traces, strong
+// Next at the last position, vacuous Release, …
+struct BoundaryCase {
+  const char* name;
+  const char* formula;
+  std::vector<std::vector<std::string_view>> trace;  // prop names per step
+  bool expected;
+};
+
+const BoundaryCase kBoundaryCases[] = {
+    {"next_strong_at_last", "X stop", {{"stop"}}, false},
+    {"next_holds_one_before_last", "X stop", {{}, {"stop"}}, true},
+    {"double_next_needs_three_steps", "X X stop", {{}, {"stop"}}, false},
+    {"double_next_at_third_step", "X X stop", {{}, {}, {"stop"}}, true},
+    {"always_on_length_one", "G stop", {{"stop"}}, true},
+    {"always_fails_on_length_one", "G stop", {{}}, false},
+    {"always_of_next_truncates", "G (stop -> X stop)", {{"stop"}}, false},
+    {"eventually_on_length_one", "F stop", {{}}, false},
+    {"eventually_at_last_position", "F stop", {{}, {}, {"stop"}}, true},
+    {"until_witness_at_first", "stop U green_traffic_light",
+     {{"green_traffic_light"}}, true},
+    {"until_without_witness", "stop U green_traffic_light",
+     {{"stop"}, {"stop"}}, false},
+    {"until_gap_before_witness", "stop U green_traffic_light",
+     {{"stop"}, {}, {"green_traffic_light"}}, false},
+    {"release_vacuous_to_end", "green_traffic_light R stop",
+     {{"stop"}, {"stop"}}, true},
+    {"release_discharged_at_first", "green_traffic_light R stop",
+     {{"stop", "green_traffic_light"}, {}}, true},
+    {"release_fails_on_length_one", "green_traffic_light R stop", {{}},
+     false},
+    {"release_psi_gap", "green_traffic_light R stop",
+     {{"stop"}, {}, {"stop"}}, false},
+    {"implication_spec_satisfied", "G (pedestrian_in_front -> F stop)",
+     {{"pedestrian_in_front"}, {"stop"}}, true},
+    {"implication_spec_violated", "G (pedestrian_in_front -> F stop)",
+     {{"pedestrian_in_front"}, {"go_straight"}}, false},
+};
+
+TEST_F(LtlfTest, BoundarySemanticsTable) {
+  for (const BoundaryCase& c : kBoundaryCases) {
+    Trace trace;
+    for (const auto& step : c.trace) {
+      Symbol s = 0;
+      for (const std::string_view name : step)
+        s |= Vocabulary::bit(*vocab_.find(name));
+      trace.push_back(s);
+    }
+    EXPECT_EQ(evaluate_ltlf(parse_ltl(c.formula, vocab_), trace), c.expected)
+        << c.name;
+  }
 }
 
 TEST_F(LtlfTest, SatisfactionRateCountsFractions) {

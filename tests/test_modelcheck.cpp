@@ -4,7 +4,9 @@
 #include <functional>
 
 #include "automata/product.hpp"
+#include "driving/domain.hpp"
 #include "logic/lasso_eval.hpp"
+#include "logic/ltlf.hpp"
 #include "logic/parser.hpp"
 #include "modelcheck/buchi.hpp"
 #include "modelcheck/checker.hpp"
@@ -350,6 +352,117 @@ TEST_P(CheckerPropertyTest, AgreesWithLassoOracle) {
 
 INSTANTIATE_TEST_SUITE_P(RandomizedSweep, CheckerPropertyTest,
                          ::testing::Range(0, 120));
+
+// --------------------------------------------------- rulebook pre-pass ---
+
+TEST_F(CheckerTest, ClassifySpecDetectsDegenerateFormulas) {
+  EXPECT_EQ(classify_spec(land(prop(c_), lnot(prop(c_)))),
+            SpecClass::kUnsatisfiable);
+  EXPECT_EQ(classify_spec(lfalse()), SpecClass::kUnsatisfiable);
+  EXPECT_EQ(classify_spec(lor(prop(c_), lnot(prop(c_)))),
+            SpecClass::kTriviallyTrue);
+  EXPECT_EQ(classify_spec(ltrue()), SpecClass::kTriviallyTrue);
+  EXPECT_EQ(classify_spec(always(ltrue())), SpecClass::kTriviallyTrue);
+  EXPECT_EQ(classify_spec(parse("F stop")), SpecClass::kNormal);
+  EXPECT_EQ(classify_spec(parse("G stop")), SpecClass::kNormal);
+  EXPECT_EQ(classify_spec(parse("X stop")), SpecClass::kNormal);
+}
+
+// Each branch of the decision: the constant words ∅^ω and (all props)^ω
+// short-cut satisfiability, and only when neither satisfies φ does the
+// emptiness test on B(φ) decide.
+TEST_F(CheckerTest, ClassifySpecDecidesPastTheConstantWords) {
+  const auto constant_word_satisfies = [](const Ltl& f) {
+    return evaluate_lasso(f, {{}, {Symbol{0}}}) ||
+           evaluate_lasso(f, {{}, {~Symbol{0}}});
+  };
+  const Ltl normal = parse("F stop & F !stop");
+  EXPECT_FALSE(constant_word_satisfies(normal));
+  EXPECT_EQ(classify_spec(normal), SpecClass::kNormal);
+  for (const char* text : {"G stop & F !stop", "G F stop & F G !stop"}) {
+    const Ltl f = parse(text);
+    EXPECT_FALSE(constant_word_satisfies(f)) << text;
+    EXPECT_EQ(classify_spec(f), SpecClass::kUnsatisfiable) << text;
+  }
+  EXPECT_EQ(classify_spec(parse("F stop | G !stop")),
+            SpecClass::kTriviallyTrue);
+}
+
+// The pre-pass decides under LTL, not LTLf: over finite traces X is strong,
+// so G X true fails at every last step, but every infinite word has a next.
+TEST_F(CheckerTest, ClassifySpecUsesInfiniteWordSemantics) {
+  const Ltl f = parse("G X true");
+  EXPECT_FALSE(logic::evaluate_ltlf(f, logic::Trace(3, C_)));
+  EXPECT_EQ(classify_spec(f), SpecClass::kTriviallyTrue);
+}
+
+// Soundness against the lasso oracle on random 2-proposition formulas:
+// an unsatisfiable verdict admits no satisfying lasso and a trivially-true
+// verdict no falsifying one, over every lasso with |prefix| ≤ 2 and
+// |cycle| ≤ 2.
+TEST_F(CheckerTest, PropertyClassifySpecIsSoundOnSmallLassos) {
+  const Symbol letters[] = {0, A_, C_, A_ | C_};
+  std::vector<std::vector<Symbol>> strings{{}};  // every one of length ≤ 2
+  for (const Symbol x : letters) {
+    strings.push_back({x});
+    for (const Symbol y : letters) strings.push_back({x, y});
+  }
+  std::vector<LassoWord> words;
+  for (const auto& prefix : strings)
+    for (const auto& cycle : strings)
+      if (!cycle.empty()) words.push_back({prefix, cycle});
+  ASSERT_EQ(words.size(), 21u * 20u);
+
+  Rng rng(2718);
+  const std::vector<Ltl> atoms{prop(a_), prop(c_)};
+  std::function<Ltl(int)> gen = [&](int depth) -> Ltl {
+    if (depth == 0 || rng.chance(0.25)) return atoms[rng.below(atoms.size())];
+    switch (rng.below(9)) {
+      case 0: return lnot(gen(depth - 1));
+      case 1: return land(gen(depth - 1), gen(depth - 1));
+      case 2: return lor(gen(depth - 1), gen(depth - 1));
+      case 3: return implies(gen(depth - 1), gen(depth - 1));
+      case 4: return next(gen(depth - 1));
+      case 5: return eventually(gen(depth - 1));
+      case 6: return always(gen(depth - 1));
+      case 7: return until(gen(depth - 1), gen(depth - 1));
+      default: return release(gen(depth - 1), gen(depth - 1));
+    }
+  };
+  int seen[3] = {0, 0, 0};
+  for (int trial = 0; trial < 300; ++trial) {
+    const Ltl f = gen(4);
+    const SpecClass cls = classify_spec(f);
+    ++seen[static_cast<int>(cls)];
+    if (cls == SpecClass::kNormal) continue;
+    const bool valid = cls == SpecClass::kTriviallyTrue;
+    for (const LassoWord& w : words)
+      ASSERT_EQ(evaluate_lasso(f, w), valid) << to_string(f, vocab_);
+  }
+  // The sweep reaches every verdict.
+  for (const int n : seen) EXPECT_GT(n, 0);
+}
+
+TEST_F(CheckerTest, ShippedRulebookPassesPrePass) {
+  const driving::DrivingDomain domain;  // the ctor itself CHECKs the pre-pass
+  for (const auto& spec : domain.specs())
+    EXPECT_EQ(classify_spec(spec.formula), SpecClass::kNormal) << spec.name;
+}
+
+// The pre-pass translates ¬Φ through the cache check() reads, so checking
+// a paper spec after the domain is built pays no second translation.
+TEST_F(CheckerTest, DomainBuildLeavesPaperSpecChecksCacheHits) {
+  clear_buchi_cache();
+  const driving::DrivingDomain domain;
+  const auto k = make_kripke({0}, {{0}}, {0});
+  for (const auto& spec : domain.specs()) {
+    const auto before = buchi_cache_stats();
+    (void)check(k, spec.formula);
+    const auto after = buchi_cache_stats();
+    EXPECT_EQ(after.misses, before.misses) << spec.name;
+    EXPECT_EQ(after.hits, before.hits + 1) << spec.name;
+  }
+}
 
 }  // namespace
 }  // namespace dpoaf::modelcheck

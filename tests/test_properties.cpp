@@ -19,8 +19,8 @@
 #include "logic/lasso_eval.hpp"
 #include "logic/ltlf.hpp"
 #include "logic/parser.hpp"
-#include "monitor/monitor.hpp"
 #include "modelcheck/buchi.hpp"
+#include "modelcheck/checker.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
@@ -241,9 +241,9 @@ TEST_P(PropertySweep, NoiselessRolloutsAreModelPathsInEveryScenario) {
 //
 // The procedural generator (docs/GENERATOR.md) emits rulebooks no human
 // reviewed, so the bridge properties fuzz them through every formula
-// consumer: the ASCII printer→parser round-trip, the satisfiability
-// pre-pass, monitor compilation, and monitor-vs-tree-evaluator agreement
-// on random walks of the generated scenario's own model.
+// consumer: the ASCII printer→parser round-trip and the satisfiability
+// pre-pass, whose verdicts must hold on lassos built from random walks of
+// the generated scenario's own model.
 
 TEST_P(PropertySweep, GeneratedRulebooksSurvivePrinterParserRoundTrip) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 73 + 19);
@@ -259,7 +259,7 @@ TEST_P(PropertySweep, GeneratedRulebooksSurvivePrinterParserRoundTrip) {
   ASSERT_FALSE(formulas.empty());
   for (const logic::Ltl& f : formulas) {
     // The pre-pass classifies every raw instantiation without CHECKing.
-    (void)monitor::classify_spec(f);
+    (void)modelcheck::classify_spec(f);
     const std::string printed = logic::to_string(f, vocab);
     const logic::Ltl reparsed = logic::parse_ltl(printed, vocab);
     // Printing is a normal form: the round-trip is a fixed point.
@@ -281,41 +281,40 @@ TEST_P(PropertySweep, GeneratedRulebooksSurvivePrinterParserRoundTrip) {
   }
 }
 
-TEST_P(PropertySweep, GeneratedSpecsCompileAndMonitorMatchesTreeEvaluator) {
+TEST_P(PropertySweep, GeneratedSpecsPrePassVerdictsHoldOnRandomLassos) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 59 + 29);
   const auto& vocab = domain().vocab();
   const auto features = driving::generator::draw_features(rng);
   const auto model = driving::generator::build_model(features, vocab);
-  const auto specs = driving::generator::instantiate_rulebook(features, vocab);
-  ASSERT_FALSE(specs.empty());
 
-  // Random walks through the scenario's own model, with a random action
-  // bit per step (monitors see observation ∪ action symbols in the sim).
+  // Lassos cut from random walks through the scenario's own model, with a
+  // random action bit per step (the symbols the simulator produces).
   const auto actions = vocab.action_indices();
-  std::vector<logic::Trace> traces;
+  std::vector<logic::LassoWord> words;
   for (int r = 0; r < 6; ++r) {
     auto s = static_cast<int>(rng.below(model.state_count()));
-    logic::Trace trace;
-    for (int step = 0; step < 12; ++step) {
-      trace.push_back(model.label(s) |
-                      Vocabulary::bit(actions[rng.below(actions.size())]));
+    std::vector<Symbol> walk;
+    for (int step = 0; step < 8; ++step) {
+      walk.push_back(model.label(s) |
+                     Vocabulary::bit(actions[rng.below(actions.size())]));
       const auto& succ = model.successors(s);
       ASSERT_FALSE(succ.empty());
       s = succ[rng.below(succ.size())];
     }
-    traces.push_back(std::move(trace));
+    const auto cut = static_cast<std::ptrdiff_t>(rng.below(walk.size()));
+    words.push_back({{walk.begin(), walk.begin() + cut},
+                     {walk.begin() + cut, walk.end()}});
   }
 
-  for (const auto& spec : specs) {
-    // Everything the pre-pass retained is a real constraint and small
-    // enough to compile (the rulebook never exceeds the support cap).
-    const auto mon = monitor::compile_monitor(spec.formula);
-    ASSERT_NE(mon, nullptr) << spec.name;
-    EXPECT_FALSE(mon->is_unsatisfiable()) << spec.name;
-    EXPECT_FALSE(mon->is_trivially_true()) << spec.name;
-    for (const auto& trace : traces)
-      EXPECT_EQ(mon->accepts(trace),
-                logic::evaluate_ltlf(spec.formula, trace))
+  // Raw instantiations, so the degenerate ones the pre-pass drops are
+  // checked too: a tautology holds on every lasso, a contradiction on none.
+  for (const auto& spec :
+       driving::generator::rule_templates(features, vocab)) {
+    const auto cls = modelcheck::classify_spec(spec.formula);
+    if (cls == modelcheck::SpecClass::kNormal) continue;
+    for (const logic::LassoWord& w : words)
+      EXPECT_EQ(logic::evaluate_lasso(spec.formula, w),
+                cls == modelcheck::SpecClass::kTriviallyTrue)
           << spec.name;
   }
 }
