@@ -79,16 +79,14 @@ void BM_ServeThroughput(benchmark::State& state) {
   util::set_global_threads(4);
   serve::ServiceConfig cfg;
   cfg.slots = slots;
-  cfg.queue_capacity = 64;
   cfg.seed = 7;
   serve::GenerationService service(
       lora ? lora_serving_model() : serving_model(), cfg);
   const auto requests = request_batch(8);
   std::int64_t tokens = 0;
   for (auto _ : state) {
-    const auto results = service.generate_all(requests);
-    for (const auto& r : results)
-      tokens += static_cast<std::int64_t>(r.ids.size());
+    for (auto& f : service.submit_all(requests))
+      tokens += static_cast<std::int64_t>(f.get().ids.size());
   }
   util::set_global_threads(1);
   state.SetItemsProcessed(tokens);
@@ -100,49 +98,6 @@ BENCHMARK(BM_ServeThroughput)
     ->Args({1, 0})
     ->Args({8, 0})
     ->Args({1, 1})
-    ->UseRealTime();
-
-// Admission-under-backlog regression check: queue a deep backlog of
-// near-trivial requests and drain it through one slot, so scheduler
-// iterations are dominated by admission bookkeeping. The per-priority FIFO
-// lanes keep each admission O(log #priorities); the old best-candidate
-// scan over the whole vector made draining an n-deep backlog O(n²) (watch
-// req/s collapse at 4096 if this regresses).
-void BM_AdmitBacklog(benchmark::State& state) {
-  const int backlog = static_cast<int>(state.range(0));
-  util::set_global_threads(1);
-  Rng rng(31);
-  std::vector<serve::GenerateRequest> requests;
-  requests.reserve(static_cast<std::size_t>(backlog));
-  for (int i = 0; i < backlog; ++i) {
-    serve::GenerateRequest req;
-    req.prompt = {static_cast<int>(rng.below(80))};
-    req.max_new_tokens = 0;  // admission + prefill bookkeeping only
-    req.greedy = true;
-    req.priority = static_cast<int>(rng.below(4));
-    requests.push_back(std::move(req));
-  }
-  std::uint64_t drained = 0;
-  for (auto _ : state) {
-    serve::ServiceConfig cfg;
-    cfg.slots = 1;
-    cfg.queue_capacity = backlog;
-    serve::GenerationService service(serving_model(), cfg);
-    std::vector<std::future<serve::GenerateResult>> futures;
-    futures.reserve(requests.size());
-    for (const auto& req : requests)
-      futures.push_back(service.submit(req));
-    for (auto& f : futures) f.get();
-    drained += static_cast<std::uint64_t>(backlog);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(drained));
-  state.counters["req/s"] = benchmark::Counter(
-      static_cast<double>(drained), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_AdmitBacklog)
-    ->Arg(512)
-    ->Arg(4096)
-    ->ArgName("backlog")
     ->UseRealTime();
 
 }  // namespace

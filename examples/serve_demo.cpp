@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
 
   serve::ServiceConfig scfg;
   scfg.slots = slots;
-  scfg.queue_capacity = std::max(64, requests);
   scfg.seed = seed;
   scfg.kv_block_tokens = kv_block;
   // A thread count or service setting the library rejects (e.g. --slots 0,
@@ -155,13 +154,11 @@ int main(int argc, char** argv) {
     req.top_k = 6;
     req.eos_id = 1;
     req.seed = trace_rng();
-    req.priority = static_cast<int>(trace_rng.below(3));
     trace.push_back(std::move(req));
   }
 
   // Open-loop submission: one request per arrival tick, regardless of how
-  // the previous ones are progressing (blocking submit applies
-  // backpressure only if the queue saturates).
+  // the previous ones are progressing (submit never blocks).
   std::vector<std::future<serve::GenerateResult>> pending;
   pending.reserve(trace.size());
   for (auto& req : trace) {

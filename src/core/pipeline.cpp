@@ -92,13 +92,9 @@ driving::generator::GeneratorConfig make_generator_config(
   return gen;
 }
 
-// The admission queue holds all `requests` of one batch.
-serve::ServiceConfig make_serve_config(const PipelineConfig& config,
-                                       std::uint64_t requests) {
+serve::ServiceConfig make_serve_config(const PipelineConfig& config) {
   serve::ServiceConfig scfg;
   scfg.slots = config.serve_slots;
-  scfg.queue_capacity =
-      static_cast<int>(std::max<std::uint64_t>(1, requests));
   scfg.seed = config.seed;
   return scfg;
 }
@@ -317,7 +313,7 @@ DpoAfPipeline::stream_scored_responses(
   std::vector<std::future<serve::GenerateResult>> responses;
   if (!from_catalog) {
     service = std::make_unique<serve::GenerationService>(
-        model, make_serve_config(config_, total));
+        model, make_serve_config(config_));
     responses = service->submit_all(std::move(requests));
   }
 

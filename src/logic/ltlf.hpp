@@ -16,10 +16,12 @@ namespace dpoaf::logic {
 using Trace = std::vector<Symbol>;
 
 /// Evaluate `f` on `trace` starting at position `pos`. Requires
-/// pos < trace.size(). Memoizes internally; O(|f| · |trace|²) worst case.
+/// pos < trace.size(). One backward pass per distinct subformula over the
+/// suffix: O(|f| · (|trace| − pos)) time and space.
 bool evaluate_ltlf(const Ltl& f, const Trace& trace, std::size_t pos = 0);
 
-/// Evaluate a propositional formula (see is_propositional) on one symbol.
+/// `f` on the one-step trace {label}, with no allocation — for a
+/// propositional formula (see is_propositional), its truth on one symbol.
 bool holds_on(const Ltl& f, Symbol label);
 
 /// Fraction of non-empty traces satisfying `f` — the paper's P_Φ. Empty

@@ -8,7 +8,7 @@
 // vectors (see nn/kv_cache.hpp): position p lives in row p % block_tokens
 // of block table[p / block_tokens]. A standalone session owns a private,
 // exactly-sized pool; the serve layer instead passes one pool shared by
-// all its slots, so admission can be gated on free blocks.
+// all its slots, sized for one max_seq sequence per slot.
 //
 // Bitwise contract: a step runs the batch forward's own row code in its
 // order, so its logits are the bytes of TinyGpt::forward's row on the

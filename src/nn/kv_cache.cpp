@@ -30,8 +30,8 @@ KvBlockPool::KvBlockPool(std::int64_t n_layers, std::int64_t d_model,
 std::int32_t KvBlockPool::allocate() {
   std::lock_guard<std::mutex> lock(mutex_);
   DPOAF_CHECK_MSG(!free_.empty(),
-                  "KV block pool exhausted — admission reservations must "
-                  "cover every allocation");
+                  "KV block pool exhausted — the pool must hold every "
+                  "session's max_seq sequence");
   const std::int32_t b = free_.back();
   free_.pop_back();
   allocated_[static_cast<std::size_t>(b)] = true;

@@ -5,10 +5,9 @@
 // block id names the same token span across the whole model. DecodeSession
 // maps positions to storage through a per-sequence block table
 // (position p lives in block table[p / block_tokens], row p % block_tokens)
-// instead of a private contiguous buffer, so admission is memory-bounded:
-// a request is admitted when enough free blocks exist, not when a whole
-// max_seq-sized slab does. Every block has exactly one owner, the session
-// whose table holds it.
+// instead of a private contiguous buffer: a sequence holds only the blocks
+// its positions reach. Every block has exactly one owner, the session whose
+// table holds it.
 //
 // Thread safety: allocate/release mutate shared state under an internal
 // mutex (crossing a block boundary happens once per block_tokens decode
@@ -36,8 +35,8 @@ class KvBlockPool {
   KvBlockPool& operator=(const KvBlockPool&) = delete;
 
   /// Take a free block. Throws when the pool is exhausted — the serve
-  /// layer's admission reservations make that a logic error, not an
-  /// overload condition.
+  /// layer sizes its pool for one max_seq sequence per slot, so that is a
+  /// logic error, not an overload condition.
   [[nodiscard]] std::int32_t allocate();
 
   /// Return an allocated block to the free list (ids are recycled LIFO).

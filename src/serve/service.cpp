@@ -1,11 +1,8 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <functional>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -47,7 +44,6 @@ struct GenerationService::Slot {
   std::promise<GenerateResult> promise;
   std::uint64_t admit_ns = 0;
   bool prefilled = false;
-  std::int64_t worst_blocks = 0;  // admission-time block reservation
   GenerateResult result;
 };
 
@@ -76,13 +72,8 @@ struct GenerationService::Impl {
   std::unique_ptr<nn::KvBlockPool> pool;
 
   std::mutex mutex;
-  std::condition_variable work_cv;   // wakes the scheduler
-  std::condition_variable space_cv;  // wakes blocking submitters
-  // Per-priority FIFO lanes (highest priority first); admission pops the
-  // front of the first non-empty lane in O(log #priorities) instead of
-  // scanning the whole backlog per admitted request.
-  std::map<int, std::deque<Pending>, std::greater<int>> queue;
-  int queue_size = 0;
+  std::condition_variable work_cv;  // wakes the scheduler
+  std::deque<Pending> queue;        // admission order
   bool draining = false;  // no new admissions
   int active_count = 0;
   std::vector<Slot> slots;
@@ -101,22 +92,14 @@ GenerationService::GenerationService(const nn::TinyGpt& model,
                                      ServiceConfig config)
     : model_(model), config_(config), impl_(std::make_unique<Impl>()) {
   DPOAF_CHECK_MSG(config_.slots >= 1, "service needs at least one slot");
-  DPOAF_CHECK_MSG(config_.queue_capacity >= 1,
-                  "queue_capacity must be >= 1");
   DPOAF_CHECK_MSG(config_.kv_block_tokens >= 1,
                   "kv_block_tokens must be >= 1");
   const auto& cfg = model_.config();
   const std::int64_t bt = config_.kv_block_tokens;
+  // One max_seq sequence per slot: a free slot always has room to finish.
   const std::int64_t per_seq = (cfg.max_seq + bt - 1) / bt;
-  std::int64_t total = config_.kv_blocks_total > 0
-                           ? config_.kv_blocks_total
-                           : per_seq * config_.slots;
-  // The reservation floor: the pool must fit at least one worst-case
-  // sequence or no admission reservation could ever succeed.
-  DPOAF_CHECK_MSG(total >= per_seq,
-                  "kv_blocks_total smaller than one max_seq sequence");
   impl_->pool = std::make_unique<nn::KvBlockPool>(cfg.n_layers, cfg.d_model,
-                                                  bt, total);
+                                                  bt, per_seq * config_.slots);
   impl_->slots.resize(static_cast<std::size_t>(config_.slots));
   for (Slot& slot : impl_->slots)
     slot.session =
@@ -170,36 +153,18 @@ std::vector<std::future<GenerateResult>> GenerationService::submit_all(
     valid.push_back(Pending{std::move(req), std::move(promise)});
   }
   if (valid.empty()) return futures;
-  const auto n = static_cast<int>(valid.size());
-  DPOAF_CHECK_MSG(n <= config_.queue_capacity,
-                  "submit_all: more valid requests than queue_capacity");
   {
-    std::unique_lock<std::mutex> lock(im.mutex);
-    im.space_cv.wait(lock, [&] {
-      return im.draining || im.queue_size + n <= config_.queue_capacity;
-    });
+    std::lock_guard<std::mutex> lock(im.mutex);
     DPOAF_CHECK_MSG(!im.draining, "submit() after shutdown");
     const std::uint64_t now_ns = obs::monotonic_now_ns();
     for (Pending& p : valid) {
       p.admit_ns = now_ns;
-      im.queue[p.req.priority].push_back(std::move(p));
+      im.queue.push_back(std::move(p));
     }
-    im.queue_size += n;
     im.accepted.add(valid.size());
   }
   im.work_cv.notify_all();
   return futures;
-}
-
-std::vector<GenerateResult> GenerationService::generate_all(
-    const std::vector<GenerateRequest>& requests) {
-  std::vector<std::future<GenerateResult>> futures;
-  futures.reserve(requests.size());
-  for (const GenerateRequest& req : requests) futures.push_back(submit(req));
-  std::vector<GenerateResult> out;
-  out.reserve(futures.size());
-  for (auto& f : futures) out.push_back(f.get());
-  return out;
 }
 
 void GenerationService::shutdown() {
@@ -209,7 +174,6 @@ void GenerationService::shutdown() {
     im.draining = true;
   }
   im.work_cv.notify_all();
-  im.space_cv.notify_all();
   std::lock_guard<std::mutex> join_lock(im.join_mutex);
   if (im.scheduler.joinable()) im.scheduler.join();
 }
@@ -228,50 +192,20 @@ ServiceStats GenerationService::stats() const {
   return s;
 }
 
-std::int64_t GenerationService::worst_case_blocks(
-    const GenerateRequest& req) const {
-  const std::int64_t positions =
-      std::min<std::int64_t>(static_cast<std::int64_t>(req.prompt.size()) +
-                                 req.max_new_tokens,
-                             model_.config().max_seq);
-  return impl_->pool->blocks_for(positions);
-}
-
-std::int64_t GenerationService::remaining_need(const Slot& slot) const {
-  // Blocks the slot's session may still allocate: its admission-time
-  // worst case minus what its table already holds.
-  const auto held =
-      static_cast<std::int64_t>(slot.session->block_table().size());
-  return std::max<std::int64_t>(0, slot.worst_blocks - held);
-}
-
 void GenerationService::admit_locked(std::uint64_t now_ns) {
   auto& im = *impl_;
-  while (im.queue_size > 0 && im.active_count < config_.slots) {
-    // Outstanding reservations for everything already admitted.
-    std::int64_t reserved = 0;
-    for (const Slot& s : im.slots)
-      if (s.active) reserved += remaining_need(s);
-
-    auto lane = im.queue.begin();  // highest priority, FIFO within
-    Pending& head = lane->second.front();
-    if (im.pool->free_blocks() < reserved + worst_case_blocks(head.req))
-      break;  // head-of-line blocks; retirements will free space
-
+  while (!im.queue.empty() && im.active_count < config_.slots) {
     std::size_t si = 0;
     while (im.slots[si].active) ++si;  // lowest free slot
     Slot& slot = im.slots[si];
-    Pending p = std::move(head);
-    lane->second.pop_front();
-    if (lane->second.empty()) im.queue.erase(lane);
-    --im.queue_size;
+    Pending p = std::move(im.queue.front());
+    im.queue.pop_front();
     slot.active = true;
     slot.finished = false;
     slot.req = std::move(p.req);
     slot.promise = std::move(p.promise);
     slot.admit_ns = p.admit_ns;
     slot.prefilled = false;
-    slot.worst_blocks = worst_case_blocks(slot.req);
     slot.result = GenerateResult{};
     slot.result.queue_ns = now_ns - p.admit_ns;
     slot.rng = nn::request_rng(config_.seed, slot.req.seed);
@@ -359,12 +293,12 @@ void GenerationService::scheduler_loop() {
     {
       std::unique_lock<std::mutex> lock(im.mutex);
       im.work_cv.wait(lock, [&] {
-        return im.draining || im.active_count > 0 || im.queue_size > 0;
+        return im.draining || im.active_count > 0 || !im.queue.empty();
       });
       admit_locked(obs::monotonic_now_ns());
-      im.space_cv.notify_all();
-      queue_depth.set(im.queue_size);
-      queue_depth_max.record_max(im.queue_size);
+      const auto depth = static_cast<std::int64_t>(im.queue.size());
+      queue_depth.set(depth);
+      queue_depth_max.record_max(depth);
       active_gauge.set(im.active_count);
       active_max.record_max(im.active_count);
       blocks_free_g.set(im.pool->free_blocks());

@@ -2,16 +2,15 @@
 // scheduling) over block-paged KV storage.
 //
 // A GenerationService owns a fixed fleet of decode slots, one shared
-// KvBlockPool, and one scheduler thread. Requests enter a bounded
-// admission queue (per-priority FIFO lanes); every scheduler iteration
-// admits queued requests into free slots — gated on free KV blocks, not
-// just slot count — and advances each active slot by one generated token,
-// fanning the per-slot steps across util::ThreadPool. Finished requests
-// retire at the end of the iteration, release their blocks, and their slot
-// is re-admitted immediately — new work never waits for the whole batch to
-// drain. Admission reserves each request's worst-case block need, so an
-// admitted request can always run to completion — the pool can never
-// strand a slot mid-decode.
+// KvBlockPool, and one scheduler thread. Requests wait in one unbounded
+// FIFO queue; every scheduler iteration moves queued requests into free
+// slots, oldest first, and advances each active slot by one generated
+// token, fanning the per-slot steps across util::ThreadPool. Finished
+// requests retire at the end of the iteration, release their blocks, and
+// their slot is re-admitted immediately — new work never waits for the
+// whole batch to drain. The pool holds one max_seq sequence per slot, so a
+// free slot is all admission needs: an admitted request can always run to
+// completion.
 //
 // Determinism: a request's output depends only on the model weights, its
 // own fields, and nn::request_rng(config.seed, request.seed). Attention
@@ -53,8 +52,6 @@ struct GenerateRequest {
   /// Per-request RNG seed; the decode stream is nn::request_rng(service
   /// seed, this seed) — independent of every other request.
   std::uint64_t seed = 0;
-  /// Higher-priority requests are admitted first; ties are FIFO.
-  int priority = 0;
 };
 
 struct GenerateResult {
@@ -70,19 +67,13 @@ struct GenerateResult {
 };
 
 struct ServiceConfig {
-  int slots = 8;            // concurrent decode sessions (>= 1)
-  int queue_capacity = 64;  // queued requests (>= 1), excluding active slots
+  int slots = 8;           // concurrent decode sessions (>= 1)
   std::uint64_t seed = 0;  // mixed into every per-request RNG
   /// Tokens per KV block. Smaller blocks waste less tail space; larger
   /// blocks cut per-block bookkeeping. Results are bitwise-identical at
-  /// any value (>= 1).
+  /// any value (>= 1). The shared pool holds
+  /// slots * ceil(max_seq / kv_block_tokens) blocks.
   int kv_block_tokens = 16;
-  /// Total blocks in the shared pool; 0 sizes it to fit `slots`
-  /// worst-case sequences (slots * ceil(max_seq / kv_block_tokens)).
-  /// Must fit at least one worst-case sequence — admission reserves every
-  /// admitted request's remaining need, so smaller pools throttle
-  /// concurrency instead of stranding requests.
-  std::int64_t kv_blocks_total = 0;
 };
 
 /// Lifetime totals (monotone; read with stats()).
@@ -112,24 +103,18 @@ class GenerationService {
   /// Empty when the request is valid for this service's model.
   [[nodiscard]] std::string validate(const GenerateRequest& req) const;
 
-  /// Admission: waits for queue space (backpressure). An invalid request never
-  /// reaches the scheduler — its future resolves immediately with
-  /// FinishReason::kInvalid. Throws ContractViolation only when called
-  /// after shutdown.
+  /// Queues the request and returns at once; the queue has no bound. An
+  /// invalid request never reaches the scheduler — its future resolves
+  /// immediately with FinishReason::kInvalid. Throws ContractViolation only
+  /// when called after shutdown.
   std::future<GenerateResult> submit(GenerateRequest req);
 
   /// submit() for a whole list: every valid request enters the queue under
   /// one lock. With no other submitter, the scheduler's decisions — and so
   /// every ServiceStats total — then depend only on the list, never on when
-  /// the caller's thread ran. Waits for room for all of them; CHECKs that
-  /// they fit queue_capacity. Futures come back in input order.
+  /// the caller's thread ran. Futures come back in input order.
   std::vector<std::future<GenerateResult>> submit_all(
       std::vector<GenerateRequest> requests);
-
-  /// Submit every request (blocking for space) and wait; results come back
-  /// in input order.
-  std::vector<GenerateResult> generate_all(
-      const std::vector<GenerateRequest>& requests);
 
   /// Stop accepting requests and complete all admitted work first.
   /// Idempotent; safe to call from multiple threads.
@@ -144,8 +129,8 @@ class GenerationService {
   struct Impl;
 
   void scheduler_loop();
-  /// Move queued requests into free slots while their worst-case block
-  /// need fits the unreserved pool; caller holds mutex_.
+  /// Move queued requests into free slots, oldest first; caller holds the
+  /// service mutex.
   void admit_locked(std::uint64_t now_ns);
   /// One nn::decode_step (after the prompt prefill, on first call) for an
   /// active slot, plus the serving-only parts: prefill accounting and
@@ -153,12 +138,6 @@ class GenerationService {
   void advance(Slot& slot, std::uint64_t now_ns);
   /// Fulfill a finished slot's promise and free it.
   void retire(Slot& slot, std::uint64_t now_ns);
-  /// KV blocks the slot may still allocate (drives admission reservation).
-  [[nodiscard]] std::int64_t remaining_need(const Slot& slot) const;
-  /// Worst-case block count for a request: its prompt plus its token
-  /// budget, capped at max_seq.
-  [[nodiscard]] std::int64_t worst_case_blocks(
-      const GenerateRequest& req) const;
 
   const nn::TinyGpt& model_;
   ServiceConfig config_;

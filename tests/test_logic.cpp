@@ -12,6 +12,7 @@
 #include "logic/ltlf.hpp"
 #include "logic/parser.hpp"
 #include "logic/vocabulary.hpp"
+#include "memo_ltlf.hpp"
 #include "util/rng.hpp"
 
 namespace dpoaf::logic {
@@ -282,13 +283,9 @@ TEST_F(LtlfTest, EmptyTraceRejected) {
   EXPECT_THROW(evaluate_ltlf(ltrue(), Trace{}), ContractViolation);
 }
 
-// Regression for the memo-key collision: the evaluator's cache used to
-// flatten (node id, position) into `id * 1000003 + pos`, so formulas with
-// consecutive interning ids collide at positions 1,000,003 apart —
-// (a, 1000003) and (b, 0) share a key, and F b silently inherits F a's
-// cached sub-verdict. With a true only at position 1,000,003 and b never
-// true, the colliding scheme answered true for F a & F b; the correct
-// verdict is false.
+// A million-step trace with a true only at position 1,000,003 and b never
+// true: F a & F b is false. (A memo keyed on `id * 1000003 + pos` once
+// let F b inherit F a's verdict here.)
 TEST_F(LtlfTest, MemoKeyCollisionOnMillionStepTrace) {
   const Ltl pa = prop(40);  // fresh, unused prop indices so the two nodes
   const Ltl pb = prop(41);  // are interned back-to-back
@@ -298,6 +295,62 @@ TEST_F(LtlfTest, MemoKeyCollisionOnMillionStepTrace) {
   Trace t(1000004, Symbol{0});
   t[1000003] = Symbol{1} << 40;  // a holds only here; b never holds
   EXPECT_FALSE(evaluate_ltlf(f, t));
+}
+
+// A random formula over props 0..3 using every operator, with shared
+// subformulas (the interning makes repeated draws one DAG node).
+Ltl random_formula(Rng& rng, int depth) {
+  if (depth == 0 || rng.below(4) == 0) {
+    switch (rng.below(6)) {
+      case 0: return ltrue();
+      case 1: return lfalse();
+      default: return prop(static_cast<int>(rng.below(4)));
+    }
+  }
+  const Ltl a = random_formula(rng, depth - 1);
+  switch (rng.below(11)) {
+    case 0: return lnot(a);
+    case 1: return land(a, random_formula(rng, depth - 1));
+    case 2: return lor(a, random_formula(rng, depth - 1));
+    case 3: return implies(a, random_formula(rng, depth - 1));
+    case 4: return next(a);
+    case 5: return eventually(a);
+    case 6: return always(a);
+    case 7: return until(a, random_formula(rng, depth - 1));
+    case 8: return release(a, random_formula(rng, depth - 1));
+    case 9: return land(a, eventually(a));
+    default: return until(a, always(a));
+  }
+}
+
+// The backward column evaluator agrees with the memoized recursive one at
+// every start position, holds_on agrees with it on one-step traces, and
+// satisfaction_rate counts its verdicts.
+TEST_F(LtlfTest, ColumnsMatchMemoizedReferenceAtEveryPosition) {
+  Rng rng(97);
+  for (int round = 0; round < 400; ++round) {
+    const Ltl f = random_formula(rng, 5);
+    std::vector<Trace> traces;
+    std::size_t want_sat = 0;
+    for (int t = 0; t < 4; ++t) {
+      Trace trace(1 + rng.below(12));
+      for (Symbol& s : trace) s = static_cast<Symbol>(rng.below(16));
+      reference::MemoLtlf ref(trace);
+      for (std::size_t pos = 0; pos < trace.size(); ++pos)
+        ASSERT_EQ(evaluate_ltlf(f, trace, pos), ref.memo(f, pos))
+            << to_string(f, vocab_) << " at " << pos << " of round "
+            << round;
+      want_sat += ref.memo(f, 0) ? 1 : 0;
+      traces.push_back(std::move(trace));
+    }
+    EXPECT_EQ(satisfaction_rate(f, traces),
+              static_cast<double>(want_sat) / 4.0);
+    for (Symbol s = 0; s < 16; ++s) {
+      const Trace one{s};
+      ASSERT_EQ(holds_on(f, s), reference::MemoLtlf(one).memo(f, 0))
+          << to_string(f, vocab_) << " on symbol " << s;
+    }
+  }
 }
 
 // ----------------------------------------------------------- lasso LTL ---

@@ -584,6 +584,93 @@ TEST(AdamW, WeightDecayPullsTowardZero) {
   EXPECT_GT(w.data()[0], 0.0f);
 }
 
+// AdamW::step as it ran before its update loop was vectorized: one
+// element at a time, hyperparameters read from the config.
+struct ReferenceAdamW {
+  AdamWConfig config;
+  std::vector<std::vector<float>> m, v;
+  std::int64_t t = 0;
+
+  void step(std::vector<std::vector<float>>& ws,
+            const std::vector<std::vector<float>>& gs) {
+    ++t;
+    double norm_sq = 0.0;
+    for (const auto& g : gs)
+      for (const float gi : g)
+        norm_sq += static_cast<double>(gi) * static_cast<double>(gi);
+    const double norm = std::sqrt(norm_sq);
+    float clip_scale = 1.0f;
+    if (config.grad_clip > 0.0f && norm > config.grad_clip)
+      clip_scale = config.grad_clip / static_cast<float>(norm);
+    const float bc1 = 1.0f - std::pow(config.beta1, static_cast<float>(t));
+    const float bc2 = 1.0f - std::pow(config.beta2, static_cast<float>(t));
+    for (std::size_t pi = 0; pi < ws.size(); ++pi) {
+      float* w = ws[pi].data();
+      const float* g = gs[pi].data();
+      float* mp = m[pi].data();
+      float* vp = v[pi].data();
+      for (std::size_t i = 0; i < ws[pi].size(); ++i) {
+        const float gi = g[i] * clip_scale;
+        mp[i] = config.beta1 * mp[i] + (1.0f - config.beta1) * gi;
+        vp[i] = config.beta2 * vp[i] + (1.0f - config.beta2) * gi * gi;
+        const float mhat = mp[i] / bc1;
+        const float vhat = vp[i] / bc2;
+        w[i] -= config.lr *
+                (mhat / (std::sqrt(vhat) + config.eps) +
+                 config.weight_decay * w[i]);
+      }
+    }
+  }
+};
+
+bool same_bytes(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+// The vectorized step is the reference loop bit for bit: weights and both
+// moments, over several steps, on odd sizes that reach the vector tails,
+// with the global-norm clip engaged and disabled.
+TEST(AdamW, StepMatchesReferenceLoopBitwise) {
+  const std::vector<std::int64_t> sizes = {1, 3, 7, 17, 33, 129, 1001};
+  for (const float clip : {1.0f, 0.0f}) {
+    SCOPED_TRACE(testing::Message() << "grad_clip=" << clip);
+    Rng rng(61);
+    AdamWConfig cfg;
+    cfg.lr = 1e-2f;
+    cfg.weight_decay = 0.01f;
+    cfg.grad_clip = clip;
+    std::vector<Tensor> params;
+    std::vector<std::vector<float>> ref_w;
+    for (const std::int64_t n : sizes) {
+      params.push_back(Tensor::randn({1, n}, rng).set_requires_grad(true));
+      ref_w.emplace_back(params.back().data(), params.back().data() + n);
+    }
+    AdamW opt(params, cfg);
+    ReferenceAdamW ref{cfg, opt.moments_m(), opt.moments_v()};
+    for (int step = 0; step < 5; ++step) {
+      std::vector<std::vector<float>> grads;
+      for (Tensor& p : params) {
+        for (std::int64_t i = 0; i < p.numel(); ++i)
+          p.grad()[i] = static_cast<float>(rng.normal());
+        grads.emplace_back(p.grad(), p.grad() + p.numel());
+      }
+      opt.step();
+      ref.step(ref_w, grads);
+      for (std::size_t pi = 0; pi < params.size(); ++pi) {
+        const std::size_t n = ref_w[pi].size();
+        EXPECT_TRUE(same_bytes(params[pi].data(), ref_w[pi].data(), n))
+            << "weights, step " << step << ", size " << n;
+        EXPECT_TRUE(same_bytes(opt.moments_m()[pi].data(),
+                               ref.m[pi].data(), n))
+            << "first moment, step " << step << ", size " << n;
+        EXPECT_TRUE(same_bytes(opt.moments_v()[pi].data(),
+                               ref.v[pi].data(), n))
+            << "second moment, step " << step << ", size " << n;
+      }
+    }
+  }
+}
+
 TEST(AdamW, RequiresParameters) {
   AdamWConfig cfg;
   EXPECT_THROW(AdamW({}, cfg), ContractViolation);

@@ -1,9 +1,9 @@
 // Continuous-batching generation service (src/serve): served decoding must
 // reproduce TinyGpt::generate bitwise per request, stay invariant to
 // arrival order / slot count / thread count / KV block size, and keep its
-// robustness contract (invalid requests resolve without reaching the
-// scheduler, blocking backpressure, draining shutdown, context
-// truncation).
+// admission and robustness contract (FIFO admission into free slots, a KV
+// pool that never runs dry, an unbounded queue, invalid requests resolve
+// without reaching the scheduler, draining shutdown, context truncation).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,7 +36,7 @@ nn::TinyGpt small_model(std::uint64_t seed = 3) {
 }
 
 // A varied request set: different prompts, lengths, budgets, temperatures,
-// top-k settings, priorities, and per-request seeds. eos_id = 1 so a random
+// top-k settings, and per-request seeds. eos_id = 1 so a random
 // model terminates some requests early.
 std::vector<serve::GenerateRequest> request_set(int n,
                                                 std::uint64_t seed = 17) {
@@ -52,7 +52,6 @@ std::vector<serve::GenerateRequest> request_set(int n,
     req.top_k = static_cast<int>(rng.between(0, 8));
     req.eos_id = 1;
     req.seed = rng();
-    req.priority = static_cast<int>(rng.below(3));
   }
   return reqs;
 }
@@ -65,6 +64,15 @@ struct Outcome {
     return ids == o.ids && finish == o.finish;
   }
 };
+
+// Outcomes of one submit_all, in input order.
+std::vector<serve::GenerateResult> get_all(
+    std::vector<std::future<serve::GenerateResult>> futures) {
+  std::vector<serve::GenerateResult> out;
+  out.reserve(futures.size());
+  for (auto& f : futures) out.push_back(f.get());
+  return out;
+}
 
 // Submit `reqs` in the order given by `order` and return outcomes indexed
 // by original request position.
@@ -92,7 +100,7 @@ TEST(Serve, MatchesGenerateBitwisePerRequest) {
   cfg.slots = 4;
   cfg.seed = 99;
   serve::GenerationService service(model, cfg);
-  const auto results = service.generate_all(reqs);
+  const auto results = get_all(service.submit_all(reqs));
   ASSERT_EQ(results.size(), reqs.size());
   for (std::size_t u = 0; u < reqs.size(); ++u) {
     const auto& req = reqs[u];
@@ -111,7 +119,7 @@ TEST(Serve, MatchesGenerateBitwisePerRequest) {
   EXPECT_EQ(stats.accepted, reqs.size());
   EXPECT_EQ(stats.completed, reqs.size());
   EXPECT_EQ(stats.generated_tokens, total_tokens);
-  // kv_blocks_total 0 sizes the pool to `slots` worst-case sequences.
+  // The pool holds one max_seq sequence per slot.
   EXPECT_EQ(stats.blocks_total, 4 * ((model.config().max_seq + 15) / 16));
   util::set_global_threads(1);
 }
@@ -124,8 +132,7 @@ TEST(Serve, MatchesGenerateBitwisePerRequest) {
 TEST(Serve, SubmitAllSchedulesIdenticallyAtAnyThreadCount) {
   const nn::TinyGpt model = small_model();
   auto reqs = request_set(40);
-  // Longer prompts on half the requests; a tight pool makes admission
-  // wait on blocks.
+  // Longer prompts on half the requests, so prompts span blocks.
   for (std::size_t u = 0; u < reqs.size(); u += 2)
     reqs[u].prompt.insert(reqs[u].prompt.begin(), {5, 6, 7, 8, 9, 10, 11});
   reqs[7].prompt.clear();
@@ -133,7 +140,6 @@ TEST(Serve, SubmitAllSchedulesIdenticallyAtAnyThreadCount) {
   cfg.slots = 4;
   cfg.seed = 99;
   cfg.kv_block_tokens = 4;
-  cfg.kv_blocks_total = 24;
   const auto run = [&](int threads) {
     util::set_global_threads(threads);
     serve::GenerationService service(model, cfg);
@@ -152,7 +158,8 @@ TEST(Serve, SubmitAllSchedulesIdenticallyAtAnyThreadCount) {
   for (const auto& req : reqs)
     if (!req.prompt.empty()) prefill += req.prompt.size() - 1;
   EXPECT_EQ(want_stats.prefill_steps, prefill);
-  EXPECT_EQ(want_stats.blocks_total, cfg.kv_blocks_total);
+  EXPECT_EQ(want_stats.blocks_total, cfg.slots * model.config().max_seq / 4);
+  EXPECT_EQ(want_stats.blocks_free, want_stats.blocks_total);
   std::vector<std::size_t> order(reqs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   EXPECT_EQ(run_served(model, cfg, reqs, order), want);
@@ -174,7 +181,7 @@ TEST(Serve, GreedyMatchesGenerateGreedy) {
   serve::GenerationService service(model, cfg);
   auto reqs = request_set(8, 23);
   for (auto& req : reqs) req.greedy = true;
-  const auto results = service.generate_all(reqs);
+  const auto results = get_all(service.submit_all(reqs));
   for (std::size_t u = 0; u < reqs.size(); ++u) {
     const auto direct = model.generate_greedy(
         reqs[u].prompt, reqs[u].max_new_tokens, reqs[u].eos_id);
@@ -230,25 +237,58 @@ TEST(Serve, DeterministicAcrossArrivalOrderSlotsAndThreads) {
   util::set_global_threads(1);
 }
 
-TEST(Serve, BlockingSubmitBackpressureCompletesEverything) {
+// Admission is FIFO: with one slot, requests start in submission order,
+// so their queue times never decrease along it.
+TEST(Serve, OneSlotAdmitsInSubmissionOrder) {
   util::set_global_threads(2);
   const nn::TinyGpt model = small_model();
   serve::ServiceConfig cfg;
   cfg.slots = 1;
-  cfg.queue_capacity = 1;  // every submit beyond the first two must wait
   serve::GenerationService service(model, cfg);
-  auto reqs = request_set(12, 61);
-  std::vector<std::future<serve::GenerateResult>> futures;
-  futures.reserve(reqs.size());
-  for (const auto& req : reqs)
-    futures.push_back(service.submit(req));
-  for (auto& f : futures) EXPECT_NO_THROW(f.get());
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.accepted, reqs.size());
-  EXPECT_EQ(stats.completed, reqs.size());
-  // Admission always blocks for space, so a queue must hold one request.
-  cfg.queue_capacity = 0;
-  EXPECT_THROW((serve::GenerationService{model, cfg}), ContractViolation);
+  const auto results = get_all(service.submit_all(request_set(16, 61)));
+  for (std::size_t u = 1; u < results.size(); ++u)
+    EXPECT_LE(results[u - 1].queue_ns, results[u].queue_ns) << "request " << u;
+  util::set_global_threads(1);
+}
+
+// The pool holds one max_seq sequence per slot, so a backlog of requests
+// that all run into the context limit never runs it dry, and every block
+// comes back once the service drains.
+TEST(Serve, ContextBoundBacklogNeverExhaustsThePool) {
+  util::set_global_threads(2);
+  const nn::TinyGpt model = small_model();
+  auto reqs = request_set(16, 67);
+  for (auto& req : reqs) {
+    req.max_new_tokens = 1000;
+    req.eos_id = -1;
+  }
+  for (const int bt : {1, 16}) {
+    SCOPED_TRACE(testing::Message() << "kv_block_tokens=" << bt);
+    serve::ServiceConfig cfg;
+    cfg.slots = 4;
+    cfg.kv_block_tokens = bt;
+    serve::GenerationService service(model, cfg);
+    for (const auto& r : get_all(service.submit_all(reqs)))
+      EXPECT_EQ(r.finish, serve::FinishReason::kContext);
+    service.shutdown();
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.completed, reqs.size());
+    EXPECT_EQ(stats.blocks_free, stats.blocks_total);
+  }
+  util::set_global_threads(1);
+}
+
+// The queue has no bound: a batch deeper than any fixed default completes.
+TEST(Serve, DefaultConfigTakesADeepBatch) {
+  util::set_global_threads(2);
+  const nn::TinyGpt model = small_model();
+  serve::GenerationService service(model, serve::ServiceConfig{});
+  const auto reqs = request_set(200, 71);
+  const auto results = get_all(service.submit_all(reqs));
+  ASSERT_EQ(results.size(), reqs.size());
+  for (const auto& r : results)
+    EXPECT_NE(r.finish, serve::FinishReason::kInvalid);
+  EXPECT_EQ(service.stats().completed, reqs.size());
   util::set_global_threads(1);
 }
 
@@ -353,30 +393,6 @@ TEST(Serve, TtftRecordedWhenFirstTokenIsEos) {
   req.eos_id = -1;
   req.max_new_tokens = 0;
   EXPECT_EQ(service.submit(req).get().ttft_ns, 0u);
-}
-
-// A pool far smaller than slots * max_seq throttles admission instead of
-// stranding requests: everything completes, bitwise-equal to an
-// unconstrained service.
-TEST(Serve, BlockExhaustionThrottlesAdmissionWithoutStranding) {
-  util::set_global_threads(2);
-  const nn::TinyGpt model = small_model();
-  const auto reqs = request_set(24, 41);
-  serve::ServiceConfig big;
-  big.slots = 4;
-  big.seed = 7;
-  std::vector<std::size_t> order(reqs.size());
-  std::iota(order.begin(), order.end(), 0);
-  const auto want = run_served(model, big, reqs, order);
-
-  serve::ServiceConfig tight = big;
-  tight.kv_block_tokens = 4;
-  // Exactly one worst-case sequence fits: slots effectively share the
-  // pool and most admissions wait on blocks, not on a free slot.
-  tight.kv_blocks_total = model.config().max_seq / 4;
-  const auto got = run_served(model, tight, reqs, order);
-  EXPECT_EQ(got, want);
-  util::set_global_threads(1);
 }
 
 // Outputs are bitwise-invariant to the KV block size.
