@@ -13,15 +13,14 @@
 //
 // Usage: serve_demo [--requests N] [--slots N] [--threads N] [--seed N]
 //                   [--arrival-us N] [--max-new N] [--latency-out PATH]
-//                   [--kv-block N] [--preamble N]
+//                   [--preamble N]
 // (an unknown flag, a missing value, a non-integer or an out-of-range
 // integer — e.g. --slots 0 — prints this usage, exit code 2)
 //
 // Half the trace opens with a common scenario preamble of --preamble
-// tokens, the prompt shape of the paper's per-scenario templates;
-// --kv-block sets the paged KV cache's block size (outputs are
-// byte-identical at any value — CI diffs runs across {1, 8, 64}). Cache
-// telemetry is printed with the latency table, never on stdout.
+// tokens, the prompt shape of the paper's per-scenario templates. KV-cache
+// telemetry (prefill steps) is printed with the latency table, never on
+// stdout.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -65,14 +64,13 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 7;
   int arrival_us = 2000;
   int max_new = 24;
-  int kv_block = 16;
   int preamble_len = 12;
   std::string latency_out;
   const auto usage = [&] {
     std::cerr << "usage: " << argv[0]
               << " [--requests N] [--slots N] [--threads N] [--seed N]"
                  " [--arrival-us N] [--max-new N] [--latency-out PATH]"
-                 " [--kv-block N] [--preamble N]\n";
+                 " [--preamble N]\n";
     return 2;
   };
   for (int i = 1; i < argc; ++i) {
@@ -92,8 +90,6 @@ int main(int argc, char** argv) {
       parsed = parse_integer(value, arrival_us);
     else if (arg == "--max-new")
       parsed = parse_integer(value, max_new);
-    else if (arg == "--kv-block")
-      parsed = parse_integer(value, kv_block);
     else if (arg == "--preamble")
       parsed = parse_integer(value, preamble_len);
     else if (arg == "--latency-out")
@@ -119,9 +115,8 @@ int main(int argc, char** argv) {
   serve::ServiceConfig scfg;
   scfg.slots = slots;
   scfg.seed = seed;
-  scfg.kv_block_tokens = kv_block;
-  // A thread count or service setting the library rejects (e.g. --slots 0,
-  // --kv-block 0) is a usage error, not an abort.
+  // A thread count or service setting the library rejects (e.g.
+  // --slots 0) is a usage error, not an abort.
   std::optional<serve::GenerationService> built;
   try {
     util::set_global_threads(threads);
@@ -205,11 +200,10 @@ int main(int argc, char** argv) {
   add_stage("queue", queue_ms);
   add_stage("ttft", ttft_ms);
   add_stage("total", total_ms);
-  // Paged-KV telemetry rides with the latency table; stdout keeps only
+  // KV-cache telemetry rides with the latency table; stdout keeps only
   // the request outcomes.
-  TextTable cache("paged kv cache");
+  TextTable cache("kv cache");
   cache.set_header({"metric", "value"});
-  cache.add_row({"blocks total", std::to_string(stats.blocks_total)});
   cache.add_row({"prefill steps", std::to_string(stats.prefill_steps)});
   if (!latency_out.empty()) {
     std::ofstream out(latency_out);

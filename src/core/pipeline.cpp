@@ -210,6 +210,19 @@ void DpoAfPipeline::validate_checkpoint(
         throw ckpt::CheckpointError("checkpoint preference pair " +
                                     std::to_string(i) + " has " + why);
   }
+  // Nor may a float be NaN or infinite: the first sampled decode would
+  // CHECK-fail on it.
+  const auto require_finite = [](const std::vector<float>& xs,
+                                 const char* what) {
+    for (const float x : xs)
+      if (!std::isfinite(x))
+        throw ckpt::CheckpointError(std::string("checkpoint ") + what +
+                                    " hold a NaN or infinity");
+  };
+  require_finite(snap.loop.weights, "weights");
+  for (const auto& m : snap.loop.opt_m) require_finite(m, "optimizer moments");
+  for (const auto& v : snap.loop.opt_v) require_finite(v, "optimizer moments");
+  require_finite(snap.reference_state, "reference weights");
 }
 
 lm::PretrainStats DpoAfPipeline::pretrain_model(

@@ -283,7 +283,8 @@ class DpoAfPipeline {
   [[nodiscard]] ckpt::TrainingCheckpoint base_checkpoint(
       ckpt::Stage stage, const nn::LoopState& loop) const;
   /// Throws ckpt::CheckpointError unless the snapshot is resumable under
-  /// this exact configuration (seed/architecture/LoRA/vocabulary match).
+  /// this exact configuration (seed/architecture/LoRA/vocabulary match)
+  /// and every stored pair and float is one training can use.
   void validate_checkpoint(const ckpt::TrainingCheckpoint& ckpt) const;
 
   PipelineConfig config_;

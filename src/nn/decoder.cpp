@@ -12,10 +12,6 @@ namespace dpoaf::nn {
 
 namespace ops = tensor::ops;
 
-namespace {
-constexpr std::int64_t kDefaultBlockTokens = 16;
-}  // namespace
-
 int sample_token(const float* logits, std::int64_t vocab, float temperature,
                  int top_k, Rng& rng) {
   DPOAF_CHECK(temperature > 0.0f);
@@ -84,24 +80,13 @@ DecodeStatus decode_step(DecodeSession& session,
              : DecodeStatus::kContinue;
 }
 
-DecodeSession::DecodeSession(const TinyGpt& model, KvBlockPool* pool,
-                             std::int64_t block_tokens)
-    : model_(model) {
+DecodeSession::DecodeSession(const TinyGpt& model) : model_(model) {
   const auto& cfg = model_.config();
-  if (pool != nullptr) {
-    pool_ = pool;
-  } else {
-    const std::int64_t bt =
-        block_tokens > 0 ? block_tokens : kDefaultBlockTokens;
-    owned_pool_ = std::make_unique<KvBlockPool>(
-        cfg.n_layers, cfg.d_model, bt, (cfg.max_seq + bt - 1) / bt);
-    pool_ = owned_pool_.get();
-  }
-  table_.reserve(
-      static_cast<std::size_t>(pool_->blocks_for(cfg.max_seq)));
   const auto d = static_cast<std::size_t>(cfg.d_model);
   const auto dh = d / static_cast<std::size_t>(cfg.n_heads);
   const auto t = static_cast<std::size_t>(cfg.max_seq);
+  keys_.resize(static_cast<std::size_t>(cfg.n_layers) * t * d);
+  values_.resize(keys_.size());
   logits_.resize(static_cast<std::size_t>(cfg.vocab_size));
   x_.resize(d);
   h_.resize(d);
@@ -117,14 +102,6 @@ DecodeSession::DecodeSession(const TinyGpt& model, KvBlockPool* pool,
       std::max({3 * cfg.d_model, cfg.d_ff, cfg.vocab_size})));
 }
 
-DecodeSession::~DecodeSession() { reset(); }
-
-void DecodeSession::reset() {
-  position_ = 0;
-  for (const std::int32_t b : table_) pool_->release(b);
-  table_.clear();
-}
-
 const std::vector<float>& DecodeSession::step(int token_id) {
   const auto& cfg = model_.config();
   DPOAF_CHECK_MSG(position_ < cfg.max_seq,
@@ -132,13 +109,6 @@ const std::vector<float>& DecodeSession::step(int token_id) {
   DPOAF_CHECK(token_id >= 0 && token_id < cfg.vocab_size);
   const std::int64_t d = cfg.d_model;
   const std::int64_t dh = d / cfg.n_heads;
-  const std::int64_t bt = pool_->block_tokens();
-
-  // Map this position onto the block table, starting a fresh block at
-  // each block boundary.
-  const std::int64_t row = position_ % bt;
-  if (row == 0) table_.push_back(pool_->allocate());
-  const std::int32_t tail = table_.back();
 
   // The batch forward's row, op for op: the same row kernels and backend
   // calls in the same order, so the logits are its bytes.
@@ -157,21 +127,22 @@ const std::vector<float>& DecodeSession::step(int token_id) {
   const std::int64_t t_len = position_ + 1;
   for (std::size_t l = 0; l < model_.blocks_.size(); ++l) {
     const TransformerBlock& block = model_.blocks_[l];
-    const auto layer = static_cast<std::int64_t>(l);
+    const std::size_t layer_off =
+        l * static_cast<std::size_t>(cfg.max_seq * d);
+    float* const keys = keys_.data() + layer_off;
+    float* const values = values_.data() + layer_off;
 
     layer_norm(block.ln1);
     block.attn.qkv.forward_row(h, qkv, lora_.data());
-    std::copy(qkv + d, qkv + 2 * d, pool_->k(layer, tail) + row * d);
-    std::copy(qkv + 2 * d, qkv + 3 * d, pool_->v(layer, tail) + row * d);
+    std::copy(qkv + d, qkv + 2 * d, keys + position_ * d);
+    std::copy(qkv + 2 * d, qkv + 3 * d, values + position_ * d);
     for (std::int64_t head = 0; head < cfg.n_heads; ++head) {
       // Gather this head's kᵀ [dh, t_len] and v [t_len, dh] from the
-      // block table, position by position.
+      // cache, position by position.
       for (std::int64_t t = 0; t < t_len; ++t) {
-        const std::int32_t b = table_[static_cast<std::size_t>(t / bt)];
-        const std::int64_t off = (t % bt) * d + head * dh;
-        const float* kr = pool_->k(layer, b) + off;
+        const float* kr = keys + t * d + head * dh;
         for (std::int64_t j = 0; j < dh; ++j) kt[j * t_len + t] = kr[j];
-        const float* vr = pool_->v(layer, b) + off;
+        const float* vr = values + t * d + head * dh;
         std::copy(vr, vr + dh, v + t * dh);
       }
       ops::attention_head(qkv + head * dh, kt, v, 1, t_len, dh,

@@ -1,27 +1,22 @@
-// Incremental decoding over block-paged KV storage. TinyGpt::forward
-// recomputes the whole prefix for every generated token (O(T³·d) per
-// response); a DecodeSession feeds one token at a time, caching each
-// layer's keys and values, for O(T²·d) generation — the same optimization
-// every production LLM server applies. Inference-only (no tape).
+// Incremental decoding over a KV cache. TinyGpt::forward recomputes the
+// whole prefix for every generated token (O(T³·d) per response); a
+// DecodeSession feeds one token at a time, caching each layer's keys and
+// values, for O(T²·d) generation — the same optimization every production
+// LLM server applies. Inference-only (no tape).
 //
-// Storage is a KvBlockPool block table rather than contiguous per-layer
-// vectors (see nn/kv_cache.hpp): position p lives in row p % block_tokens
-// of block table[p / block_tokens]. A standalone session owns a private,
-// exactly-sized pool; the serve layer instead passes one pool shared by
-// all its slots, sized for one max_seq sequence per slot.
+// Each session owns contiguous per-layer key and value buffers of max_seq
+// rows of d_model floats, allocated once: position p lives at row p.
 //
 // Bitwise contract: a step runs the batch forward's own row code in its
 // order, so its logits are the bytes of TinyGpt::forward's row on the
-// active backend, at any block size: responses are sampled from exactly
-// the distribution DPO scores.
+// active backend: responses are sampled from exactly the distribution DPO
+// scores.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "nn/gpt.hpp"
-#include "nn/kv_cache.hpp"
 
 namespace dpoaf::nn {
 
@@ -57,14 +52,9 @@ enum class DecodeStatus { kContinue, kEos, kLength, kContext };
 
 class DecodeSession {
  public:
-  /// Binds to `model` (which must outlive the session). With `pool` null
-  /// the session owns a private pool sized for one max_seq sequence at
-  /// `block_tokens` tokens per block (0 picks a default); with a shared
-  /// pool the session allocates and releases that pool's blocks and
-  /// `block_tokens` is taken from the pool.
-  explicit DecodeSession(const TinyGpt& model, KvBlockPool* pool = nullptr,
-                         std::int64_t block_tokens = 0);
-  ~DecodeSession();
+  /// Binds to `model` (which must outlive the session) and allocates the
+  /// KV cache for one max_seq sequence.
+  explicit DecodeSession(const TinyGpt& model);
 
   DecodeSession(const DecodeSession&) = delete;
   DecodeSession& operator=(const DecodeSession&) = delete;
@@ -76,22 +66,18 @@ class DecodeSession {
   /// Number of tokens consumed so far.
   [[nodiscard]] std::int64_t position() const { return position_; }
 
-  /// Reset to an empty prefix (all blocks released, position 0).
-  void reset();
-
-  /// The block chain backing positions [0, position()).
-  [[nodiscard]] const std::vector<std::int32_t>& block_table() const {
-    return table_;
-  }
+  /// Reset to an empty prefix. Rows past position() are never read, so
+  /// the cache keeps its stale contents.
+  void reset() { position_ = 0; }
 
   [[nodiscard]] const TinyGpt& model() const { return model_; }
 
  private:
   const TinyGpt& model_;
-  std::unique_ptr<KvBlockPool> owned_pool_;  // null when pool is shared
-  KvBlockPool* pool_;
   std::int64_t position_ = 0;
-  std::vector<std::int32_t> table_;
+  // Per layer, max_seq rows of d_model floats: layer l's row p is at
+  // (l * max_seq + p) * d_model.
+  std::vector<float> keys_, values_;
   std::vector<float> logits_;
   // Scratch sized once, so a step never allocates: row activations, one
   // head's gathered kᵀ, v, scores and weights, and forward_row's LoRA

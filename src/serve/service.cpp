@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -45,6 +46,7 @@ struct GenerationService::Slot {
   std::uint64_t admit_ns = 0;
   bool prefilled = false;
   GenerateResult result;
+  std::exception_ptr error;  // a fault caught in advance(), for retire()
 };
 
 namespace {
@@ -67,10 +69,6 @@ struct Tally {
 }  // namespace
 
 struct GenerationService::Impl {
-  // Pool outlives every session (members destroy in reverse declaration
-  // order; sessions release their blocks on destruction).
-  std::unique_ptr<nn::KvBlockPool> pool;
-
   std::mutex mutex;
   std::condition_variable work_cv;  // wakes the scheduler
   std::deque<Pending> queue;        // admission order
@@ -92,26 +90,18 @@ GenerationService::GenerationService(const nn::TinyGpt& model,
                                      ServiceConfig config)
     : model_(model), config_(config), impl_(std::make_unique<Impl>()) {
   DPOAF_CHECK_MSG(config_.slots >= 1, "service needs at least one slot");
-  DPOAF_CHECK_MSG(config_.kv_block_tokens >= 1,
-                  "kv_block_tokens must be >= 1");
-  const auto& cfg = model_.config();
-  const std::int64_t bt = config_.kv_block_tokens;
-  // One max_seq sequence per slot: a free slot always has room to finish.
-  const std::int64_t per_seq = (cfg.max_seq + bt - 1) / bt;
-  impl_->pool = std::make_unique<nn::KvBlockPool>(cfg.n_layers, cfg.d_model,
-                                                  bt, per_seq * config_.slots);
   impl_->slots.resize(static_cast<std::size_t>(config_.slots));
   for (Slot& slot : impl_->slots)
-    slot.session =
-        std::make_unique<nn::DecodeSession>(model_, impl_->pool.get());
+    slot.session = std::make_unique<nn::DecodeSession>(model_);
   impl_->scheduler = std::thread([this] { scheduler_loop(); });
 }
 
 GenerationService::~GenerationService() { shutdown(); }
 
 std::string GenerationService::validate(const GenerateRequest& req) const {
-  // Everything the decode loop would CHECK is rejected here instead, so the
-  // scheduler thread never throws.
+  // Everything the decode loop would CHECK about a request is rejected
+  // here instead, so only a fault of the model itself (say, NaN weights)
+  // can fail a decode step.
   const auto& cfg = model_.config();
   if (req.prompt.empty()) return "prompt is empty";
   if (static_cast<std::int64_t>(req.prompt.size()) > cfg.max_seq)
@@ -186,8 +176,6 @@ ServiceStats GenerationService::stats() const {
   s.completed = im.completed.get();
   s.generated_tokens = im.generated_tokens.get();
   s.iterations = im.iterations.get();
-  s.blocks_total = im.pool->total_blocks();
-  s.blocks_free = im.pool->free_blocks();
   s.prefill_steps = im.prefill_steps.get();
   return s;
 }
@@ -263,6 +251,13 @@ void GenerationService::retire(Slot& slot, std::uint64_t now_ns) {
   static obs::Histogram& ttft_h = obs::histogram("serve.ttft_ns");
   static obs::Histogram& queue_h = obs::histogram("serve.queue_ns");
   auto& im = *impl_;
+  slot.active = false;
+  if (slot.error) {
+    // The fault fails this request alone; its partial output is dropped
+    // and it counts in no completion total.
+    slot.promise.set_exception(std::exchange(slot.error, nullptr));
+    return;
+  }
   GenerateResult r = std::move(slot.result);
   r.total_ns = now_ns - slot.admit_ns;
   im.completed.add();
@@ -270,10 +265,6 @@ void GenerationService::retire(Slot& slot, std::uint64_t now_ns) {
   latency_h.record(r.total_ns);
   if (r.ttft_ns != 0) ttft_h.record(r.ttft_ns);
   queue_h.record(r.queue_ns);
-  // Release this sequence's blocks immediately so the freed space is
-  // visible to the very next admission pass.
-  slot.session->reset();
-  slot.active = false;
   slot.promise.set_value(std::move(r));
 }
 
@@ -282,10 +273,7 @@ void GenerationService::scheduler_loop() {
   static obs::Gauge& queue_depth_max = obs::gauge("serve.queue_depth.max");
   static obs::Gauge& active_gauge = obs::gauge("serve.active_slots");
   static obs::Gauge& active_max = obs::gauge("serve.active_slots.max");
-  static obs::Gauge& blocks_total_g = obs::gauge("serve.kv_blocks_total");
-  static obs::Gauge& blocks_free_g = obs::gauge("serve.kv_blocks_free");
   auto& im = *impl_;
-  blocks_total_g.set(im.pool->total_blocks());
   // One "serve" span per contiguous busy period (armed only while
   // observability is on), closed whenever the service goes idle.
   std::optional<obs::Span> busy;
@@ -301,7 +289,6 @@ void GenerationService::scheduler_loop() {
       queue_depth_max.record_max(depth);
       active_gauge.set(im.active_count);
       active_max.record_max(im.active_count);
-      blocks_free_g.set(im.pool->free_blocks());
       if (im.active_count == 0) {
         // All slots free ⇒ admit drained the whole queue.
         busy.reset();
@@ -320,7 +307,16 @@ void GenerationService::scheduler_loop() {
         [&](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t i = lo; i < hi; ++i) {
             Slot& slot = slots[static_cast<std::size_t>(i)];
-            if (slot.active && !slot.finished) advance(slot, iter_ns);
+            if (!slot.active || slot.finished) continue;
+            // Caught here, inside the chunk: a throw escaping a pool
+            // worker terminates the process, and one escaping the
+            // caller's chunk would return before the workers finish.
+            try {
+              advance(slot, iter_ns);
+            } catch (...) {
+              slot.error = std::current_exception();
+              slot.finished = true;
+            }
           }
         });
     const std::uint64_t end_ns = obs::monotonic_now_ns();

@@ -1,33 +1,32 @@
 // Continuous-batching generation service (Orca-style iteration-level
-// scheduling) over block-paged KV storage.
+// scheduling) over KV-cache decode sessions.
 //
-// A GenerationService owns a fixed fleet of decode slots, one shared
-// KvBlockPool, and one scheduler thread. Requests wait in one unbounded
-// FIFO queue; every scheduler iteration moves queued requests into free
-// slots, oldest first, and advances each active slot by one generated
-// token, fanning the per-slot steps across util::ThreadPool. Finished
-// requests retire at the end of the iteration, release their blocks, and
-// their slot is re-admitted immediately — new work never waits for the
-// whole batch to drain. The pool holds one max_seq sequence per slot, so a
-// free slot is all admission needs: an admitted request can always run to
-// completion.
+// A GenerationService owns a fixed fleet of decode slots, each with its
+// own nn::DecodeSession (a KV cache for one max_seq sequence), and one
+// scheduler thread. Requests wait in one unbounded FIFO queue; every
+// scheduler iteration moves queued requests into free slots, oldest first,
+// and advances each active slot by one generated token, fanning the
+// per-slot steps across util::ThreadPool. Finished requests retire at the
+// end of the iteration and their slot is re-admitted immediately — new
+// work never waits for the whole batch to drain. A free slot is all
+// admission needs: an admitted request can always run to completion. A
+// fault inside one slot's decode step fails only that request's future.
 //
 // Determinism: a request's output depends only on the model weights, its
-// own fields, and nn::request_rng(config.seed, request.seed). Attention
-// walks positions in the same order at any block size — so token ids are
-// bitwise-identical regardless of arrival order, slot count, thread count
-// or KV block size. No wall-clock input reaches the scheduler's decisions
+// own fields, and nn::request_rng(config.seed, request.seed) — so token
+// ids are bitwise-identical regardless of arrival order, slot count or
+// thread count. No wall-clock input reaches the scheduler's decisions
 // about a request's tokens; the latency fields are report-only.
 #pragma once
 
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "nn/decoder.hpp"
 #include "nn/gpt.hpp"
-#include "nn/kv_cache.hpp"
 
 namespace dpoaf::serve {
 
@@ -69,11 +68,6 @@ struct GenerateResult {
 struct ServiceConfig {
   int slots = 8;           // concurrent decode sessions (>= 1)
   std::uint64_t seed = 0;  // mixed into every per-request RNG
-  /// Tokens per KV block. Smaller blocks waste less tail space; larger
-  /// blocks cut per-block bookkeeping. Results are bitwise-identical at
-  /// any value (>= 1). The shared pool holds
-  /// slots * ceil(max_seq / kv_block_tokens) blocks.
-  int kv_block_tokens = 16;
 };
 
 /// Lifetime totals (monotone; read with stats()).
@@ -83,9 +77,6 @@ struct ServiceStats {
   std::uint64_t completed = 0;
   std::uint64_t generated_tokens = 0;
   std::uint64_t iterations = 0;  // scheduler iterations that advanced work
-  // Paged-KV telemetry.
-  std::int64_t blocks_total = 0;    // pool size (constant)
-  std::int64_t blocks_free = 0;     // free blocks at sampling time
   std::uint64_t prefill_steps = 0;  // prompt positions computed
 };
 
@@ -105,8 +96,9 @@ class GenerationService {
 
   /// Queues the request and returns at once; the queue has no bound. An
   /// invalid request never reaches the scheduler — its future resolves
-  /// immediately with FinishReason::kInvalid. Throws ContractViolation only
-  /// when called after shutdown.
+  /// immediately with FinishReason::kInvalid. A fault inside the request's
+  /// decode step (e.g. a CHECK on NaN logits) is rethrown by the future's
+  /// get(). Throws ContractViolation only when called after shutdown.
   std::future<GenerateResult> submit(GenerateRequest req);
 
   /// submit() for a whole list: every valid request enters the queue under
@@ -136,7 +128,8 @@ class GenerationService {
   /// active slot, plus the serving-only parts: prefill accounting and
   /// TTFT.
   void advance(Slot& slot, std::uint64_t now_ns);
-  /// Fulfill a finished slot's promise and free it.
+  /// Fulfill a finished slot's promise (with its decode fault, if one
+  /// was caught) and free it.
   void retire(Slot& slot, std::uint64_t now_ns);
 
   const nn::TinyGpt& model_;

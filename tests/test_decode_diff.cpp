@@ -9,10 +9,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "nn/decoder.hpp"
 #include "nn/gpt.hpp"
+#include "tensor/backend/backend.hpp"
 #include "util/check.hpp"
 
 namespace dpoaf {
@@ -179,6 +181,41 @@ TEST(DecodeDiff, SingleTokenPrompt) {
     expect_logits_bitwise(model, prompt);
     expect_greedy_identical(model, prompt, 8, /*eos_id=*/1);
   }
+}
+
+// A session reused after reset() decodes exactly as a fresh one: the
+// rows a longer earlier sequence left past position() are never read.
+// Checked on the scalar backend and, where it runs, on simd.
+TEST(DecodeDiff, ReusedSessionMatchesFresh) {
+  std::vector<std::string> backends = {"scalar"};
+  if (tensor::backend::simd_supported()) backends.push_back("simd");
+  Rng rng(601);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Shape shape = random_shape(rng);
+    const nn::TinyGpt model = random_model(shape, trial % 2 == 1, rng);
+    const auto first = random_prompt(rng, shape.cfg.max_seq);
+    std::vector<int> second =
+        random_prompt(rng, static_cast<std::int64_t>(first.size()));
+    if (second.size() == first.size()) second.pop_back();
+    if (second.empty()) second.push_back(static_cast<int>(rng.below(kVocab)));
+    for (const std::string& be : backends) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " on " + be);
+      tensor::backend::select(be);
+      nn::DecodeSession reused(model);
+      for (const int t : first) reused.step(t);
+      reused.reset();
+      EXPECT_EQ(reused.position(), 0);
+      nn::DecodeSession fresh(model);
+      for (std::size_t i = 0; i < second.size(); ++i) {
+        const std::vector<float> want = fresh.step(second[i]);
+        const auto& got = reused.step(second[i]);
+        ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 kVocab * sizeof(float)))
+            << "position " << i;
+      }
+    }
+  }
+  tensor::backend::select("");
 }
 
 }  // namespace

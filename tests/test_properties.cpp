@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "automata/product.hpp"
@@ -681,6 +683,42 @@ TEST(CrashResumeProperty, ResumeRejectsMalformedPreferencePairs) {
             << e.what();
       }
     }
+  }
+  util::set_global_threads(1);
+}
+
+TEST(CrashResumeProperty, ResumeRejectsNonFiniteFloats) {
+  // A CRC-clean snapshot carrying a NaN or infinity in the policy weights,
+  // an AdamW moment or the reference weights must fail the resume with a
+  // CheckpointError, before the value can reach a sampled decode.
+  const auto baseline =
+      run_micro_checkpointed(1, /*observability=*/false, /*pretrain_epochs=*/1);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::pair<const char*,
+                              std::function<void(ckpt::TrainingCheckpoint&)>>>
+      crafts = {
+          {"weight_nan",
+           [&](ckpt::TrainingCheckpoint& c) { c.loop.weights[3] = nan; }},
+          {"opt_m_inf",
+           [&](ckpt::TrainingCheckpoint& c) { c.loop.opt_m[0][0] = inf; }},
+          {"opt_v_nan",
+           [&](ckpt::TrainingCheckpoint& c) { c.loop.opt_v.back()[0] = nan; }},
+          {"reference_neg_inf",
+           [&](ckpt::TrainingCheckpoint& c) { c.reference_state[0] = -inf; }},
+      };
+  const ckpt::TrainingCheckpoint& good =
+      find_snapshot(baseline.snapshots, ckpt::Stage::kDpo, /*epochs=*/1);
+  ASSERT_FALSE(good.loop.opt_m.empty());
+  ASSERT_FALSE(good.reference_state.empty());
+  for (const auto& [name, apply] : crafts) {
+    ckpt::TrainingCheckpoint snap = good;
+    apply(snap);
+    const std::string path = save_snapshot(
+        snap, "resume_non_finite_" + std::string(name) + ".dpoaf");
+    EXPECT_THROW((void)run_micro_checkpointed(1, false, 1, path),
+                 ckpt::CheckpointError)
+        << name;
   }
   util::set_global_threads(1);
 }
