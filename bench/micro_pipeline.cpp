@@ -2,9 +2,9 @@
 // evaluation — serve-backed generation of every task's samples, GLM2FSA
 // synthesis, formal verification, per-task means — on a pre-trained
 // pipeline. The --metrics-json report carries the overlap gauges
-// (dataflow.pipeline.{scored_while_sampling,items}) that show
-// verification running while generation is still decoding; CI asserts
-// on them.
+// (dataflow.pipeline.{scored_while_sampling,items}) that count the
+// scorings the calling thread finished while the generation service was
+// still decoding a later response; CI asserts on them.
 //
 //   ./micro_pipeline --benchmark_filter='BM_Pipeline'
 //                    [--metrics-json out.json]

@@ -1,7 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <future>
@@ -321,7 +321,8 @@ DpoAfPipeline::stream_scored_responses(
 
   // Sampled sources: every request goes to the service in one batch, so
   // its scheduling (and its serve.* counters) never depends on thread
-  // timing. Declared before the workers so none of them outlives it.
+  // timing. Declared before the loop so an exception thrown mid-loop
+  // unwinds the futures and then the service.
   std::unique_ptr<serve::GenerationService> service;
   std::vector<std::future<serve::GenerateResult>> responses;
   if (!from_catalog) {
@@ -330,52 +331,41 @@ DpoAfPipeline::stream_scored_responses(
     responses = service->submit_all(std::move(requests));
   }
 
-  // Verify workers claim sequence numbers in order, wait for that
-  // response's text, and score it into out[seq]. They are dedicated
-  // threads, not pool jobs: a pool job blocked on a future would hold a
-  // thread that the service's decode step needs. A throwing worker stops
-  // the others from claiming more; get() below rethrows its error.
-  std::atomic<std::uint64_t> next{0};
-  std::atomic<bool> stop{false};
-  // Overlap telemetry: scorings that complete while some response's text
-  // is not yet in hand — work a sample-then-score barrier would serialize.
-  std::atomic<std::uint64_t> undecoded{from_catalog ? 0 : total};
-  std::atomic<std::uint64_t> scored_while_sampling{0};
-  const auto verify = [&] {
-    try {
-      for (std::uint64_t seq = next++; seq < total && !stop; seq = next++) {
-        ScoredItem& item = out[seq];
-        if (!from_catalog) {
-          obs::Span span("generation",
-                         obs::histogram("pipeline.generation_ns"));
-          const serve::GenerateResult r = responses[seq].get();
-          undecoded.fetch_sub(1, std::memory_order_relaxed);
-          DPOAF_CHECK_MSG(r.finish != serve::FinishReason::kInvalid,
-                          "the generation service rejected a sampling "
-                          "request as invalid");
-          item.truncated = r.finish == serve::FinishReason::kContext;
-          item.candidate.text =
-              lm::decode_response(tokenizer_, r.ids, item.truncated);
-        }
-        item.candidate.score =
-            score_response(*tasks[item.task_index], item.candidate.text);
-        if (undecoded.load(std::memory_order_relaxed) > 0)
-          scored_while_sampling.fetch_add(1, std::memory_order_relaxed);
-      }
-    } catch (...) {
-      stop = true;
-      throw;
+  // One scorer on the calling thread, in sequence order: wait for the
+  // response's text and score it into out[seq] while the service's
+  // scheduler thread keeps decoding the later ones. Overlap telemetry
+  // counts the scorings done while some later response is still decoding
+  // — work a sample-then-score barrier would serialize. `decoding` is the
+  // first response not yet known to be ready; it only moves forward, so
+  // the readiness polls are O(total) over the whole loop.
+  std::uint64_t decoding = 0;
+  std::uint64_t scored_while_sampling = 0;
+  for (std::uint64_t seq = 0; seq < total; ++seq) {
+    ScoredItem& item = out[seq];
+    if (!from_catalog) {
+      obs::Span span("generation", obs::histogram("pipeline.generation_ns"));
+      const serve::GenerateResult r = responses[seq].get();
+      DPOAF_CHECK_MSG(r.finish != serve::FinishReason::kInvalid,
+                      "the generation service rejected a sampling request "
+                      "as invalid");
+      item.truncated = r.finish == serve::FinishReason::kContext;
+      item.candidate.text =
+          lm::decode_response(tokenizer_, r.ids, item.truncated);
     }
-  };
-  std::vector<std::future<void>> workers;
-  for (int w = 0; w < util::global_threads(); ++w)
-    workers.push_back(std::async(std::launch::async, verify));
-  for (std::future<void>& w : workers) w.get();
+    item.candidate.score =
+        score_response(*tasks[item.task_index], item.candidate.text);
+    if (from_catalog) continue;
+    decoding = std::max(decoding, seq + 1);
+    while (decoding < total &&
+           responses[decoding].wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready)
+      ++decoding;
+    if (decoding < total) ++scored_while_sampling;
+  }
 
   if (obs::enabled()) {
     obs::gauge("dataflow.pipeline.scored_while_sampling")
-        .record_max(static_cast<std::int64_t>(
-            scored_while_sampling.load(std::memory_order_relaxed)));
+        .record_max(static_cast<std::int64_t>(scored_while_sampling));
     obs::gauge("dataflow.pipeline.items")
         .record_max(static_cast<std::int64_t>(total));
   }

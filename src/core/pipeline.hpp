@@ -32,9 +32,9 @@ using nn::Tokenizer;
 struct PipelineConfig {
   std::uint64_t seed = 1;
 
-  /// Size of the global thread pool: serve's decode step fans out on it,
-  /// and that many verify workers score sampled responses. Tensor ops
-  /// and training stay serial. 0 ⇒ resolve from the DPOAF_THREADS
+  /// Size of the global thread pool that serve's decode step fans out
+  /// on. Scoring runs on the calling thread; tensor ops and training stay
+  /// serial. 0 ⇒ resolve from the DPOAF_THREADS
   /// environment variable, else hardware concurrency. Results are
   /// bitwise-identical at any setting (see DESIGN.md).
   int threads = 0;
@@ -262,10 +262,11 @@ class DpoAfPipeline {
   /// The streaming engine behind candidate collection and both evals:
   /// generate `counts[u]` responses for each task (the catalog's variant
   /// texts when `from_catalog`, else sampled in one batch on the
-  /// generation service), let verify workers score each response as soon
-  /// as its decode resolves, and return the scored responses in sequence
-  /// (task-major, sample-minor) order (see docs/PIPELINE.md for the
-  /// worker loop, the error model, and the determinism contract).
+  /// generation service), score each response on the calling thread in
+  /// sequence (task-major, sample-minor) order as soon as its decode
+  /// resolves — while the service keeps decoding the later ones — and
+  /// return the scored responses in that order (see docs/PIPELINE.md for
+  /// the scoring loop, the error model, and the determinism contract).
   [[nodiscard]] std::vector<ScoredItem> stream_scored_responses(
       const std::vector<const driving::Task*>& tasks,
       const std::vector<int>& counts, const TinyGpt& model,

@@ -151,10 +151,12 @@ class DrivingDomain {
   generator::GeneratorStats generator_stats_;
   Symbol stop_action_ = 0;
   bool feedback_cache_on_ = true;
-  // Mutable: formal_feedback takes a const domain (scoring threads share
-  // it read-only); the cache is the one internally synchronized exception.
-  mutable util::ShardedCache<std::string, FeedbackResult> feedback_cache_{
-      /*capacity_per_shard=*/512, /*shards=*/16};
+  // Mutable: formal_feedback takes a const domain (callers share it
+  // read-only); the cache is the one internally synchronized exception.
+  // No config field bounds the number of distinct responses a run scores,
+  // so the cache is bounded; 8192 is far above any measured run.
+  mutable util::BoundedCache<std::string, FeedbackResult> feedback_cache_{
+      /*capacity=*/8192};
 };
 
 /// The cache key's text component: CR/LF normalized, lines trimmed, blank

@@ -28,13 +28,14 @@ struct KeyHash {
   }
 };
 
-// Process-wide interning pool. Guarded by a mutex: candidate scoring and
-// checkpoint evaluation verify responses from pool worker threads, and
-// each verification builds derived formulas (NNF, tableau closures) that
-// intern nodes here. Node *identity* stays canonical — interning the same
-// structure always yields the same handle — but id assignment order may
-// vary across runs once threads race on first construction; nothing
-// observable depends on the order, only on identity.
+// Process-wide interning pool. Every verification builds derived formulas
+// (NNF, tableau closures) that intern nodes here. The pipeline scores on
+// one thread, but the pool is process-wide and any library caller may
+// build formulas from another thread, so it is guarded by a mutex. Node
+// *identity* stays canonical — interning the same structure always yields
+// the same handle — but id assignment order may vary across runs if
+// threads race on first construction; nothing observable depends on the
+// order, only on identity.
 std::mutex& pool_mutex() {
   static std::mutex m;
   return m;

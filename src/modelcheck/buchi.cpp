@@ -307,14 +307,13 @@ BuchiAutomaton ltl_to_buchi(const Ltl& formula, BuchiStats& stats) {
 
 namespace {
 
-// Process-wide translation cache. Shard count is modest: the working set
-// is one ¬Φ per spec — dozens, not millions — but the capacity must
-// comfortably exceed it so the rulebook is never evicted mid-run.
+// Process-wide translation cache. The working set is one ¬Φ per spec —
+// dozens, not millions — but the capacity must comfortably exceed it so
+// the rulebook is never evicted mid-run.
 std::atomic<bool> buchi_cache_on{true};
 
-util::ShardedCache<std::uint64_t, BuchiPtr>& buchi_cache() {
-  static util::ShardedCache<std::uint64_t, BuchiPtr> cache(
-      /*capacity_per_shard=*/256, /*shards=*/8);
+util::BoundedCache<std::uint64_t, BuchiPtr>& buchi_cache() {
+  static util::BoundedCache<std::uint64_t, BuchiPtr> cache(/*capacity=*/2048);
   return cache;
 }
 

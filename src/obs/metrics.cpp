@@ -76,8 +76,8 @@ MetricsRegistry& MetricsRegistry::instance() {
 }
 
 MetricsRegistry::Shard& MetricsRegistry::shard_for(std::string_view name) {
-  // Same finalizer mix as util::ShardedCache: std::hash of short strings
-  // can cluster in the low bits.
+  // Mix the hash before masking (the murmur3 finalizer): std::hash of
+  // short strings can cluster in the low bits.
   std::uint64_t h = std::hash<std::string_view>{}(name);
   h ^= h >> 33;
   h *= 0xFF51AFD7ED558CCDULL;

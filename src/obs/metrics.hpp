@@ -6,9 +6,9 @@
 //    atomic load of the global enable flag and returns immediately when it
 //    is off — no clock reads, no allocation, no locks.
 //  - Mutex-striped registration, lock-free recording. Looking a metric up
-//    by name takes a shard mutex (like util::ShardedCache); the returned
-//    reference is stable for the process lifetime, so hot paths resolve
-//    once (function-local static) and then only touch std::atomic fields.
+//    by name takes its shard's mutex; the returned reference is stable
+//    for the process lifetime, so hot paths resolve once (function-local
+//    static) and then only touch std::atomic fields.
 //  - Deterministic values. Counters count logical events (cache hits, DPO
 //    steps, matmul calls), which are identical across runs of the same
 //    configuration; wall-clock lives only in histograms and trace spans,

@@ -4,14 +4,6 @@
 
 namespace dpoaf::util {
 
-CacheStats& CacheStats::operator+=(const CacheStats& other) {
-  hits += other.hits;
-  misses += other.misses;
-  inserts += other.inserts;
-  evictions += other.evictions;
-  return *this;
-}
-
 double CacheStats::hit_rate() const {
   const std::uint64_t lookups = hits + misses;
   if (lookups == 0) return 0.0;

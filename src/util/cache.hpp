@@ -1,33 +1,27 @@
-// Sharded, mutex-striped memoization cache for the formal-feedback hot
-// path (see DESIGN.md "Feedback memoization"). Keys hash to one of a fixed
-// set of shards, each guarded by its own mutex, so concurrent scoring
-// threads only contend when they touch the same shard. Every shard is
-// FIFO-bounded: once a shard holds `capacity_per_shard` entries, inserting
-// a new key evicts the oldest one, so the cache's footprint is capped at
-// shards × capacity_per_shard entries regardless of workload.
+// Bounded memoization cache for the formal-feedback hot path (see
+// DESIGN.md "Feedback memoization"): one map, one FIFO of insertion order
+// and one mutex. Once the map holds `capacity` entries, inserting a new
+// key evicts the oldest one, so the footprint is capped at `capacity`
+// entries regardless of workload.
 //
 // The cache is only correct for *pure* functions of the key: a hit returns
 // a copy of a previously computed value, so hits must be indistinguishable
-// from recomputation. `get_or_compute` is single-flight: the first thread
-// to miss a key computes it (outside the shard lock) while later arrivals
-// block on the shard's condition variable and take the result as a hit.
-// Each key is computed exactly once, so the hit/miss counters are
-// deterministic — misses = unique keys — at any thread count (as long as
-// nothing is evicted), which keeps bench output byte-identical across
-// DPOAF_THREADS settings.
+// from recomputation. `get_or_compute` runs the compute under the lock, so
+// it is single-flight by construction: each key is computed once, and a
+// concurrent caller of the same key takes the result as a hit. The
+// hit/miss counters are therefore deterministic — misses = unique keys —
+// at any thread count (as long as nothing is evicted), which keeps bench
+// output byte-identical across DPOAF_THREADS settings. A compute may take
+// another cache's lock (a feedback compute takes the Büchi cache's) but
+// never its own cache's.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include "util/check.hpp"
 
@@ -40,7 +34,6 @@ struct CacheStats {
   std::uint64_t inserts = 0;
   std::uint64_t evictions = 0;
 
-  CacheStats& operator+=(const CacheStats& other);
   /// Fraction of lookups that hit; 0 when there were no lookups.
   [[nodiscard]] double hit_rate() const;
   /// "hits=120 misses=16 hit_rate=88.2% inserts=16 evictions=0"
@@ -48,152 +41,64 @@ struct CacheStats {
 };
 
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
-class ShardedCache {
+class BoundedCache {
  public:
-  /// `capacity_per_shard` bounds each shard (≥ 1); `shards` is rounded up
-  /// to a power of two so the shard index is a mask of the hash.
-  explicit ShardedCache(std::size_t capacity_per_shard = 1024,
-                        std::size_t shards = 16)
-      : capacity_(capacity_per_shard) {
-    DPOAF_CHECK(capacity_per_shard >= 1);
-    DPOAF_CHECK(shards >= 1);
-    std::size_t n = 1;
-    while (n < shards) n <<= 1;
-    shards_ = std::vector<Shard>(n);
+  /// `capacity` bounds size() (≥ 1).
+  explicit BoundedCache(std::size_t capacity) : capacity_(capacity) {
+    DPOAF_CHECK(capacity >= 1);
   }
 
-  /// Copy of the cached value, or nullopt. Counts a hit or a miss.
-  [[nodiscard]] std::optional<Value> find(const Key& key) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.map.find(key); it != shard.map.end()) {
-      ++shard.stats.hits;
-      return it->second;
-    }
-    ++shard.stats.misses;
-    return std::nullopt;
-  }
-
-  /// Insert (first writer wins on a racing key). Evicts the shard's oldest
-  /// entry when the shard is full. Counts an insert; a duplicate key counts
-  /// nothing and changes nothing.
-  void insert(const Key& key, Value value) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    insert_locked(shard, key, std::move(value));
-  }
-
-  /// find(), or compute-and-insert on a miss. Single-flight: concurrent
-  /// callers of a missing key block until the first one's compute (run
-  /// outside the shard lock) lands, then take it as a hit — the callback
-  /// runs exactly once per key and must be a pure function of `key`.
+  /// Copy of the cached value, or compute-and-insert on a miss (evicting
+  /// the oldest entry when full). `compute` runs under the lock, at most
+  /// once per missing key, and must be a pure function of `key`; if it
+  /// throws, nothing is inserted and the next caller recomputes.
   template <typename Fn>
   Value get_or_compute(const Key& key, Fn&& compute) {
-    Shard& shard = shard_for(key);
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    for (;;) {
-      if (auto it = shard.map.find(key); it != shard.map.end()) {
-        ++shard.stats.hits;
-        return it->second;
-      }
-      if (shard.inflight.find(key) == shard.inflight.end()) break;
-      // Another thread owns this key's compute; its result is our hit.
-      shard.cv.wait(lock);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (auto it = map_.find(key); it != map_.end()) {
+      ++stats_.hits;
+      return it->second;
     }
-    ++shard.stats.misses;
-    shard.inflight.insert(key);
-    lock.unlock();
-    std::optional<Value> value;
-    try {
-      value.emplace(compute());
-    } catch (...) {
-      lock.lock();
-      shard.inflight.erase(key);
-      shard.cv.notify_all();
-      throw;
+    ++stats_.misses;
+    Value value = compute();
+    if (map_.size() >= capacity_) {
+      map_.erase(fifo_.front());
+      fifo_.pop_front();
+      ++stats_.evictions;
     }
-    lock.lock();
-    insert_locked(shard, key, *value);
-    shard.inflight.erase(key);
-    shard.cv.notify_all();
-    return std::move(*value);
+    map_.emplace(key, value);
+    fifo_.push_back(key);
+    ++stats_.inserts;
+    return value;
   }
 
   [[nodiscard]] std::size_t size() const {
-    std::size_t n = 0;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      n += shard.map.size();
-    }
-    return n;
-  }
-
-  /// Upper bound on size(): shards × capacity_per_shard.
-  [[nodiscard]] std::size_t capacity() const {
-    return capacity_ * shards_.size();
+    std::lock_guard<std::mutex> lock(mutex_);
+    return map_.size();
   }
 
   void clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.map.clear();
-      shard.fifo.clear();
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    map_.clear();
+    fifo_.clear();
   }
 
   [[nodiscard]] CacheStats stats() const {
-    CacheStats total;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      total += shard.stats;
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
   }
 
   void reset_stats() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.stats = CacheStats{};
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats_ = CacheStats{};
   }
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::condition_variable cv;  // wakes waiters when an in-flight key lands
-    std::unordered_map<Key, Value, Hash> map;
-    std::unordered_set<Key, Hash> inflight;  // keys being computed right now
-    std::deque<Key> fifo;  // insertion order, for bounded FIFO eviction
-    CacheStats stats;
-  };
-
-  // Caller holds shard.mutex. Evicts the shard's oldest entry when full;
-  // a duplicate key counts nothing and changes nothing.
-  void insert_locked(Shard& shard, const Key& key, Value value) {
-    if (shard.map.find(key) != shard.map.end()) return;
-    if (shard.map.size() >= capacity_) {
-      shard.map.erase(shard.fifo.front());
-      shard.fifo.pop_front();
-      ++shard.stats.evictions;
-    }
-    shard.map.emplace(key, std::move(value));
-    shard.fifo.push_back(key);
-    ++shard.stats.inserts;
-  }
-
-  Shard& shard_for(const Key& key) {
-    // Mix the hash before masking: std::hash<integral> is the identity on
-    // common standard libraries, and sequential keys would otherwise pile
-    // into adjacent shards' low bits.
-    std::uint64_t h = static_cast<std::uint64_t>(Hash{}(key));
-    h ^= h >> 33;
-    h *= 0xFF51AFD7ED558CCDULL;
-    h ^= h >> 33;
-    return shards_[h & (shards_.size() - 1)];
-  }
-
+  mutable std::mutex mutex_;
+  std::unordered_map<Key, Value, Hash> map_;
+  std::deque<Key> fifo_;  // insertion order, for bounded FIFO eviction
+  CacheStats stats_;
   std::size_t capacity_;
-  std::vector<Shard> shards_;
 };
 
 }  // namespace dpoaf::util

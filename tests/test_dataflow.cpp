@@ -1,8 +1,8 @@
 // The streaming pipeline's determinism contract and error path
 // (docs/PIPELINE.md): scored responses must be bitwise-identical at any
 // thread count and serve slot count, with TinyGpt::generate as the oracle
-// for served decodes, and a verify worker's error must surface on the
-// caller's thread. This suite also runs under TSan in CI
+// for served decodes, and a scoring error must surface from the call
+// that streamed the responses. This suite also runs under TSan in CI
 // (DPOAF_THREADS=4, both tensor backends).
 #include <gtest/gtest.h>
 
@@ -109,7 +109,7 @@ TEST(StreamingEquivalence, SampledCandidatesIdenticalAcrossModesAndThreads) {
 }
 
 // A batch of more than 64 requests, many times the slot count, so most of
-// them wait in the admission queue while verify workers score others.
+// them wait in the admission queue while the caller scores others.
 TEST(StreamingEquivalence, ServedCandidatesIdenticalAcrossModesAndThreads) {
   const auto wide = [](int threads, int slots) {
     auto cfg = micro_config(threads, slots, false);
@@ -175,10 +175,10 @@ TEST(StreamingEquivalence, EvalMatchesGenerateOracle) {
 }
 
 // A model whose context and vocabulary fit no task prompt: the service
-// marks every request kInvalid, and the verify worker's CHECK must reach
+// marks every request kInvalid, and the scoring loop's CHECK must reach
 // the caller as a ContractViolation — no hang, no std::terminate — while
 // the service drains the rest of the batch.
-TEST(StreamingEquivalence, VerifyWorkerErrorSurfacesFromEval) {
+TEST(StreamingEquivalence, ScoringErrorSurfacesFromEval) {
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     core::DpoAfPipeline pipe(micro_config(threads, 4, false));

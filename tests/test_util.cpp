@@ -218,13 +218,13 @@ TEST(TextTable, CsvOutput) {
   EXPECT_EQ(os.str(), "x,y\n1,2\n");
 }
 
-TEST(ShardedCache, FindMissesThenHitsAfterInsert) {
-  util::ShardedCache<std::string, int> cache;
-  EXPECT_FALSE(cache.find("a").has_value());
-  cache.insert("a", 7);
-  const auto hit = cache.find("a");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 7);
+TEST(BoundedCache, GetOrComputeComputesOnlyOnMiss) {
+  util::BoundedCache<std::string, int> cache(/*capacity=*/1024);
+  int computes = 0;
+  const auto fn = [&] { ++computes; return 7; };
+  EXPECT_EQ(cache.get_or_compute("a", fn), 7);
+  EXPECT_EQ(cache.get_or_compute("a", fn), 7);
+  EXPECT_EQ(computes, 1);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -233,62 +233,62 @@ TEST(ShardedCache, FindMissesThenHitsAfterInsert) {
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
-TEST(ShardedCache, DuplicateInsertKeepsFirstValue) {
-  util::ShardedCache<int, int> cache;
-  cache.insert(1, 10);
-  cache.insert(1, 20);
-  EXPECT_EQ(*cache.find(1), 10);
-  EXPECT_EQ(cache.stats().inserts, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ShardedCache, GetOrComputeComputesOnlyOnMiss) {
-  util::ShardedCache<int, int> cache;
-  int computes = 0;
-  const auto fn = [&] { ++computes; return 42; };
-  EXPECT_EQ(cache.get_or_compute(5, fn), 42);
-  EXPECT_EQ(cache.get_or_compute(5, fn), 42);
-  EXPECT_EQ(computes, 1);
-}
-
-TEST(ShardedCache, SizeNeverExceedsCapacityBound) {
-  util::ShardedCache<int, int> cache(/*capacity_per_shard=*/4, /*shards=*/4);
-  EXPECT_EQ(cache.capacity(), 16u);
-  for (int i = 0; i < 1000; ++i) cache.insert(i, i * i);
-  EXPECT_LE(cache.size(), cache.capacity());
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.inserts, 1000u);
-  EXPECT_GE(stats.evictions, 1000u - cache.capacity());
-  // Evicted or not, whatever find() returns must be the inserted value.
+TEST(BoundedCache, SizeNeverExceedsCapacityBound) {
+  constexpr int kCapacity = 16;
+  util::BoundedCache<int, int> cache(kCapacity);
   for (int i = 0; i < 1000; ++i) {
-    if (const auto v = cache.find(i)) {
-      EXPECT_EQ(*v, i * i);
-    }
+    EXPECT_EQ(cache.get_or_compute(i, [i] { return i * i; }), i * i);
+    EXPECT_LE(cache.size(), static_cast<std::size_t>(kCapacity));
   }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1000u);
+  EXPECT_EQ(stats.inserts, 1000u);
+  EXPECT_EQ(stats.evictions, 1000u - kCapacity);
+  // The newest kCapacity keys survive with the values they were given.
+  for (int i = 1000 - kCapacity; i < 1000; ++i)
+    EXPECT_EQ(cache.get_or_compute(i, [] { return -1; }), i * i);
+  EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(kCapacity));
 }
 
-TEST(ShardedCache, EvictionIsOldestFirstWithinAShard) {
-  util::ShardedCache<int, int> cache(/*capacity_per_shard=*/2, /*shards=*/1);
-  cache.insert(1, 1);
-  cache.insert(2, 2);
-  cache.insert(3, 3);  // shard full: evicts key 1
-  EXPECT_FALSE(cache.find(1).has_value());
-  EXPECT_TRUE(cache.find(2).has_value());
-  EXPECT_TRUE(cache.find(3).has_value());
+TEST(BoundedCache, EvictionIsOldestFirst) {
+  // Keys far apart in hash value: the order is over the whole map.
+  util::BoundedCache<int, int> cache(/*capacity=*/3);
+  int computes = 0;
+  const auto put = [&](int key) {
+    return cache.get_or_compute(key, [&computes, key] {
+      ++computes;
+      return key;
+    });
+  };
+  for (const int key : {10, 2000, 30, 400000}) put(key);  // evicts 10
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  put(5);  // evicts 2000
+  EXPECT_EQ(computes, 5);
+  for (const int key : {30, 400000, 5}) put(key);  // hits keep the order
+  EXPECT_EQ(computes, 5);
+  put(2000);  // recomputed, evicts 30
+  put(10);    // recomputed, evicts 400000
+  EXPECT_EQ(computes, 7);
+  put(5);
+  EXPECT_EQ(computes, 7);
+  put(30);
+  EXPECT_EQ(computes, 8);
+  EXPECT_EQ(cache.stats().evictions, 5u);
 }
 
-TEST(ShardedCache, ClearEmptiesAllShards) {
-  util::ShardedCache<int, int> cache;
-  for (int i = 0; i < 100; ++i) cache.insert(i, i);
+TEST(BoundedCache, ClearEmptiesTheMap) {
+  util::BoundedCache<int, int> cache(/*capacity=*/1024);
+  for (int i = 0; i < 100; ++i) cache.get_or_compute(i, [i] { return i; });
   EXPECT_EQ(cache.size(), 100u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.find(0).has_value());
+  int computes = 0;
+  EXPECT_EQ(cache.get_or_compute(0, [&] { ++computes; return 0; }), 0);
+  EXPECT_EQ(computes, 1);
 }
 
-TEST(ShardedCache, ConcurrentGetOrComputeIsSingleFlight) {
-  util::ShardedCache<int, int> cache(/*capacity_per_shard=*/1024,
-                                     /*shards=*/8);
+TEST(BoundedCache, ConcurrentGetOrComputeIsSingleFlight) {
+  util::BoundedCache<int, int> cache(/*capacity=*/1024);
   constexpr int kThreads = 8;
   constexpr int kKeys = 500;
   std::atomic<int> computes{0};
@@ -319,26 +319,30 @@ TEST(ShardedCache, ConcurrentGetOrComputeIsSingleFlight) {
   EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1) * kKeys);
 }
 
-TEST(ShardedCache, GetOrComputeReleasesWaitersOnThrow) {
-  util::ShardedCache<int, int> cache;
+TEST(BoundedCache, ThrowDoesNotWedgeItsKey) {
+  util::BoundedCache<int, int> cache(/*capacity=*/1024);
   EXPECT_THROW(cache.get_or_compute(
                    1, []() -> int { throw std::runtime_error("boom"); }),
                std::runtime_error);
-  // The failed flight must not wedge the key: the next caller recomputes.
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().inserts, 0u);
+  // The failed compute must not wedge the key: the next caller recomputes.
   EXPECT_EQ(cache.get_or_compute(1, [] { return 9; }), 9);
+  EXPECT_EQ(cache.get_or_compute(1, [] { return -1; }), 9);
 }
 
-TEST(ShardedCache, ConcurrentMixedOpsUnderEvictionPressureKeepCountersExact) {
+TEST(BoundedCache, ConcurrentMixedOpsUnderEvictionPressureKeepCountersExact) {
   // Tiny capacity over a wide key range: evictions fire constantly, so
-  // keys get recomputed after falling out. Run under TSan in CI. Invariants
-  // that must survive any interleaving:
+  // keys get recomputed after falling out, while other threads read
+  // size() and stats(). Run under TSan in CI. Invariants that must
+  // survive any interleaving:
   //   - every observed value is f(key) (no lost or torn updates),
   //   - hits + misses == lookups issued,
-  //   - inserts == computes (each successful compute lands exactly once;
-  //     single-flight means no duplicate insert can swallow one),
+  //   - inserts == computes (each compute lands exactly once),
   //   - evictions == inserts - size() (every insert grows or displaces),
-  //   - size() <= capacity().
-  util::ShardedCache<int, long> cache(/*capacity_per_shard=*/2, /*shards=*/2);
+  //   - size() <= capacity.
+  constexpr std::size_t kCapacity = 4;
+  util::BoundedCache<int, long> cache(kCapacity);
   constexpr int kThreads = 8;
   constexpr int kIters = 4000;
   constexpr int kKeyRange = 64;
@@ -354,10 +358,9 @@ TEST(ShardedCache, ConcurrentMixedOpsUnderEvictionPressureKeepCountersExact) {
       for (int i = 0; i < kIters; ++i) {
         const int key = static_cast<int>(rng.below(kKeyRange));
         if (rng.chance(0.3)) {
-          ++my_lookups;
-          if (const auto v = cache.find(key)) {
-            ASSERT_EQ(*v, value_of(key));
-          }
+          ASSERT_LE(cache.size(), kCapacity);
+          const auto s = cache.stats();
+          ASSERT_EQ(s.inserts, s.misses);
         } else {
           ++my_lookups;
           const long v = cache.get_or_compute(key, [&computes, &value_of, key] {
@@ -376,25 +379,17 @@ TEST(ShardedCache, ConcurrentMixedOpsUnderEvictionPressureKeepCountersExact) {
   EXPECT_EQ(stats.hits + stats.misses, lookups.load());
   EXPECT_EQ(stats.inserts, computes.load());
   EXPECT_EQ(stats.evictions, stats.inserts - cache.size());
-  EXPECT_LE(cache.size(), cache.capacity());
+  EXPECT_EQ(cache.size(), kCapacity);
   EXPECT_GT(stats.evictions, 0u);  // the pressure actually materialized
-  // Whatever remains cached is still correct.
-  for (int key = 0; key < kKeyRange; ++key) {
-    if (const auto v = cache.find(key)) {
-      EXPECT_EQ(*v, value_of(key));
-    }
-  }
 }
 
-TEST(CacheStats, SummaryAndAccumulate) {
-  util::CacheStats a{8, 2, 2, 1};
-  util::CacheStats b{2, 0, 0, 0};
-  a += b;
-  EXPECT_EQ(a.hits, 10u);
+TEST(CacheStats, SummaryAndHitRate) {
+  const util::CacheStats a{10, 2, 2, 1};
   EXPECT_DOUBLE_EQ(a.hit_rate(), 10.0 / 12.0);
   const std::string s = a.summary();
   EXPECT_NE(s.find("hits=10"), std::string::npos);
   EXPECT_NE(s.find("misses=2"), std::string::npos);
+  EXPECT_NE(s.find("evictions=1"), std::string::npos);
   EXPECT_EQ(util::CacheStats{}.hit_rate(), 0.0);
 }
 
