@@ -219,12 +219,18 @@ TEST(TextTable, CsvOutput) {
 }
 
 TEST(BoundedCache, GetOrComputeComputesOnlyOnMiss) {
-  util::BoundedCache<std::string, int> cache(/*capacity=*/1024);
+  util::BoundedCache<int, int> cache(/*capacity=*/1024);
   int computes = 0;
-  const auto fn = [&] { ++computes; return 7; };
-  EXPECT_EQ(cache.get_or_compute("a", fn), 7);
-  EXPECT_EQ(cache.get_or_compute("a", fn), 7);
+  const auto fn = [&] { ++computes; return 42; };
+  EXPECT_EQ(cache.get_or_compute(5, fn), 42);
+  EXPECT_EQ(cache.get_or_compute(5, fn), 42);
   EXPECT_EQ(computes, 1);
+}
+
+TEST(BoundedCache, MissThenHitCountsStats) {
+  util::BoundedCache<std::string, int> cache(/*capacity=*/1024);
+  EXPECT_EQ(cache.get_or_compute("a", [] { return 7; }), 7);
+  EXPECT_EQ(cache.get_or_compute("a", [] { return -1; }), 7);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
