@@ -75,6 +75,14 @@ bool check_equivalent(benchmark::State& state, const Tensor& got,
   return true;
 }
 
+// Names the kernels a simd row timed ("lanes:8" or "lanes:16", the width
+// selection picked for this CPU); the label reaches --benchmark_out and
+// BENCH_tensor.json.
+void label_lanes(benchmark::State& state, const std::string& be) {
+  if (be == "simd")
+    state.SetLabel("lanes:" + std::to_string(backend::active().lanes()));
+}
+
 void matmul_bench(benchmark::State& state, const std::string& be) {
   const auto n = state.range(0);
   if (!backend_available(be)) {
@@ -89,6 +97,7 @@ void matmul_bench(benchmark::State& state, const std::string& be) {
   backend::select(be);
   if (!check_equivalent(state, ops::matmul(nullptr, a, b), ref, "matmul"))
     return;
+  label_lanes(state, be);
   for (auto _ : state) {
     Tensor c = ops::matmul(nullptr, a, b);
     benchmark::DoNotOptimize(c.data());
@@ -163,6 +172,7 @@ void model_matmul_bench(benchmark::State& state, const std::string& be,
       !check_equivalent(state, got[1], ref[1], "matmul dA") ||
       !check_equivalent(state, got[2], ref[2], "matmul dB"))
     return;
+  label_lanes(state, be);
   for (auto _ : state) {
     Tape tape;
     Tensor c = ops::matmul(&tape, a, b);

@@ -13,7 +13,8 @@ NAME (e.g. ``GFLOP/s``, ``items/s``) from each. Each row has already
 asserted numerical equivalence against the scalar reference, so a
 throughput number here is also a correctness certificate — see
 bench/micro_tensor.cpp. Writes a summary artifact with per-size
-scalar/simd rates and the speedup ratio, then fails (exit 1) if the ratio
+scalar/simd rates, the speedup ratio and the simd rows' label (the
+kernels' vector width, e.g. ``lanes:16``), then fails (exit 1) if the ratio
 at the LARGEST common size is below --min-ratio: the largest size is the
 least noise-prone and the closest to the pipeline's real working set.
 Missing simd rows (CPU without AVX2+FMA, or rows that errored) fail the
@@ -28,11 +29,13 @@ import sys
 
 
 def load_rows(path, prefix, counter):
-    """-> {backend: {size: rate}}; size is None for rows without one."""
+    """-> ({backend: {size: rate}}, simd row labels); size is None for rows
+    without one."""
     row = re.compile("^" + re.escape(prefix) + r"(scalar|simd)(?:/(\d+))?$")
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     rows = {"scalar": {}, "simd": {}}
+    labels = set()
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
@@ -49,7 +52,9 @@ def load_rows(path, prefix, counter):
             continue
         size = match.group(2)
         rows[match.group(1)][None if size is None else int(size)] = rate
-    return rows
+        if match.group(1) == "simd" and bench.get("label"):
+            labels.add(bench["label"])
+    return rows, sorted(labels)
 
 
 def main():
@@ -68,7 +73,7 @@ def main():
                              "(default: BENCH_tensor.json)")
     args = parser.parse_args()
 
-    rows = load_rows(args.bench_json, args.row, args.counter)
+    rows, simd_labels = load_rows(args.bench_json, args.row, args.counter)
     sizes = sorted(set(rows["scalar"]) & set(rows["simd"]),
                    key=lambda n: -1 if n is None else n)
     summary = {
@@ -77,6 +82,7 @@ def main():
         "row": args.row,
         "counter": args.counter,
         "min_ratio": args.min_ratio,
+        "simd_labels": simd_labels,
         "sizes": [
             {
                 "n": n,

@@ -25,8 +25,9 @@ const ComputeBackend& resolve_auto() {
 
 }  // namespace
 
-ComputeBackend::ComputeBackend(const char* name)
+ComputeBackend::ComputeBackend(const char* name, int lanes)
     : name_(name),
+      lanes_(lanes),
       counters_{matmul_counter("calls", name), matmul_counter("flops", name),
                 matmul_counter("bwd_calls", name),
                 matmul_counter("bwd_flops", name)} {}
@@ -74,10 +75,12 @@ void select(const std::string& choice) {
   obs::gauge("tensor.backend.active")
       .set(next->kind() == Kind::kSimd ? 1 : 0);
   obs::gauge("tensor.backend.simd_supported").set(simd_supported() ? 1 : 0);
+  obs::gauge("tensor.backend.simd_lanes").set(next->lanes());
 }
 
 const ComputeBackend& active() {
   static obs::Gauge& active_gauge = obs::gauge("tensor.backend.active");
+  static obs::Gauge& lanes_gauge = obs::gauge("tensor.backend.simd_lanes");
   const ComputeBackend* be = g_active.load(std::memory_order_acquire);
   if (be == nullptr) {
     select("");
@@ -86,6 +89,7 @@ const ComputeBackend& active() {
   // Refreshed here as well as in select(): observability may be switched
   // on after selection, and Gauge::set is a single relaxed load when off.
   active_gauge.set(be->kind() == Kind::kSimd ? 1 : 0);
+  lanes_gauge.set(be->lanes());
   return *be;
 }
 

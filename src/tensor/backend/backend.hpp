@@ -55,13 +55,15 @@ struct MatmulCounters {
 /// the caller; pointers are dense row-major buffers owned by the caller.
 class ComputeBackend {
  public:
-  explicit ComputeBackend(const char* name);
+  /// `lanes` is the vector width of the matmul kernels (0: scalar).
+  explicit ComputeBackend(const char* name, int lanes = 0);
   virtual ~ComputeBackend() = default;
   ComputeBackend(const ComputeBackend&) = delete;
   ComputeBackend& operator=(const ComputeBackend&) = delete;
 
   [[nodiscard]] const char* name() const { return name_; }
   [[nodiscard]] virtual Kind kind() const = 0;
+  [[nodiscard]] int lanes() const { return lanes_; }
   /// Const access is enough to record: the struct members are references
   /// to registry-owned counters.
   [[nodiscard]] const MatmulCounters& matmul_counters() const {
@@ -120,6 +122,7 @@ class ComputeBackend {
 
  private:
   const char* name_;
+  int lanes_;
   MatmulCounters counters_;
 };
 
@@ -139,7 +142,8 @@ class ComputeBackend {
 void select(const std::string& choice);
 
 /// The active backend (resolved via select("") on first use). Also
-/// refreshes the tensor.backend.active gauge (0 scalar, 1 simd).
+/// refreshes the tensor.backend.active gauge (0 scalar, 1 simd) and
+/// tensor.backend.simd_lanes (0 scalar, else 8 or 16).
 [[nodiscard]] const ComputeBackend& active();
 
 /// Kind of the active backend (resolving it if needed).
@@ -147,8 +151,13 @@ void select(const std::string& choice);
 
 namespace detail {
 /// Defined by simd_avx2.cpp: the simd backend instance when compiled in,
-/// nullptr otherwise. Runtime cpuid gating happens in simd_supported().
+/// nullptr otherwise — 16 lanes where the CPU has AVX-512F, else 8.
+/// Runtime cpuid gating happens in simd_supported().
 const ComputeBackend* simd_backend_impl();
+/// The simd backend at one vector width (8 or 16), or nullptr when the
+/// build or CPU cannot run it. For tests that compare the widths;
+/// selection always takes simd_backend_impl()'s.
+const ComputeBackend* simd_backend_lanes(int lanes);
 /// Defined by simd_avx2.cpp: compile-time availability of the kernels.
 bool simd_compiled();
 }  // namespace detail

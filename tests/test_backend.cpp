@@ -1,7 +1,8 @@
 // Compute-backend contract (docs/BACKENDS.md): selection precedence,
 // cpuid dispatch, per-backend cross-thread bitwise determinism (on odd
 // shapes, so microkernel remainder paths land on different rows as the
-// chunk bounds move), the simd matmul kernels' per-cell chains,
+// chunk bounds move), the simd matmul kernels' per-cell chains at every
+// vector width the host runs (and the widths' byte equality),
 // scalar-vs-simd numerical tolerance, and the per-backend observability
 // counters/gauges.
 #include <gtest/gtest.h>
@@ -66,6 +67,29 @@ double max_rel_diff(const Tensor& got, const Tensor& want) {
 std::vector<std::string> available_backends() {
   std::vector<std::string> out = {"scalar"};
   if (backend::simd_supported()) out.push_back("simd");
+  return out;
+}
+
+// The simd backend at every vector width this host runs (8, then 16
+// where the CPU has AVX-512F), reached through the test-only accessor:
+// selection always runs the widest.
+std::vector<const backend::ComputeBackend*> simd_widths() {
+  std::vector<const backend::ComputeBackend*> out;
+  for (int lanes : {8, 16})
+    if (const backend::ComputeBackend* be =
+            backend::detail::simd_backend_lanes(lanes))
+      out.push_back(be);
+  return out;
+}
+
+// The matmul kernels of every backend, simd at every width, named
+// "scalar", "simd8", "simd16".
+std::vector<std::pair<std::string, const backend::ComputeBackend*>>
+matmul_backends() {
+  std::vector<std::pair<std::string, const backend::ComputeBackend*>> out = {
+      {"scalar", &backend::scalar_backend()}};
+  for (const backend::ComputeBackend* be : simd_widths())
+    out.emplace_back("simd" + std::to_string(be->lanes()), be);
   return out;
 }
 
@@ -209,14 +233,14 @@ TEST_F(BackendTest, ElementwiseOpsMatchScalarWithinTolerance) {
   EXPECT_LT(max_rel_diff(got.second, want.second), 1e-5);
 }
 
-// The determinism half of the contract: per backend, results are bitwise
-// identical across thread counts. Thread counts 1/3/4 shift the chunk
-// bounds through every remainder-path alignment of the 61/53/67 shapes.
+// The determinism half of the contract: per backend (simd at every
+// width), results are bitwise identical across thread counts. Thread
+// counts 1/3/4 shift the chunk bounds through every remainder-path
+// alignment of the 61/53/67 shapes.
 TEST_F(BackendTest, MatmulBitwiseAcrossThreadCountsPerBackend) {
-  for (const std::string& be : available_backends()) {
-    backend::select(be);
+  for (const auto& [name, be] : matmul_backends()) {
     for (const MatmulCase& shape : chunking_shapes()) {
-      auto run = [&shape] {
+      auto run = [&shape, be = be] {
         Rng rng(29);
         Tensor a = Tensor::randn({shape.m, shape.k}, rng);
         Tensor b = Tensor::randn({shape.k, shape.n}, rng);
@@ -225,8 +249,8 @@ TEST_F(BackendTest, MatmulBitwiseAcrossThreadCountsPerBackend) {
         Tensor c = Tensor::zeros({shape.m, shape.n});
         util::parallel_for(0, shape.m, 1,
                            [&](std::int64_t i0, std::int64_t i1) {
-          backend::active().matmul_fwd(a.data(), b.data(), c.data(), shape.k,
-                                       shape.n, i0, i1);
+          be->matmul_fwd(a.data(), b.data(), c.data(), shape.k, shape.n, i0,
+                         i1);
         });
         return c;
       };
@@ -235,6 +259,7 @@ TEST_F(BackendTest, MatmulBitwiseAcrossThreadCountsPerBackend) {
       for (int threads : {3, 4}) {
         util::set_global_threads(threads);
         Tensor parallel = run();
+        SCOPED_TRACE(name + " threads=" + std::to_string(threads));
         expect_bitwise_equal(serial, parallel);
       }
     }
@@ -461,17 +486,17 @@ TEST_F(BackendTest, GeluInPlaceWithoutSavedTanhMatches) {
 }
 
 // matmul_bwd_a (rows of dA) and matmul_bwd_b (rows of dB) give the same
-// bits whether a range is one call — register-blocked — or one call per
-// row — every row on the remainder path — or a grain-1 partition at
-// 1/3/4 threads. m=5/k=7/n=23 leaves a row, kk and column remainder at
-// every block size; 38×12×38 and kModelShapes are attention, head and
-// decode shapes.
+// bits, per backend and simd width, whether a range is one call —
+// register-blocked — or one call per row — every row on the remainder
+// path — or a grain-1 partition at 1/3/4 threads. m=5/k=7/n=23 leaves a
+// row, kk and column remainder at every block size; 38×12×38 and
+// kModelShapes are attention, head and decode shapes.
 TEST_F(BackendTest, MatmulBackwardBitwiseAcrossChunkingPerBackend) {
   std::vector<MatmulCase> shapes = chunking_shapes();
   shapes.push_back({5, 7, 23});
   shapes.push_back({38, 12, 38});
-  for (const std::string& name : available_backends()) {
-    const backend::ComputeBackend& be = backend_named(name);
+  for (const auto& [name, kernels] : matmul_backends()) {
+    const backend::ComputeBackend& be = *kernels;
     for (const MatmulCase& s : shapes) {
       Rng rng(61);
       const std::vector<float> a = normal_values(s.m * s.k, 1.0, rng);
@@ -511,6 +536,15 @@ TEST_F(BackendTest, MatmulBackwardBitwiseAcrossChunkingPerBackend) {
       }
     }
   }
+}
+
+// Row ranges [i0, i1) and dB ranges [k0, k1): the whole shape, then an
+// interior sub-range (one row or kk in from each end) on top of it.
+std::vector<std::pair<std::pair<std::int64_t, std::int64_t>,
+                      std::pair<std::int64_t, std::int64_t>>>
+whole_then_interior(const MatmulCase& s) {
+  const std::int64_t ri = s.m > 2 ? 1 : 0, rk = s.k > 2 ? 1 : 0;
+  return {{{0, s.m}, {0, s.k}}, {{ri, s.m - ri}, {rk, s.k - rk}}};
 }
 
 // Test-local scalar spellings of the simd matmul kernels' per-cell
@@ -574,15 +608,15 @@ std::vector<float> chain_inputs(std::int64_t count, Rng& rng) {
   return v;
 }
 
-// The simd kernels equal the chain references byte for byte, whole-range
-// and on sub-ranges, across every n mod 8 (and n mod 16) and k mod 8
-// residue, m in 1..9 plus the model's sequence lengths, and the model's
-// own shapes (d_model 48, 4 heads of 12, d_ff 192, vocab 76; T = 35 and
-// 84; the m = 1 decode matvecs). A kernel that reorders a single rounding
-// of one cell fails here, where the scalar-tolerance tests cannot see it.
+// The simd kernels, at every width the host runs, equal the chain
+// references byte for byte, whole-range and on sub-ranges, across every
+// n mod 8 (and n mod 16) and k mod 8 residue, m in 1..9 plus the model's
+// sequence lengths, and the model's own shapes (d_model 48, 4 heads of
+// 12, d_ff 192, vocab 76; T = 35 and 84; the m = 1 decode matvecs). A
+// kernel that reorders a single rounding of one cell fails here, where
+// the scalar-tolerance tests cannot see it.
 TEST_F(BackendTest, SimdMatmulBitwiseEqualsChainReference) {
   if (!backend::simd_supported()) GTEST_SKIP() << "no AVX2+FMA";
-  const backend::ComputeBackend& be = *backend::simd_backend();
   std::vector<MatmulCase> shapes;
   for (std::int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 35, 84})
     for (std::int64_t k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17})
@@ -599,7 +633,64 @@ TEST_F(BackendTest, SimdMatmulBitwiseEqualsChainReference) {
   shapes.push_back({1, 48, 76});
   shapes.push_back({1, 48, 144});
   shapes.push_back({33, 257, 19});  // crosses a K cache tile
-  Rng rng(71);
+  for (const backend::ComputeBackend* be : simd_widths()) {
+    const std::string lanes = std::to_string(be->lanes()) + " lanes ";
+    Rng rng(71);
+    for (const MatmulCase& s : shapes) {
+      const std::vector<float> a = chain_inputs(s.m * s.k, rng);
+      const std::vector<float> b = chain_inputs(s.k * s.n, rng);
+      const std::vector<float> gc = chain_inputs(s.m * s.n, rng);
+      const std::vector<float> c0 = chain_inputs(s.m * s.n, rng);
+      const std::vector<float> ga0 = chain_inputs(s.m * s.k, rng);
+      const std::vector<float> gb0 = chain_inputs(s.k * s.n, rng);
+      std::vector<float> c = c0, ga = ga0, gb = gb0;
+      std::vector<float> want_c = c0, want_ga = ga0, want_gb = gb0;
+      for (const auto& [rows, ks] : whole_then_interior(s)) {
+        be->matmul_fwd(a.data(), b.data(), c.data(), s.k, s.n, rows.first,
+                       rows.second);
+        be->matmul_bwd_a(gc.data(), b.data(), ga.data(), s.k, s.n, rows.first,
+                         rows.second);
+        be->matmul_bwd_b(a.data(), gc.data(), gb.data(), s.m, s.k, s.n,
+                         ks.first, ks.second);
+        chain_fwd(a, b, want_c, s.k, s.n, rows.first, rows.second);
+        chain_bwd_a(gc, b, want_ga, s.k, s.n, rows.first, rows.second);
+        chain_bwd_b(a, gc, want_gb, s.m, s.k, s.n, ks.first, ks.second);
+      }
+      const std::string where = lanes + std::to_string(s.m) + "x" +
+                                std::to_string(s.k) + "x" +
+                                std::to_string(s.n);
+      EXPECT_TRUE(same_bits(c, want_c)) << "forward " << where;
+      EXPECT_TRUE(same_bits(ga, want_ga)) << "dA " << where;
+      EXPECT_TRUE(same_bits(gb, want_gb)) << "dB " << where;
+    }
+  }
+}
+
+// The 8- and 16-lane kernels give the same bytes: the chain contract is
+// per cell, and the width only decides which cells share a register.
+// Covers the model's shapes and k or n in {1, 4, 12, 16, 17, 31, 33}
+// (below, at and around one and two 16-lane vectors) against m in 1..9,
+// 35 and 84 (every remainder of the 8-row forward, 4-row dB and 3-row dA
+// blocks), whole-range and sub-range calls, with ±0 and subnormals.
+TEST_F(BackendTest, SimdWidthsAgreeBitwise) {
+  const backend::ComputeBackend* narrow =
+      backend::detail::simd_backend_lanes(8);
+  const backend::ComputeBackend* wide =
+      backend::detail::simd_backend_lanes(16);
+  if (narrow == nullptr) GTEST_SKIP() << "no AVX2+FMA";
+  if (wide == nullptr)
+    GTEST_SKIP() << "no AVX-512F: this CPU runs only the 8-lane kernels";
+  std::vector<MatmulCase> shapes(std::begin(kModelShapes),
+                                 std::end(kModelShapes));
+  const std::int64_t edges[] = {1, 4, 12, 16, 17, 31, 33};
+  for (std::int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 35, 84})
+    for (std::int64_t e : edges) {
+      for (std::int64_t n : {12, 48, 76, 144}) shapes.push_back({m, e, n});
+      for (std::int64_t k : {12, 48, 192}) shapes.push_back({m, k, e});
+      for (std::int64_t f : edges) shapes.push_back({m, e, f});
+    }
+  shapes.push_back({33, 257, 19});  // crosses a K cache tile
+  Rng rng(73);
   for (const MatmulCase& s : shapes) {
     const std::vector<float> a = chain_inputs(s.m * s.k, rng);
     const std::vector<float> b = chain_inputs(s.k * s.n, rng);
@@ -607,34 +698,31 @@ TEST_F(BackendTest, SimdMatmulBitwiseEqualsChainReference) {
     const std::vector<float> c0 = chain_inputs(s.m * s.n, rng);
     const std::vector<float> ga0 = chain_inputs(s.m * s.k, rng);
     const std::vector<float> gb0 = chain_inputs(s.k * s.n, rng);
-    // The whole range, then an interior sub-range on top of it.
-    const std::int64_t ri = s.m > 2 ? 1 : 0, rk = s.k > 2 ? 1 : 0;
-    const std::pair<std::int64_t, std::int64_t> rows[] = {{0, s.m},
-                                                          {ri, s.m - ri}};
-    const std::pair<std::int64_t, std::int64_t> ks[] = {{0, s.k},
-                                                        {rk, s.k - rk}};
-    std::vector<float> c = c0, ga = ga0, gb = gb0;
-    std::vector<float> want_c = c0, want_ga = ga0, want_gb = gb0;
-    for (int pass = 0; pass < 2; ++pass) {
-      const auto [i0, i1] = rows[pass];
-      const auto [k0, k1] = ks[pass];
-      be.matmul_fwd(a.data(), b.data(), c.data(), s.k, s.n, i0, i1);
-      be.matmul_bwd_a(gc.data(), b.data(), ga.data(), s.k, s.n, i0, i1);
-      be.matmul_bwd_b(a.data(), gc.data(), gb.data(), s.m, s.k, s.n, k0, k1);
-      chain_fwd(a, b, want_c, s.k, s.n, i0, i1);
-      chain_bwd_a(gc, b, want_ga, s.k, s.n, i0, i1);
-      chain_bwd_b(a, gc, want_gb, s.m, s.k, s.n, k0, k1);
-    }
-    const std::string where = std::to_string(s.m) + "x" +
-                              std::to_string(s.k) + "x" + std::to_string(s.n);
-    EXPECT_TRUE(same_bits(c, want_c)) << "forward " << where;
-    EXPECT_TRUE(same_bits(ga, want_ga)) << "dA " << where;
-    EXPECT_TRUE(same_bits(gb, want_gb)) << "dB " << where;
+    auto run = [&](const backend::ComputeBackend& be) {
+      std::vector<float> c = c0, ga = ga0, gb = gb0;
+      for (const auto& [rows, ks] : whole_then_interior(s)) {
+        be.matmul_fwd(a.data(), b.data(), c.data(), s.k, s.n, rows.first,
+                      rows.second);
+        be.matmul_bwd_a(gc.data(), b.data(), ga.data(), s.k, s.n, rows.first,
+                        rows.second);
+        be.matmul_bwd_b(a.data(), gc.data(), gb.data(), s.m, s.k, s.n,
+                        ks.first, ks.second);
+      }
+      return std::vector<std::vector<float>>{c, ga, gb};
+    };
+    const auto want = run(*narrow);
+    const auto got = run(*wide);
+    const std::string where = std::to_string(s.m) + "x" + std::to_string(s.k) +
+                              "x" + std::to_string(s.n);
+    EXPECT_TRUE(same_bits(got[0], want[0])) << "forward " << where;
+    EXPECT_TRUE(same_bits(got[1], want[1])) << "dA " << where;
+    EXPECT_TRUE(same_bits(got[2], want[2])) << "dB " << where;
   }
 }
 
 // Per-backend matmul telemetry: calls/flops land on the selected
-// backend's counters, and the active gauge tracks selection.
+// backend's counters, and the active and lane-count gauges track
+// selection.
 TEST_F(BackendTest, PerBackendCountersAndActiveGauge) {
   obs::set_enabled(true);
   auto& registry = obs::MetricsRegistry::instance();
@@ -660,6 +748,12 @@ TEST_F(BackendTest, PerBackendCountersAndActiveGauge) {
     EXPECT_EQ(bwd_calls.value(), bwd0 + 1);
     EXPECT_EQ(registry.gauge("tensor.backend.active").value(),
               be == "simd" ? 1 : 0);
+    // Selection runs the widest kernels the CPU has.
+    const int want_lanes =
+        be == "scalar"                                         ? 0
+        : backend::detail::simd_backend_lanes(16) != nullptr ? 16
+                                                               : 8;
+    EXPECT_EQ(registry.gauge("tensor.backend.simd_lanes").value(), want_lanes);
   }
   EXPECT_EQ(registry.gauge("tensor.backend.simd_supported").value(),
             backend::simd_supported() ? 1 : 0);
