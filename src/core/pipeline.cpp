@@ -46,8 +46,10 @@ namespace {
 // sampling-weight CHECK. The trainers would silently reinterpret the
 // rest: a NaN or negative nll_coef drops the RPO anchor, a negative
 // pairs_per_epoch trains on all pairs, a negative lora_rank trains every
-// parameter (and is written into checkpoints), and a negative pre-training
-// epoch count trains nothing.
+// parameter (and is written into checkpoints), a negative pre-training
+// epoch count trains nothing, and a negative checkpoint_retain_last keeps
+// every snapshot. A negative thread count would fail in the pool without
+// naming the field.
 const PipelineConfig& validated(const PipelineConfig& c) {
   DPOAF_REQUIRE(d_model, >=, 1);
   DPOAF_REQUIRE(n_heads, >=, 1);
@@ -77,6 +79,8 @@ const PipelineConfig& validated(const PipelineConfig& c) {
   DPOAF_REQUIRE(holdout_scenarios, >=, 0);
   DPOAF_REQUIRE(holdout_scenarios, <=, c.generated_scenarios);
   DPOAF_REQUIRE(checkpoint_every_epochs, >=, 0);
+  DPOAF_REQUIRE(checkpoint_retain_last, >=, 0);
+  DPOAF_REQUIRE(threads, >=, 0);
   return c;
 }
 

@@ -121,8 +121,8 @@ const std::vector<float>& DecodeSession::step(int token_id) {
   const auto layer_norm = [&](const LayerNorm& ln) {
     ops::layer_norm_row(x, ln.gamma.data(), ln.beta.data(), d, h);
   };
-  be.ew_add(model_.tok_emb_.data() + token_id * d,
-            model_.pos_emb_.data() + position_ * d, x, 0, d);
+  ops::add_row(model_.tok_emb_.data() + token_id * d,
+               model_.pos_emb_.data() + position_ * d, x, d);
 
   const std::int64_t t_len = position_ + 1;
   for (std::size_t l = 0; l < model_.blocks_.size(); ++l) {
@@ -150,13 +150,13 @@ const std::vector<float>& DecodeSession::step(int token_id) {
                           attn_out_.data() + head * dh);
     }
     block.attn.proj.forward_row(attn_out_.data(), h, lora_.data());
-    be.ew_add(x, h, x, 0, d);
+    ops::add_row(x, h, x, d);
 
     layer_norm(block.ln2);
     block.fc1.forward_row(h, mlp_.data(), lora_.data());
-    be.gelu_fwd(mlp_.data(), mlp_.data(), nullptr, 0, cfg.d_ff);
+    be.gelu_fwd(mlp_.data(), mlp_.data(), nullptr, cfg.d_ff);
     block.fc2.forward_row(mlp_.data(), h, lora_.data());
-    be.ew_add(x, h, x, 0, d);
+    ops::add_row(x, h, x, d);
   }
 
   layer_norm(model_.ln_f_);

@@ -3,16 +3,12 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace dpoaf::tensor::backend {
 
 namespace {
-
-obs::Counter& matmul_counter(const char* field, const char* backend_name) {
-  return obs::counter(std::string("tensor.matmul.") + field + "." +
-                      backend_name);
-}
 
 // The active backend. nullptr until the first select()/active() call;
 // written under selection (rare), read with a relaxed load on every op.
@@ -24,13 +20,6 @@ const ComputeBackend& resolve_auto() {
 }
 
 }  // namespace
-
-ComputeBackend::ComputeBackend(const char* name, int lanes)
-    : name_(name),
-      lanes_(lanes),
-      counters_{matmul_counter("calls", name), matmul_counter("flops", name),
-                matmul_counter("bwd_calls", name),
-                matmul_counter("bwd_flops", name)} {}
 
 bool simd_supported() {
   static const bool supported = [] {

@@ -1,19 +1,22 @@
 // Pluggable compute backends for the tensor hot paths (docs/BACKENDS.md).
 //
-// A ComputeBackend supplies the *chunk-level* kernels behind
-// tensor::ops — matmul forward/backward and the large elementwise/row
-// ops. Every kernel takes an index range [i0, i1); tensor::ops calls it
-// once over the whole range, because ops are serial and parallelism
-// lives in the loops above them (DESIGN.md "Threading model").
+// A ComputeBackend supplies the kernels of tensor::ops whose bits differ
+// between backends — matmul forward/backward, the accumulating
+// elementwise ops and GELU — each over whole operands. Ops are serial;
+// parallelism lives in the loops above them (DESIGN.md "Threading
+// model"). Elementwise ops that round the same everywhere (add, mul,
+// scale, the row bias add) are plain loops in tensor::ops.
 //
 // Determinism contract:
-//  - Each backend must be bitwise-reproducible however a range is split:
-//    a kernel's per-element arithmetic (reduction order, rounding) may
-//    depend only on the element's absolute indices and the full operand
-//    shapes, never on the chunk bounds [i0, i1) it was invoked with.
-//    Register blocking is fine as long as the blocked and remainder
-//    paths produce identical per-element results (tests/test_backend.cpp
-//    sweeps odd shapes across thread-pool splits to pin this).
+//  - What decode needs: a forward or dA cell's arithmetic (reduction
+//    order, rounding) depends only on its column index and k/n, and an
+//    elementwise or GELU value only on its own inputs — never on m or on
+//    where the row sits in the call. So a row computed alone (the m = 1
+//    KV-cache decode step) equals that row inside a batch. A dB cell
+//    reduces over the rows in ascending order. Register blocking is fine
+//    as long as the blocked and remainder paths produce identical
+//    per-cell results (tests/test_backend.cpp checks every row of odd
+//    shapes against a call over that row alone).
 //  - Different backends may round differently (the simd backend fuses
 //    multiply-adds; scalar keeps separate roundings). Cross-backend
 //    results agree only within tolerance — pick one backend per
@@ -32,8 +35,6 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/metrics.hpp"
-
 namespace dpoaf::tensor::backend {
 
 enum class Kind { kScalar, kSimd };
@@ -42,21 +43,13 @@ enum class Kind { kScalar, kSimd };
 inline constexpr float kGeluC = 0.7978845608028654f;
 inline constexpr float kGeluA = 0.044715f;
 
-/// Per-backend matmul telemetry, registered as
-/// tensor.matmul.{calls,flops,bwd_calls,bwd_flops}.<backend>.
-struct MatmulCounters {
-  obs::Counter& fwd_calls;
-  obs::Counter& fwd_flops;
-  obs::Counter& bwd_calls;
-  obs::Counter& bwd_flops;
-};
-
-/// Chunk-level compute kernels over a row/index range [i0, i1) chosen by
-/// the caller; pointers are dense row-major buffers owned by the caller.
+/// The backend-dependent kernels over whole operands; pointers are dense
+/// row-major buffers owned by the caller.
 class ComputeBackend {
  public:
   /// `lanes` is the vector width of the matmul kernels (0: scalar).
-  explicit ComputeBackend(const char* name, int lanes = 0);
+  explicit ComputeBackend(const char* name, int lanes = 0)
+      : name_(name), lanes_(lanes) {}
   virtual ~ComputeBackend() = default;
   ComputeBackend(const ComputeBackend&) = delete;
   ComputeBackend& operator=(const ComputeBackend&) = delete;
@@ -64,66 +57,44 @@ class ComputeBackend {
   [[nodiscard]] const char* name() const { return name_; }
   [[nodiscard]] virtual Kind kind() const = 0;
   [[nodiscard]] int lanes() const { return lanes_; }
-  /// Const access is enough to record: the struct members are references
-  /// to registry-owned counters.
-  [[nodiscard]] const MatmulCounters& matmul_counters() const {
-    return counters_;
-  }
 
   // ---- matmul (C[M,N] = A[M,K]·B[K,N]) ------------------------------
-  /// Rows [i0, i1) of the forward: c[i,:] = Σ_kk a[i,kk]·b[kk,:].
-  /// c rows are zero-initialized by the caller.
+  /// c[i,:] = Σ_kk a[i,kk]·b[kk,:]; c is zero-initialized by the caller.
   virtual void matmul_fwd(const float* a, const float* b, float* c,
-                          std::int64_t k, std::int64_t n, std::int64_t i0,
-                          std::int64_t i1) const = 0;
-  /// Rows [i0, i1) of dA: ga[i,kk] += Σ_j gc[i,j]·b[kk,j].
+                          std::int64_t m, std::int64_t k,
+                          std::int64_t n) const = 0;
+  /// dA: ga[i,kk] += Σ_j gc[i,j]·b[kk,j].
   virtual void matmul_bwd_a(const float* gc, const float* b, float* ga,
-                            std::int64_t k, std::int64_t n, std::int64_t i0,
-                            std::int64_t i1) const = 0;
-  /// dB rows [k0, k1): gb[kk,:] += Σ_i a[i,kk]·gc[i,:], i ascending (the
-  /// per-cell accumulation order every backend must preserve).
+                            std::int64_t m, std::int64_t k,
+                            std::int64_t n) const = 0;
+  /// dB: gb[kk,:] += Σ_i a[i,kk]·gc[i,:], i ascending (the per-cell
+  /// accumulation order every backend must preserve).
   virtual void matmul_bwd_b(const float* a, const float* gc, float* gb,
-                            std::int64_t m, std::int64_t k, std::int64_t n,
-                            std::int64_t k0, std::int64_t k1) const = 0;
+                            std::int64_t m, std::int64_t k,
+                            std::int64_t n) const = 0;
 
-  // ---- large elementwise ops over flat index range [i0, i1) ---------
-  /// out[i] = a[i] + b[i]
-  virtual void ew_add(const float* a, const float* b, float* out,
-                      std::int64_t i0, std::int64_t i1) const = 0;
-  /// out[i] = a[i] · b[i]
-  virtual void ew_mul(const float* a, const float* b, float* out,
-                      std::int64_t i0, std::int64_t i1) const = 0;
-  /// out[i] = s · a[i]
-  virtual void ew_scale(const float* a, float s, float* out, std::int64_t i0,
-                        std::int64_t i1) const = 0;
+  // ---- accumulating elementwise ops over n elements -----------------
   /// out[i] += s · a[i]  (gradient accumulation for add/scale)
-  virtual void ew_axpy(float s, const float* a, float* out, std::int64_t i0,
-                       std::int64_t i1) const = 0;
+  virtual void ew_axpy(float s, const float* a, float* out,
+                       std::int64_t n) const = 0;
   /// out[i] += a[i] · b[i]  (gradient accumulation for mul)
   virtual void ew_mul_acc(const float* a, const float* b, float* out,
-                          std::int64_t i0, std::int64_t i1) const = 0;
+                          std::int64_t n) const = 0;
 
-  // ---- GELU (tanh approximation) over flat index range [i0, i1) -----
+  // ---- GELU (tanh approximation) over n elements --------------------
   /// t[i] = tanh(kGeluC·(x[i] + kGeluA·x[i]³)), y[i] = ½·x[i]·(1 + t[i]).
   /// t is written only when non-null (the tape saves it for gelu_bwd);
   /// y may alias x.
-  virtual void gelu_fwd(const float* x, float* y, float* t, std::int64_t i0,
-                        std::int64_t i1) const = 0;
+  virtual void gelu_fwd(const float* x, float* y, float* t,
+                        std::int64_t n) const = 0;
   /// gx[i] += gy[i] · GELU'(x[i]), reading the tanh term t[i] that this
   /// backend's gelu_fwd saved instead of recomputing it.
   virtual void gelu_bwd(const float* x, const float* t, const float* gy,
-                        float* gx, std::int64_t i0, std::int64_t i1) const = 0;
-
-  // ---- row ops ------------------------------------------------------
-  /// Rows [i0, i1): out[i,:] = x[i,:] + bias[:], bias is [1,N].
-  virtual void row_bias_add(const float* x, const float* bias, float* out,
-                            std::int64_t n, std::int64_t i0,
-                            std::int64_t i1) const = 0;
+                        float* gx, std::int64_t n) const = 0;
 
  private:
   const char* name_;
   int lanes_;
-  MatmulCounters counters_;
 };
 
 /// True when this build carries the simd backend and the CPU supports

@@ -16,10 +16,9 @@ class ScalarBackend final : public ComputeBackend {
 
   [[nodiscard]] Kind kind() const override { return Kind::kScalar; }
 
-  void matmul_fwd(const float* a, const float* b, float* c, std::int64_t k,
-                  std::int64_t n, std::int64_t i0,
-                  std::int64_t i1) const override {
-    for (std::int64_t i = i0; i < i1; ++i) {
+  void matmul_fwd(const float* a, const float* b, float* c, std::int64_t m,
+                  std::int64_t k, std::int64_t n) const override {
+    for (std::int64_t i = 0; i < m; ++i) {
       for (std::int64_t kk = 0; kk < k; ++kk) {
         const float av = a[i * k + kk];
         const float* pbr = b + kk * n;
@@ -29,10 +28,9 @@ class ScalarBackend final : public ComputeBackend {
     }
   }
 
-  void matmul_bwd_a(const float* gc, const float* b, float* ga, std::int64_t k,
-                    std::int64_t n, std::int64_t i0,
-                    std::int64_t i1) const override {
-    for (std::int64_t i = i0; i < i1; ++i) {
+  void matmul_bwd_a(const float* gc, const float* b, float* ga, std::int64_t m,
+                    std::int64_t k, std::int64_t n) const override {
+    for (std::int64_t i = 0; i < m; ++i) {
       for (std::int64_t kk = 0; kk < k; ++kk) {
         const float* gcr = gc + i * n;
         const float* pbr = b + kk * n;
@@ -44,10 +42,9 @@ class ScalarBackend final : public ComputeBackend {
   }
 
   void matmul_bwd_b(const float* a, const float* gc, float* gb, std::int64_t m,
-                    std::int64_t k, std::int64_t n, std::int64_t k0,
-                    std::int64_t k1) const override {
+                    std::int64_t k, std::int64_t n) const override {
     for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t kk = k0; kk < k1; ++kk) {
+      for (std::int64_t kk = 0; kk < k; ++kk) {
         const float av = a[i * k + kk];
         const float* gcr = gc + i * n;
         float* gbr = gb + kk * n;
@@ -56,34 +53,19 @@ class ScalarBackend final : public ComputeBackend {
     }
   }
 
-  void ew_add(const float* a, const float* b, float* out, std::int64_t i0,
-              std::int64_t i1) const override {
-    for (std::int64_t i = i0; i < i1; ++i) out[i] = a[i] + b[i];
+  void ew_axpy(float s, const float* a, float* out,
+               std::int64_t n) const override {
+    for (std::int64_t i = 0; i < n; ++i) out[i] += s * a[i];
   }
 
-  void ew_mul(const float* a, const float* b, float* out, std::int64_t i0,
-              std::int64_t i1) const override {
-    for (std::int64_t i = i0; i < i1; ++i) out[i] = a[i] * b[i];
+  void ew_mul_acc(const float* a, const float* b, float* out,
+                  std::int64_t n) const override {
+    for (std::int64_t i = 0; i < n; ++i) out[i] += a[i] * b[i];
   }
 
-  void ew_scale(const float* a, float s, float* out, std::int64_t i0,
-                std::int64_t i1) const override {
-    for (std::int64_t i = i0; i < i1; ++i) out[i] = s * a[i];
-  }
-
-  void ew_axpy(float s, const float* a, float* out, std::int64_t i0,
-               std::int64_t i1) const override {
-    for (std::int64_t i = i0; i < i1; ++i) out[i] += s * a[i];
-  }
-
-  void ew_mul_acc(const float* a, const float* b, float* out, std::int64_t i0,
-                  std::int64_t i1) const override {
-    for (std::int64_t i = i0; i < i1; ++i) out[i] += a[i] * b[i];
-  }
-
-  void gelu_fwd(const float* x, float* y, float* t, std::int64_t i0,
-                std::int64_t i1) const override {
-    for (std::int64_t i = i0; i < i1; ++i) {
+  void gelu_fwd(const float* x, float* y, float* t,
+                std::int64_t n) const override {
+    for (std::int64_t i = 0; i < n; ++i) {
       const float xi = x[i];
       const float ti = std::tanh(kGeluC * (xi + kGeluA * xi * xi * xi));
       if (t != nullptr) t[i] = ti;
@@ -95,8 +77,8 @@ class ScalarBackend final : public ComputeBackend {
   // same expression, so gradients match the recompute reference
   // (tests/test_backend.cpp).
   void gelu_bwd(const float* x, const float* t, const float* gy, float* gx,
-                std::int64_t i0, std::int64_t i1) const override {
-    for (std::int64_t i = i0; i < i1; ++i) {
+                std::int64_t n) const override {
+    for (std::int64_t i = 0; i < n; ++i) {
       const float xi = x[i];
       const float ti = t[i];
       const float du = kGeluC * (1.0f + 3.0f * kGeluA * xi * xi);
@@ -104,14 +86,6 @@ class ScalarBackend final : public ComputeBackend {
           0.5f * (1.0f + ti) + 0.5f * xi * (1.0f - ti * ti) * du;
       gx[i] += gy[i] * d;
     }
-  }
-
-  void row_bias_add(const float* x, const float* bias, float* out,
-                    std::int64_t n, std::int64_t i0,
-                    std::int64_t i1) const override {
-    for (std::int64_t i = i0; i < i1; ++i)
-      for (std::int64_t j = 0; j < n; ++j)
-        out[i * n + j] = x[i * n + j] + bias[j];
   }
 };
 

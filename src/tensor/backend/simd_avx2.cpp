@@ -1,16 +1,16 @@
 // AVX2/FMA backend: the matmul kernels of simd_matmul.hpp at 8 lanes
 // (or, where the CPU has AVX-512F, simd_avx512.cpp's 16-lane instance)
-// plus 8-wide elementwise and GELU kernels. Compiled with -mavx2 -mfma on
-// x86 (see src/tensor/CMakeLists.txt); execution is gated at runtime by
-// cpuid in backend::simd_supported(), so carrying the code in a generic
-// build is safe.
+// plus 8-wide accumulating elementwise and GELU kernels. Compiled with
+// -mavx2 -mfma on x86 (see src/tensor/CMakeLists.txt); execution is gated
+// at runtime by cpuid in backend::simd_supported(), so carrying the code
+// in a generic build is safe.
 //
-// The matmul chains are documented in simd_matmul.hpp. The elementwise
-// kernels and GELU are per-element; a GELU tail shorter than a vector runs
-// the vector code on a zero-padded copy. Results *do* differ from the
-// scalar backend (FMA fuses the multiply and add into one rounding, and
-// GELU's tanh is a rational approximation rather than libm's); that is
-// the allowed cross-backend delta.
+// The matmul chains are documented in simd_matmul.hpp. The accumulating
+// elementwise kernels and GELU are per-element; a GELU tail shorter than
+// a vector runs the vector code on a zero-padded copy. Results *do*
+// differ from the scalar backend (FMA fuses the multiply and add into one
+// rounding, and GELU's tanh is a rational approximation rather than
+// libm's); that is the allowed cross-backend delta.
 #include "tensor/backend/backend.hpp"
 #include "tensor/backend/simd_matmul.hpp"
 
@@ -126,129 +126,85 @@ class SimdBackend final : public ComputeBackend {
 
   [[nodiscard]] Kind kind() const override { return Kind::kSimd; }
 
-  void matmul_fwd(const float* a, const float* b, float* c, std::int64_t k,
-                  std::int64_t n, std::int64_t i0,
-                  std::int64_t i1) const override {
-    mm_.fwd(a, b, c, k, n, i0, i1);
+  void matmul_fwd(const float* a, const float* b, float* c, std::int64_t m,
+                  std::int64_t k, std::int64_t n) const override {
+    mm_.fwd(a, b, c, m, k, n);
   }
 
-  void matmul_bwd_a(const float* gc, const float* b, float* ga, std::int64_t k,
-                    std::int64_t n, std::int64_t i0,
-                    std::int64_t i1) const override {
-    // Per-thread, so concurrent calls on different row ranges never share
-    // the packed b; 64-byte aligned, so no panel load splits a cache line.
+  void matmul_bwd_a(const float* gc, const float* b, float* ga, std::int64_t m,
+                    std::int64_t k, std::int64_t n) const override {
+    // Per-thread, so concurrent calls never share the packed b; 64-byte
+    // aligned, so no panel load splits a cache line.
     thread_local std::vector<float> pack;
     const std::int64_t lanes = mm_.lanes;
     pack.resize(
         static_cast<std::size_t>((k + lanes - 1) / lanes * lanes * n + 15));
     const auto misalign = reinterpret_cast<std::uintptr_t>(pack.data()) % 64;
-    mm_.bwd_a(gc, b, ga, k, n, i0, i1,
+    mm_.bwd_a(gc, b, ga, m, k, n,
               pack.data() + (64 - misalign) % 64 / sizeof(float));
   }
 
   void matmul_bwd_b(const float* a, const float* gc, float* gb, std::int64_t m,
-                    std::int64_t k, std::int64_t n, std::int64_t k0,
-                    std::int64_t k1) const override {
-    mm_.bwd_b(a, gc, gb, m, k, n, k0, k1);
+                    std::int64_t k, std::int64_t n) const override {
+    mm_.bwd_b(a, gc, gb, m, k, n);
   }
 
-  // The elementwise kernels are per-element (no reductions), so vector
-  // grouping — which does shift with the chunk base — cannot change any
-  // value; add/mul/scale round exactly like scalar, axpy/mul_acc fuse.
-  void ew_add(const float* a, const float* b, float* out, std::int64_t i0,
-              std::int64_t i1) const override {
-    std::int64_t i = i0;
-    for (; i + 8 <= i1; i += 8)
-      _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(a + i),
-                                              _mm256_loadu_ps(b + i)));
-    for (; i < i1; ++i) out[i] = a[i] + b[i];
-  }
-
-  void ew_mul(const float* a, const float* b, float* out, std::int64_t i0,
-              std::int64_t i1) const override {
-    std::int64_t i = i0;
-    for (; i + 8 <= i1; i += 8)
-      _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(a + i),
-                                              _mm256_loadu_ps(b + i)));
-    for (; i < i1; ++i) out[i] = a[i] * b[i];
-  }
-
-  void ew_scale(const float* a, float s, float* out, std::int64_t i0,
-                std::int64_t i1) const override {
+  // Per-element, so vector grouping cannot change a value; both fuse the
+  // multiply and add into one rounding.
+  void ew_axpy(float s, const float* a, float* out,
+               std::int64_t n) const override {
     const __m256 sv = _mm256_set1_ps(s);
-    std::int64_t i = i0;
-    for (; i + 8 <= i1; i += 8)
-      _mm256_storeu_ps(out + i, _mm256_mul_ps(sv, _mm256_loadu_ps(a + i)));
-    for (; i < i1; ++i) out[i] = s * a[i];
-  }
-
-  void ew_axpy(float s, const float* a, float* out, std::int64_t i0,
-               std::int64_t i1) const override {
-    const __m256 sv = _mm256_set1_ps(s);
-    std::int64_t i = i0;
-    for (; i + 8 <= i1; i += 8)
+    std::int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
       _mm256_storeu_ps(out + i,
                        _mm256_fmadd_ps(sv, _mm256_loadu_ps(a + i),
                                        _mm256_loadu_ps(out + i)));
-    for (; i < i1; ++i) out[i] = std::fma(s, a[i], out[i]);
+    for (; i < n; ++i) out[i] = std::fma(s, a[i], out[i]);
   }
 
-  void ew_mul_acc(const float* a, const float* b, float* out, std::int64_t i0,
-                  std::int64_t i1) const override {
-    std::int64_t i = i0;
-    for (; i + 8 <= i1; i += 8)
+  void ew_mul_acc(const float* a, const float* b, float* out,
+                  std::int64_t n) const override {
+    std::int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
       _mm256_storeu_ps(out + i,
                        _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
                                        _mm256_loadu_ps(b + i),
                                        _mm256_loadu_ps(out + i)));
-    for (; i < i1; ++i) out[i] = std::fma(a[i], b[i], out[i]);
+    for (; i < n; ++i) out[i] = std::fma(a[i], b[i], out[i]);
   }
 
   // GELU lanes are independent, so grouping never changes a value. A
   // tail shorter than 8 runs the same 8-lane code on a zero-padded copy:
-  // an element computes the same bits whether a chunk boundary puts it
-  // in a full vector or in a tail.
-  void gelu_fwd(const float* x, float* y, float* t, std::int64_t i0,
-                std::int64_t i1) const override {
-    std::int64_t i = i0;
-    for (; i + 8 <= i1; i += 8)
+  // an element computes the same bits whether it sits in a full vector or
+  // in a tail, so a decode row's GELU equals the batch's whatever d_ff
+  // is.
+  void gelu_fwd(const float* x, float* y, float* t,
+                std::int64_t n) const override {
+    std::int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
       gelu_fwd8(x + i, y + i, t == nullptr ? nullptr : t + i);
-    if (i == i1) return;
-    const std::int64_t r = i1 - i;
+    if (i == n) return;
+    const std::int64_t r = n - i;
     float xs[8] = {}, ys[8], ts[8];
-    std::copy(x + i, x + i1, xs);
+    std::copy(x + i, x + n, xs);
     gelu_fwd8(xs, ys, ts);
     std::copy(ys, ys + r, y + i);
     if (t != nullptr) std::copy(ts, ts + r, t + i);
   }
 
   void gelu_bwd(const float* x, const float* t, const float* gy, float* gx,
-                std::int64_t i0, std::int64_t i1) const override {
-    std::int64_t i = i0;
-    for (; i + 8 <= i1; i += 8) gelu_bwd8(x + i, t + i, gy + i, gx + i);
-    if (i == i1) return;
-    const std::int64_t r = i1 - i;
+                std::int64_t n) const override {
+    std::int64_t i = 0;
+    for (; i + 8 <= n; i += 8) gelu_bwd8(x + i, t + i, gy + i, gx + i);
+    if (i == n) return;
+    const std::int64_t r = n - i;
     float xs[8] = {}, ts[8] = {}, gys[8] = {}, gxs[8] = {};
-    std::copy(x + i, x + i1, xs);
-    std::copy(t + i, t + i1, ts);
-    std::copy(gy + i, gy + i1, gys);
-    std::copy(gx + i, gx + i1, gxs);
+    std::copy(x + i, x + n, xs);
+    std::copy(t + i, t + n, ts);
+    std::copy(gy + i, gy + n, gys);
+    std::copy(gx + i, gx + n, gxs);
     gelu_bwd8(xs, ts, gys, gxs);
     std::copy(gxs, gxs + r, gx + i);
-  }
-
-  void row_bias_add(const float* x, const float* bias, float* out,
-                    std::int64_t n, std::int64_t i0,
-                    std::int64_t i1) const override {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* xr = x + i * n;
-      float* outr = out + i * n;
-      std::int64_t j = 0;
-      for (; j + 8 <= n; j += 8)
-        _mm256_storeu_ps(outr + j, _mm256_add_ps(_mm256_loadu_ps(xr + j),
-                                                 _mm256_loadu_ps(bias + j)));
-      for (; j < n; ++j) outr[j] = xr[j] + bias[j];
-    }
   }
 
  private:

@@ -4,9 +4,11 @@
 // width per process by cpuid (docs/BACKENDS.md "Vector width").
 //
 // Determinism (the contract tests/test_backend.cpp pins): every output
-// cell runs one fixed arithmetic chain that depends only on its absolute
-// indices and the full operand shapes — never on the [i0, i1) chunk
-// bounds, and never on the vector width. The chains
+// cell runs one fixed arithmetic chain. A forward or dA cell's chain
+// depends only on its column index and k/n — never on m, on where its row
+// sits in the call, or on the vector width — so a row computed alone (the
+// m = 1 KV-cache decode) equals that row inside a batch; a dB cell's runs
+// over the rows in order. The chains
 // (SimdMatmulBitwiseEqualsChainReference spells them out in scalar code):
 //  - forward and dB: one FMA per reduction index, ascending, starting
 //    from the value already in the output;
@@ -35,14 +37,12 @@ namespace dpoaf::tensor::backend {
 /// ⌈k/lanes⌉·lanes·n floats.
 struct MatmulKernels {
   int lanes;  // 0 when this build does not carry the width
-  void (*fwd)(const float* a, const float* b, float* c, std::int64_t k,
-              std::int64_t n, std::int64_t i0, std::int64_t i1);
-  void (*bwd_a)(const float* gc, const float* b, float* ga, std::int64_t k,
-                std::int64_t n, std::int64_t i0, std::int64_t i1,
-                float* pack);
+  void (*fwd)(const float* a, const float* b, float* c, std::int64_t m,
+              std::int64_t k, std::int64_t n);
+  void (*bwd_a)(const float* gc, const float* b, float* ga, std::int64_t m,
+                std::int64_t k, std::int64_t n, float* pack);
   void (*bwd_b)(const float* a, const float* gc, float* gb, std::int64_t m,
-                std::int64_t k, std::int64_t n, std::int64_t k0,
-                std::int64_t k1);
+                std::int64_t k, std::int64_t n);
 };
 
 /// The 16-lane kernels (simd_avx512.cpp); lanes is 0 unless compiled.
@@ -161,26 +161,25 @@ struct Matmul {
     rows<false, 1>(a, k, b, c, n, i, j, kc0, kc1);
   }
 
-  static void fwd(const float* a, const float* b, float* c, std::int64_t k,
-                  std::int64_t n, std::int64_t i0, std::int64_t i1) {
+  static void fwd(const float* a, const float* b, float* c, std::int64_t m,
+                  std::int64_t k, std::int64_t n) {
     for (std::int64_t kc0 = 0; kc0 < k; kc0 += kKC) {
       const std::int64_t kc1 = kc0 + kKC < k ? kc0 + kKC : k;
-      std::int64_t i = i0;
-      for (; i + L::kFwdRows <= i1; i += L::kFwdRows)
+      std::int64_t i = 0;
+      for (; i + L::kFwdRows <= m; i += L::kFwdRows)
         rows<false, L::kFwdRows>(a, k, b, c, n, i, 0, kc0, kc1);
-      for (; i + 4 <= i1; i += 4) rows<false, 4>(a, k, b, c, n, i, 0, kc0, kc1);
-      for (; i < i1; ++i) fwd_row1(a, b, c, k, n, i, kc0, kc1);
+      for (; i + 4 <= m; i += 4) rows<false, 4>(a, k, b, c, n, i, 0, kc0, kc1);
+      for (; i < m; ++i) fwd_row1(a, b, c, k, n, i, kc0, kc1);
     }
   }
 
   static void bwd_b(const float* a, const float* gc, float* gb, std::int64_t m,
-                    std::int64_t k, std::int64_t n, std::int64_t k0,
-                    std::int64_t k1) {
-    std::int64_t kk = k0;
-    for (; kk + L::kDbRows <= k1; kk += L::kDbRows)
+                    std::int64_t k, std::int64_t n) {
+    std::int64_t kk = 0;
+    for (; kk + L::kDbRows <= k; kk += L::kDbRows)
       rows<true, L::kDbRows>(a, k, gc, gb, n, kk, 0, 0, m);
-    for (; kk + 4 <= k1; kk += 4) rows<true, 4>(a, k, gc, gb, n, kk, 0, 0, m);
-    for (; kk < k1; ++kk) rows<true, 1>(a, k, gc, gb, n, kk, 0, 0, m);
+    for (; kk + 4 <= k; kk += 4) rows<true, 4>(a, k, gc, gb, n, kk, 0, 0, m);
+    for (; kk < k; ++kk) rows<true, 1>(a, k, gc, gb, n, kk, 0, 0, m);
   }
 
   // In-register 8×8 transpose: r[q] lane l ↔ r[l] lane q (constant
@@ -271,18 +270,17 @@ struct Matmul {
     }
   }
 
-  static void bwd_a(const float* gc, const float* b, float* ga, std::int64_t k,
-                    std::int64_t n, std::int64_t i0, std::int64_t i1,
-                    float* pack) {
-    // Packing costs O(k·n) per call against the O((i1−i0)·k·n) sweep.
+  static void bwd_a(const float* gc, const float* b, float* ga, std::int64_t m,
+                    std::int64_t k, std::int64_t n, float* pack) {
+    // Packing costs O(k·n) per call against the O(m·k·n) sweep.
     pack_bt(b, k, n, pack);
     for (std::int64_t kk0 = 0; kk0 < k; kk0 += kL) {
       const float* panel = pack + kk0 * n;
       const Mask mask = L::mask(k - kk0 < kL ? k - kk0 : kL);
-      std::int64_t i = i0;
-      for (; i + L::kDaRows <= i1; i += L::kDaRows)
+      std::int64_t i = 0;
+      for (; i + L::kDaRows <= m; i += L::kDaRows)
         bwd_a_rows<L::kDaRows>(gc, panel, ga, k, n, i, kk0, mask);
-      for (; i < i1; ++i) bwd_a_rows<1>(gc, panel, ga, k, n, i, kk0, mask);
+      for (; i < m; ++i) bwd_a_rows<1>(gc, panel, ga, k, n, i, kk0, mask);
     }
   }
 

@@ -45,29 +45,27 @@ Tensor output(Tape* tape, Shape shape, bool zero = false) {
 
 // Throughput telemetry (counts only; obs::counter is a no-op when
 // observability is off): calls and multiply-add flops of each matmul
-// forward and backward, totalled and broken out per backend
-// (docs/BACKENDS.md).
-void count_matmul_fwd(const backend::ComputeBackend& be, std::int64_t m,
-                      std::int64_t k, std::int64_t n) {
+// forward and backward (docs/BACKENDS.md).
+void count_matmul_fwd(std::int64_t m, std::int64_t k, std::int64_t n) {
   static obs::Counter& calls = obs::counter("tensor.matmul.calls");
   static obs::Counter& flops = obs::counter("tensor.matmul.flops");
-  const auto f = static_cast<std::uint64_t>(2 * m * k * n);
   calls.add();
-  flops.add(f);
-  be.matmul_counters().fwd_calls.add();
-  be.matmul_counters().fwd_flops.add(f);
+  flops.add(static_cast<std::uint64_t>(2 * m * k * n));
 }
 
 // `grads` is how many of the two operands take a gradient.
-void count_matmul_bwd(const backend::ComputeBackend& be, std::int64_t m,
-                      std::int64_t k, std::int64_t n, int grads) {
+void count_matmul_bwd(std::int64_t m, std::int64_t k, std::int64_t n,
+                      int grads) {
   static obs::Counter& calls = obs::counter("tensor.matmul.bwd_calls");
   static obs::Counter& flops = obs::counter("tensor.matmul.bwd_flops");
-  const auto f = static_cast<std::uint64_t>(2 * m * k * n * grads);
   calls.add();
-  flops.add(f);
-  be.matmul_counters().bwd_calls.add();
-  be.matmul_counters().bwd_flops.add(f);
+  flops.add(static_cast<std::uint64_t>(2 * m * k * n * grads));
+}
+
+// x[0, n) *= s. Like add_row and mul's loop, one IEEE operation per
+// element: every backend and vector width rounds it the same.
+void scale_row(float* x, float s, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) x[i] *= s;
 }
 
 // n floats of per-thread scratch for buffers that live only inside one
@@ -131,6 +129,10 @@ void layer_norm_row_bwd(const float* __restrict xr,
 
 }  // namespace
 
+void add_row(const float* a, const float* b, float* out, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+}
+
 std::pair<float, float> layer_norm_row(const float* x, const float* gamma,
                                        const float* beta, std::int64_t n,
                                        float* y, float eps) {
@@ -165,13 +167,12 @@ void attention_head(const float* q, const float* kt, const float* v,
                     float* scores, float* attn, float* o) {
   const backend::ComputeBackend& be = backend::active();
   std::fill(scores, scores + rows * t, 0.0f);
-  be.matmul_fwd(q, kt, scores, dh, t, 0, rows);
-  be.ew_scale(scores, 1.0f / std::sqrt(static_cast<float>(dh)), scores, 0,
-              rows * t);
+  be.matmul_fwd(q, kt, scores, rows, dh, t);
+  scale_row(scores, 1.0f / std::sqrt(static_cast<float>(dh)), rows * t);
   for (std::int64_t i = 0; i < rows; ++i)
     softmax_row(scores + i * t, attn + i * t, t - rows + i + 1, t);
   std::fill(o, o + rows * dh, 0.0f);
-  be.matmul_fwd(attn, v, o, t, dh, 0, rows);
+  be.matmul_fwd(attn, v, o, rows, t, dh);
 }
 
 Tensor matmul(Tape* tape, const Tensor& a, const Tensor& b) {
@@ -179,27 +180,26 @@ Tensor matmul(Tape* tape, const Tensor& a, const Tensor& b) {
                   shapes_msg("matmul: inner dimensions differ", a.shape(),
                              b.shape()));
   const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  const backend::ComputeBackend& be = backend::active();
-  count_matmul_fwd(be, m, k, n);
+  count_matmul_fwd(m, k, n);
   Tape* const rec = track(tape, {&a, &b});
   Tensor c = output(rec, {m, n}, /*zero=*/true);
-  be.matmul_fwd(a.data(), b.data(), c.data(), k, n, 0, m);
+  backend::active().matmul_fwd(a.data(), b.data(), c.data(), m, k, n);
   if (rec != nullptr) {
     c.set_requires_grad(true);
     Tensor at = a, bt = b, ct = c;
     rec->record([at, bt, ct]() mutable {
       const std::int64_t m = at.rows(), k = at.cols(), n = bt.cols();
       const backend::ComputeBackend& be = backend::active();
-      count_matmul_bwd(be, m, k, n,
+      count_matmul_bwd(m, k, n,
                        (at.requires_grad() ? 1 : 0) +
                            (bt.requires_grad() ? 1 : 0));
       const float* gc = ct.grad();
       // dA[i,kk] += Σ_j gC[i,j] · B[kk,j]
       if (at.requires_grad())
-        be.matmul_bwd_a(gc, bt.data(), at.grad(), k, n, 0, m);
+        be.matmul_bwd_a(gc, bt.data(), at.grad(), m, k, n);
       // dB[kk,j] += Σ_i A[i,kk] · gC[i,j]
       if (bt.requires_grad())
-        be.matmul_bwd_b(at.data(), gc, bt.grad(), m, k, n, 0, k);
+        be.matmul_bwd_b(at.data(), gc, bt.grad(), m, k, n);
     });
   }
   return c;
@@ -210,16 +210,15 @@ Tensor add(Tape* tape, const Tensor& a, const Tensor& b) {
                   shapes_msg("add: shape mismatch", a.shape(), b.shape()));
   Tape* const rec = track(tape, {&a, &b});
   Tensor c = output(rec, a.shape());
-  const backend::ComputeBackend& be = backend::active();
-  be.ew_add(a.data(), b.data(), c.data(), 0, a.numel());
+  add_row(a.data(), b.data(), c.data(), a.numel());
   if (rec != nullptr) {
     c.set_requires_grad(true);
     Tensor at = a, bt = b, ct = c;
     rec->record([at, bt, ct]() mutable {
       const backend::ComputeBackend& be = backend::active();
       const float* gc = ct.grad();
-      if (at.requires_grad()) be.ew_axpy(1.0f, gc, at.grad(), 0, at.numel());
-      if (bt.requires_grad()) be.ew_axpy(1.0f, gc, bt.grad(), 0, bt.numel());
+      if (at.requires_grad()) be.ew_axpy(1.0f, gc, at.grad(), at.numel());
+      if (bt.requires_grad()) be.ew_axpy(1.0f, gc, bt.grad(), bt.numel());
     });
   }
   return c;
@@ -231,16 +230,17 @@ void linear_rows(const float* x, std::int64_t m, const Tensor& w,
   const backend::ComputeBackend& be = backend::active();
   const std::int64_t in = w.rows(), out = w.cols();
   std::fill(y, y + m * out, 0.0f);
-  be.matmul_fwd(x, w.data(), y, in, out, 0, m);
-  be.row_bias_add(y, b.data(), y, out, 0, m);
+  be.matmul_fwd(x, w.data(), y, m, in, out);
+  for (std::int64_t i = 0; i < m; ++i)
+    add_row(y + i * out, b.data(), y + i * out, out);
   if (lora == nullptr) return;
   const std::int64_t r = lora->a.cols();
   std::fill(xa, xa + m * r, 0.0f);
-  be.matmul_fwd(x, lora->a.data(), xa, in, r, 0, m);
+  be.matmul_fwd(x, lora->a.data(), xa, m, in, r);
   std::fill(delta, delta + m * out, 0.0f);
-  be.matmul_fwd(xa, lora->b.data(), delta, r, out, 0, m);
-  be.ew_scale(delta, lora->scale, delta, 0, m * out);
-  be.ew_add(y, delta, y, 0, m * out);
+  be.matmul_fwd(xa, lora->b.data(), delta, m, r, out);
+  scale_row(delta, lora->scale, m * out);
+  add_row(y, delta, y, m * out);
 }
 
 Tensor linear(Tape* tape, const Tensor& x, const Tensor& w, const Tensor& b,
@@ -261,11 +261,10 @@ Tensor linear(Tape* tape, const Tensor& x, const Tensor& w, const Tensor& b,
                     shapes_msg("linear: LoRA B must be [r x cols(w)]",
                                lora->a.shape(), lora->b.shape()));
   }
-  const backend::ComputeBackend& be = backend::active();
-  count_matmul_fwd(be, m, in, out);
+  count_matmul_fwd(m, in, out);
   if (lora != nullptr) {
-    count_matmul_fwd(be, m, in, r);
-    count_matmul_fwd(be, m, r, out);
+    count_matmul_fwd(m, in, r);
+    count_matmul_fwd(m, r, out);
   }
   Tape* const rec =
       lora != nullptr ? track(tape, {&x, &w, &b, &lora->a, &lora->b})
@@ -303,15 +302,15 @@ Tensor linear(Tape* tape, const Tensor& x, const Tensor& w, const Tensor& b,
     if (r > 0 && (xa_node || gbb)) {
       // add → scale: 0 + s·(0 + 1·gy) is 0 + s·gy, bit for bit.
       std::fill(g, g + m * out, 0.0f);
-      be.ew_axpy(s, gy, g, 0, m * out);
-      count_matmul_bwd(be, m, r, out, (xa_node ? 1 : 0) + (gbb ? 1 : 0));
-      if (gbb) be.matmul_bwd_b(xa, g, bbt.grad(), m, r, out, 0, r);
+      be.ew_axpy(s, gy, g, m * out);
+      count_matmul_bwd(m, r, out, (xa_node ? 1 : 0) + (gbb ? 1 : 0));
+      if (gbb) be.matmul_bwd_b(xa, g, bbt.grad(), m, r, out);
       if (xa_node) {
         std::fill(gxa, gxa + m * r, 0.0f);
-        be.matmul_bwd_a(g, bbt.data(), gxa, r, out, 0, m);
-        count_matmul_bwd(be, m, in, r, (gx ? 1 : 0) + (ga ? 1 : 0));
-        if (ga) be.matmul_bwd_b(xt.data(), gxa, at.grad(), m, in, r, 0, in);
-        if (gx) be.matmul_bwd_a(gxa, at.data(), xt.grad(), in, r, 0, m);
+        be.matmul_bwd_a(g, bbt.data(), gxa, m, r, out);
+        count_matmul_bwd(m, in, r, (gx ? 1 : 0) + (ga ? 1 : 0));
+        if (ga) be.matmul_bwd_b(xt.data(), gxa, at.grad(), m, in, r);
+        if (gx) be.matmul_bwd_a(gxa, at.data(), xt.grad(), m, in, r);
       }
     }
     if (!mm && !gb) return;
@@ -319,7 +318,7 @@ Tensor linear(Tape* tape, const Tensor& x, const Tensor& w, const Tensor& b,
     // add's seeded copy 0 + 1·gy; its input's gradient is seeded the same
     // way (0 + 1·(0 + 1·gy) is 0 + 1·gy), turning a −0 into +0.
     std::fill(g, g + m * out, 0.0f);
-    be.ew_axpy(1.0f, gy, g, 0, m * out);
+    be.ew_axpy(1.0f, gy, g, m * out);
     if (gb) {
       const float* gc = r > 0 ? g : gy;
       float* gbias = bt.grad();
@@ -327,9 +326,9 @@ Tensor linear(Tape* tape, const Tensor& x, const Tensor& w, const Tensor& b,
         for (std::int64_t j = 0; j < out; ++j) gbias[j] += gc[i * out + j];
     }
     if (!mm) return;
-    count_matmul_bwd(be, m, in, out, (gx ? 1 : 0) + (gw ? 1 : 0));
-    if (gx) be.matmul_bwd_a(g, wt.data(), xt.grad(), in, out, 0, m);
-    if (gw) be.matmul_bwd_b(xt.data(), g, wt.grad(), m, in, out, 0, in);
+    count_matmul_bwd(m, in, out, (gx ? 1 : 0) + (gw ? 1 : 0));
+    if (gx) be.matmul_bwd_a(g, wt.data(), xt.grad(), m, in, out);
+    if (gw) be.matmul_bwd_b(xt.data(), g, wt.grad(), m, in, out);
   });
   return y;
 }
@@ -339,8 +338,10 @@ Tensor mul(Tape* tape, const Tensor& a, const Tensor& b) {
                   shapes_msg("mul: shape mismatch", a.shape(), b.shape()));
   Tape* const rec = track(tape, {&a, &b});
   Tensor c = output(rec, a.shape());
-  const backend::ComputeBackend& be = backend::active();
-  be.ew_mul(a.data(), b.data(), c.data(), 0, a.numel());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  for (std::int64_t i = 0; i < a.numel(); ++i) pc[i] = pa[i] * pb[i];
   if (rec != nullptr) {
     c.set_requires_grad(true);
     Tensor at = a, bt = b, ct = c;
@@ -348,9 +349,9 @@ Tensor mul(Tape* tape, const Tensor& a, const Tensor& b) {
       const backend::ComputeBackend& be = backend::active();
       const float* gc = ct.grad();
       if (at.requires_grad())
-        be.ew_mul_acc(gc, bt.data(), at.grad(), 0, at.numel());
+        be.ew_mul_acc(gc, bt.data(), at.grad(), at.numel());
       if (bt.requires_grad())
-        be.ew_mul_acc(gc, at.data(), bt.grad(), 0, bt.numel());
+        be.ew_mul_acc(gc, at.data(), bt.grad(), bt.numel());
     });
   }
   return c;
@@ -363,14 +364,15 @@ Tensor sub(Tape* tape, const Tensor& a, const Tensor& b) {
 Tensor scale(Tape* tape, const Tensor& a, float s) {
   Tape* const rec = track(tape, {&a});
   Tensor c = output(rec, a.shape());
-  const backend::ComputeBackend& be = backend::active();
-  be.ew_scale(a.data(), s, c.data(), 0, a.numel());
+  const float* pa = a.data();
+  float* pc = c.data();
+  for (std::int64_t i = 0; i < a.numel(); ++i) pc[i] = s * pa[i];
   if (rec != nullptr) {
     c.set_requires_grad(true);
     Tensor at = a, ct = c;
     rec->record([at, ct, s]() mutable {
       if (!at.requires_grad()) return;
-      backend::active().ew_axpy(s, ct.grad(), at.grad(), 0, at.numel());
+      backend::active().ew_axpy(s, ct.grad(), at.grad(), at.numel());
     });
   }
   return c;
@@ -382,7 +384,7 @@ Tensor gelu(Tape* tape, const Tensor& a) {
   // The forward's tanh term, saved so the backward does not recompute it.
   Tensor t = rec != nullptr ? output(rec, a.shape()) : Tensor();
   const backend::ComputeBackend& be = backend::active();
-  be.gelu_fwd(a.data(), c.data(), rec != nullptr ? t.data() : nullptr, 0,
+  be.gelu_fwd(a.data(), c.data(), rec != nullptr ? t.data() : nullptr,
               a.numel());
   if (rec != nullptr) {
     c.set_requires_grad(true);
@@ -391,8 +393,7 @@ Tensor gelu(Tape* tape, const Tensor& a) {
     const backend::ComputeBackend* fwd_be = &be;
     rec->record([at, ct, t, fwd_be]() mutable {
       if (!at.requires_grad()) return;
-      fwd_be->gelu_bwd(at.data(), t.data(), ct.grad(), at.grad(), 0,
-                       at.numel());
+      fwd_be->gelu_bwd(at.data(), t.data(), ct.grad(), at.grad(), at.numel());
     });
   }
   return c;
@@ -504,7 +505,6 @@ Tensor causal_attention(Tape* tape, const Tensor& qkv,
 
   Tensor out = output(rec, {t, d});
   const float* x = qkv.data();
-  const backend::ComputeBackend& be = backend::active();
   for (std::int64_t h = 0; h < n_heads; ++h) {
     float* q = saved + (rec != nullptr ? h : 0) * head;
     float* kt = q + t * dh;
@@ -517,8 +517,8 @@ Tensor causal_attention(Tape* tape, const Tensor& qkv,
         kt[j * t + i] = xr[d];
         v[i * dh + j] = xr[2 * d];
       }
-    count_matmul_fwd(be, t, dh, t);
-    count_matmul_fwd(be, t, t, dh);
+    count_matmul_fwd(t, dh, t);
+    count_matmul_fwd(t, t, dh);
     attention_head(q, kt, v, t, t, dh, scores, attn, o);
     for (std::int64_t i = 0; i < t; ++i)
       std::copy(o + i * dh, o + (i + 1) * dh, out.data() + i * d + h * dh);
@@ -550,15 +550,15 @@ Tensor causal_attention(Tape* tape, const Tensor& qkv,
         for (std::int64_t i = 0; i < t; ++i)
           for (std::int64_t j = 0; j < dh; ++j)
             go[i * dh + j] += gy[i * d + h * dh + j];
-        count_matmul_bwd(be, t, t, dh, 2);
-        be.matmul_bwd_a(go, v, gattn, t, dh, 0, t);
-        be.matmul_bwd_b(attn, go, gv, t, t, dh, 0, t);
+        count_matmul_bwd(t, t, dh, 2);
+        be.matmul_bwd_a(go, v, gattn, t, t, dh);
+        be.matmul_bwd_b(attn, go, gv, t, t, dh);
         for (std::int64_t i = 0; i < t; ++i)
           softmax_row_bwd(attn + i * t, gattn + i * t, gs + i * t, i + 1);
-        be.ew_axpy(inv_sqrt, gs, gs0, 0, t * t);
-        count_matmul_bwd(be, t, dh, t, 2);
-        be.matmul_bwd_a(gs0, kt, gq, dh, t, 0, t);
-        be.matmul_bwd_b(q, gs0, gkt, t, dh, t, 0, dh);
+        be.ew_axpy(inv_sqrt, gs, gs0, t * t);
+        count_matmul_bwd(t, dh, t, 2);
+        be.matmul_bwd_a(gs0, kt, gq, t, dh, t);
+        be.matmul_bwd_b(q, gs0, gkt, t, dh, t);
         // qkv's gradient is zeroed on first use, so each += turns a −0
         // into +0 exactly as a separate slice's backward would.
         for (std::int64_t i = 0; i < t; ++i)

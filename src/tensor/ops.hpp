@@ -89,6 +89,9 @@ Tensor softplus(Tape* tape, const Tensor& x);
 // shared with the KV-cache decode step so its logits are bitwise the
 // batch forward's row (docs/BACKENDS.md).
 
+/// out[0, n) = a + b elementwise (add's kernel; out may alias a or b).
+void add_row(const float* a, const float* b, float* out, std::int64_t n);
+
 /// linear's forward on m rows without a tape: x [m,in] → y [m,out]. With
 /// an adapter, xa [m,r] and delta [m,out] are caller scratch (x·A is left
 /// in xa). Counts no matmul.

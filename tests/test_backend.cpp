@@ -1,10 +1,10 @@
 // Compute-backend contract (docs/BACKENDS.md): selection precedence,
-// cpuid dispatch, per-backend cross-thread bitwise determinism (on odd
-// shapes, so microkernel remainder paths land on different rows as the
-// chunk bounds move), the simd matmul kernels' per-cell chains at every
-// vector width the host runs (and the widths' byte equality),
-// scalar-vs-simd numerical tolerance, and the per-backend observability
-// counters/gauges.
+// cpuid dispatch, per-backend bitwise determinism (a row computed alone
+// equals that row inside a batch, on odd shapes where it moves between
+// register blocks and remainder paths; ops equal across thread counts),
+// the simd matmul kernels' per-cell chains at every vector width the host
+// runs (and the widths' byte equality), scalar-vs-simd numerical
+// tolerance, and the matmul counters and backend gauges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -142,8 +142,8 @@ TEST_F(BackendTest, EmptySelectionDefersToEnvironment) {
 }
 
 // Deliberately awkward shapes: odd dims exercise the 8-wide and scalar
-// column tails, and rows that are remainder rows at one thread count are
-// interior rows of a microkernel block at another.
+// column tails, and a row that is a remainder row when computed alone is
+// an interior row of a microkernel block inside the batch.
 struct MatmulCase {
   std::int64_t m, k, n;
 };
@@ -159,7 +159,7 @@ const MatmulCase kModelShapes[] = {
 };
 
 // kShapes then kModelShapes.
-std::vector<MatmulCase> chunking_shapes() {
+std::vector<MatmulCase> row_alone_shapes() {
   std::vector<MatmulCase> shapes(std::begin(kShapes), std::end(kShapes));
   shapes.insert(shapes.end(), std::begin(kModelShapes), std::end(kModelShapes));
   return shapes;
@@ -231,39 +231,6 @@ TEST_F(BackendTest, ElementwiseOpsMatchScalarWithinTolerance) {
   auto got = run();
   EXPECT_LT(max_rel_diff(got.first, want.first), 1e-5);
   EXPECT_LT(max_rel_diff(got.second, want.second), 1e-5);
-}
-
-// The determinism half of the contract: per backend (simd at every
-// width), results are bitwise identical across thread counts. Thread
-// counts 1/3/4 shift the chunk bounds through every remainder-path
-// alignment of the 61/53/67 shapes.
-TEST_F(BackendTest, MatmulBitwiseAcrossThreadCountsPerBackend) {
-  for (const auto& [name, be] : matmul_backends()) {
-    for (const MatmulCase& shape : chunking_shapes()) {
-      auto run = [&shape, be = be] {
-        Rng rng(29);
-        Tensor a = Tensor::randn({shape.m, shape.k}, rng);
-        Tensor b = Tensor::randn({shape.k, shape.n}, rng);
-        // Grain 1: at 3/4 threads the row partition actually splits even
-        // the tiny shapes.
-        Tensor c = Tensor::zeros({shape.m, shape.n});
-        util::parallel_for(0, shape.m, 1,
-                           [&](std::int64_t i0, std::int64_t i1) {
-          be->matmul_fwd(a.data(), b.data(), c.data(), shape.k, shape.n, i0,
-                         i1);
-        });
-        return c;
-      };
-      util::set_global_threads(1);
-      Tensor serial = run();
-      for (int threads : {3, 4}) {
-        util::set_global_threads(threads);
-        Tensor parallel = run();
-        SCOPED_TRACE(name + " threads=" + std::to_string(threads));
-        expect_bitwise_equal(serial, parallel);
-      }
-    }
-  }
 }
 
 TEST_F(BackendTest, MatmulGradsBitwiseAcrossThreadCountsPerBackend) {
@@ -345,27 +312,21 @@ struct GeluOut {
   std::vector<float> y, t, gx;
 };
 
-// Forward (saving t) then backward accumulating onto gx0, each as the
-// given list of [i0, i1) calls.
+// Forward (saving t) then backward accumulating onto gx0, each as one
+// call over every element or, with `singly`, one pointer-offset call of
+// length 1 per element.
 GeluOut run_gelu(const backend::ComputeBackend& be, const std::vector<float>& x,
                  const std::vector<float>& gy, const std::vector<float>& gx0,
-                 const std::vector<std::pair<std::int64_t, std::int64_t>>& calls) {
+                 bool singly = false) {
   GeluOut out{std::vector<float>(x.size()), std::vector<float>(x.size()), gx0};
-  for (const auto& [i0, i1] : calls)
-    be.gelu_fwd(x.data(), out.y.data(), out.t.data(), i0, i1);
-  for (const auto& [i0, i1] : calls)
-    be.gelu_bwd(x.data(), out.t.data(), gy.data(), out.gx.data(), i0, i1);
+  const auto n = static_cast<std::int64_t>(x.size());
+  const std::int64_t len = singly ? 1 : n;
+  for (std::int64_t i = 0; i < n; i += len)
+    be.gelu_fwd(x.data() + i, out.y.data() + i, out.t.data() + i, len);
+  for (std::int64_t i = 0; i < n; i += len)
+    be.gelu_bwd(x.data() + i, out.t.data() + i, gy.data() + i,
+                out.gx.data() + i, len);
   return out;
-}
-
-std::vector<std::pair<std::int64_t, std::int64_t>> whole(std::int64_t n) {
-  return {{0, n}};
-}
-
-std::vector<std::pair<std::int64_t, std::int64_t>> singles(std::int64_t n) {
-  std::vector<std::pair<std::int64_t, std::int64_t>> calls;
-  for (std::int64_t i = 0; i < n; ++i) calls.emplace_back(i, i + 1);
-  return calls;
 }
 
 bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
@@ -382,10 +343,8 @@ TEST_F(BackendTest, SimdGeluMatchesScalarWithinTolerance) {
     const std::vector<float> x = gelu_inputs(n, rng);
     const std::vector<float> gy = normal_values(n, 1.0, rng);
     const std::vector<float> gx0 = normal_values(n, 1.0, rng);
-    const GeluOut want = run_gelu(backend::scalar_backend(), x, gy, gx0,
-                                  whole(n));
-    const GeluOut got = run_gelu(*backend::simd_backend(), x, gy, gx0,
-                                 whole(n));
+    const GeluOut want = run_gelu(backend::scalar_backend(), x, gy, gx0);
+    const GeluOut got = run_gelu(*backend::simd_backend(), x, gy, gx0);
     for (std::int64_t i = 0; i < n; ++i) {
       const auto u = static_cast<std::size_t>(i);
       // GELU scales like x, and its gradient error like |x|·|gy|.
@@ -430,14 +389,14 @@ TEST_F(BackendTest, ScalarGeluByteEqualsRecomputeReference) {
   std::vector<float> y_ref(x.size()), gx_ref = gx0;
   gelu_recompute_reference(x.data(), gy.data(), y_ref.data(), gx_ref.data(),
                            n);
-  const GeluOut got = run_gelu(backend::scalar_backend(), x, gy, gx0, whole(n));
+  const GeluOut got = run_gelu(backend::scalar_backend(), x, gy, gx0);
   EXPECT_TRUE(same_bits(got.y, y_ref));
   EXPECT_TRUE(same_bits(got.gx, gx_ref));
 }
 
-// Per backend, a GELU value never depends on the chunk that computed it:
-// one call over the range, one call per element (every element a simd
-// tail) and grain-1 partitions at 1/3/4 threads all give the same bits.
+// Per backend, a GELU value never depends on the call that computed it:
+// one call over every element and one call per element (every element a
+// simd tail, as a decode row's last d_ff % 8 are) give the same bits.
 TEST_F(BackendTest, GeluBitwiseAcrossChunkingPerBackend) {
   for (const std::string& name : available_backends()) {
     const backend::ComputeBackend& be = backend_named(name);
@@ -446,26 +405,11 @@ TEST_F(BackendTest, GeluBitwiseAcrossChunkingPerBackend) {
       const std::vector<float> x = gelu_inputs(n, rng);
       const std::vector<float> gy = normal_values(n, 1.0, rng);
       const std::vector<float> gx0 = normal_values(n, 1.0, rng);
-      const GeluOut ref = run_gelu(be, x, gy, gx0, whole(n));
-      const GeluOut per = run_gelu(be, x, gy, gx0, singles(n));
+      const GeluOut ref = run_gelu(be, x, gy, gx0);
+      const GeluOut per = run_gelu(be, x, gy, gx0, /*singly=*/true);
       EXPECT_TRUE(same_bits(ref.y, per.y)) << name << " n=" << n;
       EXPECT_TRUE(same_bits(ref.t, per.t)) << name << " n=" << n;
       EXPECT_TRUE(same_bits(ref.gx, per.gx)) << name << " n=" << n;
-      for (int threads : {1, 3, 4}) {
-        util::set_global_threads(threads);
-        GeluOut par{std::vector<float>(x.size()), std::vector<float>(x.size()),
-                    gx0};
-        util::parallel_for(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
-          be.gelu_fwd(x.data(), par.y.data(), par.t.data(), i0, i1);
-        });
-        util::parallel_for(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
-          be.gelu_bwd(x.data(), par.t.data(), gy.data(), par.gx.data(), i0,
-                      i1);
-        });
-        EXPECT_TRUE(same_bits(ref.y, par.y)) << name << " threads=" << threads;
-        EXPECT_TRUE(same_bits(ref.gx, par.gx))
-            << name << " threads=" << threads;
-      }
     }
   }
 }
@@ -478,21 +422,23 @@ TEST_F(BackendTest, GeluInPlaceWithoutSavedTanhMatches) {
     Rng rng(59);
     const std::vector<float> x = gelu_inputs(23, rng);
     std::vector<float> y(x.size()), t(x.size());
-    be.gelu_fwd(x.data(), y.data(), t.data(), 0, 23);
+    be.gelu_fwd(x.data(), y.data(), t.data(), 23);
     std::vector<float> inplace = x;
-    be.gelu_fwd(inplace.data(), inplace.data(), nullptr, 0, 23);
+    be.gelu_fwd(inplace.data(), inplace.data(), nullptr, 23);
     EXPECT_TRUE(same_bits(y, inplace)) << name;
   }
 }
 
-// matmul_bwd_a (rows of dA) and matmul_bwd_b (rows of dB) give the same
-// bits, per backend and simd width, whether a range is one call —
-// register-blocked — or one call per row — every row on the remainder
-// path — or a grain-1 partition at 1/3/4 threads. m=5/k=7/n=23 leaves a
+// The decode half of the contract: per backend and simd width, a forward
+// or dA row computed alone — a pointer-offset m = 1 call, which takes the
+// single-row and remainder paths — has the bytes of that row inside the
+// whole call, where it sits in a register block. m=5/k=7/n=23 leaves a
 // row, kk and column remainder at every block size; 38×12×38 and
-// kModelShapes are attention, head and decode shapes.
-TEST_F(BackendTest, MatmulBackwardBitwiseAcrossChunkingPerBackend) {
-  std::vector<MatmulCase> shapes = chunking_shapes();
+// kModelShapes are attention, head and decode shapes; 33×257×19 crosses a
+// K cache tile. dB reduces over the rows, so the chain reference below
+// covers it.
+TEST_F(BackendTest, MatmulRowAloneEqualsBatchPerBackend) {
+  std::vector<MatmulCase> shapes = row_alone_shapes();
   shapes.push_back({5, 7, 23});
   shapes.push_back({38, 12, 38});
   for (const auto& [name, kernels] : matmul_backends()) {
@@ -503,48 +449,32 @@ TEST_F(BackendTest, MatmulBackwardBitwiseAcrossChunkingPerBackend) {
       const std::vector<float> b = normal_values(s.k * s.n, 1.0, rng);
       const std::vector<float> gc = normal_values(s.m * s.n, 1.0, rng);
       const std::vector<float> ga0 = normal_values(s.m * s.k, 1.0, rng);
-      const std::vector<float> gb0 = normal_values(s.k * s.n, 1.0, rng);
-      auto grads = [&](auto&& partition) {
-        std::vector<float> ga = ga0, gb = gb0;
-        partition(s.m, [&](std::int64_t i0, std::int64_t i1) {
-          be.matmul_bwd_a(gc.data(), b.data(), ga.data(), s.k, s.n, i0, i1);
-        });
-        partition(s.k, [&](std::int64_t k0, std::int64_t k1) {
-          be.matmul_bwd_b(a.data(), gc.data(), gb.data(), s.m, s.k, s.n, k0,
-                          k1);
-        });
-        return std::make_pair(ga, gb);
-      };
-      const auto ref = grads([](std::int64_t rows, auto&& fn) { fn(0, rows); });
-      const auto per = grads([](std::int64_t rows, auto&& fn) {
-        for (std::int64_t r = 0; r < rows; ++r) fn(r, r + 1);
-      });
+      std::vector<float> c(static_cast<std::size_t>(s.m * s.n)), ga = ga0;
+      be.matmul_fwd(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+      be.matmul_bwd_a(gc.data(), b.data(), ga.data(), s.m, s.k, s.n);
+      std::vector<float> c_rows(c.size()), ga_rows = ga0;
+      for (std::int64_t i = 0; i < s.m; ++i) {
+        be.matmul_fwd(a.data() + i * s.k, b.data(), c_rows.data() + i * s.n, 1,
+                      s.k, s.n);
+        be.matmul_bwd_a(gc.data() + i * s.n, b.data(), ga_rows.data() + i * s.k,
+                        1, s.k, s.n);
+      }
       const std::string where = name + " " + std::to_string(s.m) + "x" +
                                 std::to_string(s.k) + "x" +
                                 std::to_string(s.n);
-      EXPECT_TRUE(same_bits(ref.first, per.first)) << where;
-      EXPECT_TRUE(same_bits(ref.second, per.second)) << where;
-      for (int threads : {1, 3, 4}) {
-        util::set_global_threads(threads);
-        const auto par = grads([](std::int64_t rows, auto&& fn) {
-          util::parallel_for(0, rows, 1, fn);
-        });
-        EXPECT_TRUE(same_bits(ref.first, par.first))
-            << where << " threads=" << threads;
-        EXPECT_TRUE(same_bits(ref.second, par.second))
-            << where << " threads=" << threads;
-      }
+      EXPECT_TRUE(same_bits(c, c_rows)) << "forward " << where;
+      EXPECT_TRUE(same_bits(ga, ga_rows)) << "dA " << where;
     }
   }
 }
 
-// Row ranges [i0, i1) and dB ranges [k0, k1): the whole shape, then an
-// interior sub-range (one row or kk in from each end) on top of it.
-std::vector<std::pair<std::pair<std::int64_t, std::int64_t>,
-                      std::pair<std::int64_t, std::int64_t>>>
-whole_then_interior(const MatmulCase& s) {
-  const std::int64_t ri = s.m > 2 ? 1 : 0, rk = s.k > 2 ? 1 : 0;
-  return {{{0, s.m}, {0, s.k}}, {{ri, s.m - ri}, {rk, s.k - rk}}};
+// Row ranges [i0, i1) of forward/dA calls: the whole shape, then the
+// interior rows (one row in from each end) on top of it, each run as a
+// pointer-offset call over just its rows.
+std::vector<std::pair<std::int64_t, std::int64_t>> whole_then_interior(
+    const MatmulCase& s) {
+  const std::int64_t r = s.m > 2 ? 1 : 0;
+  return {{0, s.m}, {r, s.m - r}};
 }
 
 // Test-local scalar spellings of the simd matmul kernels' per-cell
@@ -565,8 +495,8 @@ void chain_fwd(const std::vector<float>& a, const std::vector<float>& b,
 
 void chain_bwd_b(const std::vector<float>& a, const std::vector<float>& gc,
                  std::vector<float>& gb, std::int64_t m, std::int64_t k,
-                 std::int64_t n, std::int64_t k0, std::int64_t k1) {
-  for (std::int64_t kk = k0; kk < k1; ++kk)
+                 std::int64_t n) {
+  for (std::int64_t kk = 0; kk < k; ++kk)
     for (std::int64_t j = 0; j < n; ++j) {
       float acc = gb[kk * n + j];
       for (std::int64_t i = 0; i < m; ++i)
@@ -609,7 +539,7 @@ std::vector<float> chain_inputs(std::int64_t count, Rng& rng) {
 }
 
 // The simd kernels, at every width the host runs, equal the chain
-// references byte for byte, whole-range and on sub-ranges, across every
+// references byte for byte, whole and on interior rows, across every
 // n mod 8 (and n mod 16) and k mod 8 residue, m in 1..9 plus the model's
 // sequence lengths, and the model's own shapes (d_model 48, 4 heads of
 // 12, d_ff 192, vocab 76; T = 35 and 84; the m = 1 decode matvecs). A
@@ -645,16 +575,15 @@ TEST_F(BackendTest, SimdMatmulBitwiseEqualsChainReference) {
       const std::vector<float> gb0 = chain_inputs(s.k * s.n, rng);
       std::vector<float> c = c0, ga = ga0, gb = gb0;
       std::vector<float> want_c = c0, want_ga = ga0, want_gb = gb0;
-      for (const auto& [rows, ks] : whole_then_interior(s)) {
-        be->matmul_fwd(a.data(), b.data(), c.data(), s.k, s.n, rows.first,
-                       rows.second);
-        be->matmul_bwd_a(gc.data(), b.data(), ga.data(), s.k, s.n, rows.first,
-                         rows.second);
-        be->matmul_bwd_b(a.data(), gc.data(), gb.data(), s.m, s.k, s.n,
-                         ks.first, ks.second);
-        chain_fwd(a, b, want_c, s.k, s.n, rows.first, rows.second);
-        chain_bwd_a(gc, b, want_ga, s.k, s.n, rows.first, rows.second);
-        chain_bwd_b(a, gc, want_gb, s.m, s.k, s.n, ks.first, ks.second);
+      for (const auto& [i0, i1] : whole_then_interior(s)) {
+        be->matmul_fwd(a.data() + i0 * s.k, b.data(), c.data() + i0 * s.n,
+                       i1 - i0, s.k, s.n);
+        be->matmul_bwd_a(gc.data() + i0 * s.n, b.data(), ga.data() + i0 * s.k,
+                         i1 - i0, s.k, s.n);
+        be->matmul_bwd_b(a.data(), gc.data(), gb.data(), s.m, s.k, s.n);
+        chain_fwd(a, b, want_c, s.k, s.n, i0, i1);
+        chain_bwd_a(gc, b, want_ga, s.k, s.n, i0, i1);
+        chain_bwd_b(a, gc, want_gb, s.m, s.k, s.n);
       }
       const std::string where = lanes + std::to_string(s.m) + "x" +
                                 std::to_string(s.k) + "x" +
@@ -671,7 +600,7 @@ TEST_F(BackendTest, SimdMatmulBitwiseEqualsChainReference) {
 // Covers the model's shapes and k or n in {1, 4, 12, 16, 17, 31, 33}
 // (below, at and around one and two 16-lane vectors) against m in 1..9,
 // 35 and 84 (every remainder of the 8-row forward, 4-row dB and 3-row dA
-// blocks), whole-range and sub-range calls, with ±0 and subnormals.
+// blocks), whole and interior-row calls, with ±0 and subnormals.
 TEST_F(BackendTest, SimdWidthsAgreeBitwise) {
   const backend::ComputeBackend* narrow =
       backend::detail::simd_backend_lanes(8);
@@ -700,13 +629,12 @@ TEST_F(BackendTest, SimdWidthsAgreeBitwise) {
     const std::vector<float> gb0 = chain_inputs(s.k * s.n, rng);
     auto run = [&](const backend::ComputeBackend& be) {
       std::vector<float> c = c0, ga = ga0, gb = gb0;
-      for (const auto& [rows, ks] : whole_then_interior(s)) {
-        be.matmul_fwd(a.data(), b.data(), c.data(), s.k, s.n, rows.first,
-                      rows.second);
-        be.matmul_bwd_a(gc.data(), b.data(), ga.data(), s.k, s.n, rows.first,
-                        rows.second);
-        be.matmul_bwd_b(a.data(), gc.data(), gb.data(), s.m, s.k, s.n,
-                        ks.first, ks.second);
+      for (const auto& [i0, i1] : whole_then_interior(s)) {
+        be.matmul_fwd(a.data() + i0 * s.k, b.data(), c.data() + i0 * s.n,
+                      i1 - i0, s.k, s.n);
+        be.matmul_bwd_a(gc.data() + i0 * s.n, b.data(), ga.data() + i0 * s.k,
+                        i1 - i0, s.k, s.n);
+        be.matmul_bwd_b(a.data(), gc.data(), gb.data(), s.m, s.k, s.n);
       }
       return std::vector<std::vector<float>>{c, ga, gb};
     };
@@ -720,21 +648,22 @@ TEST_F(BackendTest, SimdWidthsAgreeBitwise) {
   }
 }
 
-// Per-backend matmul telemetry: calls/flops land on the selected
-// backend's counters, and the active and lane-count gauges track
-// selection.
-TEST_F(BackendTest, PerBackendCountersAndActiveGauge) {
+// Matmul telemetry and backend gauges: calls/flops land on the totals
+// whichever backend is selected, and the active and lane-count gauges
+// track selection.
+TEST_F(BackendTest, CountersAndActiveGauges) {
   obs::set_enabled(true);
   auto& registry = obs::MetricsRegistry::instance();
+  obs::Counter& calls = registry.counter("tensor.matmul.calls");
+  obs::Counter& flops = registry.counter("tensor.matmul.flops");
+  obs::Counter& bwd_calls = registry.counter("tensor.matmul.bwd_calls");
+  obs::Counter& bwd_flops = registry.counter("tensor.matmul.bwd_flops");
   for (const std::string& be : available_backends()) {
     backend::select(be);
-    obs::Counter& calls = registry.counter("tensor.matmul.calls." + be);
-    obs::Counter& flops = registry.counter("tensor.matmul.flops." + be);
-    obs::Counter& bwd_calls =
-        registry.counter("tensor.matmul.bwd_calls." + be);
     const std::uint64_t calls0 = calls.value();
     const std::uint64_t flops0 = flops.value();
     const std::uint64_t bwd0 = bwd_calls.value();
+    const std::uint64_t bwd_flops0 = bwd_flops.value();
 
     Rng rng(41);
     Tensor a = Tensor::randn({8, 8}, rng).set_requires_grad(true);
@@ -743,9 +672,10 @@ TEST_F(BackendTest, PerBackendCountersAndActiveGauge) {
     Tensor loss = ops::sum(&tape, ops::matmul(&tape, a, b));
     tape.backward(loss);
 
-    EXPECT_EQ(calls.value(), calls0 + 1);
-    EXPECT_EQ(flops.value(), flops0 + 2 * 8 * 8 * 8);
-    EXPECT_EQ(bwd_calls.value(), bwd0 + 1);
+    EXPECT_EQ(calls.value(), calls0 + 1) << be;
+    EXPECT_EQ(flops.value(), flops0 + 2 * 8 * 8 * 8) << be;
+    EXPECT_EQ(bwd_calls.value(), bwd0 + 1) << be;
+    EXPECT_EQ(bwd_flops.value(), bwd_flops0 + 2 * 2 * 8 * 8 * 8) << be;
     EXPECT_EQ(registry.gauge("tensor.backend.active").value(),
               be == "simd" ? 1 : 0);
     // Selection runs the widest kernels the CPU has.

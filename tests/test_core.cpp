@@ -125,7 +125,9 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
   // dpo.nll_coef dropped the RPO anchor, a negative dpo.pairs_per_epoch
   // trained on all pairs, a negative dpo.lora_rank trained every parameter,
   // a dpo.lora_alpha of 0 kept the adapter update at zero (an infinite one
-  // made it NaN), and a negative pretrain.epochs trained nothing.
+  // made it NaN), a negative pretrain.epochs trained nothing, and a
+  // negative checkpoint_retain_last kept every snapshot. A negative
+  // thread count failed inside the pool with a message naming no field.
   // micro_config() generates no scenarios, so any holdout above 0 is out
   // of range.
   constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
@@ -158,6 +160,10 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
         Case{"checkpoint_every_epochs",
              [](PipelineConfig& p, int v) { p.checkpoint_every_epochs = v; },
              -2},
+        Case{"checkpoint_retain_last",
+             [](PipelineConfig& p, int v) { p.checkpoint_retain_last = v; },
+             -1},
+        Case{"threads", [](PipelineConfig& p, int v) { p.threads = v; }, -1},
         Case{"d_model", [](PipelineConfig& p, int v) { p.d_model = v; }, 0},
         Case{"n_heads", [](PipelineConfig& p, int v) { p.n_heads = v; }, 0},
         Case{"n_heads", [](PipelineConfig& p, int v) { p.n_heads = v; }, 3},

@@ -17,7 +17,8 @@ namespace dpoaf::tensor::reference {
 inline Tensor add_rowwise(Tape* tape, const Tensor& x, const Tensor& bias) {
   const std::int64_t m = x.rows(), n = x.cols();
   Tensor c = Tensor::zeros(x.shape());
-  backend::active().row_bias_add(x.data(), bias.data(), c.data(), n, 0, m);
+  for (std::int64_t i = 0; i < m; ++i)
+    ops::add_row(x.data() + i * n, bias.data(), c.data() + i * n, n);
   if (tape != nullptr && (x.requires_grad() || bias.requires_grad())) {
     c.set_requires_grad(true);
     Tensor xt = x, bt = bias, ct = c;
@@ -25,7 +26,7 @@ inline Tensor add_rowwise(Tape* tape, const Tensor& x, const Tensor& bias) {
       const std::int64_t m = xt.rows(), n = xt.cols();
       const float* gc = ct.grad();
       if (xt.requires_grad())
-        backend::active().ew_axpy(1.0f, gc, xt.grad(), 0, m * n);
+        backend::active().ew_axpy(1.0f, gc, xt.grad(), m * n);
       if (bt.requires_grad()) {
         float* gb = bt.grad();
         for (std::int64_t i = 0; i < m; ++i)
