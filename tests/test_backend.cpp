@@ -1,7 +1,8 @@
 // Compute-backend contract (docs/BACKENDS.md): selection precedence,
 // cpuid dispatch, per-backend bitwise determinism (a row computed alone
-// equals that row inside a batch, on odd shapes where it moves between
-// register blocks and remainder paths; ops equal across thread counts),
+// or on any pool thread equals that row inside a batch, on odd shapes
+// where it moves between register blocks and remainder paths; ops equal
+// across thread counts),
 // the simd matmul kernels' per-cell chains at every vector width the host
 // runs (and the widths' byte equality), scalar-vs-simd numerical
 // tolerance, and the matmul counters and backend gauges.
@@ -142,8 +143,9 @@ TEST_F(BackendTest, EmptySelectionDefersToEnvironment) {
 }
 
 // Deliberately awkward shapes: odd dims exercise the 8-wide and scalar
-// column tails, and a row that is a remainder row when computed alone is
-// an interior row of a microkernel block inside the batch.
+// column tails, and a row that is a remainder row when computed alone or
+// at one thread count is an interior row of a microkernel block inside
+// the batch or at another.
 struct MatmulCase {
   std::int64_t m, k, n;
 };
@@ -158,10 +160,13 @@ const MatmulCase kModelShapes[] = {
     {84, 84, 12}, {84, 12, 84}, {35, 48, 76}, {1, 48, 76},
 };
 
-// kShapes then kModelShapes.
-std::vector<MatmulCase> row_alone_shapes() {
+// kShapes, kModelShapes, then 5×7×23 (a row, kk and column remainder at
+// every block size) and 38×12×38 (an attention shape).
+std::vector<MatmulCase> chunking_shapes() {
   std::vector<MatmulCase> shapes(std::begin(kShapes), std::end(kShapes));
   shapes.insert(shapes.end(), std::begin(kModelShapes), std::end(kModelShapes));
+  shapes.push_back({5, 7, 23});
+  shapes.push_back({38, 12, 38});
   return shapes;
 }
 
@@ -429,41 +434,76 @@ TEST_F(BackendTest, GeluInPlaceWithoutSavedTanhMatches) {
   }
 }
 
-// The decode half of the contract: per backend and simd width, a forward
-// or dA row computed alone — a pointer-offset m = 1 call, which takes the
-// single-row and remainder paths — has the bytes of that row inside the
-// whole call, where it sits in a register block. m=5/k=7/n=23 leaves a
-// row, kk and column remainder at every block size; 38×12×38 and
-// kModelShapes are attention, head and decode shapes; 33×257×19 crosses a
-// K cache tile. dB reduces over the rows, so the chain reference below
-// covers it.
-TEST_F(BackendTest, MatmulRowAloneEqualsBatchPerBackend) {
-  std::vector<MatmulCase> shapes = row_alone_shapes();
-  shapes.push_back({5, 7, 23});
-  shapes.push_back({38, 12, 38});
+// Runs `call(out, i0, i1)` — a pointer-offset forward or dA call over
+// rows [i0, i1) — as one call over every row, as one call per row (the
+// m = 1 path decode takes, where a batch's interior row becomes a
+// remainder row) and as grain-1 partitions across 1, 3 and 4 pool
+// threads (concurrent calls, each on its own rows), and expects every
+// run to leave `out` with the bytes of the whole call.
+template <typename RowsCall>
+void expect_row_partitions_agree(std::int64_t m, const std::vector<float>& init,
+                                 RowsCall&& call, const std::string& where) {
+  std::vector<float> whole = init;
+  call(whole.data(), 0, m);
+  std::vector<float> rows = init;
+  for (std::int64_t i = 0; i < m; ++i) call(rows.data(), i, i + 1);
+  EXPECT_TRUE(same_bits(whole, rows)) << where << " one row per call";
+  for (int threads : {1, 3, 4}) {
+    util::set_global_threads(threads);
+    std::vector<float> par = init;
+    util::parallel_for(0, m, 1, [&](std::int64_t i0, std::int64_t i1) {
+      call(par.data(), i0, i1);
+    });
+    EXPECT_TRUE(same_bits(whole, par)) << where << " threads=" << threads;
+  }
+}
+
+std::string shape_name(const std::string& backend_name, const MatmulCase& s) {
+  return backend_name + " " + std::to_string(s.m) + "x" +
+         std::to_string(s.k) + "x" + std::to_string(s.n);
+}
+
+// The determinism and decode halves of the contract for the forward: per
+// backend and simd width, a row's bytes never depend on the call that
+// computed it or the thread that ran it. Thread counts 1/3/4 shift the
+// chunk bounds through every remainder-path alignment of the 61/53/67
+// shapes; 33×257×19 crosses a K cache tile.
+TEST_F(BackendTest, MatmulBitwiseAcrossThreadCountsPerBackend) {
   for (const auto& [name, kernels] : matmul_backends()) {
     const backend::ComputeBackend& be = *kernels;
-    for (const MatmulCase& s : shapes) {
-      Rng rng(61);
+    for (const MatmulCase& s : chunking_shapes()) {
+      Rng rng(29);
       const std::vector<float> a = normal_values(s.m * s.k, 1.0, rng);
+      const std::vector<float> b = normal_values(s.k * s.n, 1.0, rng);
+      expect_row_partitions_agree(
+          s.m, std::vector<float>(static_cast<std::size_t>(s.m * s.n)),
+          [&](float* c, std::int64_t i0, std::int64_t i1) {
+            be.matmul_fwd(a.data() + i0 * s.k, b.data(), c + i0 * s.n,
+                          i1 - i0, s.k, s.n);
+          },
+          "forward " + shape_name(name, s));
+    }
+  }
+}
+
+// The same for matmul_bwd_a (rows of dA), accumulating onto a nonzero
+// gradient. dB reduces over the rows, so it is always one call; the chain
+// reference below covers its bytes.
+TEST_F(BackendTest, MatmulBackwardBitwiseAcrossChunkingPerBackend) {
+  for (const auto& [name, kernels] : matmul_backends()) {
+    const backend::ComputeBackend& be = *kernels;
+    for (const MatmulCase& s : chunking_shapes()) {
+      Rng rng(61);
       const std::vector<float> b = normal_values(s.k * s.n, 1.0, rng);
       const std::vector<float> gc = normal_values(s.m * s.n, 1.0, rng);
       const std::vector<float> ga0 = normal_values(s.m * s.k, 1.0, rng);
-      std::vector<float> c(static_cast<std::size_t>(s.m * s.n)), ga = ga0;
-      be.matmul_fwd(a.data(), b.data(), c.data(), s.m, s.k, s.n);
-      be.matmul_bwd_a(gc.data(), b.data(), ga.data(), s.m, s.k, s.n);
-      std::vector<float> c_rows(c.size()), ga_rows = ga0;
-      for (std::int64_t i = 0; i < s.m; ++i) {
-        be.matmul_fwd(a.data() + i * s.k, b.data(), c_rows.data() + i * s.n, 1,
-                      s.k, s.n);
-        be.matmul_bwd_a(gc.data() + i * s.n, b.data(), ga_rows.data() + i * s.k,
-                        1, s.k, s.n);
-      }
-      const std::string where = name + " " + std::to_string(s.m) + "x" +
-                                std::to_string(s.k) + "x" +
-                                std::to_string(s.n);
-      EXPECT_TRUE(same_bits(c, c_rows)) << "forward " << where;
-      EXPECT_TRUE(same_bits(ga, ga_rows)) << "dA " << where;
+      expect_row_partitions_agree(
+          s.m, ga0,
+          [&](float* ga, std::int64_t i0, std::int64_t i1) {
+            be.matmul_bwd_a(gc.data() + i0 * s.n, b.data(), ga + i0 * s.k,
+                            i1 - i0, s.k, s.n);
+          },
+          "dA " + shape_name(name, s));
     }
   }
 }
