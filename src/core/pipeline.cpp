@@ -247,19 +247,12 @@ lm::PretrainStats DpoAfPipeline::pretrain_model(
   //
   // Held-out scenarios must leave no trace in the training signal: their
   // tasks are dropped from the corpus here (the tokenizer still covers
-  // them, so held-out prompts stay encodable at eval time). Without any
-  // holdout the task list passes through untouched.
+  // them, so held-out prompts stay encodable at eval time).
   std::vector<driving::Task> visible_tasks;
-  const std::vector<driving::Task>* corpus_tasks = &domain_.tasks();
   for (const auto& task : domain_.tasks())
-    if (task.holdout) {
-      for (const auto& t : domain_.tasks())
-        if (!t.holdout) visible_tasks.push_back(t);
-      corpus_tasks = &visible_tasks;
-      break;
-    }
+    if (!task.holdout) visible_tasks.push_back(task);
   const auto corpus =
-      lm::build_corpus(*corpus_tasks, tokenizer_,
+      lm::build_corpus(visible_tasks, tokenizer_,
                        config_.corpus_samples_per_task,
                        lm::VariantWeights{}, rng_);
   lm::PretrainHooks hooks;
@@ -286,9 +279,8 @@ int DpoAfPipeline::score_response(const driving::Task& task,
 
 std::vector<DpoAfPipeline::ScoredItem>
 DpoAfPipeline::stream_scored_responses(
-    const std::vector<const driving::Task*>& tasks,
-    const std::vector<int>& counts, const TinyGpt& model,
-    const lm::SamplerConfig& sampler, bool from_catalog,
+    const std::vector<const driving::Task*>& tasks, int per_task,
+    const TinyGpt& model, const lm::SamplerConfig& sampler,
     std::vector<Rng>& task_rngs) const {
   // Sequence numbers are assigned here, task-major then sample-minor, and
   // request s of task u always decodes with
@@ -296,22 +288,16 @@ DpoAfPipeline::stream_scored_responses(
   // draw. Each scored response lands in its own slot out[seq], so the
   // result is the same at any thread count and slot count
   // (docs/PIPELINE.md).
-  std::uint64_t total = 0;
-  for (const int c : counts) total += static_cast<std::uint64_t>(c);
+  const std::uint64_t total =
+      tasks.size() * static_cast<std::uint64_t>(per_task);
   std::vector<ScoredItem> out(total);
   std::vector<serve::GenerateRequest> requests;
-  requests.reserve(from_catalog ? 0 : total);
+  requests.reserve(total);
   for (std::size_t u = 0, seq = 0; u < tasks.size(); ++u) {
-    std::vector<int> prompt;
-    if (!from_catalog) prompt = lm::encode_prompt(tokenizer_, tasks[u]->prompt);
-    for (int s = 0; s < counts[u]; ++s) {
-      ScoredItem& item = out[seq++];
-      item.task_index = u;
-      if (from_catalog) {
-        item.candidate.text =
-            tasks[u]->variants[static_cast<std::size_t>(s)].text;
-        continue;
-      }
+    const std::vector<int> prompt =
+        lm::encode_prompt(tokenizer_, tasks[u]->prompt);
+    for (int s = 0; s < per_task; ++s) {
+      out[seq++].task_index = u;
       serve::GenerateRequest req;
       req.prompt = prompt;
       req.max_new_tokens = sampler.max_new_tokens;
@@ -323,17 +309,13 @@ DpoAfPipeline::stream_scored_responses(
     }
   }
 
-  // Sampled sources: every request goes to the service in one batch, so
-  // its scheduling (and its serve.* counters) never depends on thread
-  // timing. Declared before the loop so an exception thrown mid-loop
-  // unwinds the futures and then the service.
-  std::unique_ptr<serve::GenerationService> service;
-  std::vector<std::future<serve::GenerateResult>> responses;
-  if (!from_catalog) {
-    service = std::make_unique<serve::GenerationService>(
-        model, make_serve_config(config_));
-    responses = service->submit_all(std::move(requests));
-  }
+  // Every request goes to the service in one batch, so its scheduling
+  // (and its serve.* counters) never depends on thread timing. Declared
+  // before the loop so an exception thrown mid-loop unwinds the futures
+  // and then the service.
+  serve::GenerationService service(model, make_serve_config(config_));
+  std::vector<std::future<serve::GenerateResult>> responses =
+      service.submit_all(std::move(requests));
 
   // One scorer on the calling thread, in sequence order: wait for the
   // response's text and score it into out[seq] while the service's
@@ -346,8 +328,10 @@ DpoAfPipeline::stream_scored_responses(
   std::uint64_t scored_while_sampling = 0;
   for (std::uint64_t seq = 0; seq < total; ++seq) {
     ScoredItem& item = out[seq];
-    if (!from_catalog) {
-      obs::Span span("generation", obs::histogram("pipeline.generation_ns"));
+    {
+      static obs::Histogram& generation_ns =
+          obs::histogram("pipeline.generation_ns");
+      obs::Span span("generation", generation_ns);
       const serve::GenerateResult r = responses[seq].get();
       DPOAF_CHECK_MSG(r.finish != serve::FinishReason::kInvalid,
                       "the generation service rejected a sampling request "
@@ -358,7 +342,6 @@ DpoAfPipeline::stream_scored_responses(
     }
     item.candidate.score =
         score_response(*tasks[item.task_index], item.candidate.text);
-    if (from_catalog) continue;
     decoding = std::max(decoding, seq + 1);
     while (decoding < total &&
            responses[decoding].wait_for(std::chrono::seconds(0)) ==
@@ -382,19 +365,23 @@ std::vector<TaskCandidates> DpoAfPipeline::collect_candidates() {
   std::vector<const driving::Task*> training;
   for (const auto& task : domain_.tasks())  // pairs: training, non-held-out
     if (task.training && !task.holdout) training.push_back(&task);
+  // Split even when nothing is sampled, so the pipeline RNG stream does not
+  // depend on the candidate source.
   std::vector<Rng> task_rngs = split_task_rngs(rng_, training.size());
-
-  std::vector<int> counts(training.size(), config_.responses_per_task);
-  if (config_.candidates_from_catalog)
-    for (std::size_t u = 0; u < training.size(); ++u)
-      counts[u] = static_cast<int>(training[u]->variants.size());
 
   std::vector<TaskCandidates> out(training.size());
   for (std::size_t u = 0; u < training.size(); ++u)
     out[u].task_id = training[u]->id;
-  for (ScoredItem& item : stream_scored_responses(
-           training, counts, model_, config_.sampler,
-           config_.candidates_from_catalog, task_rngs)) {
+  if (config_.candidates_from_catalog) {
+    for (std::size_t u = 0; u < training.size(); ++u)
+      for (const auto& variant : training[u]->variants)
+        out[u].candidates.push_back(
+            {variant.text, score_response(*training[u], variant.text)});
+    return out;
+  }
+  for (ScoredItem& item :
+       stream_scored_responses(training, config_.responses_per_task, model_,
+                               config_.sampler, task_rngs)) {
     TaskCandidates& tc = out[item.task_index];
     if (item.truncated) ++tc.truncated;
     tc.candidates.push_back(std::move(item.candidate));
@@ -423,24 +410,59 @@ std::vector<dpo::PreferencePair> DpoAfPipeline::build_pairs(
   return pairs;
 }
 
-std::vector<DpoAfPipeline::ScoredItem> DpoAfPipeline::score_eval_samples(
+DpoAfPipeline::EvalTally DpoAfPipeline::tally_eval(
     const std::vector<const driving::Task*>& tasks, const TinyGpt& model,
-    std::uint64_t stream) const {
+    std::uint64_t stream, bool (*in_group1)(const driving::Task&)) const {
   Rng eval_rng(config_.seed * 0x9E3779B9ULL + stream);
   lm::SamplerConfig sampler;
   sampler.temperature = config_.eval_temperature;
   sampler.max_new_tokens = config_.eval_max_new_tokens;
   std::vector<Rng> task_rngs = split_task_rngs(eval_rng, tasks.size());
-  const std::vector<int> counts(tasks.size(), config_.eval_samples_per_task);
-  return stream_scored_responses(tasks, counts, model, sampler, false,
-                                 task_rngs);
+
+  EvalTally out;
+  out.per_task.resize(tasks.size());
+  // Generated rulebooks differ in length, so satisfied counts are also
+  // normalized by each task's own rulebook size.
+  std::vector<double> rulebook(tasks.size());
+  for (std::size_t u = 0; u < tasks.size(); ++u)
+    rulebook[u] =
+        static_cast<double>(domain_.specs_for(tasks[u]->scenario).size());
+  for (const ScoredItem& item :
+       stream_scored_responses(tasks, config_.eval_samples_per_task, model,
+                               sampler, task_rngs)) {
+    const std::size_t u = item.task_index;
+    const int score = item.candidate.score;
+    EvalMeans& m = out.per_task[u];
+    if (item.truncated) ++out.truncated;
+    // The means count an unalignable response as 0 satisfied specs; the
+    // failure itself is tallied separately so the two outcomes stay
+    // distinguishable.
+    if (score < 0)
+      m.alignment_failure += 1.0;
+    else if (static_cast<double>(score) < rulebook[u])
+      m.violation += 1.0;
+    m.satisfied += std::max(0, score);
+    m.satisfied_fraction += std::max(0, score) / rulebook[u];
+  }
+
+  // Serial reductions in task order: each task over its samples, then
+  // each group over its tasks.
+  const auto n = static_cast<double>(config_.eval_samples_per_task);
+  for (std::size_t u = 0; u < tasks.size(); ++u) {
+    out.per_task[u] /= n;
+    const int g = in_group1(*tasks[u]) ? 1 : 0;
+    out.group[g] += out.per_task[u];
+    ++out.group_tasks[g];
+  }
+  for (int g = 0; g < 2; ++g)
+    if (out.group_tasks[g] > 0)
+      out.group[g] /= static_cast<double>(out.group_tasks[g]);
+  return out;
 }
 
 CheckpointEval DpoAfPipeline::evaluate_model(const TinyGpt& model,
                                              int epoch) const {
   obs::Span span("eval", obs::histogram("pipeline.eval_ns"));
-  CheckpointEval eval;
-  eval.epoch = epoch;
   // Held-out tasks never appear in checkpoint evaluation — they are
   // reserved for evaluate_generalization (and skipping them here keeps the
   // no-holdout RNG stream untouched: the split count only drops when a
@@ -448,116 +470,47 @@ CheckpointEval DpoAfPipeline::evaluate_model(const TinyGpt& model,
   std::vector<const driving::Task*> tasks;
   for (const auto& task : domain_.tasks())
     if (!task.holdout) tasks.push_back(&task);
-
-  std::vector<double> score_sum(tasks.size(), 0.0);
-  std::vector<int> failures(tasks.size(), 0);
   // Deterministic per (seed, epoch) so evaluation noise is shared across
-  // configurations being compared.
-  for (const ScoredItem& item :
-       score_eval_samples(tasks, model, static_cast<std::uint64_t>(epoch))) {
-    const std::size_t u = item.task_index;
-    if (item.truncated) ++eval.truncated_responses;
-    // The mean counts an unalignable response as 0 satisfied specs; the
-    // failure itself is tallied separately so the two outcomes stay
-    // distinguishable.
-    if (item.candidate.score < 0) ++failures[u];
-    score_sum[u] += std::max(0, item.candidate.score);
-  }
-
-  // Serial reduction in task order.
-  const auto n = static_cast<double>(config_.eval_samples_per_task);
-  double train_sum = 0.0, val_sum = 0.0;
-  double train_fail = 0.0, val_fail = 0.0;
-  std::size_t train_n = 0, val_n = 0;
+  // configurations being compared. Group 1 is validation.
+  const EvalTally t =
+      tally_eval(tasks, model, static_cast<std::uint64_t>(epoch),
+                 [](const driving::Task& task) { return !task.training; });
+  CheckpointEval eval;
+  eval.epoch = epoch;
+  eval.train_mean_satisfied = t.group[0].satisfied;
+  eval.val_mean_satisfied = t.group[1].satisfied;
+  eval.train_alignment_failure_rate = t.group[0].alignment_failure;
+  eval.val_alignment_failure_rate = t.group[1].alignment_failure;
+  eval.truncated_responses = t.truncated;
   for (std::size_t u = 0; u < tasks.size(); ++u) {
-    const double score = score_sum[u] / n;
-    const double fail = static_cast<double>(failures[u]) / n;
-    eval.per_task.emplace_back(tasks[u]->id, score);
-    eval.per_task_alignment_failure.push_back(fail);
-    if (tasks[u]->training) {
-      train_sum += score;
-      train_fail += fail;
-      ++train_n;
-    } else {
-      val_sum += score;
-      val_fail += fail;
-      ++val_n;
-    }
-  }
-  if (train_n > 0) {
-    eval.train_mean_satisfied = train_sum / static_cast<double>(train_n);
-    eval.train_alignment_failure_rate =
-        train_fail / static_cast<double>(train_n);
-  }
-  if (val_n > 0) {
-    eval.val_mean_satisfied = val_sum / static_cast<double>(val_n);
-    eval.val_alignment_failure_rate = val_fail / static_cast<double>(val_n);
+    eval.per_task.emplace_back(tasks[u]->id, t.per_task[u].satisfied);
+    eval.per_task_alignment_failure.push_back(
+        t.per_task[u].alignment_failure);
   }
   return eval;
 }
 
 GeneralizationEval DpoAfPipeline::evaluate_generalization() const {
-  GeneralizationEval out;
   std::vector<const driving::Task*> tasks;
   for (const auto& task : domain_.tasks()) tasks.push_back(&task);
-
-  // Generated rulebooks differ in length, so satisfied counts are
-  // normalized by each task's own rulebook size before averaging.
-  std::vector<double> rulebook_size(tasks.size());
-  for (std::size_t u = 0; u < tasks.size(); ++u)
-    rulebook_size[u] =
-        static_cast<double>(domain_.specs_for(tasks[u]->scenario).size());
-  struct TaskScore {
-    double satisfied_fraction = 0.0;
-    double alignment_failure = 0.0;
-    double violation = 0.0;
-  };
-  std::vector<TaskScore> scores(tasks.size());
   // A fixed stream offset — private, so running (or skipping) this eval
-  // never perturbs any other RNG consumer.
-  for (const ScoredItem& item : score_eval_samples(tasks, model_, 0xC0FFEE)) {
-    const std::size_t u = item.task_index;
-    const int score = item.candidate.score;
-    TaskScore& s = scores[u];
-    if (score < 0)
-      s.alignment_failure += 1.0;
-    else if (static_cast<double>(score) < rulebook_size[u])
-      s.violation += 1.0;
-    s.satisfied_fraction += std::max(0, score) / rulebook_size[u];
-  }
-
-  // Serial reduction in task order.
-  const auto n = static_cast<double>(config_.eval_samples_per_task);
-  for (std::size_t u = 0; u < tasks.size(); ++u) {
-    TaskScore& s = scores[u];
-    s.satisfied_fraction /= n;
-    s.alignment_failure /= n;
-    s.violation /= n;
-    if (tasks[u]->holdout) {
-      ++out.holdout_tasks;
-      out.holdout_mean_satisfied_fraction += s.satisfied_fraction;
-      out.holdout_alignment_failure_rate += s.alignment_failure;
-      out.holdout_violation_rate += s.violation;
-      out.per_holdout_task.emplace_back(tasks[u]->id, s.satisfied_fraction);
-    } else {
-      ++out.train_tasks;
-      out.train_mean_satisfied_fraction += s.satisfied_fraction;
-      out.train_alignment_failure_rate += s.alignment_failure;
-      out.train_violation_rate += s.violation;
-    }
-  }
-  if (out.train_tasks > 0) {
-    const auto n = static_cast<double>(out.train_tasks);
-    out.train_mean_satisfied_fraction /= n;
-    out.train_alignment_failure_rate /= n;
-    out.train_violation_rate /= n;
-  }
-  if (out.holdout_tasks > 0) {
-    const auto n = static_cast<double>(out.holdout_tasks);
-    out.holdout_mean_satisfied_fraction /= n;
-    out.holdout_alignment_failure_rate /= n;
-    out.holdout_violation_rate /= n;
-  }
+  // never perturbs any other RNG consumer. Group 1 is held out.
+  const EvalTally t =
+      tally_eval(tasks, model_, 0xC0FFEE,
+                 [](const driving::Task& task) { return task.holdout; });
+  GeneralizationEval out;
+  out.train_tasks = t.group_tasks[0];
+  out.holdout_tasks = t.group_tasks[1];
+  out.train_mean_satisfied_fraction = t.group[0].satisfied_fraction;
+  out.holdout_mean_satisfied_fraction = t.group[1].satisfied_fraction;
+  out.train_alignment_failure_rate = t.group[0].alignment_failure;
+  out.holdout_alignment_failure_rate = t.group[1].alignment_failure;
+  out.train_violation_rate = t.group[0].violation;
+  out.holdout_violation_rate = t.group[1].violation;
+  for (std::size_t u = 0; u < tasks.size(); ++u)
+    if (tasks[u]->holdout)
+      out.per_holdout_task.emplace_back(tasks[u]->id,
+                                        t.per_task[u].satisfied_fraction);
   return out;
 }
 

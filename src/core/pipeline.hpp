@@ -259,25 +259,54 @@ class DpoAfPipeline {
     dpo::Candidate candidate;
     bool truncated = false;
   };
-  /// The streaming engine behind candidate collection and both evals:
-  /// generate `counts[u]` responses for each task (the catalog's variant
-  /// texts when `from_catalog`, else sampled in one batch on the
-  /// generation service), score each response on the calling thread in
+  /// The streaming engine behind sampled candidate collection and both
+  /// evals: sample `per_task` responses for each task in one batch on the
+  /// generation service, score each response on the calling thread in
   /// sequence (task-major, sample-minor) order as soon as its decode
   /// resolves — while the service keeps decoding the later ones — and
   /// return the scored responses in that order (see docs/PIPELINE.md for
   /// the scoring loop, the error model, and the determinism contract).
   [[nodiscard]] std::vector<ScoredItem> stream_scored_responses(
-      const std::vector<const driving::Task*>& tasks,
-      const std::vector<int>& counts, const TinyGpt& model,
-      const lm::SamplerConfig& sampler, bool from_catalog,
+      const std::vector<const driving::Task*>& tasks, int per_task,
+      const TinyGpt& model, const lm::SamplerConfig& sampler,
       std::vector<Rng>& task_rngs) const;
-  /// eval_samples_per_task sampled and scored responses per task at the
-  /// eval sampler settings, with per-task RNGs split from the private
-  /// stream seed * 0x9E3779B9 + `stream`.
-  [[nodiscard]] std::vector<ScoredItem> score_eval_samples(
+
+  /// Means over eval samples, for one task or over a group of tasks.
+  struct EvalMeans {
+    double satisfied = 0.0;           // max(0, score)
+    double satisfied_fraction = 0.0;  // max(0, score) / rulebook size
+    double alignment_failure = 0.0;   // score < 0 (unalignable)
+    double violation = 0.0;           // aligned, but violates >= 1 spec
+    EvalMeans& operator+=(const EvalMeans& o) {
+      satisfied += o.satisfied;
+      satisfied_fraction += o.satisfied_fraction;
+      alignment_failure += o.alignment_failure;
+      violation += o.violation;
+      return *this;
+    }
+    EvalMeans& operator/=(double n) {
+      satisfied /= n;
+      satisfied_fraction /= n;
+      alignment_failure /= n;
+      violation /= n;
+      return *this;
+    }
+  };
+  /// Both evals' reduction: per-task means, and the means of those over
+  /// group 0 and group 1 (0 for an empty group).
+  struct EvalTally {
+    std::vector<EvalMeans> per_task;
+    EvalMeans group[2];
+    int group_tasks[2] = {0, 0};
+    int truncated = 0;  // responses cut short by the context limit
+  };
+  /// Samples eval_samples_per_task responses per task at the eval sampler
+  /// settings, with per-task RNGs split from the private stream
+  /// seed * 0x9E3779B9 + `stream`, and tallies them; `in_group1` puts a
+  /// task in group 1, else group 0.
+  [[nodiscard]] EvalTally tally_eval(
       const std::vector<const driving::Task*>& tasks, const TinyGpt& model,
-      std::uint64_t stream) const;
+      std::uint64_t stream, bool (*in_group1)(const driving::Task&)) const;
 
   /// A snapshot of `stage` at `loop` with the stage-independent identity
   /// fields (seed, model config, LoRA layout, vocabulary) filled in.

@@ -120,7 +120,9 @@ FeedbackResult compute_feedback(const DrivingDomain& domain,
   computed.add();
   FeedbackResult result;
   {
-    obs::Span span("synthesis", obs::histogram("glm2fsa.synthesis_ns"));
+    static obs::Histogram& synthesis_ns =
+        obs::histogram("glm2fsa.synthesis_ns");
+    obs::Span span("synthesis", synthesis_ns);
     auto g2f = glm2fsa::glm2fsa(response_text, domain.aligner(),
                                 domain.build_options());
     result.issues = g2f.parsed.issues;
@@ -132,7 +134,8 @@ FeedbackResult compute_feedback(const DrivingDomain& domain,
     result.aligned = true;
     result.controller = std::move(g2f.controller);
   }
-  obs::Span span("verification", obs::histogram("modelcheck.verify_ns"));
+  static obs::Histogram& verify_ns = obs::histogram("modelcheck.verify_ns");
+  obs::Span span("verification", verify_ns);
   const Scenario& scenario = domain.scenario(scenario_key);
   const automata::Kripke product = automata::make_product(
       scenario.model, result.controller, domain.product_options());

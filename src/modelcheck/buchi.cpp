@@ -218,7 +218,9 @@ BuchiAutomaton ltl_to_buchi(const Ltl& formula, BuchiStats& stats) {
   static obs::Counter& translations =
       obs::counter("modelcheck.buchi.translations");
   translations.add();
-  obs::ScopedTimer timer(obs::histogram("modelcheck.buchi.translate_ns"));
+  static obs::Histogram& translate_ns =
+      obs::histogram("modelcheck.buchi.translate_ns");
+  obs::ScopedTimer timer(translate_ns);
   Registry reg;
   const Ltl nnf = logic::to_nnf(formula);
   Expander expander(reg);

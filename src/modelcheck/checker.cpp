@@ -223,7 +223,8 @@ CheckResult check(const Kripke& kripke, const Ltl& spec,
                     "a justice condition must be propositional");
   static obs::Counter& checks = obs::counter("modelcheck.checks");
   checks.add();
-  obs::ScopedTimer timer(obs::histogram("modelcheck.check_ns"));
+  static obs::Histogram& check_ns = obs::histogram("modelcheck.check_ns");
+  obs::ScopedTimer timer(check_ns);
   CheckResult res;
 
   // ¬Φ is hash-consed, so repeated checks of the same spec share one

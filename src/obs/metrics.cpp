@@ -10,6 +10,16 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 
+// The metric named `name` in `map`, created on first lookup.
+template <typename Metric>
+Metric& find_or_add(
+    std::unordered_map<std::string, std::unique_ptr<Metric>>& map,
+    std::string_view name) {
+  auto& slot = map[std::string(name)];
+  if (!slot) slot = std::make_unique<Metric>();
+  return *slot;
+}
+
 }  // namespace
 
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
@@ -75,49 +85,30 @@ MetricsRegistry& MetricsRegistry::instance() {
   return registry;
 }
 
-MetricsRegistry::Shard& MetricsRegistry::shard_for(std::string_view name) {
-  // Mix the hash before masking (the murmur3 finalizer): std::hash of
-  // short strings can cluster in the low bits.
-  std::uint64_t h = std::hash<std::string_view>{}(name);
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  return shards_[h & (kShards - 1)];
-}
-
 Counter& MetricsRegistry::counter(std::string_view name) {
-  Shard& shard = shard_for(name);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto& slot = shard.counters[std::string(name)];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return find_or_add(counters_, name);
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  Shard& shard = shard_for(name);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto& slot = shard.gauges[std::string(name)];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return find_or_add(gauges_, name);
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
-  Shard& shard = shard_for(name);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto& slot = shard.histograms[std::string(name)];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return find_or_add(histograms_, name);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [name, c] : shard.counters)
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [name, c] : counters_)
       out.counters.push_back({name, c->value()});
-    for (const auto& [name, g] : shard.gauges)
+    for (const auto& [name, g] : gauges_)
       out.gauges.push_back({name, g->value()});
-    for (const auto& [name, h] : shard.histograms)
+    for (const auto& [name, h] : histograms_)
       out.histograms.push_back({name, h->snapshot()});
   }
   const auto by_name = [](const auto& a, const auto& b) {
@@ -130,12 +121,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::reset() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto& [name, c] : shard.counters) c->reset();
-    for (auto& [name, g] : shard.gauges) g->reset();
-    for (auto& [name, h] : shard.histograms) h->reset();
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto& [name, c] : counters_) c->reset();
+  for (auto& [name, g] : gauges_) g->reset();
+  for (auto& [name, h] : histograms_) h->reset();
 }
 
 }  // namespace dpoaf::obs

@@ -5,10 +5,10 @@
 //  - Zero cost when disabled. Every record path starts with one relaxed
 //    atomic load of the global enable flag and returns immediately when it
 //    is off — no clock reads, no allocation, no locks.
-//  - Mutex-striped registration, lock-free recording. Looking a metric up
-//    by name takes its shard's mutex; the returned reference is stable
-//    for the process lifetime, so hot paths resolve once (function-local
-//    static) and then only touch std::atomic fields.
+//  - Locked registration, lock-free recording. Looking a metric up by
+//    name takes the registry's one mutex; the returned reference is
+//    stable for the process lifetime, so hot paths resolve once
+//    (function-local static) and then only touch std::atomic fields.
 //  - Deterministic values. Counters count logical events (cache hits, DPO
 //    steps, matmul calls), which are identical across runs of the same
 //    configuration; wall-clock lives only in histograms and trace spans,
@@ -157,17 +157,10 @@ class MetricsRegistry {
  private:
   MetricsRegistry() = default;
 
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, std::unique_ptr<Counter>> counters;
-    std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges;
-    std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms;
-  };
-  static constexpr std::size_t kShards = 8;  // power of two
-
-  Shard& shard_for(std::string_view name);
-
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mutex_;
+  std::unordered_map<std::string, std::unique_ptr<Counter>> counters_;
+  std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_;
+  std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 /// Shorthands for the hot-path idiom:

@@ -297,8 +297,10 @@ void GenerationService::scheduler_loop() {
       }
     }
 
-    if (!busy && obs::enabled())
-      busy.emplace("serve", obs::histogram("serve.busy_ns"));
+    if (!busy && obs::enabled()) {
+      static obs::Histogram& busy_ns = obs::histogram("serve.busy_ns");
+      busy.emplace("serve", busy_ns);
+    }
     im.iterations.add();
     const std::uint64_t iter_ns = obs::monotonic_now_ns();
     auto& slots = im.slots;

@@ -265,10 +265,10 @@ TEST(Pipeline, EvaluationReportsAlignmentFailuresExplicitly) {
       ++val_n;
     }
   }
-  EXPECT_NEAR(eval.train_alignment_failure_rate,
-              train_fail / static_cast<double>(train_n), 1e-12);
-  EXPECT_NEAR(eval.val_alignment_failure_rate,
-              val_fail / static_cast<double>(val_n), 1e-12);
+  EXPECT_EQ(eval.train_alignment_failure_rate,
+            train_fail / static_cast<double>(train_n));
+  EXPECT_EQ(eval.val_alignment_failure_rate,
+            val_fail / static_cast<double>(val_n));
   EXPECT_GE(eval.truncated_responses, 0);
   // An untrained model emits mostly unalignable text; the clamped mean no
   // longer hides that — the explicit failure rate reports it.

@@ -125,7 +125,8 @@ TEST(StreamingEquivalence, ServedCandidatesIdenticalAcrossModesAndThreads) {
 // TinyGpt::generate is the bitwise oracle for served decodes: a test-local
 // loop that splits the eval RNG per non-held-out task, decodes each sample
 // directly with its per-request RNG and scores it must reproduce
-// evaluate_model's per-task means and failure rates.
+// evaluate_model's per-task means and failure rates, and their serial
+// task-order means over the training and validation groups.
 TEST(StreamingEquivalence, EvalMatchesGenerateOracle) {
   constexpr int kEpoch = 2;
   for (const auto& [threads, slots] : kThreadsSlots) {
@@ -145,6 +146,8 @@ TEST(StreamingEquivalence, EvalMatchesGenerateOracle) {
     std::vector<double> per_task_failure;
     int truncated = 0;
     bool saw_holdout = false;
+    double group_score[2] = {0.0, 0.0}, group_fail[2] = {0.0, 0.0};
+    int group_n[2] = {0, 0};
     for (const auto& task : pipe.domain().tasks()) {
       if (task.holdout) {
         saw_holdout = true;
@@ -166,11 +169,86 @@ TEST(StreamingEquivalence, EvalMatchesGenerateOracle) {
       }
       per_task.emplace_back(task.id, score_sum / n);
       per_task_failure.push_back(static_cast<double>(failures) / n);
+      const int g = task.training ? 0 : 1;
+      group_score[g] += per_task.back().second;
+      group_fail[g] += per_task_failure.back();
+      ++group_n[g];
     }
     ASSERT_TRUE(saw_holdout);
+    ASSERT_GT(group_n[0], 0);
+    ASSERT_GT(group_n[1], 0);
     EXPECT_EQ(eval.per_task, per_task);
     EXPECT_EQ(eval.per_task_alignment_failure, per_task_failure);
     EXPECT_EQ(eval.truncated_responses, truncated);
+    EXPECT_EQ(eval.train_mean_satisfied, group_score[0] / group_n[0]);
+    EXPECT_EQ(eval.val_mean_satisfied, group_score[1] / group_n[1]);
+    EXPECT_EQ(eval.train_alignment_failure_rate,
+              group_fail[0] / group_n[0]);
+    EXPECT_EQ(eval.val_alignment_failure_rate, group_fail[1] / group_n[1]);
+  }
+}
+
+// The same oracle for evaluate_generalization: every task, the private
+// stream 0xC0FFEE, each sample's satisfied count normalized by its task's
+// own rulebook size, and serial task-order means over the non-held-out
+// and held-out groups.
+TEST(StreamingEquivalence, GeneralizationMatchesGenerateOracle) {
+  for (const auto& [threads, slots] : kThreadsSlots) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                    << " slots=" << slots);
+    const auto cfg = with_holdout(micro_config(threads, slots, false));
+    core::DpoAfPipeline pipe(cfg);
+    pipe.pretrain_model();
+    const auto gen = pipe.evaluate_generalization();
+    util::set_global_threads(1);
+
+    const lm::Tokenizer& tok = pipe.tokenizer();
+    const int top_k = lm::SamplerConfig{}.top_k;
+    const auto n = static_cast<double>(cfg.eval_samples_per_task);
+    Rng eval_rng(cfg.seed * 0x9E3779B9ULL + 0xC0FFEE);
+    // Per group (0 = non-held-out, 1 = held out): summed per-task means
+    // of satisfied fraction, alignment failure and violation.
+    double fraction[2] = {0.0, 0.0}, failure[2] = {0.0, 0.0},
+           violation[2] = {0.0, 0.0};
+    int tasks[2] = {0, 0};
+    std::vector<std::pair<std::string, double>> per_holdout_task;
+    for (const auto& task : pipe.domain().tasks()) {
+      Rng task_rng = eval_rng.split();
+      const std::vector<int> prompt = lm::encode_prompt(tok, task.prompt);
+      const auto rulebook =
+          static_cast<double>(pipe.domain().specs_for(task.scenario).size());
+      double task_fraction = 0.0, task_failure = 0.0, task_violation = 0.0;
+      for (int s = 0; s < cfg.eval_samples_per_task; ++s) {
+        Rng request = nn::request_rng(cfg.seed, task_rng());
+        const auto out = pipe.model().generate(
+            prompt, cfg.eval_max_new_tokens, cfg.eval_temperature, top_k,
+            tok.eos(), request);
+        const int score = pipe.score_response(task, tok.decode(out.ids));
+        if (score < 0)
+          task_failure += 1.0;
+        else if (static_cast<double>(score) < rulebook)
+          task_violation += 1.0;
+        task_fraction += std::max(0, score) / rulebook;
+      }
+      const int g = task.holdout ? 1 : 0;
+      fraction[g] += task_fraction / n;
+      failure[g] += task_failure / n;
+      violation[g] += task_violation / n;
+      ++tasks[g];
+      if (task.holdout)
+        per_holdout_task.emplace_back(task.id, task_fraction / n);
+    }
+    ASSERT_GT(tasks[0], 0);
+    ASSERT_GT(tasks[1], 0);
+    EXPECT_EQ(gen.train_tasks, tasks[0]);
+    EXPECT_EQ(gen.holdout_tasks, tasks[1]);
+    EXPECT_EQ(gen.train_mean_satisfied_fraction, fraction[0] / tasks[0]);
+    EXPECT_EQ(gen.holdout_mean_satisfied_fraction, fraction[1] / tasks[1]);
+    EXPECT_EQ(gen.train_alignment_failure_rate, failure[0] / tasks[0]);
+    EXPECT_EQ(gen.holdout_alignment_failure_rate, failure[1] / tasks[1]);
+    EXPECT_EQ(gen.train_violation_rate, violation[0] / tasks[0]);
+    EXPECT_EQ(gen.holdout_violation_rate, violation[1] / tasks[1]);
+    EXPECT_EQ(gen.per_holdout_task, per_holdout_task);
   }
 }
 
