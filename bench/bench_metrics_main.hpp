@@ -48,11 +48,11 @@ inline int dpoaf_benchmark_main(int argc, char** argv, const char* tool) {
   if (!metrics_path.empty() || !trace_path.empty()) {
     const dpoaf::obs::RunReport report = dpoaf::obs::capture_run_report(tool);
     bool ok = true;
-    // The metrics artifact stays small (no raw trace); the chrome export
-    // carries the events for chrome://tracing / ui.perfetto.dev.
+    // The metrics artifact has no raw trace; the chrome export carries
+    // the events for chrome://tracing / ui.perfetto.dev.
     if (!metrics_path.empty() &&
-        !dpoaf::obs::write_text_file(
-            metrics_path, dpoaf::obs::to_json(report, /*include_trace=*/false)))
+        !dpoaf::obs::write_text_file(metrics_path,
+                                     dpoaf::obs::to_json(report)))
       ok = false;
     if (!trace_path.empty() &&
         !dpoaf::obs::write_text_file(trace_path,

@@ -18,7 +18,7 @@
 
 #include "bench_common.hpp"
 #include "core/pipeline.hpp"
-#include "nn/decoder.hpp"
+#include "serve/service.hpp"
 #include "sim/empirical.hpp"
 #include "util/table.hpp"
 
@@ -26,8 +26,9 @@ namespace {
 
 using namespace dpoaf;
 
-// Sample responses from `model`, build controllers for every parseable
-// one, roll each out in its task's scenario, and aggregate P_Φ per spec.
+// Sample responses from `model` on a generation service, build
+// controllers for every parseable one, roll each out in its task's
+// scenario, and aggregate P_Φ per spec.
 std::map<std::string, double> evaluate_in_system(
     const core::DpoAfPipeline& pipe, const nn::TinyGpt& model,
     const std::vector<modelcheck::NamedSpec>& specs, int samples_per_task,
@@ -36,6 +37,8 @@ std::map<std::string, double> evaluate_in_system(
   std::map<std::string, int> prob_n;
 
   lm::SamplerConfig sampler;  // library defaults
+  serve::GenerationService service(
+      model, {pipe.config().serve_slots, pipe.config().seed});
   for (const auto& task : pipe.domain().tasks()) {
     sim::SimulatorConfig sim_cfg;
     sim_cfg.horizon = horizon;
@@ -43,18 +46,20 @@ std::map<std::string, double> evaluate_in_system(
     sim::Simulator simulator(pipe.domain().model(task.scenario), sim_cfg);
 
     // All request seeds are drawn before any rollout consumes `rng`.
-    std::vector<std::uint64_t> seeds(
-        static_cast<std::size_t>(samples_per_task));
-    for (auto& seed : seeds) seed = rng();
-    const std::vector<int> prompt =
-        lm::encode_prompt(pipe.tokenizer(), task.prompt);
-    for (const std::uint64_t seed : seeds) {
-      Rng request = nn::request_rng(pipe.config().seed, seed);
-      const auto gen = model.generate(prompt, sampler.max_new_tokens,
-                                      sampler.temperature, sampler.top_k,
-                                      pipe.tokenizer().eos(), request);
-      const std::string response =
-          lm::decode_response(pipe.tokenizer(), gen.ids, gen.truncated);
+    serve::GenerateRequest req;
+    req.prompt = lm::encode_prompt(pipe.tokenizer(), task.prompt);
+    req.max_new_tokens = sampler.max_new_tokens;
+    req.temperature = sampler.temperature;
+    req.top_k = sampler.top_k;
+    req.eos_id = pipe.tokenizer().eos();
+    std::vector<serve::GenerateRequest> requests(
+        static_cast<std::size_t>(samples_per_task), req);
+    for (auto& r : requests) r.seed = rng();
+    for (auto& future : service.submit_all(std::move(requests))) {
+      const serve::GenerateResult gen = future.get();
+      const std::string response = lm::decode_response(
+          pipe.tokenizer(), gen.ids,
+          gen.finish == serve::FinishReason::kContext);
       auto g2f = glm2fsa::glm2fsa(response, pipe.domain().aligner(),
                                   pipe.domain().build_options());
       if (!g2f.parsed.ok()) {

@@ -257,8 +257,7 @@ int main(int argc, char** argv) {
                       {g.holdout_violation_rate});
     }
     if (!metrics_path.empty()) {
-      if (!obs::write_text_file(metrics_path,
-                                obs::to_json(report, /*include_trace=*/false))) {
+      if (!obs::write_text_file(metrics_path, obs::to_json(report))) {
         std::cerr << "failed to write " << metrics_path << "\n";
         return 1;
       }

@@ -14,12 +14,11 @@ Checks the stable schema emitted by obs::to_json (src/obs/report.cpp):
     "histograms": {name: {"count","sum","min","max": uint,
                           "buckets": [uint, ...]}, ...},
     "phases":     [{"name": str, "spans": uint, "total_ns": uint}, ...],
-    "series":     {name: [number, ...], ...},
-    "trace":      [{"name": str, "tid","depth","ts_ns","dur_ns": uint}, ...]
+    "series":     {name: [number, ...], ...}
   }
 
-"trace" is optional (CI artifacts are written without it). Exits non-zero
-with one line per problem; CI's perf-smoke job fails on any schema drift.
+Exits non-zero with one line per problem; CI's perf-smoke job fails on
+any schema drift.
 """
 
 import json
@@ -107,19 +106,6 @@ def check_report(doc, errors):
             if not isinstance(values, list) or not all(
                     is_number(v) for v in values):
                 errors.append(f"series[{name!r}] is not a list of numbers")
-
-    trace = doc.get("trace")
-    if trace is not None:
-        if not isinstance(trace, list):
-            errors.append("trace present but not a list")
-        else:
-            for i, e in enumerate(trace):
-                if (not isinstance(e, dict)
-                        or not isinstance(e.get("name"), str)
-                        or not all(is_uint(e.get(f))
-                                   for f in ("tid", "depth", "ts_ns",
-                                             "dur_ns"))):
-                    errors.append(f"trace[{i}] malformed: {e!r}")
 
 
 def main(argv):

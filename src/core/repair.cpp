@@ -112,10 +112,10 @@ RepairResult repair_controller(const driving::DrivingDomain& domain,
   auto report = verify(controller);
   result.score_before = static_cast<int>(report.satisfied());
 
-  // Greedy with rollback: a guard strengthening that fixes one safety
-  // specification can starve a liveness one (the controller waits for a
-  // stronger condition). Patches that do not improve the total count are
-  // reverted and their spec blacklisted for the rest of the run.
+  // One patch at a time, with rollback: a guard strengthening that fixes
+  // one safety specification can starve a liveness one (the controller
+  // waits for a stronger condition). Patches that do not improve the total
+  // count are reverted and their spec blacklisted for the rest of the run.
   std::vector<std::string> blacklist;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     bool patched = false;

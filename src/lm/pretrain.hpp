@@ -62,9 +62,9 @@ struct SamplerConfig {
 
 /// Decode one finished generation into response text and count it in the
 /// lm.responses / lm.generated_tokens / lm.truncated_responses metrics.
-/// The only place those counters are recorded: every sampled response
-/// finishes here, whether the pipeline's generation service or a direct
-/// TinyGpt::generate call (bench/fig11_empirical_eval) decoded it.
+/// The only place those counters are recorded: every sampled response,
+/// decoded by a serve::GenerationService (the pipeline's or
+/// bench/fig11_empirical_eval's), finishes here.
 std::string decode_response(const Tokenizer& tok, const std::vector<int>& ids,
                             bool truncated);
 

@@ -41,14 +41,6 @@ int sample_token(const float* logits, std::int64_t vocab, float temperature,
   return cand[rng.weighted(weights)].second;
 }
 
-int argmax_token(const float* logits, std::int64_t vocab) {
-  DPOAF_CHECK(vocab > 0);
-  int best = 0;
-  for (std::int64_t j = 1; j < vocab; ++j)
-    if (logits[j] > logits[best]) best = static_cast<int>(j);
-  return best;
-}
-
 Rng request_rng(std::uint64_t stream_seed, std::uint64_t request_seed) {
   // Mix both seeds into one 64-bit value with two splitmix64 rounds; Rng's
   // reseed expands it to the full 256-bit state.
@@ -57,27 +49,6 @@ Rng request_rng(std::uint64_t stream_seed, std::uint64_t request_seed) {
   std::uint64_t z = splitmix64(s);
   z ^= splitmix64(s);
   return Rng(z);
-}
-
-DecodeStatus decode_step(DecodeSession& session,
-                         const std::vector<int>& prompt,
-                         const DecodeParams& params, Rng& rng,
-                         std::vector<int>& ids) {
-  const GptConfig& cfg = session.model().config();
-  if (static_cast<std::int64_t>(ids.size()) >= params.max_new)
-    return DecodeStatus::kLength;
-  if (session.position() + 1 >= cfg.max_seq) return DecodeStatus::kContext;
-  const std::vector<float>& logits =
-      session.step(ids.empty() ? prompt.back() : ids.back());
-  const int next = params.greedy
-                       ? argmax_token(logits.data(), cfg.vocab_size)
-                       : sample_token(logits.data(), cfg.vocab_size,
-                                      params.temperature, params.top_k, rng);
-  if (next == params.eos_id) return DecodeStatus::kEos;
-  ids.push_back(next);
-  return static_cast<std::int64_t>(ids.size()) >= params.max_new
-             ? DecodeStatus::kLength
-             : DecodeStatus::kContinue;
 }
 
 DecodeSession::DecodeSession(const TinyGpt& model) : model_(model) {

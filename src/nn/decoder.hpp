@@ -11,6 +11,10 @@
 // order, so its logits are the bytes of TinyGpt::forward's row on the
 // active backend: responses are sampled from exactly the distribution DPO
 // scores.
+//
+// The library's one decode loop is serve::GenerationService: each slot
+// owns a session, picks every token with sample_token and draws from
+// request_rng's stream.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +31,6 @@ namespace dpoaf::nn {
 int sample_token(const float* logits, std::int64_t vocab, float temperature,
                  int top_k, Rng& rng);
 
-/// Greedy argmax over a logit row; ties go to the lowest token id.
-int argmax_token(const float* logits, std::int64_t vocab);
-
 /// The decode RNG of one request: a pure function of a stream seed (the
 /// pipeline or service seed) and the request's own seed, so a request's
 /// stream never depends on which other requests ran, in what order, or
@@ -37,18 +38,6 @@ int argmax_token(const float* logits, std::int64_t vocab);
 /// RNG here.
 [[nodiscard]] Rng request_rng(std::uint64_t stream_seed,
                               std::uint64_t request_seed);
-
-/// Token choice and stopping rule of one autoregressive decode.
-struct DecodeParams {
-  int max_new = 72;          // generated-token budget
-  float temperature = 0.7f;  // > 0 unless greedy
-  int top_k = 6;             // <= 0 keeps the full distribution
-  int eos_id = -1;           // -1: never stop on eos
-  bool greedy = false;       // argmax; temperature, top_k and rng unused
-};
-
-/// Why decode_step stopped, or kContinue when more tokens may follow.
-enum class DecodeStatus { kContinue, kEos, kLength, kContext };
 
 class DecodeSession {
  public:
@@ -85,19 +74,5 @@ class DecodeSession {
   std::vector<float> x_, h_, qkv_, attn_out_, mlp_, kt_, v_, scores_, attn_,
       lora_;
 };
-
-/// One autoregressive decode step — the single step behind
-/// TinyGpt::generate, TinyGpt::generate_greedy and the serve scheduler.
-/// `session` holds every prompt token but the last plus every id in
-/// `ids` but the last; the step feeds the newest token (ids.back(), or
-/// prompt.back() before the first step) and picks the next one. Returns
-/// kLength once `ids` holds params.max_new tokens (checked before and
-/// after the step), kContext when feeding would fill the model's max_seq
-/// window (the response is truncated), kEos when the eos token was picked
-/// (never appended), and kContinue after appending a token.
-DecodeStatus decode_step(DecodeSession& session,
-                         const std::vector<int>& prompt,
-                         const DecodeParams& params, Rng& rng,
-                         std::vector<int>& ids);
 
 }  // namespace dpoaf::nn

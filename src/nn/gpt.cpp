@@ -1,9 +1,6 @@
 #include "nn/gpt.hpp"
 
-#include "nn/decoder.hpp"
-
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.hpp"
 
@@ -68,39 +65,6 @@ double TinyGpt::response_log_prob_value(const std::vector<int>& ids,
                                         std::int64_t prompt_len) const {
   return static_cast<double>(
       response_log_prob(nullptr, ids, prompt_len).item());
-}
-
-namespace {
-// Prefill every prompt token but the last, then loop decode_step.
-Generation decode(const TinyGpt& model, const std::vector<int>& prompt,
-                  const DecodeParams& params, Rng& rng) {
-  DPOAF_CHECK(!prompt.empty());
-  DPOAF_CHECK_MSG(
-      static_cast<std::int64_t>(prompt.size()) <= model.config().max_seq,
-      "prompt alone exceeds max_seq");
-  DecodeSession session(model);
-  for (std::size_t i = 0; i + 1 < prompt.size(); ++i) session.step(prompt[i]);
-  Generation out;
-  DecodeStatus status = DecodeStatus::kContinue;
-  while (status == DecodeStatus::kContinue)
-    status = decode_step(session, prompt, params, rng, out.ids);
-  out.truncated = status == DecodeStatus::kContext;
-  return out;
-}
-}  // namespace
-
-Generation TinyGpt::generate(const std::vector<int>& prompt, int max_new,
-                             float temperature, int top_k, int eos_id,
-                             Rng& rng) const {
-  DPOAF_CHECK(temperature > 0.0f);
-  return decode(*this, prompt, {max_new, temperature, top_k, eos_id, false},
-                rng);
-}
-
-Generation TinyGpt::generate_greedy(const std::vector<int>& prompt,
-                                    int max_new, int eos_id) const {
-  Rng unused(0);  // argmax draws nothing
-  return decode(*this, prompt, {max_new, 1.0f, 0, eos_id, true}, unused);
 }
 
 void TinyGpt::enable_lora(std::int64_t rank, float alpha, Rng& rng) {

@@ -20,15 +20,6 @@ struct GptConfig {
   float init_scale = 0.02f;
 };
 
-/// Result of autoregressive decoding: the newly generated ids (without the
-/// prompt, without eos) and whether decoding stopped early because
-/// prompt + generated filled the max_seq context window — a truncated
-/// step list would otherwise be scored as malformed with no trace of why.
-struct Generation {
-  std::vector<int> ids;
-  bool truncated = false;
-};
-
 class TinyGpt {
  public:
   TinyGpt() = default;
@@ -49,18 +40,6 @@ class TinyGpt {
   /// Same value without recording gradients.
   [[nodiscard]] double response_log_prob_value(const std::vector<int>& ids,
                                                std::int64_t prompt_len) const;
-
-  /// Autoregressive sampling with temperature and top-k (top_k ≤ 0 means
-  /// full distribution). Stops at eos_id, max_new tokens, or the context
-  /// limit (flagged as truncated). Logit ties are broken by token id so
-  /// the top-k candidate set is identical across standard libraries.
-  [[nodiscard]] Generation generate(const std::vector<int>& prompt,
-                                    int max_new, float temperature, int top_k,
-                                    int eos_id, Rng& rng) const;
-
-  /// Greedy decoding (temperature → 0 limit).
-  [[nodiscard]] Generation generate_greedy(const std::vector<int>& prompt,
-                                           int max_new, int eos_id) const;
 
   /// Attach LoRA adapters to every Linear in the blocks and freeze all
   /// base parameters (embeddings and head included) — only the adapters

@@ -78,20 +78,6 @@ void append_histogram(std::string& out, const HistogramSnapshot& h) {
   out += "]}";
 }
 
-void append_trace_event(std::string& out, const TraceEvent& e) {
-  out += "{\"name\":";
-  append_escaped(out, e.name);
-  out += ",\"tid\":";
-  append_u64(out, e.tid);
-  out += ",\"depth\":";
-  append_u64(out, e.depth);
-  out += ",\"ts_ns\":";
-  append_u64(out, e.start_ns);
-  out += ",\"dur_ns\":";
-  append_u64(out, e.dur_ns);
-  out += '}';
-}
-
 }  // namespace
 
 RunReport capture_run_report(std::string tool) {
@@ -108,7 +94,7 @@ void add_series(RunReport& report, std::string name,
   report.series.push_back({std::move(name), std::move(values)});
 }
 
-std::string to_json(const RunReport& report, bool include_trace) {
+std::string to_json(const RunReport& report) {
   std::string out;
   out.reserve(4096);
   out += "{\"schema\":\"dpoaf.run_report\",\"version\":";
@@ -159,16 +145,7 @@ std::string to_json(const RunReport& report, bool include_trace) {
     }
     out += ']';
   }
-  out += '}';
-  if (include_trace) {
-    out += ",\"trace\":[";
-    for (std::size_t i = 0; i < report.trace.size(); ++i) {
-      if (i != 0) out += ',';
-      append_trace_event(out, report.trace[i]);
-    }
-    out += ']';
-  }
-  out += '}';
+  out += "}}";
   return out;
 }
 

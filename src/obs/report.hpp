@@ -1,6 +1,7 @@
 // RunReport — the machine-readable artifact of one instrumented run:
 // a snapshot of the metrics registry, per-phase span rollups, named value
-// series (e.g. per-epoch DPO loss), and optionally the raw trace.
+// series (e.g. per-epoch DPO loss), and the raw trace (exported only as a
+// Chrome trace).
 //
 // Serialized as JSON with a stable schema ("dpoaf.run_report", version 1;
 // field-by-field spec in docs/RUN_REPORT_SCHEMA.md, validated in CI by
@@ -42,8 +43,8 @@ struct RunReport {
   std::vector<PhaseStat> phases;
   /// Producer-attached per-epoch value series, in insertion order.
   std::vector<Series> series;
-  /// Raw span events sorted by start time (dropped from the JSON when
-  /// to_json() is called with include_trace = false).
+  /// Raw span events sorted by start time; to_chrome_trace() writes them,
+  /// to_json() does not.
   std::vector<TraceEvent> trace;
 };
 
@@ -56,10 +57,8 @@ void add_series(RunReport& report, std::string name,
                 std::vector<double> values);
 
 /// The stable-schema JSON document (single line, UTF-8, keys in fixed
-/// order). `include_trace` = false drops the "trace" array (reports stay
-/// small for CI artifacts; the chrome export carries the events instead).
-[[nodiscard]] std::string to_json(const RunReport& report,
-                                  bool include_trace = true);
+/// order). The trace events are left out; the chrome export carries them.
+[[nodiscard]] std::string to_json(const RunReport& report);
 
 /// Chrome trace-event JSON ({"traceEvents": [...]}) of the report's trace.
 [[nodiscard]] std::string to_chrome_trace(const RunReport& report);

@@ -110,8 +110,7 @@ std::string GenerationService::validate(const GenerateRequest& req) const {
     if (t < 0 || t >= cfg.vocab_size)
       return "prompt token out of vocabulary range";
   if (req.max_new_tokens < 0) return "max_new_tokens must be >= 0";
-  if (!req.greedy && !(req.temperature > 0.0f))
-    return "temperature must be > 0";
+  if (!(req.temperature > 0.0f)) return "temperature must be > 0";
   return {};
 }
 
@@ -203,47 +202,43 @@ void GenerationService::admit_locked(std::uint64_t now_ns) {
 }
 
 void GenerationService::advance(Slot& slot, std::uint64_t now_ns) {
+  const GenerateRequest& req = slot.req;
   GenerateResult& r = slot.result;
-  if (slot.req.prompt.empty()) {
-    // validate() rejects empty prompts before admission; this guard keeps
-    // a future regression from dereferencing prompt.back() below.
-    r.finish = FinishReason::kInvalid;
+  const auto stop = [&](FinishReason why) {
+    r.finish = why;
     slot.finished = true;
-    return;
-  }
-  const auto prompt_len = static_cast<std::int64_t>(slot.req.prompt.size());
+  };
+  // validate() rejects empty prompts before admission; this guard keeps a
+  // future regression from dereferencing prompt.back() below.
+  if (req.prompt.empty()) return stop(FinishReason::kInvalid);
+  const auto prompt_len = static_cast<std::int64_t>(req.prompt.size());
   if (!slot.prefilled) {
     // Feed every prompt token but the last; the first decode step feeds
     // that one.
     for (std::int64_t i = 0; i + 1 < prompt_len; ++i)
-      slot.session->step(slot.req.prompt[static_cast<std::size_t>(i)]);
+      slot.session->step(req.prompt[static_cast<std::size_t>(i)]);
     slot.prefilled = true;
     impl_->prefill_steps.add(static_cast<std::uint64_t>(prompt_len - 1));
   }
-  const GenerateRequest& req = slot.req;
+  // The stop rule, in order: the budget (checked before and after the
+  // step), the context window (feeding would fill max_seq: truncated),
+  // then eos (never appended).
+  const auto& cfg = model_.config();
+  if (static_cast<std::int64_t>(r.ids.size()) >= req.max_new_tokens)
+    return stop(FinishReason::kLength);
   const std::int64_t fed = slot.session->position();
-  const nn::DecodeStatus status = nn::decode_step(
-      *slot.session, req.prompt,
-      {req.max_new_tokens, req.temperature, req.top_k, req.eos_id, req.greedy},
-      slot.rng, r.ids);
+  if (fed + 1 >= cfg.max_seq) return stop(FinishReason::kContext);
+  const std::vector<float>& logits =
+      slot.session->step(r.ids.empty() ? req.prompt.back() : r.ids.back());
   // Time-to-first-token on the iteration clock, recorded for the first
   // decode step no matter what it samples (eos included).
-  if (fed + 1 == prompt_len && slot.session->position() > fed)
-    r.ttft_ns = now_ns - slot.admit_ns;
-  switch (status) {
-    case nn::DecodeStatus::kContinue:
-      return;
-    case nn::DecodeStatus::kEos:
-      r.finish = FinishReason::kEos;
-      break;
-    case nn::DecodeStatus::kLength:
-      r.finish = FinishReason::kLength;
-      break;
-    case nn::DecodeStatus::kContext:  // context exhausted before eos/max_new
-      r.finish = FinishReason::kContext;
-      break;
-  }
-  slot.finished = true;
+  if (fed + 1 == prompt_len) r.ttft_ns = now_ns - slot.admit_ns;
+  const int next = nn::sample_token(logits.data(), cfg.vocab_size,
+                                    req.temperature, req.top_k, slot.rng);
+  if (next == req.eos_id) return stop(FinishReason::kEos);
+  r.ids.push_back(next);
+  if (static_cast<std::int64_t>(r.ids.size()) >= req.max_new_tokens)
+    stop(FinishReason::kLength);
 }
 
 void GenerationService::retire(Slot& slot, std::uint64_t now_ns) {

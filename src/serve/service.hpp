@@ -43,11 +43,9 @@ enum class FinishReason {
 struct GenerateRequest {
   std::vector<int> prompt;  // token ids; non-empty, each in [0, vocab)
   int max_new_tokens = 72;
-  float temperature = 0.7f;  // > 0 unless greedy
+  float temperature = 0.7f;  // > 0
   int top_k = 6;             // <= 0 keeps the full distribution
   int eos_id = -1;           // -1: never stop on eos
-  /// Greedy argmax decoding (temperature/top_k/seed unused).
-  bool greedy = false;
   /// Per-request RNG seed; the decode stream is nn::request_rng(service
   /// seed, this seed) — independent of every other request.
   std::uint64_t seed = 0;
@@ -124,9 +122,10 @@ class GenerationService {
   /// Move queued requests into free slots, oldest first; caller holds the
   /// service mutex.
   void admit_locked(std::uint64_t now_ns);
-  /// One nn::decode_step (after the prompt prefill, on first call) for an
-  /// active slot, plus the serving-only parts: prefill accounting and
-  /// TTFT.
+  /// One decode step for an active slot (after the prompt prefill, on
+  /// first call): feed the newest token, sample the next one, and set the
+  /// result's FinishReason once the request stops. Also records prefill
+  /// accounting and TTFT.
   void advance(Slot& slot, std::uint64_t now_ns);
   /// Fulfill a finished slot's promise (with its decode fault, if one
   /// was caught) and free it.

@@ -117,8 +117,7 @@ TEST(Pipeline, EvaluationRejectsZeroSamplesPerTask) {
   // negative checkpoint_every_epochs silently disabled snapshots.
   // n_heads == 0 raised SIGFPE in the attention constructor; the other
   // model-shape fields failed only after construction; a temperature of 0
-  // made TinyGpt::generate throw and the generation service score every
-  // response unalignable.
+  // made the generation service reject every sampling request.
   // d_ff == 0 ran to the end with the DPO loss stuck at ln 2, and a NaN
   // learning rate or beta surfaced mid-run as a sampling-weight CHECK.
   // The trainers silently reinterpreted the rest: a negative or NaN

@@ -1,7 +1,8 @@
 // The streaming pipeline's determinism contract and error path
 // (docs/PIPELINE.md): scored responses must be bitwise-identical at any
-// thread count and serve slot count, with TinyGpt::generate as the oracle
-// for served decodes, and a scoring error must surface from the call
+// thread count and serve slot count, with the batch-forward reference
+// decoder (tests/reference_decode.hpp) as the oracle for served decodes,
+// and a scoring error must surface from the call
 // that streamed the responses. This suite also runs under TSan in CI
 // (DPOAF_THREADS=4, both tensor backends).
 #include <gtest/gtest.h>
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "nn/decoder.hpp"
+#include "reference_decode.hpp"
 #include "util/check.hpp"
 #include "util/threadpool.hpp"
 
@@ -21,8 +22,8 @@ namespace {
 
 // ---------------- served sampling: bitwise identical across settings ----
 //
-// Every sampled decode runs on serve::GenerationService. The oracle test
-// pins served decodes to TinyGpt::generate; the other cases require every
+// Every sampled decode runs on serve::GenerationService. The oracle tests
+// pin served decodes to the reference decoder; the other cases require every
 // (threads, serve_slots) setting — the "modes" in their names — to
 // reproduce the first.
 
@@ -122,24 +123,38 @@ TEST(StreamingEquivalence, ServedCandidatesIdenticalAcrossModesAndThreads) {
   expect_candidates_identical_across_settings(wide);
 }
 
-// TinyGpt::generate is the bitwise oracle for served decodes: a test-local
-// loop that splits the eval RNG per non-held-out task, decodes each sample
-// directly with its per-request RNG and scores it must reproduce
-// evaluate_model's per-task means and failure rates, and their serial
-// task-order means over the training and validation groups.
-TEST(StreamingEquivalence, EvalMatchesGenerateOracle) {
+// The same request for every sample of `task`, as the pipeline's eval
+// builds it; the caller sets each sample's seed.
+serve::GenerateRequest eval_request(const core::DpoAfPipeline& pipe,
+                                    const driving::Task& task) {
+  serve::GenerateRequest req;
+  req.prompt = lm::encode_prompt(pipe.tokenizer(), task.prompt);
+  req.max_new_tokens = pipe.config().eval_max_new_tokens;
+  req.temperature = pipe.config().eval_temperature;
+  req.top_k = lm::SamplerConfig{}.top_k;
+  req.eos_id = pipe.tokenizer().eos();
+  return req;
+}
+
+// The reference decoder is the bitwise oracle for served decodes: a
+// test-local loop that splits the eval RNG per non-held-out task, decodes
+// each sample serially under its request seed and scores it must
+// reproduce evaluate_model's per-task means and failure rates, and their
+// serial task-order means over the training and validation groups. Three
+// samples per task make the means non-dyadic, so a change in the order of
+// the group sums shows in the last bits.
+TEST(StreamingEquivalence, EvalMatchesReferenceOracle) {
   constexpr int kEpoch = 2;
   for (const auto& [threads, slots] : kThreadsSlots) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads
                                     << " slots=" << slots);
-    const auto cfg = with_holdout(micro_config(threads, slots, false));
+    auto cfg = with_holdout(micro_config(threads, slots, false));
+    cfg.eval_samples_per_task = 3;
     core::DpoAfPipeline pipe(cfg);
     pipe.pretrain_model();
     const auto eval = pipe.evaluate_model(pipe.model(), kEpoch);
     util::set_global_threads(1);
 
-    const lm::Tokenizer& tok = pipe.tokenizer();
-    const int top_k = lm::SamplerConfig{}.top_k;
     const auto n = static_cast<double>(cfg.eval_samples_per_task);
     Rng eval_rng(cfg.seed * 0x9E3779B9ULL + kEpoch);
     std::vector<std::pair<std::string, double>> per_task;
@@ -154,16 +169,15 @@ TEST(StreamingEquivalence, EvalMatchesGenerateOracle) {
         continue;
       }
       Rng task_rng = eval_rng.split();
-      const std::vector<int> prompt = lm::encode_prompt(tok, task.prompt);
+      serve::GenerateRequest req = eval_request(pipe, task);
       double score_sum = 0.0;
       int failures = 0;
       for (int s = 0; s < cfg.eval_samples_per_task; ++s) {
-        Rng request = nn::request_rng(cfg.seed, task_rng());
-        const auto gen = pipe.model().generate(
-            prompt, cfg.eval_max_new_tokens, cfg.eval_temperature, top_k,
-            tok.eos(), request);
-        if (gen.truncated) ++truncated;
-        const int score = pipe.score_response(task, tok.decode(gen.ids));
+        req.seed = task_rng();
+        const auto gen = serve::reference::decode(pipe.model(), req, cfg.seed);
+        if (gen.finish == serve::FinishReason::kContext) ++truncated;
+        const int score =
+            pipe.score_response(task, pipe.tokenizer().decode(gen.ids));
         if (score < 0) ++failures;
         score_sum += std::max(0, score);
       }
@@ -192,7 +206,7 @@ TEST(StreamingEquivalence, EvalMatchesGenerateOracle) {
 // stream 0xC0FFEE, each sample's satisfied count normalized by its task's
 // own rulebook size, and serial task-order means over the non-held-out
 // and held-out groups.
-TEST(StreamingEquivalence, GeneralizationMatchesGenerateOracle) {
+TEST(StreamingEquivalence, GeneralizationMatchesReferenceOracle) {
   for (const auto& [threads, slots] : kThreadsSlots) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads
                                     << " slots=" << slots);
@@ -202,8 +216,6 @@ TEST(StreamingEquivalence, GeneralizationMatchesGenerateOracle) {
     const auto gen = pipe.evaluate_generalization();
     util::set_global_threads(1);
 
-    const lm::Tokenizer& tok = pipe.tokenizer();
-    const int top_k = lm::SamplerConfig{}.top_k;
     const auto n = static_cast<double>(cfg.eval_samples_per_task);
     Rng eval_rng(cfg.seed * 0x9E3779B9ULL + 0xC0FFEE);
     // Per group (0 = non-held-out, 1 = held out): summed per-task means
@@ -214,16 +226,15 @@ TEST(StreamingEquivalence, GeneralizationMatchesGenerateOracle) {
     std::vector<std::pair<std::string, double>> per_holdout_task;
     for (const auto& task : pipe.domain().tasks()) {
       Rng task_rng = eval_rng.split();
-      const std::vector<int> prompt = lm::encode_prompt(tok, task.prompt);
+      serve::GenerateRequest req = eval_request(pipe, task);
       const auto rulebook =
           static_cast<double>(pipe.domain().specs_for(task.scenario).size());
       double task_fraction = 0.0, task_failure = 0.0, task_violation = 0.0;
       for (int s = 0; s < cfg.eval_samples_per_task; ++s) {
-        Rng request = nn::request_rng(cfg.seed, task_rng());
-        const auto out = pipe.model().generate(
-            prompt, cfg.eval_max_new_tokens, cfg.eval_temperature, top_k,
-            tok.eos(), request);
-        const int score = pipe.score_response(task, tok.decode(out.ids));
+        req.seed = task_rng();
+        const auto out = serve::reference::decode(pipe.model(), req, cfg.seed);
+        const int score =
+            pipe.score_response(task, pipe.tokenizer().decode(out.ids));
         if (score < 0)
           task_failure += 1.0;
         else if (static_cast<double>(score) < rulebook)

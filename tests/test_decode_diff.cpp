@@ -3,8 +3,9 @@
 // perturbed as after training; LoRA on and off, adapters perturbed so
 // they contribute). A decode step runs the batch forward's own row
 // kernels in the same order, so every step's logits must equal the
-// matching forward row byte for byte on the active backend, and greedy
-// decodes must be token-identical with no tolerance.
+// matching forward row byte for byte on the active backend, and sampled
+// decodes on the generation service must be token-identical, with no
+// tolerance, to the batch-forward reference under the same request RNG.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,8 @@
 
 #include "nn/decoder.hpp"
 #include "nn/gpt.hpp"
+#include "reference_decode.hpp"
+#include "serve/service.hpp"
 #include "tensor/backend/backend.hpp"
 #include "util/check.hpp"
 
@@ -93,30 +96,33 @@ void expect_logits_bitwise(const nn::TinyGpt& model,
   }
 }
 
-// Greedy decode via the batch forward path: recompute the whole prefix
-// every step, argmax with lowest-id tie-break.
-int batch_greedy_step(const nn::TinyGpt& model, const std::vector<int>& ids) {
-  const auto logits = model.forward(nullptr, ids);
-  return nn::argmax_token(
-      logits.data() + (static_cast<std::int64_t>(ids.size()) - 1) * kVocab,
-      kVocab);
-}
-
-void expect_greedy_identical(const nn::TinyGpt& model,
-                             const std::vector<int>& prompt, int max_new,
-                             int eos_id) {
-  const auto cached = model.generate_greedy(prompt, max_new, eos_id);
-  std::vector<int> ids = prompt;
-  std::vector<int> slow;
-  const auto max_seq = model.config().max_seq;
-  for (int step = 0; step < max_new; ++step) {
-    if (static_cast<std::int64_t>(ids.size()) >= max_seq) break;
-    const int next = batch_greedy_step(model, ids);
-    if (next == eos_id) break;
-    slow.push_back(next);
-    ids.push_back(next);
+// Three requests for `prompt` (different seeds and top-k, the full
+// distribution included) decoded on a two-slot generation service: each
+// must return the reference decoder's tokens and finish reason. Returns
+// the served results.
+std::vector<serve::GenerateResult> expect_sampled_identical(
+    const nn::TinyGpt& model, const std::vector<int>& prompt, int max_new,
+    int eos_id) {
+  constexpr std::uint64_t kServiceSeed = 7;
+  std::vector<serve::GenerateRequest> reqs(3);
+  for (std::size_t u = 0; u < reqs.size(); ++u) {
+    reqs[u].prompt = prompt;
+    reqs[u].max_new_tokens = max_new;
+    reqs[u].temperature = 0.8f;
+    reqs[u].top_k = static_cast<int>(2 * u);
+    reqs[u].eos_id = eos_id;
+    reqs[u].seed = 1000 + u;
   }
-  EXPECT_EQ(cached.ids, slow);
+  serve::GenerationService service(model, {2, kServiceSeed});
+  auto futures = service.submit_all(reqs);
+  std::vector<serve::GenerateResult> got;
+  for (std::size_t u = 0; u < reqs.size(); ++u) {
+    got.push_back(futures[u].get());
+    const auto want = serve::reference::decode(model, reqs[u], kServiceSeed);
+    EXPECT_EQ(got[u].ids, want.ids) << "request " << u;
+    EXPECT_EQ(got[u].finish, want.finish) << "request " << u;
+  }
+  return got;
 }
 
 TEST(DecodeDiff, LogitsMatchForwardAcrossRandomConfigs) {
@@ -141,7 +147,7 @@ TEST(DecodeDiff, LogitsMatchForwardWithLora) {
   }
 }
 
-TEST(DecodeDiff, GreedyDecodesTokenIdentical) {
+TEST(DecodeDiff, SampledDecodesTokenIdentical) {
   Rng rng(307);
   for (int trial = 0; trial < 10; ++trial) {
     const Shape shape = random_shape(rng);
@@ -149,7 +155,7 @@ TEST(DecodeDiff, GreedyDecodesTokenIdentical) {
     const auto prompt = random_prompt(
         rng, std::max<std::int64_t>(1, shape.cfg.max_seq / 2));
     SCOPED_TRACE("trial " + std::to_string(trial));
-    expect_greedy_identical(model, prompt, 16, /*eos_id=*/1);
+    expect_sampled_identical(model, prompt, 16, /*eos_id=*/1);
   }
 }
 
@@ -162,9 +168,10 @@ TEST(DecodeDiff, PromptExactlyFillsContext) {
   // The whole context is consumed by the prompt: generation truncates
   // immediately with zero tokens, and the session accepts exactly max_seq
   // steps.
-  const auto gen = model.generate_greedy(prompt, 8, /*eos_id=*/-1);
-  EXPECT_TRUE(gen.ids.empty());
-  EXPECT_TRUE(gen.truncated);
+  for (const auto& gen : expect_sampled_identical(model, prompt, 8, -1)) {
+    EXPECT_TRUE(gen.ids.empty());
+    EXPECT_EQ(gen.finish, serve::FinishReason::kContext);
+  }
   expect_logits_bitwise(model, prompt);
   nn::DecodeSession session(model);
   for (const int t : prompt) session.step(t);
@@ -179,7 +186,7 @@ TEST(DecodeDiff, SingleTokenPrompt) {
     const std::vector<int> prompt = {static_cast<int>(rng.below(kVocab))};
     SCOPED_TRACE("trial " + std::to_string(trial));
     expect_logits_bitwise(model, prompt);
-    expect_greedy_identical(model, prompt, 8, /*eos_id=*/1);
+    expect_sampled_identical(model, prompt, 8, /*eos_id=*/1);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/gpt.hpp"
@@ -13,6 +14,7 @@
 #include "nn/tokenizer.hpp"
 #include "obs/metrics.hpp"
 #include "one_tape_epoch.hpp"
+#include "serve/service.hpp"
 #include "tensor/backend/backend.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -457,21 +459,25 @@ TEST(Gpt, LoraCloneKeepsAdapters) {
             model.trainable_parameter_count());
 }
 
+// One request decoded on a one-slot generation service.
+serve::GenerateResult serve_one(const TinyGpt& model,
+                                serve::GenerateRequest req) {
+  serve::GenerationService service(model, {1, 42});
+  return service.submit(std::move(req)).get();
+}
+
 TEST(Gpt, GenerateStopsAtEosAndRespectsMaxNew) {
   Rng rng(15);
   TinyGpt model(tiny_config(), rng);
-  Rng sampler(42);
-  const auto out = model.generate({1, 2}, 5, 1.0f, 0, /*eos=*/0, sampler);
+  serve::GenerateRequest req;
+  req.prompt = {1, 2};
+  req.max_new_tokens = 5;
+  req.temperature = 1.0f;
+  req.top_k = 0;
+  req.eos_id = 0;
+  const auto out = serve_one(model, req);
   EXPECT_LE(out.ids.size(), 5u);
   for (int id : out.ids) EXPECT_NE(id, 0);  // eos never included
-}
-
-TEST(Gpt, GenerateIsDeterministicGivenSeed) {
-  Rng rng(16);
-  TinyGpt model(tiny_config(), rng);
-  Rng s1(7), s2(7);
-  EXPECT_EQ(model.generate({1}, 8, 0.8f, 5, 0, s1).ids,
-            model.generate({1}, 8, 0.8f, 5, 0, s2).ids);
 }
 
 TEST(Gpt, GreedyPicksArgmaxAfterOverfitting) {
@@ -488,43 +494,15 @@ TEST(Gpt, GreedyPicksArgmaxAfterOverfitting) {
     tape.backward(loss);
     opt.step();
   }
-  const auto out = model.generate_greedy({2, 4}, 3, 0);
-  ASSERT_EQ(out.ids.size(), 3u);
-  EXPECT_EQ(out.ids[0], 6);
-  EXPECT_EQ(out.ids[1], 8);
-  EXPECT_EQ(out.ids[2], 2);
-}
-
-TEST(Gpt, GenerateSetsTruncatedWhenContextExhausted) {
-  Rng rng(18);
-  TinyGpt model(tiny_config(), rng);  // max_seq = 16
-  Rng sampler(1);
-  // eos=-1 matches no token, so only the context limit can stop decoding.
-  const auto out = model.generate({1, 2}, 32, 1.0f, 0, /*eos=*/-1, sampler);
-  EXPECT_TRUE(out.truncated);
-  EXPECT_EQ(out.ids.size(), 14u);  // max_seq − prompt length
-  Rng sampler2(1);
-  const auto within = model.generate({1, 2}, 4, 1.0f, 0, -1, sampler2);
-  EXPECT_FALSE(within.truncated);
-  EXPECT_EQ(within.ids.size(), 4u);
-}
-
-TEST(Gpt, GreedySetsTruncatedAndOverlongPromptThrows) {
-  Rng rng(19);
-  TinyGpt model(tiny_config(), rng);
-  const auto out = model.generate_greedy({1, 2, 3}, 64, /*eos=*/-1);
-  EXPECT_TRUE(out.truncated);
-  EXPECT_EQ(out.ids.size(), 13u);
-  const auto ok = model.generate_greedy({1, 2, 3}, 5, -1);
-  EXPECT_FALSE(ok.truncated);
-  // A prompt that alone exceeds max_seq is a contract violation, not a
-  // silently truncated generation.
-  EXPECT_THROW((void)model.generate_greedy(std::vector<int>(17, 1), 1, 0),
-               ContractViolation);
-  Rng s(3);
-  EXPECT_THROW(
-      (void)model.generate(std::vector<int>(17, 1), 1, 1.0f, 0, 0, s),
-      ContractViolation);
+  // Each position's argmax continues the memorized cycle 2 4 6 8.
+  const Tensor logits = model.forward(nullptr, {2, 4, 6, 8});
+  const auto argmax = [&](std::int64_t row) {
+    const float* r = logits.data() + row * logits.cols();
+    return static_cast<int>(std::max_element(r, r + logits.cols()) - r);
+  };
+  EXPECT_EQ(argmax(1), 6);
+  EXPECT_EQ(argmax(2), 8);
+  EXPECT_EQ(argmax(3), 2);
 }
 
 TEST(Gpt, TopKTieBreaksByAscendingTokenId) {
@@ -534,9 +512,13 @@ TEST(Gpt, TopKTieBreaksByAscendingTokenId) {
   // candidate set is decided purely by the tie-break rule. Breaking ties
   // by ascending token id makes the set {0, 1, 2, 3}.
   model.load_state(std::vector<float>(model.state().size(), 0.0f));
-  Rng sampler(5);
-  const auto out =
-      model.generate({1}, 12, 1.0f, /*top_k=*/4, /*eos=*/-1, sampler);
+  serve::GenerateRequest req;
+  req.prompt = {1};
+  req.max_new_tokens = 12;
+  req.temperature = 1.0f;
+  req.top_k = 4;
+  req.eos_id = -1;
+  const auto out = serve_one(model, req);
   ASSERT_FALSE(out.ids.empty());
   for (int id : out.ids) EXPECT_LT(id, 4);
 }

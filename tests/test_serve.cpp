@@ -1,5 +1,6 @@
 // Continuous-batching generation service (src/serve): served decoding must
-// reproduce TinyGpt::generate bitwise per request, stay invariant to
+// reproduce the batch-forward reference decoder (tests/reference_decode.hpp)
+// bitwise per request, stay invariant to
 // arrival order / slot count / thread count, and keep its admission and
 // robustness contract (FIFO admission into free slots, context-bound
 // backlogs that complete, an unbounded queue, invalid requests resolve
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "reference_decode.hpp"
 #include "serve/service.hpp"
 #include "util/threadpool.hpp"
 
@@ -94,7 +96,7 @@ std::vector<Outcome> run_served(const nn::TinyGpt& model,
   return out;
 }
 
-TEST(Serve, MatchesGenerateBitwisePerRequest) {
+TEST(Serve, MatchesReferenceBitwisePerRequest) {
   util::set_global_threads(2);
   const nn::TinyGpt model = small_model();
   const auto reqs = request_set(16);
@@ -105,15 +107,9 @@ TEST(Serve, MatchesGenerateBitwisePerRequest) {
   const auto results = get_all(service.submit_all(reqs));
   ASSERT_EQ(results.size(), reqs.size());
   for (std::size_t u = 0; u < reqs.size(); ++u) {
-    const auto& req = reqs[u];
-    Rng rng = nn::request_rng(cfg.seed, req.seed);
-    const auto direct =
-        model.generate(req.prompt, req.max_new_tokens, req.temperature,
-                       req.top_k, req.eos_id, rng);
-    EXPECT_EQ(results[u].ids, direct.ids) << "request " << u;
-    EXPECT_EQ(results[u].finish == serve::FinishReason::kContext,
-              direct.truncated)
-        << "request " << u;
+    const auto want = serve::reference::decode(model, reqs[u], cfg.seed);
+    EXPECT_EQ(results[u].ids, want.ids) << "request " << u;
+    EXPECT_EQ(results[u].finish, want.finish) << "request " << u;
   }
   const auto stats = service.stats();
   std::size_t total_tokens = 0;
@@ -167,25 +163,6 @@ TEST(Serve, SubmitAllSchedulesIdenticallyAtAnyThreadCount) {
     EXPECT_EQ(stats.accepted, want_stats.accepted);
     EXPECT_EQ(stats.iterations, want_stats.iterations);
     EXPECT_EQ(stats.prefill_steps, want_stats.prefill_steps);
-  }
-  util::set_global_threads(1);
-}
-
-TEST(Serve, GreedyMatchesGenerateGreedy) {
-  util::set_global_threads(2);
-  const nn::TinyGpt model = small_model(5);
-  serve::ServiceConfig cfg;
-  serve::GenerationService service(model, cfg);
-  auto reqs = request_set(8, 23);
-  for (auto& req : reqs) req.greedy = true;
-  const auto results = get_all(service.submit_all(reqs));
-  for (std::size_t u = 0; u < reqs.size(); ++u) {
-    const auto direct = model.generate_greedy(
-        reqs[u].prompt, reqs[u].max_new_tokens, reqs[u].eos_id);
-    EXPECT_EQ(results[u].ids, direct.ids) << "request " << u;
-    EXPECT_EQ(results[u].finish == serve::FinishReason::kContext,
-              direct.truncated)
-        << "request " << u;
   }
   util::set_global_threads(1);
 }
@@ -368,10 +345,10 @@ TEST(Serve, TtftRecordedWhenFirstTokenIsEos) {
   serve::GenerateRequest req;
   req.prompt = {2, 3, 5};
   req.max_new_tokens = 4;
-  req.greedy = true;
   req.eos_id = -1;
-  // Probe the deterministic greedy decode for its first token, then make
-  // exactly that token the eos.
+  req.seed = 5;
+  // Probe the decode under a fixed request seed for its first token, then
+  // make exactly that token the eos.
   const auto probe = service.submit(req).get();
   ASSERT_FALSE(probe.ids.empty());
   req.eos_id = probe.ids.front();
@@ -387,25 +364,46 @@ TEST(Serve, TtftRecordedWhenFirstTokenIsEos) {
 }
 
 // A fault inside one slot's decode step fails that request's future and
-// nothing else. NaN weights make every sampled step's weighted draw
-// CHECK-fail; greedy and zero-budget requests on the same model, decoded
-// in the same iterations, still complete, and the service keeps taking
-// work until shutdown.
+// nothing else. Token kPoison's embedding row is NaN, so a request with it
+// in its prompt gets NaN logits at its first decode step and the weighted
+// draw CHECK-fails. The healthy requests make kPoison their eos, so they
+// never feed it: decoded in the same iterations, they return the reference
+// decoder's tokens, and the service keeps taking work until shutdown.
 TEST(Serve, DecodeFaultFailsOnlyThatRequest) {
+  constexpr int kPoison = 0;
   nn::TinyGpt model = small_model();
-  model.load_state(std::vector<float>(
-      model.state().size(), std::numeric_limits<float>::quiet_NaN()));
+  const auto d = model.config().d_model;
+  float* const poison_row = model.parameters().front().data() + kPoison * d;
+  std::fill(poison_row, poison_row + d,
+            std::numeric_limits<float>::quiet_NaN());
   auto reqs = request_set(12, 89);
-  for (std::size_t u = 1; u < reqs.size(); u += 2) reqs[u].greedy = true;
+  for (std::size_t u = 0; u < reqs.size(); ++u) {
+    auto& req = reqs[u];
+    std::replace(req.prompt.begin(), req.prompt.end(), kPoison, 2);
+    if (u % 2 == 1) {
+      req.eos_id = kPoison;
+      continue;
+    }
+    req.prompt.insert(req.prompt.begin() + static_cast<std::ptrdiff_t>(
+                                               u % req.prompt.size()),
+                      kPoison);
+    req.max_new_tokens = std::max(req.max_new_tokens, 1);
+  }
   const auto faults = [](const serve::GenerateRequest& req) {
-    return !req.greedy && req.max_new_tokens > 0;
+    return req.eos_id != kPoison;
   };
-  ASSERT_GT(std::count_if(reqs.begin(), reqs.end(), faults), 0);
+  serve::ServiceConfig cfg;
+  cfg.slots = 4;
+  std::vector<serve::reference::Decode> want(reqs.size());
+  std::size_t longest = 0;
+  for (std::size_t u = 1; u < reqs.size(); u += 2) {
+    want[u] = serve::reference::decode(model, reqs[u], cfg.seed);
+    longest = std::max(longest, want[u].ids.size());
+  }
+  ASSERT_GE(longest, 4u);  // a healthy request outlives several iterations
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     util::set_global_threads(threads);
-    serve::ServiceConfig cfg;
-    cfg.slots = 4;
     serve::GenerationService service(model, cfg);
     auto futures = service.submit_all(reqs);
     std::uint64_t completed = 0;
@@ -413,14 +411,14 @@ TEST(Serve, DecodeFaultFailsOnlyThatRequest) {
       if (faults(reqs[u])) {
         EXPECT_THROW((void)futures[u].get(), ContractViolation)
             << "request " << u;
-      } else {
-        EXPECT_EQ(futures[u].get().finish, serve::FinishReason::kLength)
-            << "request " << u;
-        ++completed;
+        continue;
       }
+      const serve::GenerateResult got = futures[u].get();
+      EXPECT_EQ(got.ids, want[u].ids) << "request " << u;
+      EXPECT_EQ(got.finish, want[u].finish) << "request " << u;
+      ++completed;
     }
-    EXPECT_EQ(service.submit(reqs[1]).get().finish,
-              serve::FinishReason::kLength);
+    EXPECT_EQ(service.submit(reqs[1]).get().ids, want[1].ids);
     service.shutdown();
     EXPECT_EQ(service.stats().completed, completed + 1);
   }
